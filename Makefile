@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
+.PHONY: all build test race vet check loc bench bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
 
 all: check
 
@@ -25,6 +25,15 @@ race:
 
 # The CI gate: tier-1 tests plus vet and the race suite.
 check: build vet test race
+
+# Non-test Go line counts (wc -l, *_test.go excluded) per internal
+# package and in total: the number a "judged by lines removed" refactor
+# is judged by. Informational; no gate reads it.
+loc:
+	@for d in internal/*; do \
+		printf '%7d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
+	done
+	@printf '%7d  total\n' "$$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -328,7 +328,7 @@ func main() {
 		log.Printf("%s: requests=%d items=%d batches=%d errors=%d cancelled=%d shed=%d expired=%d "+
 			"queue p50/p95/p99 = %.2f/%.2f/%.2f ms, compute p50/p95/p99 = %.2f/%.2f/%.2f ms",
 			m.Model, m.Requests, m.Items, m.Batches, m.Errors, m.Cancelled, m.Shed, m.Expired,
-			m.QueueLatency.P50*1000, m.QueueLatency.P95*1000, m.QueueLatency.P99*1000,
-			m.ComputeLatency.P50*1000, m.ComputeLatency.P95*1000, m.ComputeLatency.P99*1000)
+			m.QueueMs.P50Ms, m.QueueMs.P95Ms, m.QueueMs.P99Ms,
+			m.ComputeMs.P50Ms, m.ComputeMs.P95Ms, m.ComputeMs.P99Ms)
 	}
 }

@@ -201,9 +201,9 @@ func overloadDemo(srv *serve.Server, baseURL string) {
 	}
 	fmt.Printf("server counters: requests=%d shed=%d expired=%d\n", m.Requests, m.Shed, m.Expired)
 	for _, class := range []string{"realtime", "online", "offline"} {
-		if q, ok := m.ClassQueueLatency[class]; ok {
+		if q, ok := m.QueueMsByClass[class]; ok {
 			fmt.Printf("  queue ms [%-8s]: p50=%7.2f  p99=%7.2f  (n=%d)\n",
-				class, q.P50*1000, q.P99*1000, q.N)
+				class, q.P50Ms, q.P99Ms, q.Count)
 		}
 	}
 	fmt.Println("\nthe bounded queue fails excess load fast instead of letting latency grow")

@@ -9,32 +9,17 @@ import (
 
 	"harvest/internal/fleet"
 	"harvest/internal/metrics"
+	"harvest/internal/serve"
 )
 
-// LatencyMs summarizes one latency distribution in milliseconds,
-// derived from the shared mergeable histogram layout (mean, min and
-// max exact; percentiles bucket-interpolated).
-type LatencyMs struct {
-	Count  int     `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MinMs  float64 `json:"min_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-func latencyMs(h metrics.HistogramSnapshot) LatencyMs {
-	s := h.Summary()
-	return LatencyMs{
-		Count:  s.N,
-		MeanMs: s.Mean * 1000,
-		P50Ms:  s.P50 * 1000,
-		P95Ms:  s.P95 * 1000,
-		P99Ms:  s.P99 * 1000,
-		MinMs:  s.Min * 1000,
-		MaxMs:  s.Max * 1000,
-	}
+// latencyMs is a report's view of one latency distribution: the
+// serving tier's millisecond summary (mean, min and max exact;
+// percentiles bucket-interpolated) without the raw buckets, which a
+// report has no aggregator for.
+func latencyMs(h metrics.HistogramSnapshot) serve.LatencySummaryJSON {
+	s := serve.LatencySummary(h)
+	s.Buckets = nil
+	return s
 }
 
 // ClassReport is one class's (or the whole run's) measured results
@@ -59,8 +44,8 @@ type ClassReport struct {
 	// ServiceMs measures send→response; IntendedStartMs measures
 	// scheduled-arrival→response, the coordinated-omission-safe number
 	// (identical to ServiceMs for closed-loop classes).
-	ServiceMs       LatencyMs `json:"service_ms"`
-	IntendedStartMs LatencyMs `json:"intended_start_ms"`
+	ServiceMs       serve.LatencySummaryJSON `json:"service_ms"`
+	IntendedStartMs serve.LatencySummaryJSON `json:"intended_start_ms"`
 	// Outcome counters: the designed overload responses (429
 	// admission sheds, 504 deadline evictions) apart from faults.
 	Rejected429 int64 `json:"rejected_429"`

@@ -111,10 +111,10 @@ type CameraReport struct {
 	// IntendedStartMs measures intended-frame-time→outcome for served
 	// and cached frames: the coordinated-omission-safe per-frame
 	// latency, charged from when the camera *meant* to send the frame.
-	IntendedStartMs LatencyMs `json:"intended_start_ms"`
+	IntendedStartMs serve.LatencySummaryJSON `json:"intended_start_ms"`
 	// UploadMs summarizes the server-reported modeled upload cost of
 	// this camera's cloud-served frames.
-	UploadMs LatencyMs `json:"upload_ms"`
+	UploadMs serve.LatencySummaryJSON `json:"upload_ms"`
 }
 
 // StreamReport is the streaming scenario's artifact (BENCH_PR9.json).

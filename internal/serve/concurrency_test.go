@@ -106,8 +106,8 @@ func TestGracefulDrainServesQueuedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RequestsServed != n {
-		t.Errorf("drain served %d requests, want %d", st.RequestsServed, n)
+	if st.Requests != n {
+		t.Errorf("drain served %d requests, want %d", st.Requests, n)
 	}
 }
 
@@ -195,8 +195,8 @@ func TestCancellationDuringBatchingRace(t *testing.T) {
 	if m.QueueDepth != 0 {
 		t.Errorf("queue depth %d after quiescence, want 0", m.QueueDepth)
 	}
-	if m.QueueLatency.N != int(m.Requests) {
-		t.Errorf("queue latency samples %d != requests %d", m.QueueLatency.N, m.Requests)
+	if m.QueueMs.Count != int(m.Requests) {
+		t.Errorf("queue latency samples %d != requests %d", m.QueueMs.Count, m.Requests)
 	}
 }
 

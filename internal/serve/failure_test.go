@@ -139,10 +139,6 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// requests_served is the deprecated wire alias for items served.
-	if st.RequestsServed != 6 {
-		t.Errorf("stats served %d items (deprecated field), want 6", st.RequestsServed)
-	}
 	if st.ItemsServed != 6 {
 		t.Errorf("stats served %d items, want 6", st.ItemsServed)
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -132,113 +131,13 @@ type ModelListJSON struct {
 // StatsJSON is the response of GET /v2/models/{name}/stats.
 type StatsJSON struct {
 	Model string `json:"model"`
-	// RequestsServed historically reported the number of served
-	// *images*, not requests, and keeps that meaning for wire
-	// compatibility.
-	//
-	// Deprecated: use ItemsServed for image counts and Requests for
-	// request counts.
-	RequestsServed int64 `json:"requests_served"`
 	// Requests counts requests completed successfully.
 	Requests int64 `json:"requests"`
 	// ItemsServed counts images in successfully served requests.
-	ItemsServed   int64   `json:"items_served"`
-	BatchesRun    int64   `json:"batches_run"`
+	ItemsServed int64 `json:"items_served"`
+	BatchesRun  int64 `json:"batches_run"`
+	// MeanBatchFill is mean served items per batch divided by MaxBatch.
 	MeanBatchFill float64 `json:"mean_batch_fill"`
-}
-
-// LatencySummaryJSON summarizes a latency distribution in
-// milliseconds. Alongside the derived percentiles it ships the raw
-// histogram (shared bucket layout, see metrics.LatencyBucketBounds)
-// plus sum and extremes, so an aggregator can merge distributions from
-// many replicas exactly instead of averaging percentiles.
-type LatencySummaryJSON struct {
-	Count  int     `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MinMs  float64 `json:"min_ms,omitempty"`
-	MaxMs  float64 `json:"max_ms"`
-	SumMs  float64 `json:"sum_ms,omitempty"`
-	// Buckets holds per-bucket observation counts in the shared layout;
-	// empty when the producer predates histogram shipping.
-	Buckets []uint64 `json:"buckets,omitempty"`
-}
-
-// histToJSON converts a histogram snapshot to the wire summary.
-func histToJSON(h metrics.HistogramSnapshot) LatencySummaryJSON {
-	s := h.Summary()
-	return LatencySummaryJSON{
-		Count:   s.N,
-		MeanMs:  s.Mean * 1000,
-		P50Ms:   s.P50 * 1000,
-		P95Ms:   s.P95 * 1000,
-		P99Ms:   s.P99 * 1000,
-		MinMs:   s.Min * 1000,
-		MaxMs:   s.Max * 1000,
-		SumMs:   h.Sum * 1000,
-		Buckets: h.Counts,
-	}
-}
-
-// histFromJSON reconstructs a mergeable snapshot from the wire
-// summary. ok is false when the producer did not ship buckets (or
-// shipped an incompatible layout) and only percentile fields are
-// usable.
-func histFromJSON(j LatencySummaryJSON) (metrics.HistogramSnapshot, bool) {
-	if len(j.Buckets) != metrics.NumLatencyBuckets {
-		return metrics.HistogramSnapshot{}, false
-	}
-	h := metrics.HistogramSnapshot{
-		Sum:    j.SumMs / 1000,
-		Min:    j.MinMs / 1000,
-		Max:    j.MaxMs / 1000,
-		Counts: append([]uint64(nil), j.Buckets...),
-	}
-	for _, c := range h.Counts {
-		h.Count += c
-	}
-	return h, true
-}
-
-// ModelMetricsJSON is one model's entry in GET /v2/metrics.
-type ModelMetricsJSON struct {
-	Model     string `json:"model"`
-	Requests  int64  `json:"requests"`
-	Items     int64  `json:"items"`
-	Batches   int64  `json:"batches"`
-	Errors    int64  `json:"errors"`
-	Cancelled int64  `json:"cancelled"`
-	// Shed counts submissions rejected with HTTP 429 by admission
-	// control (queue full).
-	Shed int64 `json:"shed"`
-	// Expired counts admitted requests evicted past their deadline
-	// (HTTP 504).
-	Expired    int64              `json:"expired"`
-	QueueDepth int64              `json:"queue_depth"`
-	QueueMs    LatencySummaryJSON `json:"queue_ms"`
-	ComputeMs  LatencySummaryJSON `json:"compute_ms"`
-	// PreprocessMs summarizes the encoded-image preprocess stage
-	// (count 0 for models never hit through that path).
-	PreprocessMs LatencySummaryJSON `json:"preprocess_ms"`
-	// QueueMsByClass decomposes queue latency per SLO class, keyed by
-	// class name, for classes that served requests.
-	QueueMsByClass map[string]LatencySummaryJSON `json:"queue_ms_by_class,omitempty"`
-	// Tenants decomposes activity per tenant, keyed by tenant id.
-	Tenants map[string]TenantMetricsJSON `json:"tenants,omitempty"`
-}
-
-// TenantMetricsJSON is one tenant's entry in a model's metrics block.
-type TenantMetricsJSON struct {
-	Requests int64 `json:"requests"`
-	Items    int64 `json:"items"`
-	// Shed is the tenant's isolated 429 budget: its own quota and
-	// queue-full rejections.
-	Shed       int64              `json:"shed"`
-	Expired    int64              `json:"expired"`
-	QueueDepth int64              `json:"queue_depth"`
-	QueueMs    LatencySummaryJSON `json:"queue_ms"`
 }
 
 // MetricsJSON is the response of GET /v2/metrics.
@@ -313,17 +212,7 @@ func (s *Server) retryAfterSeconds(name string, class Class) int {
 	if !ok {
 		return 1
 	}
-	queued := rt.backlogItemsAtOrAbove(class)
-	maxBatch := int64(rt.cfg.MaxBatch)
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	batches := (queued + maxBatch - 1) / maxBatch
-	instances := int64(rt.cfg.Instances)
-	if instances < 1 {
-		instances = 1
-	}
-	rounds := (batches + instances - 1) / instances
+	rounds := rt.drainRounds(rt.backlogItemsAtOrAbove(class))
 	drain := float64(rounds) * rt.estimatedExecDuration(rt.cfg.MaxBatch).Seconds()
 	return clampRetrySeconds(int(drain + 1))
 }
@@ -369,10 +258,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, ModelListJSON{Models: s.Models()})
 	})
 	mux.HandleFunc("GET /v2/metrics", func(w http.ResponseWriter, r *http.Request) {
-		var out MetricsJSON
-		for _, m := range s.Metrics() {
-			out.Models = append(out.Models, metricsToJSON(m))
-		}
+		out := MetricsJSON{Models: s.Metrics()}
 		for _, ext := range s.metricsExtensions() {
 			raw, err := json.Marshal(ext.json())
 			if err != nil {
@@ -414,14 +300,7 @@ func (s *Server) Handler() http.Handler {
 			writeJSON(w, http.StatusNotFound, errorJSON{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, StatsJSON{
-			Model:          st.Model,
-			RequestsServed: st.ItemsServed, // deprecated alias, see StatsJSON
-			Requests:       st.RequestsServed,
-			ItemsServed:    st.ItemsServed,
-			BatchesRun:     st.BatchesRun,
-			MeanBatchFill:  st.MeanBatchFill,
-		})
+		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v2/models/", func(w http.ResponseWriter, r *http.Request) {
 		arrived := time.Now()
@@ -535,107 +414,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeProm writes the server's Prometheus text exposition: per-model
-// request counters, queue-depth gauges, and the queue/compute latency
-// histograms in the shared bucket layout.
-func (s *Server) writeProm(w http.ResponseWriter) {
-	ms := s.Metrics()
+// writeProm writes the server's Prometheus text exposition: every
+// declared per-model, per-class and per-tenant family (see metrics.go).
+func (s *Server) writeProm(w io.Writer) {
 	pw := metrics.PromWriter{W: w}
-	counters := []struct {
-		name, help string
-		get        func(ModelMetrics) int64
-	}{
-		{"harvest_requests_total", "Requests completed successfully.", func(m ModelMetrics) int64 { return m.Requests }},
-		{"harvest_items_total", "Images served in successful requests.", func(m ModelMetrics) int64 { return m.Items }},
-		{"harvest_batches_total", "Fused batches executed.", func(m ModelMetrics) int64 { return m.Batches }},
-		{"harvest_errors_total", "Requests failed by the backend or shutdown.", func(m ModelMetrics) int64 { return m.Errors }},
-		{"harvest_cancelled_total", "Requests withdrawn before dispatch.", func(m ModelMetrics) int64 { return m.Cancelled }},
-		{"harvest_shed_total", "Submissions rejected by admission control.", func(m ModelMetrics) int64 { return m.Shed }},
-		{"harvest_expired_total", "Admitted requests shed past their deadline.", func(m ModelMetrics) int64 { return m.Expired }},
-	}
-	for _, c := range counters {
-		pw.Head(c.name, "counter", c.help)
-		for _, m := range ms {
-			pw.Int(c.name, metrics.PromLabel("model", m.Model), c.get(m))
-		}
-	}
-	pw.Head("harvest_queue_depth", "gauge", "Requests admitted but not yet dispatched.")
-	for _, m := range ms {
-		pw.Int("harvest_queue_depth", metrics.PromLabel("model", m.Model), m.QueueDepth)
-	}
-	pw.Head("harvest_queue_latency_seconds", "histogram", "Wall time from enqueue to batch execution start.")
-	for _, m := range ms {
-		pw.Hist("harvest_queue_latency_seconds", metrics.PromLabel("model", m.Model), m.QueueHist)
-	}
-	pw.Head("harvest_compute_latency_seconds", "histogram", "Execution time of the fused batch.")
-	for _, m := range ms {
-		pw.Hist("harvest_compute_latency_seconds", metrics.PromLabel("model", m.Model), m.ComputeHist)
-	}
-	pw.Head("harvest_preprocess_latency_seconds", "histogram", "Encoded-image preprocess stage duration per request.")
-	for _, m := range ms {
-		if m.PreprocessHist.Count > 0 {
-			pw.Hist("harvest_preprocess_latency_seconds", metrics.PromLabel("model", m.Model), m.PreprocessHist)
-		}
-	}
-	pw.Head("harvest_class_queue_latency_seconds", "histogram", "Queue latency per SLO class.")
-	for _, m := range ms {
-		for _, class := range classKeysSorted(m.ClassQueueHist) {
-			pw.Hist("harvest_class_queue_latency_seconds",
-				metrics.PromLabels(metrics.PromLabel("model", m.Model), metrics.PromLabel("class", class)),
-				m.ClassQueueHist[class])
-		}
-	}
-	tenantCounters := []struct {
-		name, help string
-		get        func(TenantMetrics) int64
-	}{
-		{"harvest_tenant_requests_total", "Requests served per tenant.", func(t TenantMetrics) int64 { return t.Requests }},
-		{"harvest_tenant_items_total", "Images served per tenant.", func(t TenantMetrics) int64 { return t.Items }},
-		{"harvest_tenant_shed_total", "Per-tenant quota and queue-full rejections.", func(t TenantMetrics) int64 { return t.Shed }},
-		{"harvest_tenant_expired_total", "Per-tenant deadline evictions.", func(t TenantMetrics) int64 { return t.Expired }},
-	}
-	for _, c := range tenantCounters {
-		pw.Head(c.name, "counter", c.help)
-		for _, m := range ms {
-			for _, tenant := range tenantKeysSorted(m.Tenants) {
-				pw.Int(c.name,
-					metrics.PromLabels(metrics.PromLabel("model", m.Model), metrics.PromLabel("tenant", tenant)),
-					c.get(m.Tenants[tenant]))
-			}
-		}
-	}
-	pw.Head("harvest_tenant_queue_depth", "gauge", "Queued requests per tenant.")
-	for _, m := range ms {
-		for _, tenant := range tenantKeysSorted(m.Tenants) {
-			pw.Int("harvest_tenant_queue_depth",
-				metrics.PromLabels(metrics.PromLabel("model", m.Model), metrics.PromLabel("tenant", tenant)),
-				m.Tenants[tenant].QueueDepth)
-		}
-	}
-	pw.Head("harvest_tenant_queue_latency_seconds", "histogram", "Queue latency per tenant.")
-	for _, m := range ms {
-		for _, tenant := range tenantKeysSorted(m.Tenants) {
-			if h := m.Tenants[tenant].QueueHist; h.Count > 0 {
-				pw.Hist("harvest_tenant_queue_latency_seconds",
-					metrics.PromLabels(metrics.PromLabel("model", m.Model), metrics.PromLabel("tenant", tenant)), h)
-			}
-		}
-	}
-	if rec := s.Trace(); rec != nil {
-		pw.Head("harvest_trace_spans_dropped_total", "counter", "Trace spans evicted from the ring buffer.")
-		pw.Int("harvest_trace_spans_dropped_total", "", int64(rec.Dropped()))
-	}
-}
-
-// tenantKeysSorted returns tenant map keys in sorted order for
-// deterministic exposition output.
-func tenantKeysSorted(m map[string]TenantMetrics) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	writeModelProm(pw, s.Metrics())
+	writeTraceProm(pw, s.Trace())
 }
 
 // tenantSpanFilter builds the ?tenant= span predicate for /v2/trace:
@@ -649,54 +433,6 @@ func tenantSpanFilter(tenant string) func(trace.Span) bool {
 		v, ok := sp.Args["tenant"]
 		return ok && v == tenant
 	}
-}
-
-// classKeysSorted returns map keys in sorted order for deterministic
-// exposition output.
-func classKeysSorted(m map[string]metrics.HistogramSnapshot) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func metricsToJSON(m ModelMetrics) ModelMetricsJSON {
-	out := ModelMetricsJSON{
-		Model:        m.Model,
-		Requests:     m.Requests,
-		Items:        m.Items,
-		Batches:      m.Batches,
-		Errors:       m.Errors,
-		Cancelled:    m.Cancelled,
-		Shed:         m.Shed,
-		Expired:      m.Expired,
-		QueueDepth:   m.QueueDepth,
-		QueueMs:      histToJSON(m.QueueHist),
-		ComputeMs:    histToJSON(m.ComputeHist),
-		PreprocessMs: histToJSON(m.PreprocessHist),
-	}
-	for class, h := range m.ClassQueueHist {
-		if out.QueueMsByClass == nil {
-			out.QueueMsByClass = make(map[string]LatencySummaryJSON, len(m.ClassQueueHist))
-		}
-		out.QueueMsByClass[class] = histToJSON(h)
-	}
-	for tenant, tm := range m.Tenants {
-		if out.Tenants == nil {
-			out.Tenants = make(map[string]TenantMetricsJSON, len(m.Tenants))
-		}
-		out.Tenants[tenant] = TenantMetricsJSON{
-			Requests:   tm.Requests,
-			Items:      tm.Items,
-			Shed:       tm.Shed,
-			Expired:    tm.Expired,
-			QueueDepth: tm.QueueDepth,
-			QueueMs:    histToJSON(tm.QueueHist),
-		}
-	}
-	return out
 }
 
 func argmax(xs []float32) int {

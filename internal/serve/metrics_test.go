@@ -42,7 +42,7 @@ func TestMetricsEndpointReconcilesWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Model != st.Model || m.Requests != st.RequestsServed ||
+	if m.Model != st.Model || m.Requests != st.Requests ||
 		m.Items != st.ItemsServed || m.Batches != st.BatchesRun {
 		t.Errorf("metrics %+v do not reconcile with stats %+v", m, st)
 	}
@@ -97,11 +97,12 @@ func TestQueueTimeExcludesRealComputeTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.ComputeLatency.P50; got < delay.Seconds() {
-		t.Errorf("measured compute p50 %.1f ms, want >= %.0f ms", got*1000, delay.Seconds()*1000)
+	delayMs := delay.Seconds() * 1000
+	if got := m.ComputeMs.P50Ms; got < delayMs {
+		t.Errorf("measured compute p50 %.1f ms, want >= %.0f ms", got, delayMs)
 	}
-	if got := m.QueueLatency.P50; got >= delay.Seconds()/2 {
-		t.Errorf("queue latency p50 %.1f ms includes compute", got*1000)
+	if got := m.QueueMs.P50Ms; got >= delayMs/2 {
+		t.Errorf("queue latency p50 %.1f ms includes compute", got)
 	}
 }
 

@@ -281,7 +281,7 @@ func TestRouterMergesPercentilesExactly(t *testing.T) {
 		return MetricsJSON{Models: []ModelMetricsJSON{{
 			Model:    models.NameViTTiny,
 			Requests: n,
-			QueueMs:  histToJSON(r.Snapshot()),
+			QueueMs:  LatencySummary(r.Snapshot()),
 		}}}
 	}
 	fastRep := fakeReplica(t, mkMetrics(&fast, 900))

@@ -89,8 +89,8 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RequestsServed != admitted {
-		t.Errorf("drain served %d requests, want %d", st.RequestsServed, admitted)
+	if st.Requests != admitted {
+		t.Errorf("drain served %d requests, want %d", st.Requests, admitted)
 	}
 	if _, err := s.Submit(context.Background(), &Request{Model: models.NameViTTiny, Items: 1}); !errors.Is(err, ErrServerClosed) {
 		t.Errorf("post-close submit returned %v, want ErrServerClosed", err)
@@ -254,7 +254,7 @@ func TestPriorityOrderingUnderSustainedOverload(t *testing.T) {
 	if m.Shed != 0 || m.Expired != 0 {
 		t.Errorf("unexpected shedding during priority test: %+v", m)
 	}
-	if got := len(m.ClassQueueLatency); got < 2 {
+	if got := len(m.QueueMsByClass); got < 2 {
 		t.Errorf("per-class queue latency has %d classes, want >= 2", got)
 	}
 }
@@ -334,8 +334,8 @@ func TestHTTPOverloadEndToEnd(t *testing.T) {
 	// Admitted realtime requests must meet their SLO: shedding and
 	// deadline eviction keep served realtime queue latency within the
 	// deadline budget.
-	if sum, ok := m.ClassQueueLatency[ClassRealtime.String()]; ok {
-		if p99 := sum.P99 * 1000; p99 > deadlineMs {
+	if sum, ok := m.QueueMsByClass[ClassRealtime.String()]; ok {
+		if p99 := sum.P99Ms; p99 > deadlineMs {
 			t.Errorf("served realtime p99 queue latency %.2f ms exceeds the %d ms deadline", p99, deadlineMs)
 		}
 	}

@@ -99,8 +99,8 @@ func TestEncodedImageMatchesTensorPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PreprocessLatency.N != 1 {
-		t.Errorf("preprocess latency count %d, want 1", m.PreprocessLatency.N)
+	if m.PreprocessMs.Count != 1 {
+		t.Errorf("preprocess latency count %d, want 1", m.PreprocessMs.Count)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,7 +103,7 @@ type Router struct {
 	tenantShed map[string]int64 // router-quota rejections per tenant
 
 	qmu         sync.Mutex
-	quotaStates map[string]*tenantState // router-level token buckets, by tenant
+	quotaStates map[string]*tokenBucket // router-level token buckets, by tenant
 }
 
 // NewRouter builds a router over the given replica base URLs and
@@ -137,7 +138,7 @@ func newRouter(pool *Pool, cfg RouterConfig) *Router {
 	r := &Router{cfg: cfg, pool: pool,
 		tenantReqs: map[string]int64{}, tenantShed: map[string]int64{}}
 	if len(cfg.TenantQuotas) > 0 {
-		r.quotaStates = map[string]*tenantState{}
+		r.quotaStates = map[string]*tokenBucket{}
 	}
 	if cfg.TraceCapacity > 0 {
 		r.trace = trace.NewRing(cfg.TraceCapacity)
@@ -151,39 +152,6 @@ func (r *Router) Trace() *trace.Recorder { return r.trace }
 // Pool exposes the replica pool (status snapshots, tests).
 func (r *Router) Pool() *Pool { return r.pool }
 
-// routerQuotaFor resolves a tenant's router-level quota: an exact
-// entry wins, then the "*" wildcard, else none.
-func (r *Router) routerQuotaFor(tenant string) (TenantQuota, bool) {
-	if q, ok := r.cfg.TenantQuotas[tenant]; ok {
-		return q, true
-	}
-	if q, ok := r.cfg.TenantQuotas["*"]; ok {
-		return q, true
-	}
-	return TenantQuota{}, false
-}
-
-// quotaState returns (creating on first use) the router's token-bucket
-// state for a tenant, aggregating into the overflow bucket past
-// maxTenantStates like the replica-side accounting does.
-func (r *Router) quotaState(tenant string) *tenantState {
-	r.qmu.Lock()
-	defer r.qmu.Unlock()
-	if ts, ok := r.quotaStates[tenant]; ok {
-		return ts
-	}
-	key := tenant
-	if len(r.quotaStates) >= maxTenantStates {
-		key = overflowTenant
-		if ts, ok := r.quotaStates[key]; ok {
-			return ts
-		}
-	}
-	ts := &tenantState{tenant: key}
-	r.quotaStates[key] = ts
-	return ts
-}
-
 // checkTenantQuota applies the router-level admission rate for one
 // request. On refusal it returns a *QuotaError (unwrapping to
 // ErrOverloaded → HTTP 429) carrying the tenant's own token-bucket
@@ -194,7 +162,7 @@ func (r *Router) checkTenantQuota(body *InferRequestJSON) error {
 	if r.quotaStates == nil {
 		return nil
 	}
-	q, ok := r.routerQuotaFor(body.Tenant)
+	q, ok := quotaFor(r.cfg.TenantQuotas, body.Tenant)
 	if !ok || q.RatePerSec <= 0 {
 		return nil
 	}
@@ -205,8 +173,10 @@ func (r *Router) checkTenantQuota(body *InferRequestJSON) error {
 	if items <= 0 {
 		items = 1
 	}
-	ts := r.quotaState(body.Tenant)
-	if ok, wait := ts.takeTokens(float64(items), q); !ok {
+	r.qmu.Lock()
+	bucket := tenantEntry(r.quotaStates, body.Tenant)
+	r.qmu.Unlock()
+	if ok, wait := bucket.take(float64(items), q); !ok {
 		r.met.quotaShed.Inc()
 		r.tmu.Lock()
 		r.tenantShed[body.Tenant]++
@@ -408,12 +378,7 @@ func (r *Router) Models(ctx context.Context) ([]string, error) {
 	if !ok {
 		return nil, ErrNoReplicas
 	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out, nil
+	return sortedKeys(seen), nil
 }
 
 // RouterReplicaJSON is one replica's entry in the router section of
@@ -453,14 +418,39 @@ type RouterMetricsJSON struct {
 	Router RouterJSON         `json:"router"`
 }
 
-// Metrics aggregates per-model metrics across replicas: counters and
-// queue depths are summed; latency summaries are merged with
-// count-weighted means (percentiles included — an approximation, since
-// exact quantile merging would need the raw histograms over the wire)
-// and max-of-max.
+var routerFamilies = []family[RouterJSON]{
+	{name: "harvest_router_requests_total", typ: "counter", help: "Proxied requests answered successfully.",
+		i64: func(r *RouterJSON) *int64 { return &r.Requests }},
+	{name: "harvest_router_errors_total", typ: "counter", help: "Proxied requests that ultimately failed.",
+		i64: func(r *RouterJSON) *int64 { return &r.Errors }},
+	{name: "harvest_router_failovers_total", typ: "counter", help: "Replica faults that moved a request to another replica.",
+		i64: func(r *RouterJSON) *int64 { return &r.Failovers }},
+	{name: "harvest_router_spills_total", typ: "counter", help: "Overload rejections that moved a request to another replica.",
+		i64: func(r *RouterJSON) *int64 { return &r.Spills }},
+	{name: "harvest_router_quota_rejects_total", typ: "counter", help: "Requests refused by the router-level tenant quota.",
+		i64: func(r *RouterJSON) *int64 { return &r.QuotaRejects }},
+	{name: "harvest_router_streams_total", typ: "counter", help: "Camera ingest streams proxied to a replica.",
+		i64: func(r *RouterJSON) *int64 { return &r.Streams }},
+	{name: "harvest_router_latency_seconds", typ: "histogram", help: "End-to-end latency of successfully routed requests.",
+		lat: func(r *RouterJSON) *LatencySummaryJSON { return &r.LatencyMs }},
+}
+
+var replicaFamilies = []family[RouterReplicaJSON]{
+	{name: "harvest_replica_inflight", typ: "gauge", help: "Router-proxied requests currently on the replica.",
+		i64: func(r *RouterReplicaJSON) *int64 { return &r.Inflight }},
+	{name: "harvest_replica_queue_depth", typ: "gauge", help: "Replica-reported total admission queue depth.",
+		i64: func(r *RouterReplicaJSON) *int64 { return &r.QueueDepth }},
+	{name: "harvest_replica_ejections_total", typ: "counter", help: "Times the replica was ejected from rotation.",
+		i64: func(r *RouterReplicaJSON) *int64 { return &r.Ejections }},
+}
+
+// Metrics snapshots the router: its own routing counters and replica
+// health, plus every replica's per-model metrics (fetched live from
+// healthy replicas, else the last probe's copy) merged per model by
+// ModelMetricsJSON.merge — counters and queue depths sum, latency
+// histograms add bucket-wise, so fleet percentiles are exact.
 func (r *Router) Metrics(ctx context.Context) RouterMetricsJSON {
 	byModel := map[string]*ModelMetricsJSON{}
-	var order []string
 	for _, rep := range r.pool.Replicas() {
 		m := rep.metrics.Load()
 		if rep.Healthy() {
@@ -472,47 +462,16 @@ func (r *Router) Metrics(ctx context.Context) RouterMetricsJSON {
 		if m == nil {
 			continue
 		}
-		for _, mm := range m.Models {
+		for i := range m.Models {
+			mm := &m.Models[i]
 			agg, ok := byModel[mm.Model]
 			if !ok {
-				cp := mm
-				cp.QueueMsByClass = nil
-				cp.Tenants = nil
-				byModel[mm.Model] = &cp
-				order = append(order, mm.Model)
-				agg = byModel[mm.Model]
-				agg.QueueMs = mm.QueueMs
-				agg.ComputeMs = mm.ComputeMs
-				for class, sum := range mm.QueueMsByClass {
-					if agg.QueueMsByClass == nil {
-						agg.QueueMsByClass = map[string]LatencySummaryJSON{}
-					}
-					agg.QueueMsByClass[class] = sum
-				}
-				mergeTenantMetrics(agg, mm.Tenants)
-				continue
+				agg = &ModelMetricsJSON{Model: mm.Model}
+				byModel[mm.Model] = agg
 			}
-			agg.Requests += mm.Requests
-			agg.Items += mm.Items
-			agg.Batches += mm.Batches
-			agg.Errors += mm.Errors
-			agg.Cancelled += mm.Cancelled
-			agg.Shed += mm.Shed
-			agg.Expired += mm.Expired
-			agg.QueueDepth += mm.QueueDepth
-			agg.QueueMs = mergeLatency(agg.QueueMs, mm.QueueMs)
-			agg.ComputeMs = mergeLatency(agg.ComputeMs, mm.ComputeMs)
-			agg.PreprocessMs = mergeLatency(agg.PreprocessMs, mm.PreprocessMs)
-			for class, sum := range mm.QueueMsByClass {
-				if agg.QueueMsByClass == nil {
-					agg.QueueMsByClass = map[string]LatencySummaryJSON{}
-				}
-				agg.QueueMsByClass[class] = mergeLatency(agg.QueueMsByClass[class], sum)
-			}
-			mergeTenantMetrics(agg, mm.Tenants)
+			agg.merge(mm)
 		}
 	}
-	sort.Strings(order)
 	out := RouterMetricsJSON{
 		Router: RouterJSON{
 			Requests:        r.met.requests.Load(),
@@ -522,100 +481,22 @@ func (r *Router) Metrics(ctx context.Context) RouterMetricsJSON {
 			QuotaRejects:    r.met.quotaShed.Load(),
 			Streams:         r.met.streams.Load(),
 			HealthyReplicas: r.pool.HealthyCount(),
-			LatencyMs:       histToJSON(r.met.latency.Snapshot()),
+			LatencyMs:       LatencySummary(r.met.latency.Snapshot()),
 		},
 	}
 	r.tmu.Lock()
 	if len(r.tenantReqs) > 0 {
-		out.Router.RequestsByTenant = make(map[string]int64, len(r.tenantReqs))
-		for tenant, n := range r.tenantReqs {
-			out.Router.RequestsByTenant[tenant] = n
-		}
+		out.Router.RequestsByTenant = maps.Clone(r.tenantReqs)
 	}
 	if len(r.tenantShed) > 0 {
-		out.Router.ShedByTenant = make(map[string]int64, len(r.tenantShed))
-		for tenant, n := range r.tenantShed {
-			out.Router.ShedByTenant[tenant] = n
-		}
+		out.Router.ShedByTenant = maps.Clone(r.tenantShed)
 	}
 	r.tmu.Unlock()
-	for _, name := range order {
+	for _, name := range sortedKeys(byModel) {
 		out.Models = append(out.Models, *byModel[name])
 	}
 	for _, st := range r.pool.Status() {
-		out.Router.Replicas = append(out.Router.Replicas, RouterReplicaJSON{
-			Name:              st.Name,
-			URL:               st.URL,
-			Healthy:           st.Healthy,
-			Draining:          st.Draining,
-			ConsecutiveErrors: st.ConsecutiveErrors,
-			Ejections:         st.Ejections,
-			Inflight:          st.Inflight,
-			QueueDepth:        st.QueueDepth,
-		})
-	}
-	return out
-}
-
-// mergeTenantMetrics folds one replica's per-tenant metrics block into
-// the fleet aggregate for a model: counters and queue depths sum,
-// queue-latency summaries merge like every other histogram.
-func mergeTenantMetrics(agg *ModelMetricsJSON, tenants map[string]TenantMetricsJSON) {
-	if len(tenants) == 0 {
-		return
-	}
-	if agg.Tenants == nil {
-		agg.Tenants = make(map[string]TenantMetricsJSON, len(tenants))
-	}
-	for tenant, tm := range tenants {
-		cur := agg.Tenants[tenant]
-		cur.Requests += tm.Requests
-		cur.Items += tm.Items
-		cur.Shed += tm.Shed
-		cur.Expired += tm.Expired
-		cur.QueueDepth += tm.QueueDepth
-		cur.QueueMs = mergeLatency(cur.QueueMs, tm.QueueMs)
-		agg.Tenants[tenant] = cur
-	}
-}
-
-// mergeLatency folds two latency summaries. When both carry their
-// histogram buckets (shared layout), the merge is exact: bucket counts
-// add element-wise and the merged percentiles are recomputed from the
-// merged distribution. Only when a peer predates histogram shipping
-// does the merge degrade to the legacy count-weighted mean of
-// percentiles — which is an approximation, not a percentile of the
-// merged distribution (a count-weighted mean of two p99s can sit far
-// below the true merged p99 when replicas have skewed tails).
-func mergeLatency(a, b LatencySummaryJSON) LatencySummaryJSON {
-	if a.Count == 0 {
-		return b
-	}
-	if b.Count == 0 {
-		return a
-	}
-	if ha, ok := histFromJSON(a); ok {
-		if hb, ok := histFromJSON(b); ok {
-			return histToJSON(ha.Merge(hb))
-		}
-	}
-	n := a.Count + b.Count
-	wa, wb := float64(a.Count)/float64(n), float64(b.Count)/float64(n)
-	out := LatencySummaryJSON{
-		Count:  n,
-		MeanMs: wa*a.MeanMs + wb*b.MeanMs,
-		P50Ms:  wa*a.P50Ms + wb*b.P50Ms,
-		P95Ms:  wa*a.P95Ms + wb*b.P95Ms,
-		P99Ms:  wa*a.P99Ms + wb*b.P99Ms,
-		SumMs:  a.SumMs + b.SumMs,
-		MinMs:  a.MinMs,
-		MaxMs:  a.MaxMs,
-	}
-	if b.MinMs > 0 && (out.MinMs == 0 || b.MinMs < out.MinMs) {
-		out.MinMs = b.MinMs
-	}
-	if b.MaxMs > out.MaxMs {
-		out.MaxMs = b.MaxMs
+		out.Router.Replicas = append(out.Router.Replicas, RouterReplicaJSON(st))
 	}
 	return out
 }
@@ -636,7 +517,6 @@ func (r *Router) Stats(ctx context.Context, model string) (StatsJSON, error) {
 			continue
 		}
 		found = true
-		out.RequestsServed += st.RequestsServed
 		out.Requests += st.Requests
 		out.ItemsServed += st.ItemsServed
 		out.BatchesRun += st.BatchesRun
@@ -762,100 +642,42 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// writeProm writes the router's Prometheus text exposition: routing
-// counters, the end-to-end routed latency histogram, per-replica
-// health gauges, and the per-model latency histograms merged exactly
-// across replicas.
-func (r *Router) writeProm(w http.ResponseWriter, ctx context.Context) {
+// writeProm writes the router's Prometheus text exposition from one
+// Metrics snapshot: the router and per-replica families declared
+// above, then the same per-model families a replica exposes, over the
+// fleet merge.
+func (r *Router) writeProm(w io.Writer, ctx context.Context) {
 	pw := metrics.PromWriter{W: w}
-	pw.Head("harvest_router_requests_total", "counter", "Proxied requests answered successfully.")
-	pw.Int("harvest_router_requests_total", "", r.met.requests.Load())
-	pw.Head("harvest_router_errors_total", "counter", "Proxied requests that ultimately failed.")
-	pw.Int("harvest_router_errors_total", "", r.met.errors.Load())
-	pw.Head("harvest_router_failovers_total", "counter", "Replica faults that moved a request to another replica.")
-	pw.Int("harvest_router_failovers_total", "", r.met.failovers.Load())
-	pw.Head("harvest_router_spills_total", "counter", "Overload rejections that moved a request to another replica.")
-	pw.Int("harvest_router_spills_total", "", r.met.spills.Load())
-	pw.Head("harvest_router_quota_rejects_total", "counter", "Requests refused by the router-level tenant quota.")
-	pw.Int("harvest_router_quota_rejects_total", "", r.met.quotaShed.Load())
-	pw.Head("harvest_router_streams_total", "counter", "Camera ingest streams proxied to a replica.")
-	pw.Int("harvest_router_streams_total", "", r.met.streams.Load())
-	pw.Head("harvest_router_latency_seconds", "histogram", "End-to-end latency of successfully routed requests.")
-	pw.Hist("harvest_router_latency_seconds", "", r.met.latency.Snapshot())
-
-	r.tmu.Lock()
-	tenants := make([]string, 0, len(r.tenantReqs))
-	for tenant := range r.tenantReqs {
-		tenants = append(tenants, tenant)
-	}
-	sort.Strings(tenants)
-	if len(tenants) > 0 {
-		pw.Head("harvest_router_tenant_requests_total", "counter", "Successfully routed requests per tenant.")
-		for _, tenant := range tenants {
-			pw.Int("harvest_router_tenant_requests_total", metrics.PromLabel("tenant", tenant), r.tenantReqs[tenant])
+	m := r.Metrics(ctx)
+	writeFamilies(pw, routerFamilies, []labeled[RouterJSON]{{"", &m.Router}})
+	for _, f := range []struct {
+		name, help string
+		byTenant   map[string]int64
+	}{
+		{"harvest_router_tenant_requests_total", "Successfully routed requests per tenant.", m.Router.RequestsByTenant},
+		{"harvest_router_tenant_shed_total", "Router-quota rejections per tenant.", m.Router.ShedByTenant},
+	} {
+		if len(f.byTenant) > 0 {
+			pw.Head(f.name, "counter", f.help)
+			for _, tenant := range sortedKeys(f.byTenant) {
+				pw.Int(f.name, metrics.PromLabel("tenant", tenant), f.byTenant[tenant])
+			}
 		}
 	}
-	shedTenants := make([]string, 0, len(r.tenantShed))
-	for tenant := range r.tenantShed {
-		shedTenants = append(shedTenants, tenant)
-	}
-	sort.Strings(shedTenants)
-	if len(shedTenants) > 0 {
-		pw.Head("harvest_router_tenant_shed_total", "counter", "Router-quota rejections per tenant.")
-		for _, tenant := range shedTenants {
-			pw.Int("harvest_router_tenant_shed_total", metrics.PromLabel("tenant", tenant), r.tenantShed[tenant])
-		}
-	}
-	r.tmu.Unlock()
-
+	replicas := make([]labeled[RouterReplicaJSON], len(m.Router.Replicas))
 	pw.Head("harvest_replica_healthy", "gauge", "1 if the replica is in rotation, 0 if ejected.")
-	status := r.pool.Status()
-	for _, st := range status {
-		v := int64(0)
-		if st.Healthy {
-			v = 1
+	for i := range m.Router.Replicas {
+		rep := &m.Router.Replicas[i]
+		replicas[i] = labeled[RouterReplicaJSON]{metrics.PromLabel("replica", rep.Name), rep}
+		healthy := int64(0)
+		if rep.Healthy {
+			healthy = 1
 		}
-		pw.Int("harvest_replica_healthy", metrics.PromLabel("replica", st.Name), v)
+		pw.Int("harvest_replica_healthy", replicas[i].labels, healthy)
 	}
-	pw.Head("harvest_replica_inflight", "gauge", "Router-proxied requests currently on the replica.")
-	for _, st := range status {
-		pw.Int("harvest_replica_inflight", metrics.PromLabel("replica", st.Name), st.Inflight)
-	}
-	pw.Head("harvest_replica_queue_depth", "gauge", "Replica-reported total admission queue depth.")
-	for _, st := range status {
-		pw.Int("harvest_replica_queue_depth", metrics.PromLabel("replica", st.Name), st.QueueDepth)
-	}
-	pw.Head("harvest_replica_ejections_total", "counter", "Times the replica was ejected from rotation.")
-	for _, st := range status {
-		pw.Int("harvest_replica_ejections_total", metrics.PromLabel("replica", st.Name), st.Ejections)
-	}
-
-	// Per-model latency across the fleet, merged exactly from replica
-	// histograms (weighted-mean fallback summaries carry no buckets and
-	// are skipped here rather than exposed as a fake distribution).
-	agg := r.Metrics(ctx)
-	pw.Head("harvest_queue_latency_seconds", "histogram", "Fleet-wide queue latency, merged across replicas.")
-	for _, m := range agg.Models {
-		if h, ok := histFromJSON(m.QueueMs); ok {
-			pw.Hist("harvest_queue_latency_seconds", metrics.PromLabel("model", m.Model), h)
-		}
-	}
-	pw.Head("harvest_compute_latency_seconds", "histogram", "Fleet-wide compute latency, merged across replicas.")
-	for _, m := range agg.Models {
-		if h, ok := histFromJSON(m.ComputeMs); ok {
-			pw.Hist("harvest_compute_latency_seconds", metrics.PromLabel("model", m.Model), h)
-		}
-	}
-	pw.Head("harvest_preprocess_latency_seconds", "histogram", "Fleet-wide preprocess latency, merged across replicas.")
-	for _, m := range agg.Models {
-		if h, ok := histFromJSON(m.PreprocessMs); ok && h.Count > 0 {
-			pw.Hist("harvest_preprocess_latency_seconds", metrics.PromLabel("model", m.Model), h)
-		}
-	}
-	if r.trace != nil {
-		pw.Head("harvest_trace_spans_dropped_total", "counter", "Trace spans evicted from the ring buffer.")
-		pw.Int("harvest_trace_spans_dropped_total", "", int64(r.trace.Dropped()))
-	}
+	writeFamilies(pw, replicaFamilies, replicas)
+	writeModelProm(pw, m.Models)
+	writeTraceProm(pw, r.trace)
 }
 
 // cutModelAction parses /v2/models/{name}/{action} paths.

@@ -124,8 +124,8 @@ func TestDynamicBatchingFusesRequests(t *testing.T) {
 	if st.ItemsServed != 2*n {
 		t.Errorf("served %d items, want %d", st.ItemsServed, 2*n)
 	}
-	if st.RequestsServed != n {
-		t.Errorf("served %d requests, want %d", st.RequestsServed, n)
+	if st.Requests != n {
+		t.Errorf("served %d requests, want %d", st.Requests, n)
 	}
 	if st.BatchesRun >= n {
 		t.Errorf("ran %d batches for %d requests; batching ineffective", st.BatchesRun, n)
@@ -199,8 +199,8 @@ func TestMultiInstanceAndTimeScale(t *testing.T) {
 	if st.ItemsServed != 128 {
 		t.Errorf("served %d items, want 128", st.ItemsServed)
 	}
-	if st.RequestsServed != 16 {
-		t.Errorf("served %d requests, want 16", st.RequestsServed)
+	if st.Requests != 16 {
+		t.Errorf("served %d requests, want 16", st.Requests)
 	}
 }
 
@@ -384,8 +384,8 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	if st.ItemsServed != wantItems {
 		t.Errorf("item conservation violated: served %d items, want %d", st.ItemsServed, wantItems)
 	}
-	if st.RequestsServed != 200 {
-		t.Errorf("request conservation violated: served %d requests, want 200", st.RequestsServed)
+	if st.Requests != 200 {
+		t.Errorf("request conservation violated: served %d requests, want 200", st.Requests)
 	}
 }
 

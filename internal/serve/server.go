@@ -19,7 +19,6 @@ import (
 	"harvest/internal/imaging"
 	"harvest/internal/metrics"
 	"harvest/internal/preprocess"
-	"harvest/internal/stats"
 	"harvest/internal/trace"
 )
 
@@ -317,44 +316,6 @@ type modelMetrics struct {
 	classQueueLat [numClasses]metrics.LatencyRecorder
 }
 
-// ModelMetrics is a point-in-time snapshot of a model's serving
-// metrics. Latency summaries are in seconds.
-type ModelMetrics struct {
-	Model     string
-	Requests  int64
-	Items     int64
-	Batches   int64
-	Errors    int64
-	Cancelled int64
-	// Shed counts submissions rejected with ErrOverloaded.
-	Shed int64
-	// Expired counts admitted requests evicted with ErrDeadlineExpired.
-	Expired        int64
-	QueueDepth     int64
-	QueueLatency   stats.Summary
-	ComputeLatency stats.Summary
-	// PreprocessLatency summarizes the encoded-image preprocess stage
-	// (zero-count for models never hit through that path).
-	PreprocessLatency stats.Summary
-	// ClassQueueLatency holds the queue-latency summary per SLO class
-	// (keyed by Class.String()) for classes with observations.
-	ClassQueueLatency map[string]stats.Summary
-	// QueueHist and ComputeHist are the histogram snapshots the
-	// summaries above were computed from, in the shared bucket layout —
-	// what /v2/metrics ships so the router can merge distributions
-	// exactly.
-	QueueHist      metrics.HistogramSnapshot
-	ComputeHist    metrics.HistogramSnapshot
-	PreprocessHist metrics.HistogramSnapshot
-	// ClassQueueHist holds the per-class queue histograms (same keys as
-	// ClassQueueLatency).
-	ClassQueueHist map[string]metrics.HistogramSnapshot
-	// Tenants decomposes activity per tenant (keyed by tenant id) once
-	// any request has carried tenant identity (the default tenant
-	// included).
-	Tenants map[string]TenantMetrics
-}
-
 type modelRuntime struct {
 	cfg ModelConfig
 	// qmu guards the admission lanes: one deficit-round-robin lane per
@@ -380,18 +341,6 @@ type modelRuntime struct {
 	wg       sync.WaitGroup
 	inflight atomic.Int64 // requests enqueued but not yet dispatched/evicted
 	met      modelMetrics
-}
-
-// Stats summarizes a model runtime's activity.
-type Stats struct {
-	Model string
-	// RequestsServed counts requests completed successfully.
-	RequestsServed int64
-	// ItemsServed counts images in successfully served requests.
-	ItemsServed int64
-	BatchesRun  int64
-	// MeanBatchFill is mean served items per batch divided by MaxBatch.
-	MeanBatchFill float64
 }
 
 // Server is the inference server.
@@ -1277,21 +1226,18 @@ func (s *Server) ModelConfigFor(name string) (ModelConfig, error) {
 	return rt.cfg, nil
 }
 
-// StatsFor returns activity counters for a model.
-func (s *Server) StatsFor(name string) (Stats, error) {
+// StatsFor returns activity counters for a model, derived from its
+// metrics snapshot.
+func (s *Server) StatsFor(name string) (StatsJSON, error) {
 	s.mu.Lock()
 	rt, ok := s.models[name]
 	s.mu.Unlock()
 	if !ok {
-		return Stats{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
+		return StatsJSON{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
-	st := Stats{
-		Model:          name,
-		RequestsServed: rt.met.requests.Load(),
-		ItemsServed:    rt.met.items.Load(),
-		BatchesRun:     rt.met.batches.Load(),
-	}
-	if st.BatchesRun > 0 && rt.cfg.MaxBatch > 0 {
+	m := rt.snapshot()
+	st := StatsJSON{Model: name, Requests: m.Requests, ItemsServed: m.Items, BatchesRun: m.Batches}
+	if st.BatchesRun > 0 {
 		st.MeanBatchFill = float64(st.ItemsServed) / float64(st.BatchesRun) / float64(rt.cfg.MaxBatch)
 	}
 	return st, nil
@@ -1308,6 +1254,16 @@ func (s *Server) QueueDepth(name string) (int64, error) {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
 	return rt.inflight.Load(), nil
+}
+
+// drainRounds is how many execution rounds working off queuedItems
+// takes: the backlog packed into MaxBatch-sized batches, spread across
+// the model's instances.
+func (rt *modelRuntime) drainRounds(queuedItems int64) int64 {
+	maxBatch := max(int64(rt.cfg.MaxBatch), 1)
+	instances := max(int64(rt.cfg.Instances), 1)
+	batches := (queuedItems + maxBatch - 1) / maxBatch
+	return (batches + instances - 1) / instances
 }
 
 // EstimateWait predicts how long a new items-sized submission would
@@ -1330,21 +1286,13 @@ func (s *Server) EstimateWait(name string, items int) (time.Duration, error) {
 	}
 	queued := rt.inflight.Load() + int64(items)
 	maxBatch := int64(rt.cfg.MaxBatch)
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	batches := (queued + maxBatch - 1) / maxBatch
-	instances := int64(rt.cfg.Instances)
-	if instances < 1 {
-		instances = 1
-	}
-	rounds := (batches + instances - 1) / instances
+	rounds := rt.drainRounds(queued)
 	// Full rounds execute at MaxBatch; the tail round runs only what
 	// is actually queued. On an unloaded tier this matters: one frame
 	// executes as a batch of one, not a hypothetical full batch — an
 	// always-full-batch estimate would price an idle edge as if
 	// saturated and shed realtime frames it could easily serve.
-	tail := queued - (rounds-1)*maxBatch*instances
+	tail := queued - (rounds-1)*maxBatch*int64(rt.cfg.Instances)
 	if tail < 1 {
 		tail = 1
 	} else if tail > maxBatch {
@@ -1357,25 +1305,25 @@ func (s *Server) EstimateWait(name string, items int) (time.Duration, error) {
 }
 
 // MetricsFor returns a metrics snapshot for one model.
-func (s *Server) MetricsFor(name string) (ModelMetrics, error) {
+func (s *Server) MetricsFor(name string) (ModelMetricsJSON, error) {
 	s.mu.Lock()
 	rt, ok := s.models[name]
 	s.mu.Unlock()
 	if !ok {
-		return ModelMetrics{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
+		return ModelMetricsJSON{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
 	return rt.snapshot(), nil
 }
 
 // Metrics returns metrics snapshots for all models, sorted by name.
-func (s *Server) Metrics() []ModelMetrics {
+func (s *Server) Metrics() []ModelMetricsJSON {
 	s.mu.Lock()
 	rts := make([]*modelRuntime, 0, len(s.models))
 	for _, rt := range s.models {
 		rts = append(rts, rt)
 	}
 	s.mu.Unlock()
-	out := make([]ModelMetrics, 0, len(rts))
+	out := make([]ModelMetricsJSON, 0, len(rts))
 	for _, rt := range rts {
 		out = append(out, rt.snapshot())
 	}
@@ -1383,40 +1331,33 @@ func (s *Server) Metrics() []ModelMetrics {
 	return out
 }
 
-func (rt *modelRuntime) snapshot() ModelMetrics {
-	qh := rt.met.queueLat.Snapshot()
-	ch := rt.met.computeLat.Snapshot()
-	ph := rt.met.preprocLat.Snapshot()
-	m := ModelMetrics{
-		Model:             rt.cfg.Name,
-		Requests:          rt.met.requests.Load(),
-		Items:             rt.met.items.Load(),
-		Batches:           rt.met.batches.Load(),
-		Errors:            rt.met.errors.Load(),
-		Cancelled:         rt.met.cancelled.Load(),
-		Shed:              rt.met.shed.Load(),
-		Expired:           rt.met.expired.Load(),
-		QueueDepth:        rt.inflight.Load(),
-		QueueLatency:      qh.Summary(),
-		ComputeLatency:    ch.Summary(),
-		PreprocessLatency: ph.Summary(),
-		QueueHist:         qh,
-		ComputeHist:       ch,
-		PreprocessHist:    ph,
+// snapshot fills the model's wire metrics from the live counters and
+// recorders. Snapshots are eventually consistent.
+func (rt *modelRuntime) snapshot() ModelMetricsJSON {
+	m := ModelMetricsJSON{
+		Model:        rt.cfg.Name,
+		Requests:     rt.met.requests.Load(),
+		Items:        rt.met.items.Load(),
+		Batches:      rt.met.batches.Load(),
+		Errors:       rt.met.errors.Load(),
+		Cancelled:    rt.met.cancelled.Load(),
+		Shed:         rt.met.shed.Load(),
+		Expired:      rt.met.expired.Load(),
+		QueueDepth:   rt.inflight.Load(),
+		QueueMs:      LatencySummary(rt.met.queueLat.Snapshot()),
+		ComputeMs:    LatencySummary(rt.met.computeLat.Snapshot()),
+		PreprocessMs: LatencySummary(rt.met.preprocLat.Snapshot()),
+		Tenants:      rt.tenantMetrics(),
 	}
 	for c := Class(0); c < numClasses; c++ {
-		h := rt.met.classQueueLat[c].Snapshot()
-		if h.Count == 0 {
+		if rt.met.classQueueLat[c].Count() == 0 {
 			continue
 		}
-		if m.ClassQueueLatency == nil {
-			m.ClassQueueLatency = make(map[string]stats.Summary, int(numClasses))
-			m.ClassQueueHist = make(map[string]metrics.HistogramSnapshot, int(numClasses))
+		if m.QueueMsByClass == nil {
+			m.QueueMsByClass = make(map[string]LatencySummaryJSON, int(numClasses))
 		}
-		m.ClassQueueLatency[c.String()] = h.Summary()
-		m.ClassQueueHist[c.String()] = h
+		m.QueueMsByClass[c.String()] = LatencySummary(rt.met.classQueueLat[c].Snapshot())
 	}
-	m.Tenants = rt.tenantSnapshots()
 	return m
 }
 

@@ -3,7 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"harvest/internal/metrics"
-	"harvest/internal/stats"
 )
 
 // DefaultTenant labels traffic that carries no tenant identity. It is
@@ -240,28 +239,17 @@ func itemsOf(p *pending) int {
 	return p.req.Items
 }
 
-// tenantState is one tenant's per-model accounting: queue occupancy
-// for the share quota, the rate-limit token bucket, and served/shed
-// counters for the per-tenant metrics section.
-type tenantState struct {
-	tenant      string
-	queuedReqs  atomic.Int64 // admitted, not yet dispatched/evicted
-	queuedItems atomic.Int64
-
-	mu         sync.Mutex // guards tokens/lastRefill
+// tokenBucket is one tenant's rate-limit state. The zero value is a
+// full bucket.
+type tokenBucket struct {
+	mu         sync.Mutex
 	tokens     float64
 	lastRefill time.Time
-
-	requests metrics.Counter // requests served
-	items    metrics.Counter // items served
-	shed     metrics.Counter // quota or queue-full rejections
-	expired  metrics.Counter // deadline evictions
-	queueLat metrics.LatencyRecorder
 }
 
-// takeTokens debits n items from the tenant's token bucket. On refusal
-// it returns the wait until the bucket covers n.
-func (ts *tenantState) takeTokens(n float64, q TenantQuota) (bool, time.Duration) {
+// take debits n items from the bucket under quota q. On refusal it
+// returns the wait until the bucket covers n.
+func (b *tokenBucket) take(n float64, q TenantQuota) (bool, time.Duration) {
 	if q.RatePerSec <= 0 {
 		return true, 0
 	}
@@ -274,78 +262,80 @@ func (ts *tenantState) takeTokens(n float64, q TenantQuota) (bool, time.Duration
 		burst = n
 	}
 	now := time.Now()
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.lastRefill.IsZero() {
-		ts.tokens = burst
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.lastRefill.IsZero() {
+		b.tokens = burst
 	} else {
-		ts.tokens += now.Sub(ts.lastRefill).Seconds() * q.RatePerSec
-		if ts.tokens > burst {
-			ts.tokens = burst
+		b.tokens += now.Sub(b.lastRefill).Seconds() * q.RatePerSec
+		if b.tokens > burst {
+			b.tokens = burst
 		}
 	}
-	ts.lastRefill = now
-	if ts.tokens >= n {
-		ts.tokens -= n
+	b.lastRefill = now
+	if b.tokens >= n {
+		b.tokens -= n
 		return true, 0
 	}
-	wait := time.Duration((n - ts.tokens) / q.RatePerSec * float64(time.Second))
+	wait := time.Duration((n - b.tokens) / q.RatePerSec * float64(time.Second))
 	return false, wait
-}
-
-// TenantMetrics is a point-in-time snapshot of one tenant's activity
-// on one model. Latency summaries are in seconds.
-type TenantMetrics struct {
-	Tenant   string
-	Requests int64
-	Items    int64
-	// Shed counts this tenant's quota and queue-full rejections — its
-	// isolated 429 budget.
-	Shed    int64
-	Expired int64
-	// QueueDepth is the tenant's current queued-request occupancy.
-	QueueDepth   int64
-	QueueLatency stats.Summary
-	QueueHist    metrics.HistogramSnapshot
-}
-
-// tenantState returns (creating on first use) the accounting state for
-// a tenant, aggregating into the overflow state past maxTenantStates.
-func (rt *modelRuntime) tenantState(tenant string) *tenantState {
-	rt.tmu.Lock()
-	defer rt.tmu.Unlock()
-	if ts, ok := rt.tenants[tenant]; ok {
-		return ts
-	}
-	key := tenant
-	if len(rt.tenants) >= maxTenantStates {
-		key = overflowTenant
-		if ts, ok := rt.tenants[key]; ok {
-			return ts
-		}
-	}
-	ts := &tenantState{tenant: key}
-	rt.tenants[key] = ts
-	return ts
 }
 
 // quotaFor resolves a tenant's quota: an exact entry wins, then the
 // "*" wildcard, else unlimited.
-func (rt *modelRuntime) quotaFor(tenant string) (TenantQuota, bool) {
-	if q, ok := rt.cfg.TenantQuotas[tenant]; ok {
+func quotaFor(quotas map[string]TenantQuota, tenant string) (TenantQuota, bool) {
+	if q, ok := quotas[tenant]; ok {
 		return q, true
 	}
-	if q, ok := rt.cfg.TenantQuotas["*"]; ok {
-		return q, true
+	q, ok := quotas["*"]
+	return q, ok
+}
+
+// tenantEntry returns (creating on first use) the per-tenant entry of
+// a state map, aggregating into the shared overflow entry past
+// maxTenantStates. The caller holds the lock guarding m.
+func tenantEntry[T any](m map[string]*T, tenant string) *T {
+	if e, ok := m[tenant]; ok {
+		return e
 	}
-	return TenantQuota{}, false
+	if len(m) >= maxTenantStates {
+		tenant = overflowTenant
+		if e, ok := m[tenant]; ok {
+			return e
+		}
+	}
+	e := new(T)
+	m[tenant] = e
+	return e
+}
+
+// tenantState is one tenant's per-model accounting: queue occupancy
+// for the share quota, the rate-limit token bucket, and served/shed
+// counters for the per-tenant metrics section.
+type tenantState struct {
+	queuedReqs  atomic.Int64 // admitted, not yet dispatched/evicted
+	queuedItems atomic.Int64
+	bucket      tokenBucket
+
+	requests metrics.Counter // requests served
+	items    metrics.Counter // items served
+	shed     metrics.Counter // quota or queue-full rejections
+	expired  metrics.Counter // deadline evictions
+	queueLat metrics.LatencyRecorder
+}
+
+// tenantState returns the accounting state for a tenant.
+func (rt *modelRuntime) tenantState(tenant string) *tenantState {
+	rt.tmu.Lock()
+	defer rt.tmu.Unlock()
+	return tenantEntry(rt.tenants, tenant)
 }
 
 // checkQuota enforces the tenant's queue-share cap and admission rate
 // before a queue slot is reserved. Returns a *QuotaError (unwrapping
 // to ErrOverloaded) on refusal.
 func (rt *modelRuntime) checkQuota(ts *tenantState, tenant string, items int) error {
-	q, ok := rt.quotaFor(tenant)
+	q, ok := quotaFor(rt.cfg.TenantQuotas, tenant)
 	if !ok {
 		return nil
 	}
@@ -359,7 +349,7 @@ func (rt *modelRuntime) checkQuota(ts *tenantState, tenant string, items int) er
 				RetryAfter: rt.tenantDrainEstimate(ts)}
 		}
 	}
-	if ok, wait := ts.takeTokens(float64(items), q); !ok {
+	if ok, wait := ts.bucket.take(float64(items), q); !ok {
 		return &QuotaError{Tenant: tenant, Reason: "rate", RetryAfter: wait}
 	}
 	return nil
@@ -369,48 +359,29 @@ func (rt *modelRuntime) checkQuota(ts *tenantState, tenant string, items int) er
 // take to drain, pricing its backlog alone (fair scheduling serves it
 // regardless of other tenants' queues).
 func (rt *modelRuntime) tenantDrainEstimate(ts *tenantState) time.Duration {
-	queued := ts.queuedItems.Load()
-	if queued < 1 {
-		queued = 1
-	}
-	maxBatch := int64(rt.cfg.MaxBatch)
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	batches := (queued + maxBatch - 1) / maxBatch
-	instances := int64(rt.cfg.Instances)
-	if instances < 1 {
-		instances = 1
-	}
-	rounds := (batches + instances - 1) / instances
+	rounds := rt.drainRounds(max(ts.queuedItems.Load(), 1))
 	return rt.cfg.QueueDelay + time.Duration(rounds)*rt.estimatedExecDuration(rt.cfg.MaxBatch)
 }
 
-// tenantSnapshots builds the per-tenant metrics section, sorted by
-// tenant for deterministic output.
-func (rt *modelRuntime) tenantSnapshots() map[string]TenantMetrics {
+// tenantMetrics fills the per-tenant metrics section. The accounting
+// map is copied under tmu and snapshotted outside it, so a scrape never
+// holds up admission.
+func (rt *modelRuntime) tenantMetrics() map[string]TenantMetricsJSON {
 	rt.tmu.Lock()
-	states := make([]*tenantState, 0, len(rt.tenants))
-	for _, ts := range rt.tenants {
-		states = append(states, ts)
-	}
+	states := maps.Clone(rt.tenants)
 	rt.tmu.Unlock()
 	if len(states) == 0 {
 		return nil
 	}
-	sort.Slice(states, func(i, j int) bool { return states[i].tenant < states[j].tenant })
-	out := make(map[string]TenantMetrics, len(states))
-	for _, ts := range states {
-		h := ts.queueLat.Snapshot()
-		out[ts.tenant] = TenantMetrics{
-			Tenant:       ts.tenant,
-			Requests:     ts.requests.Load(),
-			Items:        ts.items.Load(),
-			Shed:         ts.shed.Load(),
-			Expired:      ts.expired.Load(),
-			QueueDepth:   ts.queuedReqs.Load(),
-			QueueLatency: h.Summary(),
-			QueueHist:    h,
+	out := make(map[string]TenantMetricsJSON, len(states))
+	for tenant, ts := range states {
+		out[tenant] = TenantMetricsJSON{
+			Requests:   ts.requests.Load(),
+			Items:      ts.items.Load(),
+			Shed:       ts.shed.Load(),
+			Expired:    ts.expired.Load(),
+			QueueDepth: ts.queuedReqs.Load(),
+			QueueMs:    LatencySummary(ts.queueLat.Snapshot()),
 		}
 	}
 	return out

@@ -155,19 +155,11 @@ type LatencySummaryJSON struct {
 }
 
 func latencySummary(l *metrics.LatencyRecorder) LatencySummaryJSON {
-	s := l.Summary()
-	return LatencySummaryJSON{
-		N:    s.N,
-		Mean: s.Mean * 1000,
-		P50:  s.P50 * 1000,
-		P95:  s.P95 * 1000,
-		P99:  s.P99 * 1000,
-	}
+	s := serve.LatencySummary(l.Snapshot())
+	return LatencySummaryJSON{N: s.Count, Mean: s.MeanMs, P50: s.P50Ms, P95: s.P95Ms, P99: s.P99Ms}
 }
 
-// MetricsJSON snapshots the ingest metrics; its shape matches the
-// serve metrics-extension hook.
-func (ing *Ingest) MetricsJSON() any {
+func (ing *Ingest) snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
 		ActiveSessions: ing.ActiveSessions(),
 		Frames:         ing.met.frames.Load(),
@@ -183,44 +175,51 @@ func (ing *Ingest) MetricsJSON() any {
 	}
 }
 
-// WriteProm writes the ingest metrics in Prometheus text exposition
+// MetricsJSON snapshots the ingest metrics; its shape matches the
+// serve metrics-extension hook.
+func (ing *Ingest) MetricsJSON() any { return ing.snapshot() }
+
+// WriteProm writes the same snapshot in Prometheus text exposition
 // format; its shape matches the serve metrics-extension hook.
 func (ing *Ingest) WriteProm(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	m := ing.snapshot()
+	pw := metrics.PromWriter{W: w}
+	for _, f := range []struct {
+		name, typ, help string
+		v               float64
+	}{
+		{"harvest_stream_active_sessions", "gauge", "Live camera ingest sessions.", float64(m.ActiveSessions)},
+		{"harvest_stream_frames_total", "counter", "Frames received across all camera sessions.", float64(m.Frames)},
+		{"harvest_stream_served_edge_total", "counter", "Frames served by the local edge tier.", float64(m.ServedEdge)},
+		{"harvest_stream_served_cloud_total", "counter", "Frames offloaded to and served by the cloud tier.", float64(m.ServedCloud)},
+		{"harvest_stream_dedup_hits_total", "counter", "Frames answered from the temporal dedup cache.", float64(m.DedupHits)},
+		{"harvest_stream_frames_dropped_total", "counter", "Frames dropped at admission by the drop-stale gate.", float64(m.Dropped)},
+		{"harvest_stream_rejected_order_total", "counter", "Frames rejected for out-of-order sequence numbers.", float64(m.RejectedOrder)},
+		{"harvest_stream_failed_total", "counter", "Admitted frames that failed to serve.", float64(m.Failed)},
+		{"harvest_stream_e2e_p99_ms", "gauge", "Frame receipt to outcome P99 (served and cached frames).", m.E2EMs.P99},
+		{"harvest_stream_uplink_p99_ms", "gauge", "Modeled edge-to-cloud upload P99 for offloaded frames.", m.UplinkMs.P99},
+	} {
+		pw.Head(f.name, f.typ, f.help)
+		pw.Val(f.name, "", f.v)
 	}
-	fmt.Fprintf(w, "# HELP harvest_stream_active_sessions Live camera ingest sessions.\n"+
-		"# TYPE harvest_stream_active_sessions gauge\nharvest_stream_active_sessions %d\n",
-		ing.ActiveSessions())
-	counter("harvest_stream_frames_total", "Frames received across all camera sessions.", ing.met.frames.Load())
-	counter("harvest_stream_served_edge_total", "Frames served by the local edge tier.", ing.met.servedEdge.Load())
-	counter("harvest_stream_served_cloud_total", "Frames offloaded to and served by the cloud tier.", ing.met.servedCloud.Load())
-	counter("harvest_stream_dedup_hits_total", "Frames answered from the temporal dedup cache.", ing.met.dedupHits.Load())
-	counter("harvest_stream_frames_dropped_total", "Frames dropped at admission by the drop-stale gate.", ing.met.dropped.Load())
-	counter("harvest_stream_rejected_order_total", "Frames rejected for out-of-order sequence numbers.", ing.met.rejectedOrder.Load())
-	counter("harvest_stream_failed_total", "Admitted frames that failed to serve.", ing.met.failed.Load())
-	e2e := latencySummary(&ing.met.e2e)
-	fmt.Fprintf(w, "# HELP harvest_stream_e2e_p99_ms Frame receipt to outcome P99 (served and cached frames).\n"+
-		"# TYPE harvest_stream_e2e_p99_ms gauge\nharvest_stream_e2e_p99_ms %g\n", e2e.P99)
-	up := latencySummary(&ing.met.uplink)
-	fmt.Fprintf(w, "# HELP harvest_stream_uplink_p99_ms Modeled edge-to-cloud upload P99 for offloaded frames.\n"+
-		"# TYPE harvest_stream_uplink_p99_ms gauge\nharvest_stream_uplink_p99_ms %g\n", up.P99)
-	tenants := ing.TenantStats()
-	if len(tenants) > 0 {
-		names := make([]string, 0, len(tenants))
-		for t := range tenants {
-			names = append(names, t)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP harvest_stream_tenant_frames_total Frames received per tenant.\n"+
-			"# TYPE harvest_stream_tenant_frames_total counter\n")
+	if len(m.Tenants) == 0 {
+		return
+	}
+	names := make([]string, 0, len(m.Tenants))
+	for t := range m.Tenants {
+		names = append(names, t)
+	}
+	sort.Strings(names)
+	for _, f := range []struct {
+		name, help string
+		get        func(TenantStreamStats) int64
+	}{
+		{"harvest_stream_tenant_frames_total", "Frames received per tenant.", func(t TenantStreamStats) int64 { return t.Frames }},
+		{"harvest_stream_tenant_served_total", "Frames served per tenant (edge or cloud).", func(t TenantStreamStats) int64 { return t.Served }},
+	} {
+		pw.Head(f.name, "counter", f.help)
 		for _, t := range names {
-			fmt.Fprintf(w, "harvest_stream_tenant_frames_total%s %d\n", metrics.PromLabel("tenant", t), tenants[t].Frames)
-		}
-		fmt.Fprintf(w, "# HELP harvest_stream_tenant_served_total Frames served per tenant (edge or cloud).\n"+
-			"# TYPE harvest_stream_tenant_served_total counter\n")
-		for _, t := range names {
-			fmt.Fprintf(w, "harvest_stream_tenant_served_total%s %d\n", metrics.PromLabel("tenant", t), tenants[t].Served)
+			pw.Int(f.name, metrics.PromLabel("tenant", t), f.get(m.Tenants[t]))
 		}
 	}
 }
