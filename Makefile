@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check loc bench bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
+.PHONY: all build test race vet check loc bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
 
 all: check
 
@@ -19,24 +19,38 @@ vet:
 # preprocessing engines, the load harness, and the compute backend:
 # the goroutine-parallel packed/quantized GEMM kernels and the pooled
 # scratch buffers of the executable models, plus the streaming camera
-# ingest tier with its async frame completions and serialized uplink).
+# ingest tier with its async frame completions and serialized uplink),
+# and core's tier assembly (the rest of core is the single-threaded
+# characterization suite).
 race:
 	$(GO) test -race ./internal/serve/... ./internal/fleet/... ./internal/metrics/... ./internal/trace/... ./internal/pipeline/... ./internal/scaleout/... ./internal/imaging/... ./internal/preprocess/... ./internal/loadgen/... ./internal/tensor/... ./internal/quant/... ./internal/models/... ./internal/stream/... ./internal/transfer/... ./internal/modelio/...
+	$(GO) test -race -run 'Tier|Replica' ./internal/core/
 
-# The CI gate: tier-1 tests plus vet and the race suite.
+# The CI gate: tier-1 tests (including cmd's flag-surface golden) plus
+# vet and the race suite.
 check: build vet test race
 
 # Non-test Go line counts (wc -l, *_test.go excluded) per internal
-# package and in total: the number a "judged by lines removed" refactor
-# is judged by. Informational; no gate reads it.
+# package, for cmd/ and examples/, and in total: the number a "judged by
+# lines removed" refactor is judged by. Informational; no gate reads it.
 loc:
-	@for d in internal/*; do \
+	@for d in internal/* cmd examples; do \
 		printf '%7d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
 	done
-	@printf '%7d  total\n' "$$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf '%7d  total\n' "$$(find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The benchmark spine (benchmark/README.md): every workload, untraced
+# then traced, into one result file; bench-compare judges two such
+# files against the bounds in BENCHMARK.json and exits non-zero on a
+# regression.
+bench-all:
+	$(GO) run ./benchmark run --workload all --seed 1 --out .bench_build/all.json
+
+bench-compare:
+	$(GO) run ./benchmark compare $(OLD) $(NEW)
 
 # Real compute-backend benchmark: really executes 1024^3 GEMMs at every
 # backend precision (naive fp32 baseline, packed fp32, f16/bf16, int8

@@ -38,80 +38,55 @@ import (
 	"syscall"
 	"time"
 
+	"harvest/internal/core"
 	"harvest/internal/fleet"
 	"harvest/internal/hw"
-	"harvest/internal/serve"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("harvest-fleet: ")
 	var (
-		addr     = flag.String("addr", ":8200", "listen address (control plane + routed data plane)")
-		model    = flag.String("model", "ViT_Base", "model whose demand drives autoscaling")
-		platform = flag.String("platform", hw.KeyJetson, "replica platform the oracle prices (and -local launches)")
-		minN     = flag.Int("min", 1, "fleet size floor")
-		maxN     = flag.Int("max", 4, "fleet size ceiling")
-		interval = flag.Duration("interval", 2*time.Second, "autoscaler tick period")
-		slo      = flag.Duration("slo", 100*time.Millisecond, "per-request queue-wait SLO the controller sizes for")
-		sloClass = flag.String("slo-class", "online", "class whose SLO attainment the controller watches")
-		leaseTTL = flag.Duration("lease-ttl", fleet.DefaultTTL, "default replica lease TTL")
-		local    = flag.Bool("local", false, "launch in-process replicas instead of waiting for external registrations")
-
-		// Replica shape for -local launches.
-		timescale = flag.Float64("timescale", 1.0, "local replicas: fraction of modeled latency to really sleep")
-		queueCap  = flag.Int("max-queue-depth", 0, "local replicas: admission queue bound (0 = server default)")
+		cfg     fleet.ControlPlaneConfig
+		replica core.DeploymentConfig // shape of -local launches
+		ctl     = &cfg.Controller
+		addr    = flag.String("addr", ":8200", "listen address (control plane + routed data plane)")
+		local   = flag.Bool("local", false, "launch in-process replicas instead of waiting for external registrations")
 	)
+	flag.StringVar(&replica.Platform, "platform", hw.KeyJetson, "replica platform the oracle prices (and -local launches)")
+	flag.StringVar(&ctl.Model, "model", "ViT_Base", "model whose demand drives autoscaling")
+	flag.IntVar(&ctl.Min, "min", 1, "fleet size floor")
+	flag.IntVar(&ctl.Max, "max", 4, "fleet size ceiling")
+	flag.DurationVar(&ctl.Interval, "interval", 2*time.Second, "autoscaler tick period")
+	flag.DurationVar(&ctl.SLO, "slo", 100*time.Millisecond, "per-request queue-wait SLO the controller sizes for")
+	flag.StringVar(&ctl.SLOClass, "slo-class", "online", "class whose SLO attainment the controller watches")
+	flag.DurationVar(&cfg.LeaseTTL, "lease-ttl", fleet.DefaultTTL, "default replica lease TTL")
+	flag.Float64Var(&replica.TimeScale, "timescale", 1.0, "local replicas: fraction of modeled latency to really sleep")
+	flag.IntVar(&replica.MaxQueueDepth, "max-queue-depth", 0, "local replicas: admission queue bound (0 = server default)")
 	flag.Parse()
 
-	router := serve.NewDynamicRouter(serve.RouterConfig{})
-	defer router.Close()
-	registry := fleet.NewRegistry(router.Pool(), fleet.RegistryConfig{DefaultTTL: *leaseTTL})
-	defer registry.Close()
+	ctl.Oracle.Platforms = []string{replica.Platform}
+	ctl.Logf = log.Printf
+	if *local {
+		replica.Models = []string{ctl.Model}
+		cfg.Local = &replica
+	}
+	cp := fleet.NewControlPlane(cfg)
+	defer cp.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	selfURL := "http://" + ln.Addr().String()
-
-	var prov fleet.Provisioner
-	var lp *fleet.LocalProvisioner
-	if *local {
-		lp = &fleet.LocalProvisioner{
-			FleetURL:      selfURL,
-			Models:        []string{*model},
-			TimeScale:     *timescale,
-			MaxQueueDepth: *queueCap,
-			TTL:           *leaseTTL,
-			Logf:          log.Printf,
-		}
-		defer lp.Close()
-		prov = lp
-	}
-	ctrl := fleet.NewController(router, registry, prov, fleet.ControllerConfig{
-		Model: *model,
-		Oracle: fleet.OracleConfig{
-			Platforms:   []string{*platform},
-			MaxReplicas: *maxN,
-		},
-		Min:      *minN,
-		Max:      *maxN,
-		Interval: *interval,
-		SLO:      *slo,
-		SLOClass: *sloClass,
-		Logf:     log.Printf,
-	})
-	defer ctrl.Close()
-
 	httpSrv := &http.Server{
-		Handler:           fleet.Handler(registry, ctrl, router.Handler()),
+		Handler:           cp.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := ctrl.Start(ctx); err != nil {
+	if err := cp.Start(ctx, selfURL); err != nil {
 		log.Fatal(err)
 	}
 	mode := "advisory (external replicas register via -fleet)"
@@ -119,7 +94,7 @@ func main() {
 		mode = "local (in-process replicas)"
 	}
 	log.Printf("control plane on %s: model %s, platform %s, fleet [%d..%d], tick %s, SLO %s/%s, mode %s",
-		selfURL, *model, *platform, *minN, *maxN, *interval, *slo, *sloClass, mode)
+		selfURL, ctl.Model, replica.Platform, ctl.Min, ctl.Max, ctl.Interval, ctl.SLO, ctl.SLOClass, mode)
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
@@ -135,7 +110,7 @@ func main() {
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("http shutdown: %v", err)
 	}
-	for _, d := range ctrl.Decisions() {
+	for _, d := range cp.Controller.Decisions() {
 		log.Printf("decision %s: %s (%d→%d, %.1f rps, attain %.2f)",
 			d.At.Format(time.RFC3339), d.Reason, d.From, d.To, d.ArrivalRPS, d.Attainment)
 	}

@@ -41,6 +41,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -48,66 +49,75 @@ import (
 	"syscall"
 	"time"
 
+	"harvest/internal/core"
+	"harvest/internal/fleet"
 	"harvest/internal/loadgen"
 	"harvest/internal/serve"
-	"harvest/internal/transfer"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("harvest-loadgen: ")
 	var (
-		target   = flag.String("target", "", "base URL of the system under test (empty = self-host a fleet, see -spawn)")
-		model    = flag.String("model", "ViT_Tiny", "model to drive")
-		name     = flag.String("name", "run", "run label; default artifact is BENCH_<name>.json")
-		out      = flag.String("out", "", "artifact path (default BENCH_<name>.json; \"-\" for stdout only)")
-		seed     = flag.Uint64("seed", 1, "schedule seed; same seed + config = same arrival schedule")
-		duration = flag.Duration("duration", 10*time.Second, "run length")
-		warmup   = flag.Duration("warmup", 2*time.Second, "leading slice excluded from the measurement window")
-		shape    = flag.String("shape", "constant", "open-loop rate shape: constant, diurnal, burst or ramp")
-		peakMult = flag.Float64("peak-mult", 4, "shape peak as a multiple of each class's base rate")
-		period   = flag.Duration("period", 0, "diurnal/burst cycle length (default duration/5)")
-		burstDur = flag.Duration("burst-dur", 0, "in-burst slice of each period (default period/5)")
-		maxInfl  = flag.Int("max-inflight", 4096, "per-class cap on concurrent in-flight requests")
-		drain    = flag.Duration("drain", 10*time.Second, "post-horizon wait for in-flight requests")
-
-		stepAt   = flag.Duration("step-at", 0, "step shape: when the rate jumps to peak-mult × base (default duration/3)")
-		timeline = flag.Bool("timeline", false, "add per-second offered/ok/SLO-met buckets to each class report")
-
-		// Self-hosted fleet knobs (used only when -target is empty).
-		spawn     = flag.Int("spawn", 2, "self-host: replicas behind an in-process router")
-		platform  = flag.String("platform", "A100", "self-host: platform model per replica")
-		timescale = flag.Float64("timescale", 0.02, "self-host: fraction of modeled latency replicas really sleep")
-		queueCap  = flag.Int("max-queue-depth", 0, "self-host: per-model admission queue bound (0 = server default)")
-		preproc   = flag.String("preproc", "", "self-host: encoded-image engine (cpu or cv2) for image=N classes")
-
-		// Multi-tenant fairness knobs (self-host only).
-		tenantQuantum = flag.Int("tenant-quantum", 0, "self-host: DRR quantum in request-items (0 = server default)")
-		antiStarve    = flag.Int("anti-starve-every", 0, "self-host: guaranteed lower-lane dispatch interval (0 = server default, negative disables)")
-
-		// Managed (autoscaled) self-hosted fleet: -fleet-max > 0 replaces
-		// the fixed -spawn tier with a lease registry + SLO-driven
-		// autoscaler over the same in-process replicas.
-		fleetMin      = flag.Int("fleet-min", 1, "managed fleet: size floor")
-		fleetMax      = flag.Int("fleet-max", 0, "managed fleet: size ceiling; > 0 enables the autoscaled tier")
-		fleetInterval = flag.Duration("fleet-interval", 2*time.Second, "managed fleet: autoscaler tick")
-		fleetSLO      = flag.Duration("fleet-slo", 100*time.Millisecond, "managed fleet: queue-wait SLO the controller sizes for")
-		fleetSLOClass = flag.String("fleet-slo-class", "online", "managed fleet: class whose attainment the controller watches")
-		leaseTTL      = flag.Duration("fleet-lease-ttl", 0, "managed fleet: replica lease TTL (0 = registry default)")
-		churnKillAt   = flag.Duration("churn-kill-at", 0, "managed fleet: kill one replica (crash, no deregistration) this long into the run; 0 disables")
-
-		// Streaming-camera scenario (-stream replaces the request classes).
-		streamMode    = flag.Bool("stream", false, "run the streaming-camera scenario instead of request classes")
-		cameras       = flag.Int("cameras", 4, "stream: concurrent camera sessions")
-		staticCams    = flag.Int("static-cameras", 1, "stream: cameras watching a near-static scene (the dedup target)")
-		fps           = flag.Float64("fps", 60, "stream: per-camera frame rate")
-		streamFrames  = flag.Int("stream-frames", 120, "stream: frames per camera")
-		frameSize     = flag.Int("frame-size", 96, "stream: square frame edge in pixels (PPM-encoded)")
-		streamBudget  = flag.Duration("stream-budget", 100*time.Millisecond, "stream: per-frame latency budget (0 = server default)")
-		offloadThresh = flag.Int("offload-queue-threshold", 2, "stream self-host: edge queue depth that triggers offload")
-		offloadLink   = flag.String("offload-link", "5g", "stream self-host: uplink model (wifi, 5g, lte, satellite)")
+		run loadgen.Config
+		// replica is the one shape every self-host mode hands its
+		// replicas: -spawn, -fleet-max and (as the edge) -stream.
+		replica core.DeploymentConfig
+		managed fleet.ControlPlaneConfig
+		cams    loadgen.StreamConfig
+		ingest  core.StreamConfig
 	)
-	var classes []loadgen.ClassConfig
+	flag.StringVar(&run.Target, "target", "", "base URL of the system under test (empty = self-host a fleet, see -spawn)")
+	flag.StringVar(&run.Model, "model", "ViT_Tiny", "model to drive")
+	flag.StringVar(&run.Name, "name", "run", "run label; default artifact is BENCH_<name>.json")
+	out := flag.String("out", "", "artifact path (default BENCH_<name>.json; \"-\" for stdout only)")
+	flag.Uint64Var(&run.Seed, "seed", 1, "schedule seed; same seed + config = same arrival schedule")
+	flag.DurationVar(&run.Duration, "duration", 10*time.Second, "run length")
+	flag.DurationVar(&run.Warmup, "warmup", 2*time.Second, "leading slice excluded from the measurement window")
+	flag.StringVar((*string)(&run.Shape), "shape", "constant", "open-loop rate shape: constant, diurnal, burst or ramp")
+	flag.Float64Var(&run.PeakMult, "peak-mult", 4, "shape peak as a multiple of each class's base rate")
+	flag.DurationVar(&run.Period, "period", 0, "diurnal/burst cycle length (default duration/5)")
+	flag.DurationVar(&run.BurstDur, "burst-dur", 0, "in-burst slice of each period (default period/5)")
+	flag.IntVar(&run.MaxInflight, "max-inflight", 4096, "per-class cap on concurrent in-flight requests")
+	flag.DurationVar(&run.DrainTimeout, "drain", 10*time.Second, "post-horizon wait for in-flight requests")
+	flag.DurationVar(&run.StepAt, "step-at", 0, "step shape: when the rate jumps to peak-mult × base (default duration/3)")
+	flag.BoolVar(&run.Timeline, "timeline", false, "add per-second offered/ok/SLO-met buckets to each class report")
+
+	// Self-hosted fleet knobs (used only when -target is empty).
+	spawn := flag.Int("spawn", 2, "self-host: replicas behind an in-process router")
+	flag.StringVar(&replica.Platform, "platform", "A100", "self-host: platform model per replica")
+	flag.Float64Var(&replica.TimeScale, "timescale", 0.02, "self-host: fraction of modeled latency replicas really sleep")
+	flag.IntVar(&replica.MaxQueueDepth, "max-queue-depth", 0, "self-host: per-model admission queue bound (0 = server default)")
+	flag.StringVar(&replica.Preproc, "preproc", "", "self-host: encoded-image engine (cpu or cv2) for image=N classes")
+
+	// Multi-tenant fairness knobs (self-host only).
+	flag.IntVar(&replica.TenantQuantum, "tenant-quantum", 0, "self-host: DRR quantum in request-items (0 = server default)")
+	flag.IntVar(&replica.AntiStarveEvery, "anti-starve-every", 0, "self-host: guaranteed lower-lane dispatch interval (0 = server default, negative disables)")
+	flag.Var((*serve.TenantQuotaFlag)(&replica.TenantQuotas), "tenant-quota",
+		"self-host: per-tenant quota spec, repeatable: tenant:rate=R[,burst=B][,share=S] (\"*\" = wildcard)")
+
+	// Managed (autoscaled) self-hosted fleet: -fleet-max > 0 replaces
+	// the fixed -spawn tier with a lease registry + SLO-driven
+	// autoscaler over the same in-process replicas.
+	ctl := &managed.Controller
+	flag.IntVar(&ctl.Min, "fleet-min", 1, "managed fleet: size floor")
+	flag.IntVar(&ctl.Max, "fleet-max", 0, "managed fleet: size ceiling; > 0 enables the autoscaled tier")
+	flag.DurationVar(&ctl.Interval, "fleet-interval", 2*time.Second, "managed fleet: autoscaler tick")
+	flag.DurationVar(&ctl.SLO, "fleet-slo", 100*time.Millisecond, "managed fleet: queue-wait SLO the controller sizes for")
+	flag.StringVar(&ctl.SLOClass, "fleet-slo-class", "online", "managed fleet: class whose attainment the controller watches")
+	flag.DurationVar(&managed.LeaseTTL, "fleet-lease-ttl", 0, "managed fleet: replica lease TTL (0 = registry default)")
+	churnKillAt := flag.Duration("churn-kill-at", 0, "managed fleet: kill one replica (crash, no deregistration) this long into the run; 0 disables")
+
+	// Streaming-camera scenario (-stream replaces the request classes).
+	streamMode := flag.Bool("stream", false, "run the streaming-camera scenario instead of request classes")
+	flag.IntVar(&cams.Cameras, "cameras", 4, "stream: concurrent camera sessions")
+	flag.IntVar(&cams.StaticCameras, "static-cameras", 1, "stream: cameras watching a near-static scene (the dedup target)")
+	flag.Float64Var(&cams.FPS, "fps", 60, "stream: per-camera frame rate")
+	flag.IntVar(&cams.FramesPerCamera, "stream-frames", 120, "stream: frames per camera")
+	flag.IntVar(&cams.FrameSize, "frame-size", 96, "stream: square frame edge in pixels (PPM-encoded)")
+	flag.DurationVar(&cams.Budget, "stream-budget", 100*time.Millisecond, "stream: per-frame latency budget (0 = server default)")
+	flag.IntVar(&ingest.OffloadQueueThreshold, "offload-queue-threshold", 2, "stream self-host: edge queue depth that triggers offload")
+	flag.StringVar(&ingest.OffloadLink, "offload-link", "5g", "stream self-host: uplink model (wifi, 5g, lte, satellite)")
 	flag.Func("class",
 		"traffic class spec, repeatable: class[:rate=R|workers=N][,items=I][,deadline=D][,slo=D][,image=PX][,tenant=ID]",
 		func(spec string) error {
@@ -115,86 +125,53 @@ func main() {
 			if err != nil {
 				return err
 			}
-			classes = append(classes, cc)
-			return nil
-		})
-	var tenantQuotas map[string]serve.TenantQuota
-	flag.Func("tenant-quota",
-		"self-host: per-tenant quota spec, repeatable: tenant:rate=R[,burst=B][,share=S] (\"*\" = wildcard)",
-		func(spec string) error {
-			tenant, q, err := serve.ParseTenantQuotaSpec(spec)
-			if err != nil {
-				return err
-			}
-			if tenantQuotas == nil {
-				tenantQuotas = map[string]serve.TenantQuota{}
-			}
-			tenantQuotas[tenant] = q
+			run.Classes = append(run.Classes, cc)
 			return nil
 		})
 	flag.Parse()
 
-	if len(classes) == 0 {
+	if len(run.Classes) == 0 {
 		// A representative default mix: paper §2.2's online scenario
 		// open-loop, plus a light offline batch background.
-		classes = []loadgen.ClassConfig{
+		run.Classes = []loadgen.ClassConfig{
 			{Class: "online", Rate: 50, Items: 1},
 			{Class: "offline", Workers: 1, Items: 8},
 		}
 	}
+	replica.Models = []string{run.Model}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	if *streamMode {
-		runStreamScenario(ctx, streamFlags{
-			target:         *target,
-			model:          *model,
-			name:           *name,
-			out:            *out,
-			seed:           *seed,
-			cameras:        *cameras,
-			staticCams:     *staticCams,
-			fps:            *fps,
-			frames:         *streamFrames,
-			frameSize:      *frameSize,
-			budget:         *streamBudget,
-			queueThreshold: *offloadThresh,
-			link:           *offloadLink,
-		})
+		cams.Name, cams.Model, cams.Seed, cams.URL = run.Name, run.Model, run.Seed, run.Target
+		ingest.Budget = cams.Budget
+		replica.Stream = &ingest
+		runStreamScenario(ctx, cams, replica, *out)
 		return
 	}
 
-	tgt := *target
-	var managed *loadgen.ManagedFleet
+	var mf *loadgen.ManagedFleet
 	switch {
-	case tgt == "" && *fleetMax > 0:
+	case run.Target == "" && ctl.Max > 0:
 		log.Printf("self-hosting a managed fleet: %s replicas in [%d..%d], tick %s, SLO %s/%s (timescale %g)",
-			*platform, *fleetMin, *fleetMax, *fleetInterval, *fleetSLO, *fleetSLOClass, *timescale)
+			replica.Platform, ctl.Min, ctl.Max, ctl.Interval, ctl.SLO, ctl.SLOClass, replica.TimeScale)
+		ctl.Model = run.Model
+		ctl.Oracle.Platforms = []string{replica.Platform}
+		ctl.Logf = log.Printf
+		managed.Local = &replica
 		var err error
-		managed, err = loadgen.StartManagedFleet(loadgen.ManagedFleetConfig{
-			Model:         *model,
-			Platform:      *platform,
-			Min:           *fleetMin,
-			Max:           *fleetMax,
-			Interval:      *fleetInterval,
-			SLO:           *fleetSLO,
-			SLOClass:      *fleetSLOClass,
-			LeaseTTL:      *leaseTTL,
-			TimeScale:     *timescale,
-			MaxQueueDepth: *queueCap,
-			Logf:          log.Printf,
-		})
+		mf, err = loadgen.StartManagedFleet(managed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer managed.Close()
-		tgt = managed.URL
-		log.Printf("managed fleet ready at %s", tgt)
+		defer mf.Close()
+		run.Target = mf.URL
+		log.Printf("managed fleet ready at %s", run.Target)
 		if *churnKillAt > 0 {
 			at := *churnKillAt
 			time.AfterFunc(at, func() {
-				name, err := managed.KillOne()
+				name, err := mf.KillOne()
 				if err != nil {
 					log.Printf("churn: kill at %s: %v", at, err)
 					return
@@ -202,54 +179,26 @@ func main() {
 				log.Printf("churn: killed replica %s at %s (lease left to expire)", name, at)
 			})
 		}
-	case tgt == "":
-		models := []string{*model}
+	case run.Target == "":
 		log.Printf("self-hosting %d %s replica(s) behind an in-process router (timescale %g)",
-			*spawn, *platform, *timescale)
-		fleet, err := loadgen.StartFleet(loadgen.FleetConfig{
-			Replicas:        *spawn,
-			Platform:        *platform,
-			Models:          models,
-			TimeScale:       *timescale,
-			MaxQueueDepth:   *queueCap,
-			Preproc:         *preproc,
-			TenantQuotas:    tenantQuotas,
-			TenantQuantum:   *tenantQuantum,
-			AntiStarveEvery: *antiStarve,
-		})
+			*spawn, replica.Platform, replica.TimeScale)
+		tier, err := core.StartTier(replica, *spawn)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer fleet.Close()
-		tgt = fleet.URL
-		log.Printf("fleet ready at %s (replicas: %s)", tgt, strings.Join(fleet.ReplicaURLs, ", "))
+		defer tier.Close()
+		run.Target = tier.URL
+		log.Printf("fleet ready at %s (replicas: %s)", run.Target, strings.Join(tier.ReplicaURLs, ", "))
 	}
 
-	cfg := loadgen.Config{
-		Target:       tgt,
-		Model:        *model,
-		Name:         *name,
-		Seed:         *seed,
-		Duration:     *duration,
-		Warmup:       *warmup,
-		Shape:        loadgen.Shape(*shape),
-		PeakMult:     *peakMult,
-		Period:       *period,
-		BurstDur:     *burstDur,
-		StepAt:       *stepAt,
-		Timeline:     *timeline,
-		MaxInflight:  *maxInfl,
-		DrainTimeout: *drain,
-		Classes:      classes,
-	}
 	log.Printf("driving %s model %s for %s (warmup %s, shape %s, seed %d)",
-		tgt, *model, *duration, *warmup, *shape, *seed)
-	report, err := loadgen.Run(ctx, cfg)
+		run.Target, run.Model, run.Duration, run.Warmup, run.Shape, run.Seed)
+	report, err := loadgen.Run(ctx, run)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if managed != nil {
-		report.Fleet = managed.FleetReport()
+	if mf != nil {
+		report.Fleet = mf.FleetReport()
 		for _, d := range report.Fleet.Decisions {
 			if d.To != d.From {
 				log.Printf("autoscaler: %s (%d→%d, %.1f rps observed, predicted %.1f img/s at p99 %.0f ms)",
@@ -258,9 +207,16 @@ func main() {
 		}
 	}
 	fmt.Print(report.Summary())
-	path := *out
+	writeArtifact(report, *out, report.DefaultPath())
+}
+
+// writeArtifact writes the report to path ("" = def, "-" = stdout only).
+func writeArtifact(report interface {
+	WriteFile(string) error
+	Write(io.Writer) error
+}, path, def string) {
 	if path == "" {
-		path = report.DefaultPath()
+		path = def
 	}
 	if path != "-" {
 		if err := report.WriteFile(path); err != nil {
@@ -272,71 +228,38 @@ func main() {
 	}
 }
 
-// streamFlags carries the -stream scenario's resolved flag values.
-type streamFlags struct {
-	target, model, name, out string
-	seed                     uint64
-	cameras, staticCams      int
-	fps                      float64
-	frames, frameSize        int
-	budget                   time.Duration
-	queueThreshold           int
-	link                     string
-}
-
 // runStreamScenario drives the streaming-camera workload: against
-// -target if given, else against a self-hosted edge→cloud continuum
-// (Jetson edge at full-fidelity sleeps, offloading to an A100 router).
-func runStreamScenario(ctx context.Context, f streamFlags) {
-	tgt := f.target
-	if tgt == "" {
-		link, err := transfer.ByName(f.link)
-		if err != nil {
-			log.Fatal(err)
+// cams.URL if given, else against a self-hosted edge→cloud continuum
+// whose edge is the replica shape. -platform and -timescale default to
+// a -spawn replica (A100, 0.02), which is not an edge: unless given,
+// they are left to StartEdgeCloud's scenario defaults (a Jetson at
+// full-fidelity sleeps).
+func runStreamScenario(ctx context.Context, cams loadgen.StreamConfig, edge core.DeploymentConfig, out string) {
+	if cams.URL == "" {
+		given := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		if !given["platform"] {
+			edge.Platform = ""
 		}
-		log.Printf("self-hosting an edge→cloud continuum: Jetson edge (+streaming ingest) offloading to an A100 router over %s (queue threshold %d)",
-			link.Name, f.queueThreshold)
-		ec, err := loadgen.StartEdgeCloud(loadgen.EdgeCloudConfig{
-			Model:          f.model,
-			QueueThreshold: f.queueThreshold,
-			Budget:         f.budget,
-			Link:           &link,
-		})
+		if !given["timescale"] {
+			edge.TimeScale = 0
+		}
+		log.Printf("self-hosting an edge→cloud continuum: edge (+streaming ingest) offloading to an A100 router over %s (queue threshold %d)",
+			edge.Stream.OffloadLink, edge.Stream.OffloadQueueThreshold)
+		ec, err := loadgen.StartEdgeCloud(loadgen.EdgeCloudConfig{Edge: edge})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer ec.Close()
-		tgt = ec.URL
-		log.Printf("edge ready at %s (cloud router at %s)", ec.URL, ec.CloudURL)
+		cams.URL = ec.URL
+		log.Printf("edge ready at %s (cloud router at %s)", ec.URL, ec.Cloud.URL)
 	}
 	log.Printf("streaming %d camera(s) at %g FPS, %d frames each (budget %s, seed %d)",
-		f.cameras, f.fps, f.frames, f.budget, f.seed)
-	report, err := loadgen.RunStream(ctx, loadgen.StreamConfig{
-		Name:            f.name,
-		URL:             tgt,
-		Cameras:         f.cameras,
-		StaticCameras:   f.staticCams,
-		FPS:             f.fps,
-		FramesPerCamera: f.frames,
-		Model:           f.model,
-		Budget:          f.budget,
-		FrameSize:       f.frameSize,
-		Seed:            f.seed,
-	})
+		cams.Cameras, cams.FPS, cams.FramesPerCamera, cams.Budget, cams.Seed)
+	report, err := loadgen.RunStream(ctx, cams)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(report.Summary())
-	path := f.out
-	if path == "" {
-		path = fmt.Sprintf("BENCH_%s.json", f.name)
-	}
-	if path != "-" {
-		if err := report.WriteFile(path); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", path)
-	} else if err := report.Write(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
+	writeArtifact(report, out, fmt.Sprintf("BENCH_%s.json", cams.Name))
 }

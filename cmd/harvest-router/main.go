@@ -60,17 +60,9 @@ func main() {
 		maxBodyBytes = flag.Int64("max-body-bytes", 0,
 			"request-body cap before proxying; raise for large base64 image batches (0 = 64 MiB default, negative disables)")
 	)
-	tenantQuotas := map[string]serve.TenantQuota{}
-	flag.Func("tenant-quota",
-		"router-level tenant admission quota tenant:rate=N[,burst=M] in fleet-aggregate items/s; '*' = wildcard tenant (repeatable; rejects answered at the router, before any replica is tried)",
-		func(spec string) error {
-			tenant, q, err := serve.ParseTenantQuotaSpec(spec)
-			if err != nil {
-				return err
-			}
-			tenantQuotas[tenant] = q
-			return nil
-		})
+	var tenantQuotas map[string]serve.TenantQuota
+	flag.Var((*serve.TenantQuotaFlag)(&tenantQuotas), "tenant-quota",
+		"router-level tenant admission quota tenant:rate=N[,burst=M] in fleet-aggregate items/s; '*' = wildcard tenant (repeatable; rejects answered at the router, before any replica is tried)")
 	flag.Parse()
 
 	var urls []string

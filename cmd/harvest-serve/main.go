@@ -45,41 +45,24 @@ import (
 	"time"
 
 	"harvest/internal/core"
-	"harvest/internal/energy"
 	"harvest/internal/fleet"
 	"harvest/internal/hw"
 	"harvest/internal/pprofserve"
 	"harvest/internal/serve"
 	"harvest/internal/stream"
-	"harvest/internal/transfer"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("harvest-serve: ")
+	cfg := core.DeploymentConfig{Stream: &core.StreamConfig{}}
 	var (
-		addr         = flag.String("addr", ":8000", "listen address")
-		platform     = flag.String("platform", hw.KeyA100, "platform model: A100, V100 or Jetson")
-		modelsArg    = flag.String("models", "", "comma-separated model names (default all four)")
-		queueDelay   = flag.Duration("queue-delay", 2*time.Millisecond, "dynamic batching window")
-		instances    = flag.Int("instances", 1, "engine instances per model")
-		timescale    = flag.Float64("timescale", 1.0, "fraction of modeled latency to really sleep (0 = none)")
-		drainTimeout = flag.Duration("drain-timeout", serve.DefaultDrainTimeout,
-			"how long shutdown serves already-queued requests before failing stragglers")
-		maxQueueDepth = flag.Int("max-queue-depth", serve.DefaultMaxQueueDepth,
-			"per-model admission queue bound; a full queue sheds with HTTP 429")
-		realtimeSLO = flag.Duration("realtime-slo", serve.DefaultRealtimeBudget,
-			"implicit deadline for realtime-class requests (negative disables)")
+		addr              = flag.String("addr", ":8000", "listen address")
+		modelsArg         = flag.String("models", "", "comma-separated model names (default all four)")
 		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second,
 			"per-connection header read timeout (slowloris guard)")
-		traceCap = flag.Int("trace-cap", serve.DefaultTraceCapacity,
-			"trace ring-buffer capacity for GET /v2/trace (negative disables)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"optional net/http/pprof listen address (e.g. localhost:6060); empty disables")
-		preproc = flag.String("preproc", "",
-			"accept encoded images (images_b64) on /v2/infer, preprocessed by this engine: cpu (PyTorch-style) or cv2; empty disables")
-		preprocWorkers = flag.Int("preproc-workers", 0,
-			"decode/resize worker-pool size shared across models (0 = one per CPU)")
 		fleetURL = flag.String("fleet", "",
 			"fleet control plane base URL; the replica self-registers and renews a lease there (empty disables)")
 		fleetName = flag.String("fleet-name", "",
@@ -88,82 +71,70 @@ func main() {
 			"requested lease TTL for -fleet registration (0 = registry default)")
 		advertise = flag.String("advertise", "",
 			"base URL the fleet should route to (default http://127.0.0.1<addr> when -addr has no host)")
-		realBackend = flag.String("real", "",
-			"attach an executable compute backend at this precision (fp32, fp16, bf16 or int8): tensor inputs run real forward passes through the packed/quantized GEMM kernels; empty keeps simulation-only serving")
-		realSeed = flag.Uint64("real-seed", 1, "weight-init seed for the -real backend")
-		realCkpt = flag.String("real-checkpoint", "",
-			"load the -real backend's weights from this .hvt checkpoint (quantized at load into the -real precision) instead of random initialization; requires exactly one -models entry matching the checkpoint")
 		streamEnable = flag.Bool("stream", false,
 			"enable streaming camera ingest at POST /v2/streams/{camera} (requires -preproc: frames arrive as encoded images)")
-		streamModel = flag.String("stream-model", "",
-			"default model for ingest streams (default: the only served model; required with -stream when serving several)")
-		streamBudget = flag.Duration("stream-budget", 0,
-			"per-frame latency budget for ingest streams, counted from frame receipt (0 = the realtime SLO)")
-		offloadTo = flag.String("offload-to", "",
-			"cloud tier base URL (typically a harvest-router); when local queue or power pressure crosses its threshold, admitted frames ship there over the modeled -offload-link (empty disables offload)")
-		offloadLink = flag.String("offload-link", "5g",
-			"edge-to-cloud uplink model for -offload-to: wifi, 5g, lte or satellite")
-		offloadChunk = flag.Int("offload-chunk-bytes", 64<<10,
-			"uplink message size for per-message protocol overhead accounting (0 = one message per frame)")
-		offloadQueueThreshold = flag.Int("offload-queue-threshold", stream.DefaultQueueThreshold,
-			"local queue depth at which frames start offloading to -offload-to")
-		offloadPowerBudget = flag.Float64("offload-power-budget", 0,
-			"edge power budget in watts; modeled draw above it also triggers offload (0 disables the power signal)")
-		linkTimescale = flag.Float64("link-timescale", 1.0,
-			"fraction of modeled uplink latency to really sleep (default 1.0 = full fidelity; negative = none)")
-		tenantQuantum = flag.Int("tenant-quantum", 0,
-			"deficit-round-robin quantum in request-items for per-tenant fair scheduling (0 = default)")
-		antiStarve = flag.Int("anti-starve-every", 0,
-			"guarantee lower-priority lanes one dispatch every N polls under saturating higher-priority load (0 = default, negative disables)")
 	)
-	var tenantQuotas map[string]serve.TenantQuota
-	flag.Func("tenant-quota",
-		"per-tenant quota spec, repeatable: tenant:rate=R[,burst=B][,share=S] (\"*\" = wildcard for unlisted tenants)",
-		func(spec string) error {
-			tenant, q, err := serve.ParseTenantQuotaSpec(spec)
-			if err != nil {
-				return err
-			}
-			if tenantQuotas == nil {
-				tenantQuotas = map[string]serve.TenantQuota{}
-			}
-			tenantQuotas[tenant] = q
-			return nil
-		})
+	flag.StringVar(&cfg.Platform, "platform", hw.KeyA100, "platform model: A100, V100 or Jetson")
+	flag.DurationVar(&cfg.QueueDelay, "queue-delay", 2*time.Millisecond, "dynamic batching window")
+	flag.IntVar(&cfg.Instances, "instances", 1, "engine instances per model")
+	flag.Float64Var(&cfg.TimeScale, "timescale", 1.0, "fraction of modeled latency to really sleep (0 = none)")
+	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", serve.DefaultDrainTimeout,
+		"how long shutdown serves already-queued requests before failing stragglers")
+	flag.IntVar(&cfg.MaxQueueDepth, "max-queue-depth", serve.DefaultMaxQueueDepth,
+		"per-model admission queue bound; a full queue sheds with HTTP 429")
+	flag.DurationVar(&cfg.RealtimeBudget, "realtime-slo", serve.DefaultRealtimeBudget,
+		"implicit deadline for realtime-class requests (negative disables)")
+	flag.IntVar(&cfg.TraceCapacity, "trace-cap", serve.DefaultTraceCapacity,
+		"trace ring-buffer capacity for GET /v2/trace (negative disables)")
+	flag.StringVar(&cfg.Preproc, "preproc", "",
+		"accept encoded images (images_b64) on /v2/infer, preprocessed by this engine: cpu (PyTorch-style) or cv2; empty disables")
+	flag.IntVar(&cfg.PreprocWorkers, "preproc-workers", 0,
+		"decode/resize worker-pool size shared across models (0 = one per CPU)")
+	flag.StringVar(&cfg.RealBackend, "real", "",
+		"attach an executable compute backend at this precision (fp32, fp16, bf16 or int8): tensor inputs run real forward passes through the packed/quantized GEMM kernels; empty keeps simulation-only serving")
+	flag.Uint64Var(&cfg.RealSeed, "real-seed", 1, "weight-init seed for the -real backend")
+	flag.StringVar(&cfg.RealCheckpoint, "real-checkpoint", "",
+		"load the -real backend's weights from this .hvt checkpoint (quantized at load into the -real precision) instead of random initialization; requires exactly one -models entry matching the checkpoint")
+	flag.StringVar(&cfg.Stream.Model, "stream-model", "",
+		"default model for ingest streams (default: the only served model; required with -stream when serving several)")
+	flag.DurationVar(&cfg.Stream.Budget, "stream-budget", 0,
+		"per-frame latency budget for ingest streams, counted from frame receipt (0 = the realtime SLO)")
+	flag.StringVar(&cfg.Stream.OffloadTo, "offload-to", "",
+		"cloud tier base URL (typically a harvest-router); when local queue or power pressure crosses its threshold, admitted frames ship there over the modeled -offload-link (empty disables offload)")
+	flag.StringVar(&cfg.Stream.OffloadLink, "offload-link", "5g",
+		"edge-to-cloud uplink model for -offload-to: wifi, 5g, lte or satellite")
+	flag.IntVar(&cfg.Stream.OffloadChunkBytes, "offload-chunk-bytes", 64<<10,
+		"uplink message size for per-message protocol overhead accounting (0 = one message per frame)")
+	flag.IntVar(&cfg.Stream.OffloadQueueThreshold, "offload-queue-threshold", stream.DefaultQueueThreshold,
+		"local queue depth at which frames start offloading to -offload-to")
+	flag.Float64Var(&cfg.Stream.OffloadPowerBudgetW, "offload-power-budget", 0,
+		"edge power budget in watts; modeled draw above it also triggers offload (0 disables the power signal)")
+	flag.Float64Var(&cfg.Stream.LinkTimeScale, "link-timescale", 1.0,
+		"fraction of modeled uplink latency to really sleep (default 1.0 = full fidelity; negative = none)")
+	flag.IntVar(&cfg.TenantQuantum, "tenant-quantum", 0,
+		"deficit-round-robin quantum in request-items for per-tenant fair scheduling (0 = default)")
+	flag.IntVar(&cfg.AntiStarveEvery, "anti-starve-every", 0,
+		"guarantee lower-priority lanes one dispatch every N polls under saturating higher-priority load (0 = default, negative disables)")
+	flag.Var((*serve.TenantQuotaFlag)(&cfg.TenantQuotas), "tenant-quota",
+		"per-tenant quota spec, repeatable: tenant:rate=R[,burst=B][,share=S] (\"*\" = wildcard for unlisted tenants)")
 	flag.Parse()
 
-	cfg := core.DeploymentConfig{
-		Platform:        *platform,
-		QueueDelay:      *queueDelay,
-		Instances:       *instances,
-		TimeScale:       *timescale,
-		DrainTimeout:    *drainTimeout,
-		MaxQueueDepth:   *maxQueueDepth,
-		RealtimeBudget:  *realtimeSLO,
-		TraceCapacity:   *traceCap,
-		Preproc:         *preproc,
-		PreprocWorkers:  *preprocWorkers,
-		RealBackend:     *realBackend,
-		RealSeed:        *realSeed,
-		RealCheckpoint:  *realCkpt,
-		TenantQuotas:    tenantQuotas,
-		TenantQuantum:   *tenantQuantum,
-		AntiStarveEvery: *antiStarve,
+	if !*streamEnable {
+		cfg.Stream = nil
 	}
-	if len(tenantQuotas) > 0 {
-		for t, q := range tenantQuotas {
-			log.Printf("tenant quota: %s rate=%g/s burst=%g share=%g", t, q.RatePerSec, q.Burst, q.MaxQueueShare)
-		}
+	for t, q := range cfg.TenantQuotas {
+		log.Printf("tenant quota: %s rate=%g/s burst=%g share=%g", t, q.RatePerSec, q.Burst, q.MaxQueueShare)
 	}
 	if *modelsArg != "" {
 		for _, m := range strings.Split(*modelsArg, ",") {
 			cfg.Models = append(cfg.Models, strings.TrimSpace(m))
 		}
 	}
-	srv, err := core.NewDeployment(cfg)
+	rep, err := core.NewReplica(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv := rep.Server
 	for _, name := range srv.Models() {
 		mc, err := srv.ModelConfigFor(name)
 		if err != nil {
@@ -171,82 +142,31 @@ func main() {
 		}
 		log.Printf("registered %s (max batch %d, %d instance(s))", name, mc.MaxBatch, mc.Instances)
 	}
-	if *preproc != "" {
-		log.Printf("encoded-image preprocessing enabled (%s engine)", *preproc)
+	if cfg.Preproc != "" {
+		log.Printf("encoded-image preprocessing enabled (%s engine)", cfg.Preproc)
 	}
 	switch {
-	case *realCkpt != "":
-		prec := *realBackend
+	case cfg.RealCheckpoint != "":
+		prec := cfg.RealBackend
 		if prec == "" {
 			prec = "fp32"
 		}
-		log.Printf("real compute backend attached (%s, weights from %s)", prec, *realCkpt)
-	case *realBackend != "":
+		log.Printf("real compute backend attached (%s, weights from %s)", prec, cfg.RealCheckpoint)
+	case cfg.RealBackend != "":
 		// Loud on purpose: serving random weights looks healthy but
 		// misreports accuracy; say so instead of leaving it implicit.
 		log.Printf("real compute backend attached (%s, RANDOM weights from seed %d — pass -real-checkpoint to serve trained weights)",
-			*realBackend, *realSeed)
+			cfg.RealBackend, cfg.RealSeed)
 	}
-	// Streaming ingest composes in front of the serving mux: camera
-	// streams at /v2/streams/, everything else falls through to the
-	// v2 API; stream counters export through the serve metrics
-	// surface as the "stream" extension.
-	handler := srv.Handler()
-	if *streamEnable {
-		if *preproc == "" {
-			log.Fatal("-stream requires -preproc: camera frames arrive as encoded images")
-		}
-		model := *streamModel
-		if model == "" {
-			if names := srv.Models(); len(names) == 1 {
-				model = names[0]
-			} else {
-				log.Fatalf("-stream-model required: serving %d models", len(srv.Models()))
-			}
-		}
-		var pol *stream.OffloadPolicy
-		if *offloadTo != "" {
-			link, err := transfer.ByName(*offloadLink)
-			if err != nil {
-				log.Fatal(err)
-			}
-			pol = &stream.OffloadPolicy{
-				Cloud:          serve.NewClient(*offloadTo),
-				Link:           link,
-				ChunkBytes:     *offloadChunk,
-				QueueThreshold: *offloadQueueThreshold,
-				LinkTimeScale:  *linkTimescale,
-			}
-			if *offloadPowerBudget > 0 {
-				p, err := hw.ByName(*platform)
-				if err != nil {
-					log.Fatal(err)
-				}
-				pol.EdgePowerBudgetW = *offloadPowerBudget
-				pol.Power = energy.New(p)
-			}
+	if cfg.Stream != nil {
+		log.Printf("streaming ingest enabled at /v2/streams/{camera}")
+		if cfg.Stream.OffloadTo != "" {
 			log.Printf("offload enabled: cloud tier %s over %s (queue threshold %d)",
-				*offloadTo, link.Name, *offloadQueueThreshold)
+				cfg.Stream.OffloadTo, cfg.Stream.OffloadLink, cfg.Stream.OffloadQueueThreshold)
 		}
-		ing, err := stream.NewIngest(stream.Config{
-			Model:   model,
-			Local:   srv,
-			Budget:  *streamBudget,
-			Offload: pol,
-			Trace:   srv.Trace(),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv.AddMetricsExtension("stream", ing.MetricsJSON, ing.WriteProm)
-		mux := http.NewServeMux()
-		mux.Handle("/v2/streams/", ing.Handler())
-		mux.Handle("/", srv.Handler())
-		handler = mux
-		log.Printf("streaming ingest enabled at /v2/streams/{camera} (default model %s)", model)
 	}
 	log.Printf("platform %s, serving on %s (JSON metrics at /v2/metrics, Prometheus at /metrics, trace at /v2/trace)",
-		*platform, *addr)
+		cfg.Platform, *addr)
 	pprofserve.Start(*pprofAddr, func(err error) { log.Printf("pprof: %v", err) })
 	if *pprofAddr != "" {
 		log.Printf("pprof on %s", *pprofAddr)
@@ -257,7 +177,7 @@ func main() {
 	// unbounded in time because infer requests legitimately queue.
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           rep.Handler,
 		ReadHeaderTimeout: *readHeaderTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -288,7 +208,7 @@ func main() {
 			FleetURL: *fleetURL,
 			Name:     name,
 			URL:      adv,
-			Platform: *platform,
+			Platform: cfg.Platform,
 			TTL:      *fleetTTL,
 			Logf:     log.Printf,
 		}
@@ -317,8 +237,8 @@ func main() {
 		agentCancel()
 		<-agentDone
 	}
-	log.Printf("shutting down: draining HTTP then the batchers (timeout %s)", *drainTimeout)
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout+5*time.Second)
+	log.Printf("shutting down: draining HTTP then the batchers (timeout %s)", cfg.DrainTimeout)
+	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout+5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("http shutdown: %v", err)

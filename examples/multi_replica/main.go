@@ -15,13 +15,11 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"harvest/internal/engine"
+	"harvest/internal/core"
 	"harvest/internal/hw"
 	"harvest/internal/models"
 	"harvest/internal/scaleout"
@@ -30,60 +28,24 @@ import (
 
 const model = models.NameViTTiny
 
-func newReplica(platform *hw.Platform) (*serve.Server, string, func(), error) {
-	eng, err := engine.New(platform, model)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	srv := serve.NewServer()
-	if err := srv.Register(serve.ModelConfig{
-		Name:       model,
-		Engine:     eng,
-		MaxBatch:   8,
-		QueueDelay: 500 * time.Microsecond,
-		TimeScale:  2, // really sleep 2x modeled latency: requests overlap the kill
-	}); err != nil {
-		srv.Close()
-		return nil, "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, "", nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = hs.Serve(ln) }()
-	stop := func() { _ = hs.Close(); srv.Close() }
-	return srv, "http://" + ln.Addr().String(), stop, nil
-}
-
 func main() {
 	log.SetFlags(0)
 	platform := hw.A100()
 
 	fmt.Println("=== replica-pool router: failover under load ===")
-	const replicas = 3
-	var stops []func()
-	var urls []string
-	for i := 0; i < replicas; i++ {
-		_, url, stop, err := newReplica(platform)
-		if err != nil {
-			log.Fatal(err)
-		}
-		stops = append(stops, stop)
-		urls = append(urls, url)
-		fmt.Printf("replica r%d at %s\n", i, url)
-	}
-	router, err := serve.NewRouter(urls, serve.RouterConfig{
-		Pool: serve.PoolConfig{
-			ProbeInterval:    20 * time.Millisecond,
-			EjectAfter:       2,
-			EjectionDuration: 500 * time.Millisecond,
-		},
-	})
+	tier, err := core.StartTier(core.DeploymentConfig{
+		Platform:   hw.KeyA100,
+		Models:     []string{model},
+		QueueDelay: 500 * time.Microsecond,
+		TimeScale:  2, // really sleep 2x modeled latency: requests overlap the kill
+	}, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
+	for i, url := range tier.ReplicaURLs {
+		fmt.Printf("replica r%d at %s\n", i, url)
+	}
+	router := tier.Router
 
 	const total = 300
 	var wg sync.WaitGroup
@@ -103,7 +65,7 @@ func main() {
 		time.Sleep(300 * time.Microsecond)
 		if i == total/3 {
 			fmt.Printf("killing replica r0 with ~%d requests in flight...\n", total/3)
-			stops[0]()
+			tier.Replicas[0].Kill()
 		}
 	}
 	wg.Wait()
@@ -117,10 +79,7 @@ func main() {
 	for _, rs := range met.Router.Replicas {
 		fmt.Printf("  %s healthy=%v ejections=%d\n", rs.Name, rs.Healthy, rs.Ejections)
 	}
-	router.Close()
-	for _, stop := range stops[1:] {
-		stop()
-	}
+	tier.Close()
 
 	fmt.Println()
 	fmt.Println("=== scaleout.Validate: analytic model vs live tier ===")

@@ -86,7 +86,10 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// DeploymentConfig describes a serving deployment.
+// DeploymentConfig is the one description of a replica: every binary's
+// replica-shape flags bind to its fields, and every deployment shape
+// (NewReplica, StartTier, fleet.NewControlPlane) is assembled from a
+// value of it.
 type DeploymentConfig struct {
 	// Platform is a hw platform key ("A100", "V100", "Jetson").
 	Platform string
@@ -150,6 +153,10 @@ type DeploymentConfig struct {
 	// configured model: a kind/name/geometry mismatch is a typed
 	// modelio.ErrModelMismatch at startup, never silent random weights.
 	RealCheckpoint string
+	// Stream, when non-nil, adds streaming camera ingest (and optionally
+	// edge→cloud offload) in front of the deployment. NewDeployment
+	// ignores it; NewReplica assembles it.
+	Stream *StreamConfig
 }
 
 // newPreprocessor builds the configured CPU preprocessing engine for

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"harvest/internal/core"
 	"harvest/internal/engine"
 	"harvest/internal/hw"
 	"harvest/internal/metrics"
@@ -419,7 +420,7 @@ func TestLocalProvisionerAgentLifecycle(t *testing.T) {
 
 	lp := &LocalProvisioner{
 		FleetURL: cp.URL,
-		Models:   []string{models.NameViTTiny},
+		Replica:  core.DeploymentConfig{Models: []string{models.NameViTTiny}},
 		TTL:      400 * time.Millisecond,
 	}
 	defer lp.Close()

@@ -3,8 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -25,20 +23,17 @@ type Provisioner interface {
 	Stop(ctx context.Context, url string) error
 }
 
-// LocalProvisioner spawns in-process harvest-serve replicas over
-// loopback HTTP — the same mechanism loadgen.StartFleet uses — each
-// with an Agent that self-registers against FleetURL and deregisters
-// (drain-aware) on Stop. It lets `harvest-fleet -local` and `make
-// bench-fleet` autoscale a real serving tier with no external
-// scheduler.
+// LocalProvisioner spawns in-process replicas over loopback HTTP
+// (core.StartReplica), each with an Agent that self-registers against
+// FleetURL and deregisters (drain-aware) on Stop. It lets `harvest-fleet
+// -local` and `make bench-fleet` autoscale a real serving tier with no
+// external scheduler.
 type LocalProvisioner struct {
 	// FleetURL is the control plane the spawned replicas register with.
 	FleetURL string
-	// Replica shape (see core.DeploymentConfig / loadgen.FleetConfig).
-	Models        []string
-	TimeScale     float64
-	QueueDelay    time.Duration
-	MaxQueueDepth int
+	// Replica is the shape of every launched replica; Launch sets its
+	// Platform.
+	Replica core.DeploymentConfig
 	// TTL is the lease length replicas request (0 = registry default).
 	TTL time.Duration
 	// Logf, when non-nil, receives replica lifecycle messages.
@@ -54,32 +49,20 @@ type localReplica struct {
 	agent     *Agent
 	cancel    context.CancelFunc // stops the agent (it deregisters with drain)
 	agentDone chan struct{}
-	httpSrv   *http.Server
-	deploy    interface{ Close() }
+	replica   *core.Replica
 }
 
 // Launch starts one in-process replica and its registration agent.
 // The pool gains the replica as soon as its agent's registration
 // lands (milliseconds later).
 func (lp *LocalProvisioner) Launch(_ context.Context, platform string) (string, error) {
-	srv, err := core.NewDeployment(core.DeploymentConfig{
-		Platform:      platform,
-		Models:        lp.Models,
-		QueueDelay:    lp.QueueDelay,
-		TimeScale:     lp.TimeScale,
-		MaxQueueDepth: lp.MaxQueueDepth,
-	})
+	cfg := lp.Replica
+	cfg.Platform = platform
+	replica, err := core.StartReplica(cfg)
 	if err != nil {
 		return "", fmt.Errorf("fleet: local launch: %w", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return "", err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = httpSrv.Serve(ln) }()
-	url := "http://" + ln.Addr().String()
+	url := replica.URL
 
 	lp.mu.Lock()
 	name := fmt.Sprintf("local-%s-%d", platform, lp.seq)
@@ -100,8 +83,7 @@ func (lp *LocalProvisioner) Launch(_ context.Context, platform string) (string, 
 		},
 		cancel:    cancel,
 		agentDone: make(chan struct{}),
-		httpSrv:   httpSrv,
-		deploy:    srv,
+		replica:   replica,
 	}
 	lp.reps[url] = rep
 	lp.mu.Unlock()
@@ -132,10 +114,7 @@ func (lp *LocalProvisioner) Stop(ctx context.Context, url string) error {
 	case <-rep.agentDone:
 	case <-ctx.Done():
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = rep.httpSrv.Shutdown(shutCtx)
-	rep.deploy.Close()
+	rep.replica.Close()
 	return nil
 }
 
@@ -155,8 +134,7 @@ func (lp *LocalProvisioner) Kill(url string) (string, error) {
 	}
 	rep.agent.Abort() // die without deregistering; the lease must expire
 	rep.cancel()
-	_ = rep.httpSrv.Close()
-	rep.deploy.Close()
+	rep.replica.Kill()
 	return rep.name, nil
 }
 

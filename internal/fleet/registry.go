@@ -6,8 +6,8 @@
 // a capacity oracle before acting — model-predictive autoscaling,
 // licensed by scaleout.Validate's ≤0.9% sim-vs-real throughput
 // agreement. Replicas are spawned and stopped through a pluggable
-// Provisioner; the in-process LocalProvisioner reuses the
-// loadgen.StartFleet mechanism (core deployments over loopback HTTP).
+// Provisioner; the in-process LocalProvisioner launches
+// core.StartReplica replicas (core deployments over loopback HTTP).
 package fleet
 
 import (

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"harvest/internal/core"
 )
 
 func TestParseClassSpec(t *testing.T) {
@@ -147,7 +149,7 @@ func TestScheduleReproducible(t *testing.T) {
 // self-hosted fleet driven with a mixed open+closed mix, report
 // written and parsed back as a BENCH artifact.
 func TestRunAgainstSelfHostedFleet(t *testing.T) {
-	fleet, err := StartFleet(FleetConfig{Replicas: 1, Models: []string{"ViT_Tiny"}})
+	fleet, err := core.StartTier(core.DeploymentConfig{Platform: "A100", Models: []string{"ViT_Tiny"}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestRunAgainstSelfHostedFleet(t *testing.T) {
 // TestRunEncodedImages drives the images_b64 path against a
 // preprocessing-enabled fleet.
 func TestRunEncodedImages(t *testing.T) {
-	fleet, err := StartFleet(FleetConfig{Replicas: 1, Models: []string{"ViT_Tiny"}, Preproc: "cpu"})
+	fleet, err := core.StartTier(core.DeploymentConfig{Platform: "A100", Models: []string{"ViT_Tiny"}, Preproc: "cpu"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

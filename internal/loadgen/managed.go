@@ -3,137 +3,52 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"time"
 
 	"harvest/internal/fleet"
 	"harvest/internal/serve"
 )
 
-// ManagedFleetConfig describes a self-hosted *autoscaled* system under
-// test: a dynamic router whose replica set is owned by the fleet
-// control plane (lease registry + SLO-driven controller + local
-// provisioner) instead of a fixed -spawn count. `make bench-fleet`
+// ManagedFleet is a self-hosted *autoscaled* system under test: a
+// fleet.ControlPlane with in-process replicas (cfg.Local) on a
+// loopback listener instead of a fixed -spawn count. `make bench-fleet`
 // drives one of these through a load step and replica churn.
-type ManagedFleetConfig struct {
-	// Model is the served (and demand-tracked) model.
-	Model string
-	// Platform is the replica platform the controller launches and the
-	// oracle prices (default Jetson — the edge tier the paper scales
-	// out).
-	Platform string
-	// Min/Max bound the fleet size (defaults 1 and 4).
-	Min, Max int
-	// Interval is the autoscaler tick (default 2s).
-	Interval time.Duration
-	// SLO is the per-request queue-wait bound the controller sizes for;
-	// SLOClass the class it watches (defaults 100ms, "online").
-	SLO      time.Duration
-	SLOClass string
-	// LeaseTTL is the replica lease length (default registry default).
-	LeaseTTL time.Duration
-	// Replica shape (see FleetConfig).
-	TimeScale     float64
-	QueueDelay    time.Duration
-	MaxQueueDepth int
-	// Logf, when non-nil, receives control-plane lifecycle messages.
-	Logf func(format string, args ...any)
-}
-
-// ManagedFleet is a running autoscaled tier.
 type ManagedFleet struct {
+	*fleet.ControlPlane
 	// URL serves both planes: /v2/fleet/* (control) and everything else
 	// (the router's data plane) — the loadgen target.
-	URL         string
-	Router      *serve.Router
-	Registry    *fleet.Registry
-	Controller  *fleet.Controller
-	Provisioner *fleet.LocalProvisioner
+	URL string
 
-	httpSrv *http.Server
+	endpoint *serve.Endpoint
 }
 
 // StartManagedFleet stands the tier up and blocks until the Min-floor
 // replicas hold leases and pass health probes. Callers must Close it.
-func StartManagedFleet(cfg ManagedFleetConfig) (*ManagedFleet, error) {
-	if cfg.Model == "" {
-		return nil, fmt.Errorf("loadgen: managed fleet needs a model")
+func StartManagedFleet(cfg fleet.ControlPlaneConfig) (*ManagedFleet, error) {
+	if cfg.Router.Pool.ProbeInterval == 0 {
+		cfg.Router.Pool.ProbeInterval = 20 * time.Millisecond
 	}
-	if cfg.Platform == "" {
-		cfg.Platform = "Jetson"
-	}
-	if cfg.Min <= 0 {
-		cfg.Min = 1
-	}
-	if cfg.Max <= 0 {
-		cfg.Max = 4
-	}
-	if cfg.SLO <= 0 {
-		cfg.SLO = 100 * time.Millisecond
-	}
-
-	router := serve.NewDynamicRouter(serve.RouterConfig{
-		Pool: serve.PoolConfig{ProbeInterval: 20 * time.Millisecond},
-	})
-	registry := fleet.NewRegistry(router.Pool(), fleet.RegistryConfig{DefaultTTL: cfg.LeaseTTL})
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	cp := fleet.NewControlPlane(cfg)
+	ep, err := serve.ListenLoopback(cp.Handler())
 	if err != nil {
-		router.Close()
-		registry.Close()
+		cp.Close()
 		return nil, err
 	}
-	url := "http://" + ln.Addr().String()
-
-	prov := &fleet.LocalProvisioner{
-		FleetURL:      url,
-		Models:        []string{cfg.Model},
-		TimeScale:     cfg.TimeScale,
-		QueueDelay:    cfg.QueueDelay,
-		MaxQueueDepth: cfg.MaxQueueDepth,
-		TTL:           cfg.LeaseTTL,
-		Logf:          cfg.Logf,
-	}
-	ctrl := fleet.NewController(router, registry, prov, fleet.ControllerConfig{
-		Model: cfg.Model,
-		Oracle: fleet.OracleConfig{
-			Platforms:   []string{cfg.Platform},
-			MaxReplicas: cfg.Max,
-		},
-		Min:      cfg.Min,
-		Max:      cfg.Max,
-		Interval: cfg.Interval,
-		SLO:      cfg.SLO,
-		SLOClass: cfg.SLOClass,
-		Logf:     cfg.Logf,
-	})
-
-	mf := &ManagedFleet{
-		URL:         url,
-		Router:      router,
-		Registry:    registry,
-		Controller:  ctrl,
-		Provisioner: prov,
-		httpSrv: &http.Server{
-			Handler:           fleet.Handler(registry, ctrl, router.Handler()),
-			ReadHeaderTimeout: 5 * time.Second,
-		},
-	}
-	go func() { _ = mf.httpSrv.Serve(ln) }()
+	mf := &ManagedFleet{ControlPlane: cp, URL: ep.URL, endpoint: ep}
 
 	startCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := ctrl.Start(startCtx); err != nil {
+	if err := cp.Start(startCtx, ep.URL); err != nil {
 		mf.Close()
 		return nil, err
 	}
 	// Ready means the floor replicas registered AND pass probes: a lease
 	// alone does not take traffic.
-	for len(registry.Leases()) < cfg.Min || router.Pool().HealthyCount() < cfg.Min {
+	floor := max(cfg.Controller.Min, 1)
+	for len(cp.Registry.Leases()) < floor || cp.Router.Pool().HealthyCount() < floor {
 		if startCtx.Err() != nil {
 			mf.Close()
-			return nil, fmt.Errorf("loadgen: managed fleet floor (%d replicas) not ready in 30s", cfg.Min)
+			return nil, fmt.Errorf("loadgen: managed fleet floor (%d replicas) not ready in 30s", floor)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -159,14 +74,9 @@ func (m *ManagedFleet) FleetReport() *FleetReport {
 	}
 }
 
-// Close tears the tier down: controller first (no further scaling),
-// then the replicas, then the control plane and router.
+// Close tears the tier down: the control plane (replicas deregister
+// over HTTP, so its listener is still up), then the listener.
 func (m *ManagedFleet) Close() {
-	m.Controller.Close()
-	m.Provisioner.Close()
-	m.Registry.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = m.httpSrv.Shutdown(ctx)
-	m.Router.Close()
+	m.ControlPlane.Close()
+	m.endpoint.Shutdown()
 }

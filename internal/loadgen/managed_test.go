@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"harvest/internal/core"
 	"harvest/internal/fleet"
 	"harvest/internal/models"
+	"harvest/internal/serve"
 )
 
 // TestManagedFleetStepAndChurn is the control-plane acceptance run in
@@ -16,16 +18,18 @@ import (
 // must cause zero failed admitted requests. 429 sheds and 504
 // deadline evictions are designed overload responses, not failures.
 func TestManagedFleetStepAndChurn(t *testing.T) {
-	mf, err := StartManagedFleet(ManagedFleetConfig{
-		Model:     models.NameViTBase,
-		Platform:  "Jetson",
-		Min:       1,
-		Max:       3,
-		Interval:  250 * time.Millisecond,
-		SLO:       150 * time.Millisecond,
-		LeaseTTL:  500 * time.Millisecond,
-		TimeScale: 1,
-		Logf:      t.Logf,
+	mf, err := StartManagedFleet(fleet.ControlPlaneConfig{
+		Controller: fleet.ControllerConfig{
+			Model:    models.NameViTBase,
+			Oracle:   fleet.OracleConfig{Platforms: []string{"Jetson"}},
+			Min:      1,
+			Max:      3,
+			Interval: 250 * time.Millisecond,
+			SLO:      150 * time.Millisecond,
+			Logf:     t.Logf,
+		},
+		LeaseTTL: 500 * time.Millisecond,
+		Local:    &core.DeploymentConfig{Models: []string{models.NameViTBase}, TimeScale: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,5 +129,51 @@ func TestManagedFleetStepAndChurn(t *testing.T) {
 	}
 	if offered == 0 {
 		t.Fatal("timeline recorded no offered requests")
+	}
+}
+
+// TestManagedFleetReplicaShape: managed replicas get the whole
+// deployment config, not a subset of it. An encoded-image class needs
+// Preproc on the replicas (without it every request is a 400) and a
+// quota'd tenant must see its 429s.
+func TestManagedFleetReplicaShape(t *testing.T) {
+	mf, err := StartManagedFleet(fleet.ControlPlaneConfig{
+		Controller: fleet.ControllerConfig{
+			Model:  models.NameViTTiny,
+			Oracle: fleet.OracleConfig{Platforms: []string{"A100"}},
+			Max:    2,
+			SLO:    100 * time.Millisecond,
+		},
+		Local: &core.DeploymentConfig{
+			Models:       []string{models.NameViTTiny},
+			TimeScale:    0.02,
+			Preproc:      "cpu",
+			TenantQuotas: map[string]serve.TenantQuota{"hog": {RatePerSec: 1, Burst: 1}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf.Close()
+	report, err := Run(context.Background(), Config{
+		Target:   mf.URL,
+		Model:    models.NameViTTiny,
+		Name:     "managed_shape",
+		Duration: time.Second,
+		Classes: []ClassConfig{
+			{Class: "online", Rate: 20, Items: 1, ImageSide: 96},
+			{Class: "online", Rate: 20, Items: 1, Tenant: "hog"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, hog := report.Classes[0], report.Classes[1]
+	if img.Completed == 0 || img.OtherHTTP != 0 {
+		t.Errorf("image class: completed=%d other_http=%d, want every request served (Preproc reached the replicas)",
+			img.Completed, img.OtherHTTP)
+	}
+	if hog.Rejected429 == 0 {
+		t.Errorf("quota'd tenant saw no 429s of %d offered: TenantQuotas did not reach the replicas", hog.Offered)
 	}
 }

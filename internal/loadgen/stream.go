@@ -11,14 +11,12 @@ import (
 	"time"
 
 	"harvest/internal/core"
-	"harvest/internal/energy"
 	"harvest/internal/hw"
 	"harvest/internal/imaging"
 	"harvest/internal/metrics"
 	"harvest/internal/serve"
 	"harvest/internal/stats"
 	"harvest/internal/stream"
-	"harvest/internal/transfer"
 )
 
 // StreamConfig drives the streaming-camera scenario: N cameras, each a
@@ -356,181 +354,93 @@ func clampU8(v int) uint8 {
 }
 
 // EdgeCloudConfig describes a self-hosted edge→cloud continuum for the
-// streaming scenario: one streaming-ingest edge replica (Jetson-class,
-// full-fidelity sleeps so queueing pressure is real) offloading to a
-// router over datacenter replicas, all in-process over loopback.
+// streaming scenario: one streaming-ingest edge replica offloading to
+// a router over datacenter replicas, all in-process over loopback.
+// Zero fields take the scenario's defaults: a Jetson edge serving
+// ViT_Tiny at full-fidelity sleeps (so queueing pressure is real)
+// through the cpu preprocessor, offloading at queue depth 2 in 64 KiB
+// uplink chunks to two A100 replicas of the same model at TimeScale
+// 0.05 — fast, but nonzero so queueing exists.
 type EdgeCloudConfig struct {
-	// Model is the single served model (default ViT_Tiny).
-	Model string
-	// EdgePlatform (default Jetson) and CloudPlatform (default A100).
-	EdgePlatform  string
-	CloudPlatform string
-	// CloudReplicas is the datacenter tier size (default 2).
+	// Edge is the ingest replica; its Stream.OffloadTo is pointed at
+	// the cloud router.
+	Edge core.DeploymentConfig
+	// Cloud is the shape of each datacenter replica (Models and Preproc
+	// default to the edge's).
+	Cloud         core.DeploymentConfig
 	CloudReplicas int
-	// EdgeTimeScale is the fraction of modeled latency the edge really
-	// sleeps (default 1: a real Jetson's pace). CloudTimeScale defaults
-	// to 0.05 — fast, but nonzero so queueing exists.
-	EdgeTimeScale  float64
-	CloudTimeScale float64
-	// Link models the uplink (default FiveG). ChunkBytes default 64 KiB.
-	Link       *transfer.Link
-	ChunkBytes int
-	// QueueThreshold is the offload trigger depth (default 2).
-	QueueThreshold int
-	// LinkTimeScale scales uplink sleeps (default 1).
-	LinkTimeScale float64
-	// EdgePowerBudgetW optionally adds the power pressure signal.
-	EdgePowerBudgetW float64
-	// Budget is the default per-frame budget (0 = realtime SLO).
-	Budget time.Duration
-	// MaxQueueDepth bounds the edge admission queue (0 = default).
-	MaxQueueDepth int
 }
 
 // EdgeCloud is a running self-hosted continuum.
 type EdgeCloud struct {
 	// URL is the edge's base URL — cameras stream here.
 	URL string
-	// CloudURL is the cloud router, for metrics inspection.
-	CloudURL string
-	// Ingest is the edge's ingest tier, for metrics inspection.
-	Ingest *stream.Ingest
-	stops  []func()
+	// Edge is the ingest replica and Cloud the tier it offloads to, for
+	// metrics inspection.
+	Edge  *core.Replica
+	Cloud *core.Tier
 }
 
 // Close tears the continuum down, edge first.
 func (ec *EdgeCloud) Close() {
-	for i := len(ec.stops) - 1; i >= 0; i-- {
-		ec.stops[i]()
+	if ec.Edge != nil {
+		ec.Edge.Close()
 	}
-	ec.stops = nil
+	ec.Cloud.Close()
 }
 
 // StartEdgeCloud stands the continuum up; callers must Close it.
 func StartEdgeCloud(cfg EdgeCloudConfig) (*EdgeCloud, error) {
-	if cfg.Model == "" {
-		cfg.Model = "ViT_Tiny"
+	edge, cloud := cfg.Edge, cfg.Cloud
+	if edge.Platform == "" {
+		edge.Platform = hw.KeyJetson
 	}
-	if cfg.EdgePlatform == "" {
-		cfg.EdgePlatform = hw.KeyJetson
+	if len(edge.Models) == 0 {
+		edge.Models = []string{"ViT_Tiny"}
 	}
-	if cfg.CloudPlatform == "" {
-		cfg.CloudPlatform = hw.KeyA100
+	if edge.TimeScale == 0 {
+		edge.TimeScale = 1
+	}
+	if edge.Preproc == "" {
+		edge.Preproc = "cpu"
+	}
+	var sc core.StreamConfig
+	if edge.Stream != nil {
+		sc = *edge.Stream
+	}
+	if sc.OffloadChunkBytes == 0 {
+		sc.OffloadChunkBytes = 64 << 10
+	}
+	if sc.OffloadQueueThreshold <= 0 {
+		sc.OffloadQueueThreshold = 2
+	}
+	if cloud.Platform == "" {
+		cloud.Platform = hw.KeyA100
+	}
+	if len(cloud.Models) == 0 {
+		cloud.Models = edge.Models
+	}
+	if cloud.TimeScale == 0 {
+		cloud.TimeScale = 0.05
+	}
+	if cloud.Preproc == "" {
+		cloud.Preproc = edge.Preproc
 	}
 	if cfg.CloudReplicas <= 0 {
 		cfg.CloudReplicas = 2
 	}
-	if cfg.EdgeTimeScale == 0 {
-		cfg.EdgeTimeScale = 1
-	}
-	if cfg.CloudTimeScale == 0 {
-		cfg.CloudTimeScale = 0.05
-	}
-	if cfg.Link == nil {
-		l := transfer.FiveG()
-		cfg.Link = &l
-	}
-	if cfg.ChunkBytes == 0 {
-		cfg.ChunkBytes = 64 << 10
-	}
-	if cfg.QueueThreshold <= 0 {
-		cfg.QueueThreshold = 2
-	}
-	if cfg.LinkTimeScale == 0 {
-		cfg.LinkTimeScale = 1
-	}
 
-	ec := &EdgeCloud{}
-	ok := false
-	defer func() {
-		if !ok {
-			ec.Close()
-		}
-	}()
-
-	// Cloud tier: fast replicas behind a router.
-	var cloudURLs []string
-	for i := 0; i < cfg.CloudReplicas; i++ {
-		srv, err := core.NewDeployment(core.DeploymentConfig{
-			Platform:  cfg.CloudPlatform,
-			Models:    []string{cfg.Model},
-			TimeScale: cfg.CloudTimeScale,
-			Preproc:   "cpu",
-		})
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: cloud replica %d: %w", i, err)
-		}
-		ec.stops = append(ec.stops, srv.Close)
-		url, stop, err := listenLoopback(srv.Handler())
-		if err != nil {
-			return nil, err
-		}
-		ec.stops = append(ec.stops, stop)
-		cloudURLs = append(cloudURLs, url)
-	}
-	router, err := serve.NewRouter(cloudURLs, serve.RouterConfig{
-		Pool: serve.PoolConfig{ProbeInterval: 20 * time.Millisecond},
-	})
+	tier, err := core.StartTier(cloud, cfg.CloudReplicas)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("loadgen: cloud tier: %w", err)
 	}
-	ec.stops = append(ec.stops, router.Close)
-	routerURL, stop, err := listenLoopback(router.Handler())
-	if err != nil {
-		return nil, err
-	}
-	ec.stops = append(ec.stops, stop)
-	ec.CloudURL = routerURL
-
-	// Edge tier: one Jetson-class replica with streaming ingest and
-	// offload to the cloud router.
-	edge, err := core.NewDeployment(core.DeploymentConfig{
-		Platform:      cfg.EdgePlatform,
-		Models:        []string{cfg.Model},
-		TimeScale:     cfg.EdgeTimeScale,
-		Preproc:       "cpu",
-		MaxQueueDepth: cfg.MaxQueueDepth,
-	})
-	if err != nil {
+	ec := &EdgeCloud{Cloud: tier}
+	sc.OffloadTo = tier.URL
+	edge.Stream = &sc
+	if ec.Edge, err = core.StartReplica(edge); err != nil {
+		ec.Close()
 		return nil, fmt.Errorf("loadgen: edge replica: %w", err)
 	}
-	ec.stops = append(ec.stops, edge.Close)
-	pol := &stream.OffloadPolicy{
-		Cloud:          serve.NewClient(routerURL),
-		Link:           *cfg.Link,
-		ChunkBytes:     cfg.ChunkBytes,
-		QueueThreshold: cfg.QueueThreshold,
-		LinkTimeScale:  cfg.LinkTimeScale,
-	}
-	if cfg.EdgePowerBudgetW > 0 {
-		p, err := hw.ByName(cfg.EdgePlatform)
-		if err != nil {
-			return nil, err
-		}
-		pol.EdgePowerBudgetW = cfg.EdgePowerBudgetW
-		pol.Power = energy.New(p)
-	}
-	ing, err := stream.NewIngest(stream.Config{
-		Model:   cfg.Model,
-		Local:   edge,
-		Budget:  cfg.Budget,
-		Offload: pol,
-		Trace:   edge.Trace(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	ec.Ingest = ing
-	edge.AddMetricsExtension("stream", ing.MetricsJSON, ing.WriteProm)
-	mux := http.NewServeMux()
-	mux.Handle("/v2/streams/", ing.Handler())
-	mux.Handle("/", edge.Handler())
-	edgeURL, stop, err := listenLoopback(mux)
-	if err != nil {
-		return nil, err
-	}
-	ec.stops = append(ec.stops, stop)
-	ec.URL = edgeURL
-	ok = true
+	ec.URL = ec.Edge.URL
 	return ec, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"harvest/internal/core"
 )
 
 // TestRunStreamAgainstEdgeCloud runs a short streaming scenario over a
@@ -17,11 +19,12 @@ func TestRunStreamAgainstEdgeCloud(t *testing.T) {
 	ec, err := StartEdgeCloud(EdgeCloudConfig{
 		// Compressed timescales keep the test fast while preserving
 		// queueing behavior.
-		EdgeTimeScale:  0.2,
-		CloudTimeScale: 0.02,
-		LinkTimeScale:  -1,
-		QueueThreshold: 2,
-		Budget:         200 * time.Millisecond,
+		Edge: core.DeploymentConfig{TimeScale: 0.2, Stream: &core.StreamConfig{
+			LinkTimeScale:         -1,
+			OffloadQueueThreshold: 2,
+			Budget:                200 * time.Millisecond,
+		}},
+		Cloud: core.DeploymentConfig{TimeScale: 0.02},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -56,23 +54,6 @@ func relErr(real, sim float64) float64 {
 	return math.Abs(real-sim) / sim
 }
 
-// listenLoopback serves h on an ephemeral loopback port and returns
-// its base URL and a shutdown func.
-func listenLoopback(h http.Handler) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}
-	return "http://" + ln.Addr().String(), stop, nil
-}
-
 // Validate closes the loop between the scale-out *model* and the
 // scale-out *system*: it runs cfg through the simulation, then stands
 // up cfg.Replicas real single-model servers behind a Router, replays
@@ -94,7 +75,12 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 	}
 	batch := sim.Batch // Run resolved the auto-batch
 
+	// The identical arrival trace (same seed) the sim consumed.
+	trace := workload.PoissonTrace(stats.NewRNG(cfg.Seed), cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, batch)
+
 	// The live tier: one single-model server per simulated replica.
+	// The model configs are hand-set (not a core deployment): this
+	// validates the queueing model, not a deployment shape.
 	var stops []func()
 	defer func() {
 		for i := len(stops) - 1; i >= 0; i-- {
@@ -108,6 +94,7 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 			return nil, err
 		}
 		srv := serve.NewServer()
+		stops = append(stops, srv.Close)
 		if err := srv.Register(serve.ModelConfig{
 			Name:     cfg.Model,
 			Engine:   eng,
@@ -118,19 +105,18 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 			QueueDelay: 0,
 			Instances:  1,
 			TimeScale:  cfg.TimeScale,
-			// The sim queues without bound; match it.
-			MaxQueueDepth: len(serveTraceCap(cfg.Config, batch)) + 1,
+			// The sim queues without bound; match it (shedding would
+			// invalidate the comparison).
+			MaxQueueDepth: len(trace) + 1,
 		}); err != nil {
-			srv.Close()
 			return nil, err
 		}
-		stops = append(stops, srv.Close)
-		url, stop, err := listenLoopback(srv.Handler())
+		ep, err := serve.ListenLoopback(srv.Handler())
 		if err != nil {
 			return nil, err
 		}
-		stops = append(stops, stop)
-		urls = append(urls, url)
+		stops = append(stops, ep.Shutdown)
+		urls = append(urls, ep.URL)
 	}
 	router, err := serve.NewRouter(urls, serve.RouterConfig{
 		Pool: serve.PoolConfig{
@@ -143,21 +129,19 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 		return nil, err
 	}
 	stops = append(stops, router.Close)
-	routerURL, stopRouter, err := listenLoopback(router.Handler())
+	routerEp, err := serve.ListenLoopback(router.Handler())
 	if err != nil {
 		return nil, err
 	}
-	stops = append(stops, stopRouter)
-	client := serve.NewClient(routerURL)
+	stops = append(stops, routerEp.Shutdown)
+	client := serve.NewClient(routerEp.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := client.WaitReady(ctx); err != nil {
 		return nil, err
 	}
 
-	// Replay the identical arrival trace in compressed real time.
-	rng := stats.NewRNG(cfg.Seed)
-	trace := workload.PoissonTrace(rng, cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, batch)
+	// Replay the trace in compressed real time.
 	var (
 		mu        sync.Mutex
 		latencies []float64
@@ -226,12 +210,4 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 		ThroughputRelErr: relErr(real.Throughput, sim.Throughput),
 		P99RelErr:        relErr(real.P99LatencySeconds, sim.P99LatencySeconds),
 	}, nil
-}
-
-// serveTraceCap regenerates the trace to size the replica admission
-// queues (the sim's queue is unbounded; shedding would invalidate the
-// comparison).
-func serveTraceCap(cfg Config, batch int) []workload.Arrival {
-	rng := stats.NewRNG(cfg.Seed)
-	return workload.PoissonTrace(rng, cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, batch)
 }

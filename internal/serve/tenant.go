@@ -131,6 +131,29 @@ func ParseTenantQuotaSpec(spec string) (string, TenantQuota, error) {
 	return name, q, nil
 }
 
+// TenantQuotaFlag is a quota map as a repeatable flag.Value: each Set
+// parses one ParseTenantQuotaSpec spec into the map, so every binary's
+// -tenant-quota binds straight to its config field:
+//
+//	flag.Var((*serve.TenantQuotaFlag)(&cfg.TenantQuotas), "tenant-quota", usage)
+type TenantQuotaFlag map[string]TenantQuota
+
+// Set adds one "tenant:rate=R[,burst=B][,share=S]" spec.
+func (f *TenantQuotaFlag) Set(spec string) error {
+	tenant, q, err := ParseTenantQuotaSpec(spec)
+	if err != nil {
+		return err
+	}
+	if *f == nil {
+		*f = TenantQuotaFlag{}
+	}
+	(*f)[tenant] = q
+	return nil
+}
+
+// String is empty: the flag has no default.
+func (f *TenantQuotaFlag) String() string { return "" }
+
 // QuotaError rejects a submission that exceeded its tenant's quota.
 // It unwraps to ErrOverloaded (the request was never admitted;
 // retrying after RetryAfter is safe), but carries the tenant and the
