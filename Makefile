@@ -32,12 +32,15 @@ check: build vet test race
 
 # Non-test Go line counts (wc -l, *_test.go excluded) per internal
 # package, for cmd/ and examples/, and in total: the number a "judged by
-# lines removed" refactor is judged by. Informational; no gate reads it.
+# lines removed" refactor is judged by. Then every non-test file over
+# 700 lines (ROADMAP item 4's ceiling). Informational; no gate reads it.
 loc:
 	@for d in internal/* cmd examples; do \
 		printf '%7d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
 	done
 	@printf '%7d  total\n' "$$(find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" && $$1 > 700 { printf "%7d  %s is over 700 lines\n", $$1, $$2 }'
 
 bench:
 	$(GO) test -bench=. -benchmem

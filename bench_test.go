@@ -130,11 +130,11 @@ func BenchmarkAblation_BatchingWindow(b *testing.B) {
 					}
 				}
 			}
-			st, err := srv.StatsFor("m")
+			m, err := srv.MetricsFor("m")
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(st.MeanBatchFill, "batch-fill")
+			b.ReportMetric(float64(m.Items)/float64(max(m.Batches, 1)), "items/batch")
 		})
 	}
 }

@@ -92,12 +92,12 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	s := rec.Summary()
+	s := serve.LatencySummary(rec.Snapshot())
 	fmt.Printf("model=%s requests=%d failed=%d shed=%d expired=%d\n", *model, *requests, failed, shed, expired)
 	fmt.Printf("wall=%.2fs request-throughput=%.1f req/s image-throughput=%.1f img/s\n",
 		elapsed, float64(rec.Count())/elapsed, float64(rec.Count()**items)/elapsed)
 	fmt.Printf("latency ms: mean=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f\n",
-		s.Mean*1000, s.P50*1000, s.P95*1000, s.P99*1000, s.Max*1000)
+		s.MeanMs, s.P50Ms, s.P95Ms, s.P99Ms, s.MaxMs)
 	if admitRec.Count() > 0 {
 		fmt.Println("per-stage ms (server-reported timings_ms):")
 		for _, st := range []struct {
@@ -107,9 +107,9 @@ func main() {
 			{"admit", &admitRec}, {"queue", &queueRec},
 			{"batch-assembly", &assembleRec}, {"compute", &computeRec},
 		} {
+			l := serve.LatencySummary(st.rec.Snapshot())
 			fmt.Printf("  %-14s mean=%.3f p50=%.3f p95=%.3f p99=%.3f\n",
-				st.name, st.rec.MeanMs(), st.rec.PercentileMs(50),
-				st.rec.PercentileMs(95), st.rec.PercentileMs(99))
+				st.name, l.MeanMs, l.P50Ms, l.P95Ms, l.P99Ms)
 		}
 	}
 

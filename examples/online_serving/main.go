@@ -58,9 +58,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("server ready at %s, models: %v\n\n", ts.URL, names)
-	fmt.Println("rate(req/s)  sent  p50(ms)  p95(ms)  mean-batch-fill  img/s")
+	fmt.Println("rate(req/s)  sent  p50(ms)  p95(ms)  items/batch  img/s")
 
 	rng := stats.NewRNG(99)
+	// The server's counters are cumulative; each rate reports its delta.
+	var mj *serve.MetricsJSON
+	var prev serve.ModelMetricsJSON
 	for _, rate := range []float64{50, 200, 600} {
 		trace := workload.PoissonTrace(rng, rate, 2.0, 4)
 		rec := &metrics.LatencyRecorder{}
@@ -87,22 +90,21 @@ func main() {
 		}
 		wg.Wait()
 		elapsed := time.Since(start).Seconds()
-		st, err := srv.StatsFor(models.NameViTSmall)
-		if err != nil {
+		if mj, err = client.Metrics(ctx); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%11.0f  %4d  %7.2f  %7.2f  %15.2f  %6.1f\n",
-			rate, len(trace), rec.PercentileMs(50), rec.PercentileMs(95),
-			st.MeanBatchFill, float64(workload.TotalItems(trace))/elapsed)
+		m := mj.Models[0]
+		lat := serve.LatencySummary(rec.Snapshot())
+		fmt.Printf("%11.0f  %4d  %7.2f  %7.2f  %11.2f  %6.1f\n",
+			rate, len(trace), lat.P50Ms, lat.P95Ms,
+			float64(m.Items-prev.Items)/float64(max(m.Batches-prev.Batches, 1)),
+			float64(workload.TotalItems(trace))/elapsed)
+		prev = m
 	}
 
 	// Server-side latency decomposition from GET /v2/metrics: the split
 	// of request latency into batcher queueing vs. batch execution that
 	// the paper's online scenario (Fig. 6) is characterized by.
-	mj, err := client.Metrics(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\nserver-side decomposition (GET /v2/metrics, all rates pooled):")
 	for _, m := range mj.Models {
 		fmt.Printf("%s: requests=%d items=%d batches=%d errors=%d\n",

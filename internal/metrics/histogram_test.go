@@ -46,7 +46,7 @@ func TestLatencyRecorderAccuracy(t *testing.T) {
 		r.Observe(v)
 		sum += v
 	}
-	s := r.Summary()
+	s := r.Snapshot().Summary()
 	if s.N != n {
 		t.Fatalf("n %d", s.N)
 	}

@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-
-	"harvest/internal/stats"
 )
 
 // Counter is a monotonically increasing event counter, safe for
@@ -82,18 +80,6 @@ func (l *LatencyRecorder) Snapshot() HistogramSnapshot {
 	s.Min = loadExtreme(&l.minBits)
 	s.Max = loadExtreme(&l.maxBits)
 	return s
-}
-
-// Summary returns descriptive statistics of the observations.
-func (l *LatencyRecorder) Summary() stats.Summary { return l.Snapshot().Summary() }
-
-// MeanMs returns the mean latency in milliseconds (exact).
-func (l *LatencyRecorder) MeanMs() float64 { return l.Summary().Mean * 1000 }
-
-// PercentileMs returns the p-th percentile latency in milliseconds,
-// interpolated from the histogram buckets.
-func (l *LatencyRecorder) PercentileMs(p float64) float64 {
-	return l.Snapshot().Quantile(p) * 1000
 }
 
 // Throughput computes items/second given a count and elapsed seconds.

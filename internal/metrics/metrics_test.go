@@ -15,15 +15,15 @@ func TestLatencyRecorder(t *testing.T) {
 	if r.Count() != 3 {
 		t.Fatalf("count %d", r.Count())
 	}
-	if m := r.MeanMs(); math.Abs(m-20) > 1e-9 {
+	s := r.Snapshot().Summary()
+	if m := s.Mean * 1000; math.Abs(m-20) > 1e-9 {
 		t.Errorf("mean %v ms, want 20", m)
 	}
 	// Percentiles are interpolated from log buckets: exact to within
 	// one bucket width ratio (10^(1/8) ≈ 1.33).
-	if p := r.PercentileMs(50); p < 20/1.34 || p > 20*1.34 {
+	if p := r.Snapshot().Quantile(50) * 1000; p < 20/1.34 || p > 20*1.34 {
 		t.Errorf("p50 %v ms, want ~20 within one bucket width", p)
 	}
-	s := r.Summary()
 	if s.N != 3 || s.Min != 0.010 || s.Max != 0.030 {
 		t.Errorf("summary %+v", s)
 	}

@@ -258,15 +258,6 @@ func (c *Client) Models(ctx context.Context) ([]string, error) {
 	return out.Models, nil
 }
 
-// Stats fetches a model's serving statistics.
-func (c *Client) Stats(ctx context.Context, model string) (*StatsJSON, error) {
-	var out StatsJSON
-	if err := c.getJSON(ctx, "/v2/models/"+model+"/stats", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Metrics fetches the per-model serving metrics of every model.
 func (c *Client) Metrics(ctx context.Context) (*MetricsJSON, error) {
 	var out MetricsJSON

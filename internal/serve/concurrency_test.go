@@ -27,6 +27,25 @@ func (s *slowBackend) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return s.inner.Forward(x)
 }
 
+// gatedBackend wraps a real forwarder with a gate: every Forward
+// announces itself on entered (when there is room) and then waits for
+// open to be closed, so a test can hold an instance busy until the
+// queue behind it is in the state it wants.
+type gatedBackend struct {
+	inner   engine.Forwarder
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (g *gatedBackend) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.open
+	return g.inner.Forward(x)
+}
+
 // TestCancelledRequestEvictedBeforeDispatch verifies the acceptance
 // criterion that a request whose context is cancelled while waiting in
 // the batcher never occupies a dispatched batch slot.
@@ -41,8 +60,8 @@ func TestCancelledRequestEvictedBeforeDispatch(t *testing.T) {
 		_, err := s.Submit(ctx, &Request{ID: "doomed", Model: models.NameViTTiny, Items: 3})
 		errc <- err
 	}()
-	// Let the request reach the batcher's fill window, then cancel it.
-	time.Sleep(20 * time.Millisecond)
+	// Let the request reach the queue, then cancel it inside its window.
+	waitQueueDepth(t, s, models.NameViTTiny, 1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled submit returned %v", err)
@@ -91,9 +110,9 @@ func TestGracefulDrainServesQueuedRequests(t *testing.T) {
 			results <- err
 		}(i)
 	}
-	// Give the submissions time to enqueue, then close while they are
-	// all still waiting on the 10 s batching window.
-	time.Sleep(50 * time.Millisecond)
+	// Close once they are all enqueued and still waiting on the 10 s
+	// batching window.
+	waitQueueDepth(t, s, models.NameViTTiny, n)
 	s.Close()
 	wg.Wait()
 	close(results)
@@ -102,12 +121,8 @@ func TestGracefulDrainServesQueuedRequests(t *testing.T) {
 			t.Errorf("queued request failed during graceful drain: %v", err)
 		}
 	}
-	st, err := s.StatsFor(models.NameViTTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests != n {
-		t.Errorf("drain served %d requests, want %d", st.Requests, n)
+	if got := requestsServed(t, s); got != n {
+		t.Errorf("drain served %d requests, want %d", got, n)
 	}
 }
 
@@ -219,7 +234,9 @@ func (l *metricsLedger) load() int64 {
 
 // TestMixedBatchPartitioned is the regression test for fusing
 // tensor-carrying and items-only requests on a real-backend model: the
-// batcher must partition them into separate homogeneous batches.
+// batcher must partition them into separate homogeneous batches
+// (TestSchedulerNext pins the split itself), so that the engine runs
+// each over exactly its own inputs.
 func TestMixedBatchPartitioned(t *testing.T) {
 	eng, err := engine.New(hw.A100(), models.NameViTTiny)
 	if err != nil {
@@ -247,7 +264,6 @@ func TestMixedBatchPartitioned(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		time.Sleep(10 * time.Millisecond) // land inside the same batching window
 		itemsOnly, errB = s.Submit(context.Background(),
 			&Request{ID: "modeled", Model: "mix", Items: 3})
 	}()

@@ -101,10 +101,13 @@ func TestMalformedHTTPRequests(t *testing.T) {
 		{"POST", "/v2/models/ViT_Tiny/infer", "{not json", http.StatusBadRequest},
 		{"POST", "/v2/models/ViT_Tiny/infer", `{"items": -5}`, http.StatusBadRequest},
 		{"POST", "/v2/models/ViT_Tiny/infer", `{"items": 3, "inputs": [[0.1], [0.2]]}`, http.StatusBadRequest},
-		{"POST", "/v2/models//infer", `{"items": 1}`, http.StatusNotFound},
+		// The mux redirects the empty segment away; the client follows
+		// with a GET, and /v2/models/ has no GET surface.
+		{"POST", "/v2/models//infer", `{"items": 1}`, http.StatusMethodNotAllowed},
 		{"POST", "/v2/models/ViT_Tiny/predict", `{"items": 1}`, http.StatusNotFound},
-		{"GET", "/v2/models/ghost/stats", "", http.StatusNotFound},
-		{"GET", "/v2/models/ViT_Tiny/wrong", "", http.StatusNotFound},
+		{"GET", "/v2/models/ViT_Tiny/stats", "", http.StatusMethodNotAllowed}, // removed endpoint
+		{"POST", "/v2/models/ViT_Tiny/infer", `{"items": 1, "id": "` + strings.Repeat("x", 129) + `"}`, http.StatusBadRequest},
+		{"POST", "/v2/models/ViT_Tiny/infer", `{"items": 1, "id": "a\nb"}`, http.StatusBadRequest},
 	}
 	for i, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -123,6 +126,8 @@ func TestMalformedHTTPRequests(t *testing.T) {
 	}
 }
 
+// TestStatsEndpoint reads the request/item/batch counters the way a
+// client does: from GET /v2/metrics.
 func TestStatsEndpoint(t *testing.T) {
 	s := newTestServer(t, tinyConfig(t))
 	ts := httptest.NewServer(s.Handler())
@@ -135,21 +140,22 @@ func TestStatsEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := client.Stats(ctx, models.NameViTTiny)
+	mj, err := client.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ItemsServed != 6 {
-		t.Errorf("stats served %d items, want 6", st.ItemsServed)
+	if len(mj.Models) != 1 {
+		t.Fatalf("metrics models %v", mj.Models)
+	}
+	st := mj.Models[0]
+	if st.Items != 6 {
+		t.Errorf("stats served %d items, want 6", st.Items)
 	}
 	if st.Requests != 3 {
 		t.Errorf("stats served %d requests, want 3", st.Requests)
 	}
-	if st.BatchesRun < 1 || st.BatchesRun > 3 {
-		t.Errorf("stats batches %d", st.BatchesRun)
-	}
-	if _, err := client.Stats(ctx, "ghost"); err == nil {
-		t.Error("stats for unknown model succeeded")
+	if st.Batches < 1 || st.Batches > 3 {
+		t.Errorf("stats batches %d", st.Batches)
 	}
 }
 
@@ -169,8 +175,8 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	if _, err := client.Infer(ctx, "m", InferRequestJSON{Items: 1}); err == nil {
 		t.Error("Infer succeeded against dead server")
 	}
-	if _, err := client.Stats(ctx, "m"); err == nil {
-		t.Error("Stats succeeded against dead server")
+	if _, err := client.Metrics(ctx); err == nil {
+		t.Error("Metrics succeeded against dead server")
 	}
 }
 

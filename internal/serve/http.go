@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"harvest/internal/imaging"
 	"harvest/internal/metrics"
@@ -34,16 +35,29 @@ func NewRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// maxRequestIDLen bounds a caller-chosen request id. The id is input
+// the server retains: it names the trace track of every span of the
+// request in the trace ring, and is echoed in a response header.
+const maxRequestIDLen = 128
+
 // requestID picks the request's id: body id first, then the propagated
-// header, then a freshly generated one.
-func requestID(body string, r *http.Request) string {
-	if body != "" {
-		return body
+// header, then a freshly generated one. A caller-chosen id longer than
+// maxRequestIDLen or containing control characters is refused.
+func requestID(body string, r *http.Request) (string, error) {
+	id := body
+	if id == "" {
+		id = r.Header.Get(RequestIDHeader)
 	}
-	if h := r.Header.Get(RequestIDHeader); h != "" {
-		return h
+	if id == "" {
+		return NewRequestID(), nil
 	}
-	return NewRequestID()
+	if len(id) > maxRequestIDLen {
+		return "", fmt.Errorf("serve: request id is %d bytes, limit %d", len(id), maxRequestIDLen)
+	}
+	if strings.ContainsFunc(id, unicode.IsControl) {
+		return "", fmt.Errorf("serve: request id %q contains control characters", id)
+	}
+	return id, nil
 }
 
 // HTTP wire types, loosely following the Triton KServe v2 layout.
@@ -78,13 +92,40 @@ type InferRequestJSON struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// tenantOf resolves the request's canonical tenant id: body field
-// first, then the X-Tenant-ID header, else the default tenant.
-func tenantOf(body string, r *http.Request) (string, error) {
-	if body == "" {
-		body = r.Header.Get(TenantHeader)
+// readInfer is the front of both infer handlers, replica and router:
+// it bounds (limit > 0) and decodes the body, then fixes the request id
+// and the canonical tenant (body field, else X-Tenant-ID, else the
+// default tenant) at this edge and echoes both on the response — the
+// same id and tenant ride body and headers to the next tier, so
+// accounting, trace spans and logs agree across tiers. When ok is false
+// the error response has been written.
+func readInfer(w http.ResponseWriter, r *http.Request, limit int64) (body InferRequestJSON, ok bool) {
+	if limit > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
-	return ParseTenant(body)
+	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		status, msg := http.StatusBadRequest, "bad request body: "+err.Error()
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)
+		}
+		writeJSON(w, status, errorJSON{Error: msg})
+		return body, false
+	}
+	var err error
+	if body.Tenant == "" {
+		body.Tenant = r.Header.Get(TenantHeader)
+	}
+	if body.ID, err = requestID(body.ID, r); err == nil {
+		body.Tenant, err = ParseTenant(body.Tenant)
+	}
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		return body, false
+	}
+	w.Header().Set(RequestIDHeader, body.ID)
+	w.Header().Set(TenantHeader, body.Tenant)
+	return body, true
 }
 
 // TimingsJSON is the per-stage latency breakdown of one served
@@ -126,18 +167,6 @@ type InferResponseJSON struct {
 // ModelListJSON is the response of GET /v2/models.
 type ModelListJSON struct {
 	Models []string `json:"models"`
-}
-
-// StatsJSON is the response of GET /v2/models/{name}/stats.
-type StatsJSON struct {
-	Model string `json:"model"`
-	// Requests counts requests completed successfully.
-	Requests int64 `json:"requests"`
-	// ItemsServed counts images in successfully served requests.
-	ItemsServed int64 `json:"items_served"`
-	BatchesRun  int64 `json:"batches_run"`
-	// MeanBatchFill is mean served items per batch divided by MaxBatch.
-	MeanBatchFill float64 `json:"mean_batch_fill"`
 }
 
 // MetricsJSON is the response of GET /v2/metrics.
@@ -199,24 +228,6 @@ func inferBodyLimit(cfg ModelConfig) int64 {
 	return limit
 }
 
-// retryAfterSeconds estimates how long an overloaded model needs to
-// work off the backlog ahead of the caller's class, for the 429
-// Retry-After header (whole seconds, clamped to [1, 60]). Only the
-// caller's lane and higher-priority lanes count: an offline-flooded
-// queue must not tell a realtime client to back off for the offline
-// drain time.
-func (s *Server) retryAfterSeconds(name string, class Class) int {
-	s.mu.Lock()
-	rt, ok := s.models[name]
-	s.mu.Unlock()
-	if !ok {
-		return 1
-	}
-	rounds := rt.drainRounds(rt.backlogItemsAtOrAbove(class))
-	drain := float64(rounds) * rt.estimatedExecDuration(rt.cfg.MaxBatch).Seconds()
-	return clampRetrySeconds(int(drain + 1))
-}
-
 // clampRetrySeconds bounds a Retry-After hint to [1, 60] whole
 // seconds.
 func clampRetrySeconds(sec int) int {
@@ -247,7 +258,6 @@ func (s *Server) retryAfterFor(err error, name string, class Class) int {
 //	GET  /v2/metrics
 //	GET  /v2/trace
 //	GET  /metrics
-//	GET  /v2/models/{name}/stats
 //	POST /v2/models/{name}/infer
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -272,12 +282,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("GET /v2/trace", func(w http.ResponseWriter, r *http.Request) {
-		rec := s.Trace()
-		if rec == nil {
-			rec = trace.NewRecorder()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = rec.WriteChromeFiltered(w, tenantSpanFilter(r.URL.Query().Get("tenant")))
+		serveTrace(w, r, s.Trace())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", metrics.PromContentType)
@@ -288,25 +293,10 @@ func (s *Server) Handler() http.Handler {
 			}
 		}
 	})
-	mux.HandleFunc("GET /v2/models/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, "/v2/models/")
-		name, action, ok := strings.Cut(rest, "/")
-		if !ok || action != "stats" || name == "" {
-			writeJSON(w, http.StatusNotFound, errorJSON{Error: "not found"})
-			return
-		}
-		st, err := s.StatsFor(name)
-		if err != nil {
-			writeJSON(w, http.StatusNotFound, errorJSON{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
 	mux.HandleFunc("POST /v2/models/", func(w http.ResponseWriter, r *http.Request) {
 		arrived := time.Now()
-		rest := strings.TrimPrefix(r.URL.Path, "/v2/models/")
-		name, action, ok := strings.Cut(rest, "/")
-		if !ok || action != "infer" || name == "" {
+		name, ok := cutModelAction(r.URL.Path, "infer")
+		if !ok {
 			writeJSON(w, http.StatusNotFound, errorJSON{Error: "not found"})
 			return
 		}
@@ -317,18 +307,11 @@ func (s *Server) Handler() http.Handler {
 		}
 		// Bound the body before decoding: an items-only request is tiny,
 		// a tensor request at most MaxBatch full-size inputs.
-		r.Body = http.MaxBytesReader(w, r.Body, inferBodyLimit(cfg))
-		var body InferRequestJSON
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				writeJSON(w, http.StatusRequestEntityTooLarge,
-					errorJSON{Error: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)})
-				return
-			}
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad request body: " + err.Error()})
+		body, ok := readInfer(w, r, inferBodyLimit(cfg))
+		if !ok {
 			return
 		}
+		id, tenant := body.ID, body.Tenant
 		class, err := ParseClass(body.Class)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
@@ -339,14 +322,6 @@ func (s *Server) Handler() http.Handler {
 			writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 			return
 		}
-		tenant, err := tenantOf(body.Tenant, r)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
-			return
-		}
-		id := requestID(body.ID, r)
-		w.Header().Set(RequestIDHeader, id)
-		w.Header().Set(TenantHeader, tenant)
 		req := &Request{
 			ID: id, Model: name, Items: body.Items, Inputs: body.Inputs,
 			Images: body.Images, ImageFormat: format,
@@ -357,26 +332,10 @@ func (s *Server) Handler() http.Handler {
 		}
 		resp, err := s.Submit(r.Context(), req)
 		if err != nil {
-			status := http.StatusInternalServerError
-			switch {
-			case errors.Is(err, ErrUnknownModel):
-				status = http.StatusNotFound
-			case errors.Is(err, ErrEmptyRequest), errors.Is(err, ErrTooManyItems),
-				errors.Is(err, ErrItemsMismatch), errors.Is(err, ErrBadClass),
-				errors.Is(err, ErrNoPreprocessor), errors.Is(err, ErrMixedInputs),
-				errors.Is(err, ErrPreprocess):
-				status = http.StatusBadRequest
-			case errors.Is(err, ErrImageTooLarge):
-				status = http.StatusRequestEntityTooLarge
-			case errors.Is(err, ErrOverloaded):
-				status = http.StatusTooManyRequests
+			if errors.Is(err, ErrOverloaded) {
 				w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterFor(err, name, class)))
-			case errors.Is(err, ErrDeadlineExpired):
-				status = http.StatusGatewayTimeout
-			case errors.Is(err, ErrServerClosed):
-				status = http.StatusServiceUnavailable
 			}
-			writeJSON(w, status, errorJSON{Error: err.Error()})
+			writeJSON(w, errStatus(err, http.StatusInternalServerError), errorJSON{Error: err.Error()})
 			return
 		}
 		out := InferResponseJSON{
@@ -414,12 +373,52 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// errStatus maps an infer error to the HTTP status that reports it, at
+// a replica and at a router alike: a status a replica already answered
+// with passes through, the caller's mistakes are 4xx, overload is 429,
+// an unmeetable deadline 504, a closed or empty tier 503. Anything else
+// is fallback — 500 at a replica; 502 at a router, which is itself fine
+// when the tier behind it fails at transport level.
+func errStatus(err error, fallback int) int {
+	var se *StatusError
+	switch {
+	case errors.As(err, &se):
+		return se.Code
+	case errors.Is(err, ErrUnknownModel):
+		return http.StatusNotFound
+	case errors.Is(err, ErrEmptyRequest), errors.Is(err, ErrTooManyItems),
+		errors.Is(err, ErrItemsMismatch), errors.Is(err, ErrBadClass),
+		errors.Is(err, ErrNoPreprocessor), errors.Is(err, ErrMixedInputs),
+		errors.Is(err, ErrPreprocess):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrImageTooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrOverloaded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrDeadlineExpired):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, ErrServerClosed), errors.Is(err, ErrNoReplicas):
+		return http.StatusServiceUnavailable
+	}
+	return fallback
+}
+
 // writeProm writes the server's Prometheus text exposition: every
 // declared per-model, per-class and per-tenant family (see metrics.go).
 func (s *Server) writeProm(w io.Writer) {
 	pw := metrics.PromWriter{W: w}
 	writeModelProm(pw, s.Metrics())
 	writeTraceProm(pw, s.Trace())
+}
+
+// serveTrace answers GET /v2/trace from rec (nil = tracing disabled, an
+// empty trace), honouring the ?tenant= filter.
+func serveTrace(w http.ResponseWriter, r *http.Request, rec *trace.Recorder) {
+	if rec == nil {
+		rec = trace.NewRecorder()
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = rec.WriteChromeFiltered(w, tenantSpanFilter(r.URL.Query().Get("tenant")))
 }
 
 // tenantSpanFilter builds the ?tenant= span predicate for /v2/trace:

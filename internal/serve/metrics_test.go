@@ -14,8 +14,8 @@ import (
 )
 
 // TestMetricsEndpointReconcilesWithStats drives traffic over HTTP and
-// checks that GET /v2/metrics agrees with StatsFor and the stats
-// endpoint on every shared counter.
+// checks that GET /v2/metrics agrees with the in-process MetricsFor on
+// the activity counters.
 func TestMetricsEndpointReconcilesWithStats(t *testing.T) {
 	s := newTestServer(t, tinyConfig(t))
 	ts := httptest.NewServer(s.Handler())
@@ -38,12 +38,12 @@ func TestMetricsEndpointReconcilesWithStats(t *testing.T) {
 		t.Fatalf("metrics models %v", mj.Models)
 	}
 	m := mj.Models[0]
-	st, err := s.StatsFor(models.NameViTTiny)
+	st, err := s.MetricsFor(models.NameViTTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Model != st.Model || m.Requests != st.Requests ||
-		m.Items != st.ItemsServed || m.Batches != st.BatchesRun {
+		m.Items != st.Items || m.Batches != st.Batches {
 		t.Errorf("metrics %+v do not reconcile with stats %+v", m, st)
 	}
 	if m.Requests != n {

@@ -239,6 +239,12 @@ func TestRouterRequestIDPropagation(t *testing.T) {
 	if err := router.Trace().Validate(); err != nil {
 		t.Errorf("router trace invalid: %v", err)
 	}
+	// An id too long to retain in the trace ring is refused at the edge.
+	rec, _ = postInfer(t, router.Handler(), models.NameViTTiny, InferRequestJSON{Items: 1},
+		map[string]string{RequestIDHeader: strings.Repeat("x", maxRequestIDLen+1)})
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("oversized request id through the router: HTTP %d, want 400", rec.Code)
+	}
 }
 
 // fakeReplica serves canned /v2/metrics (healthy probe included), for

@@ -19,16 +19,17 @@ import (
 	"harvest/internal/stats"
 )
 
-// waitQueueDepth polls a model's queue depth until it reaches want.
+// waitQueueDepth polls a model's queue depth until it reaches at least
+// want: that many requests are admitted and not yet dispatched.
 func waitQueueDepth(t *testing.T, s *Server, model string, want int64) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		m, err := s.MetricsFor(model)
+		depth, err := s.QueueDepth(model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.QueueDepth == want {
+		if depth >= want {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -76,6 +77,25 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 		t.Errorf("shed counter %d, want 1", m.Shed)
 	}
 
+	// Over HTTP the shed carries a Retry-After, and a router in front
+	// of the shedding replica passes that hint on unchanged: a second
+	// added per hop would multiply every client's backoff.
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	router, err := NewRouter([]string{hs.URL}, RouterConfig{Pool: fastPool()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	direct, _ := postInfer(t, s.Handler(), models.NameViTTiny, InferRequestJSON{Items: 1}, nil)
+	routed, _ := postInfer(t, router.Handler(), models.NameViTTiny, InferRequestJSON{Items: 1}, nil)
+	if direct.Code != http.StatusTooManyRequests || routed.Code != http.StatusTooManyRequests {
+		t.Fatalf("full queue over HTTP: replica %d, router %d, want 429 from both", direct.Code, routed.Code)
+	}
+	if d, r := direct.Header().Get("Retry-After"), routed.Header().Get("Retry-After"); d == "" || r != d {
+		t.Errorf("Retry-After: replica %q, through the router %q, want equal", d, r)
+	}
+
 	// Drain: everything admitted is served, the shed request is not.
 	s.Close()
 	wg.Wait()
@@ -85,12 +105,8 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 			t.Errorf("admitted request failed during drain: %v", err)
 		}
 	}
-	st, err := s.StatsFor(models.NameViTTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests != admitted {
-		t.Errorf("drain served %d requests, want %d", st.Requests, admitted)
+	if got := requestsServed(t, s); got != admitted {
+		t.Errorf("drain served %d requests, want %d", got, admitted)
 	}
 	if _, err := s.Submit(context.Background(), &Request{Model: models.NameViTTiny, Items: 1}); !errors.Is(err, ErrServerClosed) {
 		t.Errorf("post-close submit returned %v, want ErrServerClosed", err)
@@ -169,9 +185,11 @@ func TestRealtimeBudgetAppliesByDefault(t *testing.T) {
 	}
 }
 
-// TestPriorityOrderingUnderSustainedOverload holds the single instance
-// busy, queues offline work first and realtime work after, and checks
-// that the realtime lane is dispatched ahead of the offline backlog.
+// TestPriorityOrderingUnderSustainedOverload is the live end of the
+// lane-priority cases in TestSchedulerNext: it holds the single
+// instance busy, queues offline work first and realtime work after, and
+// checks that the realtime lane is served ahead of the offline backlog
+// and that the per-class queue latency shows it.
 func TestPriorityOrderingUnderSustainedOverload(t *testing.T) {
 	eng, err := engine.New(hw.Jetson(), models.NameViTTiny)
 	if err != nil {
@@ -181,10 +199,11 @@ func TestPriorityOrderingUnderSustainedOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Real = &slowBackend{inner: real, delay: 250 * time.Millisecond}
+	gate := &gatedBackend{inner: real, entered: make(chan struct{}, 1), open: make(chan struct{})}
+	eng.Real = gate
 	s := newTestServer(t, ModelConfig{
 		Name: "lanes", Engine: eng, MaxBatch: 1, InputSize: 32,
-		QueueDelay: time.Millisecond, TimeScale: 1,
+		QueueDelay: time.Millisecond, TimeScale: 1, // completions spaced a batch apart
 		RealtimeBudget: -1, // isolate lane priority from deadline shedding
 	})
 
@@ -206,8 +225,8 @@ func TestPriorityOrderingUnderSustainedOverload(t *testing.T) {
 		mu.Unlock()
 	}
 
-	// Blocker: a tensor request that holds the instance ~250 ms while
-	// the lanes fill up.
+	// Blocker: a tensor request that holds the instance at the gate
+	// while the lanes fill up.
 	in := make([]float32, 3*32*32)
 	wg.Add(1)
 	go func() {
@@ -217,18 +236,22 @@ func TestPriorityOrderingUnderSustainedOverload(t *testing.T) {
 			t.Errorf("blocker: %v", err)
 		}
 	}()
-	time.Sleep(30 * time.Millisecond)
+	<-gate.entered
 
-	const perClass = 10
+	// With the instance held, three requests still leave the queue: two
+	// fill the batches channel and one waits in the batcher's hand.
+	const perClass, dispatched = 10, 3
 	for i := 0; i < perClass; i++ {
 		wg.Add(1)
 		go submit(ClassOffline, fmt.Sprintf("off%d", i))
 	}
-	time.Sleep(40 * time.Millisecond) // offline fully enqueued first
+	waitQueueDepth(t, s, "lanes", perClass-dispatched) // offline fully enqueued first
 	for i := 0; i < perClass; i++ {
 		wg.Add(1)
 		go submit(ClassRealtime, fmt.Sprintf("rt%d", i))
 	}
+	waitQueueDepth(t, s, "lanes", 2*perClass-dispatched)
+	close(gate.open)
 	wg.Wait()
 
 	mean := func(xs []int64) float64 {

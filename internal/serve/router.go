@@ -10,7 +10,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -219,19 +218,7 @@ func (r *Router) Close() {
 	}
 	r.closed = true
 	r.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		r.inflight.Wait()
-		close(done)
-	}()
-	grace := r.cfg.DrainTimeout
-	if grace < 0 {
-		grace = 0
-	}
-	select {
-	case <-done:
-	case <-time.After(grace):
-	}
+	waitGrace(&r.inflight, r.cfg.DrainTimeout)
 	r.pool.Close()
 }
 
@@ -501,39 +488,6 @@ func (r *Router) Metrics(ctx context.Context) RouterMetricsJSON {
 	return out
 }
 
-// Stats aggregates one model's stats across replicas.
-func (r *Router) Stats(ctx context.Context, model string) (StatsJSON, error) {
-	out := StatsJSON{Model: model}
-	var fill float64
-	found := false
-	var lastErr error
-	for _, rep := range r.pool.Replicas() {
-		if !rep.Healthy() {
-			continue
-		}
-		st, err := rep.client.Stats(ctx, model)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		found = true
-		out.Requests += st.Requests
-		out.ItemsServed += st.ItemsServed
-		out.BatchesRun += st.BatchesRun
-		fill += st.MeanBatchFill * float64(st.BatchesRun)
-	}
-	if !found {
-		if lastErr != nil {
-			return StatsJSON{}, lastErr
-		}
-		return StatsJSON{}, ErrNoReplicas
-	}
-	if out.BatchesRun > 0 {
-		out.MeanBatchFill = fill / float64(out.BatchesRun)
-	}
-	return out, nil
-}
-
 // Handler exposes the router over HTTP with the same /v2/* surface as
 // a single Server, so serve.Client (and anything else speaking the
 // KServe-v2-flavored API) works unchanged against a router:
@@ -541,7 +495,6 @@ func (r *Router) Stats(ctx context.Context, model string) (StatsJSON, error) {
 //	GET  /v2/health/ready       ready iff >=1 healthy replica
 //	GET  /v2/models             union across replicas
 //	GET  /v2/metrics            aggregated + router/replica detail
-//	GET  /v2/models/{name}/stats aggregated across replicas
 //	POST /v2/models/{name}/infer routed with failover
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -564,29 +517,11 @@ func (r *Router) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, r.Metrics(req.Context()))
 	})
 	mux.HandleFunc("GET /v2/trace", func(w http.ResponseWriter, req *http.Request) {
-		rec := r.trace
-		if rec == nil {
-			rec = trace.NewRecorder()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = rec.WriteChromeFiltered(w, tenantSpanFilter(req.URL.Query().Get("tenant")))
+		serveTrace(w, req, r.trace)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", metrics.PromContentType)
 		r.writeProm(w, req.Context())
-	})
-	mux.HandleFunc("GET /v2/models/", func(w http.ResponseWriter, req *http.Request) {
-		name, ok := cutModelAction(req.URL.Path, "stats")
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorJSON{Error: "not found"})
-			return
-		}
-		st, err := r.Stats(req.Context(), name)
-		if err != nil {
-			writeJSON(w, routerErrStatus(err), errorJSON{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v2/models/", func(w http.ResponseWriter, req *http.Request) {
 		name, ok := cutModelAction(req.URL.Path, "infer")
@@ -594,34 +529,10 @@ func (r *Router) Handler() http.Handler {
 			writeJSON(w, http.StatusNotFound, errorJSON{Error: "not found"})
 			return
 		}
-		if r.cfg.MaxBodyBytes > 0 {
-			req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
-		}
-		var body InferRequestJSON
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				writeJSON(w, http.StatusRequestEntityTooLarge,
-					errorJSON{Error: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)})
-				return
-			}
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad request body: " + err.Error()})
+		body, ok := readInfer(w, req, r.cfg.MaxBodyBytes)
+		if !ok {
 			return
 		}
-		// Fix the request id at the edge: the same id rides the body and
-		// the X-Request-ID header to the replica, and is echoed back, so
-		// one id follows the request across tiers.
-		body.ID = requestID(body.ID, req)
-		w.Header().Set(RequestIDHeader, body.ID)
-		// Canonicalize the tenant at the edge too, so router-side
-		// accounting, trace spans, and the replica all see one id.
-		tenant, err := tenantOf(body.Tenant, req)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
-			return
-		}
-		body.Tenant = tenant
-		w.Header().Set(TenantHeader, tenant)
 		resp, err := r.Infer(req.Context(), name, body)
 		if err != nil {
 			var qe *QuotaError
@@ -631,9 +542,11 @@ func (r *Router) Handler() http.Handler {
 				// tenant's own token-bucket refill, not fleet backlog.
 				w.Header().Set("Retry-After", strconv.Itoa(clampRetrySeconds(int(qe.RetryAfter.Seconds())+1)))
 			} else if errors.As(err, &oe) && oe.retryAfter > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(int(oe.retryAfter/time.Second)+1))
+				// Already the replica's own whole-second hint: pass it
+				// on as it is, or every hop would add a second.
+				w.Header().Set("Retry-After", strconv.Itoa(clampRetrySeconds(int(oe.retryAfter/time.Second))))
 			}
-			writeJSON(w, routerErrStatus(err), errorJSON{Error: err.Error()})
+			writeJSON(w, errStatus(err, http.StatusBadGateway), errorJSON{Error: err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -685,26 +598,4 @@ func cutModelAction(path, action string) (string, bool) {
 	rest := strings.TrimPrefix(path, "/v2/models/")
 	name, got, ok := strings.Cut(rest, "/")
 	return name, ok && got == action && name != ""
-}
-
-// routerErrStatus maps a routing error to the status the router
-// surfaces: replica statuses pass through, overload is 429, a closed
-// or empty router is 503, and transport-level replica failures are
-// 502 (the router itself is fine; the tier behind it is not).
-func routerErrStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDeadlineExpired):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrServerClosed), errors.Is(err, ErrNoReplicas):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrBadClass):
-		return http.StatusBadRequest
-	}
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Code
-	}
-	return http.StatusBadGateway
 }

@@ -117,18 +117,18 @@ func TestDynamicBatchingFusesRequests(t *testing.T) {
 	if maxBatch <= 2 {
 		t.Errorf("dynamic batching never fused requests (max batch %d)", maxBatch)
 	}
-	st, err := s.StatsFor(models.NameViTTiny)
+	st, err := s.MetricsFor(models.NameViTTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ItemsServed != 2*n {
-		t.Errorf("served %d items, want %d", st.ItemsServed, 2*n)
+	if st.Items != 2*n {
+		t.Errorf("served %d items, want %d", st.Items, 2*n)
 	}
 	if st.Requests != n {
 		t.Errorf("served %d requests, want %d", st.Requests, n)
 	}
-	if st.BatchesRun >= n {
-		t.Errorf("ran %d batches for %d requests; batching ineffective", st.BatchesRun, n)
+	if st.Batches >= n {
+		t.Errorf("ran %d batches for %d requests; batching ineffective", st.Batches, n)
 	}
 }
 
@@ -192,12 +192,12 @@ func TestMultiInstanceAndTimeScale(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st, err := s.StatsFor("multi")
+	st, err := s.MetricsFor("multi")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ItemsServed != 128 {
-		t.Errorf("served %d items, want 128", st.ItemsServed)
+	if st.Items != 128 {
+		t.Errorf("served %d items, want 128", st.Items)
 	}
 	if st.Requests != 16 {
 		t.Errorf("served %d requests, want 16", st.Requests)
@@ -270,8 +270,8 @@ func TestModelsAndConfigLookup(t *testing.T) {
 	if _, err := s.ModelConfigFor("ghost"); err == nil {
 		t.Error("unknown config lookup succeeded")
 	}
-	if _, err := s.StatsFor("ghost"); err == nil {
-		t.Error("unknown stats lookup succeeded")
+	if _, err := s.QueueDepth("ghost"); err == nil {
+		t.Error("unknown queue-depth lookup succeeded")
 	}
 }
 
@@ -373,7 +373,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	for err := range errs {
 		t.Errorf("stress submit failed: %v", err)
 	}
-	st, err := s.StatsFor(models.NameViTTiny)
+	st, err := s.MetricsFor(models.NameViTTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,8 +381,8 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		wantItems += int64(1 + i%4)
 	}
-	if st.ItemsServed != wantItems {
-		t.Errorf("item conservation violated: served %d items, want %d", st.ItemsServed, wantItems)
+	if st.Items != wantItems {
+		t.Errorf("item conservation violated: served %d items, want %d", st.Items, wantItems)
 	}
 	if st.Requests != 200 {
 		t.Errorf("request conservation violated: served %d requests, want 200", st.Requests)

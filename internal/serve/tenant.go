@@ -354,38 +354,6 @@ func (rt *modelRuntime) tenantState(tenant string) *tenantState {
 	return tenantEntry(rt.tenants, tenant)
 }
 
-// checkQuota enforces the tenant's queue-share cap and admission rate
-// before a queue slot is reserved. Returns a *QuotaError (unwrapping
-// to ErrOverloaded) on refusal.
-func (rt *modelRuntime) checkQuota(ts *tenantState, tenant string, items int) error {
-	q, ok := quotaFor(rt.cfg.TenantQuotas, tenant)
-	if !ok {
-		return nil
-	}
-	if q.MaxQueueShare > 0 {
-		cap := int64(q.MaxQueueShare * float64(rt.cfg.MaxQueueDepth))
-		if cap < 1 {
-			cap = 1
-		}
-		if ts.queuedReqs.Load() >= cap {
-			return &QuotaError{Tenant: tenant, Reason: "share",
-				RetryAfter: rt.tenantDrainEstimate(ts)}
-		}
-	}
-	if ok, wait := ts.bucket.take(float64(items), q); !ok {
-		return &QuotaError{Tenant: tenant, Reason: "rate", RetryAfter: wait}
-	}
-	return nil
-}
-
-// tenantDrainEstimate predicts how long this tenant's queued items
-// take to drain, pricing its backlog alone (fair scheduling serves it
-// regardless of other tenants' queues).
-func (rt *modelRuntime) tenantDrainEstimate(ts *tenantState) time.Duration {
-	rounds := rt.drainRounds(max(ts.queuedItems.Load(), 1))
-	return rt.cfg.QueueDelay + time.Duration(rounds)*rt.estimatedExecDuration(rt.cfg.MaxBatch)
-}
-
 // tenantMetrics fills the per-tenant metrics section. The accounting
 // map is copied under tmu and snapshotted outside it, so a scrape never
 // holds up admission.

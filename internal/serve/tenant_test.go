@@ -174,20 +174,7 @@ func TestSubmitFairnessUnderUnequalLoad(t *testing.T) {
 		go submit("hog", nil)
 	}
 	// Wait for a real hog backlog before the victim shows up.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d, err := s.QueueDepth(models.NameViTTiny)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d >= hogN*3/4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hog backlog never built: depth %d", d)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	waitQueueDepth(t, s, models.NameViTTiny, hogN*3/4)
 	wg.Add(victimN)
 	for i := 0; i < victimN; i++ {
 		go submit("victim", &victimIdx[i])
@@ -303,20 +290,22 @@ func TestRetryAfterLaneAware(t *testing.T) {
 	rt := &modelRuntime{cfg: ModelConfig{
 		Name: "m", Engine: eng, MaxBatch: 8, Instances: 1, TimeScale: 1,
 	}}
-	for c := range rt.lanes {
-		rt.lanes[c] = newDRRLane(DefaultTenantQuantum)
-	}
+	rt.sched = newScheduler(&rt.cfg)
 	for i := 0; i < 2500; i++ { // 20k offline items: seconds of drain
-		rt.lanes[ClassOffline].push(mkPending("batch", 8))
+		p := mkPending("batch", 8)
+		p.class = ClassOffline
+		rt.sched.push(p)
 	}
-	rt.lanes[ClassRealtime].push(mkPending("rt", 1))
-	if got := rt.backlogItemsAtOrAbove(ClassRealtime); got != 1 {
+	p := mkPending("rt", 1)
+	p.class = ClassRealtime
+	rt.sched.push(p)
+	if got := rt.sched.backlogItemsAtOrAbove(ClassRealtime); got != 1 {
 		t.Errorf("realtime backlog %d, want 1 (own lane only)", got)
 	}
-	if got := rt.backlogItemsAtOrAbove(ClassOnline); got != 1 {
+	if got := rt.sched.backlogItemsAtOrAbove(ClassOnline); got != 1 {
 		t.Errorf("online backlog %d, want 1 (realtime + empty online)", got)
 	}
-	if got := rt.backlogItemsAtOrAbove(ClassOffline); got != 20001 {
+	if got := rt.sched.backlogItemsAtOrAbove(ClassOffline); got != 20001 {
 		t.Errorf("offline backlog %d, want 20001", got)
 	}
 	s := &Server{models: map[string]*modelRuntime{"m": rt}}
@@ -339,7 +328,9 @@ func TestRetryAfterLaneAware(t *testing.T) {
 // TestOfflineCompletesUnderRealtimeSaturation is the anti-starvation
 // regression test: with the realtime lane never empty, an offline
 // request must still complete via its guaranteed 1-in-N dispatch share
-// instead of starving behind strict priority.
+// instead of starving behind strict priority. TestSchedulerNext pins
+// which pop the valve gives away; only a live closed loop shows the
+// lane staying full while it does.
 func TestOfflineCompletesUnderRealtimeSaturation(t *testing.T) {
 	eng, err := engine.New(hw.A100(), models.NameViTTiny)
 	if err != nil {
@@ -374,7 +365,7 @@ func TestOfflineCompletesUnderRealtimeSaturation(t *testing.T) {
 	}
 	defer func() { close(stop); wg.Wait() }()
 
-	time.Sleep(5 * time.Millisecond) // let the realtime backlog establish
+	waitQueueDepth(t, s, models.NameViTTiny, workers/2) // the realtime backlog is established
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
