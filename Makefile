@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check loc bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
+.PHONY: all build test race vet fuzz-smoke check loc bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
 
 all: check
 
@@ -26,9 +26,21 @@ race:
 	$(GO) test -race ./internal/serve/... ./internal/fleet/... ./internal/metrics/... ./internal/trace/... ./internal/pipeline/... ./internal/scaleout/... ./internal/imaging/... ./internal/preprocess/... ./internal/loadgen/... ./internal/tensor/... ./internal/quant/... ./internal/models/... ./internal/stream/... ./internal/transfer/... ./internal/modelio/...
 	$(GO) test -race -run 'Tier|Replica' ./internal/core/
 
+# Every Fuzz* target in the repo, 5 s each, from its committed seed
+# corpus (testdata/fuzz/<target>/): long enough to catch a decoder that
+# panics or over-allocates on a near-miss of a seed, short enough for
+# the gate. go test -fuzz takes one package and one target at a time.
+fuzz-smoke:
+	@grep -rlE '^func Fuzz' --include='*_test.go' . | xargs -n1 dirname | sort -u | while read -r pkg; do \
+		for target in $$(grep -hoE '^func Fuzz[A-Za-z0-9_]*' $$pkg/*_test.go | sed 's/^func //'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s $$pkg || exit 1; \
+		done; \
+	done
+
 # The CI gate: tier-1 tests (including cmd's flag-surface golden) plus
-# vet and the race suite.
-check: build vet test race
+# vet, the race suite and the fuzz smoke run.
+check: build vet test race fuzz-smoke
 
 # Non-test Go line counts (wc -l, *_test.go excluded) per internal
 # package, for cmd/ and examples/, and in total: the number a "judged by

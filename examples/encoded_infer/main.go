@@ -1,11 +1,11 @@
 // Encoded-image inference: clients at the edge of the compute
 // continuum ship camera frames, not tensors. This example registers a
 // model with a real (micro-ViT) backend and a CPU preprocessing engine,
-// then POSTs JPEG and raw (PPM) frames as images_b64 to /v2/infer. The
+// then POSTs JPEG and raw (PPM) frames to /v2/models/leafnet/infer, as
+// raw bytes after the JSON (images_b64 in plain JSON works too). The
 // server decodes, resizes and normalizes inside its admission-bounded
-// preprocess stage, so the per-request timings_ms breakdown — and the
-// /v2/metrics preprocess summary — show where Fig. 7's preprocessing
-// cost lands in the serving pipeline.
+// preprocess stage, so timings_ms of each response and the /v2/metrics
+// preprocess summary show where Fig. 7's preprocessing cost lands.
 package main
 
 import (

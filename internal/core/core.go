@@ -13,6 +13,7 @@ import (
 	"harvest/internal/engine"
 	"harvest/internal/experiments"
 	"harvest/internal/hw"
+	"harvest/internal/imaging"
 	"harvest/internal/modelio"
 	"harvest/internal/models"
 	"harvest/internal/preprocess"
@@ -117,10 +118,10 @@ type DeploymentConfig struct {
 	// disables tracing).
 	TraceCapacity int
 	// Preproc attaches an encoded-image preprocessor to every model so
-	// POST /v2/infer accepts images_b64 alongside raw tensors. Choices
-	// are Fig. 7's CPU engines: "cpu" (or "pytorch") for the
-	// torchvision-style pipeline, "cv2" for the OpenCV-style one.
-	// Empty disables the encoded path.
+	// POST /v2/models/{name}/infer accepts images (binary parts or
+	// images_b64) alongside tensors. Choices are Fig. 7's CPU engines:
+	// "cpu" (or "pytorch") for the torchvision-style pipeline, "cv2" for
+	// the OpenCV-style one. Empty disables the encoded path.
 	Preproc string
 	// PreprocWorkers sizes the decode/resize worker pool shared by all
 	// models (0 = one worker per CPU). The pool's goroutines live for
@@ -128,7 +129,7 @@ type DeploymentConfig struct {
 	PreprocWorkers int
 	// RealBackend, when non-empty, attaches an executable compute
 	// backend at the named precision ("fp32", "fp16", "bf16", "int8")
-	// to every model engine: tensor inputs on POST /v2/infer then run
+	// to every model engine: tensor inputs on the infer endpoint then run
 	// real forward passes through the packed/quantized GEMM kernels
 	// instead of the simulation-only path. Full-size Table 3 models are
 	// compute-heavy on CPU; pair with Models to limit scope.
@@ -161,7 +162,7 @@ type DeploymentConfig struct {
 
 // newPreprocessor builds the configured CPU preprocessing engine for
 // one model, sized to that model's Table 3 input resolution.
-func newPreprocessor(kind string, p *hw.Platform, out int, pool *preprocess.Pool) (*preprocess.CPUEngine, error) {
+func newPreprocessor(kind string, p *hw.Platform, out int, pool *preprocess.Pool, tensors *imaging.TensorPool) (*preprocess.CPUEngine, error) {
 	var e *preprocess.CPUEngine
 	switch kind {
 	case "cpu", "pytorch":
@@ -174,6 +175,7 @@ func newPreprocessor(kind string, p *hw.Platform, out int, pool *preprocess.Pool
 	// Serving needs the actual tensors, not just the modeled cost.
 	e.Materialize = true
 	e.Pool = pool
+	e.Tensors = tensors // the server hands served tensors back (Recycle)
 	return e, nil
 }
 
@@ -213,6 +215,7 @@ func NewDeployment(cfg DeploymentConfig) (*serve.Server, error) {
 		}
 	}
 	var pool *preprocess.Pool
+	tensors := &imaging.TensorPool{} // fills as requests complete
 	if cfg.Preproc != "" {
 		pool = preprocess.NewPool(cfg.PreprocWorkers)
 	}
@@ -266,7 +269,7 @@ func NewDeployment(cfg DeploymentConfig) (*serve.Server, error) {
 				srv.Close()
 				return nil, err
 			}
-			pre, err := newPreprocessor(cfg.Preproc, p, entry.Spec.InputSize, pool)
+			pre, err := newPreprocessor(cfg.Preproc, p, entry.Spec.InputSize, pool, tensors)
 			if err != nil {
 				srv.Close()
 				return nil, err

@@ -13,6 +13,7 @@ import (
 	"harvest/internal/imaging"
 	"harvest/internal/modelio"
 	"harvest/internal/models"
+	"harvest/internal/preprocess"
 	"harvest/internal/serve"
 	"harvest/internal/stats"
 )
@@ -118,6 +119,11 @@ func TestNewDeploymentWithPreprocessing(t *testing.T) {
 		}
 		if cfg.InputSize != want {
 			t.Errorf("%s InputSize %d, want %d", name, cfg.InputSize, want)
+		}
+		// The server hands served tensors back through Recycle; without
+		// a pool behind it every frame would allocate its tensor.
+		if pre, ok := cfg.Preproc.(*preprocess.CPUEngine); !ok || pre.Tensors == nil {
+			t.Errorf("%s preprocessor %T recycles no tensors", name, cfg.Preproc)
 		}
 	}
 	// An encoded frame flows through Submit end-to-end.

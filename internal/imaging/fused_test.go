@@ -2,6 +2,7 @@ package imaging
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"harvest/internal/stats"
@@ -150,6 +151,24 @@ func TestTensorPoolRecycles(t *testing.T) {
 		t.Fatalf("oversize get len %d", len(c))
 	}
 	tp.Put(nil) // must not panic
+
+	// At most one spare per P is kept: idle 602 KB tensors are live heap.
+	var spares TensorPool
+	given := map[*float32]bool{}
+	for i := 0; i < runtime.GOMAXPROCS(0)+3; i++ {
+		b := make([]float32, 16)
+		given[&b[0]] = true
+		spares.Put(b)
+	}
+	kept := 0
+	for i := 0; i < len(given); i++ {
+		if b := spares.Get(16); given[&b[0]] {
+			kept++
+		}
+	}
+	if kept != runtime.GOMAXPROCS(0) {
+		t.Fatalf("%d of %d buffers came back, want one per P (%d)", kept, len(given), runtime.GOMAXPROCS(0))
+	}
 }
 
 func TestImagePoolRecyclesAndZeroes(t *testing.T) {

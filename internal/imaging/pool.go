@@ -2,39 +2,59 @@ package imaging
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 )
 
 // Buffer pooling for the preprocessing hot path. A naive per-image
 // pipeline allocates (and for raw frames, zeroes) tens of megabytes
 // per sample; under serving load that allocator and GC traffic is pure
-// overhead. TensorPool and ImagePool are sync.Pool-backed recyclers
-// shared safely across goroutines; ReuseImage is the single-owner
-// variant for a worker's pinned scratch buffer.
+// overhead. TensorPool and ImagePool recycle buffers safely across
+// goroutines; ReuseImage is the single-owner variant for a worker's
+// pinned scratch buffer.
 
 // TensorPool recycles CHW float32 tensor buffers across requests.
 // The zero value is ready to use. Get never returns a smaller buffer
 // than requested; undersized pooled buffers are dropped for the GC.
+//
+// It is a free list of at most one spare per P, the private slots of a
+// sync.Pool without the shared overflow: a served tensor is 602 KB, an
+// idle one is live heap the collector doubles into its goal, and a
+// sync.Pool keeps every spare of the busiest moment of the last two
+// collections.
 type TensorPool struct {
-	p sync.Pool
+	mu   sync.Mutex
+	free [][]float32
 }
 
 // Get returns a length-n float32 buffer with arbitrary contents.
 func (tp *TensorPool) Get(n int) []float32 {
-	if v, _ := tp.p.Get().(*[]float32); v != nil && cap(*v) >= n {
-		return (*v)[:n]
+	var t []float32
+	tp.mu.Lock()
+	if last := len(tp.free) - 1; last >= 0 {
+		t, tp.free[last] = tp.free[last], nil
+		tp.free = tp.free[:last]
+	}
+	tp.mu.Unlock()
+	if cap(t) >= n {
+		return t[:n]
 	}
 	return make([]float32, n)
 }
 
-// Put recycles a buffer obtained from Get (or anywhere else). The
-// caller must not retain t afterwards.
+// Put recycles a buffer obtained from Get (or anywhere else), or drops
+// it when every spare slot is taken. The caller must not retain t
+// afterwards.
 func (tp *TensorPool) Put(t []float32) {
 	if cap(t) == 0 {
 		return
 	}
-	t = t[:0]
-	tp.p.Put(&t)
+	spares := runtime.GOMAXPROCS(0)
+	tp.mu.Lock()
+	if len(tp.free) < spares {
+		tp.free = append(tp.free, t)
+	}
+	tp.mu.Unlock()
 }
 
 // ImagePool recycles Image rasters across requests. The zero value is

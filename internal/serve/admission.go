@@ -66,8 +66,11 @@ func (rt *modelRuntime) resolveDeadline(ctx context.Context, req *Request) time.
 // it, Submit waits for that batch's outcome. An admitted request whose
 // deadline passes before execution could complete is shed with
 // ErrDeadlineExpired.
-func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
+func (s *Server) Submit(ctx context.Context, caller *Request) (*Response, error) {
 	submitAt := time.Now()
+	// A copy: Items and Tenant are normalized and images swapped for
+	// their tensors without writing into the caller's Request.
+	req := *caller
 	if req.Items <= 0 && len(req.Inputs) == 0 && len(req.Images) == 0 {
 		return nil, ErrEmptyRequest
 	}
@@ -120,7 +123,7 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 		return nil, err
 	}
 	ts := rt.tenantState(tenant)
-	deadline := rt.resolveDeadline(ctx, req)
+	deadline := rt.resolveDeadline(ctx, &req)
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		// Dead on arrival: shed without occupying a queue slot.
 		rt.met.expired.Inc()
@@ -161,7 +164,16 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 			rt.met.errors.Inc()
 			return nil, fmt.Errorf("%w: model %s: %v", ErrPreprocess, rt.cfg.Name, err)
 		}
-		req.Inputs = res.Tensors
+		// Nothing reads the encoded bytes from here on: a queued frame
+		// pins only its tensors, and the caller may reuse the images as
+		// soon as Submit returns, however it returns. A modeled engine
+		// never reads the tensors either, so its queue holds neither.
+		p.req.Images = nil
+		if rt.cfg.Engine.Real != nil {
+			p.req.Inputs = res.Tensors
+		} else {
+			rt.recycle(res.Tensors)
+		}
 		p.preprocSec = time.Since(p.admitted).Seconds()
 		rt.met.preprocLat.Observe(p.preprocSec)
 	}
@@ -173,23 +185,37 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 	// abandoned, so shutdown-in-progress is not a wait condition; only
 	// a fully drained runtime (the enqueue raced past the batcher's
 	// exit) is.
+	var o outcome
 	select {
-	case o := <-p.out:
-		return o.resp, o.err
+	case o = <-p.out:
 	case <-ctx.Done():
 		if p.cancel() {
 			// Withdrawn before dispatch; the batcher will evict it.
 			return nil, ctx.Err()
 		}
+		o = <-p.out // a batch already claimed it; its outcome is imminent
 	case <-rt.drained:
 		if p.claim() {
 			rt.release(p)
 			return nil, ErrServerClosed
 		}
+		o = <-p.out
 	}
-	// A batch already claimed it; its outcome is imminent.
-	o := <-p.out
+	// With the outcome delivered nothing reads the tensors again (the
+	// engine copies its inputs, no response aliases them). Only those the
+	// preprocess stage made go back, never the caller's own.
+	if len(req.Images) > 0 {
+		rt.recycle(p.req.Inputs)
+	}
 	return o.resp, o.err
+}
+
+// recycle hands tensors back to a preprocessor that reuses them (a
+// CPUEngine with a tensor pool).
+func (rt *modelRuntime) recycle(tensors [][]float32) {
+	if r, ok := rt.cfg.Preproc.(interface{ Recycle([][]float32) }); ok {
+		r.Recycle(tensors)
+	}
 }
 
 // checkQuota enforces the tenant's queue-share cap and admission rate

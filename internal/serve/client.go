@@ -419,7 +419,8 @@ func (c *Client) Infer(ctx context.Context, model string, body InferRequestJSON)
 }
 
 func (c *Client) inferOnce(ctx context.Context, model string, body InferRequestJSON) (*InferResponseJSON, error) {
-	payload, err := json.Marshal(body)
+	// Images and tensors travel as raw parts after the JSON (wire.go).
+	f, err := encodeInfer(&body)
 	if err != nil {
 		return nil, err
 	}
@@ -435,12 +436,24 @@ func (c *Client) inferOnce(ctx context.Context, model string, body InferRequestJ
 	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
 		WroteHeaders: func() { sent.Store(true) },
 	})
+	// A payload-free body stays one in-memory reader, which the
+	// transport writes together with the request's headers.
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+FormatInferPath(model), bytes.NewReader(payload))
+		c.BaseURL+FormatInferPath(model), bytes.NewReader(f.hdr))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if len(f.parts) > 0 {
+		// The parts are the caller's memory, at a router a pooled buffer:
+		// nothing may read them once this attempt has returned. Length and
+		// GetBody (the replay on a stale keep-alive) bytes.Reader had free.
+		defer f.revoke()
+		req.Body, req.ContentLength = f.reader(), f.length
+		req.GetBody = func() (io.ReadCloser, error) { return f.reader(), nil }
+		req.Header.Set("Content-Type", "application/octet-stream")
+		req.Header.Set(InferHeaderLength, strconv.Itoa(len(f.hdr)))
+	}
 	if body.ID != "" {
 		// Propagate the request id so every tier logs and traces the
 		// same identity for this request.
@@ -469,9 +482,14 @@ func (c *Client) inferOnce(ctx context.Context, model string, body InferRequestJ
 		}
 		return nil, se
 	}
-	var out InferResponseJSON
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
+	// The response says how it is framed (a server may always answer in
+	// plain JSON). Its parts are tensors, decoded out of the buffer.
+	var out responseHeader
+	buf, err := decodeInfer(resp.Body, resp.Header, resp.ContentLength, wireLimits{}, &wirePool, &out)
+	buf.release()
+	if err != nil {
+		// %v: a refusal's status is this decoder's, not the server's.
+		return nil, fmt.Errorf("serve: infer %s: response: %v", model, err)
 	}
-	return &out, nil
+	return &out.InferResponseJSON, nil
 }

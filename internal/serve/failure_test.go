@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -90,7 +91,9 @@ func TestSlowClientContextCancel(t *testing.T) {
 }
 
 func TestMalformedHTTPRequests(t *testing.T) {
-	s := newTestServer(t, tinyConfig(t))
+	images, _ := preprocConfig(t)
+	images.MaxImageBytes = 1 << 10
+	s := newTestServer(t, tinyConfig(t), images)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -122,6 +125,21 @@ func TestMalformedHTTPRequests(t *testing.T) {
 		if resp.StatusCode != c.wantStatus {
 			t.Errorf("case %d (%s %s): status %d, want %d",
 				i, c.method, c.path, resp.StatusCode, c.wantStatus)
+		}
+	}
+
+	// An image over the model's MaxImageBytes is a 413 in either framing.
+	// As images_b64 it is found once the body has been read and decoded;
+	// as a binary part it is refused on the JSON header alone
+	// (TestWireRefusesBadFrames checks that no payload byte is read).
+	oversize := InferRequestJSON{Images: [][]byte{make([]byte, 1<<10+1)}}
+	plain, err := json.Marshal(oversize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]wireBody{"images_b64": {-1, plain}, "binary part": binaryBody(t, oversize)} {
+		if w := postWire(s.Handler(), "imagenet", body); w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize image as %s: status %d, want 413", name, w.Code)
 		}
 	}
 }

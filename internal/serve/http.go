@@ -93,39 +93,33 @@ type InferRequestJSON struct {
 }
 
 // readInfer is the front of both infer handlers, replica and router:
-// it bounds (limit > 0) and decodes the body, then fixes the request id
-// and the canonical tenant (body field, else X-Tenant-ID, else the
-// default tenant) at this edge and echoes both on the response — the
-// same id and tenant ride body and headers to the next tier, so
-// accounting, trace spans and logs agree across tiers. When ok is false
-// the error response has been written.
-func readInfer(w http.ResponseWriter, r *http.Request, limit int64) (body InferRequestJSON, ok bool) {
-	if limit > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		status, msg := http.StatusBadRequest, "bad request body: "+err.Error()
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)
+// it decodes the body, framed or plain JSON and within lim, into a
+// pooled buffer, then fixes the request id and the canonical tenant
+// (body field, else X-Tenant-ID, else the default tenant) at this edge
+// and echoes both on the response — the same id and tenant ride body
+// and headers to the next tier, so accounting, trace spans and logs
+// agree across tiers. Binary images in body alias buf: the handler
+// releases it once Submit or Router.Infer has returned, not before.
+// When ok is false the error response has been written.
+func readInfer(w http.ResponseWriter, r *http.Request, lim wireLimits) (body InferRequestJSON, buf *wireBuf, ok bool) {
+	var h requestHeader
+	buf, err := decodeInfer(r.Body, r.Header, r.ContentLength, lim, &wirePool, &h)
+	if err == nil {
+		if h.Tenant == "" {
+			h.Tenant = r.Header.Get(TenantHeader)
 		}
-		writeJSON(w, status, errorJSON{Error: msg})
-		return body, false
-	}
-	var err error
-	if body.Tenant == "" {
-		body.Tenant = r.Header.Get(TenantHeader)
-	}
-	if body.ID, err = requestID(body.ID, r); err == nil {
-		body.Tenant, err = ParseTenant(body.Tenant)
+		if h.ID, err = requestID(h.ID, r); err == nil {
+			h.Tenant, err = ParseTenant(h.Tenant)
+		}
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
-		return body, false
+		buf.release()
+		writeJSON(w, errStatus(err, http.StatusBadRequest), errorJSON{Error: err.Error()})
+		return body, nil, false
 	}
-	w.Header().Set(RequestIDHeader, body.ID)
-	w.Header().Set(TenantHeader, body.Tenant)
-	return body, true
+	w.Header().Set(RequestIDHeader, h.ID)
+	w.Header().Set(TenantHeader, h.Tenant)
+	return h.InferRequestJSON, buf, true
 }
 
 // TimingsJSON is the per-stage latency breakdown of one served
@@ -210,22 +204,24 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// inferBodyLimit caps the infer request body: a fixed overhead plus
-// room for MaxBatch JSON-encoded input tensors when the model takes
-// real tensor inputs (~16 bytes per float32 in decimal text), plus
-// room for MaxBatch base64-encoded images (4/3 expansion over
-// MaxImageBytes) when the model has a preprocessing engine.
-func inferBodyLimit(cfg ModelConfig) int64 {
+// inferLimits is what one infer body may claim of a model: MaxBatch
+// parts, MaxImageBytes an image, and in all a fixed overhead plus room
+// for MaxBatch input tensors when the model takes tensor inputs (~16
+// bytes per float32 as JSON text, 4 as a binary part) plus room for
+// MaxBatch images when it preprocesses (4/3 of MaxImageBytes as
+// images_b64, 1/1 as binary parts). That can exceed 2 GiB: it bounds a
+// claim, and decodeInfer commits memory only as bytes arrive.
+func inferLimits(cfg ModelConfig) wireLimits {
 	const overhead = 1 << 20
-	limit := int64(overhead)
+	lim := wireLimits{body: overhead, parts: cfg.MaxBatch, image: cfg.MaxImageBytes}
 	if cfg.InputSize > 0 {
 		perImage := int64(3*cfg.InputSize*cfg.InputSize) * 16
-		limit += int64(cfg.MaxBatch) * perImage
+		lim.body += int64(cfg.MaxBatch) * perImage
 	}
 	if cfg.Preproc != nil {
-		limit += int64(cfg.MaxBatch) * (cfg.MaxImageBytes*4/3 + 4)
+		lim.body += int64(cfg.MaxBatch) * (cfg.MaxImageBytes*4/3 + 4)
 	}
-	return limit
+	return lim
 }
 
 // clampRetrySeconds bounds a Retry-After hint to [1, 60] whole
@@ -307,10 +303,13 @@ func (s *Server) Handler() http.Handler {
 		}
 		// Bound the body before decoding: an items-only request is tiny,
 		// a tensor request at most MaxBatch full-size inputs.
-		body, ok := readInfer(w, r, inferBodyLimit(cfg))
+		body, buf, ok := readInfer(w, r, inferLimits(cfg))
 		if !ok {
 			return
 		}
+		// Submit is done with the images when it returns, however it
+		// returns: the preprocess stage runs inside it.
+		defer buf.release()
 		id, tenant := body.ID, body.Tenant
 		class, err := ParseClass(body.Class)
 		if err != nil {
@@ -360,7 +359,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		respondStart := time.Now()
 		out.Timings.TotalMs = respondStart.Sub(arrived).Seconds() * 1000
-		writeJSON(w, http.StatusOK, out)
+		writeInfer(w, r, &out)
 		if cfg.Trace != nil {
 			cfg.Trace.Add(trace.Span{
 				Name:  "respond",

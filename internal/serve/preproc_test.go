@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -290,5 +291,127 @@ func TestRouterBodyCapReturns413(t *testing.T) {
 	}
 	if resp.Timings == nil || resp.Timings.PreprocessMs <= 0 {
 		t.Errorf("routed encoded request lost preprocess timing: %+v", resp.Timings)
+	}
+}
+
+// recyclingPreproc is a preprocessor that says when it is done and
+// keeps what the server hands back to it.
+type recyclingPreproc struct {
+	preprocess.Engine
+	done     chan struct{} // one token per finished ProcessBatch
+	mu       sync.Mutex
+	recycled [][]float32
+}
+
+func (p *recyclingPreproc) ProcessBatch(items []preprocess.Item) (preprocess.Result, error) {
+	res, err := p.Engine.ProcessBatch(items)
+	p.done <- struct{}{}
+	return res, err
+}
+
+func (p *recyclingPreproc) Recycle(tensors [][]float32) {
+	p.mu.Lock()
+	p.recycled = append(p.recycled, tensors...)
+	p.mu.Unlock()
+}
+
+func (p *recyclingPreproc) takeRecycled() [][]float32 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r := p.recycled
+	p.recycled = nil
+	return r
+}
+
+// TestSubmitWorksOnItsOwnCopy pins what a queued frame holds on to. The
+// caller's Request is left as it was given, and the queued copy no
+// longer carries the encoded bytes, so a caller whose Submit returned on
+// cancellation may reuse them. Under a real engine it carries the
+// tensors until it is served; a modeled engine reads none, so they went
+// back the moment they were made and the queue holds neither.
+func TestSubmitWorksOnItsOwnCopy(t *testing.T) {
+	for _, modeled := range []bool{false, true} {
+		cfg, pre := preprocConfig(t)
+		if modeled {
+			cfg.Engine.Real = nil
+		}
+		rec := &recyclingPreproc{Engine: pre, done: make(chan struct{}, 1)}
+		cfg.Preproc = rec
+		cfg.QueueDelay = time.Hour // the request stays queued until the test takes it
+		s := newTestServer(t, cfg)
+		rt, err := s.runtime("imagenet")
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := encodedTestImage(t, imaging.FormatPPM)
+		req := &Request{ID: "held", Model: "imagenet", Images: [][]byte{frame}, ImageFormat: imaging.FormatPPM}
+		ctx, cancel := context.WithCancel(context.Background())
+		result := make(chan error, 1)
+		go func() {
+			_, err := s.Submit(ctx, req)
+			result <- err
+		}()
+		<-rec.done
+		cancel()
+		if err := <-result; !errors.Is(err, context.Canceled) {
+			t.Fatalf("Submit returned %v, want context.Canceled", err)
+		}
+		if req.Items != 0 || req.Inputs != nil || req.Tenant != "" || len(req.Images) != 1 {
+			t.Errorf("Submit wrote into the caller's request: %+v", req)
+		}
+		rt.qmu.Lock()
+		batch, _ := rt.sched.next(time.Now(), true)
+		rt.qmu.Unlock()
+		if len(batch) != 1 {
+			t.Fatalf("%d requests queued, want the cancelled one", len(batch))
+		}
+		p, wantTensors := batch[0], 1
+		if modeled {
+			wantTensors = 0
+		}
+		if p.req.Images != nil || len(p.req.Inputs) != wantTensors || p.req.Items != 1 || p.req.Tenant != DefaultTenant {
+			t.Errorf("modeled=%v: queued request %+v: want %d tensors, no encoded bytes, normalized fields", modeled, p.req, wantTensors)
+		}
+		rt.dispatch(nil, batch) // evicts it, as the batcher would at the end of the window
+		if got := rec.takeRecycled(); len(got) != 1-wantTensors {
+			t.Errorf("modeled=%v: %d tensors recycled while their request was still queued, want %d", modeled, len(got), 1-wantTensors)
+		}
+	}
+}
+
+// TestServedTensorsAreRecycled: tensors that preprocessing made are
+// handed back once their request has its outcome, and tensors the
+// caller supplied never are.
+func TestServedTensorsAreRecycled(t *testing.T) {
+	cfg, pre := preprocConfig(t)
+	rec := &recyclingPreproc{Engine: pre, done: make(chan struct{}, 8)}
+	cfg.Preproc = rec
+	s := newTestServer(t, cfg)
+	ctx := context.Background()
+	frame := encodedTestImage(t, imaging.FormatPPM)
+	images := &Request{Model: "imagenet", Images: [][]byte{frame, frame}, ImageFormat: imaging.FormatPPM}
+	fromImages, err := s.Submit(ctx, images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recycled := rec.takeRecycled()
+	if len(recycled) != 2 || len(recycled[0]) != 3*32*32 {
+		t.Fatalf("%d tensors recycled after a served 2-image request, want 2", len(recycled))
+	}
+	// The recycled tensors still hold what the engine computed on.
+	own := [][]float32{append([]float32(nil), recycled[0]...), append([]float32(nil), recycled[1]...)}
+	fromTensors, err := s.Submit(ctx, &Request{Model: "imagenet", Inputs: own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.takeRecycled(); len(got) != 0 {
+		t.Errorf("%d caller-supplied tensors were recycled", len(got))
+	}
+	for i := range fromImages.Outputs {
+		for j, v := range fromImages.Outputs[i] {
+			if v != fromTensors.Outputs[i][j] {
+				t.Fatalf("logits of image %d diverge at %d", i, j)
+			}
+		}
 	}
 }

@@ -29,19 +29,18 @@ import (
 var ErrNoReplicas = errors.New("serve: no replica available")
 
 // routerBodyLimit caps an infer body at the router when
-// RouterConfig.MaxBodyBytes is zero. The router does not know
-// per-model tensor shapes; replicas enforce the precise per-model cap,
-// this only bounds memory per connection.
+// RouterConfig.MaxBodyBytes is zero. The router knows no model's shapes
+// or limits; replicas enforce those, this bounds memory per connection.
 const routerBodyLimit = 64 << 20
 
 // RouterConfig configures a replica-pool router.
 type RouterConfig struct {
 	// Pool configures health checking and ejection.
 	Pool PoolConfig
-	// MaxBodyBytes caps an infer request body at the router. Raise it
-	// for encoded-image (images_b64) workloads whose frames exceed the
-	// default — e.g. batches of uncompressed 4K ground-camera frames.
-	// 0 means routerBodyLimit (64 MiB); negative disables the cap.
+	// MaxBodyBytes caps an infer request body at the router, framed or
+	// plain JSON (where images_b64 takes 4/3 of the frame). Raise it for
+	// batches of uncompressed 4K ground-camera frames. 0 means
+	// routerBodyLimit (64 MiB); negative disables the cap.
 	MaxBodyBytes int64
 	// MaxAttempts bounds how many replicas one request may try before
 	// failing. 0 means every replica once (resolved per request, so a
@@ -529,10 +528,13 @@ func (r *Router) Handler() http.Handler {
 			writeJSON(w, http.StatusNotFound, errorJSON{Error: "not found"})
 			return
 		}
-		body, ok := readInfer(w, req, r.cfg.MaxBodyBytes)
+		body, buf, ok := readInfer(w, req, wireLimits{body: r.cfg.MaxBodyBytes})
 		if !ok {
 			return
 		}
+		// Each attempt of Infer forwards body's image slices as they are,
+		// after a header marshalled anew; none reads them afterwards.
+		defer buf.release()
 		resp, err := r.Infer(req.Context(), name, body)
 		if err != nil {
 			var qe *QuotaError
@@ -549,7 +551,7 @@ func (r *Router) Handler() http.Handler {
 			writeJSON(w, errStatus(err, http.StatusBadGateway), errorJSON{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeInfer(w, req, resp)
 	})
 	mux.HandleFunc("POST /v2/streams/{camera}", r.handleStreamProxy)
 	return mux

@@ -133,7 +133,7 @@ func TestSchedulerNext(t *testing.T) {
 			s := newScheduler(&cfg)
 			for i, st := range c.steps {
 				for _, a := range st.push {
-					p := &pending{req: &Request{ID: a.id, Items: a.items}, class: a.class, tenant: DefaultTenant}
+					p := &pending{req: Request{ID: a.id, Items: a.items}, class: a.class, tenant: DefaultTenant}
 					if a.tensors {
 						p.req.Inputs = make([][]float32, a.items)
 					}

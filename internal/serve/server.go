@@ -271,7 +271,9 @@ const (
 )
 
 type pending struct {
-	req      *Request
+	// req is the server's own copy of the request; once preprocessed,
+	// Inputs holds the tensors and Images is nil.
+	req      Request
 	class    Class
 	tenant   string       // canonical tenant id (DRR sub-queue key)
 	ts       *tenantState // per-tenant accounting, set at admission

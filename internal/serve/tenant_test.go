@@ -70,7 +70,7 @@ func TestParseTenantQuotaSpec(t *testing.T) {
 
 // mkPending builds a minimal queued request for DRR lane unit tests.
 func mkPending(tenant string, items int) *pending {
-	return &pending{req: &Request{Items: items}, tenant: tenant}
+	return &pending{req: Request{Items: items}, tenant: tenant}
 }
 
 // TestDRRLaneFairness: two tenants with equal-size requests share a

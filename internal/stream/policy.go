@@ -26,7 +26,7 @@ type Decision struct {
 	// session asks the local backend itself).
 	EstWait time.Duration
 	// Reason names the pressure signal that flipped the decision:
-	// "queue" or "power".
+	// "queue", "power" or "deadline".
 	Reason string
 	// QueueDepth is the local queue depth observed at decision time.
 	QueueDepth int64
@@ -141,12 +141,17 @@ func (p *OffloadPolicy) edgePowerW() float64 {
 
 // Decide picks the serving tier for one frame of payloadBytes, given
 // the local tier's wait estimate and the frame's remaining budget.
-// Offload engages when the local queue depth crosses the threshold,
-// the modeled edge power draw exceeds its budget, or the edge alone
-// cannot meet the deadline that the cloud path still can. The returned
-// EstWait for a cloud decision prices the serialized radio (frames
-// already on the uplink transmit first) plus one propagation delay,
-// scaled to wall time like the sleeps in Ship.
+// Past the queue-depth threshold a frame joins the shorter queue: it
+// ships to the cloud unless the edge can still meet the deadline and the
+// radio's own backlog (frames on the uplink × one transmit time) already
+// exceeds the local wait — one serialized radio is far slower than the
+// edge it relieves, and a burst priced onto it alone is dropped or
+// expires in flight (DESIGN.md "Offload"). Offload also engages, whatever
+// the radio holds, when the modeled edge power draw exceeds its budget
+// or the edge alone cannot meet the deadline. The returned EstWait for a
+// cloud decision prices the serialized radio (frames already on the
+// uplink transmit first) plus one propagation delay, scaled to wall time
+// like the sleeps in ship.
 func (p *OffloadPolicy) Decide(local Backend, model string, payloadBytes int, estLocal, remaining time.Duration) Decision {
 	if p == nil || p.Cloud == nil {
 		return Decision{}
@@ -166,32 +171,37 @@ func (p *OffloadPolicy) Decide(local Backend, model string, payloadBytes int, es
 	default:
 		return d
 	}
+	transmit := p.linkScale() * p.Link.TransmitOnlySeconds(payloadBytes, p.ChunkBytes)
+	backlog := float64(p.uplinkBusy.Load()) * transmit
+	if d.Reason == "queue" && estLocal <= remaining && backlog > estLocal.Seconds() {
+		d.Reason = "" // the edge is the shorter queue
+		return d
+	}
 	d.Cloud = true
-	occupancy := p.uplinkBusy.Load()
-	modeled := float64(occupancy+1)*p.Link.TransmitOnlySeconds(payloadBytes, p.ChunkBytes) + p.Link.RTTSeconds
-	d.EstWait = time.Duration(p.linkScale() * modeled * float64(time.Second))
+	d.EstWait = time.Duration((backlog + transmit + p.linkScale()*p.Link.RTTSeconds) * float64(time.Second))
 	return d
 }
 
-// Ship transmits the frame over the modeled uplink and runs it on the
+// ship transmits the frame over the modeled uplink and runs it on the
 // cloud tier. The serialization delay is slept while holding the radio
 // (a second frame queues behind it); the propagation delay is slept
 // outside the lock (propagation pipelines). Returns the cloud response
-// and the modeled upload seconds (unscaled, for metrics and spans).
-func (p *OffloadPolicy) Ship(ctx context.Context, id, model, tenant string, f Frame, format imaging.Format, deadline time.Time) (*serve.InferResponseJSON, float64, error) {
+// and the modeled upload seconds (unscaled, for metrics and spans). The
+// caller has counted the frame into uplinkBusy, when it decided and not
+// on this goroutine: a burst is decided before any of it is scheduled,
+// and each decision must see the frames already bound for the radio.
+func (p *OffloadPolicy) ship(ctx context.Context, id, model, tenant string, f Frame, format imaging.Format, deadline time.Time) (*serve.InferResponseJSON, float64, error) {
 	transmit := p.Link.TransmitOnlySeconds(len(f.Image), p.ChunkBytes)
 	uploadSec := transmit + p.Link.RTTSeconds
 	scale := p.linkScale()
 
-	p.uplinkBusy.Add(1)
 	p.uplinkMu.Lock()
-	if err := sleepCtx(ctx, time.Duration(scale*transmit*float64(time.Second))); err != nil {
-		p.uplinkMu.Unlock()
-		p.uplinkBusy.Add(-1)
-		return nil, uploadSec, err
-	}
+	err := sleepCtx(ctx, time.Duration(scale*transmit*float64(time.Second)))
 	p.uplinkMu.Unlock()
 	p.uplinkBusy.Add(-1)
+	if err != nil {
+		return nil, uploadSec, err
+	}
 	if err := sleepCtx(ctx, time.Duration(scale*p.Link.RTTSeconds*float64(time.Second))); err != nil {
 		return nil, uploadSec, err
 	}

@@ -479,7 +479,11 @@ func (s *Session) HandleFrame(ctx context.Context, f Frame, emit func(Outcome)) 
 	}
 
 	// Admitted: complete asynchronously so the read loop keeps
-	// draining the camera while this frame is in flight.
+	// draining the camera while this frame is in flight. A frame bound
+	// for the cloud is on the radio from here on (see ship).
+	if dec.Cloud {
+		s.ing.cfg.Offload.uplinkBusy.Add(1)
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -524,7 +528,7 @@ func (s *Session) serveEdge(ctx context.Context, f Frame, format imaging.Format,
 // serveCloud ships the frame over the modeled uplink to the cloud tier.
 func (s *Session) serveCloud(ctx context.Context, f Frame, format imaging.Format, hash uint64, recv, deadline time.Time, emit func(Outcome)) {
 	p := s.ing.cfg.Offload
-	out, uploadSec, err := p.Ship(ctx, s.frameID(f.Seq), s.Model, s.Tenant, f, format, deadline)
+	out, uploadSec, err := p.ship(ctx, s.frameID(f.Seq), s.Model, s.Tenant, f, format, deadline)
 	if uploadSec > 0 {
 		s.ing.met.uplink.Observe(uploadSec)
 		s.span("uplink", recv, time.Duration(uploadSec*float64(time.Second)), map[string]any{
