@@ -10,15 +10,18 @@ build:
 test: build
 	$(GO) test ./...
 
+# Vetted for arm64 too: the packed GEMM's assembly body is amd64-only,
+# and a function declared without a body elsewhere fails only there.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Race-check the concurrency-heavy packages (serving path incl. the
 # replica-pool router, the lock-free metrics recorders, the trace ring
 # buffer, pipeline, the live sim-vs-real validation, the pooled
 # preprocessing engines, the load harness, and the compute backend:
-# the goroutine-parallel packed/quantized GEMM kernels and the pooled
-# scratch buffers of the executable models, plus the streaming camera
+# the goroutine-parallel packed/quantized GEMM kernels, the attention
+# tasks and the workspace free lists of the executable models, plus the streaming camera
 # ingest tier with its async frame completions and serialized uplink),
 # and core's tier assembly (the rest of core is the single-threaded
 # characterization suite).

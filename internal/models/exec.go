@@ -2,7 +2,6 @@ package models
 
 import (
 	"fmt"
-	"sync"
 
 	"harvest/internal/quant"
 	"harvest/internal/tensor"
@@ -31,24 +30,56 @@ type Executor interface {
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
 }
 
-// linearOp applies y = x·Wᵀ + bias at some storage precision. The
-// float32 models and their precision wrappers share one forward
-// skeleton parameterized over these ops.
+// linearOp computes dst (m×out) = x (m×in)·Wᵀ + bias at some storage
+// precision — added to dst's old contents when acc — and then runs epi
+// over the finished rows (the op supplies epi.Bias). The float32 models
+// and their precision wrappers share one forward skeleton parameterized
+// over these ops.
 type linearOp interface {
-	apply(x *tensor.Tensor) *tensor.Tensor
+	apply(ws *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue)
 }
 
 // convOp applies a conv (+ folded BN + optional ReLU) at some storage
 // precision.
 type convOp interface {
-	apply(x *tensor.Tensor) *tensor.Tensor
+	apply(ws *workspace, x *tensor.Tensor) *tensor.Tensor
 }
 
-// denseLinear is the float32 op over the packed GEMM.
+// workspace is one forward pass's working memory: the ViT activations
+// and the reduced-precision ops' scratch. A forward takes one from its
+// model's free list and puts it back, so each buffer is sized by the
+// first forward at a (model, batch) and reused by every later one; no
+// two forwards hold the same workspace at once.
+type workspace struct {
+	patches, embedded, tokens, normed, qkv, attn, hidden, cls []float32
+
+	codes               []uint8
+	i32                 []int32
+	rowParams, cols, yT []float32
+	acts                tensor.PackedQ7
+}
+
+// newSpares returns a model's workspace free list. Its cap bounds the
+// memory a model keeps between forwards by the concurrent forwards it
+// has served (executor instances share one model), not by history.
+func newSpares() tensor.FreeList[*workspace] { return tensor.FreeList[*workspace]{Max: 4} }
+
+func getWorkspace(l *tensor.FreeList[*workspace]) *workspace {
+	if ws, ok := l.Get(); ok {
+		return ws
+	}
+	return new(workspace)
+}
+
+// denseLinear is the float32 op over the packed GEMM: bias and the
+// caller's epilogue run inside its row bands.
 type denseLinear struct{ w, b *tensor.Tensor }
 
-func (l denseLinear) apply(x *tensor.Tensor) *tensor.Tensor {
-	return tensor.Linear(x, l.w, l.b)
+func (l denseLinear) apply(_ *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue) {
+	if l.b != nil {
+		epi.Bias = l.b.Data
+	}
+	tensor.GemmTransBEpilogue(dst, x, l.w.Data, m, l.w.Shape[0], l.w.Shape[1], acc, epi)
 }
 
 // halfLinear stores weights as float16/bfloat16 words.
@@ -84,24 +115,14 @@ func encodeHalf(xs []float32, bf16 bool) []uint16 {
 	return out
 }
 
-func (l halfLinear) apply(x *tensor.Tensor) *tensor.Tensor {
-	m := x.Shape[0]
-	y := tensor.New(m, l.out)
-	tensor.GemmTransBF16Into(y.Data, x.Data, l.w, m, l.out, l.in, l.bf16)
-	addBiasRows(y.Data, l.bias, m, l.out)
-	return y
-}
-
-func addBiasRows(y, bias []float32, m, n int) {
-	if bias == nil {
-		return
+func (l halfLinear) apply(_ *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue) {
+	y := dst[:m*l.out]
+	if !acc {
+		clear(y)
 	}
-	for i := 0; i < m; i++ {
-		row := y[i*n : i*n+n]
-		for j := range row {
-			row[j] += bias[j]
-		}
-	}
+	tensor.GemmTransBF16Into(y, x, l.w, m, l.out, l.in, l.bf16)
+	epi.Bias = l.bias
+	epi.Apply(y, m, l.out)
 }
 
 // q7Linear holds symmetric per-output-channel 7-bit weights packed for
@@ -134,60 +155,21 @@ func newQ7Linear(w, bias *tensor.Tensor) q7Linear {
 	return l
 }
 
-func (l q7Linear) apply(x *tensor.Tensor) *tensor.Tensor {
-	m := x.Shape[0]
-	y := tensor.New(m, l.out)
-	sc := getExecScratch()
-	q7Forward(y.Data, x.Data, m, l.in, l.packed, l.scales, l.bias, sc)
-	putExecScratch(sc)
-	return y
+func (l q7Linear) apply(ws *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue) {
+	q7Forward(dst, x, m, l.in, l.packed, l.scales, acc, ws)
+	epi.Bias = l.bias
+	epi.Apply(dst, m, l.out)
 }
 
-// execScratch pools the per-call working set of the quantized and
-// half-precision paths (codes, int32 accumulators, packed activations,
-// im2col panels) so steady-state forwards do not allocate per layer.
-type execScratch struct {
-	codes []uint8
-	i32   []int32
-	f32   []float32
-	f32b  []float32
-	acts  tensor.PackedQ7
-}
-
-var execScratchPool = sync.Pool{New: func() any { return &execScratch{} }}
-
-func getExecScratch() *execScratch  { return execScratchPool.Get().(*execScratch) }
-func putExecScratch(s *execScratch) { execScratchPool.Put(s) }
-
-func growU8(buf *[]uint8, n int) []uint8 {
-	if cap(*buf) < n {
-		*buf = make([]uint8, n)
-	}
-	return (*buf)[:n]
-}
-
-func growI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	return (*buf)[:n]
-}
-
-func growF32(buf *[]float32, n int) []float32 {
-	if cap(*buf) < n {
-		*buf = make([]float32, n)
-	}
-	return (*buf)[:n]
-}
-
-// q7Forward computes out(m×n) = x(m×k)·Wᵀ + bias through the integer
+// q7Forward computes out(m×n) [+]= x(m×k)·Wᵀ through the integer
 // pipeline: per-row asymmetric 7-bit activation quantization, exact
 // int32 SWAR GEMM, then dequantization with the zero-point correction
-// sa·sw·(Σqa·qw − za·Σqw).
-func q7Forward(out, x []float32, m, k int, w *tensor.PackedQ7, scales, bias []float32, sc *execScratch) {
+// sa·sw·(Σqa·qw − za·Σqw). Its scratch is the workspace's codes,
+// rowParams, i32 and acts.
+func q7Forward(out, x []float32, m, k int, w *tensor.PackedQ7, scales []float32, acc bool, ws *workspace) {
 	n := w.Rows
-	codes := growU8(&sc.codes, m*k)
-	rowParams := growF32(&sc.f32, 2*m) // interleaved scale, zero-point
+	codes := tensor.Grow(&ws.codes, m*k)
+	rowParams := tensor.Grow(&ws.rowParams, 2*m) // interleaved scale, zero-point
 	for i := 0; i < m; i++ {
 		row := x[i*k : i*k+k]
 		p, err := quant.CalibrateQ7(row)
@@ -198,17 +180,17 @@ func q7Forward(out, x []float32, m, k int, w *tensor.PackedQ7, scales, bias []fl
 		rowParams[2*i] = p.Scale
 		rowParams[2*i+1] = float32(p.ZeroPoint)
 	}
-	tensor.PackQ7ActsInto(&sc.acts, codes, m, k)
-	raw := growI32(&sc.i32, m*n)
-	tensor.Q7GemmTransB(raw, &sc.acts, w)
+	tensor.PackQ7ActsInto(&ws.acts, codes, m, k)
+	raw := tensor.Grow(&ws.i32, m*n)
+	tensor.Q7GemmTransB(raw, &ws.acts, w)
 	for i := 0; i < m; i++ {
 		sa, za := rowParams[2*i], rowParams[2*i+1]
 		src := raw[i*n : i*n+n]
 		dst := out[i*n : i*n+n]
 		for j := range dst {
 			v := sa * scales[j] * (float32(src[j]) - za*float32(w.RowSum[j]))
-			if bias != nil {
-				v += bias[j]
+			if acc {
+				v += dst[j]
 			}
 			dst[j] = v
 		}
@@ -265,23 +247,19 @@ type halfConv struct {
 	epi  convEpilogue
 }
 
-func (c *halfConv) apply(x *tensor.Tensor) *tensor.Tensor {
+func (c *halfConv) apply(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
 	oh, ow := c.outSize(x)
 	ckk := c.inC * c.k * c.k
 	out := tensor.New(n, c.outC, oh, ow)
-	sc := getExecScratch()
-	cols := growF32(&sc.f32, oh*ow*ckk)
-	yT := growF32(&sc.f32b, oh*ow*c.outC)
+	cols := tensor.Grow(&ws.cols, oh*ow*ckk)
+	yT := tensor.Grow(&ws.yT, oh*ow*c.outC)
 	for b := 0; b < n; b++ {
 		tensor.Im2ColTransInto(cols, x, b, c.k, c.k, c.stride, c.pad, oh, ow)
-		for i := range yT {
-			yT[i] = 0
-		}
+		clear(yT)
 		tensor.GemmTransBF16Into(yT, cols, c.w, oh*ow, c.outC, ckk, c.bf16)
 		scatterConvOut(out, yT, b, c.outC, oh, ow)
 	}
-	putExecScratch(sc)
 	c.epi.run(out)
 	return out
 }
@@ -294,21 +272,18 @@ type q7Conv struct {
 	epi    convEpilogue
 }
 
-func (c *q7Conv) apply(x *tensor.Tensor) *tensor.Tensor {
+func (c *q7Conv) apply(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
 	oh, ow := c.outSize(x)
 	ckk := c.inC * c.k * c.k
 	out := tensor.New(n, c.outC, oh, ow)
-	sc := getExecScratch()
-	cols := growF32(&sc.f32b, oh*ow*ckk)
-	// q7Forward owns sc.f32/codes/i32; yT must not alias them.
-	yT := make([]float32, oh*ow*c.outC)
+	cols := tensor.Grow(&ws.cols, oh*ow*ckk)
+	yT := tensor.Grow(&ws.yT, oh*ow*c.outC)
 	for b := 0; b < n; b++ {
 		tensor.Im2ColTransInto(cols, x, b, c.k, c.k, c.stride, c.pad, oh, ow)
-		q7Forward(yT, cols, oh*ow, ckk, c.packed, c.scales, nil, sc)
+		q7Forward(yT, cols, oh*ow, ckk, c.packed, c.scales, false, ws)
 		scatterConvOut(out, yT, b, c.outC, oh, ow)
 	}
-	putExecScratch(sc)
 	c.epi.run(out)
 	return out
 }

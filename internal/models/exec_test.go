@@ -135,7 +135,7 @@ func TestViTBaseInt8LogitsDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewExecutable(NameViTBase, 1000, PrecInt8, stats.NewRNG(1))
+	q, err := NewPrecisionViT(base.(*ViTModel), PrecInt8)
 	if err != nil {
 		t.Fatal(err)
 	}

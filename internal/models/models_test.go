@@ -1,7 +1,9 @@
 package models
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"harvest/internal/stats"
@@ -186,32 +188,48 @@ func TestViTForwardShapesAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestViTForwardBatchConsistency: a batch's logits equal its images'
+// single forwards bit for bit, and equal themselves under GOMAXPROCS 1,
+// 2 and 4 — every output row is summed in the same order however the
+// batch is stacked, banded or split into edge tiles. This is what lets
+// a served fp32 answer equal a direct Forward whatever batch the
+// scheduler formed.
 func TestViTForwardBatchConsistency(t *testing.T) {
-	// Forward of a batch must equal per-image forwards.
-	cfg := MicroViTConfig(5)
-	m, err := NewViTModel(cfg, stats.NewRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.New(3, 3, cfg.InputSize, cfg.InputSize)
-	x.RandInit(stats.NewRNG(7), 1)
-	batchOut, err := m.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := cfg.InputSize * cfg.InputSize * 3
-	for b := 0; b < 3; b++ {
-		single := tensor.FromSlice(append([]float32(nil), x.Data[b*per:(b+1)*per]...),
-			1, 3, cfg.InputSize, cfg.InputSize)
-		out, err := m.Forward(single)
+	for _, name := range []string{"ViT_Micro", NameViTTiny} {
+		m, err := NewExecutable(name, 5, PrecFP32, stats.NewRNG(6))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for c := 0; c < 5; c++ {
-			if math.Abs(float64(out.At(0, c)-batchOut.At(b, c))) > 1e-4 {
-				t.Fatalf("image %d class %d: batch %v vs single %v",
-					b, c, batchOut.At(b, c), out.At(0, c))
-			}
+		x := execInput(t, name, 2)
+		want := mustForward(t, m, x)
+		per := len(x.Data) / 2
+		for b := 0; b < 2; b++ {
+			single := tensor.FromSlice(x.Data[b*per:(b+1)*per], 1, 3, x.Shape[2], x.Shape[3])
+			requireSameBits(t, name+" single image", mustForward(t, m, single).Data, want.Data[b*5:(b+1)*5])
+		}
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := mustForward(t, m, x)
+			runtime.GOMAXPROCS(prev)
+			requireSameBits(t, fmt.Sprintf("%s GOMAXPROCS=%d", name, procs), got.Data, want.Data)
+		}
+	}
+}
+
+func mustForward(t *testing.T, m Executor, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	y, err := m.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return y
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: logit %d is %v, want %v bit for bit", what, i, got[i], want[i])
 		}
 	}
 }

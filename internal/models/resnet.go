@@ -133,7 +133,7 @@ type resnetConv struct {
 	activateOn bool // apply ReLU after BN
 }
 
-func (rc *resnetConv) apply(x *tensor.Tensor) *tensor.Tensor {
+func (rc *resnetConv) apply(_ *workspace, x *tensor.Tensor) *tensor.Tensor {
 	y := tensor.Conv2D(x, rc.w, nil, rc.stride, rc.pad)
 	tensor.BatchNormInference(y, rc.bnMean, rc.bnVar, rc.bnG, rc.bnB, 1e-5)
 	if rc.activateOn {
@@ -155,6 +155,9 @@ type ResNetModel struct {
 	fcW, fcB     *tensor.Tensor
 	finalWidth   int
 	stemPoolSize int
+
+	dense  *resnetExec                 // the float32 op table
+	spares tensor.FreeList[*workspace] // shared with precision wrappers
 }
 
 // NewResNetModel allocates a ResNet with random weights and benign BN
@@ -177,7 +180,7 @@ func NewResNetModel(c ResNetConfig, r tensor.Rand64) (*ResNetModel, error) {
 		return &resnetConv{w: w, bnMean: mean, bnVar: variance, bnG: g, bnB: bta,
 			stride: stride, pad: pad, activateOn: act}
 	}
-	m := &ResNetModel{Config: c, stemPoolSize: 3}
+	m := &ResNetModel{Config: c, stemPoolSize: 3, spares: newSpares()}
 	m.stem = mkConv(c.StemWidth, 3, 7, 2, 3, true)
 	inC := c.StemWidth
 	for stage, nBlocks := range c.StageBlocks {
@@ -204,6 +207,7 @@ func NewResNetModel(c ResNetConfig, r tensor.Rand64) (*ResNetModel, error) {
 	m.fcW = tensor.New(c.NumClasses, inC)
 	m.fcW.RandInit(r, 0.08)
 	m.fcB = tensor.New(c.NumClasses)
+	m.dense = m.denseExec()
 	return m, nil
 }
 
@@ -284,7 +288,7 @@ func (p *PrecisionResNet) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // Forward runs a real forward pass over (B,3,S,S) and returns logits
 // (B x classes).
 func (m *ResNetModel) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return m.forward(m.denseExec(), x)
+	return m.forward(m.dense, x)
 }
 
 func (m *ResNetModel) forward(e *resnetExec, x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -292,20 +296,24 @@ func (m *ResNetModel) forward(e *resnetExec, x *tensor.Tensor) (*tensor.Tensor, 
 	if len(x.Shape) != 4 || x.Shape[1] != 3 || x.Shape[2] != c.InputSize || x.Shape[3] != c.InputSize {
 		return nil, fmt.Errorf("models: ResNet %s expects (B,3,%d,%d), got %v: %w", c.Name, c.InputSize, c.InputSize, x.Shape, tensor.ErrShape)
 	}
-	h := e.stem.apply(x)
+	ws := getWorkspace(&m.spares)
+	defer m.spares.Put(ws)
+	h := e.stem.apply(ws, x)
 	h = tensor.MaxPool2D(h, 3, 2, 1)
 	for _, blk := range e.blocks {
 		identity := h
-		out := blk.conv1.apply(h)
-		out = blk.conv2.apply(out)
-		out = blk.conv3.apply(out)
+		out := blk.conv1.apply(ws, h)
+		out = blk.conv2.apply(ws, out)
+		out = blk.conv3.apply(ws, out)
 		if blk.down != nil {
-			identity = blk.down.apply(h)
+			identity = blk.down.apply(ws, h)
 		}
 		tensor.AddInPlace(out, identity)
 		tensor.ReLU(out)
 		h = out
 	}
 	pooled := tensor.GlobalAvgPool2D(h) // (B x width)
-	return e.fc.apply(pooled), nil
+	logits := tensor.New(pooled.Shape[0], c.NumClasses)
+	e.fc.apply(ws, logits.Data, pooled.Data, pooled.Shape[0], false, tensor.Epilogue{})
+	return logits, nil
 }

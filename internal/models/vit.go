@@ -106,6 +106,9 @@ type ViTModel struct {
 	blocks         []vitBlock
 	normG, normB   *tensor.Tensor
 	headW, headB   *tensor.Tensor // (classes x d)
+
+	dense  *vitExec                    // the float32 op table
+	spares tensor.FreeList[*workspace] // shared with precision wrappers
 }
 
 // vitExec is the set of linear ops one forward pass routes through; the
@@ -122,8 +125,8 @@ type vitBlockExec struct {
 }
 
 // denseExec builds the float32 op table over the model's live weight
-// tensors. It is rebuilt per call site cheaply (ops are just pointer
-// pairs), so weights loaded in place are always current.
+// tensors. Ops hold the tensors themselves (LoadTensors copies into
+// them), so weights loaded in place are always current.
 func (m *ViTModel) denseExec() *vitExec {
 	e := &vitExec{
 		patch: denseLinear{w: m.patchW, b: m.patchB},
@@ -217,6 +220,7 @@ func NewViTModel(c ViTConfig, r tensor.Rand64) (*ViTModel, error) {
 		normB:    tensor.New(d),
 		headW:    mk(c.NumClasses, d),
 		headB:    mk(c.NumClasses),
+		spares:   newSpares(),
 	}
 	for i := 0; i < c.Depth; i++ {
 		m.blocks = append(m.blocks, vitBlock{
@@ -228,99 +232,86 @@ func NewViTModel(c ViTConfig, r tensor.Rand64) (*ViTModel, error) {
 			fc2W: mk(d, hidden), fc2B: mk(d),
 		})
 	}
+	m.dense = m.denseExec()
 	return m, nil
 }
 
 // Forward runs a real forward pass over a batch of CHW images
 // (batch x 3 x S x S) and returns logits (batch x classes).
 func (m *ViTModel) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return m.forward(m.denseExec(), x)
+	return m.forward(m.dense, x)
 }
 
+// forward runs the whole batch at once: the tokens of all B images are
+// one (B·n × d) activation, so each linear layer is one GEMM per batch.
+// fc1 applies bias+GELU in its epilogue, proj and fc2 accumulate into the
+// residual stream, and attention runs its (image, head) pairs as
+// parallel tasks reading Q, K and V out of the qkv activation in place.
+// Every row is computed the same way whatever B is, so a batch's logits
+// equal its images' single forwards bit for bit.
 func (m *ViTModel) forward(e *vitExec, x *tensor.Tensor) (*tensor.Tensor, error) {
 	c := m.Config
 	if len(x.Shape) != 4 || x.Shape[1] != 3 || x.Shape[2] != c.InputSize || x.Shape[3] != c.InputSize {
 		return nil, fmt.Errorf("models: ViT %s expects (B,3,%d,%d), got %v: %w", c.Name, c.InputSize, c.InputSize, x.Shape, tensor.ErrShape)
 	}
-	batch := x.Shape[0]
-	out := tensor.New(batch, c.NumClasses)
-	for b := 0; b < batch; b++ {
-		logits := m.forwardOne(e, x, b)
-		copy(out.Data[b*c.NumClasses:(b+1)*c.NumClasses], logits.Data)
-	}
-	return out, nil
-}
-
-func (m *ViTModel) forwardOne(e *vitExec, x *tensor.Tensor, b int) *tensor.Tensor {
-	c := m.Config
-	d := c.Dim
-	p := c.PatchSize
-	grid := c.InputSize / p
-	nPatch := grid * grid
+	batch, d, p, s := x.Shape[0], c.Dim, c.PatchSize, c.InputSize
+	grid := s / p
+	nPatch, pin := grid*grid, 3*p*p
 	n := nPatch + 1
-	pin := 3 * p * p
+	rows := batch * n
+	ws := getWorkspace(&m.spares)
+	defer m.spares.Put(ws)
 
-	// Extract patches into (nPatch x pin).
-	patches := tensor.New(nPatch, pin)
-	s := c.InputSize
-	for py := 0; py < grid; py++ {
-		for px := 0; px < grid; px++ {
-			row := patches.Data[(py*grid+px)*pin : (py*grid+px+1)*pin]
-			i := 0
-			for ch := 0; ch < 3; ch++ {
-				for dy := 0; dy < p; dy++ {
-					for dx := 0; dx < p; dx++ {
-						row[i] = x.Data[((b*3+ch)*s+(py*p+dy))*s+px*p+dx]
-						i++
+	// Patches of every image into (B·nPatch × pin), embedded, then laid
+	// out as each image's class token and patch tokens plus position.
+	patches := tensor.Grow(&ws.patches, batch*nPatch*pin)
+	for b := 0; b < batch; b++ {
+		for py := 0; py < grid; py++ {
+			for px := 0; px < grid; px++ {
+				row := patches[((b*grid+py)*grid+px)*pin:][:pin]
+				i := 0
+				for ch := 0; ch < 3; ch++ {
+					for dy := 0; dy < p; dy++ {
+						i += copy(row[i:i+p], x.Data[((b*3+ch)*s+py*p+dy)*s+px*p:])
 					}
 				}
 			}
 		}
 	}
-	// Token sequence with class token + position embedding.
-	embedded := e.patch.apply(patches) // (nPatch x d)
-	tokens := tensor.New(n, d)
-	copy(tokens.Data[:d], m.clsToken.Data)
-	copy(tokens.Data[d:], embedded.Data)
-	tensor.AddInPlace(tokens, m.posEmbed)
-
-	headDim := d / c.Heads
-	for bi := range m.blocks {
-		blk := &m.blocks[bi]
-		ops := &e.blocks[bi]
-		// Attention sub-block with pre-norm and residual.
-		normed := tokens.Clone()
-		tensor.LayerNorm(normed, blk.norm1G, blk.norm1B, 1e-6)
-		qkv := ops.qkv.apply(normed) // (n x 3d)
-		attnOut := tensor.New(n, d)
-		for h := 0; h < c.Heads; h++ {
-			q := tensor.New(n, headDim)
-			k := tensor.New(n, headDim)
-			v := tensor.New(n, headDim)
-			for t := 0; t < n; t++ {
-				base := t * 3 * d
-				copy(q.Data[t*headDim:(t+1)*headDim], qkv.Data[base+h*headDim:base+(h+1)*headDim])
-				copy(k.Data[t*headDim:(t+1)*headDim], qkv.Data[base+d+h*headDim:base+d+(h+1)*headDim])
-				copy(v.Data[t*headDim:(t+1)*headDim], qkv.Data[base+2*d+h*headDim:base+2*d+(h+1)*headDim])
-			}
-			o := tensor.Attention(q, k, v)
-			for t := 0; t < n; t++ {
-				copy(attnOut.Data[t*d+h*headDim:t*d+(h+1)*headDim], o.Data[t*headDim:(t+1)*headDim])
-			}
+	embedded := tensor.Grow(&ws.embedded, batch*nPatch*d)
+	e.patch.apply(ws, embedded, patches, batch*nPatch, false, tensor.Epilogue{})
+	tokens := tensor.Grow(&ws.tokens, rows*d)
+	for b := 0; b < batch; b++ {
+		img := tokens[b*n*d : (b+1)*n*d]
+		copy(img, m.clsToken.Data)
+		copy(img[d:], embedded[b*nPatch*d:(b+1)*nPatch*d])
+		for i, v := range m.posEmbed.Data {
+			img[i] += v
 		}
-		proj := ops.proj.apply(attnOut)
-		tensor.AddInPlace(tokens, proj)
-
-		// MLP sub-block with pre-norm and residual.
-		normed = tokens.Clone()
-		tensor.LayerNorm(normed, blk.norm2G, blk.norm2B, 1e-6)
-		hiddenT := ops.fc1.apply(normed)
-		tensor.GELU(hiddenT)
-		mlpOut := ops.fc2.apply(hiddenT)
-		tensor.AddInPlace(tokens, mlpOut)
 	}
 
-	tensor.LayerNorm(tokens, m.normG, m.normB, 1e-6)
-	cls := tensor.FromSlice(tokens.Data[:d], 1, d)
-	return e.head.apply(cls)
+	normed := tensor.Grow(&ws.normed, rows*d)
+	qkv := tensor.Grow(&ws.qkv, rows*3*d)
+	attn := tensor.Grow(&ws.attn, rows*d)
+	hidden := tensor.Grow(&ws.hidden, rows*c.MLPRatio*d)
+	for bi := range m.blocks {
+		blk, ops := &m.blocks[bi], &e.blocks[bi]
+		tensor.LayerNormRows(normed, tokens, rows, d, blk.norm1G.Data, blk.norm1B.Data, 1e-6)
+		ops.qkv.apply(ws, qkv, normed, rows, false, tensor.Epilogue{})
+		tensor.MultiHeadAttention(attn, qkv, batch, n, c.Heads, d/c.Heads)
+		ops.proj.apply(ws, tokens, attn, rows, true, tensor.Epilogue{})
+		tensor.LayerNormRows(normed, tokens, rows, d, blk.norm2G.Data, blk.norm2B.Data, 1e-6)
+		ops.fc1.apply(ws, hidden, normed, rows, false, tensor.Epilogue{GELU: true})
+		ops.fc2.apply(ws, tokens, hidden, rows, true, tensor.Epilogue{})
+	}
+
+	// The head reads only the class tokens, so only they are normed.
+	cls := tensor.Grow(&ws.cls, batch*d)
+	for b := 0; b < batch; b++ {
+		copy(cls[b*d:(b+1)*d], tokens[b*n*d:])
+	}
+	tensor.LayerNormRows(cls, cls, batch, d, m.normG.Data, m.normB.Data, 1e-6)
+	out := tensor.New(batch, c.NumClasses)
+	e.head.apply(ws, out.Data, cls, batch, false, tensor.Epilogue{})
+	return out, nil
 }

@@ -76,22 +76,21 @@ func TestCPUEngineEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestCPUEngineScalesToPlatform: ProcessBatch reports the measured host
+// CPU time through hw.ScaleCPUSeconds, so the platform ordering is
+// asserted on a fixed duration; two measured durations can order either
+// way on a loaded host.
 func TestCPUEngineScalesToPlatform(t *testing.T) {
-	items := testItems(t, datasets.SlugFruits360, 4)
-	fast := &CPUEngine{Platform: hw.A100(), Out: 32}
-	slow := &CPUEngine{Platform: hw.Jetson(), Out: 32}
-	rf, err := fast.ProcessBatch(items)
+	const host = 0.01
+	if j, a := hw.ScaleCPUSeconds(hw.Jetson(), host), hw.ScaleCPUSeconds(hw.A100(), host); j <= a {
+		t.Errorf("Jetson-scaled time %.4f not above cloud time %.4f", j, a)
+	}
+	res, err := (&CPUEngine{Platform: hw.Jetson(), Out: 32}).ProcessBatch(testItems(t, datasets.SlugFruits360, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := slow.ProcessBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Jetson cores are ~2.2x slower; allow wide tolerance for host
-	// timing noise but require a clear ordering.
-	if rs.Seconds <= rf.Seconds {
-		t.Errorf("Jetson-scaled time %.4f not above cloud time %.4f", rs.Seconds, rf.Seconds)
+	if res.Seconds <= 0 {
+		t.Errorf("modeled batch time %.4f, want > 0", res.Seconds)
 	}
 }
 

@@ -20,18 +20,21 @@ func shapeErrf(format string, args ...any) error {
 }
 
 // Cache-blocking parameters of the packed GEMM, BLIS-style. The kernel
-// computes C += A·B by tiling into MC×KC panels of A and KC×NC panels of
-// B, packing each panel into contiguous micro-strips, and running an
-// MR×NR register micro-kernel over the packed data. Sizes target the
-// common x86 hierarchy: a KC×NR B strip (4 KiB) and an MC... the packed
-// A block (MC·KC·4 = 128 KiB) live in L1/L2, the packed B panel
-// (KC·NC·4 = 512 KiB) in L2.
+// computes C += A·B by tiling into MC×KC blocks of A and KC×NC panels of
+// B, packing each into contiguous micro-strips, and running an MR×NR
+// register micro-kernel over the packed data: a 6×16 tile is twelve
+// 8-wide AVX2 accumulators. A KC×NR B strip (16 KiB) stays in L1, the
+// packed A block (MC·KC·4 = 144 KiB) in L2 beside the B panel
+// (KC·NC·4 = 768 KiB). KC also fixes every output's summation order:
+// each tile accumulates one KC panel from zero and is added to C once,
+// so a row's bits depend on k alone — not on m, the band split or
+// whether the row sits in an edge tile.
 const (
-	gemmMR = 2   // micro-kernel rows
-	gemmNR = 4   // micro-kernel columns
+	gemmMR = 6   // micro-kernel rows
+	gemmNR = 16  // micro-kernel columns
 	gemmKC = 256 // K blocking (panel depth)
-	gemmMC = 128 // M blocking (rows per packed A block)
-	gemmNC = 512 // N blocking (columns per packed B panel)
+	gemmMC = 144 // M blocking (rows per packed A block), a multiple of MR
+	gemmNC = 768 // N blocking (columns per packed B panel), a multiple of NR
 
 	// gemmMinMACsPerBand is the smallest amount of work (multiply-
 	// accumulates) worth a goroutine of its own; products below it run
@@ -39,24 +42,107 @@ const (
 	gemmMinMACsPerBand = 1 << 16
 )
 
-// Pack-buffer pools, one buffer class per panel kind. Buffers are sized
-// for the largest block so every Get can be used for any edge block.
-var (
-	packAPool = sync.Pool{New: func() any {
-		s := make([]float32, gemmMC*gemmKC)
-		return &s
-	}}
-	packBPool = sync.Pool{New: func() any {
-		s := make([]float32, gemmKC*gemmNC)
-		return &s
-	}}
-)
+// microKernel adds the MR×NR product of a kc-deep packed A strip (MR
+// values per k) and B strip (NR values per k) into c (row stride ldc).
+// Both bodies accumulate from zero and touch c once, at the end.
+type microKernel func(ap, bp []float32, kc int, c []float32, ldc int)
 
-// packBFunc fills dst with the packed KC×NC panel of B starting at
-// (kOff, nOff), laid out in NR-column strips with zero padding to a
-// strip multiple. Implementations exist for row-major B (k×n),
-// transposed B (n×k) and half-precision transposed B.
-type packBFunc func(dst []float32, kOff, kc, nOff, nc int)
+// microGo is the portable body of the 6×16 micro-kernel.
+func microGo(ap, bp []float32, kc int, c []float32, ldc int) {
+	var acc [gemmMR][gemmNR]float32
+	for p := 0; p < kc; p++ {
+		a := (*[gemmMR]float32)(ap[p*gemmMR:])
+		b := (*[gemmNR]float32)(bp[p*gemmNR:])
+		for r := range acc {
+			ar, row := a[r], &acc[r]
+			for j := range row {
+				row[j] += ar * b[j]
+			}
+		}
+	}
+	for r := range acc {
+		cr := (*[gemmNR]float32)(c[r*ldc:])
+		for j, v := range &acc[r] {
+			cr[j] += v
+		}
+	}
+}
+
+// worker is one goroutine's GEMM working memory: the A and B pack
+// buffers, the edge-tile scratch, the attention score rows, and — when
+// this worker fans a product out — the job its helpers read. Workers
+// come from a bounded free list, not a sync.Pool: a GC empties a pool,
+// and the buffers would be allocated again on the next forward.
+type worker struct {
+	packA, packB, scores []float32
+	edge                 [gemmMR * gemmNR]float32
+	job                  gemm
+	wg                   sync.WaitGroup
+}
+
+var workers = FreeList[*worker]{Max: 2 * runtime.GOMAXPROCS(0)}
+
+func getWorker() *worker {
+	if w, ok := workers.Get(); ok {
+		return w
+	}
+	return new(worker)
+}
+
+// Grow returns (*buf)[:n], first replacing *buf when its capacity is
+// short. The contents are whatever the buffer last held.
+func Grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// FreeList is a bounded stack of reusable values. A garbage collection
+// does not empty it (unlike a sync.Pool), and it keeps at most Max
+// values, so what it retains is bounded by peak concurrency, not by
+// history. Safe for concurrent use.
+type FreeList[T any] struct {
+	Max   int
+	mu    sync.Mutex
+	items []T
+}
+
+// Get pops a value, reporting false when the list is empty.
+func (f *FreeList[T]) Get() (v T, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.items); n > 0 {
+		v, f.items = f.items[n-1], f.items[:n-1]
+		return v, true
+	}
+	return v, false
+}
+
+// Put keeps v for a later Get, or drops it when Max values are kept.
+func (f *FreeList[T]) Put(v T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.items) < f.Max {
+		f.items = append(f.items, v)
+	}
+}
+
+// gemm is one product C (m×n, row stride ldc) [+]= A (m×k, row stride
+// lda) · B, followed by an epilogue on each finished row. B is b (fp32)
+// or bh (float16/bfloat16 bit patterns), row-major k×n or, with transB,
+// n×k; ldb is its row stride. The fields describe the operands so a band
+// packs them without a closure.
+type gemm struct {
+	c, a          []float32
+	b             []float32
+	bh            []uint16
+	ldc, lda, ldb int
+	m, n, k       int
+	transB, bf16  bool
+	zero          bool // clear C's m×n block before accumulating
+	epi           Epilogue
+}
 
 // MatMulNaive computes C = A(MxK) * B(KxN) with the textbook triple
 // loop. It is the reference implementation the optimized kernels are
@@ -97,26 +183,24 @@ func MatMul(a, b *Tensor) *Tensor {
 // GemmInto computes c += a*b on raw slices (c is assumed zeroed or to be
 // accumulated into), with a (m x k), b (k x n), c (m x n), row-major.
 func GemmInto(c, a, b []float32, m, n, k int) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return
-	}
-	packB := func(dst []float32, kOff, kc, nOff, nc int) {
-		packBRowMajor(dst, b, n, kOff, kc, nOff, nc)
-	}
-	gemmParallel(c, a, m, n, k, gemmWorkers(m, n, k), packB)
+	g := gemm{c: c, a: a, b: b, ldc: n, lda: k, ldb: n, m: m, n: n, k: k}
+	g.run()
 }
 
 // GemmTransBInto computes c += a*bᵀ with a (m x k), b (n x k), c
 // (m x n), all row-major. This is the natural layout for linear layers
 // whose weights are stored (out_features x in_features).
 func GemmTransBInto(c, a, b []float32, m, n, k int) {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return
-	}
-	packB := func(dst []float32, kOff, kc, nOff, nc int) {
-		packBTransposed(dst, b, k, kOff, kc, nOff, nc)
-	}
-	gemmParallel(c, a, m, n, k, gemmWorkers(m, n, k), packB)
+	GemmTransBEpilogue(c, a, b, m, n, k, true, Epilogue{})
+}
+
+// GemmTransBEpilogue computes c = a·bᵀ — or c += a·bᵀ when accumulate —
+// with a (m×k), b (n×k), c (m×n) row-major, then applies epi to each
+// finished row inside the parallel row bands.
+func GemmTransBEpilogue(c, a, b []float32, m, n, k int, accumulate bool, epi Epilogue) {
+	g := gemm{c: c, a: a, b: b, ldc: n, lda: k, ldb: k, m: m, n: n, k: k,
+		transB: true, zero: !accumulate, epi: epi}
+	g.run()
 }
 
 // gemmWorkers picks the goroutine count for an m×n×k product: at most
@@ -143,223 +227,144 @@ func gemmWorkersFor(m, n, k, procs int) int {
 	return w
 }
 
-// gemmParallel splits the M dimension into w contiguous row bands of
-// near-equal size (the first m%w bands take one extra row, so no band is
-// ever empty — including m < w, where w is clamped to m) and runs the
-// packed kernel over each band concurrently.
-func gemmParallel(c, a []float32, m, n, k, w int, packB packBFunc) {
-	if w <= 1 {
-		gemmBand(c, a, 0, m, n, k, packB)
+func (g *gemm) run() {
+	if g.m <= 0 || g.n <= 0 || g.k <= 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	base, rem := m/w, m%w
-	lo := 0
-	for i := 0; i < w; i++ {
-		rows := base
-		if i < rem {
-			rows++
-		}
-		hi := lo + rows
-		wg.Add(1)
+	g.parallel(gemmWorkers(g.m, g.n, g.k))
+}
+
+// parallel splits the rows into at most w contiguous bands of whole MR
+// strips (the first bands take one strip more, so none is ever empty)
+// and runs them concurrently, the caller's goroutine taking the first.
+func (g *gemm) parallel(w int) {
+	wk := getWorker()
+	defer workers.Put(wk)
+	strips := (g.m + gemmMR - 1) / gemmMR
+	w = min(w, strips)
+	if w <= 1 {
+		g.band(wk, 0, g.m)
+		return
+	}
+	wk.job = *g
+	job := &wk.job
+	// Deferred so that no helper outlives wk's return to the free list,
+	// even when the caller's band panics.
+	defer func() {
+		wk.wg.Wait()
+		wk.job = gemm{}
+	}()
+	base, rem := strips/w, strips%w
+	bandRows := func(i int) int { return (base + min(1, max(0, rem-i))) * gemmMR }
+	lo := bandRows(0)
+	for i := 1; i < w; i++ {
+		hi := min(lo+bandRows(i), g.m)
+		wk.wg.Add(1)
 		go func(lo, hi int) {
-			defer wg.Done()
-			gemmBand(c, a, lo, hi, n, k, packB)
+			defer wk.wg.Done()
+			h := getWorker()
+			job.band(h, lo, hi)
+			workers.Put(h)
 		}(lo, hi)
 		lo = hi
 	}
-	wg.Wait()
+	job.band(wk, 0, bandRows(0))
 }
 
-// gemmBand computes rows [rowLo,rowHi) of c += a·B through the blocked
-// packed pipeline: for each KC×NC panel of B (packed once per band via
-// packB) pack the matching MC×KC block of A into MR strips and sweep the
-// MR×NR micro-kernel over the packed panels. Each band owns its pack
-// buffers (taken from pools), so bands share nothing but the inputs.
-func gemmBand(c, a []float32, rowLo, rowHi, n, k int, packB packBFunc) {
-	paPtr := packAPool.Get().(*[]float32)
-	pbPtr := packBPool.Get().(*[]float32)
-	defer packAPool.Put(paPtr)
-	defer packBPool.Put(pbPtr)
-	pa, pb := *paPtr, *pbPtr
-
-	for jc := 0; jc < n; jc += gemmNC {
-		nc := min(gemmNC, n-jc)
-		for pc := 0; pc < k; pc += gemmKC {
-			kc := min(gemmKC, k-pc)
-			packB(pb, pc, kc, jc, nc)
+// band computes rows [rowLo,rowHi) of the product through the blocked
+// packed pipeline: for each KC×NC panel of B (packed once per band) pack
+// the matching MC×KC block of A into MR strips and sweep the micro-kernel
+// over the packed panels; then run the epilogue over the band's rows.
+func (g *gemm) band(wk *worker, rowLo, rowHi int) {
+	c, ldc := g.c, g.ldc
+	if g.zero {
+		for i := rowLo; i < rowHi; i++ {
+			clear(c[i*ldc : i*ldc+g.n])
+		}
+	}
+	pa := Grow(&wk.packA, min(gemmMC, rowHi-rowLo+gemmMR)*min(gemmKC, g.k))
+	pb := Grow(&wk.packB, (min(gemmNC, g.n)+gemmNR-1)/gemmNR*gemmNR*min(gemmKC, g.k))
+	for jc := 0; jc < g.n; jc += gemmNC {
+		nc := min(gemmNC, g.n-jc)
+		for pc := 0; pc < g.k; pc += gemmKC {
+			kc := min(gemmKC, g.k-pc)
+			g.packB(pb, pc, kc, jc, nc)
 			for ic := rowLo; ic < rowHi; ic += gemmMC {
 				mc := min(gemmMC, rowHi-ic)
-				packARows(pa, a, k, ic, mc, pc, kc)
+				packARows(pa, g.a, g.lda, ic, mc, pc, kc)
 				for jr := 0; jr < nc; jr += gemmNR {
 					nr := min(gemmNR, nc-jr)
-					bs := pb[(jr/gemmNR)*(kc*gemmNR):]
+					bs := pb[jr*kc:]
 					for ir := 0; ir < mc; ir += gemmMR {
 						mr := min(gemmMR, mc-ir)
-						as := pa[(ir/gemmMR)*(kc*gemmMR):]
-						micro2x4(as, bs, kc, c[(ic+ir)*n+jc+jr:], n, mr, nr)
+						as := pa[ir*kc:]
+						ct := c[(ic+ir)*ldc+jc+jr:]
+						if mr == gemmMR && nr == gemmNR {
+							micro(as, bs, kc, ct, ldc)
+							continue
+						}
+						// Edge tile: run the same kernel on a copy of the
+						// valid region, so its bits match a full tile's.
+						t := wk.edge[:]
+						for i := 0; i < mr; i++ {
+							copy(t[i*gemmNR:i*gemmNR+nr], ct[i*ldc:i*ldc+nr])
+						}
+						micro(as, bs, kc, t, gemmNR)
+						for i := 0; i < mr; i++ {
+							copy(ct[i*ldc:i*ldc+nr], t[i*gemmNR:i*gemmNR+nr])
+						}
 					}
 				}
 			}
 		}
 	}
+	g.epi.rows(c, ldc, rowLo, rowHi, g.n)
 }
 
-// packARows packs the mc×kc block of a starting at (rowOff, kOff) into
-// MR-row strips: strip s holds rows [rowOff+s·MR, rowOff+s·MR+MR) laid
-// out k-major (for each k, the MR row values adjacent), zero-padded when
-// mc is not a strip multiple.
-func packARows(dst, a []float32, lda, rowOff, mc, kOff, kc int) {
-	di := 0
-	for i0 := 0; i0 < mc; i0 += gemmMR {
-		r0 := a[(rowOff+i0)*lda+kOff:]
-		if i0+1 < mc {
-			r1 := a[(rowOff+i0+1)*lda+kOff:]
-			for p := 0; p < kc; p++ {
-				dst[di] = r0[p]
-				dst[di+1] = r1[p]
-				di += 2
-			}
-		} else {
-			for p := 0; p < kc; p++ {
-				dst[di] = r0[p]
-				dst[di+1] = 0
-				di += 2
-			}
-		}
-	}
-}
-
-// packBRowMajor packs the kc×nc panel of row-major b (ldb = n) starting
-// at (kOff, nOff) into NR-column strips, zero-padded to a strip
+// packB fills dst with the kc×nc panel of B at (kOff, nOff) in NR-column
+// strips (for each k, NR adjacent values), zero-padded to a strip
 // multiple.
-func packBRowMajor(dst, b []float32, ldb, kOff, kc, nOff, nc int) {
-	di := 0
+func (g *gemm) packB(dst []float32, kOff, kc, nOff, nc int) {
 	for j0 := 0; j0 < nc; j0 += gemmNR {
 		w := min(gemmNR, nc-j0)
-		for p := 0; p < kc; p++ {
-			row := b[(kOff+p)*ldb+nOff+j0:]
-			for e := 0; e < w; e++ {
-				dst[di+e] = row[e]
-			}
-			for e := w; e < gemmNR; e++ {
-				dst[di+e] = 0
-			}
-			di += gemmNR
+		s := dst[j0*kc : (j0+gemmNR)*kc]
+		if w < gemmNR {
+			clear(s)
 		}
-	}
-}
-
-// packBTransposed packs the same logical kc×nc panel when b is stored
-// transposed (n×k row-major, ldb = k): column j of B is row j of b.
-func packBTransposed(dst, b []float32, ldb, kOff, kc, nOff, nc int) {
-	di := 0
-	for j0 := 0; j0 < nc; j0 += gemmNR {
-		w := min(gemmNR, nc-j0)
-		var c0, c1, c2, c3 []float32
-		c0 = b[(nOff+j0)*ldb+kOff:]
-		if w > 1 {
-			c1 = b[(nOff+j0+1)*ldb+kOff:]
-		}
-		if w > 2 {
-			c2 = b[(nOff+j0+2)*ldb+kOff:]
-		}
-		if w > 3 {
-			c3 = b[(nOff+j0+3)*ldb+kOff:]
-		}
-		switch w {
-		case gemmNR:
+		switch {
+		case !g.transB:
 			for p := 0; p < kc; p++ {
-				dst[di] = c0[p]
-				dst[di+1] = c1[p]
-				dst[di+2] = c2[p]
-				dst[di+3] = c3[p]
-				di += gemmNR
+				copy(s[p*gemmNR:p*gemmNR+w], g.b[(kOff+p)*g.ldb+nOff+j0:])
+			}
+		case g.bh != nil:
+			for e := 0; e < w; e++ {
+				packHalfColumn(s[e:], g.bh[(nOff+j0+e)*g.ldb+kOff:][:kc], g.bf16)
 			}
 		default:
-			for p := 0; p < kc; p++ {
-				dst[di] = c0[p]
-				if w > 1 {
-					dst[di+1] = c1[p]
-				} else {
-					dst[di+1] = 0
+			// Column j of B is row j of b: read each row contiguously.
+			for e := 0; e < w; e++ {
+				for p, v := range g.b[(nOff+j0+e)*g.ldb+kOff:][:kc] {
+					s[p*gemmNR+e] = v
 				}
-				if w > 2 {
-					dst[di+2] = c2[p]
-				} else {
-					dst[di+2] = 0
-				}
-				dst[di+3] = 0
-				di += gemmNR
 			}
 		}
 	}
 }
 
-// micro2x4 is the register micro-kernel: it accumulates the MR×NR
-// (2×4) outer product over a kc-deep packed A strip (MR values per k)
-// and packed B strip (NR values per k) into eight register-resident
-// accumulators — the inner loop touches no C memory and carries no
-// bounds checks beyond the strip loads — then adds the mr×nr valid
-// region into C. The k loop is unrolled by two.
-func micro2x4(ap, bp []float32, kc int, c []float32, ldc, mr, nr int) {
-	var c00, c01, c02, c03, c10, c11, c12, c13 float32
-	ai, bi := 0, 0
-	for p := 0; p+1 < kc; p += 2 {
-		a0, a1 := ap[ai], ap[ai+1]
-		b0, b1, b2, b3 := bp[bi], bp[bi+1], bp[bi+2], bp[bi+3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		a0, a1 = ap[ai+2], ap[ai+3]
-		b0, b1, b2, b3 = bp[bi+4], bp[bi+5], bp[bi+6], bp[bi+7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		ai += 2 * gemmMR
-		bi += 2 * gemmNR
-	}
-	if kc&1 != 0 {
-		a0, a1 := ap[ai], ap[ai+1]
-		b0, b1, b2, b3 := bp[bi], bp[bi+1], bp[bi+2], bp[bi+3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-	}
-	if mr == gemmMR && nr == gemmNR {
-		c[0] += c00
-		c[1] += c01
-		c[2] += c02
-		c[3] += c03
-		c[ldc] += c10
-		c[ldc+1] += c11
-		c[ldc+2] += c12
-		c[ldc+3] += c13
-		return
-	}
-	// Edge tile: the packed strips are zero-padded so the accumulators
-	// are exact; only the write-back is masked.
-	var tmp [gemmMR][gemmNR]float32
-	tmp[0] = [gemmNR]float32{c00, c01, c02, c03}
-	tmp[1] = [gemmNR]float32{c10, c11, c12, c13}
-	for i := 0; i < mr; i++ {
-		for j := 0; j < nr; j++ {
-			c[i*ldc+j] += tmp[i][j]
+// packARows packs the mc×kc block of a at (rowOff, kOff) into MR-row
+// strips: for each k, the MR row values adjacent, zero-padded when mc is
+// not a strip multiple.
+func packARows(dst, a []float32, lda, rowOff, mc, kOff, kc int) {
+	for i0 := 0; i0 < mc; i0 += gemmMR {
+		s := dst[i0*kc : (i0+gemmMR)*kc]
+		rows := min(gemmMR, mc-i0)
+		if rows < gemmMR {
+			clear(s)
+		}
+		for r := 0; r < rows; r++ {
+			for p, v := range a[(rowOff+i0+r)*lda+kOff:][:kc] {
+				s[p*gemmMR+r] = v
+			}
 		}
 	}
 }
@@ -381,25 +386,19 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 // Linear applies y = x*W^T + bias for x (B x in), w (out x in),
 // bias (out) which may be nil.
 func Linear(x, w, bias *Tensor) *Tensor {
-	y := MatMulTransB(x, w)
+	m, k := x.Shape[0], x.Shape[1]
+	n, k2 := w.Shape[0], w.Shape[1]
+	if k != k2 {
+		panic(shapeErrf("Linear inner dimension mismatch: %v x %v", x.Shape, w.Shape))
+	}
+	var epi Epilogue
 	if bias != nil {
-		if len(bias.Data) != y.Shape[1] {
-			panic(shapeErrf("Linear bias has %d values, want %d", len(bias.Data), y.Shape[1]))
+		if len(bias.Data) != n {
+			panic(shapeErrf("Linear bias has %d values, want %d", len(bias.Data), n))
 		}
-		n := y.Shape[1]
-		for i := 0; i < y.Shape[0]; i++ {
-			row := y.Data[i*n : i*n+n]
-			for j := range row {
-				row[j] += bias.Data[j]
-			}
-		}
+		epi.Bias = bias.Data
 	}
+	y := New(m, n)
+	GemmTransBEpilogue(y.Data, x.Data, w.Data, m, n, k, false, epi)
 	return y
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

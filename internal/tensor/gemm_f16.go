@@ -20,48 +20,18 @@ func GemmTransBF16Into(c, a []float32, b []uint16, m, n, k int, bf16 bool) {
 	if len(b) < n*k {
 		panic(shapeErrf("GemmTransBF16Into weights have %d values, want %d", len(b), n*k))
 	}
-	packB := func(dst []float32, kOff, kc, nOff, nc int) {
-		packBTransHalf(dst, b, k, kOff, kc, nOff, nc, bf16)
-	}
-	gemmParallel(c, a, m, n, k, gemmWorkers(m, n, k), packB)
+	g := gemm{c: c, a: a, bh: b, ldc: n, lda: k, ldb: k, m: m, n: n, k: k, transB: true, bf16: bf16}
+	g.run()
 }
 
-// packBTransHalf packs the kc×nc panel of a transposed half-precision B
-// (n×k, ldb = k) into NR-column strips, converting each value to f32 as
-// it lands in the pack buffer.
-func packBTransHalf(dst []float32, b []uint16, ldb, kOff, kc, nOff, nc int, bf16 bool) {
-	conv := func(v uint16) float32 {
+// packHalfColumn converts one kc-long column of a transposed
+// half-precision B into every NR-th slot of a B strip.
+func packHalfColumn(dst []float32, col []uint16, bf16 bool) {
+	for p, v := range col {
 		if bf16 {
-			return math.Float32frombits(uint32(v) << 16)
-		}
-		return quant.Float16(v).Float32()
-	}
-	di := 0
-	for j0 := 0; j0 < nc; j0 += gemmNR {
-		w := min(gemmNR, nc-j0)
-		if w == gemmNR {
-			c0 := b[(nOff+j0)*ldb+kOff:]
-			c1 := b[(nOff+j0+1)*ldb+kOff:]
-			c2 := b[(nOff+j0+2)*ldb+kOff:]
-			c3 := b[(nOff+j0+3)*ldb+kOff:]
-			for p := 0; p < kc; p++ {
-				dst[di] = conv(c0[p])
-				dst[di+1] = conv(c1[p])
-				dst[di+2] = conv(c2[p])
-				dst[di+3] = conv(c3[p])
-				di += gemmNR
-			}
-			continue
-		}
-		for p := 0; p < kc; p++ {
-			for e := 0; e < gemmNR; e++ {
-				if e < w {
-					dst[di+e] = conv(b[(nOff+j0+e)*ldb+kOff+p])
-				} else {
-					dst[di+e] = 0
-				}
-			}
-			di += gemmNR
+			dst[p*gemmNR] = math.Float32frombits(uint32(v) << 16)
+		} else {
+			dst[p*gemmNR] = quant.Float16(v).Float32()
 		}
 	}
 }

@@ -68,10 +68,8 @@ func TestGemmParallelBandsMatchNaive(t *testing.T) {
 		want := MatMulNaive(a, b)
 		for w := 1; w <= 8; w++ {
 			c := New(m, n)
-			packB := func(dst []float32, kOff, kc, nOff, nc int) {
-				packBRowMajor(dst, b.Data, n, kOff, kc, nOff, nc)
-			}
-			gemmParallel(c.Data, a.Data, m, n, k, w, packB)
+			g := gemm{c: c.Data, a: a.Data, b: b.Data, ldc: n, lda: k, ldb: n, m: m, n: n, k: k}
+			g.parallel(w)
 			if d := float32(MaxAbsDiff(c, want)); d > gemmTol(k) {
 				t.Fatalf("m=%d w=%d: parallel bands diverge from naive by %g", m, w, d)
 			}

@@ -28,13 +28,111 @@ func ReLU(t *Tensor) {
 	}
 }
 
+// Epilogue is the work a GEMM does on each output row once the row is
+// final, inside the parallel row bands that computed it: add Bias, then
+// apply GELU, then — when SoftmaxScale is non-zero — replace the row by
+// softmax(row·SoftmaxScale). The zero value does nothing.
+type Epilogue struct {
+	Bias         []float32
+	GELU         bool
+	SoftmaxScale float32
+}
+
+// Apply runs the epilogue over every row of the m×n row-major c, for
+// products computed outside the packed GEMM.
+func (e Epilogue) Apply(c []float32, m, n int) { e.rows(c, n, 0, m, n) }
+
+func (e Epilogue) rows(c []float32, ldc, lo, hi, n int) {
+	if e.Bias == nil && !e.GELU && e.SoftmaxScale == 0 {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		row := c[i*ldc : i*ldc+n]
+		if e.Bias != nil {
+			for j, b := range e.Bias[:n] {
+				row[j] += b
+			}
+		}
+		if e.GELU {
+			geluRow(row)
+		}
+		if e.SoftmaxScale != 0 {
+			softmaxRow(row, e.SoftmaxScale)
+		}
+	}
+}
+
+// exp32 returns eʸ in float32 within 2 ulp for y in [-87.33, 88.37]
+// (1.33 measured over [-87, 88]; TestExp32Accuracy pins the bound);
+// callers bring y into that range with expClamp. y = k·ln2 + r,
+// |r| ≤ ln2/2, with ln2 split Cody–Waite style so k·ln2Hi is exact; eʳ
+// is the degree-6 polynomial through eʳ at the Chebyshev nodes of that
+// interval (2.5e-9 relative error), in Horner form to stay inlinable;
+// 2ᵏ is spliced into the exponent bits.
+func exp32(y float32) float32 {
+	const (
+		log2e = 1.44269504088896341
+		ln2Hi = 0.693359375
+		ln2Lo = -2.12194440e-4
+		shift = 1.5 * (1 << 23) // t = y+shift holds round(y) in its low mantissa bits
+	)
+	t := y*log2e + shift
+	kf := t - shift
+	r := y - kf*ln2Hi - kf*ln2Lo
+	p := 1 + r*(1+r*(0.5+r*(0.16666415+r*(0.041666353+r*(0.0083751264+r*0.0013941108)))))
+	return p * math.Float32frombits((math.Float32bits(t)-0x4b400000+127)<<23)
+}
+
+// expClamp clamps y into exp32's domain, where k stays a normal
+// exponent: below it eʸ is about 2⁻¹²⁶, nothing to a softmax or GELU.
+func expClamp(y float32) float32 {
+	if y < -87.33 {
+		return -87.33
+	}
+	if y > 88.37 {
+		return 88.37
+	}
+	return y
+}
+
+// geluRow applies GELU's tanh form ½x(1 + tanh u), u = √(2/π)(x +
+// 0.044715x³), to row in place, written x / (1 + e^(−2u)) so exp32
+// serves it as it serves softmax.
+func geluRow(row []float32) {
+	for j, x := range row {
+		row[j] = x / (1 + exp32(expClamp(-2*0.7978845608028654*(x+0.044715*x*x*x))))
+	}
+}
+
 // GELU applies the Gaussian error linear unit (tanh approximation, as
-// used by ViT) in place.
-func GELU(t *Tensor) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range t.Data {
-		x := float64(v)
-		t.Data[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
+// used by ViT) in place, with the row function the GEMM epilogue uses.
+func GELU(t *Tensor) { geluRow(t.Data) }
+
+// softmaxRow replaces row by softmax(row·scale) for scale > 0: float32
+// exponentials, a float64 sum. Two elements per iteration, so their
+// independent exp32 chains overlap (8 % faster than one).
+func softmaxRow(row []float32, scale float32) {
+	maxv := row[0]
+	for _, v := range row {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	i := 0
+	for ; i+1 < len(row); i += 2 {
+		e0 := exp32(expClamp((row[i] - maxv) * scale))
+		e1 := exp32(expClamp((row[i+1] - maxv) * scale))
+		row[i], row[i+1] = e0, e1
+		sum += float64(e0) + float64(e1)
+	}
+	if i < len(row) {
+		row[i] = exp32(expClamp((row[i] - maxv) * scale))
+		sum += float64(row[i])
+	}
+	inv := float32(1 / sum)
+	for j := range row {
+		row[j] *= inv
 	}
 }
 
@@ -44,26 +142,7 @@ func SoftmaxRows(t *Tensor) {
 	if len(t.Shape) != 2 {
 		panic("tensor: SoftmaxRows needs a 2-D tensor")
 	}
-	n := t.Shape[1]
-	for i := 0; i < t.Shape[0]; i++ {
-		row := t.Data[i*n : i*n+n]
-		maxv := row[0]
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - maxv))
-			row[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range row {
-			row[j] *= inv
-		}
-	}
+	Epilogue{SoftmaxScale: 1}.Apply(t.Data, t.Shape[0], t.Shape[1])
 }
 
 // LayerNorm normalizes each row of a 2-D tensor to zero mean / unit
@@ -73,9 +152,14 @@ func LayerNorm(t, gamma, beta *Tensor, eps float32) {
 	if len(t.Shape) != 2 {
 		panic("tensor: LayerNorm needs a 2-D tensor")
 	}
-	n := t.Shape[1]
-	for i := 0; i < t.Shape[0]; i++ {
-		row := t.Data[i*n : i*n+n]
+	LayerNormRows(t.Data, t.Data, t.Shape[0], t.Shape[1], gamma.Data, beta.Data, eps)
+}
+
+// LayerNormRows writes the layer norm of each of the m rows of src (m×n
+// row-major) into dst, which may be src.
+func LayerNormRows(dst, src []float32, m, n int, gamma, beta []float32, eps float32) {
+	for i := 0; i < m; i++ {
+		row := src[i*n : i*n+n]
 		var mean float64
 		for _, v := range row {
 			mean += float64(v)
@@ -88,8 +172,10 @@ func LayerNorm(t, gamma, beta *Tensor, eps float32) {
 		}
 		varacc /= float64(n)
 		inv := float32(1 / math.Sqrt(varacc+float64(eps)))
-		for j := range row {
-			row[j] = (row[j]-float32(mean))*inv*gamma.Data[j] + beta.Data[j]
+		mu := float32(mean)
+		out := dst[i*n : i*n+n]
+		for j, v := range row {
+			out[j] = (v-mu)*inv*gamma[j] + beta[j]
 		}
 	}
 }
@@ -130,16 +216,6 @@ func Transpose2D(t *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// Attention computes single-head scaled dot product attention for
-// q, k, v of shape (seq x dim) and returns (seq x dim).
-func Attention(q, k, v *Tensor) *Tensor {
-	dim := q.Shape[1]
-	scores := MatMulTransB(q, k) // (seq x seq)
-	scores.Scale(float32(1 / math.Sqrt(float64(dim))))
-	SoftmaxRows(scores)
-	return MatMul(scores, v)
 }
 
 // MeanRows returns the column-wise mean over rows of a 2-D tensor,

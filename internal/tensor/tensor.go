@@ -23,15 +23,17 @@ type Tensor struct {
 
 // New allocates a zero tensor with the given shape.
 func New(shape ...int) *Tensor {
+	// Only the copy may reach the panic message: then the variadic
+	// slice stays on the caller's stack.
+	s := make([]int, len(shape))
+	copy(s, shape)
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dim %d in %v", d, shape))
+			panic(fmt.Sprintf("tensor: non-positive dim %d in %v", d, s))
 		}
 		n *= d
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
 	return &Tensor{Shape: s, Data: make([]float32, n)}
 }
 
