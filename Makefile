@@ -72,9 +72,9 @@ bench-compare:
 
 # Real compute-backend benchmark: really executes 1024^3 GEMMs at every
 # backend precision (naive fp32 baseline, packed fp32, f16/bf16, int8
-# SWAR) plus end-to-end model forward passes, and records achieved
-# GFLOPS, efficiency vs the measured fp32 roofline, and images/sec by
-# precision into BENCH_PR8.json.
+# on the VPMADDUBSW kernel) plus end-to-end model forward passes, and
+# records achieved GFLOPS, efficiency vs the measured fp32 roofline, and
+# images/sec by precision into BENCH_PR8.json.
 bench-gemm: build
 	$(GO) run ./cmd/harvest-bench -gemmbench BENCH_PR8.json
 

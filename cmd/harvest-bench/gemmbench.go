@@ -32,7 +32,7 @@ type gemmBenchReport struct {
 	} `json:"gemm"`
 	// PracticalGFLOPS is the host roofline proxy: the best measured
 	// packed fp32 rate. Efficiencies are relative to it; int8 exceeding
-	// 1.0 means the SWAR kernel beats the fp32 roofline, as intended.
+	// 1.0 means the int8 kernel beats the fp32 roofline, as intended.
 	PracticalGFLOPS float64 `json:"practical_gflops"`
 	Models          []struct {
 		Model        string  `json:"model"`

@@ -9,9 +9,10 @@ import (
 
 // Executable backend precisions. FP32 runs the packed f32 GEMM
 // directly; FP16/BF16 store weights as 16-bit words dequantized
-// panel-at-a-time inside the GEMM pack step; Int8 runs the SWAR integer
-// kernel over 7-bit codes (symmetric per-output-channel weights,
-// dynamic asymmetric per-row activations) accumulating in int32.
+// panel-at-a-time inside the GEMM pack step; Int8 runs the exact integer
+// micro-kernel (AVX2 VPMADDUBSW on amd64) over 7-bit codes — symmetric
+// per-output-channel weights, asymmetric per-row activations quantized
+// inside the GEMM's row bands — accumulating in int32.
 const (
 	PrecFP32 = "fp32"
 	PrecFP16 = "fp16"
@@ -46,17 +47,13 @@ type convOp interface {
 }
 
 // workspace is one forward pass's working memory: the ViT activations
-// and the reduced-precision ops' scratch. A forward takes one from its
-// model's free list and puts it back, so each buffer is sized by the
-// first forward at a (model, batch) and reused by every later one; no
-// two forwards hold the same workspace at once.
+// and the reduced-precision convs' im2col rows and output. A forward
+// takes one from its model's free list and puts it back, so each buffer
+// is sized by the first forward at a (model, batch) and reused by every
+// later one; no two forwards hold the same workspace at once.
 type workspace struct {
 	patches, embedded, tokens, normed, qkv, attn, hidden, cls []float32
-
-	codes               []uint8
-	i32                 []int32
-	rowParams, cols, yT []float32
-	acts                tensor.PackedQ7
+	cols, yT                                                  []float32
 }
 
 // newSpares returns a model's workspace free list. Its cap bounds the
@@ -125,76 +122,36 @@ func (l halfLinear) apply(_ *workspace, dst, x []float32, m int, acc bool, epi t
 	epi.Apply(y, m, l.out)
 }
 
-// q7Linear holds symmetric per-output-channel 7-bit weights packed for
-// the SWAR kernel; activations are quantized dynamically per row.
-type q7Linear struct {
-	packed  *tensor.PackedQ7
-	scales  []float32 // per output channel
-	bias    []float32
-	out, in int
+// q7Weights holds symmetric per-output-channel 7-bit weights (out × in)
+// packed for the int8 micro-kernel, with their per-channel scales.
+type q7Weights struct {
+	packed *tensor.PackedQ7
+	scales []float32
 }
 
-func newQ7Linear(w, bias *tensor.Tensor) q7Linear {
-	out, in := w.Shape[0], w.Shape[1]
-	l := q7Linear{
-		scales: make([]float32, out),
-		out:    out,
-		in:     in,
-	}
+func newQ7Weights(w []float32, out, in int) q7Weights {
+	q := q7Weights{scales: make([]float32, out)}
 	codes := make([]int8, out*in)
-	for oc := 0; oc < out; oc++ {
-		row := w.Data[oc*in : oc*in+in]
-		s := quant.CalibrateQ7Sym(row)
-		l.scales[oc] = s
-		quant.QuantizeQ7SymInto(codes[oc*in:oc*in+in], row, s)
+	for oc := range q.scales {
+		row := w[oc*in : oc*in+in]
+		q.scales[oc] = quant.CalibrateQ7Sym(row)
+		quant.QuantizeQ7SymInto(codes[oc*in:oc*in+in], row, q.scales[oc])
 	}
-	l.packed = tensor.PackQ7Weights(codes, out, in)
-	if bias != nil {
-		l.bias = bias.Data
-	}
-	return l
+	q.packed = tensor.PackQ7Weights(codes, out, in)
+	return q
 }
 
-func (l q7Linear) apply(ws *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue) {
-	q7Forward(dst, x, m, l.in, l.packed, l.scales, acc, ws)
+// q7Linear runs the int8 pipeline: activations are quantized per row
+// inside the GEMM's row bands, and bias and the caller's epilogue run
+// there too, as in denseLinear.
+type q7Linear struct {
+	q7Weights
+	bias []float32
+}
+
+func (l q7Linear) apply(_ *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue) {
 	epi.Bias = l.bias
-	epi.Apply(dst, m, l.out)
-}
-
-// q7Forward computes out(m×n) [+]= x(m×k)·Wᵀ through the integer
-// pipeline: per-row asymmetric 7-bit activation quantization, exact
-// int32 SWAR GEMM, then dequantization with the zero-point correction
-// sa·sw·(Σqa·qw − za·Σqw). Its scratch is the workspace's codes,
-// rowParams, i32 and acts.
-func q7Forward(out, x []float32, m, k int, w *tensor.PackedQ7, scales []float32, acc bool, ws *workspace) {
-	n := w.Rows
-	codes := tensor.Grow(&ws.codes, m*k)
-	rowParams := tensor.Grow(&ws.rowParams, 2*m) // interleaved scale, zero-point
-	for i := 0; i < m; i++ {
-		row := x[i*k : i*k+k]
-		p, err := quant.CalibrateQ7(row)
-		if err != nil {
-			panic(fmt.Errorf("models: activation calibration: %w", err))
-		}
-		p.QuantizeInto(codes[i*k:i*k+k], row)
-		rowParams[2*i] = p.Scale
-		rowParams[2*i+1] = float32(p.ZeroPoint)
-	}
-	tensor.PackQ7ActsInto(&ws.acts, codes, m, k)
-	raw := tensor.Grow(&ws.i32, m*n)
-	tensor.Q7GemmTransB(raw, &ws.acts, w)
-	for i := 0; i < m; i++ {
-		sa, za := rowParams[2*i], rowParams[2*i+1]
-		src := raw[i*n : i*n+n]
-		dst := out[i*n : i*n+n]
-		for j := range dst {
-			v := sa * scales[j] * (float32(src[j]) - za*float32(w.RowSum[j]))
-			if acc {
-				v += dst[j]
-			}
-			dst[j] = v
-		}
-	}
+	tensor.Q7LinearEpilogue(dst, x, m, l.packed.K, l.packed, l.scales, acc, epi)
 }
 
 // bnApply holds the BN-after-conv epilogue shared by the reduced-
@@ -264,12 +221,12 @@ func (c *halfConv) apply(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// q7Conv is a conv with symmetric per-output-channel 7-bit weights.
+// q7Conv is a conv with symmetric per-output-channel 7-bit weights
+// (outC × inC·k·k), run as the int8 linear op over its im2col rows.
 type q7Conv struct {
 	convGeom
-	packed *tensor.PackedQ7 // (outC × inC·k·k)
-	scales []float32
-	epi    convEpilogue
+	q7Weights
+	epi convEpilogue
 }
 
 func (c *q7Conv) apply(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
@@ -281,7 +238,7 @@ func (c *q7Conv) apply(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
 	yT := tensor.Grow(&ws.yT, oh*ow*c.outC)
 	for b := 0; b < n; b++ {
 		tensor.Im2ColTransInto(cols, x, b, c.k, c.k, c.stride, c.pad, oh, ow)
-		q7Forward(yT, cols, oh*ow, ckk, c.packed, c.scales, false, ws)
+		tensor.Q7LinearEpilogue(yT, cols, oh*ow, ckk, c.packed, c.scales, false, tensor.Epilogue{})
 		scatterConvOut(out, yT, b, c.outC, oh, ow)
 	}
 	c.epi.run(out)
@@ -299,7 +256,11 @@ func newLinearOp(w, b *tensor.Tensor, precision string) (linearOp, error) {
 	case PrecBF16:
 		return newHalfLinear(w, b, true), nil
 	case PrecInt8:
-		return newQ7Linear(w, b), nil
+		l := q7Linear{q7Weights: newQ7Weights(w.Data, w.Shape[0], w.Shape[1])}
+		if b != nil {
+			l.bias = b.Data
+		}
+		return l, nil
 	}
 	return nil, fmt.Errorf("models: unknown precision %q (want one of %v)", precision, ExecPrecisions())
 }
@@ -313,21 +274,11 @@ func newConvOp(rc *resnetConv, precision string) (convOp, error) {
 	outC, inC, k := rc.w.Shape[0], rc.w.Shape[1], rc.w.Shape[2]
 	geom := convGeom{outC: outC, inC: inC, k: k, stride: rc.stride, pad: rc.pad}
 	epi := convEpilogue{bnMean: rc.bnMean, bnVar: rc.bnVar, bnG: rc.bnG, bnB: rc.bnB, act: rc.activateOn}
-	ckk := inC * k * k
 	switch precision {
 	case PrecFP16, PrecBF16:
 		return &halfConv{convGeom: geom, w: encodeHalf(rc.w.Data, precision == PrecBF16), bf16: precision == PrecBF16, epi: epi}, nil
 	case PrecInt8:
-		c := &q7Conv{convGeom: geom, scales: make([]float32, outC), epi: epi}
-		codes := make([]int8, outC*ckk)
-		for oc := 0; oc < outC; oc++ {
-			row := rc.w.Data[oc*ckk : oc*ckk+ckk]
-			s := quant.CalibrateQ7Sym(row)
-			c.scales[oc] = s
-			quant.QuantizeQ7SymInto(codes[oc*ckk:oc*ckk+ckk], row, s)
-		}
-		c.packed = tensor.PackQ7Weights(codes, outC, ckk)
-		return c, nil
+		return &q7Conv{convGeom: geom, q7Weights: newQ7Weights(rc.w.Data, outC, inC*k*k), epi: epi}, nil
 	}
 	return nil, fmt.Errorf("models: unknown precision %q (want one of %v)", precision, ExecPrecisions())
 }

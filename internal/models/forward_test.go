@@ -120,20 +120,23 @@ func TestViTForwardMatchesReference(t *testing.T) {
 // TestViTForwardSteadyStateAllocs: a warm forward draws its activations,
 // scratch and pack buffers from free lists. What is left is the logits
 // tensor and one closure per goroutine started, hence the fixed
-// GOMAXPROCS.
+// GOMAXPROCS. int8 quantizes into the GEMM workers' buffers, so it is
+// held to the same bound.
 func TestViTForwardSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	m, err := NewExecutable(NameViTTiny, 10, PrecFP32, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := execInput(t, NameViTTiny, 2)
-	mustForward(t, m, x)
-	if n := testing.AllocsPerRun(1, func() { mustForward(t, m, x) }); n >= 200 {
-		t.Errorf("warm ViT_Tiny batch-2 forward allocates %.0f times, want < 200", n)
+	for _, prec := range []string{PrecFP32, PrecInt8} {
+		m, err := NewExecutable(NameViTTiny, 10, prec, stats.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := execInput(t, NameViTTiny, 2)
+		mustForward(t, m, x)
+		if n := testing.AllocsPerRun(1, func() { mustForward(t, m, x) }); n >= 200 {
+			t.Errorf("warm ViT_Tiny %s batch-2 forward allocates %.0f times, want < 200", prec, n)
+		}
 	}
 }
 

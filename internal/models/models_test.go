@@ -192,26 +192,29 @@ func TestViTForwardShapesAndDeterminism(t *testing.T) {
 // single forwards bit for bit, and equal themselves under GOMAXPROCS 1,
 // 2 and 4 — every output row is summed in the same order however the
 // batch is stacked, banded or split into edge tiles. This is what lets
-// a served fp32 answer equal a direct Forward whatever batch the
-// scheduler formed.
+// a served answer equal a direct Forward whatever batch the scheduler
+// formed. int8 holds too: activations are quantized per row and the
+// integer product is exact.
 func TestViTForwardBatchConsistency(t *testing.T) {
 	for _, name := range []string{"ViT_Micro", NameViTTiny} {
-		m, err := NewExecutable(name, 5, PrecFP32, stats.NewRNG(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := execInput(t, name, 2)
-		want := mustForward(t, m, x)
-		per := len(x.Data) / 2
-		for b := 0; b < 2; b++ {
-			single := tensor.FromSlice(x.Data[b*per:(b+1)*per], 1, 3, x.Shape[2], x.Shape[3])
-			requireSameBits(t, name+" single image", mustForward(t, m, single).Data, want.Data[b*5:(b+1)*5])
-		}
-		for _, procs := range []int{1, 2, 4} {
-			prev := runtime.GOMAXPROCS(procs)
-			got := mustForward(t, m, x)
-			runtime.GOMAXPROCS(prev)
-			requireSameBits(t, fmt.Sprintf("%s GOMAXPROCS=%d", name, procs), got.Data, want.Data)
+		for _, prec := range []string{PrecFP32, PrecInt8} {
+			m, err := NewExecutable(name, 5, prec, stats.NewRNG(6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := execInput(t, name, 2)
+			want := mustForward(t, m, x)
+			per := len(x.Data) / 2
+			for b := 0; b < 2; b++ {
+				single := tensor.FromSlice(x.Data[b*per:(b+1)*per], 1, 3, x.Shape[2], x.Shape[3])
+				requireSameBits(t, name+" "+prec+" single image", mustForward(t, m, single).Data, want.Data[b*5:(b+1)*5])
+			}
+			for _, procs := range []int{1, 2, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				got := mustForward(t, m, x)
+				runtime.GOMAXPROCS(prev)
+				requireSameBits(t, fmt.Sprintf("%s %s GOMAXPROCS=%d", name, prec, procs), got.Data, want.Data)
+			}
 		}
 	}
 }

@@ -145,7 +145,7 @@ func (m *ViTModel) denseExec() *vitExec {
 }
 
 // PrecisionViT wraps a ViTModel with reduced-precision linear layers
-// (fp16/bf16 storage or int8 SWAR compute). The wrapped model supplies
+// (fp16/bf16 storage or int8 compute). The wrapped model supplies
 // the float32-resident parameters (norms, embeddings).
 type PrecisionViT struct {
 	Base      *ViTModel

@@ -5,17 +5,17 @@ import (
 	"math"
 )
 
-// 7-bit quantization for the SWAR integer GEMM in internal/tensor.
+// 7-bit quantization for the integer GEMM in internal/tensor.
 //
-// The packed kernel multiplies four code pairs per 64-bit multiply by
-// placing codes in 16-bit fields; keeping every code in [0, 127] bounds
-// each partial sum of ≤4 products below 2^16 so fields never carry into
-// their neighbours. Activations use asymmetric unsigned 7-bit codes
-// (per-row scale + zero point); weights use symmetric signed 7-bit
-// codes in [-63, 63] (per output channel), stored biased by +64 into
-// [1, 127] at pack time. Restricting weights to 7 bits to keep a packed
-// multiply exact is the same trade x86 int8 kernels make for
-// pmaddubsw saturation (e.g. onnxruntime's reduce_range mode).
+// Activations use asymmetric unsigned 7-bit codes in [0, 127] (per-row
+// scale + zero point); weights use symmetric signed 7-bit codes in
+// [-63, 63] (per output channel). The amd64 kernel is VPMADDUBSW,
+// which multiplies unsigned by signed bytes and adds adjacent products
+// into a saturating int16: with these ranges a pair is at most
+// 2·127·63 = 16002 < 2^15, so it never saturates and the integer
+// product is exact. Restricting codes to 7 bits for that is the trade
+// x86 int8 kernels make for pmaddubsw (e.g. onnxruntime's reduce_range
+// mode).
 
 // Q7Params maps x to unsigned 7-bit codes q = clamp(round(x/Scale) +
 // ZeroPoint, 0, 127).

@@ -302,12 +302,10 @@ func TestRouterDrainComposesWithReplicaDrain(t *testing.T) {
 	const total = 40
 	var wg sync.WaitGroup
 	var served atomic.Int64
-	started := make(chan struct{}, total)
 	for i := 0; i < total; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started <- struct{}{}
 			if _, err := router.Infer(context.Background(), models.NameViTTiny,
 				InferRequestJSON{Items: 4}); err != nil {
 				t.Errorf("in-flight request failed across drain: %v", err)
@@ -316,8 +314,12 @@ func TestRouterDrainComposesWithReplicaDrain(t *testing.T) {
 			served.Add(1)
 		}()
 	}
-	for i := 0; i < total; i++ {
-		<-started
+	// Close only once every request is in flight: on a replica (the
+	// router's inflight gauge) or already answered (its requests and
+	// errors counters). A request reaches either only after the router
+	// registered it, so Close cannot refuse one of them.
+	for routerAdmitted(router) < total {
+		time.Sleep(time.Millisecond)
 	}
 	// Router drain first: must wait for all in-flight proxied work.
 	router.Close()
@@ -399,6 +401,16 @@ func TestRouterSpillsOnOverload(t *testing.T) {
 	if got := requestsServed(t, s1); got != 1 {
 		t.Errorf("spill target served %d requests, want 1", got)
 	}
+}
+
+// routerAdmitted counts the router's requests that are on a replica or
+// already answered.
+func routerAdmitted(r *Router) int64 {
+	n := r.met.requests.Load() + r.met.errors.Load()
+	for _, rep := range r.pool.Replicas() {
+		n += rep.inflight.Load()
+	}
+	return n
 }
 
 // requestsServed reads a replica server's successful request count.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"harvest/internal/quant"
 )
 
 // ErrShape is the typed error wrapped by every shape-mismatch failure in
@@ -69,13 +71,17 @@ func microGo(ap, bp []float32, kc int, c []float32, ldc int) {
 }
 
 // worker is one goroutine's GEMM working memory: the A and B pack
-// buffers, the edge-tile scratch, the attention score rows, and — when
-// this worker fans a product out — the job its helpers read. Workers
-// come from a bounded free list, not a sync.Pool: a GC empties a pool,
-// and the buffers would be allocated again on the next forward.
+// buffers, the edge-tile scratch, the int8 A strips with their rows'
+// quantization parameters and the int32 tile, the attention score rows,
+// and — when this worker fans a product out — the job its helpers read.
+// Workers come from a bounded free list, not a sync.Pool: a GC empties
+// a pool, and the buffers would be allocated again on the next forward.
 type worker struct {
 	packA, packB, scores []float32
 	edge                 [gemmMR * gemmNR]float32
+	q7A                  []uint8
+	q7Rows               [gemmMC]quant.Q7Params
+	q7Tile               [gemmMR * gemmNR]int32
 	job                  gemm
 	wg                   sync.WaitGroup
 }
@@ -131,8 +137,10 @@ func (f *FreeList[T]) Put(v T) {
 // gemm is one product C (m×n, row stride ldc) [+]= A (m×k, row stride
 // lda) · B, followed by an epilogue on each finished row. B is b (fp32)
 // or bh (float16/bfloat16 bit patterns), row-major k×n or, with transB,
-// n×k; ldb is its row stride. The fields describe the operands so a band
-// packs them without a closure.
+// n×k; ldb is its row stride. An int8 product has packed weights qw
+// instead and either packed codes qa with int32 output ci, or float A
+// quantized per row with output dequantized by scales into C. The
+// fields describe the operands so a band packs them without a closure.
 type gemm struct {
 	c, a          []float32
 	b             []float32
@@ -140,8 +148,12 @@ type gemm struct {
 	ldc, lda, ldb int
 	m, n, k       int
 	transB, bf16  bool
-	zero          bool // clear C's m×n block before accumulating
+	zero          bool // overwrite C's m×n block instead of adding to it
 	epi           Epilogue
+
+	qa, qw *PackedQ7
+	ci     []int32
+	scales []float32
 }
 
 // MatMulNaive computes C = A(MxK) * B(KxN) with the textbook triple
@@ -275,7 +287,12 @@ func (g *gemm) parallel(w int) {
 // packed pipeline: for each KC×NC panel of B (packed once per band) pack
 // the matching MC×KC block of A into MR strips and sweep the micro-kernel
 // over the packed panels; then run the epilogue over the band's rows.
+// An int8 product takes q7Band instead.
 func (g *gemm) band(wk *worker, rowLo, rowHi int) {
+	if g.qw != nil {
+		g.q7Band(wk, rowLo, rowHi)
+		return
+	}
 	c, ldc := g.c, g.ldc
 	if g.zero {
 		for i := rowLo; i < rowHi; i++ {

@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"harvest/internal/quant"
@@ -149,61 +152,133 @@ func TestGemmF16MatchesRoundTripReference(t *testing.T) {
 	}
 }
 
-// TestQ7GemmMatchesScalarRef bit-compares the SWAR kernel against the
-// plain int32 scalar reference: both are exact integer algorithms, so
-// they must agree exactly on every shape, including k not a multiple of
-// the 4-codes-per-word packing and n not a multiple of the 4-row inner
-// blocking.
-func TestQ7GemmMatchesScalarRef(t *testing.T) {
-	r := stats.NewRNG(46)
-	shapes := [][3]int{
-		{1, 1, 1}, {1, 5, 3}, {4, 4, 4}, {3, 7, 9},
-		{17, 13, 31}, {2, 130, 515}, {65, 3, 1024}, {31, 129, 127},
+// q7Shapes is gemmShapes plus the int8 tile's own edges: m%6, n%16 and
+// k%4 all non-zero, the ViT head (n = 1000) and patch embedding (k = 12).
+var q7Shapes = append([][3]int{
+	{1, 5, 3}, {4, 4, 4}, {3, 7, 9}, {17, 13, 31}, {2, 130, 515},
+	{65, 3, 1024}, {31, 129, 127}, {13, 1000, 192}, {64, 192, 12}, {11, 17, 6},
+}, gemmShapes...)
+
+// randQ7Codes returns m×k activation codes in [0,127] and n×k weight
+// codes in [-63,63].
+func randQ7Codes(r *stats.RNG, m, n, k int) ([]uint8, []int8) {
+	acts := make([]uint8, m*k)
+	for i := range acts {
+		acts[i] = uint8(r.Float64() * 128)
 	}
-	for _, s := range shapes {
-		m, n, k := s[0], s[1], s[2]
-		acts := make([]uint8, m*k)
-		for i := range acts {
-			acts[i] = uint8(r.Float64() * 128)
-		}
-		ws := make([]int8, n*k)
-		for i := range ws {
-			ws[i] = int8(r.Float64()*127 - 63)
-		}
-		want := make([]int32, m*n)
-		Q7GemmTransBRef(want, acts, ws, m, n, k)
-		got := make([]int32, m*n)
-		Q7GemmTransB(got, PackQ7Acts(acts, m, k), PackQ7Weights(ws, n, k))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("(%d,%d,%d): SWAR kernel differs from scalar ref at %d: %d != %d", m, n, k, i, got[i], want[i])
-			}
+	ws := make([]int8, n*k)
+	for i := range ws {
+		ws[i] = int8(r.Float64()*127 - 63)
+	}
+	return acts, ws
+}
+
+// requireSameInts fails unless got equals want element for element.
+func requireSameInts(t *testing.T, what string, got, want []int32) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: element %d is %d, want %d", what, i, got[i], want[i])
 		}
 	}
 }
 
-// TestQ7PackReuse checks PackQ7ActsInto reuses backing storage and
-// fully overwrites stale state (row sums and padding words).
+// TestQ7GemmMatchesScalarRef bit-compares the dispatched int8 kernel
+// against the plain int32 scalar reference: both are exact integer
+// algorithms, so they must agree exactly on every shape.
+func TestQ7GemmMatchesScalarRef(t *testing.T) {
+	r := stats.NewRNG(46)
+	for _, s := range q7Shapes {
+		m, n, k := s[0], s[1], s[2]
+		acts, ws := randQ7Codes(r, m, n, k)
+		want := make([]int32, m*n)
+		Q7GemmTransBRef(want, acts, ws, m, n, k)
+		got := make([]int32, m*n)
+		Q7GemmTransB(got, PackQ7Acts(acts, m, k), PackQ7Weights(ws, n, k))
+		requireSameInts(t, fmt.Sprintf("(%d,%d,%d)", m, n, k), got, want)
+	}
+}
+
+// TestQ7PackReuse checks PackQ7ActsInto reuses backing storage, and
+// that the stale codes left in its padding do not leak into a product.
 func TestQ7PackReuse(t *testing.T) {
 	var p PackedQ7
-	a1 := []uint8{127, 127, 127, 127, 127, 127}
-	PackQ7ActsInto(&p, a1, 2, 3)
+	PackQ7ActsInto(&p, bytes.Repeat([]uint8{127}, 10), 2, 5)
 	d0 := &p.Data[0]
 	a2 := []uint8{1, 2, 3, 4, 5, 6}
 	PackQ7ActsInto(&p, a2, 2, 3)
 	if &p.Data[0] != d0 {
 		t.Error("PackQ7ActsInto reallocated despite sufficient capacity")
 	}
-	if p.RowSum[0] != 6 || p.RowSum[1] != 15 {
-		t.Errorf("stale row sums after reuse: %v", p.RowSum)
-	}
 	want := make([]int32, 4)
 	Q7GemmTransBRef(want, a2, []int8{1, 1, 1, 2, 2, 2}, 2, 2, 3)
 	got := make([]int32, 4)
 	Q7GemmTransB(got, &p, PackQ7Weights([]int8{1, 1, 1, 2, 2, 2}, 2, 3))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("reused pack wrong at %d: %d != %d", i, got[i], want[i])
+	requireSameInts(t, "reused pack", got, want)
+}
+
+// q7LinearRef is the unfused int8 linear pipeline: per-row CalibrateQ7
+// and QuantizeInto, the scalar integer product, dequantization
+// sa·sw·(Σqa·qw − za·Σqw) in that operation order, then the epilogue.
+func q7LinearRef(dst, x []float32, m, n, k int, w []int8, scales []float32, acc bool, epi Epilogue) {
+	codes := make([]uint8, m*k)
+	params := make([]quant.Q7Params, m)
+	for i := range params {
+		row := x[i*k : i*k+k]
+		params[i], _ = quant.CalibrateQ7(row)
+		params[i].QuantizeInto(codes[i*k:i*k+k], row)
+	}
+	rowSum := make([]int32, n)
+	for j := range rowSum {
+		for _, c := range w[j*k : j*k+k] {
+			rowSum[j] += int32(c)
+		}
+	}
+	raw := make([]int32, m*n)
+	Q7GemmTransBRef(raw, codes, w, m, n, k)
+	for i, p := range params {
+		sa, za := p.Scale, float32(p.ZeroPoint)
+		for j := 0; j < n; j++ {
+			v := sa * scales[j] * (float32(raw[i*n+j]) - za*float32(rowSum[j]))
+			if acc {
+				v += dst[i*n+j]
+			}
+			dst[i*n+j] = v
+		}
+	}
+	epi.Apply(dst, m, n)
+}
+
+// TestQ7LinearMatchesReference: the fused op — quantize, integer
+// product, dequantize and epilogue inside the row bands — equals the
+// unfused pipeline bit for bit, with and without accumulation, plain,
+// with bias and with bias+GELU.
+func TestQ7LinearMatchesReference(t *testing.T) {
+	r := stats.NewRNG(50)
+	for _, s := range [][3]int{{1, 1, 1}, {7, 17, 12}, {2, 1000, 9}, {130, 516, 258}, {300, 33, 64}} {
+		m, n, k := s[0], s[1], s[2]
+		x, w := randTensor(r, m, k), randTensor(r, n, k)
+		codes, scales := make([]int8, n*k), make([]float32, n)
+		for j := range scales {
+			row := w.Data[j*k : j*k+k]
+			scales[j] = quant.CalibrateQ7Sym(row)
+			quant.QuantizeQ7SymInto(codes[j*k:j*k+k], row, scales[j])
+		}
+		packed := PackQ7Weights(codes, n, k)
+		bias, prior := randTensor(r, n).Data, randTensor(r, m, n).Data
+		for _, acc := range []bool{false, true} {
+			for _, epi := range []Epilogue{{}, {Bias: bias}, {Bias: bias, GELU: true}} {
+				want := slices.Clone(prior)
+				q7LinearRef(want, x.Data, m, n, k, codes, scales, acc, epi)
+				got := slices.Clone(prior)
+				Q7LinearEpilogue(got, x.Data, m, k, packed, scales, acc, epi)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("(%d,%d,%d) acc=%v bias=%v gelu=%v: element %d is %v, want %v",
+							m, n, k, acc, epi.Bias != nil, epi.GELU, i, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }
@@ -257,15 +332,7 @@ func BenchmarkGemmF16_1024(b *testing.B) {
 }
 
 func BenchmarkQ7Gemm1024(b *testing.B) {
-	r := stats.NewRNG(1)
-	acts := make([]uint8, 1024*1024)
-	for i := range acts {
-		acts[i] = uint8(r.Float64() * 128)
-	}
-	ws := make([]int8, 1024*1024)
-	for i := range ws {
-		ws[i] = int8(r.Float64()*127 - 63)
-	}
+	acts, ws := randQ7Codes(stats.NewRNG(1), 1024, 1024, 1024)
 	pa := PackQ7Acts(acts, 1024, 1024)
 	pw := PackQ7Weights(ws, 1024, 1024)
 	c := make([]int32, 1024*1024)

@@ -1,16 +1,18 @@
 package tensor
 
-// micro is the register kernel every packed GEMM runs, picked once at
-// package init: the AVX2/FMA body when the CPU has both and the OS saves
-// the YMM registers, the Go body otherwise. The two may differ in the
-// last bits (FMA rounds once per multiply-add); each is deterministic.
-var micro microKernel = pickMicro()
+// micro and q7Micro are the register kernels every packed float and
+// int8 GEMM runs, picked once at package init: the AVX2(/FMA) bodies
+// when the CPU has AVX2 and FMA and the OS saves the YMM registers, the
+// Go bodies otherwise. The float bodies may differ in the last bits
+// (FMA rounds once per multiply-add); each is deterministic. The int8
+// bodies are exact, so they agree bit for bit.
+var micro, q7Micro = pickMicro()
 
-func pickMicro() microKernel {
+func pickMicro() (microKernel, q7Kernel) {
 	if hasAVX2FMA() {
-		return microAVX2Body
+		return microAVX2Body, q7MicroAVX2Body
 	}
-	return microGo
+	return microGo, q7MicroGo
 }
 
 // microAVX2 is the 6×16 kernel in micro_amd64.s: twelve ymm
@@ -24,6 +26,19 @@ func microAVX2Body(ap, bp []float32, kc int, c []float32, ldc int) {
 	// The assembly does no bounds checks: prove every access here.
 	_, _, _ = ap[gemmMR*kc-1], bp[gemmNR*kc-1], c[(gemmMR-1)*ldc+gemmNR-1]
 	microAVX2(&ap[0], &bp[0], kc, &c[0], ldc)
+}
+
+// q7MicroAVX2 is the 6×16 int8 kernel in micro_amd64.s: twelve ymm
+// int32 accumulators; per row and k-group a VPBROADCASTD of the row's
+// four codes, VPMADDUBSW against the strip's two 32-byte lines, VPMADDWD
+// by ones and VPADDD.
+//
+//go:noescape
+func q7MicroAVX2(a *uint8, lda int, b *uint8, kg int, c *int32)
+
+func q7MicroAVX2Body(a []uint8, lda int, b []uint8, kg int, c *[gemmMR * gemmNR]int32) {
+	_, _ = a[(gemmMR-1)*lda+4*kg-1], b[4*gemmNR*kg-1]
+	q7MicroAVX2(&a[0], lda, &b[0], kg, &c[0])
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

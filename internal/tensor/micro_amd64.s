@@ -61,6 +61,72 @@ loop:
 	VZEROUPPER
 	RET
 
+// Broadcasts one A row's four codes at addr and adds their dot products
+// with the 16 columns' four codes of the B group at DI into lo (columns
+// 0-7) and hi (8-15). Y15 holds int16 ones; Y12 and Y13 are scratch.
+#define Q7ROW(addr, lo, hi) \
+	VPBROADCASTD addr, Y12; \
+	VPMADDUBSW (DI), Y12, Y13; \
+	VPMADDWD Y15, Y13, Y13; \
+	VPADDD Y13, lo, lo; \
+	VPMADDUBSW 32(DI), Y12, Y13; \
+	VPMADDWD Y15, Y13, Y13; \
+	VPADDD Y13, hi, hi
+
+// func q7MicroAVX2(a *uint8, lda int, b *uint8, kg int, c *int32)
+// kg >= 1: the loop runs before it tests. Rows of A are lda bytes apart
+// (R9 = lda, R10 = 3·lda, R11 = 5·lda); c is 6×16 int32, row stride 64
+// bytes, and is overwritten.
+TEXT ·q7MicroAVX2(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ lda+8(FP), R9
+	MOVQ b+16(FP), DI
+	MOVQ kg+24(FP), CX
+	MOVQ c+32(FP), DX
+	LEAQ (R9)(R9*2), R10
+	LEAQ (R9)(R9*4), R11
+	VPCMPEQW Y15, Y15, Y15
+	VPSRLW $15, Y15, Y15
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+
+q7loop:
+	Q7ROW((SI), Y0, Y1)
+	Q7ROW((SI)(R9*1), Y2, Y3)
+	Q7ROW((SI)(R9*2), Y4, Y5)
+	Q7ROW((SI)(R10*1), Y6, Y7)
+	Q7ROW((SI)(R9*4), Y8, Y9)
+	Q7ROW((SI)(R11*1), Y10, Y11)
+	ADDQ $4, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  q7loop
+
+	VMOVDQU Y0, (DX)
+	VMOVDQU Y1, 32(DX)
+	VMOVDQU Y2, 64(DX)
+	VMOVDQU Y3, 96(DX)
+	VMOVDQU Y4, 128(DX)
+	VMOVDQU Y5, 160(DX)
+	VMOVDQU Y6, 192(DX)
+	VMOVDQU Y7, 224(DX)
+	VMOVDQU Y8, 256(DX)
+	VMOVDQU Y9, 288(DX)
+	VMOVDQU Y10, 320(DX)
+	VMOVDQU Y11, 352(DX)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -2,6 +2,9 @@
 
 package tensor
 
-// micro is the register kernel every packed GEMM runs: the Go body off
-// amd64.
-var micro microKernel = microGo
+// micro and q7Micro are the register kernels every packed float and
+// int8 GEMM runs: the Go bodies off amd64.
+var (
+	micro   microKernel = microGo
+	q7Micro q7Kernel    = q7MicroGo
+)

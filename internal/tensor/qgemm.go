@@ -1,42 +1,64 @@
 package tensor
 
-import "sync"
+import "harvest/internal/quant"
 
-// Quantized GEMM over 7-bit codes, vectorized with 64-bit SWAR.
+// Quantized GEMM over 7-bit codes, on the float GEMM's 6×16 register
+// tile and row bands.
 //
-// Codes live in the 16-bit fields of a uint64, four per word. With the
-// activation word A = a0 + a1·2^16 + a2·2^32 + a3·2^48 and the weight
-// word B packed in *reversed* field order and *biased* by +64 so every
-// field is in [0, 127], the top field of the product A·B is exactly the
-// 4-element dot product:
-//
-//	(A·B) >> 48  ==  a0·w0' + a1·w1' + a2·w2' + a3·w3'
-//
-// because every partial coefficient stays below 2^16 (products are at
-// most 127² = 16129, and at most four of them sum into one field:
-// 4·16129 = 64516 < 65536), so no field ever carries into the top one,
-// and the terms above 2^64 wrap away harmlessly. One 64-bit multiply +
-// shift therefore retires four multiply-accumulates. The +64 weight
-// bias is corrected after accumulation: Σ qa·(qw+64) − 64·Σ qa =
-// Σ qa·qw, with Σ qa tracked per activation row at pack time.
+// Activations are unsigned codes in [0, 127], weights signed codes in
+// [-63, 63], both grouped four at a time along K. Per A row and k-group
+// the AVX2 kernel broadcasts the row's four codes, VPMADDUBSW multiplies
+// them against sixteen columns' four codes and adds adjacent products
+// into int16 (at most 2·127·63 = 16002 < 2¹⁵, so it never saturates),
+// VPMADDWD by ones folds each column's two pairs into int32, and VPADDD
+// accumulates. Every step is exact, so both kernel bodies return the
+// true integer dot products for any K below 2³¹/(127·63) ≈ 268k.
 
-// PackedQ7 is a matrix of 7-bit codes packed four-per-uint64 along K.
-// Rows are padded to Kp = ceil(K/4) words with zero fields. RowSum
-// holds the per-row sum of the *unbiased* codes, used for the
-// zero-point and bias corrections.
+// PackedQ7 is a matrix of 7-bit codes in 4-code groups along K, K
+// padded to Kp whole groups. Activations are rows of 4·Kp bytes, with
+// rows added up to a whole 6-row strip; their pad bytes are don't-care,
+// since they only meet zero weight codes or feed discarded rows.
+// Weights are 16-row strips holding, per group, the 16 rows' four codes
+// (64 bytes), padded with zero codes along K and up to a whole strip;
+// their bytes are int8 bit patterns, and RowSum holds each row's code
+// sum for the activation zero-point correction.
 type PackedQ7 struct {
-	Rows   int
-	K      int
-	Kp     int // words per row = ceil(K/4)
-	Data   []uint64
-	RowSum []int32
-	biased bool // true for weights (fields hold code+64, reversed order)
+	Rows    int
+	K       int
+	Kp      int // 4-code groups per row = ceil(K/4)
+	Data    []uint8
+	RowSum  []int32 // weights only
+	weights bool
 }
 
-func q7Words(k int) int { return (k + 3) / 4 }
+// q7Kernel computes the 6×16 int32 product of a kg-group A strip (six
+// rows of codes, row stride lda bytes) and a packed weight strip into c,
+// row stride 16. Both bodies overwrite c.
+type q7Kernel func(a []uint8, lda int, b []uint8, kg int, c *[gemmMR * gemmNR]int32)
+
+// q7MicroGo is the portable body of the int8 micro-kernel.
+func q7MicroGo(a []uint8, lda int, b []uint8, kg int, c *[gemmMR * gemmNR]int32) {
+	clear(c[:])
+	for g := 0; g < kg; g++ {
+		bg := (*[4 * gemmNR]uint8)(b[g*4*gemmNR:])
+		for r := 0; r < gemmMR; r++ {
+			ar := (*[4]uint8)(a[r*lda+4*g:])
+			a0, a1, a2, a3 := int32(ar[0]), int32(ar[1]), int32(ar[2]), int32(ar[3])
+			row := (*[gemmNR]int32)(c[r*gemmNR:])
+			for j := range row {
+				bj := (*[4]uint8)(bg[4*j:])
+				row[j] += a0*int32(int8(bj[0])) + a1*int32(int8(bj[1])) + a2*int32(int8(bj[2])) + a3*int32(int8(bj[3]))
+			}
+		}
+	}
+}
+
+func q7Groups(k int) int { return (k + 3) / 4 }
+
+func roundUp(x, to int) int { return (x + to - 1) / to * to }
 
 // PackQ7Acts packs unsigned activation codes (rows×k row-major, each in
-// [0,127]) in ascending field order.
+// [0,127]).
 func PackQ7Acts(codes []uint8, rows, k int) *PackedQ7 {
 	p := &PackedQ7{}
 	PackQ7ActsInto(p, codes, rows, k)
@@ -44,94 +66,47 @@ func PackQ7Acts(codes []uint8, rows, k int) *PackedQ7 {
 }
 
 // PackQ7ActsInto packs into an existing PackedQ7, reusing its storage
-// when large enough — the allocation-free entry point for pooled
-// buffers on the forward path.
+// when large enough.
 func PackQ7ActsInto(p *PackedQ7, codes []uint8, rows, k int) {
 	if len(codes) < rows*k {
 		panic(shapeErrf("PackQ7Acts codes have %d values, want %d", len(codes), rows*k))
 	}
-	kp := q7Words(k)
-	p.Rows, p.K, p.Kp, p.biased = rows, k, kp, false
-	if cap(p.Data) < rows*kp {
-		p.Data = make([]uint64, rows*kp)
-	}
-	p.Data = p.Data[:rows*kp]
-	if cap(p.RowSum) < rows {
-		p.RowSum = make([]int32, rows)
-	}
-	p.RowSum = p.RowSum[:rows]
-
+	p.Rows, p.K, p.Kp, p.weights = rows, k, q7Groups(k), false
+	lda := 4 * p.Kp
+	p.Data = Grow(&p.Data, roundUp(rows, gemmMR)*lda)
 	for r := 0; r < rows; r++ {
-		src := codes[r*k : r*k+k]
-		dst := p.Data[r*kp : r*kp+kp]
-		var sum int32
-		full := k / 4
-		for t := 0; t < full; t++ {
-			c0, c1, c2, c3 := src[t*4], src[t*4+1], src[t*4+2], src[t*4+3]
-			sum += int32(c0) + int32(c1) + int32(c2) + int32(c3)
-			dst[t] = uint64(c0) | uint64(c1)<<16 | uint64(c2)<<32 | uint64(c3)<<48
-		}
-		if full < kp {
-			var w uint64
-			for e := 0; e < k-full*4; e++ {
-				v := src[full*4+e]
-				sum += int32(v)
-				w |= uint64(v) << (16 * e)
-			}
-			dst[full] = w
-		}
-		p.RowSum[r] = sum
+		copy(p.Data[r*lda:], codes[r*k:r*k+k])
 	}
 }
 
 // PackQ7Weights packs signed weight codes (rows×k row-major, each in
-// [-63,63]) biased by +64 in descending field order, so that
-// multiplying against an activation word aligns the dot product into
-// the top field. RowSum holds the true (unbiased, signed) per-row sums
-// for the activation zero-point correction.
+// [-63,63]) into 16-row strips and records each row's code sum.
 func PackQ7Weights(codes []int8, rows, k int) *PackedQ7 {
 	if len(codes) < rows*k {
 		panic(shapeErrf("PackQ7Weights codes have %d values, want %d", len(codes), rows*k))
 	}
-	kp := q7Words(k)
-	p := &PackedQ7{
-		Rows: rows, K: k, Kp: kp,
-		Data:   make([]uint64, rows*kp),
+	kp := q7Groups(k)
+	p := &PackedQ7{Rows: rows, K: k, Kp: kp, weights: true,
+		Data:   make([]uint8, roundUp(rows, gemmNR)*4*kp),
 		RowSum: make([]int32, rows),
-		biased: true,
 	}
 	for r := 0; r < rows; r++ {
-		src := codes[r*k : r*k+k]
-		dst := p.Data[r*kp : r*kp+kp]
-		var sum int32
-		for t := 0; t < kp; t++ {
-			// Missing tail codes pack as bias-only fields (64): they
-			// only ever multiply the zero padding fields of the
-			// activation word, so they contribute nothing.
-			var w uint64
-			for e := 0; e < 4; e++ {
-				var v int32
-				if idx := t*4 + e; idx < k {
-					v = int32(src[idx])
-					sum += v
-				}
-				w |= uint64(v+64) << (16 * (3 - e))
-			}
-			dst[t] = w
+		// Row r is column r%16 of strip r/16.
+		s := p.Data[(r/gemmNR*gemmNR*kp+r%gemmNR)*4:]
+		for i, c := range codes[r*k : r*k+k] {
+			s[i/4*4*gemmNR+i%4] = uint8(c)
+			p.RowSum[r] += int32(c)
 		}
-		p.RowSum[r] = sum
 	}
 	return p
 }
 
 // Q7GemmTransB computes the exact integer product c[i*n+j] =
-// Σ_k acts[i,k]·weights[j,k] (unbiased codes) into int32, with acts
-// packed plain/ascending and weights packed biased/descending. It is
-// the quantized analogue of GemmTransBInto and parallelizes over
-// activation-row bands the same way.
+// Σ_k acts[i,k]·weights[j,k] into int32. It is the quantized analogue
+// of GemmTransBInto and runs on the same row bands.
 func Q7GemmTransB(c []int32, acts, weights *PackedQ7) {
-	if acts.biased || !weights.biased {
-		panic(shapeErrf("Q7GemmTransB wants plain acts and biased weights"))
+	if acts.weights || !weights.weights {
+		panic(shapeErrf("Q7GemmTransB wants packed acts and packed weights"))
 	}
 	if acts.K != weights.K {
 		panic(shapeErrf("Q7GemmTransB inner dimension mismatch: k=%d vs k=%d", acts.K, weights.K))
@@ -140,74 +115,87 @@ func Q7GemmTransB(c []int32, acts, weights *PackedQ7) {
 	if len(c) < m*n {
 		panic(shapeErrf("Q7GemmTransB output has %d values, want %d", len(c), m*n))
 	}
-	w := gemmWorkers(m, n, acts.K)
-	if w <= 1 {
-		q7Band(c, acts, weights, 0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	base, rem := m/w, m%w
-	lo := 0
-	for i := 0; i < w; i++ {
-		rows := base
-		if i < rem {
-			rows++
-		}
-		hi := lo + rows
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			q7Band(c, acts, weights, lo, hi)
-		}(lo, hi)
-		lo = hi
-	}
-	wg.Wait()
+	g := gemm{ci: c, qa: acts, qw: weights, ldc: n, m: m, n: n, k: acts.K}
+	g.run()
 }
 
-// q7Band computes activation rows [rowLo,rowHi) of the product. The
-// inner kernel runs one activation row against four weight rows at a
-// time: four independent accumulator chains hide the multiply latency,
-// and a uint64 accumulator of 16-bit-bounded terms cannot overflow
-// within any feasible K.
-func q7Band(c []int32, acts, weights *PackedQ7, rowLo, rowHi int) {
-	kp := acts.Kp
-	n := weights.Rows
-	wd := weights.Data
-	for i := rowLo; i < rowHi; i++ {
-		ap := acts.Data[i*kp : i*kp+kp]
-		corr := 64 * acts.RowSum[i]
-		out := c[i*n : i*n+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := wd[j*kp : j*kp+kp]
-			b1 := wd[(j+1)*kp : (j+1)*kp+kp]
-			b2 := wd[(j+2)*kp : (j+2)*kp+kp]
-			b3 := wd[(j+3)*kp : (j+3)*kp+kp]
-			var r0, r1, r2, r3 uint64
-			for t, av := range ap {
-				r0 += (av * b0[t]) >> 48
-				r1 += (av * b1[t]) >> 48
-				r2 += (av * b2[t]) >> 48
-				r3 += (av * b3[t]) >> 48
+// Q7LinearEpilogue computes dst (m×n) = x (m×k)·Wᵀ — or dst += x·Wᵀ
+// when accumulate — through the int8 pipeline, for the n packed weight
+// rows w with per-row scales, then applies epi to each finished row.
+// Each parallel row band quantizes its rows of x per row (asymmetric,
+// quant.CalibrateQ7) straight into its worker's A strips, runs the
+// exact integer product, and dequantizes each tile as
+// sa·scales[j]·(Σqa·qw − za·Σqw).
+func Q7LinearEpilogue(dst, x []float32, m, k int, w *PackedQ7, scales []float32, accumulate bool, epi Epilogue) {
+	n := w.Rows
+	if !w.weights || w.K != k || len(x) < m*k || len(dst) < m*n || len(scales) < n {
+		panic(shapeErrf("Q7LinearEpilogue: x %d, dst %d, %d scales for m=%d k=%d and %d×%d weights",
+			len(x), len(dst), len(scales), m, k, n, w.K))
+	}
+	g := gemm{c: dst, a: x, qw: w, scales: scales, ldc: n, lda: k, m: m, n: n, k: k,
+		zero: !accumulate, epi: epi}
+	g.run()
+}
+
+// q7Band computes rows [rowLo,rowHi) of an int8 product. For each MC
+// block of rows it takes the A strips from the packed acts, or
+// quantizes the rows of x into the worker's buffer; then it sweeps each
+// 16-row weight strip, kept in L1, across the block's A strips and
+// writes every 6×16 tile out, raw or dequantized.
+func (g *gemm) q7Band(wk *worker, rowLo, rowHi int) {
+	lda := 4 * g.qw.Kp
+	for ic := rowLo; ic < rowHi; ic += gemmMC {
+		mc := min(gemmMC, rowHi-ic)
+		var a []uint8
+		if g.qa != nil {
+			a = g.qa.Data[ic*lda:]
+		} else {
+			a = Grow(&wk.q7A, roundUp(mc, gemmMR)*lda)
+			for i := 0; i < mc; i++ {
+				row := g.a[(ic+i)*g.lda:][:g.k]
+				// CalibrateQ7 fails only on an empty row, and k > 0.
+				p, _ := quant.CalibrateQ7(row)
+				p.QuantizeInto(a[i*lda:], row)
+				wk.q7Rows[i] = p
 			}
-			out[j] = int32(r0) - corr
-			out[j+1] = int32(r1) - corr
-			out[j+2] = int32(r2) - corr
-			out[j+3] = int32(r3) - corr
 		}
-		for ; j < n; j++ {
-			bp := wd[j*kp : j*kp+kp]
-			var r uint64
-			for t, av := range ap {
-				r += (av * bp[t]) >> 48
+		for j0 := 0; j0 < g.n; j0 += gemmNR {
+			b := g.qw.Data[j0*lda:][:gemmNR*lda]
+			for ir := 0; ir < mc; ir += gemmMR {
+				q7Micro(a[ir*lda:], lda, b, g.qw.Kp, &wk.q7Tile)
+				g.q7Store(wk, ic, ir, min(gemmMR, mc-ir), j0, min(gemmNR, g.n-j0))
 			}
-			out[j] = int32(r) - corr
+		}
+	}
+	g.epi.rows(g.c, g.ldc, rowLo, rowHi, g.n)
+}
+
+// q7Store writes the valid mr×nr corner of the worker's tile — rows
+// ic+ir.., columns j0.. — as raw int32 into ci, or dequantized into c
+// (added to c's old value unless zero).
+func (g *gemm) q7Store(wk *worker, ic, ir, mr, j0, nr int) {
+	for r := 0; r < mr; r++ {
+		tile, i := wk.q7Tile[r*gemmNR:r*gemmNR+nr], ic+ir+r
+		if g.ci != nil {
+			copy(g.ci[i*g.ldc+j0:], tile)
+			continue
+		}
+		p := wk.q7Rows[ir+r]
+		sa, za := p.Scale, float32(p.ZeroPoint)
+		dst := g.c[i*g.ldc+j0:][:nr]
+		for jj, raw := range tile {
+			j := j0 + jj
+			v := sa * g.scales[j] * (float32(raw) - za*float32(g.qw.RowSum[j]))
+			if !g.zero {
+				v += dst[jj]
+			}
+			dst[jj] = v
 		}
 	}
 }
 
-// Q7GemmTransBRef is the scalar reference implementation the SWAR
-// kernel is bit-compared against in tests: the same exact integer
+// Q7GemmTransBRef is the scalar reference implementation the int8
+// kernels are bit-compared against in tests: the same exact integer
 // product computed with plain int32 arithmetic over unpacked codes.
 func Q7GemmTransBRef(c []int32, acts []uint8, weights []int8, m, n, k int) {
 	for i := 0; i < m; i++ {
