@@ -23,8 +23,8 @@ vet:
 # the goroutine-parallel packed/quantized GEMM kernels, the attention
 # tasks and the workspace free lists of the executable models, plus the streaming camera
 # ingest tier with its async frame completions and serialized uplink),
-# and core's tier assembly (the rest of core is the single-threaded
-# characterization suite).
+# and core's replica and tier assembly (the rest of core builds a single
+# server and submits to it from one goroutine).
 race:
 	$(GO) test -race ./internal/serve/... ./internal/fleet/... ./internal/metrics/... ./internal/trace/... ./internal/pipeline/... ./internal/scaleout/... ./internal/imaging/... ./internal/preprocess/... ./internal/loadgen/... ./internal/tensor/... ./internal/quant/... ./internal/models/... ./internal/stream/... ./internal/transfer/... ./internal/modelio/...
 	$(GO) test -race -run 'Tier|Replica' ./internal/core/

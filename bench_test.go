@@ -2,7 +2,7 @@
 // paper artifact (Tables 1-3, Figures 4-8) regenerating the artifact's
 // data, plus ablation benchmarks for the design choices DESIGN.md §5
 // calls out (dynamic batching window, preprocessing/inference overlap,
-// multi-instance engines, preprocessing placement, precision).
+// multi-instance engines, preprocessing placement, CPU workers).
 //
 // Run: go test -bench=. -benchmem
 package harvest
@@ -20,10 +20,7 @@ import (
 	"harvest/internal/models"
 	"harvest/internal/pipeline"
 	"harvest/internal/preprocess"
-	"harvest/internal/quant"
 	"harvest/internal/serve"
-	"harvest/internal/stats"
-	"harvest/internal/tensor"
 )
 
 func benchOpts() experiments.Options {
@@ -265,85 +262,5 @@ func BenchmarkAblation_CPUWorkers(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAblation_Precision measures the real cost and error of
-// running a tensor through fp16/bf16/int8 round trips (the precision
-// trade-off of paper §3.1).
-func BenchmarkAblation_Precision(b *testing.B) {
-	rng := stats.NewRNG(1)
-	base := make([]float32, 1<<16)
-	for i := range base {
-		base[i] = float32(rng.Float64()*4 - 2)
-	}
-	b.Run("fp16", func(b *testing.B) {
-		xs := append([]float32(nil), base...)
-		for i := 0; i < b.N; i++ {
-			quant.RoundTripF16(xs)
-		}
-	})
-	b.Run("bf16", func(b *testing.B) {
-		xs := append([]float32(nil), base...)
-		for i := 0; i < b.N; i++ {
-			quant.RoundTripBF16(xs)
-		}
-	})
-	b.Run("int8", func(b *testing.B) {
-		p, err := quant.CalibrateInt8(base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			qs := p.Quantize(base)
-			_ = p.Dequantize(qs)
-		}
-	})
-}
-
-// BenchmarkRealForward_MicroViT measures a real micro-ViT forward pass
-// on this machine (the functional compute backend).
-func BenchmarkRealForward_MicroViT(b *testing.B) {
-	m, err := models.NewViTModel(models.MicroViTConfig(10), stats.NewRNG(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.New(1, 3, 32, 32)
-	x.RandInit(stats.NewRNG(2), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRealForward_MiniResNet measures a real mini-ResNet forward.
-func BenchmarkRealForward_MiniResNet(b *testing.B) {
-	m, err := models.NewResNetModel(models.MiniResNetConfig(10), stats.NewRNG(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.New(1, 3, 64, 64)
-	x.RandInit(stats.NewRNG(2), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHostGEMM is the real Table 1 methodology on this machine.
-func BenchmarkHostGEMM(b *testing.B) {
-	a := tensor.New(384, 384)
-	c := tensor.New(384, 384)
-	a.RandInit(stats.NewRNG(1), 1)
-	c.RandInit(stats.NewRNG(2), 1)
-	flops := 2 * 384 * 384 * 384
-	b.SetBytes(int64(flops))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMul(a, c)
 	}
 }

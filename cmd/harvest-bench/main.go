@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	harvest-bench [-artifact all|table1|...|fig8] [-quick] [-hostgemm]
+//	harvest-bench [-artifact all|extensions|table1|...|ablations] [-quick] [-hostgemm]
 //	              [-gemmbench out.json] [-anchors] [-seed N]
 package main
 
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"harvest/internal/experiments"
 )
@@ -20,7 +21,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("harvest-bench: ")
 	var (
-		artifact  = flag.String("artifact", "all", "artifact: all, extensions, table1..table3, fig4..fig8, energy, prediction, scaleout")
+		artifact  = flag.String("artifact", "all", "artifact: all, extensions, "+strings.Join(append(experiments.IDs(), experiments.ExtensionIDs()...), ", "))
 		quick     = flag.Bool("quick", false, "reduce sample counts for a fast run")
 		hostGEMM  = flag.Bool("hostgemm", false, "also run a real GEMM benchmark on this machine (table1)")
 		gemmBench = flag.String("gemmbench", "", "measure the real compute backend (GEMM GFLOPS and model images/sec by precision), write a JSON report to this path, and exit")

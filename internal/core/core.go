@@ -1,17 +1,16 @@
-// Package core is the top-level HARVEST-Go API: it ties the substrates
-// together into the two things a user does with this repository —
-// *characterize* (regenerate the paper's evaluation artifacts and check
-// them against the published anchors) and *deploy* (stand up an
-// inference server for a platform/model set).
+// Package core is the top-level HARVEST-Go API for one job, *deploy*:
+// it ties the substrates together into an inference server for a
+// platform/model set (NewDeployment), a replica with optional camera
+// ingest in front of it (NewReplica), or a tier of replicas behind a
+// router (StartTier). Regenerating the paper's artifacts is
+// harvest-bench's job, over internal/experiments.
 package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"harvest/internal/engine"
-	"harvest/internal/experiments"
 	"harvest/internal/hw"
 	"harvest/internal/imaging"
 	"harvest/internal/modelio"
@@ -20,72 +19,6 @@ import (
 	"harvest/internal/serve"
 	"harvest/internal/trace"
 )
-
-// Report is the outcome of a characterization run.
-type Report struct {
-	Artifacts []*experiments.Artifact
-	Anchors   []experiments.Anchor
-}
-
-// Characterize regenerates the requested artifacts (nil ids = the
-// paper's eight) and recomputes every paper anchor.
-func Characterize(opts experiments.Options, ids []string) (*Report, error) {
-	if len(ids) == 0 {
-		ids = experiments.IDs()
-	}
-	r := &Report{}
-	for _, id := range ids {
-		a, err := experiments.RunAny(id, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: artifact %s: %w", id, err)
-		}
-		r.Artifacts = append(r.Artifacts, a)
-	}
-	anchors, err := experiments.CompareAnchors()
-	if err != nil {
-		return nil, err
-	}
-	r.Anchors = anchors
-	return r, nil
-}
-
-// WorstAnchorError returns the largest relative error across anchors
-// whose tolerance is proportional (OOM-boundary anchors are exact and
-// reported separately by ExactAnchorsHold).
-func (r *Report) WorstAnchorError() float64 {
-	worst := 0.0
-	for _, an := range r.Anchors {
-		if re := an.RelErr(); re > worst {
-			worst = re
-		}
-	}
-	return worst
-}
-
-// WriteTo renders every artifact and the anchor comparison.
-func (r *Report) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for _, a := range r.Artifacts {
-		n, err := io.WriteString(w, a.Render()+"\n")
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	n, err := io.WriteString(w, "=== paper anchors ===\n")
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	for _, an := range r.Anchors {
-		n, err := fmt.Fprintln(w, an)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
 
 // DeploymentConfig is the one description of a replica: every binary's
 // replica-shape flags bind to its fields, and every deployment shape

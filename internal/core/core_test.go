@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"harvest/internal/experiments"
 	"harvest/internal/imaging"
 	"harvest/internal/modelio"
 	"harvest/internal/models"
@@ -17,38 +14,6 @@ import (
 	"harvest/internal/serve"
 	"harvest/internal/stats"
 )
-
-func TestCharacterizeSubset(t *testing.T) {
-	r, err := Characterize(experiments.Options{Quick: true, Seed: 1}, []string{"table1", "table3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Artifacts) != 2 {
-		t.Fatalf("artifacts %d", len(r.Artifacts))
-	}
-	if len(r.Anchors) < 40 {
-		t.Fatalf("anchors %d", len(r.Anchors))
-	}
-	if worst := r.WorstAnchorError(); worst > 0.05 {
-		t.Errorf("worst anchor error %.3f exceeds 5%%", worst)
-	}
-	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"table1", "table3", "paper anchors", "Fig5/A100"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-}
-
-func TestCharacterizeUnknownArtifact(t *testing.T) {
-	if _, err := Characterize(experiments.Options{Quick: true}, []string{"fig99"}); err == nil {
-		t.Error("unknown artifact accepted")
-	}
-}
 
 func TestNewDeployment(t *testing.T) {
 	srv, err := NewDeployment(DeploymentConfig{Platform: "A100"})

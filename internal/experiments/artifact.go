@@ -85,9 +85,6 @@ type Options struct {
 	Seed uint64
 }
 
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{Seed: 42} }
-
 // Run executes the artifact with the given id.
 func Run(id string, opts Options) (*Artifact, error) {
 	switch id {

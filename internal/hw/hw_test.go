@@ -141,8 +141,8 @@ func TestMFUMonotoneAndBounded(t *testing.T) {
 				if u <= prev {
 					t.Errorf("%s/%s MFU not strictly increasing at %d", p.Name, m, b)
 				}
-				if u > pm.MFUMax() || u > 1 {
-					t.Errorf("%s/%s MFU %v exceeds max %v", p.Name, m, u, pm.MFUMax())
+				if u > pm.mfuMax || u > 1 {
+					t.Errorf("%s/%s MFU %v exceeds max %v", p.Name, m, u, pm.mfuMax)
 				}
 				prev = u
 			}
@@ -299,9 +299,8 @@ func TestGPUPreprocBatchAndThroughput(t *testing.T) {
 	if batchSec <= 64*per {
 		t.Error("batch cost should include fixed overhead")
 	}
-	thr := GPUPreprocThroughput(p, 256*256, 224, 64)
-	if math.Abs(thr-64/batchSec) > 1e-6 {
-		t.Errorf("throughput %v inconsistent with batch seconds %v", thr, batchSec)
+	if want := 64*per + p.PreBatchFixedNs/1e9; math.Abs(batchSec-want) > 1e-12 {
+		t.Errorf("batch seconds %v, want 64 images plus one fixed overhead = %v", batchSec, want)
 	}
 }
 

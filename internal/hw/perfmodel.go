@@ -43,9 +43,6 @@ func NewPerfModel(p *Platform, modelName string, flopsPerImage float64, weightBy
 	return m, nil
 }
 
-// MFUMax returns the saturation model-FLOPs-utilization.
-func (m *PerfModel) MFUMax() float64 { return m.mfuMax }
-
 // MFU returns the model FLOPs utilization at batch size b.
 func (m *PerfModel) MFU(b int) float64 {
 	if b <= 0 {

@@ -72,8 +72,8 @@ func TestPowerModePerfModelConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(pmRef.MFUMax()-pmLow.MFUMax()) > 1e-12 {
-		t.Errorf("MFUmax changed across power modes: %v vs %v", pmRef.MFUMax(), pmLow.MFUMax())
+	if math.Abs(pmRef.mfuMax-pmLow.mfuMax) > 1e-12 {
+		t.Errorf("MFUmax changed across power modes: %v vs %v", pmRef.mfuMax, pmLow.mfuMax)
 	}
 	scale := low.PracticalTFLOPS / ref.PracticalTFLOPS
 	gotScale := pmLow.ThroughputImgPerSec(8) / pmRef.ThroughputImgPerSec(8)

@@ -24,18 +24,6 @@ func GPUPreprocBatchSeconds(p *Platform, inPixels []int, outPixels int) float64 
 	return total
 }
 
-// GPUPreprocThroughput returns steady-state images/second for a stream
-// of images with meanInPixels input pixels preprocessed to
-// outRes x outRes output at the given batch size.
-func GPUPreprocThroughput(p *Platform, meanInPixels float64, outRes, batch int) float64 {
-	perImage := GPUPreprocImageSeconds(p, int(meanInPixels), outRes*outRes)
-	perBatch := perImage*float64(batch) + p.PreBatchFixedNs/1e9
-	if perBatch <= 0 {
-		return 0
-	}
-	return float64(batch) / perBatch
-}
-
 // ScaleCPUSeconds converts a single-threaded CPU duration measured on
 // the build host into the equivalent duration on platform p, using the
 // per-core relative speed of Table 1's CPUs. The build host is assumed

@@ -50,9 +50,6 @@ func (im *Image) Clone() *Image {
 	return out
 }
 
-// Bytes returns the raw pixel buffer size.
-func (im *Image) Bytes() int { return len(im.Pix) }
-
 // SyntheticKind selects the texture family for generated content.
 type SyntheticKind int
 

@@ -13,8 +13,8 @@ func TestNewImage(t *testing.T) {
 	if im.W != 4 || im.H != 3 || len(im.Pix) != 36 {
 		t.Fatalf("bad image %+v", im)
 	}
-	if im.Bytes() != 36 {
-		t.Errorf("Bytes = %d", im.Bytes())
+	if len(im.Pix) != 36 {
+		t.Errorf("len(Pix) = %d", len(im.Pix))
 	}
 	defer func() {
 		if recover() == nil {

@@ -220,16 +220,6 @@ func (s *Series) YAt(x float64) (float64, bool) {
 	return 0, false
 }
 
-// MaxY returns the series maximum y and its x.
-func (s *Series) MaxY() (x, y float64) {
-	for i, p := range s.Points {
-		if i == 0 || p.Y > y {
-			x, y = p.X, p.Y
-		}
-	}
-	return x, y
-}
-
 // Figure is a titled group of series (one paper sub-figure).
 type Figure struct {
 	Title  string

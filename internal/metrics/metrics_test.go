@@ -100,10 +100,6 @@ func TestSeries(t *testing.T) {
 	if _, ok := s.YAt(9); ok {
 		t.Error("YAt of absent x succeeded")
 	}
-	x, y := s.MaxY()
-	if x != 2 || y != 30 {
-		t.Errorf("MaxY = (%v, %v)", x, y)
-	}
 }
 
 func TestFigureRendering(t *testing.T) {

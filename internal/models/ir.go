@@ -144,25 +144,6 @@ func (s *Spec) MLPAttentionShares() (mlp, attn float64) {
 	return b[KindLinear] + b[KindEmbed], b[KindAttnMatmul]
 }
 
-// PeakActivationElems returns a per-image activation working-set
-// estimate: the largest adjacent input+output pair across the layer
-// graph, approximating ping-pong buffer execution.
-func (s *Spec) PeakActivationElems() int64 {
-	var peak, prev int64
-	// Input activations.
-	prev = int64(3 * s.InputSize * s.InputSize)
-	for _, l := range s.Layers {
-		if l.OutElems == 0 {
-			continue
-		}
-		if v := prev + l.OutElems; v > peak {
-			peak = v
-		}
-		prev = l.OutElems
-	}
-	return peak
-}
-
 // WeightBytes returns the model weight footprint at the given precision
 // width in bytes per value.
 func (s *Spec) WeightBytes(bytesPerValue int) int64 {

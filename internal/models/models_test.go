@@ -92,9 +92,6 @@ func TestSpecAccountingInvariants(t *testing.T) {
 		if s.ParamMACs() > s.TotalMACs() {
 			t.Errorf("%s param MACs exceed total", s.Name)
 		}
-		if s.PeakActivationElems() <= 0 {
-			t.Errorf("%s zero peak activation", s.Name)
-		}
 		if s.WeightBytes(2) != 2*s.Params() {
 			t.Errorf("%s weight bytes wrong", s.Name)
 		}

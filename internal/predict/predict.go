@@ -83,18 +83,6 @@ func (p *Predictor) Throughput(batch int) float64 {
 	return float64(batch) / lat
 }
 
-// SaturatedThroughput is the b->inf throughput limit.
-func (p *Predictor) SaturatedThroughput() float64 {
-	return 1 / p.SecondsPerImage
-}
-
-// KneeBatch is the batch size at which throughput reaches half its
-// saturated value — the paper's "diminishing returns" knee. It equals
-// Base/SecondsPerImage under the linear law.
-func (p *Predictor) KneeBatch() float64 {
-	return p.Base / p.SecondsPerImage
-}
-
 // BatchForLatency returns the largest batch (from the candidate list,
 // ascending) whose predicted latency is within sloSeconds, or 0 if
 // none fits.

@@ -23,11 +23,10 @@ func TestFitRecoversLinearLaw(t *testing.T) {
 	if math.Abs(p.LatencySeconds(50)-0.007) > 1e-9 {
 		t.Errorf("predicted latency %v", p.LatencySeconds(50))
 	}
-	if math.Abs(p.SaturatedThroughput()-10000) > 1e-6 {
-		t.Errorf("saturated throughput %v", p.SaturatedThroughput())
-	}
-	if math.Abs(p.KneeBatch()-20) > 1e-9 {
-		t.Errorf("knee %v, want 20", p.KneeBatch())
+	// Saturated throughput is 1/SecondsPerImage = 10000 img/s, and the
+	// knee (half of it) sits at b = Base/SecondsPerImage = 20.
+	if thr := p.Throughput(20); math.Abs(thr-5000) > 1e-6 {
+		t.Errorf("throughput at the knee %v, want 5000", thr)
 	}
 }
 

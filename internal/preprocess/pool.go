@@ -81,9 +81,6 @@ func NewPool(n int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Close stops the workers after in-flight jobs finish. Safe to call
 // more than once; submitting after Close panics.
 func (p *Pool) Close() {

@@ -444,8 +444,8 @@ func TestSharedPoolAcrossEngines(t *testing.T) {
 	if len(ra.Tensors[0]) != 3*32*32 || len(rb.Tensors[0]) != 3*48*48 {
 		t.Error("engines over a shared pool produced wrong shapes")
 	}
-	if pool.Workers() != 3 {
-		t.Errorf("pool workers %d", pool.Workers())
+	if pool.workers != 3 {
+		t.Errorf("pool workers %d", pool.workers)
 	}
 }
 

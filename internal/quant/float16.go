@@ -1,12 +1,29 @@
 // Package quant implements the reduced-precision numeric formats the
 // paper's inference engines rely on: IEEE-754 half precision (FP16),
-// bfloat16 (BF16), and INT8 affine quantization. The paper runs its
-// engines in FP16 (V100, Jetson) and BF16 (A100); this package provides
-// real software conversions so precision effects can be measured rather
-// than assumed.
+// bfloat16 (BF16), and the 7-bit integer quantization the int8 backend
+// runs (q7.go). The paper runs its engines in FP16 (V100, Jetson) and
+// BF16 (A100); this package provides real software conversions so
+// precision effects can be measured rather than assumed.
 package quant
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
+
+// BytesPerValue reports storage cost per element for a precision name,
+// used by the memory model. Recognized: fp32, fp16, bf16, int8.
+func BytesPerValue(precision string) (int, error) {
+	switch precision {
+	case "fp32":
+		return 4, nil
+	case "fp16", "bf16":
+		return 2, nil
+	case "int8":
+		return 1, nil
+	}
+	return 0, fmt.Errorf("quant: unknown precision %q", precision)
+}
 
 // Float16 is an IEEE-754 binary16 value stored in a uint16.
 type Float16 uint16
@@ -100,19 +117,4 @@ func BF16FromFloat32(f float32) BFloat16 {
 // Float32 converts the bfloat16 back to float32 exactly.
 func (b BFloat16) Float32() float32 {
 	return math.Float32frombits(uint32(b) << 16)
-}
-
-// RoundTripF16 converts a slice through FP16 and back, in place,
-// simulating execution of a tensor in half precision.
-func RoundTripF16(xs []float32) {
-	for i, x := range xs {
-		xs[i] = FromFloat32(x).Float32()
-	}
-}
-
-// RoundTripBF16 converts a slice through BF16 and back, in place.
-func RoundTripBF16(xs []float32) {
-	for i, x := range xs {
-		xs[i] = BF16FromFloat32(x).Float32()
-	}
 }

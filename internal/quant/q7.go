@@ -80,11 +80,6 @@ func (p Q7Params) QuantizeInto(dst []uint8, xs []float32) {
 	}
 }
 
-// Dequantize reconstructs the value of a single code.
-func (p Q7Params) Dequantize(q uint8) float32 {
-	return float32(int32(q)-p.ZeroPoint) * p.Scale
-}
-
 // CalibrateQ7Sym returns the symmetric scale mapping [-maxAbs, maxAbs]
 // onto [-63, 63] for a weight channel. An all-zero channel yields scale
 // 1 (codes are all zero either way).

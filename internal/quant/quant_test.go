@@ -136,39 +136,36 @@ func TestBF16RelativeErrorBound(t *testing.T) {
 	}
 }
 
-func TestRoundTripSlices(t *testing.T) {
-	xs := []float32{0, 1, -3.75, 100.25}
-	f16 := append([]float32(nil), xs...)
-	RoundTripF16(f16)
-	bf := append([]float32(nil), xs...)
-	RoundTripBF16(bf)
-	for i := range xs {
-		if math.Abs(float64(f16[i]-xs[i])) > math.Abs(float64(xs[i]))/1024 {
-			t.Errorf("fp16 slice round trip too lossy at %d: %v -> %v", i, xs[i], f16[i])
-		}
-		if math.Abs(float64(bf[i]-xs[i])) > math.Abs(float64(xs[i]))/128 {
-			t.Errorf("bf16 slice round trip too lossy at %d: %v -> %v", i, xs[i], bf[i])
-		}
+// The int8 precision's activations are quantized by CalibrateQ7 and
+// QuantizeInto (q7.go); the tests below hold that quantizer to the
+// bounds an int8 round trip must meet. roundTripQ7 maps each code back
+// to (q - ZeroPoint) * Scale.
+func roundTripQ7(p Q7Params, xs []float32) []float32 {
+	qs := make([]uint8, len(xs))
+	p.QuantizeInto(qs, xs)
+	back := make([]float32, len(xs))
+	for i, q := range qs {
+		back[i] = float32(int32(q)-p.ZeroPoint) * p.Scale
 	}
+	return back
 }
 
 func TestCalibrateInt8Errors(t *testing.T) {
-	if _, err := CalibrateInt8(nil); err == nil {
+	if _, err := CalibrateQ7(nil); err == nil {
 		t.Error("calibrating empty tensor should fail")
 	}
 }
 
 func TestInt8RoundTripBound(t *testing.T) {
 	xs := []float32{-1, -0.5, 0, 0.25, 0.9, 1.2}
-	p, err := CalibrateInt8(xs)
+	p, err := CalibrateQ7(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := p.Quantize(xs)
-	back := p.Dequantize(qs)
+	back := roundTripQ7(p, xs)
 	for i := range xs {
-		if math.Abs(float64(back[i]-xs[i])) > float64(p.MaxError())+1e-6 {
-			t.Errorf("int8 error at %d: %v -> %v (max %v)", i, xs[i], back[i], p.MaxError())
+		if math.Abs(float64(back[i]-xs[i])) > float64(p.Scale/2)+1e-6 {
+			t.Errorf("int8 error at %d: %v -> %v (max %v)", i, xs[i], back[i], p.Scale/2)
 		}
 	}
 }
@@ -176,24 +173,22 @@ func TestInt8RoundTripBound(t *testing.T) {
 func TestInt8ZeroExact(t *testing.T) {
 	// Zero must be exactly representable (padding/ReLU preservation).
 	xs := []float32{0.1, 0.9, 3.3}
-	p, err := CalibrateInt8(xs)
+	p, err := CalibrateQ7(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := p.Quantize([]float32{0})
-	back := p.Dequantize(q)
-	if math.Abs(float64(back[0])) > 1e-6 {
+	if back := roundTripQ7(p, []float32{0}); back[0] != 0 {
 		t.Errorf("zero reconstructed as %v", back[0])
 	}
 }
 
 func TestInt8ConstantTensor(t *testing.T) {
-	p, err := CalibrateInt8([]float32{5, 5, 5})
+	p, err := CalibrateQ7([]float32{5, 5, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := p.Dequantize(p.Quantize([]float32{5}))
-	if math.Abs(float64(back[0]-5)) > float64(p.MaxError())+1e-6 {
+	back := roundTripQ7(p, []float32{5})
+	if math.Abs(float64(back[0]-5)) > float64(p.Scale/2)+1e-6 {
 		t.Errorf("constant tensor reconstructed as %v", back[0])
 	}
 }
@@ -209,13 +204,13 @@ func TestInt8QuickBound(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		p, err := CalibrateInt8(xs)
+		p, err := CalibrateQ7(xs)
 		if err != nil {
 			return false
 		}
-		back := p.Dequantize(p.Quantize(xs))
+		back := roundTripQ7(p, xs)
 		for i := range xs {
-			if math.Abs(float64(back[i]-xs[i])) > float64(p.MaxError())*1.01+1e-5 {
+			if math.Abs(float64(back[i]-xs[i])) > float64(p.Scale/2)*1.01+1e-5 {
 				return false
 			}
 		}

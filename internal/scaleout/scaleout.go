@@ -98,13 +98,13 @@ func Run(cfg Config) (Result, error) {
 	// A capacity-R resource with earliest-free assignment is exactly a
 	// least-loaded dispatcher over R identical replicas.
 	pool := sim.NewResource(s, "replicas", cfg.Replicas)
-	rng := stats.NewRNG(cfg.Seed)
-	trace := workload.PoissonTrace(rng, cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, batch)
+	arrivals := workload.NewArrivalStream(stats.NewRNG(cfg.Seed), workload.ConstantRate(cfg.OfferedBatchesPerSec),
+		cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, batch)
 
 	var latencies []float64
 	completed := 0
 	busyInHorizon := 0.0
-	for _, a := range trace {
+	arrivals.Each(func(a workload.Arrival) bool {
 		arrival := a.Time
 		s.Schedule(arrival, func() {
 			pool.Submit(serviceTime, func(start, end float64) {
@@ -126,7 +126,8 @@ func Run(cfg Config) (Result, error) {
 				completed++
 			})
 		})
-	}
+		return true
+	})
 	s.Run()
 
 	res := Result{
@@ -142,21 +143,4 @@ func Run(cfg Config) (Result, error) {
 		res.P99LatencySeconds = stats.Percentile(latencies, 99)
 	}
 	return res, nil
-}
-
-// SaturationSweep runs the configuration at increasing offered load
-// and returns one Result per rate, exposing where each replica count
-// saturates (the scale-out capacity curve).
-func SaturationSweep(cfg Config, rates []float64) ([]Result, error) {
-	out := make([]Result, 0, len(rates))
-	for _, r := range rates {
-		c := cfg
-		c.OfferedBatchesPerSec = r
-		res, err := Run(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

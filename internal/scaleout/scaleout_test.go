@@ -134,15 +134,18 @@ func TestUtilizationAtSaturationNotBiasedLow(t *testing.T) {
 }
 
 func TestSaturationSweep(t *testing.T) {
-	results, err := SaturationSweep(Config{
+	cfg := Config{
 		Platform: hw.A100(), Model: models.NameResNet50,
 		Replicas: 2, Batch: 64, HorizonSeconds: 5, Seed: 5,
-	}, []float64{10, 50, 400})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("sweep results %d", len(results))
+	var results []Result
+	for _, rate := range []float64{10, 50, 400} {
+		cfg.OfferedBatchesPerSec = rate
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
 	}
 	// Latency must be non-decreasing with load.
 	if results[2].MeanLatencySeconds < results[0].MeanLatencySeconds {

@@ -76,7 +76,12 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 	batch := sim.Batch // Run resolved the auto-batch
 
 	// The identical arrival trace (same seed) the sim consumed.
-	trace := workload.PoissonTrace(stats.NewRNG(cfg.Seed), cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, batch)
+	var trace []workload.Arrival
+	workload.NewArrivalStream(stats.NewRNG(cfg.Seed), workload.ConstantRate(cfg.OfferedBatchesPerSec),
+		cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, batch).Each(func(a workload.Arrival) bool {
+		trace = append(trace, a)
+		return true
+	})
 
 	// The live tier: one single-model server per simulated replica.
 	// The model configs are hand-set (not a core deployment): this

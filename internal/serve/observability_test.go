@@ -225,7 +225,7 @@ func TestRouterRequestIDPropagation(t *testing.T) {
 	}
 	// The router's own trace saw the same request id.
 	found := false
-	for _, sp := range router.Trace().Spans() {
+	for _, sp := range router.trace.Spans() {
 		if sp.Track == "req:"+id && strings.HasPrefix(sp.Name, "route:") {
 			found = true
 			if sp.Args["outcome"] != "ok" {
@@ -236,7 +236,7 @@ func TestRouterRequestIDPropagation(t *testing.T) {
 	if !found {
 		t.Errorf("router trace has no route span on track req:%s", id)
 	}
-	if err := router.Trace().Validate(); err != nil {
+	if err := router.trace.Validate(); err != nil {
 		t.Errorf("router trace invalid: %v", err)
 	}
 	// An id too long to retain in the trace ring is refused at the edge.
@@ -382,7 +382,7 @@ func TestTraceEndpointDisabledRouterStillServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer router.Close()
-	if router.Trace() != nil {
+	if router.trace != nil {
 		t.Fatal("negative TraceCapacity should disable tracing")
 	}
 	req := httptest.NewRequest(http.MethodGet, "/v2/trace", nil)

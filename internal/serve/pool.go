@@ -114,9 +114,6 @@ type Replica struct {
 	metricsAt    atomic.Int64 // unix nanos of the last successful metrics fetch
 }
 
-// Client returns the replica's HTTP client.
-func (rep *Replica) Client() *Client { return rep.client }
-
 // Healthy reports whether the replica is in dispatch rotation.
 func (rep *Replica) Healthy() bool { return rep.state.Load() == replicaHealthy }
 

@@ -144,9 +144,6 @@ func newRouter(pool *Pool, cfg RouterConfig) *Router {
 	return r
 }
 
-// Trace returns the router's trace recorder, or nil when disabled.
-func (r *Router) Trace() *trace.Recorder { return r.trace }
-
 // Pool exposes the replica pool (status snapshots, tests).
 func (r *Router) Pool() *Pool { return r.pool }
 

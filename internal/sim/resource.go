@@ -5,20 +5,13 @@ import "fmt"
 // Resource models a server pool (a GPU engine, a copy engine, a CPU
 // worker pool) with a fixed number of parallel servers and FIFO
 // queueing. Work is submitted with a known service duration; the
-// resource tracks queueing, start and completion times and accumulates
-// utilization statistics.
+// resource assigns each job its start and completion times.
 type Resource struct {
 	Name string
 
-	sim      *Sim
-	capacity int
+	sim *Sim
 	// freeAt holds the next-free virtual time of each server.
 	freeAt []float64
-
-	busySeconds   float64
-	jobsCompleted int64
-	queuedPeak    int
-	inFlight      int
 }
 
 // NewResource creates a resource with the given parallelism.
@@ -26,7 +19,7 @@ func NewResource(s *Sim, name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: resource %q with capacity %d", name, capacity))
 	}
-	return &Resource{Name: name, sim: s, capacity: capacity, freeAt: make([]float64, capacity)}
+	return &Resource{Name: name, sim: s, freeAt: make([]float64, capacity)}
 }
 
 // Submit enqueues a job of the given service duration. onDone (may be
@@ -53,34 +46,9 @@ func (r *Resource) Submit(duration float64, onDone func(start, end float64)) {
 	}
 	end := start + duration
 	r.freeAt[best] = end
-	r.busySeconds += duration
-	r.inFlight++
-	if r.inFlight > r.queuedPeak {
-		r.queuedPeak = r.inFlight
-	}
 	r.sim.Schedule(end-r.sim.Now(), func() {
-		r.jobsCompleted++
-		r.inFlight--
 		if onDone != nil {
 			onDone(start, end)
 		}
 	})
 }
-
-// BusySeconds returns total service time accumulated.
-func (r *Resource) BusySeconds() float64 { return r.busySeconds }
-
-// JobsCompleted returns the number of finished jobs.
-func (r *Resource) JobsCompleted() int64 { return r.jobsCompleted }
-
-// Utilization returns busy time divided by (capacity * horizon).
-func (r *Resource) Utilization(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return r.busySeconds / (float64(r.capacity) * horizon)
-}
-
-// PeakInFlight returns the maximum number of jobs queued or running at
-// once.
-func (r *Resource) PeakInFlight() int { return r.queuedPeak }

@@ -105,16 +105,13 @@ func TestResourceSerializesUnitCapacity(t *testing.T) {
 	}
 	s.Run()
 	want := []float64{2, 4, 6}
+	if len(ends) != len(want) {
+		t.Fatalf("completed %d jobs, want %d", len(ends), len(want))
+	}
 	for i, e := range ends {
 		if e != want[i] {
 			t.Errorf("end[%d] = %v, want %v", i, e, want[i])
 		}
-	}
-	if r.JobsCompleted() != 3 {
-		t.Errorf("completed %d", r.JobsCompleted())
-	}
-	if u := r.Utilization(6); u != 1 {
-		t.Errorf("utilization %v, want 1", u)
 	}
 }
 
@@ -140,12 +137,6 @@ func TestResourceParallelCapacity(t *testing.T) {
 	}
 	if count3 != 2 || count6 != 2 {
 		t.Errorf("ends %v, want two at 3 and two at 6", ends)
-	}
-	if u := r.Utilization(6); u != 1 {
-		t.Errorf("utilization %v", u)
-	}
-	if r.PeakInFlight() != 4 {
-		t.Errorf("peak in flight %d, want 4", r.PeakInFlight())
 	}
 }
 
@@ -209,8 +200,9 @@ func TestResourceNilCallback(t *testing.T) {
 	s := New()
 	r := NewResource(s, "x", 1)
 	r.Submit(1, nil)
-	s.Run()
-	if r.JobsCompleted() != 1 {
-		t.Error("nil-callback job lost")
+	var start float64
+	r.Submit(1, func(st, _ float64) { start = st })
+	if end := s.Run(); end != 2 || start != 1 {
+		t.Errorf("nil-callback job lost: clock %v, next job started at %v; want 2 and 1", end, start)
 	}
 }

@@ -7,82 +7,12 @@ import (
 	"strings"
 )
 
-// Histogram is a fixed-bin 1-D histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Under and Over count out-of-range observations.
-	Under, Over int
-	total       int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [lo, hi). It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	if v < h.Lo {
-		h.Under++
-		return
-	}
-	if v >= h.Hi {
-		h.Over++
-		return
-	}
-	i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Mode returns the center of the fullest bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
-// Density returns normalized bin heights integrating to ~1 over [Lo,Hi).
-func (h *Histogram) Density() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = float64(c) / (float64(h.total) * w)
-	}
-	return out
-}
-
 // Hist2D is a fixed-bin 2-D histogram, used for the width x height image
 // size densities of Fig. 4.
 type Hist2D struct {
 	XLo, XHi, YLo, YHi float64
 	XBins, YBins       int
 	Counts             []int // row-major: y*XBins + x
-	total              int
 }
 
 // NewHist2D creates a 2-D histogram.
@@ -97,7 +27,6 @@ func NewHist2D(xlo, xhi float64, xbins int, ylo, yhi float64, ybins int) *Hist2D
 // Add records an (x, y) observation; out-of-range points are clamped to
 // the boundary bins so no mass is lost.
 func (h *Hist2D) Add(x, y float64) {
-	h.total++
 	xi := int((x - h.XLo) / (h.XHi - h.XLo) * float64(h.XBins))
 	yi := int((y - h.YLo) / (h.YHi - h.YLo) * float64(h.YBins))
 	if xi < 0 {
@@ -115,9 +44,6 @@ func (h *Hist2D) Add(x, y float64) {
 	h.Counts[yi*h.XBins+xi]++
 }
 
-// Total returns the number of observations.
-func (h *Hist2D) Total() int { return h.total }
-
 // Mode returns the (x, y) center of the fullest cell.
 func (h *Hist2D) Mode() (float64, float64) {
 	best := 0
@@ -130,21 +56,6 @@ func (h *Hist2D) Mode() (float64, float64) {
 	xw := (h.XHi - h.XLo) / float64(h.XBins)
 	yw := (h.YHi - h.YLo) / float64(h.YBins)
 	return h.XLo + (float64(xi)+0.5)*xw, h.YLo + (float64(yi)+0.5)*yw
-}
-
-// DensityAt returns the normalized density of the cell containing (x,y).
-func (h *Hist2D) DensityAt(x, y float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	xi := int((x - h.XLo) / (h.XHi - h.XLo) * float64(h.XBins))
-	yi := int((y - h.YLo) / (h.YHi - h.YLo) * float64(h.YBins))
-	if xi < 0 || xi >= h.XBins || yi < 0 || yi >= h.YBins {
-		return 0
-	}
-	xw := (h.XHi - h.XLo) / float64(h.XBins)
-	yw := (h.YHi - h.YLo) / float64(h.YBins)
-	return float64(h.Counts[yi*h.XBins+xi]) / (float64(h.total) * xw * yw)
 }
 
 // KDE1D evaluates a Gaussian kernel density estimate of samples at each

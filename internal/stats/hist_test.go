@@ -8,60 +8,47 @@ import (
 )
 
 func TestHistogramMassConservation(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	vals := []float64{-1, 0, 1, 2.5, 5, 9.999, 10, 42}
-	for _, v := range vals {
-		h.Add(v)
+	// Out-of-range points clamp to the boundary cells, so every
+	// observation lands in some cell.
+	h := NewHist2D(0, 10, 5, 0, 10, 5)
+	pts := [][2]float64{{-1, 5}, {0, 0}, {2.5, 9.999}, {10, 10}, {42, -3}, {5, 42}}
+	for _, p := range pts {
+		h.Add(p[0], p[1])
 	}
-	inRange := 0
+	inCells := 0
 	for _, c := range h.Counts {
-		inRange += c
+		inCells += c
 	}
-	if got := inRange + h.Under + h.Over; got != len(vals) {
-		t.Fatalf("mass not conserved: %d of %d", got, len(vals))
+	if inCells != len(pts) {
+		t.Fatalf("mass not conserved: %d in cells of %d", inCells, len(pts))
 	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under=%d over=%d, want 1 and 2", h.Under, h.Over)
-	}
-	if h.Total() != len(vals) {
-		t.Errorf("Total() = %d, want %d", h.Total(), len(vals))
+	// (-1,5) -> (0,2); (10,10) -> (4,4); (42,-3) -> (4,0); (5,42) -> (2,4).
+	for _, cell := range []int{2*5 + 0, 4*5 + 4, 0*5 + 4, 4*5 + 2} {
+		if h.Counts[cell] != 1 {
+			t.Errorf("boundary cell %d holds %d, want 1", cell, h.Counts[cell])
+		}
 	}
 }
 
 func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
+	// The mode is the centre of the fullest cell, exactly, with
+	// different bin widths on the two axes.
+	h := NewHist2D(0, 100, 10, 0, 50, 5)
 	for i := 0; i < 50; i++ {
-		h.Add(35) // bin 3, center 35
+		h.Add(35, 12) // cell (3, 1), centre (35, 15)
 	}
-	h.Add(5)
-	if m := h.Mode(); m != 35 {
-		t.Errorf("mode %v, want 35", m)
-	}
-}
-
-func TestHistogramDensityIntegratesToOne(t *testing.T) {
-	h := NewHistogram(0, 1, 20)
-	r := NewRNG(1)
-	for i := 0; i < 10000; i++ {
-		h.Add(r.Float64())
-	}
-	dens := h.Density()
-	w := 1.0 / 20
-	integral := 0.0
-	for _, d := range dens {
-		integral += d * w
-	}
-	if math.Abs(integral-1) > 1e-9 {
-		t.Errorf("density integral %v, want 1", integral)
+	h.Add(5, 5)
+	if x, y := h.Mode(); x != 35 || y != 15 {
+		t.Errorf("mode (%v, %v), want (35, 15)", x, y)
 	}
 }
 
 func TestHistogramPanicsOnBadParams(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewHistogram(0, 0, 5) },
-		func() { NewHistogram(0, 1, 0) },
 		func() { NewHist2D(0, 0, 4, 0, 1, 4) },
 		func() { NewHist2D(0, 1, 0, 0, 1, 4) },
+		func() { NewHist2D(0, 1, 4, 1, 1, 4) },
+		func() { NewHist2D(0, 1, 4, 0, 1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -84,14 +71,12 @@ func TestHist2DModeAndClamping(t *testing.T) {
 	if math.Abs(mx-235) > 10 || math.Abs(my-235) > 10 {
 		t.Errorf("2d mode (%v,%v), want near (233,233)", mx, my)
 	}
-	if h.Total() != 101 {
-		t.Errorf("total %d, want 101", h.Total())
+	inCells := 0
+	for _, c := range h.Counts {
+		inCells += c
 	}
-	if d := h.DensityAt(233, 233); d <= 0 {
-		t.Errorf("density at mode %v, want > 0", d)
-	}
-	if d := h.DensityAt(-10, -10); d != 0 {
-		t.Errorf("density outside range %v, want 0", d)
+	if inCells != 101 {
+		t.Errorf("%d observations in cells, want 101", inCells)
 	}
 }
 

@@ -57,9 +57,6 @@ func (t *Tensor) Len() int { return len(t.Data) }
 // Dim returns the size of dimension i.
 func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
-// NumDims returns the rank.
-func (t *Tensor) NumDims() int { return len(t.Shape) }
-
 // Clone deep-copies the tensor.
 func (t *Tensor) Clone() *Tensor {
 	out := New(t.Shape...)

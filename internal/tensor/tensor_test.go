@@ -8,7 +8,7 @@ import (
 
 func TestNewAndIndexing(t *testing.T) {
 	x := New(2, 3)
-	if x.Len() != 6 || x.NumDims() != 2 || x.Dim(0) != 2 || x.Dim(1) != 3 {
+	if x.Len() != 6 || len(x.Shape) != 2 || x.Dim(0) != 2 || x.Dim(1) != 3 {
 		t.Fatalf("bad tensor metadata: %+v", x)
 	}
 	x.Set(7, 1, 2)

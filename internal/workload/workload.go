@@ -1,7 +1,7 @@
-// Package workload generates the request patterns of the paper's three
+// Package workload generates the request patterns of the paper's
 // deployment scenarios (§2.2): Poisson open-loop traffic for online
-// inference, full-dataset batch sweeps for offline inference, and
-// fixed-FPS camera streams with deadlines for real-time inference.
+// inference and fixed-FPS camera streams with deadlines for real-time
+// inference.
 package workload
 
 import (
@@ -84,8 +84,8 @@ func RampRate(start, end, horizonSec float64) RateFn {
 // materialize a trace slice. Non-homogeneous rates are drawn by Lewis
 // thinning: candidate arrivals at peakRate, accepted with probability
 // rate(t)/peakRate. For a constant rate equal to the peak no thinning
-// variates are drawn, so the stream consumes the RNG exactly like the
-// historical PoissonTrace and reproduces its schedules bit-for-bit.
+// variates are drawn, so the stream is a homogeneous Poisson process
+// that consumes the RNG one exponential variate per arrival.
 type ArrivalStream struct {
 	rng     *stats.RNG
 	rate    RateFn
@@ -140,22 +140,6 @@ func (s *ArrivalStream) Each(fn func(Arrival) bool) {
 	}
 }
 
-// PoissonTrace generates open-loop arrivals with exponential
-// inter-arrival times at ratePerSec requests/second over the horizon,
-// each carrying itemsPerReq images. Used for the online scenario. It is
-// a materializing wrapper over ArrivalStream (constant rate) and
-// produces the identical schedule for the same seed; prefer the stream
-// for long horizons.
-func PoissonTrace(rng *stats.RNG, ratePerSec, horizonSec float64, itemsPerReq int) []Arrival {
-	s := NewArrivalStream(rng, ConstantRate(ratePerSec), ratePerSec, horizonSec, itemsPerReq)
-	var out []Arrival
-	s.Each(func(a Arrival) bool {
-		out = append(out, a)
-		return true
-	})
-	return out
-}
-
 // FrameTrace generates a fixed-FPS camera stream of frames frames, one
 // image each. Used for the real-time ground-vehicle scenario.
 func FrameTrace(fps float64, frames int) []Arrival {
@@ -168,33 +152,6 @@ func FrameTrace(fps float64, frames int) []Arrival {
 		out[i] = Arrival{Time: float64(i) * period, Items: 1}
 	}
 	return out
-}
-
-// BatchTrace generates the offline scenario: all data available at time
-// zero, split into ceil(total/batch) requests of batch images (last one
-// smaller).
-func BatchTrace(totalItems, batch int) []Arrival {
-	if totalItems <= 0 || batch <= 0 {
-		return nil
-	}
-	var out []Arrival
-	for rem := totalItems; rem > 0; rem -= batch {
-		n := batch
-		if rem < batch {
-			n = rem
-		}
-		out = append(out, Arrival{Items: n})
-	}
-	return out
-}
-
-// TotalItems sums the items of a trace.
-func TotalItems(trace []Arrival) int {
-	t := 0
-	for _, a := range trace {
-		t += a.Items
-	}
-	return t
 }
 
 // SLOTracker accounts deadline hits and misses for real-time pipelines.
@@ -220,12 +177,6 @@ func (t *SLOTracker) Observe(latencySeconds float64) {
 		t.worst = latencySeconds
 	}
 }
-
-// Met and Missed return the counters.
-func (t *SLOTracker) Met() int { return t.met }
-
-// Missed returns the number of deadline violations.
-func (t *SLOTracker) Missed() int { return t.missed }
 
 // MissRate returns the fraction of observations over deadline.
 func (t *SLOTracker) MissRate() float64 {
