@@ -1,7 +1,7 @@
 // Command harvest-plan is the pre-deployment planning toolkit the
 // paper names as future work: given latency/throughput requirements
-// and an optimization objective, it profiles each candidate
-// (platform, model) pair with two batches, fits the latency law, and
+// and an optimization objective, it prices each candidate
+// (platform, model) pair over its memory-feasible batch sweep and
 // prints ranked deployment recommendations.
 //
 // Usage:
@@ -73,16 +73,15 @@ func main() {
 	}
 	fmt.Printf("objective=%s slo=%.1fms min-throughput=%.0f img/s pipeline=%v\n\n",
 		req.Objective, *sloMs, *minImgPS, *pipeline)
-	fmt.Printf("%-4s %-8s %-10s %-6s %-12s %-12s %-10s %-10s %s\n",
-		"Rank", "Platform", "Model", "Batch", "PredLat(ms)", "Pred img/s", "img/J", "Mem(MiB)", "FitErr(max)")
+	fmt.Printf("%-4s %-8s %-10s %-6s %-12s %-12s %-10s %s\n",
+		"Rank", "Platform", "Model", "Batch", "PredLat(ms)", "Pred img/s", "img/J", "Mem(MiB)")
 	for i, o := range opts {
 		if i >= *top {
 			break
 		}
-		fmt.Printf("%-4d %-8s %-10s %-6d %-12.2f %-12.1f %-10.2f %-10d %.2e\n",
+		fmt.Printf("%-4d %-8s %-10s %-6d %-12.2f %-12.1f %-10.2f %d\n",
 			i+1, o.Platform, o.Model, o.Batch,
 			o.PredLatencySeconds*1000, o.PredImgPerSec, o.ImagesPerJoule,
-			o.MemoryBytes>>20, o.FitReport.MaxRelErr)
+			o.MemoryBytes>>20)
 	}
-	fmt.Println("\npredictions come from two profiling batches per target (see internal/predict)")
 }

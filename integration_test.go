@@ -113,7 +113,7 @@ func TestFullSystemEndToEnd(t *testing.T) {
 	if err := hm.WritePPM(&img, 4); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := imaging.DecodePPM(&img)
+	decoded, err := imaging.DecodeBytes(img.Bytes(), imaging.FormatPPM)
 	if err != nil {
 		t.Fatal(err)
 	}

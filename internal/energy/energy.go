@@ -59,18 +59,3 @@ func (m *Model) ImagesPerJoule(imgPerSec, mfu float64) (float64, error) {
 	}
 	return 1 / j, nil
 }
-
-// BatchJoules returns energy to execute one batch.
-func (m *Model) BatchJoules(batchSeconds, mfu float64) float64 {
-	return m.PowerAt(mfu) * batchSeconds
-}
-
-// CampaignJoules estimates the energy to process an offline campaign of
-// totalImages at the given steady state.
-func (m *Model) CampaignJoules(totalImages int, imgPerSec, mfu float64) (float64, error) {
-	j, err := m.JoulesPerImage(imgPerSec, mfu)
-	if err != nil {
-		return 0, err
-	}
-	return float64(totalImages) * j, nil
-}

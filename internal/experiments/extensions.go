@@ -86,47 +86,10 @@ func Energy(opts Options) (*Artifact, error) {
 	return a, nil
 }
 
-// Prediction exercises the deployment-planning toolkit: profile two
-// batches, fit the latency law, validate against the full sweep, and
-// plan deployments for three requirement profiles.
+// Prediction exercises the deployment-planning toolkit: plan
+// deployments for three requirement profiles.
 func Prediction(opts Options) (*Artifact, error) {
 	a := &Artifact{ID: "prediction", Title: "Pre-deployment Performance Prediction (paper future work)"}
-
-	val := metrics.NewTable("Two-point profile -> full-sweep prediction error",
-		"Platform", "Model", "Profiled", "Points", "MeanErr%", "MaxErr%")
-	for _, p := range hw.FigureOrder() {
-		for _, name := range models.Names() {
-			eng, err := engine.New(p, name)
-			if err != nil {
-				return nil, err
-			}
-			// Profile at BS1 and the largest of {16, max feasible}.
-			second := 16
-			if mb := eng.MaxBatch(0); mb < second {
-				second = mb
-			}
-			var samples, truth []predict.Sample
-			for _, b := range []int{1, second} {
-				if st, err := eng.Infer(b); err == nil {
-					samples = append(samples, predict.Sample{Batch: b, Seconds: st.Seconds})
-				}
-			}
-			for _, b := range hw.BatchSweep(p.Name) {
-				st, err := eng.Infer(b)
-				if err != nil {
-					break
-				}
-				truth = append(truth, predict.Sample{Batch: b, Seconds: st.Seconds})
-			}
-			pr, err := predict.Fit(samples)
-			if err != nil {
-				return nil, fmt.Errorf("prediction %s/%s: %w", p.Name, name, err)
-			}
-			rep := pr.Validate(truth)
-			val.AddRow(p.Name, name, "BS1,BS16", rep.Points, rep.MeanRelErr*100, rep.MaxRelErr*100)
-		}
-	}
-	a.Tables = append(a.Tables, val)
 
 	plans := metrics.NewTable("Planner recommendations",
 		"Requirement", "Rank", "Platform", "Model", "Batch", "PredLat(ms)", "Pred img/s", "img/J")
@@ -152,7 +115,7 @@ func Prediction(opts Options) (*Artifact, error) {
 		}
 	}
 	a.Tables = append(a.Tables, plans)
-	a.AddNote("prediction uses only two profiling batches per target; errors vs the full sweep quantify the toolkit's trustworthiness")
+	a.AddNote("each target is priced by its engine's calibrated latency law over the memory-feasible batch sweep")
 	_ = opts
 	return a, nil
 }

@@ -57,13 +57,10 @@ func TestPredictionContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := a.Render()
-	for _, want := range []string{"prediction error", "Planner recommendations", "online 60QPS cloud", "real-time 30FPS"} {
+	for _, want := range []string{"Planner recommendations", "online 60QPS cloud", "real-time 30FPS"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prediction missing %q", want)
 		}
-	}
-	if a.Tables[0].NumRows() != 12 {
-		t.Errorf("validation rows %d, want 12", a.Tables[0].NumRows())
 	}
 }
 

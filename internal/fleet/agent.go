@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"harvest/internal/serve"
 )
 
 // Agent is a replica's client side of the lease protocol: it registers
@@ -95,7 +97,7 @@ func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	return time.Duration(resp.TTLMs * float64(time.Millisecond)), nil
+	return serve.MsDuration(resp.TTLMs), nil
 }
 
 // Run registers the replica (retrying until the control plane

@@ -2,7 +2,11 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,6 +137,28 @@ func TestRegistryLeaseLifecycle(t *testing.T) {
 	}
 	if kinds[EventRegister] < 2 || kinds[EventRenew] < 1 || kinds[EventDeregister] < 3 {
 		t.Fatalf("event mix %v missing expected transitions", kinds)
+	}
+}
+
+// TestRegisterHugeTTLClampsToMax: a ttl_ms past the largest Duration
+// (~9.2e12 ms) asks for a lease clamped to MaxTTL, not for one that
+// wrapped negative and fell back to the registry default.
+func TestRegisterHugeTTLClampsToMax(t *testing.T) {
+	_, hs := newTestBackend(t, 0)
+	pool := serve.NewDynamicPool(fastPoolCfg())
+	defer pool.Close()
+	g := NewRegistry(pool, RegistryConfig{DefaultTTL: time.Second})
+	defer g.Close()
+
+	body := fmt.Sprintf(`{"name":"r1","url":%q,"ttl_ms":1e13}`, hs.URL)
+	rec := httptest.NewRecorder()
+	Handler(g, nil, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/fleet/register", strings.NewReader(body)))
+	var resp RegisterResponseJSON
+	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("register: HTTP %d, %v", rec.Code, err)
+	}
+	if want := float64(MaxTTL / time.Millisecond); resp.TTLMs != want {
+		t.Errorf("granted ttl_ms %v, want MaxTTL %v", resp.TTLMs, want)
 	}
 }
 

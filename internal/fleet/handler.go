@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
+
+	"harvest/internal/serve"
 )
 
 // RegisterRequestJSON is the body of POST /v2/fleet/register — one
@@ -68,7 +70,7 @@ func Handler(g *Registry, c *Controller, next http.Handler) http.Handler {
 			writeError(w, http.StatusBadRequest, "bad register body: "+err.Error())
 			return
 		}
-		l, err := g.Register(req.Name, req.URL, req.Platform, time.Duration(req.TTLMs*float64(time.Millisecond)))
+		l, err := g.Register(req.Name, req.URL, req.Platform, serve.MsDuration(req.TTLMs))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return

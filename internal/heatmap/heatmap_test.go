@@ -104,7 +104,7 @@ func TestWritePPM(t *testing.T) {
 	if err := m.WritePPM(&buf, 4); err != nil {
 		t.Fatal(err)
 	}
-	im, err := imaging.DecodePPM(&buf)
+	im, err := imaging.DecodeBytes(buf.Bytes(), imaging.FormatPPM)
 	if err != nil {
 		t.Fatal(err)
 	}

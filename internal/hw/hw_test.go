@@ -170,6 +170,25 @@ func TestLatencyShape(t *testing.T) {
 		}
 		prevLat, prevPerImage = lat, per
 	}
+	// The one batch-latency law, for every calibrated pair and swept
+	// batch: latency(b) = (b+BHalf)/SaturatedThroughput, the affine
+	// base + b*secondsPerImage; and MFU is the achieved rate over the
+	// platform's practical rate.
+	for _, p := range All() {
+		for _, m := range []string{"ViT_Tiny", "ViT_Small", "ViT_Base", "ResNet50"} {
+			pm := newPM(t, p, m)
+			for _, b := range BatchSweep(p.Name) {
+				want := (float64(b) + pm.Calib.BHalf) / pm.SaturatedThroughput()
+				if got := pm.LatencySeconds(b); math.Abs(got-want) > 1e-12*want {
+					t.Errorf("%s/%s latency(%d) = %v, law gives %v", p.Name, m, b, got, want)
+				}
+				mfu := pm.ThroughputImgPerSec(b) * pm.FLOPsPerImage / (p.PracticalTFLOPS * 1e12)
+				if got := pm.MFU(b); math.Abs(got-mfu) > 1e-12*mfu {
+					t.Errorf("%s/%s MFU(%d) = %v, achieved/practical gives %v", p.Name, m, b, got, mfu)
+				}
+			}
+		}
+	}
 }
 
 func TestTheoreticalLatencyIsLowerBound(t *testing.T) {

@@ -25,43 +25,15 @@ func EncodePPM(w io.Writer, im *Image) error {
 	return bw.Flush()
 }
 
-// DecodePPM reads a binary PPM (P6) image.
-func DecodePPM(r io.Reader) (*Image, error) {
-	return decodePPMInto(r, nil)
-}
-
-// decodePPMInto decodes a PPM, reusing dst's pixel buffer when it is
-// large enough (raw-frame decode is then a pure read, with no
-// allocation and no redundant zeroing of the fresh buffer).
-func decodePPMInto(r io.Reader, dst *Image) (*Image, error) {
-	br := bufio.NewReader(r)
-	var magic string
-	var w, h, maxv int
-	if _, err := fmt.Fscan(br, &magic, &w, &h, &maxv); err != nil {
-		return nil, fmt.Errorf("imaging: bad ppm header: %w", err)
-	}
-	if magic != "P6" {
-		return nil, fmt.Errorf("imaging: unsupported magic %q", magic)
-	}
-	if w <= 0 || h <= 0 || w*h > 1<<28 {
-		return nil, fmt.Errorf("imaging: unreasonable ppm dimensions %dx%d", w, h)
-	}
-	if maxv != 255 {
-		return nil, fmt.Errorf("imaging: unsupported maxval %d", maxv)
-	}
-	if _, err := br.ReadByte(); err != nil { // single whitespace after maxval
-		return nil, err
-	}
-	im := ReuseImage(dst, w, h)
-	if _, err := io.ReadFull(br, im.Pix); err != nil {
-		return nil, fmt.Errorf("imaging: short ppm pixel data: %w", err)
-	}
-	return im, nil
-}
+// maxPixels bounds the raster a decoded header may claim (256 Mpixel,
+// 768 MB of RGB).
+const maxPixels = 1 << 28
 
 // parsePPMHeader scans a binary PPM header from an in-memory slice
 // without fmt/bufio (and therefore without allocating), returning the
-// dimensions and the offset of the pixel payload.
+// dimensions and the offset of the pixel payload, which it has checked
+// data holds: a short input is refused before anything is allocated
+// for the raster it claims.
 func parsePPMHeader(data []byte) (w, h, off int, err error) {
 	pos := 0
 	skipSpace := func() {
@@ -93,32 +65,29 @@ func parsePPMHeader(data []byte) (w, h, off int, err error) {
 	if !okW || !okH || !okM {
 		return 0, 0, 0, fmt.Errorf("imaging: bad ppm header: truncated dimensions")
 	}
-	if w <= 0 || h <= 0 || w*h > 1<<28 {
+	if w <= 0 || h <= 0 || w*h > maxPixels {
 		return 0, 0, 0, fmt.Errorf("imaging: unreasonable ppm dimensions %dx%d", w, h)
 	}
 	if maxv != 255 {
 		return 0, 0, 0, fmt.Errorf("imaging: unsupported maxval %d", maxv)
 	}
 	pos++ // single whitespace after maxval
-	if pos > len(data) {
-		return 0, 0, 0, fmt.Errorf("imaging: short ppm pixel data: empty payload")
+	if n := w * h * Channels; len(data)-pos < n {
+		return 0, 0, 0, fmt.Errorf("imaging: short ppm pixel data: have %d bytes, want %d",
+			max(len(data)-pos, 0), n)
 	}
 	return w, h, pos, nil
 }
 
-// decodePPMBytesInto is decodePPMInto for in-memory data: the manual
-// header scan means decoding a raw frame into a warm reused buffer
+// decodePPMInto decodes a binary PPM (P6), reusing dst's pixel buffer
+// when it is large enough: decoding a raw frame into a warm buffer then
 // performs no allocations.
-func decodePPMBytesInto(data []byte, dst *Image) (*Image, error) {
+func decodePPMInto(data []byte, dst *Image) (*Image, error) {
 	w, h, off, err := parsePPMHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	im := ReuseImage(dst, w, h)
-	if len(data)-off < len(im.Pix) {
-		return nil, fmt.Errorf("imaging: short ppm pixel data: have %d bytes, want %d",
-			len(data)-off, len(im.Pix))
-	}
 	copy(im.Pix, data[off:])
 	return im, nil
 }
@@ -135,10 +104,6 @@ func DecodePPMZeroCopy(data []byte, hdr *Image) (*Image, error) {
 		return nil, err
 	}
 	n := w * h * Channels
-	if len(data)-off < n {
-		return nil, fmt.Errorf("imaging: short ppm pixel data: have %d bytes, want %d",
-			len(data)-off, n)
-	}
 	if hdr == nil {
 		hdr = &Image{}
 	}
@@ -163,16 +128,24 @@ func EncodeJPEG(w io.Writer, im *Image, quality int) error {
 	return jpeg.Encode(w, rgba, &jpeg.Options{Quality: quality})
 }
 
-// DecodeJPEG decompresses a JPEG stream into an Image.
-func DecodeJPEG(r io.Reader) (*Image, error) {
-	return decodeJPEGInto(r, nil)
-}
-
 // decodeJPEGInto decodes a JPEG, converting into dst's reused pixel
 // buffer when it is large enough. The stdlib decoder still allocates
 // its own planes internally; reuse here saves the final RGB raster.
-func decodeJPEGInto(r io.Reader, dst *Image) (*Image, error) {
-	src, err := jpeg.Decode(r)
+func decodeJPEGInto(data []byte, dst *Image) (*Image, error) {
+	cfg, err := jpeg.DecodeConfig(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("imaging: jpeg decode: %w", err)
+	}
+	// The decoder allocates the raster the header claims before it reads
+	// the scan. A Huffman-coded scan spends at least one bit on each 8x8
+	// block of a component, so fewer than blocks/8 bytes cannot hold the
+	// image: refuse those and oversized claims before that allocation.
+	blocks := ((cfg.Width + 7) / 8) * ((cfg.Height + 7) / 8)
+	if cfg.Width*cfg.Height > maxPixels || len(data) < blocks/8 {
+		return nil, fmt.Errorf("imaging: unreasonable jpeg dimensions %dx%d for %d bytes",
+			cfg.Width, cfg.Height, len(data))
+	}
+	src, err := jpeg.Decode(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("imaging: jpeg decode: %w", err)
 	}
@@ -241,11 +214,19 @@ func EncodeBytes(im *Image, f Format) ([]byte, error) {
 
 // DecodeBytes deserializes an image encoded by EncodeBytes.
 func DecodeBytes(data []byte, f Format) (*Image, error) {
+	return DecodeBytesInto(data, f, nil)
+}
+
+// DecodeBytesInto decodes like DecodeBytes but reuses dst's pixel
+// buffer when possible (dst may be nil). The returned image aliases
+// dst's storage when it was large enough; the caller must treat dst as
+// invalid afterwards and use the returned image.
+func DecodeBytesInto(data []byte, f Format, dst *Image) (*Image, error) {
 	switch f {
 	case FormatJPEG:
-		return DecodeJPEG(bytes.NewReader(data))
+		return decodeJPEGInto(data, dst)
 	case FormatPPM:
-		return DecodePPM(bytes.NewReader(data))
+		return decodePPMInto(data, dst)
 	}
 	return nil, fmt.Errorf("imaging: unknown format %v", f)
 }

@@ -2,7 +2,9 @@ package imaging
 
 import (
 	"bytes"
-	"strings"
+	"encoding/binary"
+	"image/jpeg"
+	"runtime"
 	"testing"
 
 	"harvest/internal/stats"
@@ -83,7 +85,7 @@ func TestPPMRoundTrip(t *testing.T) {
 	if err := EncodePPM(&buf, im); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodePPM(&buf)
+	back, err := DecodeBytes(buf.Bytes(), FormatPPM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +103,76 @@ func TestDecodePPMErrors(t *testing.T) {
 		"P6\n2 2\n255\nab", // short pixel data
 	}
 	for i, c := range cases {
-		if _, err := DecodePPM(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: DecodePPM accepted malformed input", i)
+		if _, err := DecodeBytes([]byte(c), FormatPPM); err == nil {
+			t.Errorf("case %d: PPM decode accepted malformed input", i)
 		}
 	}
+}
+
+// claimingJPEG is a 16x16 JPEG whose frame header is patched to claim
+// w x h: a short input that says it is a large image.
+func claimingJPEG(t *testing.T, w, h int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeJPEG(&buf, Synthesize(16, 16, KindLeaf, stats.NewRNG(1)), 85); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	sof := bytes.Index(data, []byte{0xFF, 0xC0}) // then length(2) precision(1) height(2) width(2)
+	binary.BigEndian.PutUint16(data[sof+5:], uint16(h))
+	binary.BigEndian.PutUint16(data[sof+7:], uint16(w))
+	if cfg, err := jpeg.DecodeConfig(bytes.NewReader(data)); err != nil || cfg.Width != w || cfg.Height != h {
+		t.Fatalf("patched header reads %+v, %v", cfg, err)
+	}
+	return data
+}
+
+func TestDecodeRefusesClaimsBeforeAllocating(t *testing.T) {
+	cases := []struct {
+		name string
+		data []byte
+		f    Format
+	}{
+		{"19-byte ppm header claiming 16384x16384", []byte("P6 16384 16384 255 "), FormatPPM},
+		{"ppm claiming 4096x4096 with 1 KB of pixels", append([]byte("P6\n4096 4096\n255\n"), make([]byte, 1024)...), FormatPPM},
+		{"truncated jpeg claiming 8192x8192", claimingJPEG(t, 8192, 8192), FormatJPEG},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBytes(c.data, c.f)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s (%d bytes): decode allocated %d bytes before refusing it", c.name, len(c.data), n)
+		}
+	}
+}
+
+// FuzzDecodeBytes feeds both decoders arbitrary bytes. Whatever either
+// accepts must be a whole raster, and a PPM's raster must have come
+// from the input. The seed corpus in testdata/fuzz/FuzzDecodeBytes has
+// a valid image of each format, the 19-byte PPM header claiming
+// 16384x16384 and a truncated JPEG claiming 8192x8192.
+func FuzzDecodeBytes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, ppm bool) {
+		format := FormatJPEG
+		if ppm {
+			format = FormatPPM
+		}
+		im, err := DecodeBytes(data, format)
+		if err != nil {
+			return
+		}
+		if len(im.Pix) != im.W*im.H*Channels {
+			t.Fatalf("%dx%d image with %d pixel bytes", im.W, im.H, len(im.Pix))
+		}
+		if ppm && !bytes.Contains(data, im.Pix) {
+			t.Fatalf("%dx%d ppm raster not in its %d-byte input", im.W, im.H, len(data))
+		}
+	})
 }
 
 func TestJPEGRoundTripApproximate(t *testing.T) {
@@ -113,7 +181,7 @@ func TestJPEGRoundTripApproximate(t *testing.T) {
 	if err := EncodeJPEG(&buf, im, 90); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeJPEG(&buf)
+	back, err := DecodeBytes(buf.Bytes(), FormatJPEG)
 	if err != nil {
 		t.Fatal(err)
 	}

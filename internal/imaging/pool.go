@@ -1,7 +1,6 @@
 package imaging
 
 import (
-	"bytes"
 	"runtime"
 	"sync"
 )
@@ -104,20 +103,6 @@ func ReuseImage(im *Image, w, h int) *Image {
 	im.W, im.H = w, h
 	im.Pix = im.Pix[:n]
 	return im
-}
-
-// DecodeBytesInto decodes like DecodeBytes but reuses dst's pixel
-// buffer when possible (dst may be nil). The returned image aliases
-// dst's storage when it was large enough; the caller must treat dst as
-// invalid afterwards and use the returned image.
-func DecodeBytesInto(data []byte, f Format, dst *Image) (*Image, error) {
-	switch f {
-	case FormatJPEG:
-		return decodeJPEGInto(bytes.NewReader(data), dst)
-	case FormatPPM:
-		return decodePPMBytesInto(data, dst)
-	}
-	return DecodeBytes(data, f) // unknown format: shared error path
 }
 
 // WarpPerspectiveInto renders src through the homography into dst

@@ -82,22 +82,6 @@ func (l *LatencyRecorder) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Throughput computes items/second given a count and elapsed seconds.
-func Throughput(items int, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(items) / seconds
-}
-
-// MFU computes model FLOPs utilization from achieved throughput.
-func MFU(imgPerSec, flopsPerImage, platformFLOPS float64) float64 {
-	if platformFLOPS <= 0 {
-		return 0
-	}
-	return imgPerSec * flopsPerImage / platformFLOPS
-}
-
 // Table renders aligned ASCII tables.
 type Table struct {
 	Title   string

@@ -1,3 +1,12 @@
+// Package predict implements the paper's stated future work (§5):
+// "comprehensive quantitative models for scalable performance
+// prediction and deployment toolkits that enable practitioners to
+// establish performance expectations before deployment."
+//
+// The quantitative model is hw.PerfModel, the one batch-latency law
+// the engines run on; Plan walks each candidate engine's
+// memory-feasible batch sweep and picks the batch that meets the
+// requirements under an objective.
 package predict
 
 import (
@@ -49,9 +58,6 @@ type Requirements struct {
 	// (the end-to-end deployment shape).
 	Pipeline  bool
 	Objective Objective
-	// ProfileBatches are the batch sizes used as profiling runs
-	// (default {1, 16}).
-	ProfileBatches []int
 }
 
 // Option is one feasible deployment configuration with its predictions.
@@ -64,26 +70,19 @@ type Option struct {
 	PredImgPerSec      float64
 	ImagesPerJoule     float64
 	MemoryBytes        int64
-	// FitReport is the predictor's validation against the engine's
-	// full sweep, i.e. how much the two-point profile mispredicts.
-	FitReport ValidationReport
 }
 
-// Plan evaluates every (platform, model) pair by running the profiling
-// batches against its engine, fitting a Predictor, and selecting batch
-// sizes that meet the requirements. Options are returned best-first
-// under the requirement's objective; an error is returned only when no
-// configuration is feasible.
+// Plan evaluates every (platform, model) pair by running its engine
+// over the platform's batch sweep up to the memory limit and selecting
+// the batch that meets the requirements. Options are returned
+// best-first under the requirement's objective; an error is returned
+// only when no configuration is feasible.
 func Plan(req Requirements, platforms []*hw.Platform, modelNames []string) ([]Option, error) {
 	if len(platforms) == 0 {
 		platforms = hw.FigureOrder()
 	}
 	if len(modelNames) == 0 {
 		modelNames = models.Names()
-	}
-	profile := req.ProfileBatches
-	if len(profile) == 0 {
-		profile = []int{1, 16}
 	}
 	var opts []Option
 	for _, p := range platforms {
@@ -93,83 +92,30 @@ func Plan(req Requirements, platforms []*hw.Platform, modelNames []string) ([]Op
 				return nil, err
 			}
 			eng.Pipeline = req.Pipeline
-
-			// Profiling runs; clamp profile batches to the engine's
-			// memory limit so small devices still get two points.
-			maxb := eng.MaxBatch(0)
-			var samples []Sample
-			seen := map[int]bool{}
-			for _, b := range profile {
-				if b > maxb {
-					b = maxb
-				}
-				if b <= 0 || seen[b] {
-					continue
-				}
-				seen[b] = true
-				st, err := eng.Infer(b)
-				if err != nil {
-					continue
-				}
-				samples = append(samples, Sample{Batch: b, Seconds: st.Seconds})
-			}
-			if len(samples) < 2 && maxb > 1 {
-				// Fall back to the extremes.
-				for _, b := range []int{1, maxb} {
-					if seen[b] {
-						continue
-					}
-					if st, err := eng.Infer(b); err == nil {
-						samples = append(samples, Sample{Batch: b, Seconds: st.Seconds})
-						seen[b] = true
-					}
-				}
-			}
-			pred, err := Fit(samples)
-			if err != nil {
-				continue
-			}
-
-			// Ground truth over the feasible sweep for validation and
-			// feasibility checks.
-			sweep := hw.BatchSweep(p.Name)
-			var truth []Sample
-			feasible := sweep[:0:0]
-			for _, b := range sweep {
+			var feasible []engine.InferStats
+			for _, b := range hw.BatchSweep(p.Name) {
 				st, err := eng.Infer(b)
 				if err != nil {
 					break // OOM: larger batches also fail
 				}
-				truth = append(truth, Sample{Batch: b, Seconds: st.Seconds})
-				feasible = append(feasible, b)
+				feasible = append(feasible, st)
 			}
-			if len(feasible) == 0 {
+			st := chooseBatch(req, feasible)
+			if st.Batch == 0 {
 				continue
 			}
-			rep := pred.Validate(truth)
-
-			batch := chooseBatch(req, pred, feasible)
-			if batch == 0 {
-				continue
-			}
-			st, err := eng.Infer(batch)
-			if err != nil {
-				continue
-			}
-			em := energy.New(p)
-			ipj, err := em.ImagesPerJoule(st.ImgPerSec, st.MFU)
+			ipj, err := energy.New(p).ImagesPerJoule(st.ImgPerSec, st.MFU)
 			if err != nil {
 				continue
 			}
 			opts = append(opts, Option{
 				Platform:           p.Name,
 				Model:              name,
-				Batch:              batch,
-				PredLatencySeconds: pred.LatencySeconds(batch),
-				PredImgPerSec:      pred.Throughput(batch),
+				Batch:              st.Batch,
+				PredLatencySeconds: st.Seconds,
+				PredImgPerSec:      st.ImgPerSec,
 				ImagesPerJoule:     ipj,
-				MemoryBytes:        eng.Perf.MemoryBytes(batch, req.Pipeline),
-				FitReport:          rep,
+				MemoryBytes:        eng.Perf.MemoryBytes(st.Batch, req.Pipeline),
 			})
 		}
 	}
@@ -189,36 +135,23 @@ func Plan(req Requirements, platforms []*hw.Platform, modelNames []string) ([]Op
 	return opts, nil
 }
 
-// chooseBatch picks the batch meeting the requirements under the
-// objective, from the feasible (memory-fitting) candidates.
-func chooseBatch(req Requirements, pred *Predictor, feasible []int) int {
-	meets := func(b int) bool {
-		if req.SLOSeconds > 0 && pred.LatencySeconds(b) > req.SLOSeconds {
-			return false
+// chooseBatch picks, from the feasible batches (ascending), the one
+// meeting the requirements under the objective: the smallest for
+// MinLatency, otherwise the largest (throughput grows with batch). The
+// zero InferStats (Batch 0) means none does.
+func chooseBatch(req Requirements, feasible []engine.InferStats) engine.InferStats {
+	var best engine.InferStats
+	for _, st := range feasible {
+		if req.SLOSeconds > 0 && st.Seconds > req.SLOSeconds {
+			continue
 		}
-		if req.MinImgPerSec > 0 && pred.Throughput(b) < req.MinImgPerSec {
-			return false
+		if req.MinImgPerSec > 0 && st.ImgPerSec < req.MinImgPerSec {
+			continue
 		}
-		return true
+		if req.Objective == MinLatency {
+			return st
+		}
+		best = st
 	}
-	switch req.Objective {
-	case MinLatency:
-		// Smallest batch that still meets throughput.
-		for _, b := range feasible {
-			if meets(b) {
-				return b
-			}
-		}
-	default:
-		// Largest batch within the SLO (throughput increases with
-		// batch under the linear law).
-		best := 0
-		for _, b := range feasible {
-			if meets(b) {
-				best = b
-			}
-		}
-		return best
-	}
-	return 0
+	return best
 }

@@ -114,7 +114,7 @@ func (c *Client) requestTimeout() time.Duration {
 func (c *Client) attemptCtx(ctx context.Context, deadlineMs float64) (context.Context, context.CancelFunc) {
 	timeout := c.requestTimeout()
 	if deadlineMs > 0 {
-		if t := time.Duration(deadlineMs*float64(time.Millisecond)) + deadlineSlack; timeout == 0 || t < timeout {
+		if t := MsDuration(deadlineMs + float64(deadlineSlack/time.Millisecond)); timeout == 0 || t < timeout {
 			timeout = t
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -90,6 +91,20 @@ type InferRequestJSON struct {
 	// quotas. Empty falls back to the X-Tenant-ID header, then to the
 	// default tenant.
 	Tenant string `json:"tenant,omitempty"`
+}
+
+// MsDuration converts a millisecond wire field (deadline_ms, budget_ms,
+// ttl_ms) to a Duration, saturating where time.Duration(ms*1e6) would
+// wrap: 1e13 ms is the longest Duration, not 292 years ago.
+func MsDuration(ms float64) time.Duration {
+	switch d := ms * float64(time.Millisecond); {
+	case d >= math.MaxInt64:
+		return math.MaxInt64
+	case d <= math.MinInt64:
+		return math.MinInt64
+	default:
+		return time.Duration(d)
+	}
 }
 
 // readInfer is the front of both infer handlers, replica and router:
@@ -327,7 +342,7 @@ func (s *Server) Handler() http.Handler {
 			Class: class, Tenant: tenant,
 		}
 		if body.DeadlineMs > 0 {
-			req.Deadline = time.Now().Add(time.Duration(body.DeadlineMs * float64(time.Millisecond)))
+			req.Deadline = time.Now().Add(MsDuration(body.DeadlineMs))
 		}
 		resp, err := s.Submit(r.Context(), req)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -476,6 +477,28 @@ func TestClientPropagatesContextDeadline(t *testing.T) {
 	}
 	if ms, _ := got.Load().(float64); ms != 1234 {
 		t.Errorf("explicit deadline_ms %.2f, want 1234", ms)
+	}
+}
+
+// TestHugeDeadlineIsServed: a deadline_ms past the largest Duration
+// (~9.2e12 ms) is a very long budget, not one that wrapped negative and
+// expired on submit — at the replica and through the router's client.
+func TestHugeDeadlineIsServed(t *testing.T) {
+	srv, hs := newTestReplica(t, 0)
+	defer func() { hs.Close(); srv.Close() }()
+	router, err := NewRouter([]string{hs.URL}, RouterConfig{Pool: fastPool()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	huge := InferRequestJSON{Items: 1, DeadlineMs: 1e13}
+	direct, _ := postInfer(t, srv.Handler(), models.NameViTTiny, huge, nil)
+	routed, _ := postInfer(t, router.Handler(), models.NameViTTiny, huge, nil)
+	if direct.Code != http.StatusOK || routed.Code != http.StatusOK {
+		t.Errorf("deadline_ms 1e13: replica %d, router %d, want 200 from both", direct.Code, routed.Code)
+	}
+	if d := MsDuration(-1e13); d != math.MinInt64 {
+		t.Errorf("MsDuration(-1e13) = %v, want the smallest Duration", d)
 	}
 }
 

@@ -53,11 +53,11 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 	var budget time.Duration
 	if s := r.URL.Query().Get("budget_ms"); s != "" {
 		var ms float64
-		if _, err := fmt.Sscanf(s, "%g", &ms); err != nil || ms <= 0 {
+		if _, err := fmt.Sscanf(s, "%g", &ms); err != nil || !(ms > 0) {
 			http.Error(w, "stream: invalid budget_ms", http.StatusBadRequest)
 			return
 		}
-		budget = time.Duration(ms * float64(time.Millisecond))
+		budget = serve.MsDuration(ms)
 	}
 	tenant := r.URL.Query().Get("tenant")
 	if tenant == "" {

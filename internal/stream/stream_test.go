@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -437,6 +438,35 @@ func TestStreamHTTPEndToEnd(t *testing.T) {
 	}
 	sess2.CloseSend()
 	sess2.Wait()
+}
+
+// TestStreamHugeBudgetIsServed: a budget_ms past the largest Duration
+// (~9.2e12 ms) is a very long budget, not one that wrapped negative and
+// fell back to the ingest default, which this frame's wait estimate
+// exceeds.
+func TestStreamHugeBudgetIsServed(t *testing.T) {
+	t.Parallel()
+	fb := &fakeBackend{wait: 50 * time.Millisecond}
+	ing := newIngest(t, stream.Config{Model: "ViT_Tiny", Local: fb, Budget: 10 * time.Millisecond})
+	ts := httptest.NewServer(ing.Handler())
+	defer ts.Close()
+
+	line, err := json.Marshal(stream.Frame{Seq: 1, Image: frameBytes(t, imaging.KindLeaf, 1, 16), Format: "ppm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v2/streams/cam-1?budget_ms=1e13", "application/x-ndjson", bytes.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out stream.Outcome
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Outcome != stream.OutcomeServed {
+		t.Errorf("budget_ms 1e13: frame %s (%s), want served", out.Outcome, out.Error)
+	}
 }
 
 // asSessionError unwraps err into a *SessionError.
