@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke check loc bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
+.PHONY: all build test race vet fuzz-smoke check loc flake bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
 
 all: check
 
@@ -56,6 +56,21 @@ loc:
 	@printf '%7d  total\n' "$$(find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 	@find internal cmd examples -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
 		awk '$$2 != "total" && $$1 > 700 { printf "%7d  %s is over 700 lines\n", $$1, $$2 }'
+
+# Tier-1 tests, uncached, N times (default 5) with a CPU hog spinning
+# beside them — a busy host is where timing-sensitive tests flake — then
+# each run's outcome and wall time and the pass count. Informational; no
+# gate reads it.
+N ?= 5
+flake: build
+	@sh -c 'while :; do :; done' & hog=$$!; trap 'kill $$hog 2>/dev/null' EXIT INT TERM; \
+	pass=0; for i in $$(seq 1 $(N)); do \
+		start=$$(date +%s%N); \
+		if $(GO) test -count=1 ./... >/dev/null 2>&1; then pass=$$((pass + 1)); r=pass; else r=FAIL; fi; \
+		ms=$$((($$(date +%s%N) - start) / 1000000)); \
+		printf 'run %d: %s, %d.%d s\n' $$i $$r $$((ms / 1000)) $$((ms % 1000 / 100)); \
+	done; \
+	echo "$$pass of $(N) runs passed"
 
 bench:
 	$(GO) test -bench=. -benchmem

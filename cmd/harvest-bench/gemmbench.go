@@ -22,6 +22,7 @@ type gemmBenchReport struct {
 		GOARCH     string `json:"goarch"`
 		GOMAXPROCS int    `json:"gomaxprocs"`
 		NumCPU     int    `json:"num_cpu"`
+		Kernels    string `json:"kernels"` // tensor.Kernels: "avx2" or "go"
 	} `json:"host"`
 	GemmN int `json:"gemm_n"`
 	Gemm  []struct {
@@ -79,6 +80,7 @@ func runGemmBench(path string) error {
 	rep.Host.GOARCH = runtime.GOARCH
 	rep.Host.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	rep.Host.NumCPU = runtime.NumCPU()
+	rep.Host.Kernels = tensor.Kernels
 	rep.GemmN = n
 
 	fmt.Fprintf(os.Stderr, "gemmbench: measuring %dx%dx%d GEMM across precisions...\n", n, n, n)

@@ -8,6 +8,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"harvest/internal/hw"
 	"harvest/internal/models"
@@ -138,7 +139,12 @@ func (e *Engine) InferTensors(inputs [][]float32, inputSize int) (out [][]float3
 		return nil, InferStats{}, err
 	}
 	want := 3 * inputSize * inputSize
-	x := tensor.New(len(inputs), 3, inputSize, inputSize)
+	buf, ok := batches.Get()
+	if !ok {
+		buf = new([]float32)
+	}
+	defer batches.Put(buf)
+	x := tensor.FromSlice(tensor.Grow(buf, len(inputs)*want), len(inputs), 3, inputSize, inputSize)
 	for i, in := range inputs {
 		if len(in) != want {
 			return nil, InferStats{}, fmt.Errorf("engine: input %d has %d values, want %d", i, len(in), want)
@@ -162,6 +168,10 @@ func (e *Engine) InferTensors(inputs [][]float32, inputSize int) (out [][]float3
 	}
 	return out, stats, nil
 }
+
+// batches recycles InferTensors' input batches. A forward reads its
+// input only while it runs, so each buffer serves one call at a time.
+var batches = tensor.FreeList[*[]float32]{Max: 2 * runtime.GOMAXPROCS(0)}
 
 // SweepResult is one point of a batch-size sweep.
 type SweepResult struct {

@@ -42,6 +42,12 @@ func CalibrateQ7(xs []float32) (Q7Params, error) {
 			hi = x
 		}
 	}
+	return Q7Range(lo, hi), nil
+}
+
+// Q7Range derives CalibrateQ7's parameters from a slice's smallest and
+// largest values, for callers that scan the slice themselves.
+func Q7Range(lo, hi float32) Q7Params {
 	if lo > 0 {
 		lo = 0
 	}
@@ -49,7 +55,7 @@ func CalibrateQ7(xs []float32) (Q7Params, error) {
 		hi = 0
 	}
 	if hi == lo {
-		return Q7Params{Scale: 1}, nil
+		return Q7Params{Scale: 1}
 	}
 	scale := (hi - lo) / 127
 	zp := int32(math.Round(float64(-lo / scale)))
@@ -59,7 +65,7 @@ func CalibrateQ7(xs []float32) (Q7Params, error) {
 	if zp > 127 {
 		zp = 127
 	}
-	return Q7Params{Scale: scale, ZeroPoint: zp}, nil
+	return Q7Params{Scale: scale, ZeroPoint: zp}
 }
 
 // QuantizeInto writes the unsigned 7-bit codes of xs into dst without

@@ -41,6 +41,26 @@ func (rt *modelRuntime) release(p *pending) {
 	p.ts.queuedItems.Add(int64(-p.req.Items))
 }
 
+// checkInputs refuses tensors a real engine cannot run: each must hold
+// exactly 3·size² values, all finite. It runs before the request is
+// queued, so a malformed request fails alone instead of failing every
+// request fused into its batch, and the forward's kernels see finite
+// inputs only.
+func checkInputs(inputs [][]float32, size int) error {
+	want := 3 * size * size
+	for i, in := range inputs {
+		if len(in) != want {
+			return fmt.Errorf("%w: input %d has %d values, want %d", ErrBadInput, i, len(in), want)
+		}
+		for j, v := range in {
+			if v-v != 0 { // 0 for every finite v, NaN for ±Inf and NaN
+				return fmt.Errorf("%w: input %d value %d is %v", ErrBadInput, i, j, v)
+			}
+		}
+	}
+	return nil
+}
+
 // resolveDeadline picks a pending's effective deadline: the request's
 // explicit deadline, else the context's, else the class default
 // (realtime only).
@@ -107,6 +127,11 @@ func (s *Server) Submit(ctx context.Context, caller *Request) (*Response, error)
 	}
 	if req.Items > rt.cfg.MaxBatch {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyItems, req.Items, rt.cfg.MaxBatch)
+	}
+	if rt.cfg.Engine.Real != nil {
+		if err := checkInputs(req.Inputs, rt.cfg.InputSize); err != nil {
+			return nil, err
+		}
 	}
 	if len(req.Images) > 0 {
 		if rt.cfg.Preproc == nil {

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -261,6 +263,66 @@ func TestDrainTimeoutFailsStragglers(t *testing.T) {
 	}
 	if served+failed != n {
 		t.Errorf("outcomes %d+%d != %d submissions", served, failed, n)
+	}
+}
+
+// realMicroServer serves a real ViT_Micro (4 classes, 32×32 inputs)
+// under name, with a batching window long enough to fuse concurrent
+// requests up to maxBatch items.
+func realMicroServer(t *testing.T, name string, maxBatch int) *Server {
+	t.Helper()
+	eng, err := engine.New(hw.A100(), models.NameViTTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Real, err = models.NewViTModel(models.MicroViTConfig(4), stats.NewRNG(9)); err != nil {
+		t.Fatal(err)
+	}
+	return newTestServer(t, ModelConfig{
+		Name: name, Engine: eng, MaxBatch: maxBatch, InputSize: 32,
+		QueueDelay: 100 * time.Millisecond,
+	})
+}
+
+// TestMalformedTensorFailsAlone: a tensor of the wrong length, or one
+// holding a NaN or an infinity, is refused at admission with
+// ErrBadInput. It used to be admitted and fused, so its batch failed in
+// the engine and took the well-formed request beside it down too.
+func TestMalformedTensorFailsAlone(t *testing.T) {
+	s := realMicroServer(t, "fused", 2)
+	good := make([]float32, 3*32*32)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(context.Background(), &Request{Model: "fused", Inputs: [][]float32{good}})
+		done <- err
+	}()
+	short := make([]float32, 3*32*32-1)
+	if _, err := s.Submit(context.Background(), &Request{Model: "fused", Inputs: [][]float32{short}}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("short tensor: %v, want ErrBadInput", err)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("well-formed request beside a short one failed: %v", err)
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		in := slices.Clone(good)
+		in[len(in)/2] = bad
+		if _, err := s.Submit(context.Background(), &Request{Model: "fused", Inputs: [][]float32{good, in}}); !errors.Is(err, ErrBadInput) {
+			t.Errorf("tensor holding %v: %v, want ErrBadInput", bad, err)
+		}
+	}
+}
+
+// TestNaNTensorOverBinaryWire: a NaN, which JSON cannot carry, reaches
+// the replica in a framed binary body and is answered 400.
+func TestNaNTensorOverBinaryWire(t *testing.T) {
+	ts := httptest.NewServer(realMicroServer(t, "wire", 4).Handler())
+	defer ts.Close()
+	in := make([]float32, 3*32*32)
+	in[7] = float32(math.NaN())
+	_, err := NewClient(ts.URL).Infer(context.Background(), "wire", InferRequestJSON{Inputs: [][]float32{in}})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("NaN tensor over the wire: %v, want a 400", err)
 	}
 }
 

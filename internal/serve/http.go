@@ -401,7 +401,7 @@ func errStatus(err error, fallback int) int {
 	case errors.Is(err, ErrUnknownModel):
 		return http.StatusNotFound
 	case errors.Is(err, ErrEmptyRequest), errors.Is(err, ErrTooManyItems),
-		errors.Is(err, ErrItemsMismatch), errors.Is(err, ErrBadClass),
+		errors.Is(err, ErrItemsMismatch), errors.Is(err, ErrBadInput), errors.Is(err, ErrBadClass),
 		errors.Is(err, ErrNoPreprocessor), errors.Is(err, ErrMixedInputs),
 		errors.Is(err, ErrPreprocess):
 		return http.StatusBadRequest

@@ -37,6 +37,9 @@ var (
 	ErrTooManyItems  = errors.New("serve: request exceeds model max batch")
 	ErrEmptyRequest  = errors.New("serve: request has no items")
 	ErrItemsMismatch = errors.New("serve: request items disagree with inputs")
+	// ErrBadInput rejects a tensor of the wrong length, or holding a NaN
+	// or an infinity, for a model with a real backend.
+	ErrBadInput      = errors.New("serve: malformed input tensor")
 	ErrDuplicateName = errors.New("serve: model already registered")
 	// ErrOverloaded rejects a submission whose model's admission queue
 	// is full. The request was never admitted; retrying later is safe.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -48,17 +49,29 @@ func badBody(status int, format string, a ...any) error {
 	return statusError(status, fmt.Sprintf(format, a...))
 }
 
-// tensorParts encodes tensors as little-endian float32 parts;
-// partTensors is its inverse (part lengths are multiples of 4 by then).
-func tensorParts(tensors [][]float32) [][]byte {
+// tensorParts encodes tensors as little-endian float32 parts, back to
+// back in one buffer from pool (nil for no bytes), which the caller
+// releases once nothing reads the parts; partTensors is its inverse
+// (part lengths are multiples of 4 by then).
+func tensorParts(tensors [][]float32, pool *bufPool) ([][]byte, *wireBuf) {
+	n := 0
+	for _, t := range tensors {
+		n += 4 * len(t)
+	}
+	if n == 0 {
+		return make([][]byte, len(tensors)), nil
+	}
+	buf := pool.get(max(0, bits.Len(uint(n-1))-minBufShift))
+	b := buf.b[:n]
 	parts := make([][]byte, len(tensors))
 	for i, t := range tensors {
-		parts[i] = make([]byte, 4*len(t))
+		p := b[: 4*len(t) : 4*len(t)]
 		for j, v := range t {
-			binary.LittleEndian.PutUint32(parts[i][4*j:], math.Float32bits(v))
+			binary.LittleEndian.PutUint32(p[4*j:], math.Float32bits(v))
 		}
+		parts[i], b = p, b[len(p):]
 	}
-	return parts
+	return parts, buf
 }
 
 func partTensors(parts [][]byte) [][]float32 {
@@ -80,6 +93,7 @@ func partTensors(parts [][]byte) [][]float32 {
 type frame struct {
 	hdr     []byte
 	parts   [][]byte
+	buf     *wireBuf // the parts' pooled buffer, released on revoke
 	length  int64
 	mu      sync.Mutex
 	revoked bool
@@ -109,7 +123,10 @@ func encodeInfer(body *InferRequestJSON) (*frame, error) {
 		return newFrame(&h, &h.ImageSizes, body.Images)
 	}
 	h.Inputs = nil
-	return newFrame(&h, &h.InputSizes, tensorParts(body.Inputs))
+	parts, buf := tensorParts(body.Inputs, &wirePool)
+	f, err := newFrame(&h, &h.InputSizes, parts)
+	f.buf = buf
+	return f, err
 }
 
 // writeInfer answers infer request r: framed iff r was and there are
@@ -118,7 +135,11 @@ func writeInfer(w http.ResponseWriter, r *http.Request, out *InferResponseJSON) 
 	if len(out.Outputs) > 0 && r.Header.Get(InferHeaderLength) != "" {
 		h := responseHeader{InferResponseJSON: *out}
 		h.Outputs = nil
-		if f, err := newFrame(&h, &h.OutputSizes, tensorParts(out.Outputs)); err == nil {
+		parts, buf := tensorParts(out.Outputs, &wirePool)
+		if buf != nil {
+			defer buf.release()
+		}
+		if f, err := newFrame(&h, &h.OutputSizes, parts); err == nil {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set("Content-Length", strconv.FormatInt(f.length, 10))
 			w.Header().Set(InferHeaderLength, strconv.Itoa(len(f.hdr)))
@@ -135,8 +156,11 @@ func writeInfer(w http.ResponseWriter, r *http.Request, out *InferResponseJSON) 
 
 func (f *frame) revoke() {
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.revoked && f.buf != nil {
+		f.buf.release()
+	}
 	f.revoked = true
-	f.mu.Unlock()
 }
 
 // reader starts one pass over the frame: the request's Body, or a

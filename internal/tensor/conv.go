@@ -78,35 +78,35 @@ func im2col(x *Tensor, b int, cols *Tensor, kh, kw, stride, pad, oh, ow int) {
 // conv paths want — each output pixel becomes a contiguous k-vector
 // that can be row-quantized and multiplied against (OutC x C*KH*KW)
 // weights with the TransB kernels. dst must hold oh*ow*c*kh*kw values.
+// It fills one output row (ow receptive fields) at a time, so the ow
+// destination lines a column sweep writes stay in L1.
 func Im2ColTransInto(dst []float32, x *Tensor, b, kh, kw, stride, pad, oh, ow int) {
 	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	ckk := c * kh * kw
 	if len(dst) < oh*ow*ckk {
 		panic(shapeErrf("Im2ColTransInto dst holds %d values, want %d", len(dst), oh*ow*ckk))
 	}
-	for ch := 0; ch < c; ch++ {
-		src := x.Data[(b*c+ch)*h*w : (b*c+ch+1)*h*w]
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				col := (ch*kh+ky)*kw + kx
-				p := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride - pad + ky
+	for oy := 0; oy < oh; oy++ {
+		rows := dst[oy*ow*ckk : (oy+1)*ow*ckk]
+		for ch := 0; ch < c; ch++ {
+			src := x.Data[(b*c+ch)*h*w : (b*c+ch+1)*h*w]
+			for ky := 0; ky < kh; ky++ {
+				iy := oy*stride - pad + ky
+				for kx := 0; kx < kw; kx++ {
+					col := (ch*kh+ky)*kw + kx
 					if iy < 0 || iy >= h {
 						for ox := 0; ox < ow; ox++ {
-							dst[p*ckk+col] = 0
-							p++
+							rows[ox*ckk+col] = 0
 						}
 						continue
 					}
+					srow := src[iy*w : (iy+1)*w]
 					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							dst[p*ckk+col] = 0
-						} else {
-							dst[p*ckk+col] = src[iy*w+ix]
+						var v float32
+						if ix := ox*stride - pad + kx; ix >= 0 && ix < w {
+							v = srow[ix]
 						}
-						p++
+						rows[ox*ckk+col] = v
 					}
 				}
 			}

@@ -1,6 +1,10 @@
 package tensor
 
-import "math"
+import (
+	"math"
+
+	"harvest/internal/quant"
+)
 
 // AddInPlace computes a += b elementwise.
 func AddInPlace(a, b *Tensor) {
@@ -49,18 +53,57 @@ func (e Epilogue) rows(c []float32, ldc, lo, hi, n int) {
 	for i := lo; i < hi; i++ {
 		row := c[i*ldc : i*ldc+n]
 		if e.Bias != nil {
-			for j, b := range e.Bias[:n] {
-				row[j] += b
-			}
+			vec.bias(row, e.Bias[:n])
 		}
 		if e.GELU {
-			geluRow(row)
+			vec.gelu(row)
 		}
 		if e.SoftmaxScale != 0 {
-			softmaxRow(row, e.SoftmaxScale)
+			vec.softmax(row, e.SoftmaxScale)
 		}
 	}
 }
+
+// vecBodies are the forward's per-element passes: the epilogue's row
+// functions and the int8 linear's per-row quantization and per-tile
+// dequantization. vec holds the set picked once at init, as micro is
+// picked: vecGo, the Go bodies, is the reference and the portable path;
+// on amd64 with AVX2, vec_amd64.s has 8-lane bodies that give the same
+// bits (DESIGN.md, "Per-element passes on the vector unit", has the
+// rules that keep them equal).
+type vecBodies struct {
+	bias     func(row, bias []float32)
+	gelu     func(row []float32)
+	softmax  func(row []float32, scale float32)
+	quantize func(dst []uint8, row []float32) quant.Q7Params
+	dequant  func(c []float32, ldc int, tile *[gemmMR * gemmNR]int32, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool)
+}
+
+var vecGo = vecBodies{addRowGo, geluRowGo, softmaxRowGo, q7QuantizeGo, q7DequantGo}
+
+// addRowGo adds bias into row element by element.
+func addRowGo(row, bias []float32) {
+	for j, b := range bias {
+		row[j] += b
+	}
+}
+
+// exp32's and geluRowGo's constants, named so that the vector bodies'
+// table (vecK) converts the same expressions to the same float32 bits.
+const (
+	expLog2e = 1.44269504088896341
+	expLn2Hi = 0.693359375
+	expLn2Lo = -2.12194440e-4
+	expShift = 1.5 * (1 << 23) // t = y+shift holds round(y) in its low mantissa bits
+	expP3    = 0.16666415
+	expP4    = 0.041666353
+	expP5    = 0.0083751264
+	expP6    = 0.0013941108
+	expMin   = -87.33
+	expMax   = 88.37
+	geluA    = 0.044715
+	geluB    = -2 * 0.7978845608028654 // −2·√(2/π)
+)
 
 // exp32 returns eʸ in float32 within 2 ulp for y in [-87.33, 88.37]
 // (1.33 measured over [-87, 88]; TestExp32Accuracy pins the bound);
@@ -70,55 +113,67 @@ func (e Epilogue) rows(c []float32, ldc, lo, hi, n int) {
 // interval (2.5e-9 relative error), in Horner form to stay inlinable;
 // 2ᵏ is spliced into the exponent bits.
 func exp32(y float32) float32 {
-	const (
-		log2e = 1.44269504088896341
-		ln2Hi = 0.693359375
-		ln2Lo = -2.12194440e-4
-		shift = 1.5 * (1 << 23) // t = y+shift holds round(y) in its low mantissa bits
-	)
-	t := y*log2e + shift
-	kf := t - shift
-	r := y - kf*ln2Hi - kf*ln2Lo
-	p := 1 + r*(1+r*(0.5+r*(0.16666415+r*(0.041666353+r*(0.0083751264+r*0.0013941108)))))
+	t := y*expLog2e + expShift
+	kf := t - expShift
+	r := y - kf*expLn2Hi - kf*expLn2Lo
+	p := 1 + r*(1+r*(0.5+r*(expP3+r*(expP4+r*(expP5+r*expP6)))))
 	return p * math.Float32frombits((math.Float32bits(t)-0x4b400000+127)<<23)
 }
 
 // expClamp clamps y into exp32's domain, where k stays a normal
 // exponent: below it eʸ is about 2⁻¹²⁶, nothing to a softmax or GELU.
+// A NaN passes through.
 func expClamp(y float32) float32 {
-	if y < -87.33 {
-		return -87.33
+	if y < expMin {
+		return expMin
 	}
-	if y > 88.37 {
-		return 88.37
+	if y > expMax {
+		return expMax
 	}
 	return y
 }
 
-// geluRow applies GELU's tanh form ½x(1 + tanh u), u = √(2/π)(x +
+// geluRowGo applies GELU's tanh form ½x(1 + tanh u), u = √(2/π)(x +
 // 0.044715x³), to row in place, written x / (1 + e^(−2u)) so exp32
 // serves it as it serves softmax.
-func geluRow(row []float32) {
+func geluRowGo(row []float32) {
 	for j, x := range row {
-		row[j] = x / (1 + exp32(expClamp(-2*0.7978845608028654*(x+0.044715*x*x*x))))
+		row[j] = x / (1 + exp32(expClamp(geluB*(x+geluA*x*x*x))))
 	}
 }
 
 // GELU applies the Gaussian error linear unit (tanh approximation, as
 // used by ViT) in place, with the row function the GEMM epilogue uses.
-func GELU(t *Tensor) { geluRow(t.Data) }
+func GELU(t *Tensor) { vec.gelu(t.Data) }
 
-// softmaxRow replaces row by softmax(row·scale) for scale > 0: float32
-// exponentials, a float64 sum. Two elements per iteration, so their
-// independent exp32 chains overlap (8 % faster than one).
-func softmaxRow(row []float32, scale float32) {
-	maxv := row[0]
-	for _, v := range row {
-		if v > maxv {
-			maxv = v
+// softmaxRowGo replaces row by softmax(row·scale) for scale > 0: float32
+// exponentials, a float64 sum.
+func softmaxRowGo(row []float32, scale float32) {
+	if len(row) == 0 {
+		return
+	}
+	inv := softmaxExp(row, maxOf(row, row[0]), scale, 0)
+	for j := range row {
+		row[j] *= inv
+	}
+}
+
+// maxOf returns the largest of m and xs, scanning as v > m: a NaN in xs
+// is passed over, a NaN m stays.
+func maxOf(xs []float32, m float32) float32 {
+	for _, v := range xs {
+		if v > m {
+			m = v
 		}
 	}
-	var sum float64
+	return m
+}
+
+// softmaxExp replaces each v of row by exp32(expClamp((v−maxv)·scale)),
+// adds them to sum in float64 — pairs first, then a running sum — and
+// returns float32(1/sum). Two elements per iteration, so their
+// independent exp32 chains overlap (8 % faster than one).
+func softmaxExp(row []float32, maxv, scale float32, sum float64) float32 {
 	i := 0
 	for ; i+1 < len(row); i += 2 {
 		e0 := exp32(expClamp((row[i] - maxv) * scale))
@@ -130,10 +185,7 @@ func softmaxRow(row []float32, scale float32) {
 		row[i] = exp32(expClamp((row[i] - maxv) * scale))
 		sum += float64(row[i])
 	}
-	inv := float32(1 / sum)
-	for j := range row {
-		row[j] *= inv
-	}
+	return float32(1 / sum)
 }
 
 // SoftmaxRows applies a numerically-stable softmax to each row of a 2-D

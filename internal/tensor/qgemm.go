@@ -152,11 +152,7 @@ func (g *gemm) q7Band(wk *worker, rowLo, rowHi int) {
 		} else {
 			a = Grow(&wk.q7A, roundUp(mc, gemmMR)*lda)
 			for i := 0; i < mc; i++ {
-				row := g.a[(ic+i)*g.lda:][:g.k]
-				// CalibrateQ7 fails only on an empty row, and k > 0.
-				p, _ := quant.CalibrateQ7(row)
-				p.QuantizeInto(a[i*lda:], row)
-				wk.q7Rows[i] = p
+				wk.q7Rows[i] = vec.quantize(a[i*lda:], g.a[(ic+i)*g.lda:][:g.k])
 			}
 		}
 		for j0 := 0; j0 < g.n; j0 += gemmNR {
@@ -174,22 +170,39 @@ func (g *gemm) q7Band(wk *worker, rowLo, rowHi int) {
 // ic+ir.., columns j0.. — as raw int32 into ci, or dequantized into c
 // (added to c's old value unless zero).
 func (g *gemm) q7Store(wk *worker, ic, ir, mr, j0, nr int) {
+	i := ic + ir
+	if g.ci == nil {
+		vec.dequant(g.c[i*g.ldc+j0:], g.ldc, &wk.q7Tile, wk.q7Rows[ir:ir+mr],
+			g.scales[j0:j0+nr], g.qw.RowSum[j0:j0+nr], !g.zero)
+		return
+	}
 	for r := 0; r < mr; r++ {
-		tile, i := wk.q7Tile[r*gemmNR:r*gemmNR+nr], ic+ir+r
-		if g.ci != nil {
-			copy(g.ci[i*g.ldc+j0:], tile)
-			continue
-		}
-		p := wk.q7Rows[ir+r]
+		copy(g.ci[(i+r)*g.ldc+j0:], wk.q7Tile[r*gemmNR:r*gemmNR+nr])
+	}
+}
+
+// q7QuantizeGo calibrates row per quant.CalibrateQ7 and writes its codes
+// into dst.
+func q7QuantizeGo(dst []uint8, row []float32) quant.Q7Params {
+	// CalibrateQ7 fails only on an empty row, which has no codes.
+	p, _ := quant.CalibrateQ7(row)
+	p.QuantizeInto(dst, row)
+	return p
+}
+
+// q7DequantGo writes the len(rows)×len(scales) corner of an int32 tile
+// (row stride 16) into c (row stride ldc) as rows[r].Scale·scales[j]·
+// (raw − ZeroPoint·rowSum[j]), added to c's old value when accumulate.
+func q7DequantGo(c []float32, ldc int, tile *[gemmMR * gemmNR]int32, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
+	for r, p := range rows {
 		sa, za := p.Scale, float32(p.ZeroPoint)
-		dst := g.c[i*g.ldc+j0:][:nr]
-		for jj, raw := range tile {
-			j := j0 + jj
-			v := sa * g.scales[j] * (float32(raw) - za*float32(g.qw.RowSum[j]))
-			if !g.zero {
-				v += dst[jj]
+		dst := c[r*ldc:][:len(scales)]
+		for j, raw := range tile[r*gemmNR:][:len(scales)] {
+			v := sa * scales[j] * (float32(raw) - za*float32(rowSum[j]))
+			if accumulate {
+				v += dst[j]
 			}
-			dst[jj] = v
+			dst[j] = v
 		}
 	}
 }
