@@ -66,12 +66,13 @@ func MultiHeadAttention(out, qkv []float32, batch, seq, heads, dh int) {
 // (nq×dim), k (nk×dim), v (nk×dv), out (nq×dv) — addressing each by row
 // stride so a head is read and written in place inside a wider
 // activation. The 1/√dim scale and the softmax are the score GEMM's
-// epilogue; the scores live in the worker's buffer.
+// epilogue; the scores live in the worker's buffer. Each product runs
+// as one band on wk: the task is the unit of parallelism.
 func attendHead(wk *worker, out []float32, ldo int, q, k, v []float32, ldq, ldk, ldv, nq, nk, dim, dv int) {
 	scores := Grow(&wk.scores, nq*nk)
 	qk := gemm{c: scores, a: q, b: k, ldc: nk, lda: ldq, ldb: ldk, m: nq, n: nk, k: dim,
 		transB: true, zero: true, epi: Epilogue{SoftmaxScale: float32(1 / math.Sqrt(float64(dim)))}}
-	qk.band(wk, 0, nq)
+	qk.parallel(wk, 1)
 	pv := gemm{c: out, a: scores, b: v, ldc: ldo, lda: nk, ldb: ldv, m: nq, n: dv, k: nk, zero: true}
-	pv.band(wk, 0, nq)
+	pv.parallel(wk, 1)
 }

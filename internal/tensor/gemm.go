@@ -23,11 +23,12 @@ func shapeErrf(format string, args ...any) error {
 
 // Cache-blocking parameters of the packed GEMM, BLIS-style. The kernel
 // computes C += A·B by tiling into MC×KC blocks of A and KC×NC panels of
-// B, packing each into contiguous micro-strips, and running an MR×NR
-// register micro-kernel over the packed data: a 6×16 tile is twelve
-// 8-wide AVX2 accumulators. A KC×NR B strip (16 KiB) stays in L1, the
-// packed A block (MC·KC·4 = 144 KiB) in L2 beside the B panel
-// (KC·NC·4 = 768 KiB). KC also fixes every output's summation order:
+// B and running an MR×NR register micro-kernel over them: a 6×16 tile is
+// twelve 8-wide AVX2 accumulators. B is packed once per product into
+// 16-column strips that every row band reads; A is read where it lies,
+// six rows at a time. A KC×NR B strip (16 KiB) stays in L1, an MC×KC
+// block of A (144 KiB) in L2 beside the B panel (KC·NC·4 = 768 KiB). KC
+// also fixes every output's summation order:
 // each tile accumulates one KC panel from zero and is added to C once,
 // so a row's bits depend on k alone — not on m, the band split or
 // whether the row sits in an edge tile.
@@ -35,8 +36,8 @@ const (
 	gemmMR = 6   // micro-kernel rows
 	gemmNR = 16  // micro-kernel columns
 	gemmKC = 256 // K blocking (panel depth)
-	gemmMC = 144 // M blocking (rows per packed A block), a multiple of MR
-	gemmNC = 768 // N blocking (columns per packed B panel), a multiple of NR
+	gemmMC = 144 // M blocking (rows per A block), a multiple of MR
+	gemmNC = 768 // N blocking (columns per B panel), a multiple of NR
 
 	// gemmMinMACsPerBand is the smallest amount of work (multiply-
 	// accumulates) worth a goroutine of its own; products below it run
@@ -44,19 +45,18 @@ const (
 	gemmMinMACsPerBand = 1 << 16
 )
 
-// microKernel adds the MR×NR product of a kc-deep packed A strip (MR
-// values per k) and B strip (NR values per k) into c (row stride ldc).
-// Both bodies accumulate from zero and touch c once, at the end.
-type microKernel func(ap, bp []float32, kc int, c []float32, ldc int)
+// microKernel adds the MR×NR product of a kc-deep A strip (MR rows, row
+// stride lda) and a packed B strip (NR values per k) into c (row stride
+// ldc). Both bodies accumulate from zero and touch c once, at the end.
+type microKernel func(a []float32, lda int, bp []float32, kc int, c []float32, ldc int)
 
 // microGo is the portable body of the 6×16 micro-kernel.
-func microGo(ap, bp []float32, kc int, c []float32, ldc int) {
+func microGo(a []float32, lda int, bp []float32, kc int, c []float32, ldc int) {
 	var acc [gemmMR][gemmNR]float32
 	for p := 0; p < kc; p++ {
-		a := (*[gemmMR]float32)(ap[p*gemmMR:])
 		b := (*[gemmNR]float32)(bp[p*gemmNR:])
 		for r := range acc {
-			ar, row := a[r], &acc[r]
+			ar, row := a[r*lda+p], &acc[r]
 			for j := range row {
 				row[j] += ar * b[j]
 			}
@@ -70,20 +70,22 @@ func microGo(ap, bp []float32, kc int, c []float32, ldc int) {
 	}
 }
 
-// worker is one goroutine's GEMM working memory: the A and B pack
-// buffers, the edge-tile scratch, the int8 A strips with their rows'
-// quantization parameters and the int32 tile, the attention score rows,
-// and — when this worker fans a product out — the job its helpers read.
-// Workers come from a bounded free list, not a sync.Pool: a GC empties
-// a pool, and the buffers would be allocated again on the next forward.
+// worker is one goroutine's GEMM working memory: a product's packed B,
+// the copy of a partial last A strip and the edge-tile scratch, the int8
+// A strips with their rows' quantization parameters and the int32 tile,
+// the attention score rows, and — when this worker fans a product out —
+// the job its helpers read and the barrier they meet at once B is
+// packed. Workers come from a bounded free list, not a sync.Pool: a GC
+// empties a pool, and the buffers would be allocated again on the next
+// forward.
 type worker struct {
-	packA, packB, scores []float32
+	packB, edgeA, scores []float32
 	edge                 [gemmMR * gemmNR]float32
 	q7A                  []uint8
 	q7Rows               [gemmMC]quant.Q7Params
 	q7Tile               [gemmMR * gemmNR]int32
 	job                  gemm
-	wg                   sync.WaitGroup
+	wg, packed           sync.WaitGroup
 }
 
 var workers = FreeList[*worker]{Max: 2 * runtime.GOMAXPROCS(0)}
@@ -140,10 +142,11 @@ func (f *FreeList[T]) Put(v T) {
 // n×k; ldb is its row stride. An int8 product has packed weights qw
 // instead and either packed codes qa with int32 output ci, or float A
 // quantized per row with output dequantized by scales into C. The
-// fields describe the operands so a band packs them without a closure.
+// fields describe the operands so a band reads them without a closure;
+// pb is B packed, which every band of a float product shares.
 type gemm struct {
 	c, a          []float32
-	b             []float32
+	b, pb         []float32
 	bh            []uint16
 	ldc, lda, ldb int
 	m, n, k       int
@@ -243,18 +246,60 @@ func (g *gemm) run() {
 	if g.m <= 0 || g.n <= 0 || g.k <= 0 {
 		return
 	}
-	g.parallel(gemmWorkers(g.m, g.n, g.k))
+	g.check()
+	wk := getWorker()
+	defer workers.Put(wk)
+	g.parallel(wk, gemmWorkers(g.m, g.n, g.k))
+}
+
+// check panics with ErrShape unless every operand holds the m×n×k
+// product at its row strides. It runs on the caller's goroutine, before
+// any band starts: a band that ran off an operand would panic on a
+// helper goroutine, where nothing can recover it.
+func (g *gemm) check() {
+	span := func(rows, cols, ld int) int { return (rows-1)*ld + cols }
+	cLen, bLen := len(g.c), len(g.b)
+	if g.ci != nil {
+		cLen = len(g.ci)
+	}
+	if g.bh != nil {
+		bLen = len(g.bh)
+	}
+	bRows, bCols := g.k, g.n
+	if g.transB {
+		bRows, bCols = g.n, g.k
+	}
+	var bad string
+	switch {
+	case g.ldc < g.n || cLen < span(g.m, g.n, g.ldc):
+		bad = "C"
+	case g.qa == nil && (g.lda < g.k || len(g.a) < span(g.m, g.k, g.lda)):
+		bad = "A"
+	case g.qw == nil && (g.ldb < bCols || bLen < span(bRows, bCols, g.ldb)):
+		bad = "B"
+	case g.epi.Bias != nil && len(g.epi.Bias) < g.n:
+		bad = "the bias"
+	default:
+		return
+	}
+	panic(shapeErrf("%s is too short for a %d×%d×%d product (lda %d, ldb %d, ldc %d)",
+		bad, g.m, g.n, g.k, g.lda, g.ldb, g.ldc))
 }
 
 // parallel splits the rows into at most w contiguous bands of whole MR
 // strips (the first bands take one strip more, so none is ever empty)
-// and runs them concurrently, the caller's goroutine taking the first.
-func (g *gemm) parallel(w int) {
-	wk := getWorker()
-	defer workers.Put(wk)
+// and runs them concurrently, the caller's goroutine taking the first
+// on wk. A float product first packs B into wk: each band packs the
+// share of its strips that its rows are of the product's, and all wait
+// until the last share is done.
+func (g *gemm) parallel(wk *worker, w int) {
 	strips := (g.m + gemmMR - 1) / gemmMR
 	w = min(w, strips)
+	if g.qw == nil {
+		g.pb = Grow(&wk.packB, roundUp(g.n, gemmNR)*g.k)
+	}
 	if w <= 1 {
+		g.packShare(nil, 0, g.m)
 		g.band(wk, 0, g.m)
 		return
 	}
@@ -266,6 +311,9 @@ func (g *gemm) parallel(w int) {
 		wk.wg.Wait()
 		wk.job = gemm{}
 	}()
+	if g.qw == nil {
+		wk.packed.Add(w)
+	}
 	base, rem := strips/w, strips%w
 	bandRows := func(i int) int { return (base + min(1, max(0, rem-i))) * gemmMR }
 	lo := bandRows(0)
@@ -274,20 +322,55 @@ func (g *gemm) parallel(w int) {
 		wk.wg.Add(1)
 		go func(lo, hi int) {
 			defer wk.wg.Done()
+			job.packShare(&wk.packed, lo, hi)
 			h := getWorker()
 			job.band(h, lo, hi)
 			workers.Put(h)
 		}(lo, hi)
 		lo = hi
 	}
+	job.packShare(&wk.packed, 0, bandRows(0))
 	job.band(wk, 0, bandRows(0))
 }
 
+// packShare packs the band [rowLo,rowHi)'s share of B's 16-column
+// strips into g.pb — the same fraction of the strips as of the rows, so
+// the bands' shares tile B — then, given the product's barrier, counts
+// the share done and waits for the rest: every band multiplies by all
+// of B. An int8 product's weights come packed, and it has no barrier.
+func (g *gemm) packShare(packed *sync.WaitGroup, rowLo, rowHi int) {
+	if g.qw != nil {
+		return
+	}
+	if packed != nil {
+		defer packed.Wait()
+		// Done runs even if the pack panics, so no band waits forever.
+		defer packed.Done()
+	}
+	strips := (g.n + gemmNR - 1) / gemmNR
+	for s := rowLo * strips / g.m; s < rowHi*strips/g.m; s++ {
+		j0 := s * gemmNR
+		jc := j0 / gemmNC * gemmNC
+		for pc := 0; pc < g.k; pc += gemmKC {
+			kc := min(gemmKC, g.k-pc)
+			g.packBStrip(g.panel(jc, pc)[(j0-jc)*kc:][:gemmNR*kc], pc, j0, min(gemmNR, g.n-j0))
+		}
+	}
+}
+
+// panel returns packed B from the KC×NC panel at (pc, jc) on. The
+// panels lie in loop order: an NC column block's panels down K, each
+// panel's 16-column strips side by side (kc·16 values each), so the
+// blocks before jc hold jc·k values.
+func (g *gemm) panel(jc, pc int) []float32 {
+	return g.pb[jc*g.k+pc*roundUp(min(gemmNC, g.n-jc), gemmNR):]
+}
+
 // band computes rows [rowLo,rowHi) of the product through the blocked
-// packed pipeline: for each KC×NC panel of B (packed once per band) pack
-// the matching MC×KC block of A into MR strips and sweep the micro-kernel
-// over the packed panels; then run the epilogue over the band's rows.
-// An int8 product takes q7Band instead.
+// pipeline: for each KC×NC panel of packed B and each MC block of the
+// band's rows, sweep the micro-kernel over the block's A strips, read
+// in place, and the panel's B strips; then run the epilogue over the
+// band's rows. An int8 product takes q7Band instead.
 func (g *gemm) band(wk *worker, rowLo, rowHi int) {
 	if g.qw != nil {
 		g.q7Band(wk, rowLo, rowHi)
@@ -299,25 +382,36 @@ func (g *gemm) band(wk *worker, rowLo, rowHi int) {
 			clear(c[i*ldc : i*ldc+g.n])
 		}
 	}
-	pa := Grow(&wk.packA, min(gemmMC, rowHi-rowLo+gemmMR)*min(gemmKC, g.k))
-	pb := Grow(&wk.packB, (min(gemmNC, g.n)+gemmNR-1)/gemmNR*gemmNR*min(gemmKC, g.k))
+	// Only the matrix's last strip can be partial (bands and MC blocks
+	// are whole strips): its rows are copied into a whole strip first,
+	// whose other rows feed only discarded rows of the tile.
+	edgeRows := (rowHi - rowLo) % gemmMR
 	for jc := 0; jc < g.n; jc += gemmNC {
 		nc := min(gemmNC, g.n-jc)
 		for pc := 0; pc < g.k; pc += gemmKC {
 			kc := min(gemmKC, g.k-pc)
-			g.packB(pb, pc, kc, jc, nc)
+			pb := g.panel(jc, pc)
+			var edgeA []float32
+			if edgeRows > 0 {
+				edgeA = Grow(&wk.edgeA, gemmMR*kc)
+				for r := 0; r < edgeRows; r++ {
+					copy(edgeA[r*kc:(r+1)*kc], g.a[(rowHi-edgeRows+r)*g.lda+pc:])
+				}
+			}
 			for ic := rowLo; ic < rowHi; ic += gemmMC {
 				mc := min(gemmMC, rowHi-ic)
-				packARows(pa, g.a, g.lda, ic, mc, pc, kc)
 				for jr := 0; jr < nc; jr += gemmNR {
 					nr := min(gemmNR, nc-jr)
 					bs := pb[jr*kc:]
 					for ir := 0; ir < mc; ir += gemmMR {
 						mr := min(gemmMR, mc-ir)
-						as := pa[ir*kc:]
+						as, lda := g.a[(ic+ir)*g.lda+pc:], g.lda
+						if mr < gemmMR {
+							as, lda = edgeA, kc
+						}
 						ct := c[(ic+ir)*ldc+jc+jr:]
 						if mr == gemmMR && nr == gemmNR {
-							micro(as, bs, kc, ct, ldc)
+							micro(as, lda, bs, kc, ct, ldc)
 							continue
 						}
 						// Edge tile: run the same kernel on a copy of the
@@ -326,7 +420,7 @@ func (g *gemm) band(wk *worker, rowLo, rowHi int) {
 						for i := 0; i < mr; i++ {
 							copy(t[i*gemmNR:i*gemmNR+nr], ct[i*ldc:i*ldc+nr])
 						}
-						micro(as, bs, kc, t, gemmNR)
+						micro(as, lda, bs, kc, t, gemmNR)
 						for i := 0; i < mr; i++ {
 							copy(ct[i*ldc:i*ldc+nr], t[i*gemmNR:i*gemmNR+nr])
 						}
@@ -338,50 +432,34 @@ func (g *gemm) band(wk *worker, rowLo, rowHi int) {
 	g.epi.rows(c, ldc, rowLo, rowHi, g.n)
 }
 
-// packB fills dst with the kc×nc panel of B at (kOff, nOff) in NR-column
-// strips (for each k, NR adjacent values), zero-padded to a strip
-// multiple.
-func (g *gemm) packB(dst []float32, kOff, kc, nOff, nc int) {
-	for j0 := 0; j0 < nc; j0 += gemmNR {
-		w := min(gemmNR, nc-j0)
-		s := dst[j0*kc : (j0+gemmNR)*kc]
-		if w < gemmNR {
-			clear(s)
+// packBStrip fills the NR-column strip dst with the kc×w block of B at
+// (kOff, j0), w ≤ NR, kc = len(dst)/NR: for each k, NR adjacent values,
+// zero-padded past w.
+func (g *gemm) packBStrip(dst []float32, kOff, j0, w int) {
+	kc := len(dst) / gemmNR
+	if w < gemmNR {
+		clear(dst)
+	}
+	switch {
+	case !g.transB:
+		for p := 0; p < kc; p++ {
+			copy(dst[p*gemmNR:p*gemmNR+w], g.b[(kOff+p)*g.ldb+j0:])
 		}
-		switch {
-		case !g.transB:
-			for p := 0; p < kc; p++ {
-				copy(s[p*gemmNR:p*gemmNR+w], g.b[(kOff+p)*g.ldb+nOff+j0:])
-			}
-		case g.bh != nil:
-			for e := 0; e < w; e++ {
-				packHalfColumn(s[e:], g.bh[(nOff+j0+e)*g.ldb+kOff:][:kc], g.bf16)
-			}
-		default:
-			// Column j of B is row j of b: read each row contiguously.
-			for e := 0; e < w; e++ {
-				for p, v := range g.b[(nOff+j0+e)*g.ldb+kOff:][:kc] {
-					s[p*gemmNR+e] = v
-				}
-			}
-		}
+	case g.bh != nil:
+		vec.packTHalf(dst, g.bh[j0*g.ldb+kOff:], g.ldb, w, g.bf16)
+	default:
+		vec.packT(dst, g.b[j0*g.ldb+kOff:], g.ldb, w)
 	}
 }
 
-// packARows packs the mc×kc block of a at (rowOff, kOff) into MR-row
-// strips: for each k, the MR row values adjacent, zero-padded when mc is
-// not a strip multiple.
-func packARows(dst, a []float32, lda, rowOff, mc, kOff, kc int) {
-	for i0 := 0; i0 < mc; i0 += gemmMR {
-		s := dst[i0*kc : (i0+gemmMR)*kc]
-		rows := min(gemmMR, mc-i0)
-		if rows < gemmMR {
-			clear(s)
-		}
-		for r := 0; r < rows; r++ {
-			for p, v := range a[(rowOff+i0+r)*lda+kOff:][:kc] {
-				s[p*gemmMR+r] = v
-			}
+// packTransGo fills the strip dst from w ≤ NR rows of src, ld apart,
+// kc = len(dst)/NR values each: column j of B is row j of a transposed
+// b, so each row is read contiguously and spread NR apart.
+func packTransGo(dst, src []float32, ld, w int) {
+	kc := len(dst) / gemmNR
+	for e := 0; e < w; e++ {
+		for p, v := range src[e*ld:][:kc] {
+			dst[p*gemmNR+e] = v
 		}
 	}
 }

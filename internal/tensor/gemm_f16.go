@@ -9,10 +9,10 @@ import (
 // GemmTransBF16Into computes c += a*bᵀ where b is a half-precision
 // (n x k row-major) weight matrix stored as raw uint16 bit patterns —
 // IEEE float16 when bf16 is false, bfloat16 when true. The weights are
-// dequantized panel-at-a-time inside the B pack step, so the working
-// set stays half-precision in memory and only one KC×NC panel of f32
-// values ever exists per band; the micro-kernel is the same one the f32
-// path uses.
+// converted inside the B pack step, once per product and shared by its
+// row bands, so they stay half-precision in memory and the f32 copy
+// lives only in a worker's pack buffer; the micro-kernel is the same
+// one the f32 path uses.
 func GemmTransBF16Into(c, a []float32, b []uint16, m, n, k int, bf16 bool) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return
@@ -24,14 +24,18 @@ func GemmTransBF16Into(c, a []float32, b []uint16, m, n, k int, bf16 bool) {
 	g.run()
 }
 
-// packHalfColumn converts one kc-long column of a transposed
-// half-precision B into every NR-th slot of a B strip.
-func packHalfColumn(dst []float32, col []uint16, bf16 bool) {
-	for p, v := range col {
-		if bf16 {
-			dst[p*gemmNR] = math.Float32frombits(uint32(v) << 16)
-		} else {
-			dst[p*gemmNR] = quant.Float16(v).Float32()
+// packTransHalfGo is packTransGo over half-precision words, each
+// converted to the float32 it denotes (exactly: every float16 and
+// bfloat16 value is a float32 value).
+func packTransHalfGo(dst []float32, src []uint16, ld, w int, bf16 bool) {
+	kc := len(dst) / gemmNR
+	for e := 0; e < w; e++ {
+		for p, v := range src[e*ld:][:kc] {
+			if bf16 {
+				dst[p*gemmNR+e] = math.Float32frombits(uint32(v) << 16)
+			} else {
+				dst[p*gemmNR+e] = quant.Float16(v).Float32()
+			}
 		}
 	}
 }

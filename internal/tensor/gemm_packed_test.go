@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -72,12 +73,163 @@ func TestGemmParallelBandsMatchNaive(t *testing.T) {
 		for w := 1; w <= 8; w++ {
 			c := New(m, n)
 			g := gemm{c: c.Data, a: a.Data, b: b.Data, ldc: n, lda: k, ldb: n, m: m, n: n, k: k}
-			g.parallel(w)
+			g.parallel(new(worker), w)
 			if d := float32(MaxAbsDiff(c, want)); d > gemmTol(k) {
 				t.Fatalf("m=%d w=%d: parallel bands diverge from naive by %g", m, w, d)
 			}
 		}
 	}
+}
+
+// stridedShapes adds products with more than one KC panel and more than
+// one NC block to gemmShapes, so B's shared pack lays out several panels.
+var stridedShapes = append([][3]int{{37, 800, 300}, {13, 1000, 520}, {6, 1600, 17}}, gemmShapes...)
+
+// requireSameFloats fails unless got and want agree bit for bit.
+func requireSameFloats(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+			t.Fatalf("%s: element %d is %v (%#08x), want %v (%#08x)", what, i, got[i], g, want[i], w)
+		}
+	}
+}
+
+// filled returns n copies of v.
+func filled(n int, v float32) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// TestGemmReadsOperandsInPlace: A and B are read where they lie, at row
+// strides wider than the product. The padding between rows holds NaN,
+// so a read outside a row's k values would poison the result, and C's
+// padding holds a sentinel that must survive. Transposed and row-major
+// B, overwriting and accumulating.
+func TestGemmReadsOperandsInPlace(t *testing.T) {
+	r := stats.NewRNG(55)
+	nan := float32(math.NaN())
+	strided := func(src []float32, rows, cols, ld int, pad float32) []float32 {
+		out := filled(rows*ld, pad)
+		for i := 0; i < rows; i++ {
+			copy(out[i*ld:i*ld+cols], src[i*cols:(i+1)*cols])
+		}
+		return out
+	}
+	for _, s := range stridedShapes {
+		m, n, k := s[0], s[1], s[2]
+		a, bt := randTensor(r, m, k), randTensor(r, n, k)
+		want := MatMulNaive(a, Transpose2D(bt))
+		const sentinel = 1234.5
+		for _, transB := range []bool{true, false} {
+			b, ldb := bt.Data, k+5
+			if !transB {
+				b, ldb = Transpose2D(bt).Data, n+7
+			}
+			rows, cols := k, n
+			if transB {
+				rows, cols = n, k
+			}
+			for _, zero := range []bool{true, false} {
+				lda, ldc := k+3, n+2
+				c := strided(filled(m*n, 0), m, n, ldc, sentinel)
+				if !zero {
+					c = strided(filled(m*n, 1), m, n, ldc, sentinel)
+				}
+				g := gemm{c: c, a: strided(a.Data, m, k, lda, nan), b: strided(b, rows, cols, ldb, nan),
+					ldc: ldc, lda: lda, ldb: ldb, m: m, n: n, k: k, transB: transB, zero: zero}
+				g.run()
+				for i := 0; i < m; i++ {
+					for j := 0; j < ldc; j++ {
+						got := c[i*ldc+j]
+						if j >= n {
+							if got != sentinel {
+								t.Fatalf("(%d,%d,%d) transB=%v: C padding (%d,%d) overwritten with %v", m, n, k, transB, i, j, got)
+							}
+							continue
+						}
+						w := want.Data[i*n+j]
+						if !zero {
+							w++
+						}
+						if d := got - w; !(d <= gemmTol(k) && d >= -gemmTol(k)) {
+							t.Fatalf("(%d,%d,%d) transB=%v zero=%v: C(%d,%d) = %v, want %v", m, n, k, transB, zero, i, j, got, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmBandsBitIdentical: B is packed once per product, each band
+// packing a share of its strips, and every band reads all of it. The
+// result must not depend on how many bands split the rows or the pack:
+// the same bits for 1 to 5 bands, with and without an epilogue.
+func TestGemmBandsBitIdentical(t *testing.T) {
+	r := stats.NewRNG(56)
+	for _, s := range stridedShapes {
+		m, n, k := s[0], s[1], s[2]
+		a, bt, bias := randTensor(r, m, k), randTensor(r, n, k), randTensor(r, n)
+		var want []float32
+		for w := 1; w <= 5; w++ {
+			c := make([]float32, m*n)
+			g := gemm{c: c, a: a.Data, b: bt.Data, ldc: n, lda: k, ldb: k, m: m, n: n, k: k,
+				transB: true, zero: true, epi: Epilogue{Bias: bias.Data, GELU: true}}
+			g.parallel(new(worker), w)
+			if w == 1 {
+				want = c
+				continue
+			}
+			requireSameFloats(t, fmt.Sprintf("(%d,%d,%d) in %d bands", m, n, k, w), c, want)
+		}
+	}
+}
+
+// TestGemmShortOperandPanicsInCaller: a product whose operand is one
+// value short of its shape panics with ErrShape on the caller's
+// goroutine, before any band starts. Within the slice's capacity a band
+// would read or write past its length unnoticed; past it, the band
+// would panic on a helper goroutine, where no recover can reach, and
+// take the process down.
+func TestGemmShortOperandPanicsInCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const m, n, k = 64, 48, 40
+	r := stats.NewRNG(57)
+	a, b, c, bias := randTensor(r, m, k).Data, randTensor(r, n, k).Data, make([]float32, m*n), randTensor(r, n).Data
+	short := func(x []float32) []float32 { return x[: len(x)-1 : len(x)-1] }
+	for _, tc := range []struct {
+		name    string
+		a, b, c []float32
+		bias    []float32
+	}{
+		{"A", short(a), b, c, bias},
+		{"B", a, short(b), c, bias},
+		{"C", a, b, short(c), bias},
+		{"bias", a, b, c, short(bias)},
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if !errors.Is(err, ErrShape) {
+					t.Errorf("short %s: recovered %v, want an ErrShape panic", tc.name, err)
+				}
+			}()
+			GemmTransBEpilogue(tc.c, tc.a, tc.b, m, n, k, false, Epilogue{Bias: tc.bias})
+		}()
+	}
+	half := make([]uint16, n*k-1)
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, ErrShape) {
+				t.Errorf("short half B: recovered %v, want an ErrShape panic", err)
+			}
+		}()
+		GemmTransBF16Into(c, a, half, m, n, k, false)
+	}()
 }
 
 func TestGemmWorkersHeuristic(t *testing.T) {

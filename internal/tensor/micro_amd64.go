@@ -16,16 +16,20 @@ func pickMicro() (microKernel, q7Kernel) {
 }
 
 // microAVX2 is the 6×16 kernel in micro_amd64.s: twelve ymm
-// accumulators, VBROADCASTSS of A against two 8-wide loads of B, one
-// VFMADD231PS each.
+// accumulators, VBROADCASTSS of A — six rows read in place, lda apart —
+// against two 8-wide loads of the packed B strip, one VFMADD231PS each.
 //
 //go:noescape
-func microAVX2(a, b *float32, kc int, c *float32, ldc int)
+func microAVX2(a *float32, lda int, b *float32, kc int, c *float32, ldc int)
 
-func microAVX2Body(ap, bp []float32, kc int, c []float32, ldc int) {
-	// The assembly does no bounds checks: prove every access here.
-	_, _, _ = ap[gemmMR*kc-1], bp[gemmNR*kc-1], c[(gemmMR-1)*ldc+gemmNR-1]
-	microAVX2(&ap[0], &bp[0], kc, &c[0], ldc)
+func microAVX2Body(a []float32, lda int, bp []float32, kc int, c []float32, ldc int) {
+	// The assembly does no bounds checks: prove every access here. Rows
+	// at least kc apart keep every row's reads inside a.
+	if kc < 1 || lda < kc || ldc < gemmNR {
+		panic(shapeErrf("micro-kernel: kc=%d, lda=%d, ldc=%d", kc, lda, ldc))
+	}
+	_, _, _ = a[(gemmMR-1)*lda+kc-1], bp[gemmNR*kc-1], c[(gemmMR-1)*ldc+gemmNR-1]
+	microAVX2(&a[0], lda, &bp[0], kc, &c[0], ldc)
 }
 
 // q7MicroAVX2 is the 6×16 int8 kernel in micro_amd64.s: twelve ymm
@@ -44,14 +48,15 @@ func q7MicroAVX2Body(a []uint8, lda int, b []uint8, kg int, c *[gemmMR * gemmNR]
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// hasAVX2FMA reports CPUID's AVX, FMA, OSXSAVE (leaf 1) and AVX2 (leaf
-// 7) bits, and XGETBV's XMM and YMM state-enabled bits.
+// hasAVX2FMA reports CPUID's AVX, FMA, F16C, OSXSAVE (leaf 1) and AVX2
+// (leaf 7) bits, and XGETBV's XMM and YMM state-enabled bits. (Every
+// CPU with AVX2 has F16C, which the half-precision B pack uses.)
 func hasAVX2FMA() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
+	const fma, osxsave, avx, f16c = 1 << 12, 1 << 27, 1 << 28, 1 << 29
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx|f16c) != fma|osxsave|avx|f16c {
 		return false
 	}
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {

@@ -9,22 +9,28 @@
 	VMOVUPS hi, 32(DX); \
 	ADDQ R8, DX
 
-// Broadcasts A value off(SI) into bc and FMAs it with the B row (Y0, Y1)
-// into one row of accumulators.
-#define FMAROW(off, bc, lo, hi) \
-	VBROADCASTSS off(SI), bc; \
+// Broadcasts the A value at addr into bc and FMAs it with the B row (Y0,
+// Y1) into one row of accumulators.
+#define FMAROW(addr, bc, lo, hi) \
+	VBROADCASTSS addr, bc; \
 	VFMADD231PS Y0, bc, lo; \
 	VFMADD231PS Y1, bc, hi
 
-// func microAVX2(a, b *float32, kc int, c *float32, ldc int)
-// kc >= 1: the loop runs before it tests.
-TEXT ·microAVX2(SB), NOSPLIT, $0-40
+// func microAVX2(a *float32, lda int, b *float32, kc int, c *float32, ldc int)
+// kc >= 1: the loop runs before it tests. A's six rows are read where
+// they lie, lda floats apart (R9 = lda, R10 = 3·lda, R11 = 5·lda in
+// bytes); B is a packed 16-column strip.
+TEXT ·microAVX2(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ kc+16(FP), CX
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
+	MOVQ lda+8(FP), R9
+	MOVQ b+16(FP), DI
+	MOVQ kc+24(FP), CX
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R8
 	SHLQ $2, R8
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R10
+	LEAQ (R9)(R9*4), R11
 	VXORPS Y4, Y4, Y4
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
@@ -41,13 +47,13 @@ TEXT ·microAVX2(SB), NOSPLIT, $0-40
 loop:
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
-	FMAROW(0, Y2, Y4, Y5)
-	FMAROW(4, Y3, Y6, Y7)
-	FMAROW(8, Y2, Y8, Y9)
-	FMAROW(12, Y3, Y10, Y11)
-	FMAROW(16, Y2, Y12, Y13)
-	FMAROW(20, Y3, Y14, Y15)
-	ADDQ $24, SI
+	FMAROW((SI), Y2, Y4, Y5)
+	FMAROW((SI)(R9*1), Y3, Y6, Y7)
+	FMAROW((SI)(R9*2), Y2, Y8, Y9)
+	FMAROW((SI)(R10*1), Y3, Y10, Y11)
+	FMAROW((SI)(R9*4), Y2, Y12, Y13)
+	FMAROW((SI)(R11*1), Y3, Y14, Y15)
+	ADDQ $4, SI
 	ADDQ $64, DI
 	DECQ CX
 	JNZ  loop

@@ -48,16 +48,6 @@ var vecRowLens = append(func() (ls []int) {
 	return ls
 }(), 257, 768)
 
-// requireSameFloats fails unless got and want agree bit for bit.
-func requireSameFloats(t *testing.T, what string, got, want []float32) {
-	t.Helper()
-	for i := range want {
-		if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
-			t.Fatalf("%s: element %d is %v (%#08x), want %v (%#08x)", what, i, got[i], g, want[i], w)
-		}
-	}
-}
-
 // vecSpecials are the values IEEE arithmetic treats apart: signed
 // zeros, the smallest and largest subnormals, the largest finite values,
 // infinities and a NaN.
@@ -338,6 +328,58 @@ func TestQ7RoundingExhaustive(t *testing.T) {
 	}
 }
 
+// TestPackBodiesAgree: the AVX2 transposing B packs give the Go bodies'
+// bits. Every float16 and bfloat16 word — all 65536 of each, subnormals,
+// infinities and NaNs included — goes through full strips; float32 rows
+// holding the specials go through full and partial strips, for kc with
+// and without a tail shorter than eight, at row strides equal to and
+// wider than kc.
+func TestPackBodiesAgree(t *testing.T) {
+	if !hasAVX2FMA() {
+		t.Skip("CPU has no AVX2/F16C: the Go bodies are the only ones")
+	}
+	const rowLen = 1 << 16 / gemmNR
+	words := make([]uint16, 1<<16)
+	for i := range words {
+		words[i] = uint16(i)
+	}
+	for _, bf16 := range []bool{false, true} {
+		for kOff := 0; kOff < rowLen; kOff += gemmKC {
+			got, want := make([]float32, gemmNR*gemmKC), make([]float32, gemmNR*gemmKC)
+			vecAVX2.packTHalf(got, words[kOff:], rowLen, gemmNR, bf16)
+			vecGo.packTHalf(want, words[kOff:], rowLen, gemmNR, bf16)
+			requireSameFloats(t, fmt.Sprintf("bf16=%v words %d..", bf16, kOff), got, want)
+		}
+	}
+	r := stats.NewRNG(58)
+	for _, kc := range []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 256} {
+		for _, ld := range []int{kc, kc + 3} {
+			src, half := make([]float32, gemmNR*ld), make([]uint16, gemmNR*ld)
+			for i := range src {
+				src[i] = float32(r.Float64()*2 - 1)
+				if r.Intn(4) == 0 {
+					src[i] = vecSpecials[r.Intn(len(vecSpecials))]
+				}
+				half[i] = uint16(r.Uint64())
+			}
+			prior := randTensor(r, gemmNR*kc).Data
+			for w := 1; w <= gemmNR; w++ {
+				what := fmt.Sprintf("kc=%d ld=%d w=%d", kc, ld, w)
+				got, want := slices.Clone(prior), slices.Clone(prior)
+				vecAVX2.packT(got, src, ld, w)
+				vecGo.packT(want, src, ld, w)
+				requireSameFloats(t, what, got, want)
+				for _, bf16 := range []bool{false, true} {
+					got, want := slices.Clone(prior), slices.Clone(prior)
+					vecAVX2.packTHalf(got, half, ld, w, bf16)
+					vecGo.packTHalf(want, half, ld, w, bf16)
+					requireSameFloats(t, fmt.Sprintf("%s bf16=%v", what, bf16), got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestQ7BodiesAgree runs the AVX2 int8 body, the Go body and the scalar
 // reference over every q7Shapes entry and a saturation case (all codes
 // at the range ends, K = 4096): the products are exact integers, so all
@@ -392,6 +434,30 @@ func TestMicroBodiesAgree(t *testing.T) {
 		return asm, f()
 	}
 	r := stats.NewRNG(48)
+	// The bodies themselves on one 6-row A strip read in place: rows lda
+	// apart with NaN between them, which neither body may read, into a C
+	// tile at a wider row stride.
+	for _, kc := range []int{1, 2, 7, 64, 255, 256} {
+		for _, lda := range []int{kc, kc + 1, kc + 13} {
+			a := filled((gemmMR-1)*lda+kc, float32(math.NaN()))
+			for i := 0; i < gemmMR; i++ {
+				for p := 0; p < kc; p++ {
+					a[i*lda+p] = float32(r.Float64()*2 - 1)
+				}
+			}
+			bp := randTensor(r, kc*gemmNR).Data
+			const ldc = gemmNR + 3
+			prior := randTensor(r, gemmMR*ldc).Data
+			asm, gob := slices.Clone(prior), slices.Clone(prior)
+			microAVX2Body(a, lda, bp, kc, asm, ldc)
+			microGo(a, lda, bp, kc, gob, ldc)
+			for i, v := range asm {
+				if d := v - gob[i]; !(d <= gemmTol(kc) && d >= -gemmTol(kc)) {
+					t.Fatalf("kc=%d lda=%d: element %d is %v from AVX2, %v from Go", kc, lda, i, v, gob[i])
+				}
+			}
+		}
+	}
 	for _, s := range gemmShapes {
 		m, n, k := s[0], s[1], s[2]
 		a, bt := randTensor(r, m, k), randTensor(r, n, k)

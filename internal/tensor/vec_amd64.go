@@ -19,7 +19,8 @@ func pickVec() (vecBodies, string) {
 	return vecGo, "go"
 }
 
-var vecAVX2 = vecBodies{addRowAVX2, geluRowAVX2, softmaxRowAVX2, q7QuantizeAVX2Body, q7DequantAVX2Body}
+var vecAVX2 = vecBodies{addRowAVX2, geluRowAVX2, softmaxRowAVX2, q7QuantizeAVX2Body, q7DequantAVX2Body,
+	packTransAVX2Body, packTransHalfAVX2Body}
 
 // vecK holds the constants the bodies in vec_amd64.s read as 8-lane
 // memory operands, at the byte offsets the .s file names (32 per row).
@@ -73,6 +74,50 @@ func q7QuantizeAVX2(dst *uint8, x *float32, n int, scale, zp float32)
 //
 //go:noescape
 func q7DequantAVX2(c *float32, ldc int, tile *int32, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
+
+// packTransAVX2 and packTransHalfAVX2 fill a whole 16-row strip from
+// kc8 values of each row, ld elements apart, as 8×8 transposes: eight
+// loads (widened to float32 for half words), three shuffle stages,
+// eight stores.
+//
+//go:noescape
+func packTransAVX2(dst, src *float32, ld, kc8 int)
+
+//go:noescape
+func packTransHalfAVX2(dst *float32, src *uint16, ld, kc8 int, bf16 bool)
+
+// packPrefix returns how many of the strip's kc values per row the
+// assembly packs — the whole groups of eight of a full-width strip —
+// after proving its reads of src, which holds len values, and its
+// writes of dst.
+func packPrefix(dst []float32, srcLen, ld, w int) int {
+	kc := len(dst) / gemmNR
+	kc8 := kc &^ 7
+	if w < gemmNR || kc8 == 0 {
+		return 0
+	}
+	if ld < kc || srcLen < (gemmNR-1)*ld+kc {
+		panic(shapeErrf("B pack: %d values at row stride %d for %d rows of %d", srcLen, ld, gemmNR, kc))
+	}
+	_ = dst[kc8*gemmNR-1]
+	return kc8
+}
+
+func packTransAVX2Body(dst, src []float32, ld, w int) {
+	if kc8 := packPrefix(dst, len(src), ld, w); kc8 > 0 {
+		packTransAVX2(&dst[0], &src[0], ld, kc8)
+		dst, src = dst[kc8*gemmNR:], src[kc8:]
+	}
+	packTransGo(dst, src, ld, w)
+}
+
+func packTransHalfAVX2Body(dst []float32, src []uint16, ld, w int, bf16 bool) {
+	if kc8 := packPrefix(dst, len(src), ld, w); kc8 > 0 {
+		packTransHalfAVX2(&dst[0], &src[0], ld, kc8, bf16)
+		dst, src = dst[kc8*gemmNR:], src[kc8:]
+	}
+	packTransHalfGo(dst, src, ld, w, bf16)
+}
 
 func addRowAVX2(row, bias []float32) {
 	if n8 := len(bias) &^ 7; n8 > 0 {

@@ -289,3 +289,146 @@ dqstore:
 	JNZ     dqloop
 	VZEROUPPER
 	RET
+
+// The B pack's transposes. R8 points at the first of eight B rows, R9
+// bytes apart (R10 = 3·R9, R11 = 5·R9, R12 = 7·R9); BX is R8's value for
+// the strip's second eight rows.
+#define ROWSTRIDES \
+	LEAQ (R9)(R9*2), R10; \
+	LEAQ (R9)(R9*4), R11; \
+	LEAQ (R10)(R9*4), R12; \
+	LEAQ (SI)(R9*8), BX
+
+// Loads eight values of each of the eight rows at R8 into Y0-Y7 with op
+// (a load, or a load that widens to float32).
+#define LOAD8(op) \
+	op (R8), Y0; \
+	op (R8)(R9*1), Y1; \
+	op (R8)(R9*2), Y2; \
+	op (R8)(R10*1), Y3; \
+	op (R8)(R9*4), Y4; \
+	op (R8)(R11*1), Y5; \
+	op (R8)(R10*2), Y6; \
+	op (R8)(R12*1), Y7
+
+// Transposes the 8×8 block in Y0-Y7 (row r in Yr) and stores column c —
+// the eight rows' values at one k — to off+64·c(DI): for each k, the
+// strip's 16 values are 64 bytes apart, and off picks rows 0-7 or 8-15.
+#define TRANSPOSE8(off) \
+	VUNPCKLPS Y1, Y0, Y8; \
+	VUNPCKHPS Y1, Y0, Y9; \
+	VUNPCKLPS Y3, Y2, Y10; \
+	VUNPCKHPS Y3, Y2, Y11; \
+	VUNPCKLPS Y5, Y4, Y12; \
+	VUNPCKHPS Y5, Y4, Y13; \
+	VUNPCKLPS Y7, Y6, Y14; \
+	VUNPCKHPS Y7, Y6, Y15; \
+	VSHUFPS $0x44, Y10, Y8, Y0; \
+	VSHUFPS $0xEE, Y10, Y8, Y1; \
+	VSHUFPS $0x44, Y11, Y9, Y2; \
+	VSHUFPS $0xEE, Y11, Y9, Y3; \
+	VSHUFPS $0x44, Y14, Y12, Y4; \
+	VSHUFPS $0xEE, Y14, Y12, Y5; \
+	VSHUFPS $0x44, Y15, Y13, Y6; \
+	VSHUFPS $0xEE, Y15, Y13, Y7; \
+	VPERM2F128 $0x20, Y4, Y0, Y8; \
+	VMOVUPS Y8, off(DI); \
+	VPERM2F128 $0x20, Y5, Y1, Y8; \
+	VMOVUPS Y8, off+64(DI); \
+	VPERM2F128 $0x20, Y6, Y2, Y8; \
+	VMOVUPS Y8, off+128(DI); \
+	VPERM2F128 $0x20, Y7, Y3, Y8; \
+	VMOVUPS Y8, off+192(DI); \
+	VPERM2F128 $0x31, Y4, Y0, Y8; \
+	VMOVUPS Y8, off+256(DI); \
+	VPERM2F128 $0x31, Y5, Y1, Y8; \
+	VMOVUPS Y8, off+320(DI); \
+	VPERM2F128 $0x31, Y6, Y2, Y8; \
+	VMOVUPS Y8, off+384(DI); \
+	VPERM2F128 $0x31, Y7, Y3, Y8; \
+	VMOVUPS Y8, off+448(DI)
+
+// bfloat16 is the high half of a float32: shift each widened word up.
+#define SHIFT8 \
+	VPSLLD $16, Y0, Y0; \
+	VPSLLD $16, Y1, Y1; \
+	VPSLLD $16, Y2, Y2; \
+	VPSLLD $16, Y3, Y3; \
+	VPSLLD $16, Y4, Y4; \
+	VPSLLD $16, Y5, Y5; \
+	VPSLLD $16, Y6, Y6; \
+	VPSLLD $16, Y7, Y7
+
+// func packTransAVX2(dst, src *float32, ld, kc8 int)
+// Packs 16 rows of src, ld floats apart, kc8 values each (a multiple of
+// eight, at least eight), into the strip at dst.
+TEXT ·packTransAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ld+16(FP), R9
+	MOVQ kc8+24(FP), CX
+	SHLQ $2, R9
+	ROWSTRIDES
+	SHRQ $3, CX
+
+ptloop:
+	MOVQ SI, R8
+	LOAD8(VMOVUPS)
+	TRANSPOSE8(0)
+	MOVQ BX, R8
+	LOAD8(VMOVUPS)
+	TRANSPOSE8(32)
+	ADDQ $32, SI
+	ADDQ $32, BX
+	ADDQ $512, DI
+	DECQ CX
+	JNZ  ptloop
+	VZEROUPPER
+	RET
+
+// func packTransHalfAVX2(dst *float32, src *uint16, ld, kc8 int, bf16 bool)
+// packTransAVX2 over float16 (VCVTPH2PS, exact) or bfloat16 words, ld
+// words apart.
+TEXT ·packTransHalfAVX2(SB), NOSPLIT, $0-33
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    ld+16(FP), R9
+	MOVQ    kc8+24(FP), CX
+	MOVBLZX bf16+32(FP), AX
+	SHLQ    $1, R9
+	ROWSTRIDES
+	SHRQ    $3, CX
+	TESTL   AX, AX
+	JNZ     pbloop
+
+phloop:
+	MOVQ SI, R8
+	LOAD8(VCVTPH2PS)
+	TRANSPOSE8(0)
+	MOVQ BX, R8
+	LOAD8(VCVTPH2PS)
+	TRANSPOSE8(32)
+	ADDQ $16, SI
+	ADDQ $16, BX
+	ADDQ $512, DI
+	DECQ CX
+	JNZ  phloop
+	VZEROUPPER
+	RET
+
+pbloop:
+	MOVQ SI, R8
+	LOAD8(VPMOVZXWD)
+	SHIFT8
+	TRANSPOSE8(0)
+	MOVQ BX, R8
+	LOAD8(VPMOVZXWD)
+	SHIFT8
+	TRANSPOSE8(32)
+	ADDQ $16, SI
+	ADDQ $16, BX
+	ADDQ $512, DI
+	DECQ CX
+	JNZ  pbloop
+	VZEROUPPER
+	RET
