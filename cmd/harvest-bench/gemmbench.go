@@ -22,7 +22,7 @@ type gemmBenchReport struct {
 		GOARCH     string `json:"goarch"`
 		GOMAXPROCS int    `json:"gomaxprocs"`
 		NumCPU     int    `json:"num_cpu"`
-		Kernels    string `json:"kernels"` // tensor.Kernels: "avx2" or "go"
+		Kernels    string `json:"kernels"` // tensor.Kernels: "avx2+avx512vnni", "avx2" or "go"
 	} `json:"host"`
 	GemmN int `json:"gemm_n"`
 	Gemm  []struct {

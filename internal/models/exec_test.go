@@ -3,6 +3,7 @@ package models
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"harvest/internal/stats"
@@ -69,6 +70,25 @@ func TestPrecisionBackendsCloseToFP32(t *testing.T) {
 				t.Errorf("%s %s: relative logit delta %.4f exceeds %.4f", name, prec, d, bound)
 			}
 		}
+	}
+}
+
+// TestPrecisionExecutableRetainsNoFP32Weights: an int8 ViT_Tiny
+// executable keeps its 5.5 MB of codes, not the 22 MB of float32 linear
+// weights it was converted from, which its forward never reads.
+func TestPrecisionExecutableRetainsNoFP32Weights(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := NewExecutable(NameViTTiny, 1000, PrecInt8, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 10<<20 {
+		t.Errorf("int8 ViT_Tiny executable retains %.1f MB of heap, want at most 10 MB", float64(retained)/(1<<20))
 	}
 }
 

@@ -149,15 +149,13 @@ type resnetBlock struct {
 
 // ResNetModel is an executable bottleneck ResNet with real weights.
 type ResNetModel struct {
-	Config       ResNetConfig
-	stem         *resnetConv
-	blocks       []*resnetBlock
-	fcW, fcB     *tensor.Tensor
-	finalWidth   int
-	stemPoolSize int
+	Config   ResNetConfig
+	stem     *resnetConv
+	blocks   []*resnetBlock
+	fcW, fcB *tensor.Tensor
 
 	dense  *resnetExec                 // the float32 op table
-	spares tensor.FreeList[*workspace] // shared with precision wrappers
+	spares tensor.FreeList[*workspace] // forward workspaces
 }
 
 // NewResNetModel allocates a ResNet with random weights and benign BN
@@ -180,7 +178,7 @@ func NewResNetModel(c ResNetConfig, r tensor.Rand64) (*ResNetModel, error) {
 		return &resnetConv{w: w, bnMean: mean, bnVar: variance, bnG: g, bnB: bta,
 			stride: stride, pad: pad, activateOn: act}
 	}
-	m := &ResNetModel{Config: c, stemPoolSize: 3, spares: newSpares()}
+	m := &ResNetModel{Config: c, spares: newSpares()}
 	m.stem = mkConv(c.StemWidth, 3, 7, 2, 3, true)
 	inC := c.StemWidth
 	for stage, nBlocks := range c.StageBlocks {
@@ -203,7 +201,6 @@ func NewResNetModel(c ResNetConfig, r tensor.Rand64) (*ResNetModel, error) {
 			inC = outC
 		}
 	}
-	m.finalWidth = inC
 	m.fcW = tensor.New(c.NumClasses, inC)
 	m.fcW.RandInit(r, 0.08)
 	m.fcB = tensor.New(c.NumClasses)
@@ -241,7 +238,8 @@ func (m *ResNetModel) denseExec() *resnetExec {
 
 // PrecisionResNet wraps a ResNetModel with reduced-precision conv and
 // linear layers. BN statistics and the residual arithmetic stay
-// float32.
+// float32. Base holds only the configuration forward reads, so the
+// wrapper does not keep the model's float32 weights alive.
 type PrecisionResNet struct {
 	Base      *ResNetModel
 	Precision string
@@ -249,7 +247,7 @@ type PrecisionResNet struct {
 }
 
 // NewPrecisionResNet converts the model's conv/linear weights to the
-// requested precision; the base model's float32 weights are untouched.
+// requested precision; the model itself is untouched.
 func NewPrecisionResNet(m *ResNetModel, precision string) (*PrecisionResNet, error) {
 	e := &resnetExec{}
 	var err error
@@ -277,7 +275,8 @@ func NewPrecisionResNet(m *ResNetModel, precision string) (*PrecisionResNet, err
 		}
 		e.blocks = append(e.blocks, be)
 	}
-	return &PrecisionResNet{Base: m, Precision: precision, exec: e}, nil
+	base := &ResNetModel{Config: m.Config, spares: newSpares()}
+	return &PrecisionResNet{Base: base, Precision: precision, exec: e}, nil
 }
 
 // Forward runs the wrapped model through the reduced-precision ops.

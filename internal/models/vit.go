@@ -108,7 +108,7 @@ type ViTModel struct {
 	headW, headB   *tensor.Tensor // (classes x d)
 
 	dense  *vitExec                    // the float32 op table
-	spares tensor.FreeList[*workspace] // shared with precision wrappers
+	spares tensor.FreeList[*workspace] // forward workspaces
 }
 
 // vitExec is the set of linear ops one forward pass routes through; the
@@ -145,8 +145,10 @@ func (m *ViTModel) denseExec() *vitExec {
 }
 
 // PrecisionViT wraps a ViTModel with reduced-precision linear layers
-// (fp16/bf16 storage or int8 compute). The wrapped model supplies
-// the float32-resident parameters (norms, embeddings).
+// (fp16/bf16 storage or int8 compute). Base holds only the float32
+// parameters forward reads besides the linear ops (norms, embeddings),
+// shared with the wrapped model, so the wrapper does not keep the
+// model's float32 linear weights alive.
 type PrecisionViT struct {
 	Base      *ViTModel
 	Precision string
@@ -154,7 +156,7 @@ type PrecisionViT struct {
 }
 
 // NewPrecisionViT converts the model's linear weights to the requested
-// precision. The base model's float32 weights are left untouched.
+// precision. The model itself is left untouched.
 func NewPrecisionViT(m *ViTModel, precision string) (*PrecisionViT, error) {
 	e := &vitExec{}
 	var err error
@@ -181,7 +183,13 @@ func NewPrecisionViT(m *ViTModel, precision string) (*PrecisionViT, error) {
 		}
 		e.blocks = append(e.blocks, be)
 	}
-	return &PrecisionViT{Base: m, Precision: precision, exec: e}, nil
+	base := &ViTModel{Config: m.Config, posEmbed: m.posEmbed, clsToken: m.clsToken,
+		normG: m.normG, normB: m.normB, spares: newSpares()}
+	for _, blk := range m.blocks {
+		base.blocks = append(base.blocks, vitBlock{norm1G: blk.norm1G, norm1B: blk.norm1B,
+			norm2G: blk.norm2G, norm2B: blk.norm2B})
+	}
+	return &PrecisionViT{Base: base, Precision: precision, exec: e}, nil
 }
 
 // Forward runs the wrapped model through the reduced-precision ops.

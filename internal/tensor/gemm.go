@@ -83,7 +83,7 @@ type worker struct {
 	edge                 [gemmMR * gemmNR]float32
 	q7A                  []uint8
 	q7Rows               [gemmMC]quant.Q7Params
-	q7Tile               [gemmMR * gemmNR]int32
+	q7Acc                q7Tile
 	job                  gemm
 	wg, packed           sync.WaitGroup
 }

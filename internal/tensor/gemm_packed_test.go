@@ -304,11 +304,15 @@ func TestGemmF16MatchesRoundTripReference(t *testing.T) {
 	}
 }
 
-// q7Shapes is gemmShapes plus the int8 tile's own edges: m%6, n%16 and
-// k%4 all non-zero, the ViT head (n = 1000) and patch embedding (k = 12).
+// q7Shapes is gemmShapes plus the int8 tiles' own edges: m%6, n%16 and
+// k%4 all non-zero, the ViT head (n = 1000: 62 whole strips and a
+// partial 63rd) and patch embedding (k = 12), and n = 16, 24, 32 and 48:
+// one strip, a pair whose second strip is partial, one whole pair, and a
+// pair plus an odd last strip.
 var q7Shapes = append([][3]int{
 	{1, 5, 3}, {4, 4, 4}, {3, 7, 9}, {17, 13, 31}, {2, 130, 515},
 	{65, 3, 1024}, {31, 129, 127}, {13, 1000, 192}, {64, 192, 12}, {11, 17, 6},
+	{7, 16, 40}, {9, 24, 33}, {12, 32, 64}, {5, 48, 101},
 }, gemmShapes...)
 
 // randQ7Codes returns m×k activation codes in [0,127] and n×k weight

@@ -1,19 +1,29 @@
 package tensor
 
-// micro and q7Micro are the register kernels every packed float and
-// int8 GEMM runs, picked once at package init: the AVX2(/FMA) bodies
-// when the CPU has AVX2 and FMA and the OS saves the YMM registers, the
-// Go bodies otherwise. The float bodies may differ in the last bits
-// (FMA rounds once per multiply-add); each is deterministic. The int8
-// bodies are exact, so they agree bit for bit.
-var micro, q7Micro = pickMicro()
+// micro, q7Strip and q7Pair are the register tiles every packed float
+// and int8 GEMM runs, picked once at package init: the AVX2(/FMA)
+// bodies when the CPU has AVX2 and FMA and the OS saves the YMM
+// registers, the Go bodies otherwise; and, when the CPU also has
+// AVX-512F and VNNI and the OS saves the ZMM registers, the 6×32 int8
+// pair tile (q7Pair.nr is 0 without one). The float bodies may differ in
+// the last bits (FMA rounds once per multiply-add); each is
+// deterministic. The int8 bodies are exact, so they agree bit for bit.
+var micro, q7Strip, q7Pair = pickMicro()
 
-func pickMicro() (microKernel, q7Kernel) {
-	if hasAVX2FMA() {
-		return microAVX2Body, q7MicroAVX2Body
+func pickMicro() (microKernel, q7Body, q7Body) {
+	switch {
+	case !hasAVX2FMA():
+		return microGo, q7StripGo, q7Body{}
+	case hasAVX512VNNI():
+		return microAVX2Body, q7StripAVX2, q7PairVNNI
 	}
-	return microGo, q7MicroGo
+	return microAVX2Body, q7StripAVX2, q7Body{}
 }
+
+var (
+	q7StripAVX2 = q7Body{q7MicroAVX2Body, q7DequantAVX2Body, gemmNR}
+	q7PairVNNI  = q7Body{q7MicroVNNIBody, q7DequantAVX512Body, q7PairNR}
+)
 
 // microAVX2 is the 6×16 kernel in micro_amd64.s: twelve ymm
 // accumulators, VBROADCASTSS of A — six rows read in place, lda apart —
@@ -35,14 +45,27 @@ func microAVX2Body(a []float32, lda int, bp []float32, kc int, c []float32, ldc 
 // q7MicroAVX2 is the 6×16 int8 kernel in micro_amd64.s: twelve ymm
 // int32 accumulators; per row and k-group a VPBROADCASTD of the row's
 // four codes, VPMADDUBSW against the strip's two 32-byte lines, VPMADDWD
-// by ones and VPADDD.
+// by ones and VPADDD. c's rows are 16 values apart.
 //
 //go:noescape
 func q7MicroAVX2(a *uint8, lda int, b *uint8, kg int, c *int32)
 
-func q7MicroAVX2Body(a []uint8, lda int, b []uint8, kg int, c *[gemmMR * gemmNR]int32) {
+func q7MicroAVX2Body(a []uint8, lda int, b []uint8, kg int, c *q7Tile) {
 	_, _ = a[(gemmMR-1)*lda+4*kg-1], b[4*gemmNR*kg-1]
 	q7MicroAVX2(&a[0], lda, &b[0], kg, &c[0])
+}
+
+// q7MicroVNNI is the 6×32 int8 kernel in micro_amd64.s, over the two
+// weight strips at b and b+64·kg: twelve zmm int32 accumulators; per row
+// and k-group a VPBROADCASTD of the row's four codes and one VPDPBUSD
+// against each strip's 64-byte line. c's rows are 32 values apart.
+//
+//go:noescape
+func q7MicroVNNI(a *uint8, lda int, b *uint8, kg int, c *int32)
+
+func q7MicroVNNIBody(a []uint8, lda int, b []uint8, kg int, c *q7Tile) {
+	_, _ = a[(gemmMR-1)*lda+4*kg-1], b[4*q7PairNR*kg-1]
+	q7MicroVNNI(&a[0], lda, &b[0], kg, &c[0])
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -64,4 +87,22 @@ func hasAVX2FMA() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// hasAVX512VNNI reports CPUID's AVX512F (leaf 7 EBX) and AVX512_VNNI
+// (leaf 7 ECX) bits, and XGETBV's XMM, YMM, opmask and both ZMM
+// state-enabled bits. The pair tile also runs AVX2 code around it, so
+// pickMicro asks hasAVX2FMA first.
+func hasAVX512VNNI() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 { // OSXSAVE: XGETBV works
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx, ecx, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0 && ecx&(1<<11) != 0
 }

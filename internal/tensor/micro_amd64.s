@@ -133,6 +133,71 @@ q7loop:
 	VZEROUPPER
 	RET
 
+// Broadcasts one A row's four codes at addr into bc and adds their dot
+// products with the two strips' 16 columns' four codes (Z12, Z13) into
+// lo (strip 0) and hi (strip 1).
+#define Q7PAIRROW(addr, bc, lo, hi) \
+	VPBROADCASTD addr, bc; \
+	VPDPBUSD     Z12, bc, lo; \
+	VPDPBUSD     Z13, bc, hi
+
+// func q7MicroVNNI(a *uint8, lda int, b *uint8, kg int, c *int32)
+// kg >= 1: the loop runs before it tests. Rows of A are lda bytes apart
+// (R9 = lda, R10 = 3·lda, R11 = 5·lda); the second weight strip starts
+// R12 = 64·kg bytes after the first. c is 6×32 int32, row stride 128
+// bytes, and is overwritten. Z0-Z15 only.
+TEXT ·q7MicroVNNI(SB), NOSPLIT, $0-40
+	MOVQ   a+0(FP), SI
+	MOVQ   lda+8(FP), R9
+	MOVQ   b+16(FP), DI
+	MOVQ   kg+24(FP), CX
+	MOVQ   c+32(FP), DX
+	LEAQ   (R9)(R9*2), R10
+	LEAQ   (R9)(R9*4), R11
+	MOVQ   CX, R12
+	SHLQ   $6, R12
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+
+q7pairloop:
+	VMOVDQU32 (DI), Z12
+	VMOVDQU32 (DI)(R12*1), Z13
+	Q7PAIRROW((SI), Z14, Z0, Z1)
+	Q7PAIRROW((SI)(R9*1), Z15, Z2, Z3)
+	Q7PAIRROW((SI)(R9*2), Z14, Z4, Z5)
+	Q7PAIRROW((SI)(R10*1), Z15, Z6, Z7)
+	Q7PAIRROW((SI)(R9*4), Z14, Z8, Z9)
+	Q7PAIRROW((SI)(R11*1), Z15, Z10, Z11)
+	ADDQ      $4, SI
+	ADDQ      $64, DI
+	DECQ      CX
+	JNZ       q7pairloop
+
+	VMOVDQU32 Z0, (DX)
+	VMOVDQU32 Z1, 64(DX)
+	VMOVDQU32 Z2, 128(DX)
+	VMOVDQU32 Z3, 192(DX)
+	VMOVDQU32 Z4, 256(DX)
+	VMOVDQU32 Z5, 320(DX)
+	VMOVDQU32 Z6, 384(DX)
+	VMOVDQU32 Z7, 448(DX)
+	VMOVDQU32 Z8, 512(DX)
+	VMOVDQU32 Z9, 576(DX)
+	VMOVDQU32 Z10, 640(DX)
+	VMOVDQU32 Z11, 704(DX)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

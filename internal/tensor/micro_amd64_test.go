@@ -13,9 +13,10 @@ import (
 )
 
 // TestMicroDispatchPicksAsm: on a CPU with AVX2 and FMA, the float and
-// int8 GEMMs and every per-element pass must run their assembly bodies.
-// A silent fallback to the Go bodies is still correct, so no other test
-// would notice the loss.
+// int8 GEMMs and every per-element pass must run their assembly bodies,
+// and the int8 GEMM its VNNI pair tile where the CPU has AVX-512 VNNI.
+// A silent fallback to the Go bodies or the narrower tile is still
+// correct, so no other test would notice the loss.
 func TestMicroDispatchPicksAsm(t *testing.T) {
 	if !hasAVX2FMA() {
 		t.Skip("CPU has no AVX2/FMA: the Go bodies are the right pick")
@@ -24,8 +25,18 @@ func TestMicroDispatchPicksAsm(t *testing.T) {
 	if !same(micro, microAVX2Body) {
 		t.Error("float GEMM dispatch did not pick the AVX2/FMA body")
 	}
-	if !same(q7Micro, q7MicroAVX2Body) {
-		t.Error("int8 GEMM dispatch did not pick the AVX2 body")
+	sameBody := func(a, b q7Body) bool { return same(a.micro, b.micro) && same(a.dequant, b.dequant) && a.nr == b.nr }
+	if !sameBody(q7Strip, q7StripAVX2) {
+		t.Error("int8 GEMM dispatch did not pick the AVX2 6×16 tile")
+	}
+	kernels := "avx2"
+	if hasAVX512VNNI() {
+		kernels = "avx2+avx512vnni"
+		if !sameBody(q7Pair, q7PairVNNI) {
+			t.Error("int8 GEMM dispatch did not pick the VNNI 6×32 pair tile")
+		}
+	} else if q7Pair.nr != 0 {
+		t.Errorf("int8 pair tile %d wide on a CPU without AVX-512 VNNI", q7Pair.nr)
 	}
 	got, want := reflect.ValueOf(vec), reflect.ValueOf(vecAVX2)
 	for i := range got.NumField() {
@@ -33,8 +44,8 @@ func TestMicroDispatchPicksAsm(t *testing.T) {
 			t.Errorf("vector dispatch did not pick the AVX2 %s body", got.Type().Field(i).Name)
 		}
 	}
-	if Kernels != "avx2" {
-		t.Errorf("Kernels = %q, want avx2", Kernels)
+	if Kernels != kernels {
+		t.Errorf("Kernels = %q, want %q", Kernels, kernels)
 	}
 }
 
@@ -230,18 +241,23 @@ func TestQ7QuantizeBodiesAgree(t *testing.T) {
 	}
 }
 
-// TestQ7DequantBodiesAgree: the AVX2 tile dequantization writes the Go
-// body's bits for every tile height and width — full 16-column tiles
-// take the assembly, narrower edge tiles the Go body — overwriting and
-// accumulating, with raw sums large enough to round in float32, and
-// leaves the rest of C alone.
+// TestQ7DequantBodiesAgree: each assembly tile dequantization — AVX2
+// over 16-column tiles, AVX-512 over the pair tile's 32 columns where
+// the CPU has it — writes the Go body's bits for every tile height and
+// width — full-width tiles take the assembly, narrower edge tiles the
+// Go body — overwriting and accumulating, with raw sums large enough to
+// round in float32, and leaves the rest of C alone.
 func TestQ7DequantBodiesAgree(t *testing.T) {
 	if !hasAVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
 	}
+	bodies := []q7Body{q7StripAVX2}
+	if hasAVX512VNNI() {
+		bodies = append(bodies, q7PairVNNI)
+	}
 	r := stats.NewRNG(53)
-	const ldc = gemmNR + 5
-	var tile [gemmMR * gemmNR]int32
+	const ldc = q7PairNR + 5
+	var tile q7Tile
 	for i := range tile {
 		tile[i] = int32(r.Intn(1<<27)) - 1<<26
 	}
@@ -249,7 +265,7 @@ func TestQ7DequantBodiesAgree(t *testing.T) {
 	for i := range rows {
 		rows[i] = quant.Q7Params{Scale: float32(r.Float64() * 0.1), ZeroPoint: int32(r.Intn(128))}
 	}
-	scales, rowSum := make([]float32, gemmNR), make([]int32, gemmNR)
+	scales, rowSum := make([]float32, q7PairNR), make([]int32, q7PairNR)
 	for j := range scales {
 		scales[j], rowSum[j] = float32(r.Float64()*0.05), int32(r.Intn(20000))-10000
 	}
@@ -257,13 +273,15 @@ func TestQ7DequantBodiesAgree(t *testing.T) {
 	for i := range prior {
 		prior[i] = float32(r.Float64()*2 - 1)
 	}
-	for mr := 1; mr <= gemmMR; mr++ {
-		for nr := 1; nr <= gemmNR; nr++ {
-			for _, acc := range []bool{false, true} {
-				got, want := slices.Clone(prior), slices.Clone(prior)
-				vecAVX2.dequant(got, ldc, &tile, rows[:mr], scales[:nr], rowSum[:nr], acc)
-				vecGo.dequant(want, ldc, &tile, rows[:mr], scales[:nr], rowSum[:nr], acc)
-				requireSameFloats(t, fmt.Sprintf("%d×%d accumulate=%v", mr, nr, acc), got, want)
+	for _, body := range bodies {
+		for mr := 1; mr <= gemmMR; mr++ {
+			for nr := 1; nr <= body.nr; nr++ {
+				for _, acc := range []bool{false, true} {
+					got, want := slices.Clone(prior), slices.Clone(prior)
+					body.dequant(got, ldc, &tile, body.nr, rows[:mr], scales[:nr], rowSum[:nr], acc)
+					q7DequantGo(want, ldc, &tile, body.nr, rows[:mr], scales[:nr], rowSum[:nr], acc)
+					requireSameFloats(t, fmt.Sprintf("%d-wide tile %d×%d accumulate=%v", body.nr, mr, nr, acc), got, want)
+				}
 			}
 		}
 	}
@@ -380,30 +398,87 @@ func TestPackBodiesAgree(t *testing.T) {
 	}
 }
 
-// TestQ7BodiesAgree runs the AVX2 int8 body, the Go body and the scalar
-// reference over every q7Shapes entry and a saturation case (all codes
-// at the range ends, K = 4096): the products are exact integers, so all
-// three must be equal.
+// TestQ7BodiesAgree: the int8 bodies are exact, so they must agree bit
+// for bit.
+//   - On one A strip read in place (rows lda apart, with bytes between
+//     them that no body may read) and two adjacent weight strips, for kg
+//     1…70 and 192, random and all-extreme codes (127 × ±63): the VNNI
+//     pair body equals the AVX2 and the Go 6×16 bodies run on each strip.
+//   - Through Q7GemmTransB, with the dispatch set to each tile in turn,
+//     every q7Shapes entry and a saturation case (all codes at the range
+//     ends, K = 4096) equal the scalar reference.
 func TestQ7BodiesAgree(t *testing.T) {
 	if !hasAVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
 	}
-	defer func(k q7Kernel) { q7Micro = k }(q7Micro)
+	vnni := hasAVX512VNNI()
+	r := stats.NewRNG(49)
+	kgs := []int{192}
+	for kg := 1; kg <= 70; kg++ {
+		kgs = append(kgs, kg)
+	}
+	for _, kg := range kgs {
+		for _, lda := range []int{4 * kg, 4*kg + 13} {
+			a := bytes.Repeat([]uint8{255}, (gemmMR-1)*lda+4*kg)
+			b := make([]uint8, 4*q7PairNR*kg)
+			for _, extreme := range []bool{false, true} {
+				for i := 0; i < gemmMR; i++ {
+					for p := 0; p < 4*kg; p++ {
+						a[i*lda+p] = uint8(r.Intn(128))
+						if extreme {
+							a[i*lda+p] = 127
+						}
+					}
+				}
+				for i := range b {
+					b[i] = uint8(int8(r.Intn(127) - 63))
+					if extreme {
+						b[i] = uint8(int8(63 - 126*r.Intn(2)))
+					}
+				}
+				what := fmt.Sprintf("kg=%d lda=%d extreme=%v", kg, lda, extreme)
+				var goT, asmT [2]q7Tile
+				for s := range 2 {
+					q7MicroGo(a, lda, b[s*4*gemmNR*kg:], kg, &goT[s])
+					q7MicroAVX2Body(a, lda, b[s*4*gemmNR*kg:], kg, &asmT[s])
+					requireSameInts(t, fmt.Sprintf("AVX2 vs Go, strip %d, %s", s, what),
+						asmT[s][:gemmMR*gemmNR], goT[s][:gemmMR*gemmNR])
+				}
+				if !vnni {
+					continue
+				}
+				var pair q7Tile
+				q7MicroVNNIBody(a, lda, b, kg, &pair)
+				for i := 0; i < gemmMR; i++ {
+					for s := range 2 {
+						requireSameInts(t, fmt.Sprintf("VNNI vs Go, row %d strip %d, %s", i, s, what),
+							pair[i*q7PairNR+s*gemmNR:][:gemmNR], goT[s][i*gemmNR:][:gemmNR])
+					}
+				}
+			}
+		}
+	}
+
+	defer func(s, p q7Body) { q7Strip, q7Pair = s, p }(q7Strip, q7Pair)
+	type dispatch struct {
+		name        string
+		strip, pair q7Body
+	}
+	dispatches := []dispatch{{"AVX2", q7StripAVX2, q7Body{}}, {"Go", q7StripGo, q7Body{}}}
+	if vnni {
+		dispatches = append(dispatches, dispatch{"VNNI", q7StripAVX2, q7PairVNNI})
+	}
 	check := func(what string, acts []uint8, ws []int8, m, n, k int) {
 		want := make([]int32, m*n)
 		Q7GemmTransBRef(want, acts, ws, m, n, k)
 		pa, pw := PackQ7Acts(acts, m, k), PackQ7Weights(ws, n, k)
-		for _, body := range []struct {
-			name string
-			k    q7Kernel
-		}{{"AVX2", q7MicroAVX2Body}, {"Go", q7MicroGo}} {
-			q7Micro = body.k
+		for _, d := range dispatches {
+			q7Strip, q7Pair = d.strip, d.pair
 			got := make([]int32, m*n)
 			Q7GemmTransB(got, pa, pw)
-			requireSameInts(t, fmt.Sprintf("%s body %s", body.name, what), got, want)
+			requireSameInts(t, fmt.Sprintf("%s dispatch %s", d.name, what), got, want)
 		}
 	}
-	r := stats.NewRNG(49)
 	for _, s := range q7Shapes {
 		m, n, k := s[0], s[1], s[2]
 		acts, ws := randQ7Codes(r, m, n, k)

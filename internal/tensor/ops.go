@@ -65,8 +65,8 @@ func (e Epilogue) rows(c []float32, ldc, lo, hi, n int) {
 }
 
 // vecBodies are the forward's per-element passes: the epilogue's row
-// functions, the int8 linear's per-row quantization and per-tile
-// dequantization, and the transposes that pack a row-major B's strips.
+// functions, the int8 linear's per-row quantization, and the transposes
+// that pack a row-major B's strips.
 // vec holds the set picked once at init, as micro is picked: vecGo, the
 // Go bodies, is the reference and the portable path; on amd64 with
 // AVX2, vec_amd64.s has 8-lane bodies that give the same bits (DESIGN.md,
@@ -77,12 +77,11 @@ type vecBodies struct {
 	gelu      func(row []float32)
 	softmax   func(row []float32, scale float32)
 	quantize  func(dst []uint8, row []float32) quant.Q7Params
-	dequant   func(c []float32, ldc int, tile *[gemmMR * gemmNR]int32, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool)
 	packT     func(dst, src []float32, ld, w int)
 	packTHalf func(dst []float32, src []uint16, ld, w int, bf16 bool)
 }
 
-var vecGo = vecBodies{addRowGo, geluRowGo, softmaxRowGo, q7QuantizeGo, q7DequantGo, packTransGo, packTransHalfGo}
+var vecGo = vecBodies{addRowGo, geluRowGo, softmaxRowGo, q7QuantizeGo, packTransGo, packTransHalfGo}
 
 // addRowGo adds bias into row element by element.
 func addRowGo(row, bias []float32) {

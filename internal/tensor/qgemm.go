@@ -2,8 +2,8 @@ package tensor
 
 import "harvest/internal/quant"
 
-// Quantized GEMM over 7-bit codes, on the float GEMM's 6×16 register
-// tile and row bands.
+// Quantized GEMM over 7-bit codes, on the float GEMM's 6-row strips and
+// row bands.
 //
 // Activations are unsigned codes in [0, 127], weights signed codes in
 // [-63, 63], both grouped four at a time along K. Per A row and k-group
@@ -11,8 +11,11 @@ import "harvest/internal/quant"
 // them against sixteen columns' four codes and adds adjacent products
 // into int16 (at most 2·127·63 = 16002 < 2¹⁵, so it never saturates),
 // VPMADDWD by ones folds each column's two pairs into int32, and VPADDD
-// accumulates. Every step is exact, so both kernel bodies return the
-// true integer dot products for any K below 2³¹/(127·63) ≈ 268k.
+// accumulates. On an AVX-512 VNNI host a wider tile runs over two
+// adjacent weight strips at once: VPDPBUSD adds each column's four
+// u8×s8 products straight into int32. Every step of every body is
+// exact, so all return the true integer dot products for any K below
+// 2³¹/(127·63) ≈ 268k, and the logits do not depend on which ran.
 
 // PackedQ7 is a matrix of 7-bit codes in 4-code groups along K, K
 // padded to Kp whole groups. Activations are rows of 4·Kp bytes, with
@@ -31,14 +34,35 @@ type PackedQ7 struct {
 	weights bool
 }
 
-// q7Kernel computes the 6×16 int32 product of a kg-group A strip (six
-// rows of codes, row stride lda bytes) and a packed weight strip into c,
-// row stride 16. Both bodies overwrite c.
-type q7Kernel func(a []uint8, lda int, b []uint8, kg int, c *[gemmMR * gemmNR]int32)
+// q7PairNR is the width of the widest int8 tile: two adjacent weight
+// strips.
+const q7PairNR = 2 * gemmNR
 
-// q7MicroGo is the portable body of the int8 micro-kernel.
-func q7MicroGo(a []uint8, lda int, b []uint8, kg int, c *[gemmMR * gemmNR]int32) {
-	clear(c[:])
+// q7Tile holds one int8 tile's int32 sums, rows as many columns apart
+// as the tile is wide: 16 or q7PairNR.
+type q7Tile [gemmMR * q7PairNR]int32
+
+// q7Body is one int8 register tile nr columns wide (nr/16 adjacent
+// weight strips): a kernel computing the 6×nr int32 product of a
+// kg-group A strip (six rows of codes, row stride lda bytes) and the
+// strips into c, overwriting it, and the dequantization of that tile.
+type q7Body struct {
+	micro   func(a []uint8, lda int, b []uint8, kg int, c *q7Tile)
+	dequant q7Dequant
+	nr      int
+}
+
+// q7Dequant writes the len(rows)×len(scales) corner of an int32 tile
+// (row stride ldt) into c (row stride ldc) as rows[r].Scale·scales[j]·
+// (raw − ZeroPoint·rowSum[j]), added to c's old value when accumulate.
+type q7Dequant func(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool)
+
+// q7StripGo is the portable 6×16 int8 tile.
+var q7StripGo = q7Body{q7MicroGo, q7DequantGo, gemmNR}
+
+// q7MicroGo is the portable body of the 6×16 int8 micro-kernel.
+func q7MicroGo(a []uint8, lda int, b []uint8, kg int, c *q7Tile) {
+	clear(c[:gemmMR*gemmNR])
 	for g := 0; g < kg; g++ {
 		bg := (*[4 * gemmNR]uint8)(b[g*4*gemmNR:])
 		for r := 0; r < gemmMR; r++ {
@@ -139,9 +163,11 @@ func Q7LinearEpilogue(dst, x []float32, m, k int, w *PackedQ7, scales []float32,
 
 // q7Band computes rows [rowLo,rowHi) of an int8 product. For each MC
 // block of rows it takes the A strips from the packed acts, or
-// quantizes the rows of x into the worker's buffer; then it sweeps each
-// 16-row weight strip, kept in L1, across the block's A strips and
-// writes every 6×16 tile out, raw or dequantized.
+// quantizes the rows of x into the worker's buffer; then it sweeps the
+// weight strips, kept in L1, across the block's A strips — two at a time
+// on the pair tile where the host has one, an odd last strip and every
+// strip elsewhere on the 6×16 tile — and writes every tile out, raw or
+// dequantized.
 func (g *gemm) q7Band(wk *worker, rowLo, rowHi int) {
 	lda := 4 * g.qw.Kp
 	for ic := rowLo; ic < rowHi; ic += gemmMC {
@@ -155,29 +181,34 @@ func (g *gemm) q7Band(wk *worker, rowLo, rowHi int) {
 				wk.q7Rows[i] = vec.quantize(a[i*lda:], g.a[(ic+i)*g.lda:][:g.k])
 			}
 		}
-		for j0 := 0; j0 < g.n; j0 += gemmNR {
-			b := g.qw.Data[j0*lda:][:gemmNR*lda]
-			for ir := 0; ir < mc; ir += gemmMR {
-				q7Micro(a[ir*lda:], lda, b, g.qw.Kp, &wk.q7Tile)
-				g.q7Store(wk, ic, ir, min(gemmMR, mc-ir), j0, min(gemmNR, g.n-j0))
+		for j0 := 0; j0 < g.n; {
+			body := q7Strip
+			if q7Pair.nr > 0 && g.n-j0 > gemmNR {
+				body = q7Pair
 			}
+			b := g.qw.Data[j0*lda:][:body.nr*lda]
+			for ir := 0; ir < mc; ir += gemmMR {
+				body.micro(a[ir*lda:], lda, b, g.qw.Kp, &wk.q7Acc)
+				g.q7Store(wk, body, ic, ir, min(gemmMR, mc-ir), j0, min(body.nr, g.n-j0))
+			}
+			j0 += body.nr
 		}
 	}
 	g.epi.rows(g.c, g.ldc, rowLo, rowHi, g.n)
 }
 
-// q7Store writes the valid mr×nr corner of the worker's tile — rows
-// ic+ir.., columns j0.. — as raw int32 into ci, or dequantized into c
-// (added to c's old value unless zero).
-func (g *gemm) q7Store(wk *worker, ic, ir, mr, j0, nr int) {
+// q7Store writes the valid mr×nr corner of the worker's tile, which
+// body wrote — rows ic+ir.., columns j0.. — as raw int32 into ci, or
+// dequantized into c (added to c's old value unless zero).
+func (g *gemm) q7Store(wk *worker, body q7Body, ic, ir, mr, j0, nr int) {
 	i := ic + ir
 	if g.ci == nil {
-		vec.dequant(g.c[i*g.ldc+j0:], g.ldc, &wk.q7Tile, wk.q7Rows[ir:ir+mr],
+		body.dequant(g.c[i*g.ldc+j0:], g.ldc, &wk.q7Acc, body.nr, wk.q7Rows[ir:ir+mr],
 			g.scales[j0:j0+nr], g.qw.RowSum[j0:j0+nr], !g.zero)
 		return
 	}
 	for r := 0; r < mr; r++ {
-		copy(g.ci[(i+r)*g.ldc+j0:], wk.q7Tile[r*gemmNR:r*gemmNR+nr])
+		copy(g.ci[(i+r)*g.ldc+j0:], wk.q7Acc[r*body.nr:r*body.nr+nr])
 	}
 }
 
@@ -190,14 +221,12 @@ func q7QuantizeGo(dst []uint8, row []float32) quant.Q7Params {
 	return p
 }
 
-// q7DequantGo writes the len(rows)×len(scales) corner of an int32 tile
-// (row stride 16) into c (row stride ldc) as rows[r].Scale·scales[j]·
-// (raw − ZeroPoint·rowSum[j]), added to c's old value when accumulate.
-func q7DequantGo(c []float32, ldc int, tile *[gemmMR * gemmNR]int32, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
+// q7DequantGo is the portable q7Dequant.
+func q7DequantGo(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
 	for r, p := range rows {
 		sa, za := p.Scale, float32(p.ZeroPoint)
 		dst := c[r*ldc:][:len(scales)]
-		for j, raw := range tile[r*gemmNR:][:len(scales)] {
+		for j, raw := range tile[r*ldt:][:len(scales)] {
 			v := sa * scales[j] * (float32(raw) - za*float32(rowSum[j]))
 			if accumulate {
 				v += dst[j]

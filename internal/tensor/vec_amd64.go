@@ -7,19 +7,23 @@ import (
 )
 
 // vec is the set of per-element bodies the forward runs, and Kernels
-// names the register and vector bodies picked at init: "avx2" when the
-// CPU has AVX2 and FMA and the OS saves the YMM registers (pickMicro's
-// CPUID check), "go" otherwise.
+// names the register and vector bodies picked at init (pickMicro's
+// CPUID checks): "avx2" when the CPU has AVX2 and FMA and the OS saves
+// the YMM registers, "avx2+avx512vnni" when the int8 GEMM also has the
+// 6×32 VNNI pair tile, "go" otherwise.
 var vec, Kernels = pickVec()
 
 func pickVec() (vecBodies, string) {
-	if hasAVX2FMA() {
-		return vecAVX2, "avx2"
+	switch {
+	case !hasAVX2FMA():
+		return vecGo, "go"
+	case hasAVX512VNNI():
+		return vecAVX2, "avx2+avx512vnni"
 	}
-	return vecGo, "go"
+	return vecAVX2, "avx2"
 }
 
-var vecAVX2 = vecBodies{addRowAVX2, geluRowAVX2, softmaxRowAVX2, q7QuantizeAVX2Body, q7DequantAVX2Body,
+var vecAVX2 = vecBodies{addRowAVX2, geluRowAVX2, softmaxRowAVX2, q7QuantizeAVX2Body,
 	packTransAVX2Body, packTransHalfAVX2Body}
 
 // vecK holds the constants the bodies in vec_amd64.s read as 8-lane
@@ -68,12 +72,16 @@ func softmaxExpAVX2(row *float32, n int, maxv, scale float32) float64
 //go:noescape
 func q7QuantizeAVX2(dst *uint8, x *float32, n int, scale, zp float32)
 
-// q7DequantAVX2 is q7DequantGo over mr full-width (16-column) tile rows;
-// rows points at mr quant.Q7Params, read as {Scale float32, ZeroPoint
-// int32}.
+// q7DequantAVX2 and q7DequantAVX512 are q7DequantGo over mr full-width
+// tile rows — 16 columns (64 bytes apart) and 32 columns (128 bytes
+// apart); rows points at mr quant.Q7Params, read as {Scale float32,
+// ZeroPoint int32}.
 //
 //go:noescape
 func q7DequantAVX2(c *float32, ldc int, tile *int32, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
+
+//go:noescape
+func q7DequantAVX512(c *float32, ldc int, tile *int32, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
 
 // packTransAVX2 and packTransHalfAVX2 fill a whole 16-row strip from
 // kc8 values of each row, ld elements apart, as 8×8 transposes: eight
@@ -174,15 +182,31 @@ func q7QuantizeAVX2Body(dst []uint8, row []float32) quant.Q7Params {
 	return p
 }
 
-// q7DequantAVX2Body takes full-width tiles; an edge tile narrower than
-// 16 columns goes to the Go body.
-func q7DequantAVX2Body(c []float32, ldc int, tile *[gemmMR * gemmNR]int32, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
-	mr := len(rows)
-	if len(scales) != gemmNR || mr == 0 {
-		q7DequantGo(c, ldc, tile, rows, scales, rowSum, accumulate)
+// q7DequantAVX2Body and q7DequantAVX512Body take the full-width tiles
+// of their kernels; an edge tile narrower than that goes to the Go body.
+func q7DequantAVX2Body(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
+	if q7DequantFull(c, ldc, tile, ldt, gemmNR, rows, scales, rowSum) {
+		q7DequantAVX2(&c[0], ldc, &tile[0], &rows[0], len(rows), &scales[0], &rowSum[0], accumulate)
 		return
 	}
-	_, _ = tile[mr*gemmNR-1], rowSum[gemmNR-1]
-	_ = c[(mr-1)*ldc+gemmNR-1]
-	q7DequantAVX2(&c[0], ldc, &tile[0], &rows[0], mr, &scales[0], &rowSum[0], accumulate)
+	q7DequantGo(c, ldc, tile, ldt, rows, scales, rowSum, accumulate)
+}
+
+func q7DequantAVX512Body(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
+	if q7DequantFull(c, ldc, tile, ldt, q7PairNR, rows, scales, rowSum) {
+		q7DequantAVX512(&c[0], ldc, &tile[0], &rows[0], len(rows), &scales[0], &rowSum[0], accumulate)
+		return
+	}
+	q7DequantGo(c, ldc, tile, ldt, rows, scales, rowSum, accumulate)
+}
+
+// q7DequantFull reports whether a dequantization is a whole nr-wide
+// tile's rows, after proving the assembly's reads and writes.
+func q7DequantFull(c []float32, ldc int, tile *q7Tile, ldt, nr int, rows []quant.Q7Params, scales []float32, rowSum []int32) bool {
+	mr := len(rows)
+	if ldt != nr || len(scales) != nr || mr == 0 {
+		return false
+	}
+	_, _, _ = tile[mr*nr-1], rowSum[nr-1], c[(mr-1)*ldc+nr-1]
+	return true
 }

@@ -290,6 +290,54 @@ dqstore:
 	VZEROUPPER
 	RET
 
+// func q7DequantAVX512(c *float32, ldc int, tile *int32, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
+// q7DequantAVX2 on 16 lanes over 32-column tile rows, 128 bytes apart:
+// the same operations in the same order, so the same bits.
+TEXT ·q7DequantAVX512(SB), NOSPLIT, $0-57
+	MOVQ    c+0(FP), DI
+	MOVQ    ldc+8(FP), R8
+	SHLQ    $2, R8
+	MOVQ    tile+16(FP), SI
+	MOVQ    rows+24(FP), BX
+	MOVQ    mr+32(FP), CX
+	MOVQ    scales+40(FP), AX
+	MOVQ    rowSum+48(FP), DX
+	MOVBLZX accumulate+56(FP), R9
+	VMOVUPS (AX), Z0
+	VMOVUPS 64(AX), Z1
+	VCVTDQ2PS (DX), Z2
+	VCVTDQ2PS 64(DX), Z3
+
+dq512loop:
+	VBROADCASTSS (BX), Z4
+	VPBROADCASTD 4(BX), Z5
+	VCVTDQ2PS    Z5, Z5
+	VMULPS       Z0, Z4, Z6
+	VMULPS       Z1, Z4, Z7
+	VMULPS       Z2, Z5, Z8
+	VMULPS       Z3, Z5, Z9
+	VCVTDQ2PS    (SI), Z10
+	VCVTDQ2PS    64(SI), Z11
+	VSUBPS       Z8, Z10, Z10
+	VSUBPS       Z9, Z11, Z11
+	VMULPS       Z10, Z6, Z10
+	VMULPS       Z11, Z7, Z11
+	TESTQ        R9, R9
+	JZ           dq512store
+	VADDPS       (DI), Z10, Z10
+	VADDPS       64(DI), Z11, Z11
+
+dq512store:
+	VMOVUPS Z10, (DI)
+	VMOVUPS Z11, 64(DI)
+	ADDQ    $128, SI
+	ADDQ    $8, BX
+	ADDQ    R8, DI
+	DECQ    CX
+	JNZ     dq512loop
+	VZEROUPPER
+	RET
+
 // The B pack's transposes. R8 points at the first of eight B rows, R9
 // bytes apart (R10 = 3·R9, R11 = 5·R9, R12 = 7·R9); BX is R8's value for
 // the strip's second eight rows.
