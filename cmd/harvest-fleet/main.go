@@ -2,7 +2,7 @@
 // dynamic router whose replica set is lease-managed (replicas register
 // via POST /v2/fleet/register and renew until they deregister or their
 // TTL expires) plus an SLO-driven autoscaler that consults the
-// discrete-event simulation as a capacity oracle before scaling.
+// queueing simulation as a capacity oracle before scaling.
 //
 // One listener serves both planes: /v2/fleet/* is the control plane,
 // everything else is the router's data plane (/v2/infer, /v2/metrics,

@@ -21,7 +21,7 @@
 //
 // With -fleet-max > 0 (and no -target), the self-hosted tier is
 // *managed*: replicas hold leases with an in-process control plane and
-// an SLO-driven autoscaler sizes the fleet off the discrete-event sim,
+// an SLO-driven autoscaler sizes the fleet off the queueing sim,
 // optionally with a mid-run replica crash:
 //
 //	harvest-loadgen -fleet-max 4 -platform Jetson -timescale 1 \

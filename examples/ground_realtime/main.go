@@ -55,22 +55,17 @@ func main() {
 
 			// Simulate the stream: frames arrive at FPS; preprocess
 			// and inference are pipelined on their resources.
-			s := sim.New()
-			pre := sim.NewResource(s, "preprocess", 1)
-			gpu := sim.NewResource(s, "engine", 1)
 			slo := workload.NewSLOTracker(deadline)
 			frames := workload.FrameTrace(fps, 240)
-			for _, f := range frames {
-				arrival := f.Time
-				s.Schedule(arrival, func() {
-					pre.Submit(preSec, func(_, _ float64) {
-						gpu.Submit(st.Seconds, func(_, end float64) {
-							slo.Observe(end - arrival)
-						})
-					})
-				})
+			arrivals := make([]float64, len(frames))
+			for i, f := range frames {
+				arrivals[i] = f.Time
 			}
-			s.Run()
+			spans := sim.Tandem(arrivals, sim.Station{Seconds: preSec, Servers: 1},
+				sim.Station{Seconds: st.Seconds, Servers: 1})
+			for i, sp := range spans {
+				slo.Observe(sp[1].End - arrivals[i])
+			}
 
 			status := "MEETS deadline"
 			if slo.MissRate() > 0.01 {

@@ -29,11 +29,12 @@ func Ablations(opts Options) (*Artifact, error) {
 		"Platform", "Batch", "Sequential img/s", "Overlapped img/s", "Speedup")
 	for _, p := range hw.FigureOrder() {
 		cfg := pipeline.Config{Platform: p, Model: models.NameViTBase, Dataset: spec, Batches: 16}
-		seq, err := pipeline.Sequential(cfg)
+		seq, err := pipeline.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		over, err := pipeline.Overlapped(cfg)
+		cfg.Overlap = true
+		over, err := pipeline.Run(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -114,7 +114,7 @@ type Decision struct {
 
 // Controller is the SLO-driven autoscaler: each tick it estimates the
 // arrival rate and per-class SLO attainment from the router's merged
-// metrics, asks the discrete-event sim (PlanCapacity) for the cheapest
+// metrics, asks the queueing sim (PlanCapacity) for the cheapest
 // fleet serving that demand, and moves the fleet toward it through the
 // Provisioner. With a nil provisioner it is advisory: decisions are
 // recorded but never acted on.

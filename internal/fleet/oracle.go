@@ -10,7 +10,7 @@ import (
 )
 
 // OracleConfig describes the capacity question the autoscaler asks the
-// discrete-event simulation: which (platform, replica-count) fleet is
+// queueing simulation: which (platform, replica-count) fleet is
 // the cheapest that serves a given arrival rate within the SLO?
 type OracleConfig struct {
 	// Model is the served model the sim prices capacity for.
@@ -66,7 +66,7 @@ type Candidate struct {
 	Platform string `json:"platform"`
 	Replicas int    `json:"replicas"`
 	// PredictedImgPerSec / PredictedP99Ms / PredictedUtilization come
-	// from the discrete-event sim at the asked arrival rate.
+	// from the queueing sim at the asked arrival rate.
 	PredictedImgPerSec   float64 `json:"predicted_img_per_sec"`
 	PredictedP99Ms       float64 `json:"predicted_p99_ms"`
 	PredictedUtilization float64 `json:"predicted_utilization"`

@@ -2,7 +2,7 @@
 // TTL leases in a Registry (register/renew/deregister instead of a
 // static -replicas list), and a Controller autoscales the fleet by
 // reading per-class SLO attainment from the router's merged metrics
-// and consulting the discrete-event simulation (internal/scaleout) as
+// and consulting the queueing simulation (internal/scaleout) as
 // a capacity oracle before acting — model-predictive autoscaling,
 // licensed by scaleout.Validate's ≤0.9% sim-vs-real throughput
 // agreement. Replicas are spawned and stopped through a pluggable

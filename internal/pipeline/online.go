@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"harvest/internal/engine"
 	"harvest/internal/hw"
 	"harvest/internal/sim"
 	"harvest/internal/stats"
@@ -64,54 +63,28 @@ func RunOnline(cfg OnlineConfig) (OnlineResult, error) {
 	if cfg.SLOSeconds <= 0 {
 		cfg.SLOSeconds = hw.QPS60LatencyMs / 1000
 	}
-	eng, err := engine.New(cfg.Platform, cfg.Model)
+	st, err := PriceStages(cfg.Platform, cfg.Model, cfg.Batch, int(cfg.MeanInputPixels))
 	if err != nil {
 		return OnlineResult{}, err
 	}
-	eng.Pipeline = true
-	st, err := eng.Infer(cfg.Batch)
-	if err != nil {
-		return OnlineResult{}, err
-	}
-	outRes := eng.Entry.Spec.InputSize
-	inPixels := make([]int, cfg.Batch)
-	for i := range inPixels {
-		inPixels[i] = int(cfg.MeanInputPixels)
-	}
-	preprocSec := hw.GPUPreprocBatchSeconds(cfg.Platform, inPixels, outRes*outRes)
-	transferSec := eng.Perf.TransferSeconds(int64(cfg.Batch) * int64(3*outRes*outRes) * 4)
-
-	s := sim.New()
-	pre := sim.NewResource(s, "preprocess", 1)
-	cp := sim.NewResource(s, "copy", 1)
-	gpu := sim.NewResource(s, "engine", 1)
-	arrivals := workload.NewArrivalStream(stats.NewRNG(cfg.Seed), workload.ConstantRate(cfg.RatePerSec),
-		cfg.RatePerSec, cfg.HorizonSeconds, cfg.Batch)
-	slo := workload.NewSLOTracker(cfg.SLOSeconds)
-
-	var latencies []float64
-	requests, served := 0, 0
-	arrivals.Each(func(a workload.Arrival) bool {
-		requests++
-		arrival := a.Time
-		s.Schedule(arrival, func() {
-			pre.Submit(preprocSec, func(_, _ float64) {
-				cp.Submit(transferSec, func(_, _ float64) {
-					gpu.Submit(st.Seconds, func(_, end float64) {
-						if end > cfg.HorizonSeconds {
-							return
-						}
-						lat := end - arrival
-						latencies = append(latencies, lat)
-						slo.Observe(lat)
-						served++
-					})
-				})
-			})
-		})
+	var arrivals []float64
+	workload.NewArrivalStream(stats.NewRNG(cfg.Seed), workload.ConstantRate(cfg.RatePerSec),
+		cfg.RatePerSec, cfg.HorizonSeconds, cfg.Batch).Each(func(a workload.Arrival) bool {
+		arrivals = append(arrivals, a.Time)
 		return true
 	})
-	s.Run()
+	slo := workload.NewSLOTracker(cfg.SLOSeconds)
+	var latencies []float64
+	for i, sp := range sim.Tandem(arrivals, st.stations()...) {
+		end := sp[2].End
+		if end > cfg.HorizonSeconds {
+			continue
+		}
+		lat := end - arrivals[i]
+		latencies = append(latencies, lat)
+		slo.Observe(lat)
+	}
+	requests, served := len(arrivals), len(latencies)
 
 	res := OnlineResult{
 		Requests: requests,

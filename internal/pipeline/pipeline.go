@@ -1,7 +1,7 @@
 // Package pipeline composes the full HARVEST inference path — dataset
 // read, dataset-specific preprocessing, model-specific preprocessing,
 // host-device transfer and engine inference — and evaluates its
-// end-to-end latency and throughput with the discrete-event simulator,
+// end-to-end latency and throughput as a tandem queue (internal/sim),
 // including the preprocessing/inference overlap that drives the
 // paper's Fig. 8 results.
 package pipeline
@@ -13,7 +13,6 @@ import (
 	"harvest/internal/engine"
 	"harvest/internal/hw"
 	"harvest/internal/sim"
-	"harvest/internal/trace"
 )
 
 // Config selects one (platform, model, dataset) end-to-end combination.
@@ -38,23 +37,68 @@ type Config struct {
 	// the measured single-thread host seconds per image for this
 	// dataset (from a real internal/preprocess run).
 	HostCPUSecondsPerImage float64
-	// Trace, when non-nil, receives the simulated timeline (one span
-	// per batch per stage) for Chrome trace export.
-	Trace *trace.Recorder
+}
+
+// Stages is the cost of one batch at each pipeline stage.
+type Stages struct {
+	Batch int
+	// Per-batch stage costs (seconds).
+	PreprocSeconds  float64
+	TransferSeconds float64
+	InferSeconds    float64
+}
+
+// PriceStages prices one batch of images of inPixels input pixels each
+// for the model on platform p: GPU preprocessing (the per-image costs
+// plus the per-batch fixed cost), the host-device copy of the
+// normalized fp32 batch, and engine inference with preprocessing
+// co-located. Batch 0 selects the largest batch before OOM capped at
+// hw.EndToEndMaxBatch, the Fig. 8 policy.
+func PriceStages(p *hw.Platform, model string, batch, inPixels int) (Stages, error) {
+	eng, err := engine.New(p, model)
+	if err != nil {
+		return Stages{}, err
+	}
+	eng.Pipeline = true
+	if batch == 0 {
+		batch = eng.MaxBatch(hw.EndToEndMaxBatch)
+		if batch == 0 {
+			return Stages{}, fmt.Errorf("pipeline: %s does not fit on %s with co-located preprocessing",
+				model, p.Name)
+		}
+	}
+	inferStats, err := eng.Infer(batch)
+	if err != nil {
+		return Stages{}, err
+	}
+	outRes := eng.Entry.Spec.InputSize
+	inPx := make([]int, batch)
+	for i := range inPx {
+		inPx[i] = inPixels
+	}
+	return Stages{
+		Batch:           batch,
+		PreprocSeconds:  hw.GPUPreprocBatchSeconds(p, inPx, outRes*outRes),
+		TransferSeconds: eng.Perf.TransferSeconds(int64(batch) * int64(3*outRes*outRes) * 4),
+		InferSeconds:    inferStats.Seconds,
+	}, nil
+}
+
+// stations is the batch's path through the pipeline: preprocessing,
+// copy and engine, each its own single-server resource.
+func (st Stages) stations() []sim.Station {
+	return []sim.Station{{Seconds: st.PreprocSeconds, Servers: 1},
+		{Seconds: st.TransferSeconds, Servers: 1}, {Seconds: st.InferSeconds, Servers: 1}}
 }
 
 // Result reports the end-to-end behaviour of the pipeline.
 type Result struct {
-	Batch int
+	Stages
 	// LatencyMs is the mean per-batch end-to-end latency (preprocess
 	// start to inference completion).
 	LatencyMs float64
 	// Throughput is total images divided by makespan.
 	Throughput float64
-	// Per-batch stage costs (seconds).
-	PreprocSeconds  float64
-	TransferSeconds float64
-	InferSeconds    float64
 	// Bottleneck names the stage with the largest per-batch cost.
 	Bottleneck string
 	// EngineBoundThroughput is the inference-only throughput at this
@@ -62,7 +106,8 @@ type Result struct {
 	EngineBoundThroughput float64
 }
 
-// Run simulates the pipeline and returns its steady behaviour.
+// Run simulates cfg.Batches batches through the pipeline and returns
+// its steady behaviour.
 func Run(cfg Config) (Result, error) {
 	if cfg.Platform == nil {
 		return Result{}, fmt.Errorf("pipeline: nil platform")
@@ -70,133 +115,55 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Batches <= 0 {
 		cfg.Batches = 32
 	}
-	eng, err := engine.New(cfg.Platform, cfg.Model)
+	st, err := PriceStages(cfg.Platform, cfg.Model, cfg.Batch, int(cfg.Dataset.MeanPixels(256, 1)))
 	if err != nil {
 		return Result{}, err
 	}
-	eng.Pipeline = true
-
-	batch := cfg.Batch
-	if batch == 0 {
-		batch = eng.MaxBatch(hw.EndToEndMaxBatch)
-		if batch == 0 {
-			return Result{}, fmt.Errorf("pipeline: %s does not fit on %s with co-located preprocessing",
-				cfg.Model, cfg.Platform.Name)
-		}
-	}
-	inferStats, err := eng.Infer(batch)
-	if err != nil {
-		return Result{}, err
-	}
-
-	outRes := eng.Entry.Spec.InputSize
-	meanPixels := cfg.Dataset.MeanPixels(256, 1)
-
-	var preprocSec float64
 	if cfg.CPUPreproc {
 		if cfg.HostCPUSecondsPerImage <= 0 {
 			return Result{}, fmt.Errorf("pipeline: CPUPreproc requires HostCPUSecondsPerImage")
 		}
-		preprocSec = hw.ScaleCPUSeconds(cfg.Platform, cfg.HostCPUSecondsPerImage) * float64(batch)
-	} else {
-		inPixels := make([]int, batch)
-		for i := range inPixels {
-			inPixels[i] = int(meanPixels)
-		}
-		preprocSec = hw.GPUPreprocBatchSeconds(cfg.Platform, inPixels, outRes*outRes)
+		st.PreprocSeconds = hw.ScaleCPUSeconds(cfg.Platform, cfg.HostCPUSecondsPerImage) * float64(st.Batch)
 	}
-
-	// Host-to-device copy of the normalized fp32 batch.
-	batchBytes := int64(batch) * int64(3*outRes*outRes) * 4
-	transferSec := eng.Perf.TransferSeconds(batchBytes)
 
 	res := Result{
-		Batch:                 batch,
-		PreprocSeconds:        preprocSec,
-		TransferSeconds:       transferSec,
-		InferSeconds:          inferStats.Seconds,
-		EngineBoundThroughput: inferStats.ImgPerSec,
+		Stages:                st,
+		EngineBoundThroughput: float64(st.Batch) / st.InferSeconds,
 	}
 	switch {
-	case preprocSec >= inferStats.Seconds && preprocSec >= transferSec:
+	case st.PreprocSeconds >= st.InferSeconds && st.PreprocSeconds >= st.TransferSeconds:
 		res.Bottleneck = "preprocess"
-	case inferStats.Seconds >= transferSec:
+	case st.InferSeconds >= st.TransferSeconds:
 		res.Bottleneck = "inference"
 	default:
 		res.Bottleneck = "transfer"
 	}
 
-	// Discrete-event simulation of cfg.Batches batches through the
-	// three stages.
-	s := sim.New()
-	pre := sim.NewResource(s, "preprocess", 1)
-	cp := sim.NewResource(s, "copy", 1)
-	gpu := sim.NewResource(s, "engine", 1)
-
-	record := func(track, name string, start, end float64) {
-		if cfg.Trace == nil {
-			return
-		}
-		cfg.Trace.Add(trace.Span{Name: name, Track: track,
-			Start: start, Duration: end - start})
+	// Latency is measured from the batch's actual preprocessing start
+	// (service latency including pipeline backpressure, excluding
+	// offline queueing of the whole input set).
+	var sum, makespan float64
+	for _, sp := range timeline(st, cfg.Batches, cfg.Overlap) {
+		sum += sp[2].End - sp[0].Start
+		makespan = max(makespan, sp[2].End)
 	}
-	latencies := make([]float64, 0, cfg.Batches)
-	var makespan float64
-	for i := 0; i < cfg.Batches; i++ {
-		batchID := i
-		submit := func() {
-			// Latency is measured from the batch's actual
-			// preprocessing start (service latency including pipeline
-			// backpressure, excluding offline queueing of the whole
-			// input set).
-			pre.Submit(preprocSec, func(preStart, preEnd float64) {
-				record("preprocess", fmt.Sprintf("batch %d", batchID), preStart, preEnd)
-				cp.Submit(transferSec, func(cpStart, cpEnd float64) {
-					record("transfer", fmt.Sprintf("batch %d", batchID), cpStart, cpEnd)
-					gpu.Submit(inferStats.Seconds, func(gpuStart, gpuEnd float64) {
-						record("engine", fmt.Sprintf("batch %d", batchID), gpuStart, gpuEnd)
-						latencies = append(latencies, gpuEnd-preStart)
-						if gpuEnd > makespan {
-							makespan = gpuEnd
-						}
-					})
-				})
-			})
-		}
-		if cfg.Overlap {
-			// All batches are available up front (offline scenario);
-			// the resources pipeline them.
-			submit()
-		} else {
-			// Strictly serial: batch i+1 starts when batch i finishes.
-			delay := float64(i) * (preprocSec + transferSec + inferStats.Seconds)
-			s.Schedule(delay, submit)
-		}
-	}
-	s.Run()
-
-	var sum float64
-	for _, l := range latencies {
-		sum += l
-	}
-	if len(latencies) > 0 {
-		res.LatencyMs = sum / float64(len(latencies)) * 1000
-	}
+	res.LatencyMs = sum / float64(cfg.Batches) * 1000
 	if makespan > 0 {
-		res.Throughput = float64(batch*cfg.Batches) / makespan
+		res.Throughput = float64(st.Batch*cfg.Batches) / makespan
 	}
 	return res, nil
 }
 
-// Sequential returns the result with Overlap disabled, for the
-// overlap-on/off ablation.
-func Sequential(cfg Config) (Result, error) {
-	cfg.Overlap = false
-	return Run(cfg)
-}
-
-// Overlapped returns the result with Overlap enabled.
-func Overlapped(cfg Config) (Result, error) {
-	cfg.Overlap = true
-	return Run(cfg)
+// timeline is each batch's span at preprocessing, copy and engine.
+// Under overlap all batches are available up front (the offline
+// scenario) and the resources pipeline them; otherwise batch i+1
+// starts when batch i finishes.
+func timeline(st Stages, batches int, overlap bool) [][]sim.Span {
+	arrivals := make([]float64, batches)
+	if !overlap {
+		for i := range arrivals {
+			arrivals[i] = float64(i) * (st.PreprocSeconds + st.TransferSeconds + st.InferSeconds)
+		}
+	}
+	return sim.Tandem(arrivals, st.stations()...)
 }

@@ -46,11 +46,13 @@ func TestOverlapBeatsSequential(t *testing.T) {
 		Dataset:  evalSpec(t, datasets.SlugCornGrowth),
 		Batches:  16,
 	}
-	over, err := Overlapped(cfg)
+	cfg.Overlap = true
+	over, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Sequential(cfg)
+	cfg.Overlap = false
+	seq, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

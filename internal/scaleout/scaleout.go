@@ -3,8 +3,8 @@
 // GPUs but its evaluation uses one, and §3 notes the backend "is
 // prepared for future scale-out through different parallelism
 // strategies". Replicated engines behind a least-loaded dispatcher are
-// simulated under open-loop Poisson load with the discrete-event
-// simulator, yielding throughput and queueing-latency distributions.
+// simulated under open-loop Poisson load as one queue of R servers
+// (internal/sim), yielding throughput and queueing-latency distributions.
 //
 // Validate closes the loop between the model and the real system: it
 // replays the same seeded trace against a live router-fronted tier of
@@ -94,41 +94,28 @@ func Run(cfg Config) (Result, error) {
 	}
 	serviceTime := st.Seconds + cfg.DispatchOverheadSeconds
 
-	s := sim.New()
-	// A capacity-R resource with earliest-free assignment is exactly a
-	// least-loaded dispatcher over R identical replicas.
-	pool := sim.NewResource(s, "replicas", cfg.Replicas)
-	arrivals := workload.NewArrivalStream(stats.NewRNG(cfg.Seed), workload.ConstantRate(cfg.OfferedBatchesPerSec),
-		cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, batch)
+	// One station of R servers with earliest-free assignment is
+	// exactly a least-loaded dispatcher over R identical replicas.
+	times := arrivalTimes(cfg)
+	spans := sim.Tandem(times, sim.Station{Seconds: serviceTime, Servers: cfg.Replicas})
 
 	var latencies []float64
-	completed := 0
 	busyInHorizon := 0.0
-	arrivals.Each(func(a workload.Arrival) bool {
-		arrival := a.Time
-		s.Schedule(arrival, func() {
-			pool.Submit(serviceTime, func(start, end float64) {
-				// Busy time is clipped to the horizon: counting only
-				// batches that *complete* inside it would bias
-				// utilization low exactly at saturation, where the
-				// most work is still in flight when the horizon
-				// closes.
-				if clipped := math.Min(end, cfg.HorizonSeconds) - math.Min(start, cfg.HorizonSeconds); clipped > 0 {
-					busyInHorizon += clipped
-				}
-				// Only completions inside the measurement horizon
-				// count; work still queued at the horizon is backlog,
-				// not throughput.
-				if end > cfg.HorizonSeconds {
-					return
-				}
-				latencies = append(latencies, end-arrival)
-				completed++
-			})
-		})
-		return true
-	})
-	s.Run()
+	for i, sp := range spans {
+		// Busy time is clipped to the horizon: counting only batches
+		// that *complete* inside it would bias utilization low exactly
+		// at saturation, where the most work is still in flight when
+		// the horizon closes.
+		if clipped := math.Min(sp[0].End, cfg.HorizonSeconds) - math.Min(sp[0].Start, cfg.HorizonSeconds); clipped > 0 {
+			busyInHorizon += clipped
+		}
+		// Only completions inside the measurement horizon count; work
+		// still queued at the horizon is backlog, not throughput.
+		if sp[0].End <= cfg.HorizonSeconds {
+			latencies = append(latencies, sp[0].End-times[i])
+		}
+	}
+	completed := len(latencies)
 
 	res := Result{
 		Replicas:         cfg.Replicas,
@@ -143,4 +130,16 @@ func Run(cfg Config) (Result, error) {
 		res.P99LatencySeconds = stats.Percentile(latencies, 99)
 	}
 	return res, nil
+}
+
+// arrivalTimes is the seeded Poisson trace of batch requests: the one
+// Run simulates and Validate replays against the live tier.
+func arrivalTimes(cfg Config) []float64 {
+	var times []float64
+	workload.NewArrivalStream(stats.NewRNG(cfg.Seed), workload.ConstantRate(cfg.OfferedBatchesPerSec),
+		cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, 1).Each(func(a workload.Arrival) bool {
+		times = append(times, a.Time)
+		return true
+	})
+	return times
 }

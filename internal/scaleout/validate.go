@@ -10,11 +10,10 @@ import (
 	"harvest/internal/engine"
 	"harvest/internal/serve"
 	"harvest/internal/stats"
-	"harvest/internal/workload"
 )
 
 // ValidateConfig drives one (platform, model, batch, offered-rate)
-// operating point through both the discrete-event simulation (Run) and
+// operating point through both the queueing simulation (Run) and
 // a live multi-replica serving tier: real harvest-serve backends with
 // TimeScale pacing behind a real health-checked Router, all in
 // process over loopback HTTP.
@@ -32,7 +31,7 @@ type ValidateConfig struct {
 
 // ValidateResult compares the analytic model against the live tier.
 type ValidateResult struct {
-	// Sim is the discrete-event prediction for the operating point.
+	// Sim is the queueing-model prediction for the operating point.
 	Sim Result
 	// Real is the measurement from the live router-fronted tier,
 	// rescaled into simulated units (divide latencies by TimeScale)
@@ -76,12 +75,7 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 	batch := sim.Batch // Run resolved the auto-batch
 
 	// The identical arrival trace (same seed) the sim consumed.
-	var trace []workload.Arrival
-	workload.NewArrivalStream(stats.NewRNG(cfg.Seed), workload.ConstantRate(cfg.OfferedBatchesPerSec),
-		cfg.OfferedBatchesPerSec, cfg.HorizonSeconds, batch).Each(func(a workload.Arrival) bool {
-		trace = append(trace, a)
-		return true
-	})
+	trace := arrivalTimes(cfg.Config)
 
 	// The live tier: one single-model server per simulated replica.
 	// The model configs are hand-set (not a core deployment): this
@@ -157,14 +151,14 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 	start := time.Now()
 	horizonReal := time.Duration(cfg.HorizonSeconds * cfg.TimeScale * float64(time.Second))
 	var wg sync.WaitGroup
-	for _, a := range trace {
-		at := time.Duration(a.Time * cfg.TimeScale * float64(time.Second))
+	for _, arrival := range trace {
+		at := time.Duration(arrival * cfg.TimeScale * float64(time.Second))
 		wg.Add(1)
-		go func(at time.Duration, items int) {
+		go func(at time.Duration) {
 			defer wg.Done()
 			time.Sleep(time.Until(start.Add(at)))
 			sent := time.Now()
-			_, err := client.Infer(ctx, cfg.Model, serve.InferRequestJSON{Items: items})
+			_, err := client.Infer(ctx, cfg.Model, serve.InferRequestJSON{Items: batch})
 			done := time.Now()
 			mu.Lock()
 			defer mu.Unlock()
@@ -180,7 +174,7 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 			}
 			completed++
 			latencies = append(latencies, done.Sub(sent).Seconds()/cfg.TimeScale)
-		}(at, a.Items)
+		}(at)
 	}
 	wg.Wait()
 	if failures > 0 {

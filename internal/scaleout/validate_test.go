@@ -9,7 +9,7 @@ import (
 
 // TestValidateSimMatchesRealBelowSaturation is the acceptance check
 // for the scale-out model: at a below-saturation operating point the
-// discrete-event simulation must predict the live router-fronted
+// queueing simulation must predict the live router-fronted
 // tier's throughput within 15%.
 func TestValidateSimMatchesRealBelowSaturation(t *testing.T) {
 	if testing.Short() {

@@ -1,94 +1,76 @@
-// Package sim is a small discrete-event simulator used to model the
-// overlapped execution of the HARVEST inference pipeline (preprocessing,
-// host-device transfer and engine inference proceeding concurrently on
-// different resources), which is the mechanism behind the paper's
-// Fig. 8 end-to-end results.
+// Package sim is the queueing model behind every modeled pipeline in
+// this repository: jobs arriving at known times pass in order through a
+// chain of FIFO stations (preprocessing, host-device copy, engine
+// inference, a pool of replicas), each with a known service time. It is
+// the mechanism behind the paper's Fig. 8 overlap of preprocessing,
+// copy and engine on their own resources.
+//
+// Every service time is known when a job reaches a station, so the
+// tandem needs no event queue: it is the recurrence
+// start = max(server free, job ready), end = start + service.
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 )
 
-// event is a scheduled callback.
-type event struct {
-	time float64
-	seq  int64 // tie-breaker preserving schedule order
-	fn   func()
+// Station is one stage of a tandem: Servers identical servers, each
+// serving a job in Seconds (a negative time counts as zero).
+type Station struct {
+	Seconds float64
+	Servers int
 }
 
-type eventHeap []*event
+// Span is one job's time in service at one station.
+type Span struct{ Start, End float64 }
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// Tandem runs the jobs arriving at arrivals through the stations in
+// turn and returns each job's service span at each station, indexed
+// [job][station]. A job is ready for a station when it leaves the one
+// before it (station 0: when it arrives). A station serves jobs in the
+// order they become ready, ties by job index, each on the server that
+// frees first (lowest index on ties). Tandem panics on a station with
+// no servers.
+func Tandem(arrivals []float64, stations ...Station) [][]Span {
+	n, k := len(arrivals), len(stations)
+	spans := make([][]Span, n)
+	flat := make([]Span, n*k)
+	for j := range spans {
+		spans[j] = flat[j*k : (j+1)*k : (j+1)*k]
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// Sim is a discrete-event simulation with a virtual clock in seconds.
-type Sim struct {
-	now    float64
-	seq    int64
-	events eventHeap
-}
-
-// New returns an empty simulation at time zero.
-func New() *Sim { return &Sim{} }
-
-// Now returns the current virtual time in seconds.
-func (s *Sim) Now() float64 { return s.now }
-
-// Schedule runs fn after delay seconds of virtual time. Negative delays
-// are clamped to zero (run "now", after currently executing events).
-func (s *Sim) Schedule(delay float64, fn func()) {
-	if fn == nil {
-		panic("sim: scheduling nil event")
-	}
-	if delay < 0 || math.IsNaN(delay) {
-		delay = 0
-	}
-	s.seq++
-	heap.Push(&s.events, &event{time: s.now + delay, seq: s.seq, fn: fn})
-}
-
-// Run processes events until none remain and returns the final time.
-func (s *Sim) Run() float64 {
-	for s.events.Len() > 0 {
-		e := heap.Pop(&s.events).(*event)
-		if e.time < s.now {
-			panic(fmt.Sprintf("sim: time went backwards: %v < %v", e.time, s.now))
+	ready := slices.Clone(arrivals)
+	order := make([]int, n)
+	for s, st := range stations {
+		if st.Servers <= 0 {
+			panic(fmt.Sprintf("sim: station %d with %d servers", s, st.Servers))
 		}
-		s.now = e.time
-		e.fn()
+		service := st.Seconds
+		if service < 0 {
+			service = 0
+		}
+		for j := range order {
+			order[j] = j
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ready[a], ready[b]) })
+		free := make([]float64, st.Servers)
+		for _, j := range order {
+			srv := 0
+			for i, t := range free {
+				if t < free[srv] {
+					srv = i
+				}
+			}
+			start := free[srv]
+			if start < ready[j] {
+				start = ready[j]
+			}
+			end := start + service
+			free[srv] = end
+			spans[j][s] = Span{Start: start, End: end}
+			ready[j] = end
+		}
 	}
-	return s.now
+	return spans
 }
-
-// RunUntil processes events with time <= t, then advances the clock to
-// t. Remaining events stay queued.
-func (s *Sim) RunUntil(t float64) {
-	for s.events.Len() > 0 && s.events[0].time <= t {
-		e := heap.Pop(&s.events).(*event)
-		s.now = e.time
-		e.fn()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.events.Len() }

@@ -1,208 +1,226 @@
 package sim
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
+	"testing/quick"
+
+	"harvest/internal/stats"
 )
 
+func one(seconds float64) Station { return Station{Seconds: seconds, Servers: 1} }
+
 func TestEventOrdering(t *testing.T) {
-	s := New()
-	var order []int
-	s.Schedule(3, func() { order = append(order, 3) })
-	s.Schedule(1, func() { order = append(order, 1) })
-	s.Schedule(2, func() { order = append(order, 2) })
-	end := s.Run()
-	if end != 3 {
-		t.Errorf("final time %v, want 3", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order %v", order)
+	// Jobs are served in the order they arrive, not in index order.
+	spans := Tandem([]float64{3, 1, 2}, one(1))
+	want := []Span{{3, 4}, {1, 2}, {2, 3}}
+	for j, w := range want {
+		if spans[j][0] != w {
+			t.Errorf("job %d span %v, want %v", j, spans[j][0], w)
+		}
 	}
 }
 
 func TestTieBreakFIFO(t *testing.T) {
-	s := New()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		s.Schedule(5, func() { order = append(order, i) })
+	arrivals := make([]float64, 10)
+	for j := range arrivals {
+		arrivals[j] = 5
 	}
-	s.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events reordered: %v", order)
+	for j, sp := range Tandem(arrivals, one(1)) {
+		if sp[0].Start != 5+float64(j) {
+			t.Fatalf("same-time job %d starts at %v, want %v", j, sp[0].Start, 5+j)
 		}
-	}
-}
-
-func TestNestedScheduling(t *testing.T) {
-	s := New()
-	var times []float64
-	s.Schedule(1, func() {
-		times = append(times, s.Now())
-		s.Schedule(2, func() {
-			times = append(times, s.Now())
-		})
-	})
-	s.Run()
-	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
-		t.Errorf("nested event times %v, want [1 3]", times)
 	}
 }
 
 func TestNegativeDelayClamped(t *testing.T) {
-	s := New()
-	ran := false
-	s.Schedule(5, func() {
-		s.Schedule(-10, func() { ran = true })
-	})
-	s.Run()
-	if !ran {
-		t.Error("negative-delay event dropped")
-	}
-	if s.Now() != 5 {
-		t.Errorf("clock %v, want 5", s.Now())
-	}
-}
-
-func TestScheduleNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil event accepted")
-		}
-	}()
-	New().Schedule(1, nil)
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var ran []float64
-	for _, d := range []float64{1, 2, 3, 4} {
-		d := d
-		s.Schedule(d, func() { ran = append(ran, d) })
-	}
-	s.RunUntil(2.5)
-	if len(ran) != 2 {
-		t.Fatalf("RunUntil(2.5) ran %d events", len(ran))
-	}
-	if s.Now() != 2.5 {
-		t.Errorf("clock %v, want 2.5", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Errorf("pending %d, want 2", s.Pending())
-	}
-	s.Run()
-	if len(ran) != 4 {
-		t.Error("remaining events lost")
+	// A negative service time at a later station: the job leaves that
+	// station as it enters it, never before it left the one before.
+	sp := Tandem([]float64{5}, one(1), one(-10))[0]
+	if sp[1] != (Span{6, 6}) {
+		t.Errorf("negative-service span %v, want {6 6}", sp[1])
 	}
 }
 
 func TestResourceSerializesUnitCapacity(t *testing.T) {
-	s := New()
-	r := NewResource(s, "gpu", 1)
-	var ends []float64
-	for i := 0; i < 3; i++ {
-		r.Submit(2, func(_, end float64) { ends = append(ends, end) })
-	}
-	s.Run()
-	want := []float64{2, 4, 6}
-	if len(ends) != len(want) {
-		t.Fatalf("completed %d jobs, want %d", len(ends), len(want))
-	}
-	for i, e := range ends {
-		if e != want[i] {
-			t.Errorf("end[%d] = %v, want %v", i, e, want[i])
+	spans := Tandem([]float64{0, 0, 0}, one(2))
+	for j, want := range []float64{2, 4, 6} {
+		if spans[j][0].End != want {
+			t.Errorf("end[%d] = %v, want %v", j, spans[j][0].End, want)
 		}
 	}
 }
 
 func TestResourceParallelCapacity(t *testing.T) {
-	s := New()
-	r := NewResource(s, "cpus", 2)
-	var ends []float64
-	for i := 0; i < 4; i++ {
-		r.Submit(3, func(_, end float64) { ends = append(ends, end) })
-	}
-	s.Run()
 	// Two servers: jobs end at 3,3,6,6.
-	count3, count6 := 0, 0
-	for _, e := range ends {
-		switch e {
-		case 3:
-			count3++
-		case 6:
-			count6++
-		default:
-			t.Fatalf("unexpected end time %v", e)
+	spans := Tandem([]float64{0, 0, 0, 0}, Station{Seconds: 3, Servers: 2})
+	for j, want := range []float64{3, 3, 6, 6} {
+		if spans[j][0].End != want {
+			t.Errorf("end[%d] = %v, want %v", j, spans[j][0].End, want)
 		}
-	}
-	if count3 != 2 || count6 != 2 {
-		t.Errorf("ends %v, want two at 3 and two at 6", ends)
 	}
 }
 
 func TestResourceStartAfterSubmitTime(t *testing.T) {
-	s := New()
-	r := NewResource(s, "gpu", 1)
-	var start1 float64
-	s.Schedule(10, func() {
-		r.Submit(1, func(st, _ float64) { start1 = st })
-	})
-	s.Run()
-	if start1 != 10 {
-		t.Errorf("job started at %v, want 10 (submission time)", start1)
+	if start := Tandem([]float64{10}, one(1))[0][0].Start; start != 10 {
+		t.Errorf("job started at %v, want 10 (arrival time)", start)
 	}
 }
 
 func TestResourcePipelining(t *testing.T) {
 	// Two-stage pipeline: stage A 1s, stage B 2s, 3 items. With
 	// pipelining the makespan is 1 + 3*2 = 7, not 3*(1+2) = 9.
-	s := New()
-	a := NewResource(s, "A", 1)
-	b := NewResource(s, "B", 1)
-	var makespan float64
-	for i := 0; i < 3; i++ {
-		a.Submit(1, func(_, _ float64) {
-			b.Submit(2, func(_, end float64) {
-				if end > makespan {
-					makespan = end
-				}
-			})
-		})
-	}
-	s.Run()
-	if makespan != 7 {
+	spans := Tandem([]float64{0, 0, 0}, one(1), one(2))
+	if makespan := spans[2][1].End; makespan != 7 {
 		t.Errorf("pipelined makespan %v, want 7", makespan)
 	}
 }
 
 func TestResourceZeroAndNegativeDuration(t *testing.T) {
-	s := New()
-	r := NewResource(s, "x", 1)
-	done := 0
-	r.Submit(0, func(_, _ float64) { done++ })
-	r.Submit(-5, func(_, _ float64) { done++ })
-	s.Run()
-	if done != 2 {
-		t.Errorf("zero/negative duration jobs completed %d, want 2", done)
+	spans := Tandem([]float64{1, 1, 1}, one(0), one(-5))
+	for j, sp := range spans {
+		for s, span := range sp {
+			if span != (Span{1, 1}) {
+				t.Errorf("job %d station %d span %v, want {1 1}", j, s, span)
+			}
+		}
 	}
 }
 
 func TestNewResourcePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-capacity resource accepted")
-		}
-	}()
-	NewResource(New(), "bad", 0)
+	for _, servers := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("station with %d servers accepted", servers)
+				}
+			}()
+			Tandem([]float64{0}, one(1), Station{Seconds: 1, Servers: servers})
+		}()
+	}
 }
 
-func TestResourceNilCallback(t *testing.T) {
-	s := New()
-	r := NewResource(s, "x", 1)
-	r.Submit(1, nil)
-	var start float64
-	r.Submit(1, func(st, _ float64) { start = st })
-	if end := s.Run(); end != 2 || start != 1 {
-		t.Errorf("nil-callback job lost: clock %v, next job started at %v; want 2 and 1", end, start)
+// randomTandem draws up to 50 jobs with unsorted arrivals through one
+// to three stations of one to four servers each.
+func randomTandem(seed uint16) ([]float64, []Station) {
+	r := stats.NewRNG(uint64(seed))
+	arrivals := make([]float64, 1+r.Intn(50))
+	for j := range arrivals {
+		arrivals[j] = r.Float64() * 10
 	}
+	stations := make([]Station, 1+r.Intn(3))
+	for s := range stations {
+		stations[s] = Station{Seconds: r.Float64() * 2, Servers: 1 + r.Intn(4)}
+	}
+	return arrivals, stations
+}
+
+func check(t *testing.T, f func(seed uint16) bool) {
+	t.Helper()
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestResourceConservation checks that every job gets one span at
+// every station, and leaves each no earlier than it entered.
+func TestResourceConservation(t *testing.T) {
+	check(t, func(seed uint16) bool {
+		arrivals, stations := randomTandem(seed)
+		spans := Tandem(arrivals, stations...)
+		if len(spans) != len(arrivals) {
+			return false
+		}
+		for _, sp := range spans {
+			if len(sp) != len(stations) {
+				return false
+			}
+			for _, span := range sp {
+				if !(span.End >= span.Start) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+}
+
+// TestResourceBusyTimeEqualsWork checks the busy time each station
+// assigns (end - start over all jobs) equals the sum of its service
+// times.
+func TestResourceBusyTimeEqualsWork(t *testing.T) {
+	check(t, func(seed uint16) bool {
+		arrivals, stations := randomTandem(seed)
+		spans := Tandem(arrivals, stations...)
+		for s, st := range stations {
+			busy := 0.0
+			for _, sp := range spans {
+				busy += sp[s].End - sp[s].Start
+			}
+			if math.Abs(busy-st.Seconds*float64(len(arrivals))) > 1e-9 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestMakespanLowerBound checks that no station finishes its work
+// sooner than perfect packing onto its servers allows.
+func TestMakespanLowerBound(t *testing.T) {
+	check(t, func(seed uint16) bool {
+		arrivals, stations := randomTandem(seed)
+		spans := Tandem(arrivals, stations...)
+		for s, st := range stations {
+			makespan := 0.0
+			for _, sp := range spans {
+				makespan = max(makespan, sp[s].End)
+			}
+			if makespan < st.Seconds*float64(len(arrivals))/float64(st.Servers)-1e-9 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestStationServesInArrivalOrderOnEarliestFreeServer re-derives every
+// span from the rules: a job is ready for a station when it leaves the
+// one before it (or arrives); the station takes jobs in ready order,
+// ties by index; each starts when it is ready and the earliest-free
+// server is. With c servers the earliest free time is the c-th largest
+// end among the jobs served before (servers start free at zero), and
+// with one server it is the last end: FIFO.
+func TestStationServesInArrivalOrderOnEarliestFreeServer(t *testing.T) {
+	check(t, func(seed uint16) bool {
+		arrivals, stations := randomTandem(seed)
+		spans := Tandem(arrivals, stations...)
+		ready := slices.Clone(arrivals)
+		for s, st := range stations {
+			order := make([]int, len(arrivals))
+			for j := range order {
+				order[j] = j
+			}
+			slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ready[a], ready[b]) })
+			ends := make([]float64, st.Servers) // the servers' initial free times
+			for _, j := range order {
+				slices.Sort(ends)
+				free := ends[len(ends)-st.Servers]
+				start := max(free, ready[j])
+				if spans[j][s].Start != start || spans[j][s].End != start+st.Seconds {
+					return false
+				}
+				// No job starts a station before it leaves the
+				// previous one.
+				if spans[j][s].Start < ready[j] {
+					return false
+				}
+				ends = append(ends, spans[j][s].End)
+				ready[j] = spans[j][s].End
+			}
+		}
+		return true
+	})
 }

@@ -152,15 +152,6 @@ func (r *Recorder) WriteChromeFiltered(w io.Writer, keep func(Span) bool) error 
 	return enc.Encode(events)
 }
 
-// TrackBusy sums span durations per track.
-func (r *Recorder) TrackBusy() map[string]float64 {
-	out := map[string]float64{}
-	for _, s := range r.Spans() {
-		out[s.Track] += s.Duration
-	}
-	return out
-}
-
 // Validate checks that no track has overlapping spans (each track is a
 // serial resource). It returns nil when the timeline is consistent.
 func (r *Recorder) Validate() error {

@@ -74,17 +74,6 @@ func TestWriteChromeFormat(t *testing.T) {
 	}
 }
 
-func TestTrackBusy(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Span{Name: "a", Track: "gpu", Start: 0, Duration: 1})
-	r.Add(Span{Name: "b", Track: "gpu", Start: 2, Duration: 3})
-	r.Add(Span{Name: "c", Track: "cpu", Start: 0, Duration: 0.5})
-	busy := r.TrackBusy()
-	if busy["gpu"] != 4 || busy["cpu"] != 0.5 {
-		t.Errorf("busy %v", busy)
-	}
-}
-
 func TestValidateDetectsOverlap(t *testing.T) {
 	good := NewRecorder()
 	good.Add(Span{Name: "a", Track: "t", Start: 0, Duration: 1})
