@@ -39,6 +39,8 @@ type OnlineResult struct {
 	MeanMs      float64
 	P95Ms       float64
 	P99Ms       float64
+	// SLOMissRate is over every request that arrived, served inside
+	// the horizon or not; the latency figures are over served ones.
 	SLOMissRate float64
 }
 
@@ -76,27 +78,28 @@ func RunOnline(cfg OnlineConfig) (OnlineResult, error) {
 	slo := workload.NewSLOTracker(cfg.SLOSeconds)
 	var latencies []float64
 	for i, sp := range sim.Tandem(arrivals, st.stations()...) {
-		end := sp[2].End
-		if end > cfg.HorizonSeconds {
-			continue
-		}
-		lat := end - arrivals[i]
-		latencies = append(latencies, lat)
+		lat := sp[2].End - arrivals[i]
+		// Every request counts against the SLO, the ones the horizon
+		// cuts off (the queue's worst) too; only those served inside
+		// it count as goodput.
 		slo.Observe(lat)
+		if sp[2].End <= cfg.HorizonSeconds {
+			latencies = append(latencies, lat)
+		}
 	}
-	requests, served := len(arrivals), len(latencies)
+	served := len(latencies)
 
 	res := OnlineResult{
-		Requests: requests,
-		Served:   served,
-		Offered:  cfg.RatePerSec * float64(cfg.Batch),
+		Requests:    len(arrivals),
+		Served:      served,
+		Offered:     cfg.RatePerSec * float64(cfg.Batch),
+		SLOMissRate: slo.MissRate(),
 	}
 	if served > 0 {
 		res.Goodput = float64(served*cfg.Batch) / cfg.HorizonSeconds
 		res.MeanMs = stats.Mean(latencies) * 1000
 		res.P95Ms = stats.Percentile(latencies, 95) * 1000
 		res.P99Ms = stats.Percentile(latencies, 99) * 1000
-		res.SLOMissRate = slo.MissRate()
 	}
 	return res, nil
 }

@@ -88,3 +88,23 @@ func TestRunOnlineOOMBatch(t *testing.T) {
 		t.Error("OOM batch accepted")
 	}
 }
+
+// TestRunOnlineCountsCutOffRequestsAgainstSLO: requests still queued
+// when the horizon closes are the queue's worst, so they must count in
+// the SLO miss rate rather than drop out of it. With the SLO equal to
+// the horizon no served request can miss it, so under heavy overload
+// every miss is a cut-off request.
+func TestRunOnlineCountsCutOffRequestsAgainstSLO(t *testing.T) {
+	res, err := RunOnline(OnlineConfig{
+		Platform: hw.Jetson(), Model: models.NameViTSmall,
+		Batch: 16, RatePerSec: 120, HorizonSeconds: 5, SLOSeconds: 5, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutOff := float64(res.Requests-res.Served) / float64(res.Requests)
+	if res.SLOMissRate <= 0 || res.SLOMissRate > cutOff {
+		t.Errorf("SLO miss rate %v over %d requests, want in (0, %v]: the %d cut-off requests are the only ones that can miss",
+			res.SLOMissRate, res.Requests, cutOff, res.Requests-res.Served)
+	}
+}
