@@ -15,6 +15,7 @@ import (
 	"harvest/internal/engine"
 	"harvest/internal/hw"
 	"harvest/internal/models"
+	"harvest/internal/pipeline"
 	"harvest/internal/sim"
 	"harvest/internal/workload"
 )
@@ -35,36 +36,27 @@ func main() {
 		deadline := 1 / fps
 		fmt.Printf("--- %v FPS stream (deadline %.1f ms/frame) ---\n", fps, deadline*1000)
 		for _, name := range models.Names() {
-			eng, err := engine.New(jetson, name)
-			if err != nil {
-				log.Fatal(err)
-			}
-			eng.Pipeline = true
-			// Real-time mode: batch 1 (one frame at a time).
-			st, err := eng.Infer(1)
+			// Real-time mode: batch 1 (one frame at a time). Per-frame
+			// GPU preprocessing: decode + perspective + resize to the
+			// model input.
+			st, err := pipeline.PriceStages(jetson, name, 1, frameW*frameH)
 			if errors.Is(err, engine.ErrOOM) {
 				fmt.Printf("%-10s does not fit alongside preprocessing\n", name)
 				continue
 			} else if err != nil {
 				log.Fatal(err)
 			}
-			// Per-frame GPU preprocessing: decode + perspective +
-			// resize to the model input.
-			out := eng.Entry.Spec.InputSize
-			preSec := hw.GPUPreprocImageSeconds(jetson, frameW*frameH, out*out)
 
-			// Simulate the stream: frames arrive at FPS; preprocess
-			// and inference are pipelined on their resources.
+			// Simulate the stream: frames arrive at FPS; preprocess,
+			// copy and inference are pipelined on their resources.
 			slo := workload.NewSLOTracker(deadline)
 			frames := workload.FrameTrace(fps, 240)
 			arrivals := make([]float64, len(frames))
 			for i, f := range frames {
 				arrivals[i] = f.Time
 			}
-			spans := sim.Tandem(arrivals, sim.Station{Seconds: preSec, Servers: 1},
-				sim.Station{Seconds: st.Seconds, Servers: 1})
-			for i, sp := range spans {
-				slo.Observe(sp[1].End - arrivals[i])
+			for i, sp := range sim.Tandem(arrivals, st.Stations()...) {
+				slo.Observe(sp[len(sp)-1].End - arrivals[i])
 			}
 
 			status := "MEETS deadline"
@@ -72,7 +64,7 @@ func main() {
 				status = "misses deadline"
 			}
 			fmt.Printf("%-10s pre=%5.1fms infer=%5.1fms  miss=%5.1f%% worst=%6.1fms  %s\n",
-				name, preSec*1000, st.Seconds*1000, slo.MissRate()*100,
+				name, st.PreprocSeconds*1000, st.InferSeconds*1000, slo.MissRate()*100,
 				slo.WorstSeconds()*1000, status)
 		}
 		fmt.Println()
@@ -89,23 +81,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng, err := engine.New(mode, models.NameViTTiny)
+		st, err := pipeline.PriceStages(mode, models.NameViTTiny, 1, frameW*frameH)
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng.Pipeline = true
-		st, err := eng.Infer(1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		preSec := hw.GPUPreprocImageSeconds(mode, frameW*frameH, 32*32)
-		frameSec := preSec + st.Seconds // no pipelining margin assumed
+		frameSec := st.PreprocSeconds + st.InferSeconds // no pipelining margin assumed
 		status := "holds 30 FPS"
 		if frameSec > 1.0/30 {
 			status = "too slow for 30 FPS"
 		}
 		fmt.Printf("%4.0fW  pre=%5.1fms infer=%5.1fms total=%5.1fms  ~%.1f img/J  %s\n",
-			watts, preSec*1000, st.Seconds*1000, frameSec*1000,
+			watts, st.PreprocSeconds*1000, st.InferSeconds*1000, frameSec*1000,
 			(1/frameSec)/mode.PowerW, status)
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"harvest/internal/datasets"
-	"harvest/internal/engine"
 	"harvest/internal/hw"
 	"harvest/internal/metrics"
 	"harvest/internal/models"
+	"harvest/internal/pipeline"
 	"harvest/internal/transfer"
 )
 
@@ -46,11 +46,11 @@ func Offload(opts Options) (*Artifact, error) {
 		fmt.Sprintf("Single %dx%d frame latency: on-device Jetson vs upload+A100", im.W, im.H),
 		"Model", "Link", "JPEG q", "Payload(KiB)", "Upload(ms)", "Cloud e2e(ms)", "Edge(ms)", "Winner")
 	for _, name := range []string{models.NameResNet50, models.NameViTBase} {
-		edgeSec, err := perImagePipelineSeconds(jetson, name, px, 1)
+		edgeSec, err := frameSeconds(jetson, name, px)
 		if err != nil {
 			return nil, err
 		}
-		cloudSec, err := perImagePipelineSeconds(a100, name, px, 1)
+		cloudSec, err := frameSeconds(a100, name, px)
 		if err != nil {
 			return nil, err
 		}
@@ -104,49 +104,20 @@ func Offload(opts Options) (*Artifact, error) {
 	return a, nil
 }
 
-// perImagePipelineSeconds returns preprocessing + inference seconds per
-// image at the given batch on the platform.
-func perImagePipelineSeconds(p *hw.Platform, model string, inPixels, batch int) (float64, error) {
-	eng, err := engine.New(p, model)
-	if err != nil {
-		return 0, err
-	}
-	eng.Pipeline = true
-	st, err := eng.Infer(batch)
-	if err != nil {
-		return 0, err
-	}
-	outRes := eng.Entry.Spec.InputSize
-	pre := hw.GPUPreprocImageSeconds(p, inPixels, outRes*outRes) * float64(batch)
-	return (pre + st.Seconds) / float64(batch), nil
+// frameSeconds returns one frame's preprocessing + inference seconds
+// at batch 1 on the platform.
+func frameSeconds(p *hw.Platform, model string, inPixels int) (float64, error) {
+	st, err := pipeline.PriceStages(p, model, 1, inPixels)
+	return st.PreprocSeconds + st.InferSeconds, err
 }
 
 // pipelineThroughput returns the overlapped pipeline throughput at the
-// platform's largest end-to-end batch.
+// platform's largest end-to-end batch: the slower of preprocessing and
+// inference bounds it.
 func pipelineThroughput(p *hw.Platform, model string, inPixels int) (float64, error) {
-	eng, err := engine.New(p, model)
+	st, err := pipeline.PriceStages(p, model, 0, inPixels)
 	if err != nil {
 		return 0, err
 	}
-	eng.Pipeline = true
-	batch := eng.MaxBatch(hw.EndToEndMaxBatch)
-	if batch == 0 {
-		return 0, fmt.Errorf("experiments: %s does not fit on %s", model, p.Name)
-	}
-	st, err := eng.Infer(batch)
-	if err != nil {
-		return 0, err
-	}
-	outRes := eng.Entry.Spec.InputSize
-	inPx := make([]int, batch)
-	for i := range inPx {
-		inPx[i] = inPixels
-	}
-	preSec := hw.GPUPreprocBatchSeconds(p, inPx, outRes*outRes)
-	// Overlapped: the slower stage bounds throughput.
-	bottleneck := st.Seconds
-	if preSec > bottleneck {
-		bottleneck = preSec
-	}
-	return float64(batch) / bottleneck, nil
+	return float64(st.Batch) / max(st.PreprocSeconds, st.InferSeconds), nil
 }

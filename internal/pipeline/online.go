@@ -77,7 +77,7 @@ func RunOnline(cfg OnlineConfig) (OnlineResult, error) {
 	})
 	slo := workload.NewSLOTracker(cfg.SLOSeconds)
 	var latencies []float64
-	for i, sp := range sim.Tandem(arrivals, st.stations()...) {
+	for i, sp := range sim.Tandem(arrivals, st.Stations()...) {
 		lat := sp[2].End - arrivals[i]
 		// Every request counts against the SLO, the ones the horizon
 		// cuts off (the queue's worst) too; only those served inside

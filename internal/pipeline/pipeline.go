@@ -84,9 +84,9 @@ func PriceStages(p *hw.Platform, model string, batch, inPixels int) (Stages, err
 	}, nil
 }
 
-// stations is the batch's path through the pipeline: preprocessing,
-// copy and engine, each its own single-server resource.
-func (st Stages) stations() []sim.Station {
+// Stations is the batch's path through the pipeline for sim.Tandem:
+// preprocessing, copy and engine, each its own single-server resource.
+func (st Stages) Stations() []sim.Station {
 	return []sim.Station{{Seconds: st.PreprocSeconds, Servers: 1},
 		{Seconds: st.TransferSeconds, Servers: 1}, {Seconds: st.InferSeconds, Servers: 1}}
 }
@@ -165,5 +165,5 @@ func timeline(st Stages, batches int, overlap bool) [][]sim.Span {
 			arrivals[i] = float64(i) * (st.PreprocSeconds + st.TransferSeconds + st.InferSeconds)
 		}
 	}
-	return sim.Tandem(arrivals, st.stations()...)
+	return sim.Tandem(arrivals, st.Stations()...)
 }
