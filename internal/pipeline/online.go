@@ -32,13 +32,13 @@ type OnlineConfig struct {
 
 // OnlineResult summarizes the online simulation.
 type OnlineResult struct {
-	Requests    int
-	Served      int
-	Offered     float64 // img/s offered
-	Goodput     float64 // img/s completed within horizon
-	MeanMs      float64
-	P95Ms       float64
-	P99Ms       float64
+	Requests int
+	Served   int
+	Offered  float64 // img/s offered
+	Goodput  float64 // img/s completed within horizon
+	MeanMs   float64
+	P95Ms    float64
+	P99Ms    float64
 	// SLOMissRate is over every request that arrived, served inside
 	// the horizon or not; the latency figures are over served ones.
 	SLOMissRate float64

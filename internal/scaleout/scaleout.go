@@ -133,7 +133,8 @@ func Run(cfg Config) (Result, error) {
 }
 
 // arrivalTimes is the seeded Poisson trace of batch requests: the one
-// Run simulates and Validate replays against the live tier.
+// Run simulates and Validate replays against the live tier. (The
+// stream's items per request do not change its times.)
 func arrivalTimes(cfg Config) []float64 {
 	var times []float64
 	workload.NewArrivalStream(stats.NewRNG(cfg.Seed), workload.ConstantRate(cfg.OfferedBatchesPerSec),
