@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke check loc flake bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
+.PHONY: all build test race vet fuzz-smoke exact-v3 check loc flake bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
 
 all: check
 
@@ -41,9 +41,20 @@ fuzz-smoke:
 		done; \
 	done
 
+# Each assembly body in imaging and tensor must give its Go body's bits,
+# and the Go bodies are written without FMA. At GOAMD64=v3 the compiler
+# may fuse a Go x*y+z into an FMA and change those bits, so both
+# packages' tests run again at v3 (on a CPU that can run v3 code).
+exact-v3:
+	@if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo && grep -qw bmi2 /proc/cpuinfo; then \
+		GOAMD64=v3 $(GO) test ./internal/imaging/ ./internal/tensor/; \
+	else \
+		echo "exact-v3: skipped, this CPU cannot run x86-64-v3 code"; \
+	fi
+
 # The CI gate: tier-1 tests (including cmd's flag-surface golden) plus
-# vet, the race suite and the fuzz smoke run.
-check: build vet test race fuzz-smoke
+# vet, the race suite, the fuzz smoke run and the GOAMD64=v3 rerun.
+check: build vet test race fuzz-smoke exact-v3
 
 # Non-test Go line counts (wc -l, *_test.go excluded) per internal
 # package, for cmd/ and examples/, and in total: the number a "judged by

@@ -2,6 +2,7 @@ package imaging
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -16,33 +17,54 @@ func naivePreproc(src *Image, out int) []float32 {
 	return Normalize(cropped, ImageNetMean, ImageNetStd)
 }
 
+// fused runs the fused kernel on src into a fresh tensor.
+func fused(t testing.TB, src *Image, out int) []float32 {
+	t.Helper()
+	var k FusedKernel
+	dst := make([]float32, FusedLen(src.W, src.H, out))
+	if _, _, err := k.ResizeCropNormalizeInto(dst, src, out, ImageNetMean, ImageNetStd); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// randomImage is a w x h image of uniformly random bytes: every pixel
+// value, unlike Synthesize's smooth fields.
+func randomImage(w, h int, rng *stats.RNG) *Image {
+	im := NewImage(w, h)
+	for i := range im.Pix {
+		im.Pix[i] = uint8(rng.Uint64())
+	}
+	return im
+}
+
 // TestFusedMatchesNaive is the golden-equality test: across odd and
 // even source sizes, portrait/landscape/square aspect, identity-resize
-// cases, and both storage formats (JPEG's lossy round-trip changes the
-// pixels, so decode first and compare the pipelines on the same
-// raster), the fused kernel must equal the naive composition exactly.
+// cases, downscales and upscales (the spine's 512×512 and 96×96 frames
+// to 224 among them), output widths that are and are not a multiple of
+// the assembly's 8-value step, and both storage formats (JPEG's lossy
+// round-trip changes the pixels, so decode first and compare the
+// pipelines on the same raster), the fused kernel must equal the naive
+// composition exactly.
 func TestFusedMatchesNaive(t *testing.T) {
 	sizes := []struct{ w, h int }{
 		{33, 47},   // odd portrait
 		{47, 33},   // odd landscape
 		{64, 64},   // square, identity resize at out=64
 		{65, 63},   // off-by-one around out
+		{96, 96},   // the stream's camera frame
 		{128, 37},  // extreme landscape
 		{37, 131},  // extreme portrait
 		{224, 224}, // identity at out=224
 		{301, 227}, // odd 4:3-ish
+		{512, 512}, // online_frames' frame
 	}
-	outs := []int{32, 48, 64, 224}
+	outs := []int{5, 32, 37, 48, 64, 99, 224}
 	for _, kind := range []SyntheticKind{KindLeaf, KindSoil} {
 		for _, sz := range sizes {
 			src := Synthesize(sz.w, sz.h, kind, stats.NewRNG(uint64(sz.w*1000+sz.h)))
 			for _, out := range outs {
-				if out > sz.w || out > sz.h {
-					continue // upscale crops degenerate identically; covered below
-				}
-				want := naivePreproc(src, out)
-				got := FusedResizeCropNormalize(src, out, ImageNetMean, ImageNetStd)
-				compareTensors(t, want, got, sz.w, sz.h, out)
+				compareTensors(t, naivePreproc(src, out), fused(t, src, out), sz.w, sz.h, out)
 			}
 		}
 	}
@@ -53,9 +75,7 @@ func TestFusedMatchesNaive(t *testing.T) {
 func TestFusedMatchesNaiveUpscale(t *testing.T) {
 	src := Synthesize(21, 17, KindFruit, stats.NewRNG(3))
 	for _, out := range []int{32, 33, 64} {
-		want := naivePreproc(src, out)
-		got := FusedResizeCropNormalize(src, out, ImageNetMean, ImageNetStd)
-		compareTensors(t, want, got, 21, 17, out)
+		compareTensors(t, naivePreproc(src, out), fused(t, src, out), 21, 17, out)
 	}
 }
 
@@ -73,9 +93,7 @@ func TestFusedMatchesNaiveAfterCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := naivePreproc(im, 48)
-		got := FusedResizeCropNormalize(im, 48, ImageNetMean, ImageNetStd)
-		compareTensors(t, want, got, im.W, im.H, 48)
+		compareTensors(t, naivePreproc(im, 48), fused(t, im, 48), im.W, im.H, 48)
 	}
 }
 
@@ -89,18 +107,49 @@ func TestFusedMatchesNaiveAfterWarp(t *testing.T) {
 		t.Fatal(err)
 	}
 	warped := WarpPerspective(src, hom, 96, 96)
-	want := naivePreproc(warped, 32)
-	got := FusedResizeCropNormalize(warped, 32, ImageNetMean, ImageNetStd)
-	compareTensors(t, want, got, warped.W, warped.H, 32)
+	compareTensors(t, naivePreproc(warped, 32), fused(t, warped, 32), warped.W, warped.H, 32)
 }
 
+// TestFusedBodiesAgree runs the kernel on its assembly bodies (where
+// the CPU has AVX2) and on its Go bodies over random sizes, outputs
+// (so random crop offsets, downscales and upscales) and random bytes,
+// and wants both equal to the naive composition bit for bit.
+func TestFusedBodiesAgree(t *testing.T) {
+	if !fusedAVX2 {
+		t.Log("CPU has no AVX2: only the Go bodies run")
+	}
+	rng := stats.NewRNG(38)
+	for i := 0; i < 150; i++ {
+		w, h, out := 1+rng.Intn(160), 1+rng.Intn(160), 1+rng.Intn(130)
+		src := randomImage(w, h, rng)
+		want := naivePreproc(src, out)
+		compareTensors(t, want, fused(t, src, out), w, h, out)
+		WithGoBodies(func() { compareTensors(t, want, fused(t, src, out), w, h, out) })
+	}
+}
+
+// FuzzFusedMatchesNaive: for any source size, output size and pixel
+// content, the fused kernel's bits are the naive composition's. Sizes
+// are capped so one input stays a few milliseconds.
+func FuzzFusedMatchesNaive(f *testing.F) {
+	f.Fuzz(func(t *testing.T, w, h, out uint16, seed uint64) {
+		if w == 0 || h == 0 || out == 0 || w > 640 || h > 640 || out > 320 {
+			return
+		}
+		src := randomImage(int(w), int(h), stats.NewRNG(seed))
+		compareTensors(t, naivePreproc(src, int(out)), fused(t, src, int(out)), int(w), int(h), int(out))
+	})
+}
+
+// compareTensors wants want and got bit for bit equal (so -0 differs
+// from +0).
 func compareTensors(t *testing.T, want, got []float32, w, h, out int) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("src %dx%d out %d: lengths %d vs %d", w, h, out, len(want), len(got))
 	}
 	for i := range want {
-		if want[i] != got[i] {
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 			t.Fatalf("src %dx%d out %d: diverge at %d: naive %v fused %v",
 				w, h, out, i, want[i], got[i])
 		}
@@ -129,6 +178,20 @@ func TestFusedKernelRejectsBadArgs(t *testing.T) {
 	}
 	if _, _, err := k.ResizeCropNormalizeInto(make([]float32, 5), src, 4, ImageNetMean, ImageNetStd); err == nil {
 		t.Error("short dst accepted")
+	}
+	// A source whose Pix is short of its dimensions, or whose dimensions
+	// are not positive, is refused before any pixel is read.
+	for _, bad := range []*Image{
+		{W: 8, H: 8, Pix: src.Pix[:len(src.Pix)-1]},
+		{W: 8, H: 8},
+		{W: 0, H: 8, Pix: src.Pix},
+		{W: 8, H: -1, Pix: src.Pix},
+		{W: 1 << 40, H: 1 << 40, Pix: src.Pix}, // W·H·3 overflows int
+	} {
+		dst := make([]float32, FusedLen(8, 8, 4))
+		if _, _, err := k.ResizeCropNormalizeInto(dst, bad, 4, ImageNetMean, ImageNetStd); err == nil {
+			t.Errorf("%dx%d source with %d pixel bytes accepted", bad.W, bad.H, len(bad.Pix))
+		}
 	}
 }
 
@@ -169,25 +232,6 @@ func TestTensorPoolRecycles(t *testing.T) {
 	if kept != runtime.GOMAXPROCS(0) {
 		t.Fatalf("%d of %d buffers came back, want one per P (%d)", kept, len(given), runtime.GOMAXPROCS(0))
 	}
-}
-
-func TestImagePoolRecyclesAndZeroes(t *testing.T) {
-	var ip ImagePool
-	a := ip.Get(8, 8)
-	for i := range a.Pix {
-		a.Pix[i] = 0xFF
-	}
-	ip.Put(a)
-	b := ip.GetZeroed(4, 4)
-	if b.W != 4 || b.H != 4 || len(b.Pix) != 48 {
-		t.Fatalf("bad pooled image %dx%d len %d", b.W, b.H, len(b.Pix))
-	}
-	for i, p := range b.Pix {
-		if p != 0 {
-			t.Fatalf("GetZeroed left dirty byte at %d", i)
-		}
-	}
-	ip.Put(nil) // must not panic
 }
 
 func TestReuseImage(t *testing.T) {

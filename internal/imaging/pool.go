@@ -8,9 +8,9 @@ import (
 // Buffer pooling for the preprocessing hot path. A naive per-image
 // pipeline allocates (and for raw frames, zeroes) tens of megabytes
 // per sample; under serving load that allocator and GC traffic is pure
-// overhead. TensorPool and ImagePool recycle buffers safely across
-// goroutines; ReuseImage is the single-owner variant for a worker's
-// pinned scratch buffer.
+// overhead. TensorPool recycles tensors safely across goroutines;
+// ReuseImage is the single-owner variant for a worker's pinned scratch
+// raster.
 
 // TensorPool recycles CHW float32 tensor buffers across requests.
 // The zero value is ready to use. Get never returns a smaller buffer
@@ -56,45 +56,9 @@ func (tp *TensorPool) Put(t []float32) {
 	tp.mu.Unlock()
 }
 
-// ImagePool recycles Image rasters across requests. The zero value is
-// ready to use. Returned images have undefined pixel contents; callers
-// that need a cleared canvas (e.g. perspective warps, whose
-// out-of-range regions stay background) must clear Pix themselves or
-// use GetZeroed.
-type ImagePool struct {
-	p sync.Pool
-}
-
-// Get returns a w x h image with arbitrary pixel contents.
-func (ip *ImagePool) Get(w, h int) *Image {
-	n := w * h * Channels
-	if v, _ := ip.p.Get().(*Image); v != nil && cap(v.Pix) >= n {
-		v.W, v.H = w, h
-		v.Pix = v.Pix[:n]
-		return v
-	}
-	return NewImage(w, h)
-}
-
-// GetZeroed returns a w x h image with all pixels black.
-func (ip *ImagePool) GetZeroed(w, h int) *Image {
-	im := ip.Get(w, h)
-	clear(im.Pix)
-	return im
-}
-
-// Put recycles an image. The caller must not retain im afterwards.
-func (ip *ImagePool) Put(im *Image) {
-	if im == nil || cap(im.Pix) == 0 {
-		return
-	}
-	ip.p.Put(im)
-}
-
 // ReuseImage resizes im to w x h reusing its pixel buffer when it is
 // large enough, allocating otherwise. Pixel contents are undefined; a
-// nil im is allocated fresh. This is the single-owner (per-worker
-// pinned scratch) counterpart of ImagePool.
+// nil im is allocated fresh.
 func ReuseImage(im *Image, w, h int) *Image {
 	n := w * h * Channels
 	if im == nil || cap(im.Pix) < n {

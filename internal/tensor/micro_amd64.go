@@ -1,5 +1,7 @@
 package tensor
 
+import "harvest/internal/cpufeat"
+
 // micro, q7Strip and q7Pair are the register tiles every packed float
 // and int8 GEMM runs, picked once at package init: the AVX2(/FMA)
 // bodies when the CPU has AVX2 and FMA and the OS saves the YMM
@@ -12,9 +14,9 @@ var micro, q7Strip, q7Pair = pickMicro()
 
 func pickMicro() (microKernel, q7Body, q7Body) {
 	switch {
-	case !hasAVX2FMA():
+	case !cpufeat.AVX2FMA():
 		return microGo, q7StripGo, q7Body{}
-	case hasAVX512VNNI():
+	case cpufeat.AVX512VNNI():
 		return microAVX2Body, q7StripAVX2, q7PairVNNI
 	}
 	return microAVX2Body, q7StripAVX2, q7Body{}
@@ -66,43 +68,4 @@ func q7MicroVNNI(a *uint8, lda int, b *uint8, kg int, c *int32)
 func q7MicroVNNIBody(a []uint8, lda int, b []uint8, kg int, c *q7Tile) {
 	_, _ = a[(gemmMR-1)*lda+4*kg-1], b[4*q7PairNR*kg-1]
 	q7MicroVNNI(&a[0], lda, &b[0], kg, &c[0])
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
-
-// hasAVX2FMA reports CPUID's AVX, FMA, F16C, OSXSAVE (leaf 1) and AVX2
-// (leaf 7) bits, and XGETBV's XMM and YMM state-enabled bits. (Every
-// CPU with AVX2 has F16C, which the half-precision B pack uses.)
-func hasAVX2FMA() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const fma, osxsave, avx, f16c = 1 << 12, 1 << 27, 1 << 28, 1 << 29
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx|f16c) != fma|osxsave|avx|f16c {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
-
-// hasAVX512VNNI reports CPUID's AVX512F (leaf 7 EBX) and AVX512_VNNI
-// (leaf 7 ECX) bits, and XGETBV's XMM, YMM, opmask and both ZMM
-// state-enabled bits. The pair tile also runs AVX2 code around it, so
-// pickMicro asks hasAVX2FMA first.
-func hasAVX512VNNI() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 { // OSXSAVE: XGETBV works
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
-		return false
-	}
-	_, ebx, ecx, _ := cpuid(7, 0)
-	return ebx&(1<<16) != 0 && ecx&(1<<11) != 0
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"harvest/internal/cpufeat"
 	"harvest/internal/quant"
 	"harvest/internal/stats"
 )
@@ -18,7 +19,7 @@ import (
 // A silent fallback to the Go bodies or the narrower tile is still
 // correct, so no other test would notice the loss.
 func TestMicroDispatchPicksAsm(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2/FMA: the Go bodies are the right pick")
 	}
 	same := func(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
@@ -30,7 +31,7 @@ func TestMicroDispatchPicksAsm(t *testing.T) {
 		t.Error("int8 GEMM dispatch did not pick the AVX2 6×16 tile")
 	}
 	kernels := "avx2"
-	if hasAVX512VNNI() {
+	if cpufeat.AVX512VNNI() {
 		kernels = "avx2+avx512vnni"
 		if !sameBody(q7Pair, q7PairVNNI) {
 			t.Error("int8 GEMM dispatch did not pick the VNNI 6×32 pair tile")
@@ -112,7 +113,7 @@ func vecRows(r *stats.RNG, n int, extra []float32) [][]float32 {
 // its upper clamp) over vecRowLens, with values at and just past the
 // exp clamp edges and the specials.
 func TestVecBodiesAgree(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go bodies are the only ones")
 	}
 	// GELU's exp argument is geluB·(x + geluA·x³): find the x where it
@@ -173,7 +174,7 @@ func TestVecBodiesAgree(t *testing.T) {
 // TestVecBodiesAgree alone would not see one; rows whose exponentials
 // span 30 orders of magnitude make float64 rounding order-dependent.
 func TestSoftmaxSumOrder(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
 	}
 	r := stats.NewRNG(54)
@@ -201,7 +202,7 @@ func TestSoftmaxSumOrder(t *testing.T) {
 // zero — and on rows whose values sit exactly on ties k+0.5 of the
 // code grid, which must round away from zero.
 func TestQ7QuantizeBodiesAgree(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
 	}
 	r := stats.NewRNG(52)
@@ -248,11 +249,11 @@ func TestQ7QuantizeBodiesAgree(t *testing.T) {
 // Go body — overwriting and accumulating, with raw sums large enough to
 // round in float32, and leaves the rest of C alone.
 func TestQ7DequantBodiesAgree(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
 	}
 	bodies := []q7Body{q7StripAVX2}
-	if hasAVX512VNNI() {
+	if cpufeat.AVX512VNNI() {
 		bodies = append(bodies, q7PairVNNI)
 	}
 	r := stats.NewRNG(53)
@@ -299,7 +300,7 @@ func TestQ7DequantBodiesAgree(t *testing.T) {
 //     is every float32 of the binade j below it, exactly, down to 2⁻¹²⁶;
 //     the subnormals and zero are enumerated.
 func TestQ7RoundingExhaustive(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
 	}
 	if testing.Short() || raceEnabled {
@@ -353,7 +354,7 @@ func TestQ7RoundingExhaustive(t *testing.T) {
 // and without a tail shorter than eight, at row strides equal to and
 // wider than kc.
 func TestPackBodiesAgree(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2/F16C: the Go bodies are the only ones")
 	}
 	const rowLen = 1 << 16 / gemmNR
@@ -408,10 +409,10 @@ func TestPackBodiesAgree(t *testing.T) {
 //     every q7Shapes entry and a saturation case (all codes at the range
 //     ends, K = 4096) equal the scalar reference.
 func TestQ7BodiesAgree(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
 	}
-	vnni := hasAVX512VNNI()
+	vnni := cpufeat.AVX512VNNI()
 	r := stats.NewRNG(49)
 	kgs := []int{192}
 	for kg := 1; kg <= 70; kg++ {
@@ -498,7 +499,7 @@ func TestQ7BodiesAgree(t *testing.T) {
 // path — so the fallback the dispatch picks on other CPUs is exercised
 // on every run here.
 func TestMicroBodiesAgree(t *testing.T) {
-	if !hasAVX2FMA() {
+	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2/FMA: the Go body is the only one")
 	}
 	defer func(k microKernel) { micro = k }(micro)

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 
+	"harvest/internal/cpufeat"
 	"harvest/internal/quant"
 )
 
@@ -15,9 +16,9 @@ var vec, Kernels = pickVec()
 
 func pickVec() (vecBodies, string) {
 	switch {
-	case !hasAVX2FMA():
+	case !cpufeat.AVX2FMA():
 		return vecGo, "go"
-	case hasAVX512VNNI():
+	case cpufeat.AVX512VNNI():
 		return vecAVX2, "avx2+avx512vnni"
 	}
 	return vecAVX2, "avx2"
