@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke exact-v3 check loc flake bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
+.PHONY: all build test race vet fmt fuzz-smoke exact-v3 check loc flake bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
 
 all: check
 
@@ -52,9 +52,13 @@ exact-v3:
 		echo "exact-v3: skipped, this CPU cannot run x86-64-v3 code"; \
 	fi
 
+# Every Go file must be gofmt-clean; the offending files are listed.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # The CI gate: tier-1 tests (including cmd's flag-surface golden) plus
-# vet, the race suite, the fuzz smoke run and the GOAMD64=v3 rerun.
-check: build vet test race fuzz-smoke exact-v3
+# vet, gofmt, the race suite, the fuzz smoke run and the GOAMD64=v3 rerun.
+check: build vet fmt test race fuzz-smoke exact-v3
 
 # Non-test Go line counts (wc -l, *_test.go excluded) per internal
 # package, for cmd/ and examples/, and in total: the number a "judged by

@@ -14,17 +14,17 @@ import (
 const (
 	// DefaultControlInterval is the autoscaler tick period.
 	DefaultControlInterval = 2 * time.Second
-	// DefaultAttainTarget is the SLO attainment fraction below which
-	// the controller scales up even when the sim disagrees.
-	DefaultAttainTarget = 0.95
-	// DefaultHeadroomFactor over-provisions the demand estimate fed to
-	// the capacity oracle, so the chosen fleet is not sized exactly at
-	// the knee.
-	DefaultHeadroomFactor = 1.2
-	// DefaultScaleDownAfter is how many consecutive healthy ticks must
-	// agree before the controller sheds a replica (scale-down is
-	// deliberate; scale-up is immediate).
-	DefaultScaleDownAfter = 3
+	// attainTarget is the SLO attainment fraction below which the
+	// controller scales up even when the sim disagrees.
+	attainTarget = 0.95
+	// headroomFactor over-provisions the demand estimate fed to the
+	// capacity oracle, so the chosen fleet is not sized exactly at the
+	// knee.
+	headroomFactor = 1.2
+	// scaleDownAfter is how many consecutive healthy ticks must agree
+	// before the controller sheds a replica (scale-down is deliberate;
+	// scale-up is immediate).
+	scaleDownAfter = 3
 	// maxDecisions bounds the decision log.
 	maxDecisions = 256
 )
@@ -48,15 +48,6 @@ type ControllerConfig struct {
 	// SLO is the per-request queue-latency bound attainment is measured
 	// against, and the bound the oracle sizes for.
 	SLO time.Duration
-	// AttainTarget is the attainment fraction considered healthy
-	// (default 0.95).
-	AttainTarget float64
-	// HeadroomFactor multiplies the demand estimate before asking the
-	// oracle (default 1.2).
-	HeadroomFactor float64
-	// ScaleDownAfter is the consecutive-healthy-tick requirement before
-	// shedding a replica (default 3).
-	ScaleDownAfter int
 	// Logf, when non-nil, receives decision logs.
 	Logf func(format string, args ...any)
 }
@@ -79,15 +70,6 @@ func (cfg *ControllerConfig) fillDefaults() {
 	}
 	if cfg.SLOClass == "" {
 		cfg.SLOClass = serve.ClassOnline.String()
-	}
-	if cfg.AttainTarget <= 0 || cfg.AttainTarget > 1 {
-		cfg.AttainTarget = DefaultAttainTarget
-	}
-	if cfg.HeadroomFactor < 1 {
-		cfg.HeadroomFactor = DefaultHeadroomFactor
-	}
-	if cfg.ScaleDownAfter <= 0 {
-		cfg.ScaleDownAfter = DefaultScaleDownAfter
 	}
 }
 
@@ -319,7 +301,7 @@ func (c *Controller) tick() {
 
 	desired := cur
 	if rate > 0 {
-		plan, err := PlanCapacity(c.cfg.Oracle, rate*c.cfg.HeadroomFactor, c.cfg.SLO)
+		plan, err := PlanCapacity(c.cfg.Oracle, rate*headroomFactor, c.cfg.SLO)
 		if err != nil {
 			d.Reason = "oracle error: " + err.Error()
 			c.record(d)
@@ -334,11 +316,11 @@ func (c *Controller) tick() {
 			d.Reason = fmt.Sprintf("no candidate meets SLO at %.1f rps; best effort %d× %s", rate, desired, plan.Chosen.Platform)
 		}
 	}
-	if att < c.cfg.AttainTarget && desired <= cur {
+	if att < attainTarget && desired <= cur {
 		// The sim thinks the fleet suffices but reality disagrees —
 		// queue wait is blowing the SLO. Trust the measurement.
 		desired = cur + 1
-		d.Reason = fmt.Sprintf("attainment %.2f below target %.2f", att, c.cfg.AttainTarget)
+		d.Reason = fmt.Sprintf("attainment %.2f below target %.2f", att, attainTarget)
 	}
 	if desired < c.cfg.Min {
 		desired = c.cfg.Min
@@ -357,7 +339,7 @@ func (c *Controller) tick() {
 		case d.Platform == "":
 			d.Reason = fmt.Sprintf("below floor; scaling to min %d", c.cfg.Min)
 		default:
-			d.Reason = fmt.Sprintf("sim: %d× %s serves %.1f rps at p99 %.0f ms for %.0f W", desired, d.Platform, rate*c.cfg.HeadroomFactor, d.PredictedP99Ms, d.PowerW)
+			d.Reason = fmt.Sprintf("sim: %d× %s serves %.1f rps at p99 %.0f ms for %.0f W", desired, d.Platform, rate*headroomFactor, d.PredictedP99Ms, d.PowerW)
 		}
 		d.To = c.scaleUp(ctx, cur, desired)
 	case desired < cur:
@@ -365,21 +347,21 @@ func (c *Controller) tick() {
 		c.healthy++
 		healthy := c.healthy
 		c.mu.Unlock()
-		if att < c.cfg.AttainTarget {
+		if att < attainTarget {
 			c.mu.Lock()
 			c.healthy = 0
 			c.mu.Unlock()
 			d.Reason = fmt.Sprintf("hold %d: attainment %.2f below target", cur, att)
 			break
 		}
-		if healthy < c.cfg.ScaleDownAfter {
-			d.Reason = fmt.Sprintf("hold %d: scale-down to %d pending %d/%d healthy ticks", cur, desired, healthy, c.cfg.ScaleDownAfter)
+		if healthy < scaleDownAfter {
+			d.Reason = fmt.Sprintf("hold %d: scale-down to %d pending %d/%d healthy ticks", cur, desired, healthy, scaleDownAfter)
 			break
 		}
 		c.mu.Lock()
 		c.healthy = 0
 		c.mu.Unlock()
-		d.Reason = fmt.Sprintf("sim: %d× %s suffices for %.1f rps; shedding idle capacity", desired, d.Platform, rate*c.cfg.HeadroomFactor)
+		d.Reason = fmt.Sprintf("sim: %d× %s suffices for %.1f rps; shedding idle capacity", desired, d.Platform, rate*headroomFactor)
 		d.To = c.scaleDown(ctx, cur, desired)
 	default:
 		if d.Reason == "" {

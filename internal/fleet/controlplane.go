@@ -45,7 +45,7 @@ type ControlPlane struct {
 // and controller. Serve Handler, then Start; callers must Close it.
 func NewControlPlane(cfg ControlPlaneConfig) *ControlPlane {
 	cp := &ControlPlane{Router: serve.NewDynamicRouter(cfg.Router)}
-	cp.Registry = NewRegistry(cp.Router.Pool(), RegistryConfig{DefaultTTL: cfg.LeaseTTL})
+	cp.Registry = NewRegistry(cp.Router.Pool(), cfg.LeaseTTL)
 	var prov Provisioner
 	if cfg.Local != nil {
 		cp.Provisioner = &LocalProvisioner{

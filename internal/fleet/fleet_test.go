@@ -65,13 +65,37 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// TestRegistryDefaultTTLIsClamped: the registry default passes the same
+// [MinTTL, MaxTTL] clamp as a requested TTL, so a 1 ns default neither
+// grants a 1 ns lease nor makes the sweep interval zero (which panics
+// in time.NewTicker).
+func TestRegistryDefaultTTLIsClamped(t *testing.T) {
+	_, hs := newTestBackend(t, 0)
+	for _, tc := range []struct{ def, want time.Duration }{
+		{2 * time.Minute, MaxTTL},
+		{time.Nanosecond, MinTTL},
+	} {
+		pool := serve.NewDynamicPool(fastPoolCfg())
+		g := NewRegistry(pool, tc.def)
+		l, err := g.Register("r1", hs.URL, "", 0)
+		g.Close()
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.TTL != tc.want {
+			t.Errorf("default %v granted %v, want %v", tc.def, l.TTL, tc.want)
+		}
+	}
+}
+
 // TestRegistryLeaseLifecycle covers register → renew → deregister and
 // the replace-on-new-URL path.
 func TestRegistryLeaseLifecycle(t *testing.T) {
 	_, hs := newTestBackend(t, 0)
 	pool := serve.NewDynamicPool(fastPoolCfg())
 	defer pool.Close()
-	g := NewRegistry(pool, RegistryConfig{DefaultTTL: time.Second})
+	g := NewRegistry(pool, time.Second)
 	defer g.Close()
 
 	if _, err := g.Register("", hs.URL, "", 0); err == nil {
@@ -147,7 +171,7 @@ func TestRegisterHugeTTLClampsToMax(t *testing.T) {
 	_, hs := newTestBackend(t, 0)
 	pool := serve.NewDynamicPool(fastPoolCfg())
 	defer pool.Close()
-	g := NewRegistry(pool, RegistryConfig{DefaultTTL: time.Second})
+	g := NewRegistry(pool, time.Second)
 	defer g.Close()
 
 	body := fmt.Sprintf(`{"name":"r1","url":%q,"ttl_ms":1e13}`, hs.URL)
@@ -171,7 +195,7 @@ func TestRegistryTTLExpiryMidTraffic(t *testing.T) {
 
 	router := serve.NewDynamicRouter(serve.RouterConfig{Pool: fastPoolCfg()})
 	defer router.Close()
-	g := NewRegistry(router.Pool(), RegistryConfig{DefaultTTL: 300 * time.Millisecond})
+	g := NewRegistry(router.Pool(), 300*time.Millisecond)
 	defer g.Close()
 
 	if _, err := g.Register("a", hsA.URL, "", 0); err != nil {
@@ -259,7 +283,7 @@ func TestRegistryDrainBeforeDeregister(t *testing.T) {
 
 	router := serve.NewDynamicRouter(serve.RouterConfig{Pool: fastPoolCfg()})
 	defer router.Close()
-	g := NewRegistry(router.Pool(), RegistryConfig{DefaultTTL: 5 * time.Second})
+	g := NewRegistry(router.Pool(), 5*time.Second)
 	defer g.Close()
 	if _, err := g.Register("slow", hs.URL, "", 0); err != nil {
 		t.Fatal(err)
@@ -395,7 +419,7 @@ func TestControllerAdvisory(t *testing.T) {
 	_, hs := newTestBackend(t, 0)
 	router := serve.NewDynamicRouter(serve.RouterConfig{Pool: fastPoolCfg()})
 	defer router.Close()
-	g := NewRegistry(router.Pool(), RegistryConfig{DefaultTTL: 5 * time.Second})
+	g := NewRegistry(router.Pool(), 5*time.Second)
 	defer g.Close()
 	if _, err := g.Register("r0", hs.URL, hw.KeyA100, 0); err != nil {
 		t.Fatal(err)
@@ -439,7 +463,7 @@ func TestControllerAdvisory(t *testing.T) {
 func TestLocalProvisionerAgentLifecycle(t *testing.T) {
 	router := serve.NewDynamicRouter(serve.RouterConfig{Pool: fastPoolCfg()})
 	defer router.Close()
-	g := NewRegistry(router.Pool(), RegistryConfig{DefaultTTL: 400 * time.Millisecond})
+	g := NewRegistry(router.Pool(), 400*time.Millisecond)
 	defer g.Close()
 	cp := httptest.NewServer(Handler(g, nil, router.Handler()))
 	defer cp.Close()

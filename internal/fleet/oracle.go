@@ -23,22 +23,25 @@ type OracleConfig struct {
 	Platforms []string
 	// MaxReplicas bounds the candidate fleet size (default 8).
 	MaxReplicas int
-	// Batch is the per-request image count the sim's jobs carry
-	// (default 1, matching single-image online/realtime requests).
-	Batch int
 	// HorizonSeconds is the simulated horizon per candidate (default
 	// 10 — long enough for queueing to reach steady state, short
 	// enough that a full candidate sweep costs milliseconds).
 	HorizonSeconds float64
-	// Seed drives the sim's arrival process; fixed seed makes
-	// decisions reproducible for a given demand estimate.
-	Seed uint64
-	// StabilityMargin is the fraction of offered load a candidate must
-	// complete within the horizon to count as stable (default 0.95;
-	// saturated fleets complete less because backlog grows without
-	// bound).
-	StabilityMargin float64
 }
+
+// The oracle's fixed sim settings.
+const (
+	// oracleBatch is the per-request image count the sim's jobs carry,
+	// matching single-image online/realtime requests.
+	oracleBatch = 1
+	// oracleSeed drives the sim's arrival process; a fixed seed makes
+	// decisions reproducible for a given demand estimate.
+	oracleSeed = 1
+	// stabilityMargin is the fraction of offered load a candidate must
+	// complete within the horizon to count as stable: saturated fleets
+	// complete less because backlog grows without bound.
+	stabilityMargin = 0.95
+)
 
 func (cfg *OracleConfig) fillDefaults() {
 	if len(cfg.Platforms) == 0 {
@@ -47,17 +50,8 @@ func (cfg *OracleConfig) fillDefaults() {
 	if cfg.MaxReplicas <= 0 {
 		cfg.MaxReplicas = 8
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 1
-	}
 	if cfg.HorizonSeconds <= 0 {
 		cfg.HorizonSeconds = 10
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.StabilityMargin <= 0 || cfg.StabilityMargin >= 1 {
-		cfg.StabilityMargin = 0.95
 	}
 }
 
@@ -74,7 +68,7 @@ type Candidate struct {
 	// (internal/energy), the cost the oracle minimizes.
 	PowerW float64 `json:"power_w"`
 	// MeetsSLO reports whether predicted P99 is within the SLO and the
-	// candidate is stable (completes ≥ StabilityMargin of offered).
+	// candidate is stable (completes ≥ stabilityMargin of offered).
 	MeetsSLO bool `json:"meets_slo"`
 }
 
@@ -92,7 +86,7 @@ type Plan struct {
 }
 
 // PlanCapacity asks the sim for the cheapest fleet that serves
-// arrivalRPS requests/second of Batch-image requests within slo. For
+// arrivalRPS single-image requests/second within slo. For
 // each candidate platform it grows the replica count until the sim
 // predicts a stable fleet whose P99 (queueing included) is within the
 // SLO, prices that fleet with the energy model, and returns the
@@ -126,10 +120,10 @@ func PlanCapacity(cfg OracleConfig, arrivalRPS float64, slo time.Duration) (Plan
 				Platform:             p,
 				Model:                cfg.Model,
 				Replicas:             n,
-				Batch:                cfg.Batch,
+				Batch:                oracleBatch,
 				OfferedBatchesPerSec: arrivalRPS,
 				HorizonSeconds:       cfg.HorizonSeconds,
-				Seed:                 cfg.Seed,
+				Seed:                 oracleSeed,
 			})
 			if err != nil {
 				return Plan{}, err
@@ -143,7 +137,7 @@ func PlanCapacity(cfg OracleConfig, arrivalRPS float64, slo time.Duration) (Plan
 				// Utilization stands in for MFU here: it is the busy
 				// fraction the dynamic power scales with.
 				PowerW:   float64(n) * em.PowerAt(res.Utilization),
-				MeetsSLO: res.P99LatencySeconds <= slo.Seconds() && res.Throughput >= cfg.StabilityMargin*res.OfferedImgPerSec,
+				MeetsSLO: res.P99LatencySeconds <= slo.Seconds() && res.Throughput >= stabilityMargin*res.OfferedImgPerSec,
 			}
 			plan.Candidates = append(plan.Candidates, c)
 			if fallback == nil || c.PredictedImgPerSec > fallback.PredictedImgPerSec {

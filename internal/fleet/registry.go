@@ -68,34 +68,6 @@ type lease struct {
 	rep *serve.Replica
 }
 
-// RegistryConfig tunes lease management.
-type RegistryConfig struct {
-	// DefaultTTL is granted when a registration requests no TTL
-	// (default DefaultTTL).
-	DefaultTTL time.Duration
-	// SweepInterval is the expiry-scan period (default min(DefaultTTL/4,
-	// 250ms)).
-	SweepInterval time.Duration
-	// DrainTimeout bounds drain-aware deregistration (default
-	// DefaultDrainTimeout).
-	DrainTimeout time.Duration
-}
-
-func (cfg *RegistryConfig) fillDefaults() {
-	if cfg.DefaultTTL <= 0 {
-		cfg.DefaultTTL = DefaultTTL
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.DefaultTTL / 4
-		if cfg.SweepInterval > 250*time.Millisecond {
-			cfg.SweepInterval = 250 * time.Millisecond
-		}
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = DefaultDrainTimeout
-	}
-}
-
 // Registry manages replica leases over a serve.Pool: registration adds
 // a pool member, renewal extends its lease, TTL expiry removes it, and
 // deregistration removes it immediately or after a drain. Removal
@@ -103,8 +75,8 @@ func (cfg *RegistryConfig) fillDefaults() {
 // keeps in-flight work alive — so lease churn under traffic fails
 // nothing that was admitted.
 type Registry struct {
-	cfg  RegistryConfig
-	pool *serve.Pool
+	defaultTTL time.Duration
+	pool       *serve.Pool
 
 	mu     sync.Mutex
 	leases map[string]*lease
@@ -116,19 +88,21 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry over the pool and starts its expiry
-// sweeper. Callers must Close it.
-func NewRegistry(pool *serve.Pool, cfg RegistryConfig) *Registry {
-	cfg.fillDefaults()
+// sweeper. defaultTTL is granted when a registration requests no TTL
+// (0 means DefaultTTL); it is clamped to [MinTTL, MaxTTL] like a
+// requested one. The sweeper scans every min(defaultTTL/4, 250ms).
+// Callers must Close it.
+func NewRegistry(pool *serve.Pool, defaultTTL time.Duration) *Registry {
 	g := &Registry{
-		cfg:    cfg,
-		pool:   pool,
-		leases: map[string]*lease{},
-		stop:   make(chan struct{}),
+		defaultTTL: clampTTL(defaultTTL, DefaultTTL),
+		pool:       pool,
+		leases:     map[string]*lease{},
+		stop:       make(chan struct{}),
 	}
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		g.sweepLoop()
+		g.sweepLoop(min(g.defaultTTL/4, 250*time.Millisecond))
 	}()
 	return g
 }
@@ -168,7 +142,7 @@ func (g *Registry) Register(name, url, platform string, ttl time.Duration) (Leas
 	if name == "" || url == "" {
 		return Lease{}, fmt.Errorf("fleet: registration needs a name and a url")
 	}
-	ttl = clampTTL(ttl, g.cfg.DefaultTTL)
+	ttl = clampTTL(ttl, g.defaultTTL)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if l, ok := g.leases[name]; ok {
@@ -242,7 +216,7 @@ func (g *Registry) Deregister(name string, drain bool) error {
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		deadline := time.Now().Add(g.cfg.DrainTimeout)
+		deadline := time.Now().Add(DefaultDrainTimeout)
 		for l.rep.Inflight() > 0 && time.Now().Before(deadline) {
 			select {
 			case <-g.stop:
@@ -283,8 +257,8 @@ func (g *Registry) Events() []Event {
 // replica that stops renewing is presumed dead — but pool removal
 // still leaves in-flight requests to finish or fail over, so admitted
 // work survives the eviction.
-func (g *Registry) sweepLoop() {
-	ticker := time.NewTicker(g.cfg.SweepInterval)
+func (g *Registry) sweepLoop(interval time.Duration) {
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {

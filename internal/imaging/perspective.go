@@ -73,43 +73,6 @@ func (h Homography) Apply(x, y float64) (float64, float64) {
 	return (h[0]*x + h[1]*y + h[2]) / w, (h[3]*x + h[4]*y + h[5]) / w
 }
 
-// WarpPerspective renders the source image through the homography into
-// a new w x h image using bilinear sampling. This is the task-specific
-// preprocessing step the CRSA ground-vehicle camera feed requires
-// (paper §3.2: "raw camera streams may require perspective
-// transformation").
-func WarpPerspective(src *Image, h Homography, w, ht int) *Image {
-	dst := NewImage(w, ht)
-	for y := 0; y < ht; y++ {
-		for x := 0; x < w; x++ {
-			sx, sy := h.Apply(float64(x), float64(y))
-			if sx < 0 || sy < 0 || sx > float64(src.W-1) || sy > float64(src.H-1) {
-				continue // leave black
-			}
-			x0, y0 := int(sx), int(sy)
-			x1, y1 := x0+1, y0+1
-			if x1 >= src.W {
-				x1 = src.W - 1
-			}
-			if y1 >= src.H {
-				y1 = src.H - 1
-			}
-			tx, ty := sx-float64(x0), sy-float64(y0)
-			di := (y*w + x) * Channels
-			for c := 0; c < Channels; c++ {
-				i00 := (y0*src.W + x0) * Channels
-				i10 := (y0*src.W + x1) * Channels
-				i01 := (y1*src.W + x0) * Channels
-				i11 := (y1*src.W + x1) * Channels
-				top := float64(src.Pix[i00+c])*(1-tx) + float64(src.Pix[i10+c])*tx
-				bot := float64(src.Pix[i01+c])*(1-tx) + float64(src.Pix[i11+c])*tx
-				dst.Pix[di+c] = clamp8(top*(1-ty) + bot*ty + 0.5)
-			}
-		}
-	}
-	return dst
-}
-
 // GroundCameraHomography returns the fixed perspective correction used
 // for the simulated ground-vehicle camera: it rectifies the trapezoidal
 // road-plane view of a forward-tilted camera into a top-down crop.

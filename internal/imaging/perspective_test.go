@@ -65,7 +65,8 @@ func TestWarpPerspectiveIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := WarpPerspective(im, h, 24, 24)
+	out := NewImage(24, 24)
+	WarpPerspectiveInto(out, im, h)
 	var worst int
 	for i := range im.Pix {
 		d := int(im.Pix[i]) - int(out.Pix[i])
@@ -90,7 +91,11 @@ func TestWarpPerspectiveOutOfBoundsBlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := WarpPerspective(im, h, 10, 10)
+	out := NewImage(10, 10)
+	for i := range out.Pix {
+		out.Pix[i] = 0xAB // dirty buffer: out-of-range must be repainted black
+	}
+	WarpPerspectiveInto(out, im, h)
 	for i, p := range out.Pix {
 		if p != 0 {
 			t.Fatalf("out-of-bounds sample %d = %d, want black", i, p)

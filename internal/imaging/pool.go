@@ -70,9 +70,11 @@ func ReuseImage(im *Image, w, h int) *Image {
 }
 
 // WarpPerspectiveInto renders src through the homography into dst
-// (whose dimensions define the output), like WarpPerspective but
-// without allocating. Out-of-range regions are painted black, so dirty
-// recycled buffers are safe.
+// (whose dimensions define the output) using bilinear sampling. This is
+// the task-specific preprocessing step the CRSA ground-vehicle camera
+// feed requires (paper §3.2: "raw camera streams may require
+// perspective transformation"). Out-of-range regions are painted
+// black, so dirty recycled buffers are safe.
 func WarpPerspectiveInto(dst, src *Image, h Homography) {
 	for y := 0; y < dst.H; y++ {
 		for x := 0; x < dst.W; x++ {

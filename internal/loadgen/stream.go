@@ -29,8 +29,6 @@ type StreamConfig struct {
 	// URL is the ingest tier base URL (a harvest-serve with -stream, a
 	// harvest-router in front of several, or StartEdgeCloud's edge).
 	URL string
-	// HTTP overrides the client (default: fresh transport).
-	HTTP *http.Client
 	// Cameras is the camera count (default 4).
 	Cameras int
 	// StaticCameras is how many of the cameras watch a near-static
@@ -79,9 +77,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{Transport: serve.NewTransport()}
 	}
 	return c
 }
@@ -172,6 +167,7 @@ type camResult struct {
 func RunStream(ctx context.Context, cfg StreamConfig) (*StreamReport, error) {
 	cfg = cfg.withDefaults()
 	period := time.Duration(float64(time.Second) / cfg.FPS)
+	client := &http.Client{Transport: serve.NewTransport()}
 
 	results := make([]*camResult, cfg.Cameras)
 	var wg sync.WaitGroup
@@ -190,7 +186,7 @@ func RunStream(ctx context.Context, cfg StreamConfig) (*StreamReport, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res.err = runCamera(ctx, cfg, res, frames, period)
+			res.err = runCamera(ctx, client, cfg, res, frames, period)
 		}()
 	}
 	wg.Wait()
@@ -261,8 +257,8 @@ func fillRates(cr *CameraReport) {
 // runCamera drives one camera: open the session, pace frames at FPS
 // against the intended schedule (never against server progress), and
 // charge each outcome's latency from the frame's *intended* send time.
-func runCamera(ctx context.Context, cfg StreamConfig, res *camResult, frames [][]byte, period time.Duration) error {
-	sess, err := stream.DialSession(ctx, cfg.HTTP, cfg.URL, res.camera, cfg.Model, cfg.Tenant, cfg.Budget)
+func runCamera(ctx context.Context, client *http.Client, cfg StreamConfig, res *camResult, frames [][]byte, period time.Duration) error {
+	sess, err := stream.DialSession(ctx, client, cfg.URL, res.camera, cfg.Model, cfg.Tenant, cfg.Budget)
 	if err != nil {
 		return err
 	}
@@ -367,9 +363,11 @@ type EdgeCloudConfig struct {
 	Edge core.DeploymentConfig
 	// Cloud is the shape of each datacenter replica (Models and Preproc
 	// default to the edge's).
-	Cloud         core.DeploymentConfig
-	CloudReplicas int
+	Cloud core.DeploymentConfig
 }
+
+// cloudReplicas is the datacenter tier's replica count.
+const cloudReplicas = 2
 
 // EdgeCloud is a running self-hosted continuum.
 type EdgeCloud struct {
@@ -426,11 +424,8 @@ func StartEdgeCloud(cfg EdgeCloudConfig) (*EdgeCloud, error) {
 	if cloud.Preproc == "" {
 		cloud.Preproc = edge.Preproc
 	}
-	if cfg.CloudReplicas <= 0 {
-		cfg.CloudReplicas = 2
-	}
 
-	tier, err := core.StartTier(cloud, cfg.CloudReplicas)
+	tier, err := core.StartTier(cloud, cloudReplicas)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: cloud tier: %w", err)
 	}

@@ -21,9 +21,6 @@ type OnlineConfig struct {
 	RatePerSec float64
 	// HorizonSeconds is the simulated duration (default 30).
 	HorizonSeconds float64
-	// MeanInputPixels sizes the per-image GPU preprocessing cost
-	// (default 256x256).
-	MeanInputPixels float64
 	// SLOSeconds is the per-request latency objective for miss-rate
 	// accounting (default 16.7ms, the paper's 60 QPS line).
 	SLOSeconds float64
@@ -44,6 +41,10 @@ type OnlineResult struct {
 	SLOMissRate float64
 }
 
+// meanInputPixels sizes the per-image GPU preprocessing cost of an
+// online request.
+const meanInputPixels = 256 * 256
+
 // RunOnline simulates the online scenario and returns latency and SLO
 // statistics.
 func RunOnline(cfg OnlineConfig) (OnlineResult, error) {
@@ -59,13 +60,10 @@ func RunOnline(cfg OnlineConfig) (OnlineResult, error) {
 	if cfg.HorizonSeconds <= 0 {
 		cfg.HorizonSeconds = 30
 	}
-	if cfg.MeanInputPixels <= 0 {
-		cfg.MeanInputPixels = 256 * 256
-	}
 	if cfg.SLOSeconds <= 0 {
 		cfg.SLOSeconds = hw.QPS60LatencyMs / 1000
 	}
-	st, err := PriceStages(cfg.Platform, cfg.Model, cfg.Batch, int(cfg.MeanInputPixels))
+	st, err := PriceStages(cfg.Platform, cfg.Model, cfg.Batch, meanInputPixels)
 	if err != nil {
 		return OnlineResult{}, err
 	}

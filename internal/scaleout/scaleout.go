@@ -39,11 +39,11 @@ type Config struct {
 	OfferedBatchesPerSec float64
 	// HorizonSeconds is the simulated duration (default 30).
 	HorizonSeconds float64
-	// DispatchOverheadSeconds models the router/sync cost per batch
-	// (default 200us).
-	DispatchOverheadSeconds float64
-	Seed                    uint64
+	Seed           uint64
 }
+
+// dispatchOverheadSeconds models the router/sync cost per batch.
+const dispatchOverheadSeconds = 200e-6
 
 // Result summarizes the simulation.
 type Result struct {
@@ -77,9 +77,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.HorizonSeconds <= 0 {
 		cfg.HorizonSeconds = 30
 	}
-	if cfg.DispatchOverheadSeconds == 0 {
-		cfg.DispatchOverheadSeconds = 200e-6
-	}
 	eng, err := engine.New(cfg.Platform, cfg.Model)
 	if err != nil {
 		return Result{}, err
@@ -92,7 +89,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	serviceTime := st.Seconds + cfg.DispatchOverheadSeconds
+	serviceTime := st.Seconds + dispatchOverheadSeconds
 
 	// One station of R servers with earliest-free assignment is
 	// exactly a least-loaded dispatcher over R identical replicas.

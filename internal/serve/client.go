@@ -28,18 +28,14 @@ type Client struct {
 	// RetryBackoff is the initial backoff between retries, doubled per
 	// attempt. 0 means defaultRetryBackoff.
 	RetryBackoff time.Duration
-	// RequestTimeout bounds one HTTP attempt when the request carries
-	// no deadline of its own. Requests with a deadline_ms instead get a
-	// per-attempt timeout of deadline + a fixed slack, so a tight SLO
-	// is not fought by a long global cap and a long offline deadline is
-	// not cut short by it. 0 means defaultRequestTimeout; negative
-	// disables the attempt timeout entirely.
-	RequestTimeout time.Duration
 }
 
 const (
-	defaultMaxRetries     = 3
-	defaultRetryBackoff   = 25 * time.Millisecond
+	defaultMaxRetries   = 3
+	defaultRetryBackoff = 25 * time.Millisecond
+	// defaultRequestTimeout bounds one HTTP attempt. A request with a
+	// deadline_ms gets deadline + deadlineSlack when that is shorter, so
+	// a tight SLO is not fought by the long cap.
 	defaultRequestTimeout = 60 * time.Second
 	// deadlineSlack pads a deadline-derived attempt timeout: the server
 	// answers an unmeetable deadline with 504 almost immediately, but
@@ -70,9 +66,8 @@ func NewTransport() *http.Transport {
 // "http://127.0.0.1:8000"). The underlying transport is owned by the
 // client; replace or share one via the HTTP field (a router fanning
 // out to many replicas should share a single NewTransport across its
-// per-replica clients). Attempt timeouts are per-request (see
-// RequestTimeout), not a global http.Client.Timeout, so per-request
-// deadlines are honored.
+// per-replica clients). Attempt timeouts are per-request, not a global
+// http.Client.Timeout, so per-request deadlines are honored.
 func NewClient(baseURL string) *Client {
 	return &Client{
 		BaseURL: baseURL,
@@ -98,28 +93,13 @@ func (c *Client) backoff() time.Duration {
 	return c.RetryBackoff
 }
 
-// requestTimeout resolves the no-deadline attempt timeout.
-func (c *Client) requestTimeout() time.Duration {
-	if c.RequestTimeout < 0 {
-		return 0
-	}
-	if c.RequestTimeout == 0 {
-		return defaultRequestTimeout
-	}
-	return c.RequestTimeout
-}
-
 // attemptCtx bounds one HTTP attempt: by the request's own deadline
-// plus slack when it carries one, by RequestTimeout otherwise.
-func (c *Client) attemptCtx(ctx context.Context, deadlineMs float64) (context.Context, context.CancelFunc) {
-	timeout := c.requestTimeout()
+// plus slack when it carries one and that is shorter, by
+// defaultRequestTimeout otherwise.
+func attemptCtx(ctx context.Context, deadlineMs float64) (context.Context, context.CancelFunc) {
+	timeout := defaultRequestTimeout
 	if deadlineMs > 0 {
-		if t := MsDuration(deadlineMs + float64(deadlineSlack/time.Millisecond)); timeout == 0 || t < timeout {
-			timeout = t
-		}
-	}
-	if timeout <= 0 {
-		return ctx, func() {}
+		timeout = min(timeout, MsDuration(deadlineMs+float64(deadlineSlack/time.Millisecond)))
 	}
 	return context.WithTimeout(ctx, timeout)
 }
@@ -200,7 +180,7 @@ func (r *retryableError) Error() string { return r.err.Error() }
 func (r *retryableError) Unwrap() error { return r.err }
 
 func (c *Client) getJSONOnce(ctx context.Context, path string, out any) error {
-	ctx, cancel := c.attemptCtx(ctx, 0)
+	ctx, cancel := attemptCtx(ctx, 0)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
@@ -424,7 +404,7 @@ func (c *Client) inferOnce(ctx context.Context, model string, body InferRequestJ
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := c.attemptCtx(ctx, body.DeadlineMs)
+	ctx, cancel := attemptCtx(ctx, body.DeadlineMs)
 	defer cancel()
 	// Track whether this attempt's bytes ever hit the wire, so a
 	// transport failure can be classified sent vs unsent. WroteHeaders

@@ -42,11 +42,6 @@ type RouterConfig struct {
 	// batches of uncompressed 4K ground-camera frames. 0 means
 	// routerBodyLimit (64 MiB); negative disables the cap.
 	MaxBodyBytes int64
-	// MaxAttempts bounds how many replicas one request may try before
-	// failing. 0 means every replica once (resolved per request, so a
-	// dynamic pool that grows under a fleet controller raises the
-	// bound automatically).
-	MaxAttempts int
 	// DrainTimeout bounds Close's wait for proxied requests still in
 	// flight. 0 means DefaultDrainTimeout; negative means no grace.
 	DrainTimeout time.Duration
@@ -239,13 +234,9 @@ func (r *Router) Infer(ctx context.Context, model string, body InferRequestJSON)
 	if err := r.checkTenantQuota(&body); err != nil {
 		return nil, err
 	}
-	maxAttempts := r.cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		// Every current member once; resolved per request so dynamic
-		// pools (fleet registration) keep full failover coverage as
-		// they grow.
-		maxAttempts = r.pool.Size()
-	}
+	// Every current member once; resolved per request so dynamic pools
+	// (fleet registration) keep full failover coverage as they grow.
+	maxAttempts := r.pool.Size()
 	tried := make(map[*Replica]bool, maxAttempts)
 	var lastErr error
 	overloaded := 0

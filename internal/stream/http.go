@@ -92,7 +92,7 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), ing.cfg.maxFrameBytes())
+	sc.Buffer(make([]byte, 64<<10), DefaultMaxFrameBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

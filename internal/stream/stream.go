@@ -54,10 +54,18 @@ var ErrSessionActive = errors.New("stream: camera session already active")
 
 // Defaults for Config zero values.
 const (
-	DefaultDedupWindow     = 8
+	DefaultDedupWindow = 8
+	DefaultDedupTTL    = 250 * time.Millisecond
+)
+
+// Fixed ingest limits.
+const (
+	// DefaultDedupMaxHamming is the largest dHash Hamming distance (of
+	// 64 bits) still treated as a near-identical frame.
 	DefaultDedupMaxHamming = 6
-	DefaultDedupTTL        = 250 * time.Millisecond
-	DefaultMaxFrameBytes   = 32 << 20
+	// DefaultMaxFrameBytes caps one NDJSON frame line on the wire: a 4K
+	// raw frame with headroom.
+	DefaultMaxFrameBytes = 32 << 20
 )
 
 // Backend is the local (edge) inference tier a session feeds;
@@ -82,9 +90,6 @@ type Config struct {
 	// DedupWindow is how many recent served frames a session remembers
 	// for perceptual dedup (default 8; negative disables dedup).
 	DedupWindow int
-	// DedupMaxHamming is the largest dHash Hamming distance still
-	// treated as a near-identical frame (default 6 of 64 bits).
-	DedupMaxHamming int
 	// DedupTTL expires cache entries: temporal redundancy is only
 	// redundancy while the scene is current (default 250ms).
 	DedupTTL time.Duration
@@ -92,9 +97,6 @@ type Config struct {
 	Offload *OffloadPolicy
 	// Trace receives per-frame and uplink spans (nil disables).
 	Trace *trace.Recorder
-	// MaxFrameBytes caps one encoded frame on the wire (default 32 MiB,
-	// a 4K raw frame with headroom).
-	MaxFrameBytes int
 }
 
 func (c Config) budget() time.Duration {
@@ -114,25 +116,11 @@ func (c Config) dedupWindow() int {
 	return c.DedupWindow
 }
 
-func (c Config) dedupMaxHamming() int {
-	if c.DedupMaxHamming <= 0 {
-		return DefaultDedupMaxHamming
-	}
-	return c.DedupMaxHamming
-}
-
 func (c Config) dedupTTL() time.Duration {
 	if c.DedupTTL <= 0 {
 		return DefaultDedupTTL
 	}
 	return c.DedupTTL
-}
-
-func (c Config) maxFrameBytes() int {
-	if c.MaxFrameBytes <= 0 {
-		return DefaultMaxFrameBytes
-	}
-	return c.MaxFrameBytes
 }
 
 // ingestMetrics aggregates frame outcomes across all sessions.
@@ -432,7 +420,7 @@ func (s *Session) HandleFrame(ctx context.Context, f Frame, emit func(Outcome)) 
 	hash := imaging.DHash(im)
 	if s.ing.cfg.dedupWindow() > 0 {
 		s.mu.Lock()
-		entry, dist, hit := s.cache.lookup(hash, recv, s.ing.cfg.dedupTTL(), s.ing.cfg.dedupMaxHamming())
+		entry, dist, hit := s.cache.lookup(hash, recv, s.ing.cfg.dedupTTL(), DefaultDedupMaxHamming)
 		s.mu.Unlock()
 		if hit {
 			s.dedupHits.Add(1)

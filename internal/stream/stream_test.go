@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -597,4 +598,62 @@ func TestStreamTenantAccounting(t *testing.T) {
 	if st["farm-b"].Sessions != 1 || st["farm-b"].Frames != 1 || st["farm-b"].Served != 1 {
 		t.Errorf("tenant stream stats %+v", st["farm-b"])
 	}
+}
+
+// TestStreamLineCapFailsOnce: an NDJSON line longer than
+// DefaultMaxFrameBytes ends the session with exactly one failed "read:"
+// outcome, reaches no backend, and frees the camera to redial.
+func TestStreamLineCapFailsOnce(t *testing.T) {
+	t.Parallel()
+	fb := &fakeBackend{}
+	ing := newIngest(t, stream.Config{Model: "ViT_Tiny", Local: fb, Budget: time.Second})
+	ts := httptest.NewServer(ing.Handler())
+	defer ts.Close()
+
+	body := append([]byte(`{"seq":1,"image_b64":"`), bytes.Repeat([]byte("A"), stream.DefaultMaxFrameBytes)...)
+	body = append(body, "\"}\n"...)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/streams/cam-big", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server abandons the rest of the body, so the connection cannot
+	// carry the redial below.
+	req.Close = true
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var failed []stream.Outcome
+	var summary *stream.Summary
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var line struct {
+			stream.Outcome
+			Summary *stream.Summary `json:"summary"`
+		}
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		if line.Summary != nil {
+			summary = line.Summary
+			continue
+		}
+		failed = append(failed, line.Outcome)
+	}
+	if len(failed) != 1 || failed[0].Outcome != stream.OutcomeFailed || !strings.HasPrefix(failed[0].Error, "read:") {
+		t.Fatalf("outcomes %+v, want one failed read: line", failed)
+	}
+	if summary == nil || summary.Frames != 0 {
+		t.Fatalf("summary %+v, want 0 frames", summary)
+	}
+	if n := fb.submits.Load(); n != 0 {
+		t.Fatalf("backend submits = %d, want 0", n)
+	}
+	sess, err := stream.DialSession(context.Background(), ts.Client(), ts.URL, "cam-big", "", "", 0)
+	if err != nil {
+		t.Fatalf("camera not released after the oversize line: %v", err)
+	}
+	sess.CloseSend()
+	sess.Wait()
 }
