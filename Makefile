@@ -18,7 +18,7 @@ vet:
 
 # Race-check the concurrency-heavy packages (serving path incl. the
 # replica-pool router, the lock-free metrics recorders, the trace ring
-# buffer, pipeline, the live sim-vs-real validation, the pooled
+# buffer, pipeline with its live sim-vs-real validation test, the pooled
 # preprocessing engines, the load harness, and the compute backend:
 # the goroutine-parallel packed/quantized GEMM kernels, the attention
 # tasks and the workspace free lists of the executable models, plus the streaming camera
@@ -26,7 +26,7 @@ vet:
 # and core's replica and tier assembly (the rest of core builds a single
 # server and submits to it from one goroutine).
 race:
-	$(GO) test -race ./internal/serve/... ./internal/fleet/... ./internal/metrics/... ./internal/trace/... ./internal/pipeline/... ./internal/scaleout/... ./internal/imaging/... ./internal/preprocess/... ./internal/loadgen/... ./internal/tensor/... ./internal/quant/... ./internal/models/... ./internal/stream/... ./internal/transfer/... ./internal/modelio/...
+	$(GO) test -race ./internal/serve/... ./internal/fleet/... ./internal/metrics/... ./internal/trace/... ./internal/pipeline/... ./internal/imaging/... ./internal/preprocess/... ./internal/loadgen/... ./internal/tensor/... ./internal/quant/... ./internal/models/... ./internal/stream/... ./internal/transfer/... ./internal/modelio/...
 	$(GO) test -race -run 'Tier|Replica' ./internal/core/
 
 # Every Fuzz* target in the repo, 5 s each, from its committed seed

@@ -6,7 +6,6 @@ import (
 	"harvest/internal/metrics"
 	"harvest/internal/models"
 	"harvest/internal/pipeline"
-	"harvest/internal/scaleout"
 )
 
 // Ablations regenerates the DESIGN.md §5 design-choice studies as
@@ -64,7 +63,7 @@ func Ablations(opts Options) (*Artifact, error) {
 	mi := metrics.NewTable("Instance replication (V100, ViT_Base @BS64, 80% per-replica load)",
 		"Replicas", "Offered img/s", "Throughput img/s", "Mean lat(ms)", "P99 lat(ms)")
 	for _, replicas := range []int{1, 2, 4} {
-		res, err := scaleout.Run(scaleout.Config{
+		res, err := pipeline.RunReplicas(pipeline.ReplicaConfig{
 			Platform: hw.V100(), Model: models.NameViTBase,
 			Replicas: replicas, Batch: 64,
 			OfferedBatchesPerSec: 0.8 * float64(replicas) / 0.0432, // ~80% of capacity each

@@ -8,8 +8,8 @@ import (
 	"harvest/internal/hw"
 	"harvest/internal/metrics"
 	"harvest/internal/models"
+	"harvest/internal/pipeline"
 	"harvest/internal/predict"
-	"harvest/internal/scaleout"
 )
 
 // ExtensionIDs lists the beyond-the-paper artifacts.
@@ -142,7 +142,7 @@ func ScaleOut(opts Options) (*Artifact, error) {
 		single := 1 / st.Seconds // batches/sec one replica sustains
 		for _, replicas := range []int{1, 2} {
 			for _, frac := range []float64{0.5, 0.9, 1.4} {
-				res, err := scaleout.Run(scaleout.Config{
+				res, err := pipeline.RunReplicas(pipeline.ReplicaConfig{
 					Platform:             p,
 					Model:                models.NameViTBase,
 					Replicas:             replicas,

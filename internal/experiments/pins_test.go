@@ -14,7 +14,6 @@ import (
 	"harvest/internal/hw"
 	"harvest/internal/models"
 	"harvest/internal/pipeline"
-	"harvest/internal/scaleout"
 )
 
 // bits renders name=value pairs with each float64 as its exact bit
@@ -34,7 +33,7 @@ func bits(pairs ...any) string {
 
 // modeledPins runs the queueing models beneath the artifacts on a small
 // grid: pipeline.Run (overlap on and off, GPU and CPU preprocessing),
-// pipeline.RunOnline, scaleout.Run and fleet.PlanCapacity's chosen
+// pipeline.RunOnline, pipeline.RunReplicas and fleet.PlanCapacity's chosen
 // candidate. One line per case; errors are pinned too.
 func modeledPins() []string {
 	var lines []string
@@ -78,7 +77,7 @@ func modeledPins() []string {
 			for _, batch := range []int{0, 1} {
 				for _, replicas := range []int{1, 2, 4} {
 					for _, rate := range []float64{20, 150, 1000} {
-						r, err := scaleout.Run(scaleout.Config{Platform: p, Model: model, Replicas: replicas,
+						r, err := pipeline.RunReplicas(pipeline.ReplicaConfig{Platform: p, Model: model, Replicas: replicas,
 							Batch: batch, OfferedBatchesPerSec: rate, HorizonSeconds: 5, Seed: 3})
 						pin(fmt.Sprintf("scaleout %s %s b%d x%d %grps", p.Name, model, batch, replicas, rate), err,
 							"batch", r.Batch, "offered", r.OfferedImgPerSec, "throughput", r.Throughput,

@@ -12,6 +12,9 @@ import (
 	"harvest/internal/serve"
 )
 
+// agentHTTP carries every agent's control-plane calls.
+var agentHTTP = &http.Client{Timeout: 5 * time.Second}
+
 // Agent is a replica's client side of the lease protocol: it registers
 // the replica with the fleet control plane, renews the lease at TTL/3,
 // and deregisters with drain on shutdown. harvest-serve runs one when
@@ -30,9 +33,6 @@ type Agent struct {
 	Platform string
 	// TTL is the requested lease length (0 = the registry default).
 	TTL time.Duration
-	// HTTP is the client used for control-plane calls (nil = a
-	// 5s-timeout default).
-	HTTP *http.Client
 	// Logf, when non-nil, receives agent lifecycle messages.
 	Logf func(format string, args ...any)
 
@@ -50,13 +50,6 @@ func (a *Agent) logf(format string, args ...any) {
 	}
 }
 
-func (a *Agent) client() *http.Client {
-	if a.HTTP != nil {
-		return a.HTTP
-	}
-	return &http.Client{Timeout: 5 * time.Second}
-}
-
 func (a *Agent) post(ctx context.Context, path string, body, out any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -67,7 +60,7 @@ func (a *Agent) post(ctx context.Context, path string, body, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client().Do(req)
+	resp, err := agentHTTP.Do(req)
 	if err != nil {
 		return err
 	}

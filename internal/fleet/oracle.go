@@ -6,7 +6,7 @@ import (
 
 	"harvest/internal/energy"
 	"harvest/internal/hw"
-	"harvest/internal/scaleout"
+	"harvest/internal/pipeline"
 )
 
 // OracleConfig describes the capacity question the autoscaler asks the
@@ -91,9 +91,9 @@ type Plan struct {
 // predicts a stable fleet whose P99 (queueing included) is within the
 // SLO, prices that fleet with the energy model, and returns the
 // cheapest across platforms. This is the control plane's
-// model-predictive step: the same simulator that scaleout.Validate
-// shows tracks live throughput within 0.9% prices a scale-up before
-// the fleet commits to it.
+// model-predictive step: the same simulator that pipeline's live
+// validation test shows tracks live throughput within 0.9% prices a
+// scale-up before the fleet commits to it.
 func PlanCapacity(cfg OracleConfig, arrivalRPS float64, slo time.Duration) (Plan, error) {
 	cfg.fillDefaults()
 	if arrivalRPS <= 0 {
@@ -116,7 +116,7 @@ func PlanCapacity(cfg OracleConfig, arrivalRPS float64, slo time.Duration) (Plan
 		}
 		em := energy.New(p)
 		for n := 1; n <= cfg.MaxReplicas; n++ {
-			res, err := scaleout.Run(scaleout.Config{
+			res, err := pipeline.RunReplicas(pipeline.ReplicaConfig{
 				Platform:             p,
 				Model:                cfg.Model,
 				Replicas:             n,

@@ -2,10 +2,10 @@
 // TTL leases in a Registry (register/renew/deregister instead of a
 // static -replicas list), and a Controller autoscales the fleet by
 // reading per-class SLO attainment from the router's merged metrics
-// and consulting the queueing simulation (internal/scaleout) as
+// and consulting the queueing simulation (pipeline.RunReplicas) as
 // a capacity oracle before acting — model-predictive autoscaling,
-// licensed by scaleout.Validate's ≤0.9% sim-vs-real throughput
-// agreement. Replicas are spawned and stopped through a pluggable
+// licensed by the ≤0.9% sim-vs-real throughput agreement pipeline's
+// live validation test measures. Replicas are spawned and stopped through a pluggable
 // Provisioner; the in-process LocalProvisioner launches
 // core.StartReplica replicas (core deployments over loopback HTTP).
 package fleet

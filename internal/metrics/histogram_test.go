@@ -56,6 +56,9 @@ func TestLatencyRecorderAccuracy(t *testing.T) {
 	if s.Min != 1e-5 || s.Max != n*1e-5 {
 		t.Errorf("extremes [%v, %v], want exact [1e-5, %v]", s.Min, s.Max, n*1e-5)
 	}
+	if !strings.HasPrefix(s.String(), "n=10000 mean=0.050") {
+		t.Errorf("summary line %q", s)
+	}
 	for _, p := range []float64{50, 90, 95, 99} {
 		got := r.Snapshot().Quantile(p)
 		want := p / 100 * n * 1e-5

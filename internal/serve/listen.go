@@ -9,9 +9,8 @@ import (
 
 // Endpoint is a handler being served over HTTP on its own loopback
 // listener: the one "put this on a socket" step that in-process
-// replicas, tiers, control planes and scaleout.Validate share. (It
-// lives here rather than in core because core imports experiments,
-// which imports scaleout.)
+// replicas, tiers, self-hosted load runs and pipeline's live
+// sim-vs-real test share.
 type Endpoint struct {
 	// URL is the base URL the listener answers on.
 	URL string

@@ -65,9 +65,6 @@ type PoolConfig struct {
 	// ProbeTimeout bounds one probe round trip (default
 	// DefaultProbeTimeout).
 	ProbeTimeout time.Duration
-	// Transport, when non-nil, is shared by every per-replica client
-	// (fan-out reuses one connection pool). nil means NewTransport().
-	Transport http.RoundTripper
 }
 
 func (cfg *PoolConfig) fillDefaults() {
@@ -82,9 +79,6 @@ func (cfg *PoolConfig) fillDefaults() {
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = DefaultProbeTimeout
-	}
-	if cfg.Transport == nil {
-		cfg.Transport = NewTransport()
 	}
 }
 
@@ -238,6 +232,10 @@ func (rep *Replica) status() ReplicaStatus {
 // holding the replica.
 type Pool struct {
 	cfg PoolConfig
+	// transport is shared by every per-replica client (fan-out reuses
+	// one connection pool); the pool owns it and closes its idle
+	// connections on Close.
+	transport *http.Transport
 
 	mu       sync.RWMutex
 	replicas []*Replica // replaced wholesale on mutation; safe to iterate a snapshot
@@ -270,7 +268,7 @@ func NewPool(urls []string, cfg PoolConfig) (*Pool, error) {
 // where replicas register and expire instead of being listed up front.
 func NewDynamicPool(cfg PoolConfig) *Pool {
 	cfg.fillDefaults()
-	return &Pool{cfg: cfg, stop: make(chan struct{})}
+	return &Pool{cfg: cfg, transport: NewTransport(), stop: make(chan struct{})}
 }
 
 // Add registers a new replica and starts its health loop. An empty
@@ -300,7 +298,7 @@ func (p *Pool) Add(name, url string) (*Replica, error) {
 			time.Duration(p.added%probePhaseSlots) / probePhaseSlots,
 		client: &Client{
 			BaseURL: url,
-			HTTP:    &http.Client{Transport: p.cfg.Transport},
+			HTTP:    &http.Client{Transport: p.transport},
 			// The router does its own failover and 429 spilling;
 			// client-level retries would fight it.
 			MaxRetries: -1,
@@ -375,8 +373,12 @@ func (p *Pool) HealthyCount() int {
 	return n
 }
 
-// Close stops the health loops. It does not touch the replicas. Safe
-// to call concurrently and more than once.
+// Close stops the health loops, then closes the pool's idle
+// connections: a replica's http.Server.Shutdown counts a connection
+// that never carried a request as busy until it is 5 s old, so one
+// left open would stall the replica's teardown that long. It does not
+// touch the replicas otherwise. Safe to call concurrently and more
+// than once.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()
@@ -385,6 +387,7 @@ func (p *Pool) Close() {
 		close(p.stop)
 	})
 	p.wg.Wait()
+	p.transport.CloseIdleConnections()
 }
 
 // healthLoop probes one replica forever: readiness (+ metrics refresh)

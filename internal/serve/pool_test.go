@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -42,6 +43,44 @@ func TestPoolCloseConcurrent(t *testing.T) {
 	wg.Wait()
 	// And again after everyone returned: still a no-op.
 	p.Close()
+}
+
+// TestPoolCloseClosesConnections: Close releases the connections the
+// pool's health loops opened. A replica's http.Server.Shutdown waits
+// out a connection that never carried a request until it is 5 s old,
+// so an idle one left open stalled tearing down a replica behind a
+// closed router that long.
+func TestPoolCloseClosesConnections(t *testing.T) {
+	var open, probes atomic.Int64
+	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		probes.Add(1)
+		w.WriteHeader(http.StatusOK)
+	}))
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	hs.Start()
+	defer hs.Close()
+	p, err := NewPool([]string{hs.URL, hs.URL}, fastPool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); probes.Load() < 4; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("health loops sent %d requests in 5 s", probes.Load())
+		}
+	}
+	p.Close()
+	for deadline := time.Now().Add(time.Second); open.Load() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pool connections still open 1 s after Close", open.Load())
+		}
+	}
 }
 
 // TestPoolScoreStaleMetricsFallback regression-tests the stale-snapshot

@@ -4,8 +4,8 @@
 // unchanged against either. Placement is queue-depth-aware and
 // scenario-class-aware (pool.go), failed replicas are ejected and
 // recovered via half-open probes, and in-flight requests fail over to
-// the surviving replicas — the real counterpart of the
-// internal/scaleout least-loaded dispatcher model.
+// the surviving replicas — the real counterpart of the least-loaded
+// dispatcher pipeline.RunReplicas models.
 package serve
 
 import (

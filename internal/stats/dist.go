@@ -129,30 +129,6 @@ func (e Exponential) Sample(r *RNG) float64 { return r.ExpFloat64() / e.Lambda }
 // Mean of the exponential.
 func (e Exponential) Mean() float64 { return 1 / e.Lambda }
 
-// Poisson draws integer counts with mean Lambda using Knuth's method for
-// small lambda and a normal approximation above 64.
-func Poisson(r *RNG, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 64 {
-		v := lambda + math.Sqrt(lambda)*r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Validate checks that a distribution's parameters are sane; used by
 // dataset specs at construction time.
 func Validate(d Distribution) error {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func sampleMean(d Distribution, n int, seed uint64) float64 {
@@ -105,34 +104,6 @@ func TestExponentialMean(t *testing.T) {
 	d := Exponential{Lambda: 4}
 	if m := sampleMean(d, 50000, 8); math.Abs(m-0.25) > 0.01 {
 		t.Errorf("exponential mean %v, want ~0.25", m)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := NewRNG(9)
-	for _, lambda := range []float64{0.5, 3, 20, 100} {
-		s := 0.0
-		const n = 20000
-		for i := 0; i < n; i++ {
-			s += float64(Poisson(r, lambda))
-		}
-		m := s / n
-		if math.Abs(m-lambda) > 0.05*lambda+0.05 {
-			t.Errorf("Poisson(%v) mean %v", lambda, m)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := NewRNG(10)
-	if Poisson(r, -1) != 0 || Poisson(r, 0) != 0 {
-		t.Error("Poisson with non-positive lambda should be 0")
-	}
-	f := func(l uint8) bool {
-		return Poisson(r, float64(l)) >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

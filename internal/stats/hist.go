@@ -153,30 +153,6 @@ type Summary struct {
 	P50, P90, P95, P99 float64
 }
 
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.Std = StdDev(xs)
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.P50 = Percentile(xs, 50)
-	s.P90 = Percentile(xs, 90)
-	s.P95 = Percentile(xs, 95)
-	s.P99 = Percentile(xs, 99)
-	return s
-}
-
 // String renders the summary on one line.
 func (s Summary) String() string {
 	var b strings.Builder

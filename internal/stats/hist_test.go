@@ -183,21 +183,6 @@ func TestPercentileQuickWithinBounds(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	s := Summarize(xs)
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Errorf("bad summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty summary string")
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Errorf("empty summary %+v", empty)
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
 		t.Error("degenerate mean/std wrong")

@@ -3,11 +3,12 @@ package stream
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -52,8 +53,10 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	var budget time.Duration
 	if s := r.URL.Query().Get("budget_ms"); s != "" {
-		var ms float64
-		if _, err := fmt.Sscanf(s, "%g", &ms); err != nil || !(ms > 0) {
+		// ParseFloat takes the whole string: "5ms" or "1,5" is an
+		// error, not 5 or 1. Inf would be an unbounded budget.
+		ms, err := strconv.ParseFloat(s, 64)
+		if err != nil || !(ms > 0) || math.IsInf(ms, 1) {
 			http.Error(w, "stream: invalid budget_ms", http.StatusBadRequest)
 			return
 		}
@@ -66,7 +69,7 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 	sess, err := ing.Open(camera, r.URL.Query().Get("model"), tenant, budget)
 	if err != nil {
 		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), ErrSessionActive.Error()) {
+		if errors.Is(err, ErrSessionActive) {
 			code = http.StatusConflict
 		}
 		http.Error(w, err.Error(), code)

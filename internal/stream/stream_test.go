@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -467,6 +468,43 @@ func TestStreamHugeBudgetIsServed(t *testing.T) {
 	}
 	if out.Outcome != stream.OutcomeServed {
 		t.Errorf("budget_ms 1e13: frame %s (%s), want served", out.Outcome, out.Error)
+	}
+}
+
+// TestStreamBudgetParse: budget_ms is the whole string as a positive
+// finite number. A trailing unit, a decimal comma or trailing garbage
+// used to parse as its numeric prefix, and Inf as an unbounded budget.
+func TestStreamBudgetParse(t *testing.T) {
+	t.Parallel()
+	ing := newIngest(t, stream.Config{Model: "ViT_Tiny", Local: &fakeBackend{}, Budget: 10 * time.Millisecond})
+	ts := httptest.NewServer(ing.Handler())
+	defer ts.Close()
+	for i, tc := range []struct {
+		budget string
+		want   int
+	}{
+		{"16.7", http.StatusOK},
+		{"1e13", http.StatusOK},
+		{"5ms", http.StatusBadRequest},
+		{"1,5", http.StatusBadRequest},
+		{"1e3x", http.StatusBadRequest},
+		{"Inf", http.StatusBadRequest},
+		{"%2BInf", http.StatusBadRequest},
+		{"infinity", http.StatusBadRequest},
+		{"1e400", http.StatusBadRequest},
+		{"NaN", http.StatusBadRequest},
+		{"0", http.StatusBadRequest},
+		{"-1", http.StatusBadRequest},
+	} {
+		resp, err := ts.Client().Post(fmt.Sprintf("%s/v2/streams/cam-%d?budget_ms=%s", ts.URL, i, tc.budget),
+			"application/x-ndjson", strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("budget_ms=%s: HTTP %d, want %d", tc.budget, resp.StatusCode, tc.want)
+		}
 	}
 }
 
