@@ -26,11 +26,12 @@
 // deregisters with drain before the HTTP server stops.
 //
 // With -stream, long-lived camera ingest sessions attach at
-// POST /v2/streams/{camera}: NDJSON frames up, per-frame outcomes
-// down, with in-order enforcement, drop-stale admission against the
-// frame budget, and a temporal dedup cache. Adding -offload-to makes
-// the replica an edge tier: under queue (or power) pressure, admitted
-// frames ship to the cloud tier over the modeled -offload-link.
+// POST /v2/streams/{camera}: framed frames up (a JSON header line,
+// then the raw image), NDJSON per-frame outcomes down, with in-order
+// enforcement, drop-stale admission against the frame budget, and a
+// temporal dedup cache. Adding -offload-to makes the replica an edge
+// tier: under queue (or power) pressure, admitted frames ship to the
+// cloud tier over the modeled -offload-link.
 package main
 
 import (

@@ -10,6 +10,7 @@ import (
 
 	"harvest/internal/models"
 	"harvest/internal/serve"
+	"harvest/internal/stream"
 )
 
 // TestStartTier checks the one tier assembly end to end: every replica
@@ -66,7 +67,7 @@ func TestStartTier(t *testing.T) {
 			if (r.Ingest != nil) != withStream {
 				t.Errorf("stream=%v: replica ingest = %v", withStream, r.Ingest)
 			}
-			resp, err := http.Post(r.URL+"/v2/streams/cam-0", "application/x-ndjson", strings.NewReader(""))
+			resp, err := http.Post(r.URL+"/v2/streams/cam-0", stream.FramesContentType, strings.NewReader(""))
 			if err != nil {
 				t.Fatal(err)
 			}

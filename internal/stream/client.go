@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,14 +14,17 @@ import (
 )
 
 // ClientSession is a camera's side of one live ingest stream: frames
-// go up the chunked request body, outcomes come back on the response
-// stream as they resolve.
+// go up the chunked request body (Handler documents the framing),
+// outcomes come back on the response stream as they resolve.
 type ClientSession struct {
 	camera string
 
 	pw     *io.PipeWriter
 	sendMu sync.Mutex
-	enc    *json.Encoder
+	// buf holds one frame's header and image, reused under sendMu:
+	// pw.Write returns only once the transport has taken every byte.
+	buf bytes.Buffer
+	enc *json.Encoder
 
 	outcomes chan Outcome
 	done     chan struct{}
@@ -59,7 +63,7 @@ func DialSession(ctx context.Context, hc *http.Client, baseURL, camera, model, t
 		pw.Close()
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
+	req.Header.Set("Content-Type", FramesContentType)
 	resp, err := hc.Do(req)
 	if err != nil {
 		pw.Close()
@@ -74,11 +78,11 @@ func DialSession(ctx context.Context, hc *http.Client, baseURL, camera, model, t
 	cs := &ClientSession{
 		camera:   camera,
 		pw:       pw,
-		enc:      json.NewEncoder(pw),
 		outcomes: make(chan Outcome, 256),
 		done:     make(chan struct{}),
 		resp:     resp,
 	}
+	cs.enc = json.NewEncoder(&cs.buf)
 	go cs.readLoop()
 	return cs, nil
 }
@@ -93,11 +97,18 @@ func (e *SessionError) Error() string {
 	return fmt.Sprintf("stream: session rejected: HTTP %d: %s", e.Status, e.Body)
 }
 
-// Send ships one frame up the stream. Safe for concurrent use.
+// Send ships one frame up the stream as one write: its header line,
+// then the raw image. Safe for concurrent use.
 func (cs *ClientSession) Send(f Frame) error {
 	cs.sendMu.Lock()
 	defer cs.sendMu.Unlock()
-	return cs.enc.Encode(f)
+	cs.buf.Reset()
+	if err := cs.enc.Encode(frameHeader{f.Seq, f.Format, int64(len(f.Image))}); err != nil {
+		return err
+	}
+	cs.buf.Write(f.Image)
+	_, err := cs.pw.Write(cs.buf.Bytes())
+	return err
 }
 
 // Outcomes streams per-frame results in completion order. The channel
@@ -126,19 +137,19 @@ func (cs *ClientSession) readLoop() {
 		if len(line) == 0 {
 			continue
 		}
-		var probe struct {
+		var o struct {
+			Outcome
 			Summary *Summary `json:"summary"`
 		}
-		if json.Unmarshal(line, &probe) == nil && probe.Summary != nil {
-			cs.summary = *probe.Summary
-			continue
-		}
-		var o Outcome
 		if err := json.Unmarshal(line, &o); err != nil {
 			cs.readErr = fmt.Errorf("stream: bad outcome line: %w", err)
 			return
 		}
-		cs.outcomes <- o
+		if o.Summary != nil {
+			cs.summary = *o.Summary
+			continue
+		}
+		cs.outcomes <- o.Outcome
 	}
 	if err := sc.Err(); err != nil {
 		cs.readErr = err

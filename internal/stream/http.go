@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -20,12 +21,15 @@ import (
 //
 //	POST /v2/streams/{camera}?model=NAME&budget_ms=16.7
 //
-// The request body is a long-lived NDJSON stream of Frame lines; the
-// chunked response carries one Outcome line per frame (completion
-// order, not arrival order — a dropped frame's outcome beats a served
-// one that is still computing) and a final Summary line when the
-// camera closes its side. The response headers flush immediately so
-// the client can stream against a live connection.
+// The request body (Content-Type FramesContentType, else 415) is a
+// long-lived run of frames, each a JSON header line and then the raw
+// image bytes it declares (readFrame). The chunked response carries one
+// NDJSON Outcome line per frame (completion order, not arrival order —
+// a dropped frame's outcome beats a served one that is still computing)
+// and a final Summary line when the camera closes its side. A frame that
+// cannot be read ends the session with one failed "read:" outcome: the
+// byte stream cannot be resynchronised. The response headers flush
+// immediately so the client can stream against a live connection.
 func (ing *Ingest) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/streams/{camera}", ing.handleStream)
@@ -36,6 +40,11 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 	camera := r.PathValue("camera")
 	if camera == "" {
 		http.Error(w, "stream: camera id required", http.StatusBadRequest)
+		return
+	}
+	if ct := r.Header.Get("Content-Type"); ct != FramesContentType {
+		http.Error(w, "stream: frames must be sent as "+FramesContentType+", not "+strconv.Quote(ct),
+			http.StatusUnsupportedMediaType)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -80,6 +89,10 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
+	// A session refused mid-body leaves the rest of it unread, so the
+	// connection cannot carry another request (under full duplex,
+	// net/http would start a read on it that nothing stops).
+	w.Header().Set("Connection", "close")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
@@ -94,18 +107,9 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), DefaultMaxFrameBytes)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var f Frame
-		if err := json.Unmarshal(line, &f); err != nil {
-			emit(Outcome{Outcome: OutcomeFailed, Error: "bad frame: " + err.Error()})
-			continue
-		}
+	br := bufio.NewReaderSize(r.Body, maxFrameHeaderBytes)
+	f, err := readFrame(br)
+	for ; err == nil; f, err = readFrame(br) {
 		sess.HandleFrame(r.Context(), f, emit)
 	}
 	// The client's side of the stream is over (EOF, or a mid-stream
@@ -116,7 +120,7 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Drain in-flight completions, then close the stream with the
 	// session's accounting.
 	sess.wg.Wait()
-	if err := sc.Err(); err != nil && err != io.ErrUnexpectedEOF {
+	if err != io.EOF {
 		emit(Outcome{Outcome: OutcomeFailed, Error: "read: " + err.Error()})
 	}
 	emitMu.Lock()
@@ -125,6 +129,43 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 		Summary Summary `json:"summary"`
 	}{sess.Summary()})
 	flusher.Flush()
+}
+
+// frameHeader is the JSON line in front of each frame's image bytes.
+type frameHeader struct {
+	Seq        int64  `json:"seq"`
+	Format     string `json:"format,omitempty"`
+	ImageBytes int64  `json:"image_bytes"`
+}
+
+// readFrame reads one frame off a session body: a header line of at
+// most maxFrameHeaderBytes, then exactly image_bytes raw bytes, which go
+// to a fresh buffer, never a pooled one: the frame outlives this call
+// (the served request, the cloud upload and the dHash alias it). A bad
+// header is refused before any payload byte is read. io.EOF means the
+// body ended cleanly between frames.
+func readFrame(br *bufio.Reader) (Frame, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return Frame{}, fmt.Errorf("frame header longer than %d bytes", maxFrameHeaderBytes)
+	} else if err == io.EOF && len(line) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return Frame{}, err
+	}
+	var h frameHeader
+	if err := json.Unmarshal(line, &h); err != nil {
+		return Frame{}, fmt.Errorf("bad frame header: %w", err)
+	}
+	if h.ImageBytes < 0 || h.ImageBytes > DefaultMaxFrameBytes {
+		return Frame{}, fmt.Errorf("frame image_bytes %d outside [0, %d]", h.ImageBytes, DefaultMaxFrameBytes)
+	}
+	f := Frame{Seq: h.Seq, Format: h.Format, Image: make([]byte, h.ImageBytes)}
+	if n, err := io.ReadFull(br, f.Image); err != nil {
+		return Frame{}, fmt.Errorf("frame %d payload cut off at %d of %d bytes: %w", h.Seq, n, h.ImageBytes, err)
+	}
+	return f, nil
 }
 
 // MetricsSnapshot is the ingest tier's aggregate accounting, exported

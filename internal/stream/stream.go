@@ -63,10 +63,17 @@ const (
 	// DefaultDedupMaxHamming is the largest dHash Hamming distance (of
 	// 64 bits) still treated as a near-identical frame.
 	DefaultDedupMaxHamming = 6
-	// DefaultMaxFrameBytes caps one NDJSON frame line on the wire: a 4K
-	// raw frame with headroom.
+	// DefaultMaxFrameBytes caps one frame's image bytes on the wire: a
+	// 4K raw frame with headroom. A header declaring more is refused
+	// before any payload byte is read.
 	DefaultMaxFrameBytes = 32 << 20
+	// maxFrameHeaderBytes bounds one frame's JSON header line.
+	maxFrameHeaderBytes = 1 << 10
 )
+
+// FramesContentType is the session body's media type: each frame is a
+// JSON header line naming the image's byte length, then the raw image.
+const FramesContentType = "application/x-harvest-frames"
 
 // Backend is the local (edge) inference tier a session feeds;
 // *serve.Server satisfies it. EstimateWait and QueueDepth power the
@@ -274,11 +281,11 @@ type Session struct {
 }
 
 // Frame is one camera frame: a strictly-increasing sequence number and
-// an encoded image payload.
+// an encoded image payload ("" Format means JPEG).
 type Frame struct {
-	Seq    int64  `json:"seq"`
-	Image  []byte `json:"image_b64"`
-	Format string `json:"format,omitempty"`
+	Seq    int64
+	Image  []byte
+	Format string
 }
 
 // Outcome is the per-frame result line.
@@ -398,8 +405,8 @@ func (s *Session) HandleFrame(ctx context.Context, f Frame, emit func(Outcome)) 
 	s.lastSeq = f.Seq
 
 	format := imaging.FormatJPEG
+	var err error
 	if f.Format != "" {
-		var err error
 		if format, err = imaging.ParseFormat(f.Format); err != nil {
 			s.failed.Add(1)
 			s.ing.met.failed.Inc()
@@ -407,7 +414,14 @@ func (s *Session) HandleFrame(ctx context.Context, f Frame, emit func(Outcome)) 
 			return
 		}
 	}
-	im, err := imaging.DecodeBytes(f.Image, format)
+	// A PPM frame is hashed in place: nothing modifies a frame's bytes
+	// once it is handed to the session.
+	var im *imaging.Image
+	if format == imaging.FormatPPM {
+		im, err = imaging.DecodePPMZeroCopy(f.Image, nil)
+	} else {
+		im, err = imaging.DecodeBytes(f.Image, format)
+	}
 	if err != nil {
 		s.failed.Add(1)
 		s.ing.met.failed.Inc()

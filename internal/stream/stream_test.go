@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -365,8 +366,8 @@ func TestOffloadFlipsUnderQueuePressure(t *testing.T) {
 }
 
 // TestStreamHTTPEndToEnd exercises the wire path: DialSession against
-// Ingest.Handler, NDJSON frames up, outcomes and a summary down, one
-// session per camera enforced with 409.
+// Ingest.Handler, framed frames up, NDJSON outcomes and a summary down,
+// one session per camera enforced with 409.
 func TestStreamHTTPEndToEnd(t *testing.T) {
 	t.Parallel()
 	fb := &fakeBackend{}
@@ -453,21 +454,10 @@ func TestStreamHugeBudgetIsServed(t *testing.T) {
 	ts := httptest.NewServer(ing.Handler())
 	defer ts.Close()
 
-	line, err := json.Marshal(stream.Frame{Seq: 1, Image: frameBytes(t, imaging.KindLeaf, 1, 16), Format: "ppm"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Post(ts.URL+"/v2/streams/cam-1?budget_ms=1e13", "application/x-ndjson", bytes.NewReader(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out stream.Outcome
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Outcome != stream.OutcomeServed {
-		t.Errorf("budget_ms 1e13: frame %s (%s), want served", out.Outcome, out.Error)
+	body := frameBody(1, "ppm", frameBytes(t, imaging.KindLeaf, 1, 16))
+	outs, _ := postFrames(t, ts.Client(), ts.URL+"/v2/streams/cam-1?budget_ms=1e13", bytes.NewReader(body))
+	if len(outs) != 1 || outs[0].Outcome != stream.OutcomeServed {
+		t.Errorf("budget_ms 1e13: outcomes %+v, want one served", outs)
 	}
 }
 
@@ -497,7 +487,7 @@ func TestStreamBudgetParse(t *testing.T) {
 		{"-1", http.StatusBadRequest},
 	} {
 		resp, err := ts.Client().Post(fmt.Sprintf("%s/v2/streams/cam-%d?budget_ms=%s", ts.URL, i, tc.budget),
-			"application/x-ndjson", strings.NewReader(""))
+			stream.FramesContentType, strings.NewReader(""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -638,9 +628,11 @@ func TestStreamTenantAccounting(t *testing.T) {
 	}
 }
 
-// TestStreamLineCapFailsOnce: an NDJSON line longer than
+// TestStreamLineCapFailsOnce: a frame header declaring more than
 // DefaultMaxFrameBytes ends the session with exactly one failed "read:"
-// outcome, reaches no backend, and frees the camera to redial.
+// outcome, reaches no backend, and frees the camera to redial. The
+// header is refused before any payload byte is read: the body stays
+// open with none sent, and the answer still arrives.
 func TestStreamLineCapFailsOnce(t *testing.T) {
 	t.Parallel()
 	fb := &fakeBackend{}
@@ -648,41 +640,17 @@ func TestStreamLineCapFailsOnce(t *testing.T) {
 	ts := httptest.NewServer(ing.Handler())
 	defer ts.Close()
 
-	body := append([]byte(`{"seq":1,"image_b64":"`), bytes.Repeat([]byte("A"), stream.DefaultMaxFrameBytes)...)
-	body = append(body, "\"}\n"...)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/streams/cam-big", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The server abandons the rest of the body, so the connection cannot
-	// carry the redial below.
-	req.Close = true
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var failed []stream.Outcome
-	var summary *stream.Summary
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var line struct {
-			stream.Outcome
-			Summary *stream.Summary `json:"summary"`
-		}
-		if err := dec.Decode(&line); err != nil {
-			t.Fatal(err)
-		}
-		if line.Summary != nil {
-			summary = line.Summary
-			continue
-		}
-		failed = append(failed, line.Outcome)
-	}
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go fmt.Fprintf(pw, "{\"seq\":1,\"format\":\"ppm\",\"image_bytes\":%d}\n", stream.DefaultMaxFrameBytes+1)
+	// A server waiting for the payload would never answer.
+	hc := *ts.Client()
+	hc.Timeout = 10 * time.Second
+	failed, summary := postFrames(t, &hc, ts.URL+"/v2/streams/cam-big", pr)
 	if len(failed) != 1 || failed[0].Outcome != stream.OutcomeFailed || !strings.HasPrefix(failed[0].Error, "read:") {
 		t.Fatalf("outcomes %+v, want one failed read: line", failed)
 	}
-	if summary == nil || summary.Frames != 0 {
+	if summary.Frames != 0 {
 		t.Fatalf("summary %+v, want 0 frames", summary)
 	}
 	if n := fb.submits.Load(); n != 0 {
@@ -690,7 +658,7 @@ func TestStreamLineCapFailsOnce(t *testing.T) {
 	}
 	sess, err := stream.DialSession(context.Background(), ts.Client(), ts.URL, "cam-big", "", "", 0)
 	if err != nil {
-		t.Fatalf("camera not released after the oversize line: %v", err)
+		t.Fatalf("camera not released after the oversize frame: %v", err)
 	}
 	sess.CloseSend()
 	sess.Wait()
