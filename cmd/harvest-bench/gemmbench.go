@@ -22,7 +22,9 @@ type gemmBenchReport struct {
 		GOARCH     string `json:"goarch"`
 		GOMAXPROCS int    `json:"gomaxprocs"`
 		NumCPU     int    `json:"num_cpu"`
-		Kernels    string `json:"kernels"` // tensor.Kernels: "avx2+avx512vnni", "avx2" or "go"
+		// tensor.Kernels: "avx2+avx512vnni" (the float and int8 GEMMs
+		// on their 6×32 AVX-512 pair tiles), "avx2" or "go".
+		Kernels string `json:"kernels"`
 	} `json:"host"`
 	GemmN int `json:"gemm_n"`
 	Gemm  []struct {

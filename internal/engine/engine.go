@@ -36,7 +36,9 @@ type InferStats struct {
 }
 
 // Forwarder executes a real forward pass; *models.ViTModel and
-// *models.ResNetModel both satisfy it.
+// *models.ResNetModel both satisfy it. Forward's result belongs to the
+// caller: an implementation allocates it fresh on every call and keeps
+// no reference to it, so InferTensors hands its rows out as they are.
 type Forwarder interface {
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
 }
@@ -122,8 +124,10 @@ func (e *Engine) AttachReal(precision string, seed uint64) error {
 
 // InferTensors runs a real forward pass through the attached Real
 // backend over a batch of flattened CHW inputs, returning per-image
-// logits. The modeled InferStats for the same batch size accompany the
-// outputs so callers get both function and (modeled) performance.
+// logits: views of the forward's fresh logits tensor, each capped at its
+// own row, so an append to one never writes into the next. The modeled
+// InferStats for the same batch size accompany the outputs so callers
+// get both function and (modeled) performance.
 // Panics escaping the backend (shape mismatches deep inside a malformed
 // model) are recovered into ErrBackend-wrapped errors: a bad model must
 // fail the request, never the replica.
@@ -164,7 +168,7 @@ func (e *Engine) InferTensors(inputs [][]float32, inputSize int) (out [][]float3
 	n := logits.Shape[1]
 	out = make([][]float32, len(inputs))
 	for i := range out {
-		out[i] = append([]float32(nil), logits.Data[i*n:(i+1)*n]...)
+		out[i] = logits.Data[i*n : (i+1)*n : (i+1)*n]
 	}
 	return out, stats, nil
 }

@@ -185,9 +185,16 @@ func TestInferTensorsRealBackend(t *testing.T) {
 		t.Fatalf("got %d outputs", len(outputs))
 	}
 	for _, o := range outputs {
-		if len(o) != classes {
-			t.Fatalf("output width %d", len(o))
+		if len(o) != classes || cap(o) != classes {
+			t.Fatalf("output width %d, capacity %d", len(o), cap(o))
 		}
+	}
+	// The rows share one logits tensor: an append to one must not
+	// write into the next.
+	next := outputs[1][0]
+	_ = append(outputs[0], 42)
+	if outputs[1][0] != next {
+		t.Error("appending to row 0 overwrote row 1")
 	}
 	if st.Batch != 3 || st.Seconds <= 0 {
 		t.Errorf("stats %+v", st)

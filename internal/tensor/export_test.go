@@ -1,9 +1,9 @@
 package tensor
 
-// WithoutQ7Pair runs f with the int8 GEMM on the 6×16 tile alone, as on
-// a host without the VNNI pair tile.
-func WithoutQ7Pair(f func()) {
-	defer func(p q7Body) { q7Pair = p }(q7Pair)
-	q7Pair = q7Body{}
+// WithoutPairTiles runs f with the float and int8 GEMMs on their 6×16
+// tiles alone, as on a host without the AVX-512 pair tiles.
+func WithoutPairTiles(f func()) {
+	defer func(m microKernel, q q7Body) { microPair, q7Pair = m, q }(microPair, q7Pair)
+	microPair, q7Pair = nil, q7Body{}
 	f()
 }

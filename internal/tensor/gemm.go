@@ -24,20 +24,23 @@ func shapeErrf(format string, args ...any) error {
 // Cache-blocking parameters of the packed GEMM, BLIS-style. The kernel
 // computes C += A·B by tiling into MC×KC blocks of A and KC×NC panels of
 // B and running an MR×NR register micro-kernel over them: a 6×16 tile is
-// twelve 8-wide AVX2 accumulators. B is packed once per product into
-// 16-column strips that every row band reads; A is read where it lies,
-// six rows at a time. A KC×NR B strip (16 KiB) stays in L1, an MC×KC
-// block of A (144 KiB) in L2 beside the B panel (KC·NC·4 = 768 KiB). KC
-// also fixes every output's summation order:
-// each tile accumulates one KC panel from zero and is added to C once,
-// so a row's bits depend on k alone — not on m, the band split or
-// whether the row sits in an edge tile.
+// twelve 8-wide AVX2 accumulators, and on an AVX-512 host a 6×32 pair
+// tile, twelve 16-wide ones, covers two adjacent strips at once. B is
+// packed once per product into 16-column strips that every row band
+// reads; A is read where it lies, six rows at a time. A KC×NR B strip
+// (16 KiB; a pair twice that) stays in L1, an MC×KC block of A
+// (144 KiB) in L2 beside the B panel (KC·NC·4 = 768 KiB). KC also fixes
+// every output's summation order: each tile accumulates one KC panel
+// from zero and is added to C once, so a row's bits depend on k alone —
+// not on m, the band split, the tile's width or whether the row sits in
+// an edge tile.
 const (
-	gemmMR = 6   // micro-kernel rows
-	gemmNR = 16  // micro-kernel columns
-	gemmKC = 256 // K blocking (panel depth)
-	gemmMC = 144 // M blocking (rows per A block), a multiple of MR
-	gemmNC = 768 // N blocking (columns per B panel), a multiple of NR
+	gemmMR     = 6          // micro-kernel rows
+	gemmNR     = 16         // micro-kernel columns: one packed B strip
+	gemmPairNR = 2 * gemmNR // pair-tile columns: two adjacent strips
+	gemmKC     = 256        // K blocking (panel depth)
+	gemmMC     = 144        // M blocking (rows per A block), a multiple of MR
+	gemmNC     = 768        // N blocking (columns per B panel), a multiple of NR
 
 	// gemmMinMACsPerBand is the smallest amount of work (multiply-
 	// accumulates) worth a goroutine of its own; products below it run
@@ -45,9 +48,11 @@ const (
 	gemmMinMACsPerBand = 1 << 16
 )
 
-// microKernel adds the MR×NR product of a kc-deep A strip (MR rows, row
-// stride lda) and a packed B strip (NR values per k) into c (row stride
-// ldc). Both bodies accumulate from zero and touch c once, at the end.
+// microKernel adds the product of a kc-deep A strip (MR rows, row
+// stride lda) and packed B into c (row stride ldc): MR×NR from one strip
+// (NR values per k), or, for the pair tile, MR×2NR from two adjacent
+// strips. Every body accumulates from zero and touches c once, at the
+// end.
 type microKernel func(a []float32, lda int, bp []float32, kc int, c []float32, ldc int)
 
 // microGo is the portable body of the 6×16 micro-kernel.
@@ -80,7 +85,7 @@ func microGo(a []float32, lda int, bp []float32, kc int, c []float32, ldc int) {
 // forward.
 type worker struct {
 	packB, edgeA, scores []float32
-	edge                 [gemmMR * gemmNR]float32
+	edge                 [gemmMR * gemmPairNR]float32
 	q7A                  []uint8
 	q7Rows               [gemmMC]quant.Q7Params
 	q7Acc                q7Tile
@@ -368,9 +373,11 @@ func (g *gemm) panel(jc, pc int) []float32 {
 
 // band computes rows [rowLo,rowHi) of the product through the blocked
 // pipeline: for each KC×NC panel of packed B and each MC block of the
-// band's rows, sweep the micro-kernel over the block's A strips, read
-// in place, and the panel's B strips; then run the epilogue over the
-// band's rows. An int8 product takes q7Band instead.
+// band's rows, sweep the panel's B strips — two at a time on the pair
+// tile where the host has one, an odd last strip and every strip
+// elsewhere on the 6×16 tile — across the block's A strips, read in
+// place; then run the epilogue over the band's rows. An int8 product
+// takes q7Band instead.
 func (g *gemm) band(wk *worker, rowLo, rowHi int) {
 	if g.qw != nil {
 		g.q7Band(wk, rowLo, rowHi)
@@ -400,8 +407,12 @@ func (g *gemm) band(wk *worker, rowLo, rowHi int) {
 			}
 			for ic := rowLo; ic < rowHi; ic += gemmMC {
 				mc := min(gemmMC, rowHi-ic)
-				for jr := 0; jr < nc; jr += gemmNR {
-					nr := min(gemmNR, nc-jr)
+				for jr := 0; jr < nc; {
+					kern, w := micro, gemmNR
+					if microPair != nil && nc-jr > gemmNR {
+						kern, w = microPair, gemmPairNR
+					}
+					nr := min(w, nc-jr)
 					bs := pb[jr*kc:]
 					for ir := 0; ir < mc; ir += gemmMR {
 						mr := min(gemmMR, mc-ir)
@@ -410,21 +421,23 @@ func (g *gemm) band(wk *worker, rowLo, rowHi int) {
 							as, lda = edgeA, kc
 						}
 						ct := c[(ic+ir)*ldc+jc+jr:]
-						if mr == gemmMR && nr == gemmNR {
-							micro(as, lda, bs, kc, ct, ldc)
+						if mr == gemmMR && nr == w {
+							kern(as, lda, bs, kc, ct, ldc)
 							continue
 						}
 						// Edge tile: run the same kernel on a copy of the
-						// valid region, so its bits match a full tile's.
-						t := wk.edge[:]
+						// valid region, so its bits match a full tile's. A
+						// partial strip's padding columns are packed zeros.
+						t := wk.edge[:gemmMR*w]
 						for i := 0; i < mr; i++ {
-							copy(t[i*gemmNR:i*gemmNR+nr], ct[i*ldc:i*ldc+nr])
+							copy(t[i*w:i*w+nr], ct[i*ldc:i*ldc+nr])
 						}
-						micro(as, lda, bs, kc, t, gemmNR)
+						kern(as, lda, bs, kc, t, w)
 						for i := 0; i < mr; i++ {
-							copy(ct[i*ldc:i*ldc+nr], t[i*gemmNR:i*gemmNR+nr])
+							copy(ct[i*ldc:i*ldc+nr], t[i*w:i*w+nr])
 						}
 					}
+					jr += w
 				}
 			}
 		}

@@ -11,30 +11,42 @@ import (
 	"harvest/internal/tensor"
 )
 
-// TestGoldenLogitsStripTile is the int8 rows of models.TestGoldenLogits
-// — same forward, inputs and hashes — with the int8 GEMM held to the
-// AVX2 6×16 tile, so that body keeps its bit-identity check on hosts
-// whose dispatch picks the VNNI pair tile.
+// TestGoldenLogitsStripTile is models.TestGoldenLogits — same forward,
+// inputs and hashes — with the float and int8 GEMMs held to their 6×16
+// tiles, so those bodies keep their bit-identity check on hosts whose
+// dispatch picks the AVX-512 pair tiles.
 func TestGoldenLogitsStripTile(t *testing.T) {
 	if tensor.Kernels == "go" {
 		t.Skip("Go bodies: the hashes are those of the AVX2/FMA bodies")
 	}
 	golden := []struct {
-		model string
-		size  int
-		hash  uint64
+		model, prec string
+		hash        uint64
 	}{
-		{models.NameViTTiny, 32, 0x4b437528d4bc2d40},
-		{"ResNet_Mini", 64, 0x019298eff3e1cc94},
-		{"ViT_Micro", 32, 0xe99cee1057fc9525},
+		{models.NameViTTiny, models.PrecFP32, 0x6b13282841612e41},
+		{models.NameViTTiny, models.PrecFP16, 0x5d6e05ee06e51a79},
+		{models.NameViTTiny, models.PrecBF16, 0xa16c776f7b2dc5ce},
+		{models.NameViTTiny, models.PrecInt8, 0x4b437528d4bc2d40},
+		{"ResNet_Mini", models.PrecFP32, 0x45f2f4d208aef73c},
+		{"ResNet_Mini", models.PrecFP16, 0x21002a5936542e28},
+		{"ResNet_Mini", models.PrecBF16, 0x724dbf027cfb7388},
+		{"ResNet_Mini", models.PrecInt8, 0x019298eff3e1cc94},
+		{"ViT_Micro", models.PrecFP32, 0x25eb143f650593a0},
+		{"ViT_Micro", models.PrecFP16, 0xc975428a4867f190},
+		{"ViT_Micro", models.PrecBF16, 0xa81f2e14b1ef635c},
+		{"ViT_Micro", models.PrecInt8, 0xe99cee1057fc9525},
 	}
-	tensor.WithoutQ7Pair(func() {
+	tensor.WithoutPairTiles(func() {
 		for _, g := range golden {
-			m, err := models.NewExecutable(g.model, 1000, models.PrecInt8, stats.NewRNG(1))
+			size := 32
+			if g.model == "ResNet_Mini" {
+				size = 64
+			}
+			m, err := models.NewExecutable(g.model, 1000, g.prec, stats.NewRNG(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := tensor.New(3, 3, g.size, g.size)
+			x := tensor.New(3, 3, size, size)
 			x.RandInit(stats.NewRNG(2), 1)
 			y, err := m.Forward(x)
 			if err != nil {
@@ -47,7 +59,7 @@ func TestGoldenLogitsStripTile(t *testing.T) {
 				h.Write(b[:])
 			}
 			if got := h.Sum64(); got != g.hash {
-				t.Errorf("%s int8 on the 6×16 tile: logits hash %016x, want %016x", g.model, got, g.hash)
+				t.Errorf("%s %s on the 6×16 tiles: logits hash %016x, want %016x", g.model, g.prec, got, g.hash)
 			}
 		}
 	})

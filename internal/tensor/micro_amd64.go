@@ -2,29 +2,30 @@ package tensor
 
 import "harvest/internal/cpufeat"
 
-// micro, q7Strip and q7Pair are the register tiles every packed float
-// and int8 GEMM runs, picked once at package init: the AVX2(/FMA)
-// bodies when the CPU has AVX2 and FMA and the OS saves the YMM
-// registers, the Go bodies otherwise; and, when the CPU also has
-// AVX-512F and VNNI and the OS saves the ZMM registers, the 6×32 int8
-// pair tile (q7Pair.nr is 0 without one). The float bodies may differ in
-// the last bits (FMA rounds once per multiply-add); each is
-// deterministic. The int8 bodies are exact, so they agree bit for bit.
-var micro, q7Strip, q7Pair = pickMicro()
+// micro, microPair, q7Strip and q7Pair are the register tiles every
+// packed float and int8 GEMM runs, picked once at package init: the
+// AVX2(/FMA) 6×16 bodies when the CPU has AVX2 and FMA and the OS saves
+// the YMM registers, the Go bodies otherwise; and, when the CPU also has
+// AVX-512F and VNNI and the OS saves the ZMM registers, the 6×32 float
+// and int8 pair tiles (microPair is nil and q7Pair.nr 0 without them).
+// The float bodies may differ from the Go body in the last bits (FMA
+// rounds once per multiply-add); the two FMA tiles agree bit for bit,
+// and so do the int8 bodies, which are exact.
+var micro, microPair, q7Strip, q7Pair = pickMicro()
 
-func pickMicro() (microKernel, q7Body, q7Body) {
+func pickMicro() (microKernel, microKernel, q7Body, q7Body) {
 	switch {
 	case !cpufeat.AVX2FMA():
-		return microGo, q7StripGo, q7Body{}
+		return microGo, nil, q7StripGo, q7Body{}
 	case cpufeat.AVX512VNNI():
-		return microAVX2Body, q7StripAVX2, q7PairVNNI
+		return microAVX2Body, microPairAVX512Body, q7StripAVX2, q7PairVNNI
 	}
-	return microAVX2Body, q7StripAVX2, q7Body{}
+	return microAVX2Body, nil, q7StripAVX2, q7Body{}
 }
 
 var (
 	q7StripAVX2 = q7Body{q7MicroAVX2Body, q7DequantAVX2Body, gemmNR}
-	q7PairVNNI  = q7Body{q7MicroVNNIBody, q7DequantAVX512Body, q7PairNR}
+	q7PairVNNI  = q7Body{q7MicroVNNIBody, q7DequantAVX512Body, gemmPairNR}
 )
 
 // microAVX2 is the 6×16 kernel in micro_amd64.s: twelve ymm
@@ -42,6 +43,21 @@ func microAVX2Body(a []float32, lda int, bp []float32, kc int, c []float32, ldc 
 	}
 	_, _, _ = a[(gemmMR-1)*lda+kc-1], bp[gemmNR*kc-1], c[(gemmMR-1)*ldc+gemmNR-1]
 	microAVX2(&a[0], lda, &bp[0], kc, &c[0], ldc)
+}
+
+// microPairAVX512 is the 6×32 kernel in micro_amd64.s over the two
+// packed strips at b and b+16·kc: twelve zmm accumulators, VBROADCASTSS
+// of A against one 16-wide load of each strip, one VFMADD231PS each.
+//
+//go:noescape
+func microPairAVX512(a *float32, lda int, b *float32, kc int, c *float32, ldc int)
+
+func microPairAVX512Body(a []float32, lda int, bp []float32, kc int, c []float32, ldc int) {
+	if kc < 1 || lda < kc || ldc < gemmPairNR {
+		panic(shapeErrf("pair micro-kernel: kc=%d, lda=%d, ldc=%d", kc, lda, ldc))
+	}
+	_, _, _ = a[(gemmMR-1)*lda+kc-1], bp[gemmPairNR*kc-1], c[(gemmMR-1)*ldc+gemmPairNR-1]
+	microPairAVX512(&a[0], lda, &bp[0], kc, &c[0], ldc)
 }
 
 // q7MicroAVX2 is the 6×16 int8 kernel in micro_amd64.s: twelve ymm
@@ -66,6 +82,6 @@ func q7MicroAVX2Body(a []uint8, lda int, b []uint8, kg int, c *q7Tile) {
 func q7MicroVNNI(a *uint8, lda int, b *uint8, kg int, c *int32)
 
 func q7MicroVNNIBody(a []uint8, lda int, b []uint8, kg int, c *q7Tile) {
-	_, _ = a[(gemmMR-1)*lda+4*kg-1], b[4*q7PairNR*kg-1]
+	_, _ = a[(gemmMR-1)*lda+4*kg-1], b[4*gemmPairNR*kg-1]
 	q7MicroVNNI(&a[0], lda, &b[0], kg, &c[0])
 }

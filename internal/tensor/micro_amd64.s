@@ -67,6 +67,75 @@ loop:
 	VZEROUPPER
 	RET
 
+// Adds one row of pair accumulators (lo, hi: strips 0 and 1) into C at
+// DX and steps DX to the next row (R8 = ldc in bytes).
+#define PAIRSTOREROW(lo, hi) \
+	VADDPS (DX), lo, lo; \
+	VMOVUPS lo, (DX); \
+	VADDPS 64(DX), hi, hi; \
+	VMOVUPS hi, 64(DX); \
+	ADDQ R8, DX
+
+// Broadcasts the A value at addr into bc and FMAs it with the two
+// strips' B rows (Z0, Z1) into one row of pair accumulators.
+#define PAIRFMAROW(addr, bc, lo, hi) \
+	VBROADCASTSS addr, bc; \
+	VFMADD231PS Z0, bc, lo; \
+	VFMADD231PS Z1, bc, hi
+
+// func microPairAVX512(a *float32, lda int, b *float32, kc int, c *float32, ldc int)
+// microAVX2 over two adjacent packed strips, the second R12 = 64·kc
+// bytes after the first: per lane the same FMAs in the same order, so
+// the same bits. kc >= 1: the loop runs before it tests. Z0-Z15 only.
+TEXT ·microPairAVX512(SB), NOSPLIT, $0-48
+	MOVQ   a+0(FP), SI
+	MOVQ   lda+8(FP), R9
+	MOVQ   b+16(FP), DI
+	MOVQ   kc+24(FP), CX
+	MOVQ   c+32(FP), DX
+	MOVQ   ldc+40(FP), R8
+	SHLQ   $2, R8
+	SHLQ   $2, R9
+	LEAQ   (R9)(R9*2), R10
+	LEAQ   (R9)(R9*4), R11
+	MOVQ   CX, R12
+	SHLQ   $6, R12
+	VXORPS Z4, Z4, Z4
+	VXORPS Z5, Z5, Z5
+	VXORPS Z6, Z6, Z6
+	VXORPS Z7, Z7, Z7
+	VXORPS Z8, Z8, Z8
+	VXORPS Z9, Z9, Z9
+	VXORPS Z10, Z10, Z10
+	VXORPS Z11, Z11, Z11
+	VXORPS Z12, Z12, Z12
+	VXORPS Z13, Z13, Z13
+	VXORPS Z14, Z14, Z14
+	VXORPS Z15, Z15, Z15
+
+pairloop:
+	VMOVUPS (DI), Z0
+	VMOVUPS (DI)(R12*1), Z1
+	PAIRFMAROW((SI), Z2, Z4, Z5)
+	PAIRFMAROW((SI)(R9*1), Z3, Z6, Z7)
+	PAIRFMAROW((SI)(R9*2), Z2, Z8, Z9)
+	PAIRFMAROW((SI)(R10*1), Z3, Z10, Z11)
+	PAIRFMAROW((SI)(R9*4), Z2, Z12, Z13)
+	PAIRFMAROW((SI)(R11*1), Z3, Z14, Z15)
+	ADDQ    $4, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     pairloop
+
+	PAIRSTOREROW(Z4, Z5)
+	PAIRSTOREROW(Z6, Z7)
+	PAIRSTOREROW(Z8, Z9)
+	PAIRSTOREROW(Z10, Z11)
+	PAIRSTOREROW(Z12, Z13)
+	PAIRSTOREROW(Z14, Z15)
+	VZEROUPPER
+	RET
+
 // Broadcasts one A row's four codes at addr and adds their dot products
 // with the 16 columns' four codes of the B group at DI into lo (columns
 // 0-7) and hi (8-15). Y15 holds int16 ones; Y12 and Y13 are scratch.

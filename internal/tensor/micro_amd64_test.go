@@ -15,8 +15,8 @@ import (
 
 // TestMicroDispatchPicksAsm: on a CPU with AVX2 and FMA, the float and
 // int8 GEMMs and every per-element pass must run their assembly bodies,
-// and the int8 GEMM its VNNI pair tile where the CPU has AVX-512 VNNI.
-// A silent fallback to the Go bodies or the narrower tile is still
+// and both GEMMs their 6×32 pair tiles where the CPU has AVX-512 VNNI.
+// A silent fallback to the Go bodies or the narrower tiles is still
 // correct, so no other test would notice the loss.
 func TestMicroDispatchPicksAsm(t *testing.T) {
 	if !cpufeat.AVX2FMA() {
@@ -36,8 +36,16 @@ func TestMicroDispatchPicksAsm(t *testing.T) {
 		if !sameBody(q7Pair, q7PairVNNI) {
 			t.Error("int8 GEMM dispatch did not pick the VNNI 6×32 pair tile")
 		}
-	} else if q7Pair.nr != 0 {
-		t.Errorf("int8 pair tile %d wide on a CPU without AVX-512 VNNI", q7Pair.nr)
+		if !same(microPair, microPairAVX512Body) {
+			t.Error("float GEMM dispatch did not pick the AVX-512 6×32 pair tile")
+		}
+	} else {
+		if q7Pair.nr != 0 {
+			t.Errorf("int8 pair tile %d wide on a CPU without AVX-512 VNNI", q7Pair.nr)
+		}
+		if microPair != nil {
+			t.Error("float pair tile picked on a CPU without AVX-512 VNNI")
+		}
 	}
 	got, want := reflect.ValueOf(vec), reflect.ValueOf(vecAVX2)
 	for i := range got.NumField() {
@@ -257,7 +265,7 @@ func TestQ7DequantBodiesAgree(t *testing.T) {
 		bodies = append(bodies, q7PairVNNI)
 	}
 	r := stats.NewRNG(53)
-	const ldc = q7PairNR + 5
+	const ldc = gemmPairNR + 5
 	var tile q7Tile
 	for i := range tile {
 		tile[i] = int32(r.Intn(1<<27)) - 1<<26
@@ -266,7 +274,7 @@ func TestQ7DequantBodiesAgree(t *testing.T) {
 	for i := range rows {
 		rows[i] = quant.Q7Params{Scale: float32(r.Float64() * 0.1), ZeroPoint: int32(r.Intn(128))}
 	}
-	scales, rowSum := make([]float32, q7PairNR), make([]int32, q7PairNR)
+	scales, rowSum := make([]float32, gemmPairNR), make([]int32, gemmPairNR)
 	for j := range scales {
 		scales[j], rowSum[j] = float32(r.Float64()*0.05), int32(r.Intn(20000))-10000
 	}
@@ -421,7 +429,7 @@ func TestQ7BodiesAgree(t *testing.T) {
 	for _, kg := range kgs {
 		for _, lda := range []int{4 * kg, 4*kg + 13} {
 			a := bytes.Repeat([]uint8{255}, (gemmMR-1)*lda+4*kg)
-			b := make([]uint8, 4*q7PairNR*kg)
+			b := make([]uint8, 4*gemmPairNR*kg)
 			for _, extreme := range []bool{false, true} {
 				for i := 0; i < gemmMR; i++ {
 					for p := 0; p < 4*kg; p++ {
@@ -453,7 +461,7 @@ func TestQ7BodiesAgree(t *testing.T) {
 				for i := 0; i < gemmMR; i++ {
 					for s := range 2 {
 						requireSameInts(t, fmt.Sprintf("VNNI vs Go, row %d strip %d, %s", i, s, what),
-							pair[i*q7PairNR+s*gemmNR:][:gemmNR], goT[s][i*gemmNR:][:gemmNR])
+							pair[i*gemmPairNR+s*gemmNR:][:gemmNR], goT[s][i*gemmNR:][:gemmNR])
 					}
 				}
 			}
@@ -496,13 +504,14 @@ func TestQ7BodiesAgree(t *testing.T) {
 
 // TestMicroBodiesAgree runs the AVX2/FMA body and the Go body over the
 // same packed strips — every gemmShapes entry plus the float16/bfloat16
-// path — so the fallback the dispatch picks on other CPUs is exercised
-// on every run here.
+// path, with the pair tile off — so the fallback the dispatch picks on
+// other CPUs is exercised on every run here.
 func TestMicroBodiesAgree(t *testing.T) {
 	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2/FMA: the Go body is the only one")
 	}
-	defer func(k microKernel) { micro = k }(micro)
+	defer func(k, p microKernel) { micro, microPair = k, p }(micro, microPair)
+	microPair = nil
 	both := func(f func() *Tensor) (asm, gob *Tensor) {
 		micro = microAVX2Body
 		asm = f()
@@ -558,6 +567,81 @@ func TestMicroBodiesAgree(t *testing.T) {
 			if d := float32(MaxAbsDiff(asm, gob)); d > gemmTol(k) {
 				t.Errorf("bf16=%v (%d,%d,%d): AVX2 and Go bodies differ by %g", bf16, m, n, k, d)
 			}
+		}
+	}
+}
+
+// TestMicroPairMatchesStrips: the AVX-512 pair tile gives the AVX2 6×16
+// tile's bits, compared with ==.
+//   - The bodies on one 6-row A strip read in place — rows lda apart with
+//     NaN between them, which no body may read — and two adjacent packed
+//     strips, into a C tile with prior contents at a row stride wider
+//     than the tile: the pair body equals two AVX2 calls, one per strip,
+//     padding columns included.
+//   - The dispatched GEMM equals the strip-only one on every gemmShapes
+//     entry and on m ∈ {1,5,6,7,514} × n ∈ {16,17,31,32,33,48,257,1000}
+//     at k 7 and 300: B row-major (the conv layout) and transposed,
+//     accumulating into prior contents and overwriting them, the
+//     bias+GELU and softmax epilogues, and float16 and bfloat16 B.
+func TestMicroPairMatchesStrips(t *testing.T) {
+	if microPair == nil {
+		t.Skip("CPU has no AVX-512 VNNI: the 6×16 tile is the only one")
+	}
+	r := stats.NewRNG(60)
+	for _, kc := range []int{1, 2, 7, 64, 255, 256} {
+		for _, lda := range []int{kc, kc + 1, kc + 13} {
+			a := filled((gemmMR-1)*lda+kc, float32(math.NaN()))
+			for i := 0; i < gemmMR; i++ {
+				for p := 0; p < kc; p++ {
+					a[i*lda+p] = float32(r.Float64()*2 - 1)
+				}
+			}
+			bp := randTensor(r, gemmPairNR*kc).Data
+			const ldc = gemmPairNR + 3
+			prior := randTensor(r, gemmMR*ldc).Data
+			got, want := slices.Clone(prior), slices.Clone(prior)
+			microPairAVX512Body(a, lda, bp, kc, got, ldc)
+			microAVX2Body(a, lda, bp, kc, want, ldc)
+			microAVX2Body(a, lda, bp[gemmNR*kc:], kc, want[gemmNR:], ldc)
+			requireSameFloats(t, fmt.Sprintf("pair body kc=%d lda=%d", kc, lda), got, want)
+		}
+	}
+
+	shapes := slices.Clone(gemmShapes)
+	for _, m := range []int{1, 5, 6, 7, 514} {
+		for _, n := range []int{16, 17, 31, 32, 33, 48, 257, 1000} {
+			shapes = append(shapes, [3]int{m, n, 7}, [3]int{m, n, 300})
+		}
+	}
+	for _, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		a, b, bt := randTensor(r, m, k).Data, randTensor(r, k, n).Data, randTensor(r, n, k).Data
+		prior, bias := randTensor(r, m, n).Data, randTensor(r, n).Data
+		f16, bf16 := make([]uint16, n*k), make([]uint16, n*k)
+		for i, v := range bt {
+			f16[i], bf16[i] = uint16(quant.FromFloat32(v)), uint16(quant.BF16FromFloat32(v))
+		}
+		products := []struct {
+			name string
+			g    gemm
+		}{
+			{"B accumulate", gemm{b: b, ldb: n}},
+			{"B overwrite", gemm{b: b, ldb: n, zero: true}},
+			{"Bᵀ accumulate", gemm{b: bt, ldb: k, transB: true}},
+			{"Bᵀ bias+GELU", gemm{b: bt, ldb: k, transB: true, zero: true, epi: Epilogue{Bias: bias, GELU: true}}},
+			{"Bᵀ softmax", gemm{b: bt, ldb: k, transB: true, zero: true, epi: Epilogue{SoftmaxScale: 0.125}}},
+			{"float16 Bᵀ", gemm{bh: f16, ldb: k, transB: true}},
+			{"bfloat16 Bᵀ", gemm{bh: bf16, ldb: k, transB: true, bf16: true}},
+		}
+		for _, p := range products {
+			g := p.g
+			g.a, g.lda, g.ldc, g.m, g.n, g.k = a, k, n, m, n, k
+			got, want := slices.Clone(prior), slices.Clone(prior)
+			g.c = got
+			g.run()
+			g.c = want
+			WithoutPairTiles(g.run)
+			requireSameFloats(t, fmt.Sprintf("%s (%d,%d,%d)", p.name, m, n, k), got, want)
 		}
 	}
 }

@@ -34,13 +34,9 @@ type PackedQ7 struct {
 	weights bool
 }
 
-// q7PairNR is the width of the widest int8 tile: two adjacent weight
-// strips.
-const q7PairNR = 2 * gemmNR
-
 // q7Tile holds one int8 tile's int32 sums, rows as many columns apart
-// as the tile is wide: 16 or q7PairNR.
-type q7Tile [gemmMR * q7PairNR]int32
+// as the tile is wide: 16 or gemmPairNR.
+type q7Tile [gemmMR * gemmPairNR]int32
 
 // q7Body is one int8 register tile nr columns wide (nr/16 adjacent
 // weight strips): a kernel computing the 6×nr int32 product of a

@@ -10,8 +10,8 @@ import (
 // vec is the set of per-element bodies the forward runs, and Kernels
 // names the register and vector bodies picked at init (pickMicro's
 // CPUID checks): "avx2" when the CPU has AVX2 and FMA and the OS saves
-// the YMM registers, "avx2+avx512vnni" when the int8 GEMM also has the
-// 6×32 VNNI pair tile, "go" otherwise.
+// the YMM registers, "avx2+avx512vnni" when the float and int8 GEMMs
+// also have their 6×32 AVX-512 pair tiles, "go" otherwise.
 var vec, Kernels = pickVec()
 
 func pickVec() (vecBodies, string) {
@@ -194,7 +194,7 @@ func q7DequantAVX2Body(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant
 }
 
 func q7DequantAVX512Body(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
-	if q7DequantFull(c, ldc, tile, ldt, q7PairNR, rows, scales, rowSum) {
+	if q7DequantFull(c, ldc, tile, ldt, gemmPairNR, rows, scales, rowSum) {
 		q7DequantAVX512(&c[0], ldc, &tile[0], &rows[0], len(rows), &scales[0], &rowSum[0], accumulate)
 		return
 	}
