@@ -23,7 +23,8 @@ type gemmBenchReport struct {
 		GOMAXPROCS int    `json:"gomaxprocs"`
 		NumCPU     int    `json:"num_cpu"`
 		// tensor.Kernels: "avx2+avx512vnni" (the float and int8 GEMMs
-		// on their 6×32 AVX-512 pair tiles), "avx2" or "go".
+		// on their 6×32 AVX-512 pair tiles, the per-row passes on their
+		// 16-lane bodies), "avx2" or "go".
 		Kernels string `json:"kernels"`
 	} `json:"host"`
 	GemmN int `json:"gemm_n"`

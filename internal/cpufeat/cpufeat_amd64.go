@@ -24,7 +24,10 @@ func AVX2FMA() bool {
 // AVX512VNNI reports CPUID's AVX512F (leaf 7 EBX) and AVX512_VNNI
 // (leaf 7 ECX) bits, and XGETBV's XMM, YMM, opmask and both ZMM
 // state-enabled bits. It says nothing about AVX2: a caller that runs
-// AVX2 code beside the 512-bit body asks AVX2FMA too.
+// AVX2 code beside the 512-bit body asks AVX2FMA too. Nor does it check
+// AVX512DQ, BW or VL (leaf 7 EBX bits 17, 30 and 31): the bodies it
+// picks use AVX512F instructions on zmm registers only, and a body that
+// needs one of those must add its bit here.
 func AVX512VNNI() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false

@@ -114,6 +114,14 @@ func (e *Engine) MaxBatch(cap int) int {
 // this, InferTensors runs real forward passes through the packed
 // (quantized, for int8/f16) GEMM kernels.
 func (e *Engine) AttachReal(precision string, seed uint64) error {
+	// The weights are allocated in one burst (22 MB for ViT_Tiny at
+	// fp32). Collect first, so that the burst starts from the live heap
+	// with the whole way to the next heap goal before it, not from
+	// wherever earlier work left the heap: a collection that lands
+	// inside the burst while another model is still live sets the next
+	// goal from both, and the process grows to that goal before it
+	// collects again.
+	runtime.GC()
 	f, err := models.NewExecutable(e.Entry.Spec.Name, e.Entry.Spec.NumClasses, precision, stats.NewRNG(seed))
 	if err != nil {
 		return err

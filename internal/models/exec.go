@@ -113,13 +113,8 @@ func encodeHalf(xs []float32, bf16 bool) []uint16 {
 }
 
 func (l halfLinear) apply(_ *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue) {
-	y := dst[:m*l.out]
-	if !acc {
-		clear(y)
-	}
-	tensor.GemmTransBF16Into(y, x, l.w, m, l.out, l.in, l.bf16)
 	epi.Bias = l.bias
-	epi.Apply(y, m, l.out)
+	tensor.GemmTransBF16Epilogue(dst, x, l.w, m, l.out, l.in, l.bf16, acc, epi)
 }
 
 // q7Weights holds symmetric per-output-channel 7-bit weights (out × in)

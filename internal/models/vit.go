@@ -253,8 +253,11 @@ func (m *ViTModel) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // forward runs the whole batch at once: the tokens of all B images are
 // one (B·n × d) activation, so each linear layer is one GEMM per batch.
 // fc1 applies bias+GELU in its epilogue, proj and fc2 accumulate into the
-// residual stream, and attention runs its (image, head) pairs as
-// parallel tasks reading Q, K and V out of the qkv activation in place.
+// residual stream and write its layer norm for the next linear (proj the
+// block's norm2, fc2 the next block's norm1) in theirs, and attention
+// runs its (image, head) pairs as parallel tasks reading Q, K and V out
+// of the qkv activation in place. Only block 0's norm1 and the class
+// tokens' norm run on their own.
 // Every row is computed the same way whatever B is, so a batch's logits
 // equal its images' single forwards bit for bit.
 func (m *ViTModel) forward(e *vitExec, x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -302,15 +305,22 @@ func (m *ViTModel) forward(e *vitExec, x *tensor.Tensor) (*tensor.Tensor, error)
 	qkv := tensor.Grow(&ws.qkv, rows*3*d)
 	attn := tensor.Grow(&ws.attn, rows*d)
 	hidden := tensor.Grow(&ws.hidden, rows*c.MLPRatio*d)
+	norm := func(g, b *tensor.Tensor) tensor.Norm {
+		return tensor.Norm{Dst: normed, Gamma: g.Data, Beta: b.Data, Eps: 1e-6}
+	}
+	blk0 := &m.blocks[0]
+	tensor.LayerNormRows(normed, tokens, rows, d, blk0.norm1G.Data, blk0.norm1B.Data, 1e-6)
 	for bi := range m.blocks {
 		blk, ops := &m.blocks[bi], &e.blocks[bi]
-		tensor.LayerNormRows(normed, tokens, rows, d, blk.norm1G.Data, blk.norm1B.Data, 1e-6)
 		ops.qkv.apply(ws, qkv, normed, rows, false, tensor.Epilogue{})
 		tensor.MultiHeadAttention(attn, qkv, batch, n, c.Heads, d/c.Heads)
-		ops.proj.apply(ws, tokens, attn, rows, true, tensor.Epilogue{})
-		tensor.LayerNormRows(normed, tokens, rows, d, blk.norm2G.Data, blk.norm2B.Data, 1e-6)
+		ops.proj.apply(ws, tokens, attn, rows, true, tensor.Epilogue{Norm: norm(blk.norm2G, blk.norm2B)})
 		ops.fc1.apply(ws, hidden, normed, rows, false, tensor.Epilogue{GELU: true})
-		ops.fc2.apply(ws, tokens, hidden, rows, true, tensor.Epilogue{})
+		var next tensor.Epilogue
+		if bi+1 < len(m.blocks) {
+			next.Norm = norm(m.blocks[bi+1].norm1G, m.blocks[bi+1].norm1B)
+		}
+		ops.fc2.apply(ws, tokens, hidden, rows, true, next)
 	}
 
 	// The head reads only the class tokens, so only they are normed.

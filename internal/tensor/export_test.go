@@ -1,9 +1,11 @@
 package tensor
 
-// WithoutPairTiles runs f with the float and int8 GEMMs on their 6×16
-// tiles alone, as on a host without the AVX-512 pair tiles.
-func WithoutPairTiles(f func()) {
-	defer func(m microKernel, q q7Body) { microPair, q7Pair = m, q }(microPair, q7Pair)
+// WithoutAVX512 runs f as on a host without AVX-512: the float and int8
+// GEMMs on their 6×16 tiles alone and the per-element passes on their
+// 8-lane bodies.
+func WithoutAVX512(f func()) {
+	defer func(m microKernel, q q7Body, v vecBodies) { microPair, q7Pair, vec = m, q, v }(microPair, q7Pair, vec)
 	microPair, q7Pair = nil, q7Body{}
+	vec, _ = pickVec(false)
 	f()
 }

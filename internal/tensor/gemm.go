@@ -258,9 +258,11 @@ func (g *gemm) run() {
 }
 
 // check panics with ErrShape unless every operand holds the m×n×k
-// product at its row strides. It runs on the caller's goroutine, before
-// any band starts: a band that ran off an operand would panic on a
-// helper goroutine, where nothing can recover it.
+// product at its row strides, and the epilogue's norm fits (Norm.check)
+// and writes apart from A, which other bands may still be reading. It
+// runs on the caller's goroutine, before any band starts: a band that
+// ran off an operand would panic on a helper goroutine, where nothing
+// can recover it.
 func (g *gemm) check() {
 	span := func(rows, cols, ld int) int { return (rows-1)*ld + cols }
 	cLen, bLen := len(g.c), len(g.b)
@@ -284,7 +286,13 @@ func (g *gemm) check() {
 		bad = "B"
 	case g.epi.Bias != nil && len(g.epi.Bias) < g.n:
 		bad = "the bias"
+	case g.epi.Norm.Dst == nil:
+		return
 	default:
+		g.epi.Norm.check(g.c, g.m, g.n, g.ldc)
+		if g.qa == nil && overlaps(g.epi.Norm.Dst[:g.m*g.n], g.a[:span(g.m, g.k, g.lda)]) {
+			panic(shapeErrf("the norm's destination overlaps A of a %d×%d×%d product", g.m, g.n, g.k))
+		}
 		return
 	}
 	panic(shapeErrf("%s is too short for a %d×%d×%d product (lda %d, ldb %d, ldc %d)",

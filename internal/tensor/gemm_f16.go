@@ -14,13 +14,21 @@ import (
 // lives only in a worker's pack buffer; the micro-kernel is the same
 // one the f32 path uses.
 func GemmTransBF16Into(c, a []float32, b []uint16, m, n, k int, bf16 bool) {
+	GemmTransBF16Epilogue(c, a, b, m, n, k, bf16, true, Epilogue{})
+}
+
+// GemmTransBF16Epilogue is GemmTransBF16Into computing c = a·bᵀ, or
+// c += a·bᵀ when accumulate, then applying epi to each finished row
+// inside the parallel row bands, as GemmTransBEpilogue does.
+func GemmTransBF16Epilogue(c, a []float32, b []uint16, m, n, k int, bf16, accumulate bool, epi Epilogue) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return
 	}
 	if len(b) < n*k {
-		panic(shapeErrf("GemmTransBF16Into weights have %d values, want %d", len(b), n*k))
+		panic(shapeErrf("half-precision B has %d values, want %d", len(b), n*k))
 	}
-	g := gemm{c: c, a: a, bh: b, ldc: n, lda: k, ldb: k, m: m, n: n, k: k, transB: true, bf16: bf16}
+	g := gemm{c: c, a: a, bh: b, ldc: n, lda: k, ldb: k, m: m, n: n, k: k, transB: true, bf16: bf16,
+		zero: !accumulate, epi: epi}
 	g.run()
 }
 

@@ -13,8 +13,9 @@ import (
 
 // TestGoldenLogitsStripTile is models.TestGoldenLogits — same forward,
 // inputs and hashes — with the float and int8 GEMMs held to their 6×16
-// tiles, so those bodies keep their bit-identity check on hosts whose
-// dispatch picks the AVX-512 pair tiles.
+// tiles and the per-element passes to their 8-lane bodies, so those
+// bodies keep their bit-identity check on hosts whose dispatch picks the
+// AVX-512 pair tiles and 16-lane passes.
 func TestGoldenLogitsStripTile(t *testing.T) {
 	if tensor.Kernels == "go" {
 		t.Skip("Go bodies: the hashes are those of the AVX2/FMA bodies")
@@ -36,7 +37,7 @@ func TestGoldenLogitsStripTile(t *testing.T) {
 		{"ViT_Micro", models.PrecBF16, 0xa81f2e14b1ef635c},
 		{"ViT_Micro", models.PrecInt8, 0xe99cee1057fc9525},
 	}
-	tensor.WithoutPairTiles(func() {
+	tensor.WithoutAVX512(func() {
 		for _, g := range golden {
 			size := 32
 			if g.model == "ResNet_Mini" {
@@ -59,7 +60,7 @@ func TestGoldenLogitsStripTile(t *testing.T) {
 				h.Write(b[:])
 			}
 			if got := h.Sum64(); got != g.hash {
-				t.Errorf("%s %s on the 6×16 tiles: logits hash %016x, want %016x", g.model, g.prec, got, g.hash)
+				t.Errorf("%s %s on the 6×16 tiles and 8-lane passes: logits hash %016x, want %016x", g.model, g.prec, got, g.hash)
 			}
 		}
 	})

@@ -15,7 +15,8 @@ import (
 
 // TestMicroDispatchPicksAsm: on a CPU with AVX2 and FMA, the float and
 // int8 GEMMs and every per-element pass must run their assembly bodies,
-// and both GEMMs their 6×32 pair tiles where the CPU has AVX-512 VNNI.
+// and where the CPU has AVX-512 VNNI both GEMMs their 6×32 pair tiles
+// and the passes their 16-lane set.
 // A silent fallback to the Go bodies or the narrower tiles is still
 // correct, so no other test would notice the loss.
 func TestMicroDispatchPicksAsm(t *testing.T) {
@@ -47,10 +48,14 @@ func TestMicroDispatchPicksAsm(t *testing.T) {
 			t.Error("float pair tile picked on a CPU without AVX-512 VNNI")
 		}
 	}
-	got, want := reflect.ValueOf(vec), reflect.ValueOf(vecAVX2)
+	set, want := "AVX2", reflect.ValueOf(vecAVX2)
+	if cpufeat.AVX512VNNI() {
+		set, want = "AVX-512", reflect.ValueOf(vecAVX512)
+	}
+	got := reflect.ValueOf(vec)
 	for i := range got.NumField() {
 		if got.Field(i).Pointer() != want.Field(i).Pointer() {
-			t.Errorf("vector dispatch did not pick the AVX2 %s body", got.Type().Field(i).Name)
+			t.Errorf("vector dispatch did not pick the %s %s body", set, got.Type().Field(i).Name)
 		}
 	}
 	if Kernels != kernels {
@@ -59,14 +64,24 @@ func TestMicroDispatchPicksAsm(t *testing.T) {
 }
 
 // vecRowLens are the row lengths the vector bodies are checked at:
-// every length up to 70 (whole groups of eight, tails, rows shorter
-// than one group) and two model widths, 257 tokens and 768 features.
+// every length up to 70 (whole groups of eight and sixteen, tails, rows
+// shorter than one group) and three model widths, 192 features, 257
+// tokens and 768 features.
 var vecRowLens = append(func() (ls []int) {
 	for n := range 71 {
 		ls = append(ls, n)
 	}
 	return ls
-}(), 257, 768)
+}(), 192, 257, 768)
+
+// vecSets returns the assembly sets this CPU can run, by name.
+func vecSets() map[string]vecBodies {
+	sets := map[string]vecBodies{"AVX2": vecAVX2}
+	if cpufeat.AVX512VNNI() {
+		sets["AVX-512"] = vecAVX512
+	}
+	return sets
+}
 
 // vecSpecials are the values IEEE arithmetic treats apart: signed
 // zeros, the smallest and largest subnormals, the largest finite values,
@@ -115,11 +130,14 @@ func vecRows(r *stats.RNG, n int, extra []float32) [][]float32 {
 	return rows
 }
 
-// TestVecBodiesAgree runs every AVX2 per-element body and its Go body on
-// the same rows and wants the same bits: the epilogue's bias add, GELU
-// and softmax (at the attention scale, 1, and −1, which drives exp to
-// its upper clamp) over vecRowLens, with values at and just past the
-// exp clamp edges and the specials.
+// TestVecBodiesAgree runs every assembly per-element body — the AVX2
+// set, and the AVX-512 set where the CPU has it — and its Go body on the
+// same rows and wants the same bits: the epilogue's bias add, GELU and
+// softmax (at the attention scale, 1, and −1, which drives exp to its
+// upper clamp) and the quantizer's min/max over vecRowLens, with values
+// at and just past the exp clamp edges and the specials; and softmax
+// over blocks of 1…9 rows at a row stride wider than the row, so the
+// 16-lane body's four-row groups and its last rows both run.
 func TestVecBodiesAgree(t *testing.T) {
 	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go bodies are the only ones")
@@ -145,66 +163,121 @@ func TestVecBodiesAgree(t *testing.T) {
 		smEdges = append(smEdges, around(e, 8)...)
 	}
 	smEdges = append(smEdges, 0, -1, -10, -87, -89, -1e30)
+	minMaxRow := map[string]func([]float32) (float32, float32){"AVX2": minMaxAVX2Row, "AVX-512": minMaxAVX512Row}
 
 	r := stats.NewRNG(51)
-	for _, n := range vecRowLens {
-		bias := make([]float32, n)
-		for i := range bias {
-			bias[i] = float32(r.Float64()*2 - 1)
-		}
-		for _, row := range vecRows(r, n, geluEdges) {
-			check := func(what string, f func(vecBodies, []float32)) {
-				got, want := slices.Clone(row), slices.Clone(row)
-				f(vecAVX2, got)
-				f(vecGo, want)
-				requireSameFloats(t, fmt.Sprintf("%s n=%d", what, n), got, want)
+	for name, v := range vecSets() {
+		for _, n := range vecRowLens {
+			bias := make([]float32, n)
+			for i := range bias {
+				bias[i] = float32(r.Float64()*2 - 1)
 			}
-			check("bias", func(v vecBodies, x []float32) { v.bias(x, bias) })
-			check("gelu", func(v vecBodies, x []float32) { v.gelu(x) })
-		}
-		for _, row := range vecRows(r, n, smEdges) {
-			if n > 0 {
-				row[r.Intn(n)] = 0
+			for _, row := range vecRows(r, n, geluEdges) {
+				check := func(what string, f func(vecBodies, []float32)) {
+					got, want := slices.Clone(row), slices.Clone(row)
+					f(v, got)
+					f(vecGo, want)
+					requireSameFloats(t, fmt.Sprintf("%s %s n=%d", name, what, n), got, want)
+				}
+				check("bias", func(v vecBodies, x []float32) { v.bias(x, bias) })
+				check("gelu", func(v vecBodies, x []float32) { v.gelu(x) })
+				if n == 0 {
+					continue
+				}
+				lo, hi := minMaxRow[name](row)
+				wlo, whi := minMaxTail(row, row[0], row[0])
+				if math.Float32bits(lo) != math.Float32bits(wlo) || math.Float32bits(hi) != math.Float32bits(whi) {
+					t.Fatalf("%s min/max n=%d: %v %v, the Go scan gives %v %v", name, n, lo, hi, wlo, whi)
+				}
 			}
-			for _, scale := range []float32{0.125, 1, -1} {
-				got, want := slices.Clone(row), slices.Clone(row)
-				vecAVX2.softmax(got, scale)
-				vecGo.softmax(want, scale)
-				requireSameFloats(t, fmt.Sprintf("softmax n=%d scale=%v", n, scale), got, want)
+			for _, row := range vecRows(r, n, smEdges) {
+				if n > 0 {
+					row[r.Intn(n)] = 0
+				}
+				for _, scale := range []float32{0.125, 1, -1} {
+					got, want := slices.Clone(row), slices.Clone(row)
+					v.softmax(got, n, 1, n, scale)
+					vecGo.softmax(want, n, 1, n, scale)
+					requireSameFloats(t, fmt.Sprintf("%s softmax n=%d scale=%v", name, n, scale), got, want)
+				}
+			}
+			ldc := n + 3
+			for m := 1; m <= 9; m++ {
+				block := make([]float32, (m-1)*ldc+n)
+				for i := range block {
+					block[i] = float32(-40 * r.Float64())
+				}
+				got, want := slices.Clone(block), slices.Clone(block)
+				v.softmax(got, ldc, m, n, 0.125)
+				vecGo.softmax(want, ldc, m, n, 0.125)
+				requireSameFloats(t, fmt.Sprintf("%s softmax of %d rows n=%d", name, m, n), got, want)
 			}
 		}
 	}
 }
 
-// TestSoftmaxSumOrder pins the AVX2 softmax's float64 row sum to the Go
-// body's order — pair sums, then a running sum in row order — bit for
-// bit. The final float32(1/sum) rounds away most reorderings, so
-// TestVecBodiesAgree alone would not see one; rows whose exponentials
-// span 30 orders of magnitude make float64 rounding order-dependent.
+// TestSoftmaxSumOrder pins the assembly softmax's float64 row sum to the
+// Go body's order — pair sums, then a running sum in row order — bit
+// for bit, for the 8-lane body and the 16-lane four-row body (each row's
+// sum against its own Go sum). The final float32(1/sum) rounds away most
+// reorderings, so TestVecBodiesAgree alone would not see one; rows whose
+// exponentials span 30 orders of magnitude make float64 rounding
+// order-dependent.
 func TestSoftmaxSumOrder(t *testing.T) {
 	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
 	}
 	r := stats.NewRNG(54)
-	for n := 8; n <= 768; n += 8 {
+	row := func(n int) []float32 {
 		row := make([]float32, n)
 		for i := range row {
 			row[i] = float32(-70 * r.Float64())
 		}
 		row[r.Intn(n)] = 0
+		return row
+	}
+	goSum := func(row []float32) float64 {
 		exps := slices.Clone(row)
 		softmaxExp(exps, 0, 1, 0)
-		var want float64
-		for i := 0; i < n; i += 2 {
-			want += float64(exps[i]) + float64(exps[i+1])
+		var sum float64
+		i := 0
+		for ; i+1 < len(exps); i += 2 {
+			sum += float64(exps[i]) + float64(exps[i+1])
 		}
-		if got := softmaxExpAVX2(&row[0], n, 0, 1); math.Float64bits(got) != math.Float64bits(want) {
+		if i < len(exps) {
+			sum += float64(exps[i])
+		}
+		return sum
+	}
+	for n := 8; n <= 768; n += 8 {
+		x := row(n)
+		want := goSum(x)
+		if got := softmaxExpAVX2(&x[0], n, 0, 1); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("n=%d: AVX2 row sum %v, the Go order gives %v", n, got, want)
+		}
+	}
+	if !cpufeat.AVX512VNNI() {
+		return
+	}
+	for _, n := range vecRowLens[1:] {
+		ldc := n + 5
+		block := make([]float32, 7*ldc+n)
+		var want [8]float64
+		for i := range want {
+			copy(block[i*ldc:], row(n))
+			want[i] = goSum(block[i*ldc:][:n])
+		}
+		var sums [8]float64
+		softmaxAVX512x8(&block[0], ldc, n, 1, &sums)
+		for i, got := range sums {
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: AVX-512 row %d sum %v, the Go order gives %v", n, i, got, want[i])
+			}
 		}
 	}
 }
 
-// TestQ7QuantizeBodiesAgree: the AVX2 per-row calibrate-and-quantize
+// TestQ7QuantizeBodiesAgree: each assembly per-row calibrate-and-quantize
 // gives the Go body's parameters and codes on random rows of every
 // vecRowLens length — mixed, all positive, all negative, constant and
 // zero — and on rows whose values sit exactly on ties k+0.5 of the
@@ -216,10 +289,12 @@ func TestQ7QuantizeBodiesAgree(t *testing.T) {
 	r := stats.NewRNG(52)
 	check := func(what string, row []float32) {
 		t.Helper()
-		got, want := make([]uint8, len(row)), make([]uint8, len(row))
-		gp, wp := vecAVX2.quantize(got, row), vecGo.quantize(want, row)
-		if gp != wp || !bytes.Equal(got, want) {
-			t.Fatalf("%s n=%d: AVX2 gives %+v %v, Go %+v %v", what, len(row), gp, got, wp, want)
+		for name, v := range vecSets() {
+			got, want := make([]uint8, len(row)), make([]uint8, len(row))
+			gp, wp := v.quantize(got, row), vecGo.quantize(want, row)
+			if gp != wp || !bytes.Equal(got, want) {
+				t.Fatalf("%s n=%d: %s gives %+v %v, Go %+v %v", what, len(row), name, gp, got, wp, want)
+			}
 		}
 	}
 	for _, n := range vecRowLens {
@@ -640,8 +715,136 @@ func TestMicroPairMatchesStrips(t *testing.T) {
 			g.c = got
 			g.run()
 			g.c = want
-			WithoutPairTiles(g.run)
+			WithoutAVX512(g.run)
 			requireSameFloats(t, fmt.Sprintf("%s (%d,%d,%d)", p.name, m, n, k), got, want)
+		}
+	}
+}
+
+// TestLayerNormBodiesAgree: the AVX-512 row-lane LayerNorm gives the Go
+// body's bits, compared with ==.
+//   - The body against layerNormGo over 1…17 rows (every tail of a group
+//     of eight) and widths that are and are not multiples of 16, from src
+//     rows n and n+5 apart (NaN between them, which neither may read)
+//     and in place; rows at 1, 2⁶⁰ and 2⁻⁶⁰, rows mixing the three,
+//     constant rows and rows holding a special value. Nothing past the
+//     m·n values of dst is written.
+//   - The float64 mean and Σd²/n of one group of eight rows against the
+//     Go body's, bit for bit (float32(inv) rounds away most changes to
+//     the chains' order or an FMA in them), over the same widths.
+//   - The Norm epilogue of the packed float GEMM (one and two bands), of
+//     its bfloat16-B form and of the int8 linear against the product
+//     without it, then layerNormGo: the product and the norm both
+//     bit-equal.
+func TestLayerNormBodiesAgree(t *testing.T) {
+	if !cpufeat.AVX512VNNI() {
+		t.Skip("CPU has no AVX-512: the Go body is the only one")
+	}
+	r := stats.NewRNG(62)
+	rowValue := func(kind, j int) float32 {
+		v := float32(r.Float64()*2 - 1)
+		switch kind {
+		case 1:
+			return v * (1 << 60)
+		case 2:
+			return v / (1 << 60)
+		case 3:
+			return v * float32(math.Ldexp(1, 60*(j%3-1)))
+		case 4:
+			return 3.25
+		}
+		return v
+	}
+	const sentinel = 12345
+	for _, n := range []int{1, 7, 15, 16, 17, 33, 192, 200} {
+		g, b := randTensor(r, n).Data, randTensor(r, n).Data
+		for m := 1; m <= 17; m++ {
+			for _, ld := range []int{n, n + 5} {
+				src := filled((m-1)*ld+n, float32(math.NaN()))
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						src[i*ld+j] = rowValue((i+m)%5, j)
+					}
+				}
+				if m > 2 {
+					src[(m-2)*ld+r.Intn(n)] = vecSpecials[r.Intn(len(vecSpecials))]
+				}
+				got, want := filled(m*n+16, sentinel), filled(m*n+16, sentinel)
+				vecAVX512.norm(got, src, m, n, ld, g, b, 1e-6)
+				layerNormGo(want, src, m, n, ld, g, b, 1e-6)
+				requireSameFloats(t, fmt.Sprintf("%d rows of %d at stride %d", m, n, ld), got, want)
+				if ld == n {
+					got, want := slices.Clone(src), slices.Clone(src)
+					vecAVX512.norm(got, got, m, n, n, g, b, 1e-6)
+					layerNormGo(want, want, m, n, n, g, b, 1e-6)
+					requireSameFloats(t, fmt.Sprintf("%d rows of %d in place", m, n), got, want)
+				}
+			}
+		}
+	}
+
+	for _, n := range []int{1, 7, 15, 16, 17, 33, 192, 200} {
+		for kind := range 5 {
+			src := make([]float32, 8*n)
+			for i := range src {
+				src[i] = rowValue((kind+i/n)%5, i%n)
+			}
+			var want, got [2][8]float64
+			for r := range 8 {
+				row := src[r*n : r*n+n]
+				var mean, varacc float64
+				for _, v := range row {
+					mean += float64(v)
+				}
+				mean /= float64(n)
+				for _, v := range row {
+					d := float64(v) - mean
+					varacc += d * d
+				}
+				want[0][r], want[1][r] = mean, varacc/float64(n)
+			}
+			dst, g := make([]float32, 8*n), filled(n, 1)
+			layerNormAVX512(&dst[0], &src[0], 1, n, n, &g[0], &g[0], 1e-6, &got)
+			for i, what := range []string{"mean", "variance"} {
+				for r := range 8 {
+					if math.Float64bits(got[i][r]) != math.Float64bits(want[i][r]) {
+						t.Fatalf("n=%d row %d (kind %d): %s %v, the Go chain gives %v", n, r, (kind+r)%5, what, got[i][r], want[i][r])
+					}
+				}
+			}
+		}
+	}
+
+	for _, s := range [][3]int{{1, 17, 9}, {8, 192, 33}, {17, 200, 64}, {514, 192, 48}} {
+		m, n, k := s[0], s[1], s[2]
+		a, w := randTensor(r, m, k).Data, randTensor(r, n, k).Data
+		prior, bias, g, b := randTensor(r, m, n).Data, randTensor(r, n).Data, randTensor(r, n).Data, randTensor(r, n).Data
+		codes, scales := make([]int8, n*k), make([]float32, n)
+		for j := range scales {
+			row := w[j*k : j*k+k]
+			scales[j] = quant.CalibrateQ7Sym(row)
+			quant.QuantizeQ7SymInto(codes[j*k:j*k+k], row, scales[j])
+		}
+		packed := PackQ7Weights(codes, n, k)
+		half := make([]uint16, n*k)
+		for i, v := range w {
+			half[i] = uint16(quant.BF16FromFloat32(v))
+		}
+		for _, p := range []struct {
+			name string
+			run  func(c []float32, epi Epilogue)
+		}{
+			{"float", func(c []float32, epi Epilogue) { GemmTransBEpilogue(c, a, w, m, n, k, true, epi) }},
+			{"bfloat16", func(c []float32, epi Epilogue) { GemmTransBF16Epilogue(c, a, half, m, n, k, true, true, epi) }},
+			{"int8", func(c []float32, epi Epilogue) { Q7LinearEpilogue(c, a, m, k, packed, scales, true, epi) }},
+		} {
+			got, want := slices.Clone(prior), slices.Clone(prior)
+			gotN, wantN := make([]float32, m*n), make([]float32, m*n)
+			p.run(got, Epilogue{Bias: bias, GELU: true, Norm: Norm{Dst: gotN, Gamma: g, Beta: b, Eps: 1e-6}})
+			p.run(want, Epilogue{Bias: bias, GELU: true})
+			layerNormGo(wantN, want, m, n, n, g, b, 1e-6)
+			requireSameFloats(t, fmt.Sprintf("%s product (%d,%d,%d)", p.name, m, n, k), got, want)
+			requireSameFloats(t, fmt.Sprintf("%s product's norm (%d,%d,%d)", p.name, m, n, k), gotN, wantN)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"unsafe"
 
 	"harvest/internal/quant"
 )
@@ -35,53 +36,106 @@ func ReLU(t *Tensor) {
 // Epilogue is the work a GEMM does on each output row once the row is
 // final, inside the parallel row bands that computed it: add Bias, then
 // apply GELU, then — when SoftmaxScale is non-zero — replace the row by
-// softmax(row·SoftmaxScale). The zero value does nothing.
+// softmax(row·SoftmaxScale), then — when Norm.Dst is set — write the
+// row's layer norm into Norm.Dst. The zero value does nothing.
 type Epilogue struct {
 	Bias         []float32
 	GELU         bool
 	SoftmaxScale float32
+	Norm         Norm
+}
+
+// Norm is an epilogue's LayerNorm step: row i of the m×n product, with
+// the epilogue's other steps applied, normalized into Dst[i·n:(i+1)·n]
+// with the affine Gamma and Beta, as LayerNormRows does. Dst may be the
+// product itself when its rows are n apart; otherwise it must not
+// overlap the product or its A.
+type Norm struct {
+	Dst, Gamma, Beta []float32
+	Eps              float32
 }
 
 // Apply runs the epilogue over every row of the m×n row-major c, for
 // products computed outside the packed GEMM.
-func (e Epilogue) Apply(c []float32, m, n int) { e.rows(c, n, 0, m, n) }
+func (e Epilogue) Apply(c []float32, m, n int) {
+	if e.Norm.Dst != nil {
+		e.Norm.check(c, m, n, n)
+	}
+	e.rows(c, n, 0, m, n)
+}
 
 func (e Epilogue) rows(c []float32, ldc, lo, hi, n int) {
-	if e.Bias == nil && !e.GELU && e.SoftmaxScale == 0 {
-		return
+	if e.Bias != nil || e.GELU {
+		for i := lo; i < hi; i++ {
+			row := c[i*ldc : i*ldc+n]
+			if e.Bias != nil {
+				vec.bias(row, e.Bias[:n])
+			}
+			if e.GELU {
+				vec.gelu(row)
+			}
+		}
 	}
-	for i := lo; i < hi; i++ {
-		row := c[i*ldc : i*ldc+n]
-		if e.Bias != nil {
-			vec.bias(row, e.Bias[:n])
-		}
-		if e.GELU {
-			vec.gelu(row)
-		}
-		if e.SoftmaxScale != 0 {
-			vec.softmax(row, e.SoftmaxScale)
-		}
+	if e.SoftmaxScale != 0 {
+		vec.softmax(c[lo*ldc:], ldc, hi-lo, n, e.SoftmaxScale)
+	}
+	if nm := e.Norm; nm.Dst != nil {
+		vec.norm(nm.Dst[lo*n:], c[lo*ldc:], hi-lo, n, ldc, nm.Gamma, nm.Beta, nm.Eps)
 	}
 }
 
-// vecBodies are the forward's per-element passes: the epilogue's row
-// functions, the int8 linear's per-row quantization, and the transposes
-// that pack a row-major B's strips.
+// check panics with ErrShape unless the norm of m rows of n values, ld
+// apart in src, fits its operands: Dst holds m·n values and is src
+// itself (at ld n) or apart from it, γ and β hold n. The assembly
+// bodies read and write without bounds checks.
+func (nm Norm) check(src []float32, m, n, ld int) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	span := (m-1)*ld + n
+	var bad string
+	switch {
+	case len(src) < span || len(nm.Dst) < m*n:
+		bad = "the source or destination is short"
+	case len(nm.Gamma) < n || len(nm.Beta) < n:
+		bad = "γ or β is short"
+	case overlaps(nm.Dst[:m*n], src[:span]) && (&nm.Dst[0] != &src[0] || ld != n):
+		bad = "the destination overlaps the source"
+	default:
+		return
+	}
+	panic(shapeErrf("layer norm of %d rows of %d (source row stride %d): %s", m, n, ld, bad))
+}
+
+// overlaps reports whether a and b share an element.
+func overlaps(a, b []float32) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b))*4 && pb < pa+uintptr(len(a))*4
+}
+
+// vecBodies are the forward's per-element and per-row passes: the
+// epilogue's steps over rows ldc apart, the int8 linear's per-row
+// quantization, and the transposes that pack a row-major B's strips.
 // vec holds the set picked once at init, as micro is picked: vecGo, the
 // Go bodies, is the reference and the portable path; on amd64 with
-// AVX2, vec_amd64.s has 8-lane bodies that give the same bits (DESIGN.md,
+// AVX2, vec_amd64.s has 8-lane bodies, and 16-lane ones where the GEMMs
+// have their AVX-512 pair tiles, that give the same bits (DESIGN.md,
 // "Per-element passes on the vector unit", has the rules that keep them
 // equal).
 type vecBodies struct {
 	bias      func(row, bias []float32)
 	gelu      func(row []float32)
-	softmax   func(row []float32, scale float32)
+	softmax   func(c []float32, ldc, m, n int, scale float32)
+	norm      func(dst, src []float32, m, n, ld int, gamma, beta []float32, eps float32)
 	quantize  func(dst []uint8, row []float32) quant.Q7Params
 	packT     func(dst, src []float32, ld, w int)
 	packTHalf func(dst []float32, src []uint16, ld, w int, bf16 bool)
 }
 
-var vecGo = vecBodies{addRowGo, geluRowGo, softmaxRowGo, q7QuantizeGo, packTransGo, packTransHalfGo}
+var vecGo = vecBodies{addRowGo, geluRowGo, softmaxRowsGo, layerNormGo, q7QuantizeGo, packTransGo, packTransHalfGo}
 
 // addRowGo adds bias into row element by element.
 func addRowGo(row, bias []float32) {
@@ -148,6 +202,12 @@ func geluRowGo(row []float32) {
 // used by ViT) in place, with the row function the GEMM epilogue uses.
 func GELU(t *Tensor) { vec.gelu(t.Data) }
 
+func softmaxRowsGo(c []float32, ldc, m, n int, scale float32) {
+	for i := range m {
+		softmaxRowGo(c[i*ldc:][:n], scale)
+	}
+}
+
 // softmaxRowGo replaces row by softmax(row·scale) for scale > 0: float32
 // exponentials, a float64 sum.
 func softmaxRowGo(row []float32, scale float32) {
@@ -210,10 +270,22 @@ func LayerNorm(t, gamma, beta *Tensor, eps float32) {
 }
 
 // LayerNormRows writes the layer norm of each of the m rows of src (m×n
-// row-major) into dst, which may be src.
+// row-major) into dst, which may be src. It panics with ErrShape when
+// src or dst holds fewer than m·n values, gamma or beta fewer than n, or
+// dst overlaps src without being it.
 func LayerNormRows(dst, src []float32, m, n int, gamma, beta []float32, eps float32) {
+	Norm{Dst: dst, Gamma: gamma, Beta: beta, Eps: eps}.check(src, m, n, n)
+	if m > 0 && n > 0 {
+		vec.norm(dst, src, m, n, n, gamma, beta, eps)
+	}
+}
+
+// layerNormGo is LayerNormRows over src rows ld apart: per row a float64
+// mean and a float64 sum of squared deviations, each added in column
+// order, then the float32 affine.
+func layerNormGo(dst, src []float32, m, n, ld int, gamma, beta []float32, eps float32) {
 	for i := 0; i < m; i++ {
-		row := src[i*n : i*n+n]
+		row := src[i*ld : i*ld+n]
 		var mean float64
 		for _, v := range row {
 			mean += float64(v)

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"harvest/internal/stats"
@@ -275,6 +277,58 @@ func TestOpsPanicOnWrongRank(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// TestNormPanicsOnBadOperands: LayerNormRows and the epilogue's Norm
+// step panic with ErrShape, on the caller's goroutine and before any
+// row is written, when src or dst holds fewer than m·n values, γ or β
+// fewer than n, or dst overlaps its source (without being it) or the
+// product's A. The GEMM has 514 rows, so its bands run on helper
+// goroutines, where a panic could not be recovered.
+func TestNormPanicsOnBadOperands(t *testing.T) {
+	const m, n, k = 514, 48, 40
+	r := stats.NewRNG(61)
+	x, g, b := randTensor(r, m, n).Data, randTensor(r, n).Data, randTensor(r, n).Data
+	a, w, c := randTensor(r, m, k).Data, randTensor(r, n, k).Data, make([]float32, m*n)
+	dst := make([]float32, m*n)
+	short := func(v []float32) []float32 { return v[: len(v)-1 : len(v)-1] }
+	gemmNorm := func(nm Norm) func() {
+		return func() { GemmTransBEpilogue(c, a, w, m, n, k, false, Epilogue{Norm: nm}) }
+	}
+	for name, f := range map[string]func(){
+		"short src":            func() { LayerNormRows(dst, short(x), m, n, g, b, 1e-6) },
+		"short dst":            func() { LayerNormRows(short(dst), x, m, n, g, b, 1e-6) },
+		"short γ":              func() { LayerNormRows(dst, x, m, n, short(g), b, 1e-6) },
+		"short β":              func() { LayerNormRows(dst, x, m, n, g, short(b), 1e-6) },
+		"dst one row into src": func() { LayerNormRows(x[n:], x, m-1, n, g, b, 1e-6) },
+		"epilogue short Dst":   gemmNorm(Norm{Dst: short(dst), Gamma: g, Beta: b}),
+		"epilogue short γ":     gemmNorm(Norm{Dst: dst, Gamma: short(g), Beta: b}),
+		"epilogue short β":     gemmNorm(Norm{Dst: dst, Gamma: g, Beta: short(b)}),
+		"epilogue Dst in A": func() {
+			shared := slices.Clone(x)
+			GemmTransBEpilogue(c, shared[:m*k], w, m, n, k, false, Epilogue{Norm: Norm{Dst: shared, Gamma: g, Beta: b}})
+		},
+		"epilogue Dst in C": gemmNorm(Norm{Dst: c[1:], Gamma: g, Beta: b}),
+		"Apply short γ":     func() { Epilogue{Norm: Norm{Dst: dst, Gamma: short(g), Beta: b}}.Apply(c, m, n) },
+	} {
+		before := append([]float32(nil), dst...)
+		func() {
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, ErrShape) {
+					t.Errorf("%s: recovered %v, want an ErrShape panic", name, err)
+				}
+			}()
+			f()
+		}()
+		for i := range before {
+			if math.Float32bits(dst[i]) != math.Float32bits(before[i]) {
+				t.Fatalf("%s: dst[%d] written before the panic", name, i)
+			}
+		}
+	}
+	// In place, into the product itself, is allowed.
+	LayerNormRows(x, x, m, n, g, b, 1e-6)
+	gemmNorm(Norm{Dst: c, Gamma: g, Beta: b})()
 }
 
 func TestSoftmaxRandomizedStability(t *testing.T) {
