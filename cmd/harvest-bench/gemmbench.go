@@ -24,7 +24,8 @@ type gemmBenchReport struct {
 		NumCPU     int    `json:"num_cpu"`
 		// tensor.Kernels: "avx2+avx512vnni" (the float and int8 GEMMs
 		// on their 6×32 AVX-512 pair tiles, the per-row passes on their
-		// 16-lane bodies), "avx2" or "go".
+		// 16-lane bodies), "avx2+avx512vnni+amx" (the same, with the
+		// int8 GEMM on the AMX tiles), "avx2" or "go".
 		Kernels string `json:"kernels"`
 	} `json:"host"`
 	GemmN int `json:"gemm_n"`

@@ -41,3 +41,28 @@ func AVX512VNNI() bool {
 	_, ebx, ecx, _ := cpuid(7, 0)
 	return ebx&(1<<16) != 0 && ecx&(1<<11) != 0
 }
+
+// AMXInt8 reports whether int8 tile code may run here: CPUID's AMX-TILE
+// and AMX-INT8 bits (leaf 7 EDX bits 24 and 25), XGETBV's XTILECFG and
+// XTILEDATA state-enabled bits (XCR0 bits 17 and 18), and the kernel's
+// grant of the tile data state to this process, which Linux wants asked
+// for before a thread touches the tiles. The grant is asked for once,
+// when the package initialises, and holds for every thread of the
+// process. Without it, and on every other OS, the answer is false.
+func AMXInt8() bool { return amxInt8 }
+
+var amxInt8 = amxTileCPU() && requestTileData()
+
+func amxTileCPU() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 { // OSXSAVE: XGETBV works
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&(3<<17) != 3<<17 {
+		return false
+	}
+	_, _, _, edx := cpuid(7, 0)
+	return edx&(3<<24) == 3<<24
+}

@@ -46,6 +46,13 @@ const (
 	// accumulates) worth a goroutine of its own; products below it run
 	// serially and bands are never split finer than this.
 	gemmMinMACsPerBand = 1 << 16
+
+	// q7BlockMACsPerBand is the same floor for a raw int8 product (no
+	// quantization or dequantization in its bands) on the AMX block
+	// body: about 50 µs of tile work on one core, less than a forked
+	// helper waits to start on a busy 2-vCPU VM, so such a band would
+	// finish sooner run by the caller.
+	q7BlockMACsPerBand = 1 << 25
 )
 
 // microKernel adds the product of a kc-deep A strip (MR rows, row
@@ -77,7 +84,8 @@ func microGo(a []float32, lda int, bp []float32, kc int, c []float32, ldc int) {
 
 // worker is one goroutine's GEMM working memory: a product's packed B,
 // the copy of a partial last A strip and the edge-tile scratch, the int8
-// A strips with their rows' quantization parameters and the int32 tile,
+// A strips with their rows' quantization parameters, the int32 tile and
+// the AMX block's int32 sums,
 // the attention score rows, and — when this worker fans a product out —
 // the job its helpers read and the barrier they meet at once B is
 // packed. Workers come from a bounded free list, not a sync.Pool: a GC
@@ -89,6 +97,7 @@ type worker struct {
 	q7A                  []uint8
 	q7Rows               [gemmMC]quant.Q7Params
 	q7Acc                q7Tile
+	q7C                  []int32
 	job                  gemm
 	wg, packed           sync.WaitGroup
 }
@@ -254,7 +263,11 @@ func (g *gemm) run() {
 	g.check()
 	wk := getWorker()
 	defer workers.Put(wk)
-	g.parallel(wk, gemmWorkers(g.m, g.n, g.k))
+	w := gemmWorkers(g.m, g.n, g.k)
+	if g.ci != nil && q7Block != nil {
+		w = min(w, max(1, int(int64(g.m)*int64(g.n)*int64(g.k)/q7BlockMACsPerBand)))
+	}
+	g.parallel(wk, w)
 }
 
 // check panics with ErrShape unless every operand holds the m×n×k

@@ -339,9 +339,10 @@ func requireSameInts(t *testing.T, what string, got, want []int32) {
 	}
 }
 
-// TestQ7GemmMatchesScalarRef bit-compares the dispatched int8 kernel
-// against the plain int32 scalar reference: both are exact integer
-// algorithms, so they must agree exactly on every shape.
+// TestQ7GemmMatchesScalarRef bit-compares the dispatched int8 kernel —
+// with the AMX block body where the host has it, and without — against
+// the plain int32 scalar reference: both are exact integer algorithms,
+// so they must agree exactly on every shape.
 func TestQ7GemmMatchesScalarRef(t *testing.T) {
 	r := stats.NewRNG(46)
 	for _, s := range q7Shapes {
@@ -349,10 +350,20 @@ func TestQ7GemmMatchesScalarRef(t *testing.T) {
 		acts, ws := randQ7Codes(r, m, n, k)
 		want := make([]int32, m*n)
 		Q7GemmTransBRef(want, acts, ws, m, n, k)
-		got := make([]int32, m*n)
-		Q7GemmTransB(got, PackQ7Acts(acts, m, k), PackQ7Weights(ws, n, k))
-		requireSameInts(t, fmt.Sprintf("(%d,%d,%d)", m, n, k), got, want)
+		pa, pw := PackQ7Acts(acts, m, k), PackQ7Weights(ws, n, k)
+		withAndWithoutAMX(func(tiles string) {
+			got := make([]int32, m*n)
+			Q7GemmTransB(got, pa, pw)
+			requireSameInts(t, fmt.Sprintf("%s (%d,%d,%d)", tiles, m, n, k), got, want)
+		})
 	}
+}
+
+// withAndWithoutAMX runs f as dispatched, then with the AMX block body
+// off, naming each run.
+func withAndWithoutAMX(f func(tiles string)) {
+	f("dispatched tiles")
+	WithoutAMX(func() { f("without AMX") })
 }
 
 // TestQ7PackReuse checks PackQ7ActsInto reuses backing storage, and
@@ -408,10 +419,11 @@ func q7LinearRef(dst, x []float32, m, n, k int, w []int8, scales []float32, acc 
 // TestQ7LinearMatchesReference: the fused op — quantize, integer
 // product, dequantize and epilogue inside the row bands — equals the
 // unfused pipeline bit for bit, with and without accumulation, plain,
-// with bias and with bias+GELU.
+// with bias and with bias+GELU, with the AMX block body where the host
+// has it and without.
 func TestQ7LinearMatchesReference(t *testing.T) {
 	r := stats.NewRNG(50)
-	for _, s := range [][3]int{{1, 1, 1}, {7, 17, 12}, {2, 1000, 9}, {130, 516, 258}, {300, 33, 64}} {
+	for _, s := range [][3]int{{1, 1, 1}, {7, 17, 12}, {2, 1000, 9}, {130, 516, 258}, {300, 33, 64}, {514, 192, 192}, {200, 96, 768}} {
 		m, n, k := s[0], s[1], s[2]
 		x, w := randTensor(r, m, k), randTensor(r, n, k)
 		codes, scales := make([]int8, n*k), make([]float32, n)
@@ -426,14 +438,16 @@ func TestQ7LinearMatchesReference(t *testing.T) {
 			for _, epi := range []Epilogue{{}, {Bias: bias}, {Bias: bias, GELU: true}} {
 				want := slices.Clone(prior)
 				q7LinearRef(want, x.Data, m, n, k, codes, scales, acc, epi)
-				got := slices.Clone(prior)
-				Q7LinearEpilogue(got, x.Data, m, k, packed, scales, acc, epi)
-				for i := range want {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("(%d,%d,%d) acc=%v bias=%v gelu=%v: element %d is %v, want %v",
-							m, n, k, acc, epi.Bias != nil, epi.GELU, i, got[i], want[i])
+				withAndWithoutAMX(func(tiles string) {
+					got := slices.Clone(prior)
+					Q7LinearEpilogue(got, x.Data, m, k, packed, scales, acc, epi)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s (%d,%d,%d) acc=%v bias=%v gelu=%v: element %d is %v, want %v",
+								tiles, m, n, k, acc, epi.Bias != nil, epi.GELU, i, got[i], want[i])
+						}
 					}
-				}
+				})
 			}
 		}
 	}
@@ -497,4 +511,46 @@ func BenchmarkQ7Gemm1024(b *testing.B) {
 		Q7GemmTransB(c, pa, pw)
 	}
 	b.ReportMetric(2*1024*1024*1024/float64(b.Elapsed().Nanoseconds())*float64(b.N), "eq-GFLOPS")
+}
+
+// FuzzQ7GemmMatchesRef: for any m, n and k — m off a multiple of 16, n
+// off 32 and k off 64 among them — and any codes, the raw int8 product
+// equals Q7GemmTransBRef, and the dequantized linear, overwriting or
+// accumulating, equals the unfused q7LinearRef, both with ==; and each
+// equals itself without the AMX block body. Sizes are capped so one
+// input stays a few milliseconds.
+func FuzzQ7GemmMatchesRef(f *testing.F) {
+	for _, s := range []struct {
+		m, n, k uint16
+		acc     bool
+	}{{1, 1, 1, false}, {33, 47, 70, true}, {48, 64, 256, false}, {17, 33, 65, true},
+		{100, 96, 192, false}, {150, 40, 12, true}, {7, 160, 260, false}, {160, 32, 64, true}} {
+		f.Add(s.m, s.n, s.k, s.acc, uint64(s.m)*31+uint64(s.k))
+	}
+	f.Fuzz(func(t *testing.T, m16, n16, k16 uint16, acc bool, seed uint64) {
+		m, n, k := int(m16), int(n16), int(k16)
+		if m == 0 || n == 0 || k == 0 || m > 200 || n > 160 || k > 400 {
+			return
+		}
+		r := stats.NewRNG(seed)
+		acts, ws := randQ7Codes(r, m, n, k)
+		want := make([]int32, m*n)
+		Q7GemmTransBRef(want, acts, ws, m, n, k)
+		pa, pw := PackQ7Acts(acts, m, k), PackQ7Weights(ws, n, k)
+		x, prior := randTensor(r, m, k).Data, randTensor(r, m, n).Data
+		scales := make([]float32, n)
+		for j := range scales {
+			scales[j] = float32(r.Float64() * 0.05)
+		}
+		wantF := slices.Clone(prior)
+		q7LinearRef(wantF, x, m, n, k, ws, scales, acc, Epilogue{})
+		withAndWithoutAMX(func(tiles string) {
+			got := make([]int32, m*n)
+			Q7GemmTransB(got, pa, pw)
+			requireSameInts(t, fmt.Sprintf("%s (%d,%d,%d)", tiles, m, n, k), got, want)
+			gotF := slices.Clone(prior)
+			Q7LinearEpilogue(gotF, x, m, k, pw, scales, acc, Epilogue{})
+			requireSameFloats(t, fmt.Sprintf("%s linear (%d,%d,%d) accumulate=%v", tiles, m, n, k, acc), gotF, wantF)
+		})
+	})
 }

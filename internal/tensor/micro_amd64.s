@@ -266,3 +266,286 @@ q7pairloop:
 	VMOVDQU32 Z11, 704(DX)
 	VZEROUPPER
 	RET
+
+// The AMX instructions, which the Go assembler does not know, by their
+// encodings. Tiles tmm0-tmm3 are the 2×2 int32 C tiles (tmm0, tmm1:
+// row tile 0 by strips 0 and 1; tmm2, tmm3: row tile 1), tmm4 and tmm5
+// the two row tiles' A codes, tmm6 and tmm7 the two strips' B codes.
+// A tiles load from SI and BX at row stride CX, B tiles from DI and DX
+// at stride AX (64), and C tiles from R9 (row tile 0) and R10 (row tile
+// 1) at stride R11, strip 1 64 bytes after strip 0.
+
+// LDTILECFG (DI)
+#define LDTILECFG_DI BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0x07
+// TILERELEASE
+#define TILERELEASE BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0xC0
+// TILEZERO tmm0 … tmm3
+#define TILEZERO_C00 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xC0
+#define TILEZERO_C01 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xC8
+#define TILEZERO_C10 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xD0
+#define TILEZERO_C11 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xD8
+// TILELOADD tmm4, (SI)(CX*1) and TILELOADD tmm5, (BX)(CX*1)
+#define TILELOAD_A0 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x24; BYTE $0x0E
+#define TILELOAD_A1 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x2C; BYTE $0x0B
+// TILELOADD tmm6, (DI)(AX*1) and TILELOADD tmm7, (DX)(AX*1)
+#define TILELOAD_B0 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x34; BYTE $0x07
+#define TILELOAD_B1 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x3C; BYTE $0x02
+// TDPBUSD tmm0, tmm4, tmm6; tmm1, tmm4, tmm7; tmm2, tmm5, tmm6; tmm3,
+// tmm5, tmm7: C += A (unsigned, ModRM.rm) · B (signed, VEX.vvvv).
+#define TDPBUSD_00 BYTE $0xC4; BYTE $0xE2; BYTE $0x49; BYTE $0x5E; BYTE $0xC4
+#define TDPBUSD_01 BYTE $0xC4; BYTE $0xE2; BYTE $0x41; BYTE $0x5E; BYTE $0xCC
+#define TDPBUSD_10 BYTE $0xC4; BYTE $0xE2; BYTE $0x49; BYTE $0x5E; BYTE $0xD5
+#define TDPBUSD_11 BYTE $0xC4; BYTE $0xE2; BYTE $0x41; BYTE $0x5E; BYTE $0xDD
+// TILELOADD tmm0, (R9)(R11*1); tmm1, 64(R9)(R11*1); tmm2, (R10)(R11*1);
+// tmm3, 64(R10)(R11*1)
+#define TILELOAD_C00 BYTE $0xC4; BYTE $0x82; BYTE $0x7B; BYTE $0x4B; BYTE $0x04; BYTE $0x19
+#define TILELOAD_C01 BYTE $0xC4; BYTE $0x82; BYTE $0x7B; BYTE $0x4B; BYTE $0x4C; BYTE $0x19; BYTE $0x40
+#define TILELOAD_C10 BYTE $0xC4; BYTE $0x82; BYTE $0x7B; BYTE $0x4B; BYTE $0x14; BYTE $0x1A
+#define TILELOAD_C11 BYTE $0xC4; BYTE $0x82; BYTE $0x7B; BYTE $0x4B; BYTE $0x5C; BYTE $0x1A; BYTE $0x40
+// TILESTORED (R9)(R11*1), tmm0; 64(R9)(R11*1), tmm1; (R10)(R11*1),
+// tmm2; 64(R10)(R11*1), tmm3
+#define TILESTORE_C00 BYTE $0xC4; BYTE $0x82; BYTE $0x7A; BYTE $0x4B; BYTE $0x04; BYTE $0x19
+#define TILESTORE_C01 BYTE $0xC4; BYTE $0x82; BYTE $0x7A; BYTE $0x4B; BYTE $0x4C; BYTE $0x19; BYTE $0x40
+#define TILESTORE_C10 BYTE $0xC4; BYTE $0x82; BYTE $0x7A; BYTE $0x4B; BYTE $0x14; BYTE $0x1A
+#define TILESTORE_C11 BYTE $0xC4; BYTE $0x82; BYTE $0x7A; BYTE $0x4B; BYTE $0x5C; BYTE $0x1A; BYTE $0x40
+
+// func q7AMXTiles(cfg *amxConfig, a *uint8, lda int, b *uint8, ldb, ka, blocks int, c *int32, ldc, mt, nt int, load bool, dq *q7AMXDequant)
+// Loads the tile config at cfg, then for each pair of 16-row A tiles
+// (rows lda bytes apart) and, within it, each pair of weight strips (ldb
+// bytes apart) runs blocks K blocks — ka bytes of each A row, 16·ka
+// bytes of each strip — of TDPBUSD into the 2×2 C tiles, which start at
+// zero, or at c's sums when load. An odd last row tile or strip runs the
+// same loop on its half of the tiles. The tiles are stored into c (rows
+// ldc bytes apart, a strip pair's columns 128 bytes after the last
+// pair's) or, given dq, into the 32×32 scratch at c, whose rows below
+// dq.m q7DequantAVX512 then writes out as floats (dq takes whole strip
+// pairs only). Row pairs go outermost so that the output is written 32
+// rows at a time, each row's lines in order, which the prefetchers
+// follow; a strip pair's whole column of rows at a time measured slower
+// in the forward. Releases the tiles before it returns. mt, nt, blocks
+// >= 1. The frame holds the dequantization's arguments (0-64), the strip
+// pair's B (72) and first column's byte offset (80), the strips left
+// (88), the row pair's A (96) and first row (104), and the row tiles
+// left (112).
+TEXT ·q7AMXTiles(SB), NOSPLIT, $120-104
+	MOVQ cfg+0(FP), DI
+	LDTILECFG_DI
+	MOVQ ldc+64(FP), R11
+	MOVQ ka+40(FP), R12
+	MOVQ R12, R13
+	SHLQ $4, R13
+	MOVQ a+8(FP), R8
+	MOVQ R8, 96(SP)
+	MOVQ $0, 104(SP)
+	MOVQ mt+72(FP), R8
+	MOVQ R8, 112(SP)
+
+amxrowpairs:
+	MOVQ b+24(FP), R8
+	MOVQ R8, 72(SP)
+	MOVQ $0, 80(SP)
+	MOVQ nt+80(FP), R8
+	MOVQ R8, 88(SP)
+
+amxrows:
+	MOVQ  $64, AX
+	MOVQ  lda+16(FP), CX
+	MOVQ  c+56(FP), R9
+	CMPQ  dq+96(FP), $0
+	JNE   amxscratch
+	MOVQ  104(SP), R8
+	IMULQ R11, R8
+	ADDQ  R8, R9
+	ADDQ  80(SP), R9
+
+amxscratch:
+	MOVQ R11, R10
+	SHLQ $4, R10
+	ADDQ R9, R10
+	MOVQ 96(SP), SI
+	MOVQ CX, BX
+	SHLQ $4, BX
+	ADDQ SI, BX
+	MOVQ 72(SP), DI
+	MOVQ ldb+32(FP), DX
+	ADDQ DI, DX
+	MOVQ blocks+48(FP), R8
+	CMPQ 88(SP), $1
+	JEQ  amxonestrip
+	CMPQ 112(SP), $1
+	JEQ  amx12
+
+	CMPB load+88(FP), $0
+	JEQ  amx22zero
+	TILELOAD_C00
+	TILELOAD_C01
+	TILELOAD_C10
+	TILELOAD_C11
+	JMP  amx22loop
+
+amx22zero:
+	TILEZERO_C00
+	TILEZERO_C01
+	TILEZERO_C10
+	TILEZERO_C11
+
+amx22loop:
+	TILELOAD_A0
+	TILELOAD_A1
+	TILELOAD_B0
+	TILELOAD_B1
+	TDPBUSD_00
+	TDPBUSD_01
+	TDPBUSD_10
+	TDPBUSD_11
+	ADDQ R12, SI
+	ADDQ R12, BX
+	ADDQ R13, DI
+	ADDQ R13, DX
+	DECQ R8
+	JNZ  amx22loop
+	TILESTORE_C00
+	TILESTORE_C01
+	TILESTORE_C10
+	TILESTORE_C11
+	MOVQ $32, R8
+	JMP  amxdq
+
+amx12:
+	CMPB load+88(FP), $0
+	JEQ  amx12zero
+	TILELOAD_C00
+	TILELOAD_C01
+	JMP  amx12loop
+
+amx12zero:
+	TILEZERO_C00
+	TILEZERO_C01
+
+amx12loop:
+	TILELOAD_A0
+	TILELOAD_B0
+	TILELOAD_B1
+	TDPBUSD_00
+	TDPBUSD_01
+	ADDQ R12, SI
+	ADDQ R13, DI
+	ADDQ R13, DX
+	DECQ R8
+	JNZ  amx12loop
+	TILESTORE_C00
+	TILESTORE_C01
+	MOVQ $16, R8
+	JMP  amxdq
+
+amxonestrip:
+	CMPQ 112(SP), $1
+	JEQ  amx11
+	CMPB load+88(FP), $0
+	JEQ  amx21zero
+	TILELOAD_C00
+	TILELOAD_C10
+	JMP  amx21loop
+
+amx21zero:
+	TILEZERO_C00
+	TILEZERO_C10
+
+amx21loop:
+	TILELOAD_A0
+	TILELOAD_A1
+	TILELOAD_B0
+	TDPBUSD_00
+	TDPBUSD_10
+	ADDQ R12, SI
+	ADDQ R12, BX
+	ADDQ R13, DI
+	DECQ R8
+	JNZ  amx21loop
+	TILESTORE_C00
+	TILESTORE_C10
+	JMP  amxnext
+
+amx11:
+	CMPB load+88(FP), $0
+	JEQ  amx11zero
+	TILELOAD_C00
+	JMP  amx11loop
+
+amx11zero:
+	TILEZERO_C00
+
+amx11loop:
+	TILELOAD_A0
+	TILELOAD_B0
+	TDPBUSD_00
+	ADDQ R12, SI
+	ADDQ R13, DI
+	DECQ R8
+	JNZ  amx11loop
+	TILESTORE_C00
+	JMP  amxnext
+
+	// The block's R8 rows of sums are in the scratch: dequantize the
+	// ones below dq.m into dq.out, row 104(SP) and column 80(SP) on.
+amxdq:
+	MOVQ    dq+96(FP), DX
+	TESTQ   DX, DX
+	JZ      amxnext
+	MOVQ    24(DX), AX
+	SUBQ    104(SP), AX
+	CMPQ    AX, R8
+	CMOVQGT R8, AX
+	MOVQ    AX, 40(SP)
+	MOVQ    8(DX), BX
+	MOVQ    BX, 8(SP)
+	MOVQ    104(SP), AX
+	IMULQ   BX, AX
+	SHLQ    $2, AX
+	ADDQ    0(DX), AX
+	MOVQ    80(SP), CX
+	ADDQ    CX, AX
+	MOVQ    AX, 0(SP)
+	MOVQ    R9, 16(SP)
+	MOVQ    R11, AX
+	SHRQ    $2, AX
+	MOVQ    AX, 24(SP)
+	MOVQ    104(SP), AX
+	SHLQ    $3, AX
+	ADDQ    16(DX), AX
+	MOVQ    AX, 32(SP)
+	MOVQ    32(DX), AX
+	ADDQ    CX, AX
+	MOVQ    AX, 48(SP)
+	MOVQ    40(DX), AX
+	ADDQ    CX, AX
+	MOVQ    AX, 56(SP)
+	MOVBLZX 48(DX), AX
+	MOVB    AX, 64(SP)
+	CALL    ·q7DequantAVX512(SB)
+
+amxnext:
+	MOVQ ldb+32(FP), R8
+	SHLQ $1, R8
+	ADDQ R8, 72(SP)
+	ADDQ $128, 80(SP)
+	SUBQ $2, 88(SP)
+	JG   amxrows
+	MOVQ lda+16(FP), R8
+	SHLQ $5, R8
+	ADDQ R8, 96(SP)
+	ADDQ $32, 104(SP)
+	SUBQ $2, 112(SP)
+	JG   amxrowpairs
+	TILERELEASE
+	RET
+
+// func amxPalette() uint8
+// STTILECFG's palette byte: 0 while the tiles are released.
+TEXT ·amxPalette(SB), NOSPLIT, $64-1
+	MOVQ SP, DI
+	// STTILECFG (DI)
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x79; BYTE $0x49; BYTE $0x07
+	MOVB (DI), AX
+	MOVB AX, ret+0(FP)
+	RET

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"harvest/internal/cpufeat"
 	"harvest/internal/quant"
@@ -15,8 +18,10 @@ import (
 
 // TestMicroDispatchPicksAsm: on a CPU with AVX2 and FMA, the float and
 // int8 GEMMs and every per-element pass must run their assembly bodies,
-// and where the CPU has AVX-512 VNNI both GEMMs their 6×32 pair tiles
-// and the passes their 16-lane set.
+// where the CPU has AVX-512 VNNI both GEMMs their 6×32 pair tiles and
+// the passes their 16-lane set, and the int8 GEMM its AMX block body
+// exactly where, beyond that, cpufeat.AMXInt8 holds (CPU bits, OS state
+// and the kernel's grant).
 // A silent fallback to the Go bodies or the narrower tiles is still
 // correct, so no other test would notice the loss.
 func TestMicroDispatchPicksAsm(t *testing.T) {
@@ -32,8 +37,16 @@ func TestMicroDispatchPicksAsm(t *testing.T) {
 		t.Error("int8 GEMM dispatch did not pick the AVX2 6×16 tile")
 	}
 	kernels := "avx2"
+	if amx := cpufeat.AVX512VNNI() && cpufeat.AMXInt8(); amx != (q7Block != nil) {
+		t.Errorf("AMX block body picked: %v, want %v", q7Block != nil, amx)
+	} else if amx && !same(q7Block, q7AMXBody) {
+		t.Error("int8 GEMM dispatch did not pick the AMX block body")
+	}
 	if cpufeat.AVX512VNNI() {
 		kernels = "avx2+avx512vnni"
+		if cpufeat.AMXInt8() {
+			kernels += "+amx"
+		}
 		if !sameBody(q7Pair, q7PairVNNI) {
 			t.Error("int8 GEMM dispatch did not pick the VNNI 6×32 pair tile")
 		}
@@ -325,12 +338,13 @@ func TestQ7QuantizeBodiesAgree(t *testing.T) {
 	}
 }
 
-// TestQ7DequantBodiesAgree: each assembly tile dequantization — AVX2
-// over 16-column tiles, AVX-512 over the pair tile's 32 columns where
-// the CPU has it — writes the Go body's bits for every tile height and
-// width — full-width tiles take the assembly, narrower edge tiles the
-// Go body — overwriting and accumulating, with raw sums large enough to
-// round in float32, and leaves the rest of C alone.
+// TestQ7DequantBodiesAgree: each assembly dequantization — AVX2 over
+// groups of 16 columns, AVX-512 over groups of 32 where the CPU has it,
+// each handing the rest to the narrower body — writes the Go body's bits
+// for every height up to an MR tile and every width up to 70 columns,
+// from tile rows as wide as the written corner and from rows as far
+// apart as the AMX block's sums, overwriting and accumulating, with raw
+// sums large enough to round in float32, and leaves the rest of C alone.
 func TestQ7DequantBodiesAgree(t *testing.T) {
 	if !cpufeat.AVX2FMA() {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
@@ -340,8 +354,9 @@ func TestQ7DequantBodiesAgree(t *testing.T) {
 		bodies = append(bodies, q7PairVNNI)
 	}
 	r := stats.NewRNG(53)
-	const ldc = gemmPairNR + 5
-	var tile q7Tile
+	const maxN, wideT = 70, 80
+	const ldc = wideT + 5
+	tile := make([]int32, gemmMR*wideT)
 	for i := range tile {
 		tile[i] = int32(r.Intn(1<<27)) - 1<<26
 	}
@@ -349,7 +364,7 @@ func TestQ7DequantBodiesAgree(t *testing.T) {
 	for i := range rows {
 		rows[i] = quant.Q7Params{Scale: float32(r.Float64() * 0.1), ZeroPoint: int32(r.Intn(128))}
 	}
-	scales, rowSum := make([]float32, gemmPairNR), make([]int32, gemmPairNR)
+	scales, rowSum := make([]float32, maxN), make([]int32, maxN)
 	for j := range scales {
 		scales[j], rowSum[j] = float32(r.Float64()*0.05), int32(r.Intn(20000))-10000
 	}
@@ -359,21 +374,25 @@ func TestQ7DequantBodiesAgree(t *testing.T) {
 	}
 	for _, body := range bodies {
 		for mr := 1; mr <= gemmMR; mr++ {
-			for nr := 1; nr <= body.nr; nr++ {
-				for _, acc := range []bool{false, true} {
-					got, want := slices.Clone(prior), slices.Clone(prior)
-					body.dequant(got, ldc, &tile, body.nr, rows[:mr], scales[:nr], rowSum[:nr], acc)
-					q7DequantGo(want, ldc, &tile, body.nr, rows[:mr], scales[:nr], rowSum[:nr], acc)
-					requireSameFloats(t, fmt.Sprintf("%d-wide tile %d×%d accumulate=%v", body.nr, mr, nr, acc), got, want)
+			for nr := 1; nr <= maxN; nr++ {
+				for _, ldt := range []int{nr, wideT} {
+					for _, acc := range []bool{false, true} {
+						got, want := slices.Clone(prior), slices.Clone(prior)
+						body.dequant(got, ldc, tile, ldt, rows[:mr], scales[:nr], rowSum[:nr], acc)
+						q7DequantGo(want, ldc, tile, ldt, rows[:mr], scales[:nr], rowSum[:nr], acc)
+						requireSameFloats(t, fmt.Sprintf("%d-wide body, %d×%d from rows %d apart, accumulate=%v",
+							body.nr, mr, nr, ldt, acc), got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestQ7RoundingExhaustive proves the AVX2 quantizer's float32 rounding
-// — trunc(|v|), +1 when the fraction is at least ½, v's sign — equal to
-// the Go body's math.Round(float64(v)):
+// TestQ7RoundingExhaustive proves the quantizer's float32 rounding —
+// trunc(|v|), +1 when the fraction is at least ½, v's sign — on the AVX2
+// body, and on the AVX-512 one where the CPU has it, equal to the Go
+// body's math.Round(float64(v)):
 //   - for every float32 with 0.25 ≤ |v| ≤ 256, against the Go body at
 //     scale 1 and a zero point that keeps each chunk's codes off the
 //     clamp;
@@ -389,6 +408,10 @@ func TestQ7RoundingExhaustive(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("2.3 billion values: not in -short or race runs")
 	}
+	bodies := map[string]func(dst *uint8, x *float32, n int, scale, zp float32){"AVX2": q7QuantizeAVX2}
+	if cpufeat.AVX512VNNI() {
+		bodies["AVX-512"] = q7QuantizeAVX512
+	}
 	const chunk = 1 << 16
 	xs := make([]float32, chunk)
 	got, want := make([]uint8, chunk), make([]uint8, chunk)
@@ -398,9 +421,11 @@ func TestQ7RoundingExhaustive(t *testing.T) {
 		}
 	}
 	zeroPoint := func(scale float32) {
-		q7QuantizeAVX2(&got[0], &xs[0], chunk, scale, 64)
-		if n := bytes.Count(got, []byte{64}); n != chunk {
-			t.Fatalf("|v| < 0.25 from %v/%v: %d of %d codes are not the zero point", xs[0], scale, chunk-n, chunk)
+		for name, body := range bodies {
+			body(&got[0], &xs[0], chunk, scale, 64)
+			if n := bytes.Count(got, []byte{64}); n != chunk {
+				t.Fatalf("%s: |v| < 0.25 from %v/%v: %d of %d codes are not the zero point", name, xs[0], scale, chunk-n, chunk)
+			}
 		}
 	}
 	for _, sign := range []uint32{0, 1 << 31} {
@@ -417,12 +442,14 @@ func TestQ7RoundingExhaustive(t *testing.T) {
 			// A chunk spans at most one unit here, so its codes stay
 			// within ±2 of 64.
 			p := quant.Q7Params{Scale: 1, ZeroPoint: 64 - int32(math.Round(float64(xs[0])))}
-			q7QuantizeAVX2(&got[0], &xs[0], chunk, 1, float32(p.ZeroPoint))
 			p.QuantizeInto(want, xs)
-			if !bytes.Equal(got, want) {
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("v=%v (%#08x): code %d, math.Round gives %d", xs[i], math.Float32bits(xs[i]), got[i], want[i])
+			for name, body := range bodies {
+				body(&got[0], &xs[0], chunk, 1, float32(p.ZeroPoint))
+				if !bytes.Equal(got, want) {
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s: v=%v (%#08x): code %d, math.Round gives %d", name, xs[i], math.Float32bits(xs[i]), got[i], want[i])
+						}
 					}
 				}
 			}
@@ -488,6 +515,12 @@ func TestPackBodiesAgree(t *testing.T) {
 //     them that no body may read) and two adjacent weight strips, for kg
 //     1…70 and 192, random and all-extreme codes (127 × ±63): the VNNI
 //     pair body equals the AVX2 and the Go 6×16 bodies run on each strip.
+//   - Where the host has AMX, on three 16-row A tiles and three strips
+//     over the same kg, lda and codes (so every 2×2, 2×1, 1×2 and 1×1
+//     tile block, whole K blocks, a K tail and both), the AMX body's raw
+//     sums equal the scalar sums and leave C's columns past the strips
+//     alone; and, where K needs one tile config, its fused dequantization
+//     of two strips into 33…48 rows equals q7DequantGo on those sums.
 //   - Through Q7GemmTransB, with the dispatch set to each tile in turn,
 //     every q7Shapes entry and a saturation case (all codes at the range
 //     ends, K = 4096) equal the scalar reference.
@@ -496,6 +529,7 @@ func TestQ7BodiesAgree(t *testing.T) {
 		t.Skip("CPU has no AVX2: the Go body is the only one")
 	}
 	vnni := cpufeat.AVX512VNNI()
+	amx := vnni && cpufeat.AMXInt8()
 	r := stats.NewRNG(49)
 	kgs := []int{192}
 	for kg := 1; kg <= 70; kg++ {
@@ -539,25 +573,32 @@ func TestQ7BodiesAgree(t *testing.T) {
 							pair[i*gemmPairNR+s*gemmNR:][:gemmNR], goT[s][i*gemmNR:][:gemmNR])
 					}
 				}
+				if amx {
+					checkAMXBody(t, r, kg, lda, extreme, what)
+				}
 			}
 		}
 	}
 
-	defer func(s, p q7Body) { q7Strip, q7Pair = s, p }(q7Strip, q7Pair)
+	defer func(s, p q7Body, b q7BlockKernel) { q7Strip, q7Pair, q7Block = s, p, b }(q7Strip, q7Pair, q7Block)
 	type dispatch struct {
 		name        string
 		strip, pair q7Body
+		block       q7BlockKernel
 	}
-	dispatches := []dispatch{{"AVX2", q7StripAVX2, q7Body{}}, {"Go", q7StripGo, q7Body{}}}
+	dispatches := []dispatch{{"AVX2", q7StripAVX2, q7Body{}, nil}, {"Go", q7StripGo, q7Body{}, nil}}
 	if vnni {
-		dispatches = append(dispatches, dispatch{"VNNI", q7StripAVX2, q7PairVNNI})
+		dispatches = append(dispatches, dispatch{"VNNI", q7StripAVX2, q7PairVNNI, nil})
+	}
+	if amx {
+		dispatches = append(dispatches, dispatch{"AMX", q7StripAVX2, q7PairVNNI, q7AMXBody})
 	}
 	check := func(what string, acts []uint8, ws []int8, m, n, k int) {
 		want := make([]int32, m*n)
 		Q7GemmTransBRef(want, acts, ws, m, n, k)
 		pa, pw := PackQ7Acts(acts, m, k), PackQ7Weights(ws, n, k)
 		for _, d := range dispatches {
-			q7Strip, q7Pair = d.strip, d.pair
+			q7Strip, q7Pair, q7Block = d.strip, d.pair, d.block
 			got := make([]int32, m*n)
 			Q7GemmTransB(got, pa, pw)
 			requireSameInts(t, fmt.Sprintf("%s dispatch %s", d.name, what), got, want)
@@ -575,6 +616,75 @@ func TestQ7BodiesAgree(t *testing.T) {
 		ws[i] = 63 - 126*int8(i/k) // row 0 all +63, row 1 all -63
 	}
 	check("saturation", acts, ws, m, 2, k)
+}
+
+// checkAMXBody runs the AMX block body on three 16-row tiles of A codes
+// (rows lda apart, 255 between them, which it must not read) and three
+// weight strips of kg groups, raw into a C wider than the strips, and —
+// where K needs one tile config — dequantizing the first two strips into
+// 33…48 rows, against the scalar sums and q7DequantGo.
+func checkAMXBody(t *testing.T, r *stats.RNG, kg, lda int, extreme bool, what string) {
+	t.Helper()
+	const mt, nt, ldc = 3, 3, 3*gemmNR + 7
+	a := bytes.Repeat([]uint8{255}, (16*mt-1)*lda+4*kg)
+	for i := 0; i < 16*mt; i++ {
+		for p := 0; p < 4*kg; p++ {
+			a[i*lda+p] = uint8(r.Intn(128))
+			if extreme {
+				a[i*lda+p] = 127
+			}
+		}
+	}
+	b := make([]uint8, 4*gemmNR*kg*nt)
+	for i := range b {
+		b[i] = uint8(int8(r.Intn(127) - 63))
+		if extreme {
+			b[i] = uint8(int8(63 - 126*r.Intn(2)))
+		}
+	}
+	want := make([]int32, 16*mt*ldc)
+	for i := range want {
+		want[i] = -7
+	}
+	for i := 0; i < 16*mt; i++ {
+		for j := 0; j < gemmNR*nt; j++ {
+			var sum int32
+			for p := 0; p < 4*kg; p++ {
+				sum += int32(a[i*lda+p]) * int32(int8(b[j/gemmNR*4*gemmNR*kg+p/4*4*gemmNR+j%gemmNR*4+p%4]))
+			}
+			want[i*ldc+j] = sum
+		}
+	}
+	got := make([]int32, 16*mt*ldc)
+	for i := range got {
+		got[i] = -7
+	}
+	q7AMXBody(a, lda, b, kg, got, ldc, mt, nt, q7BlockOut{})
+	requireSameInts(t, "AMX block vs scalar, "+what, got, want)
+	if kg > 16 && kg%16 != 0 {
+		return
+	}
+	const n = 2 * gemmNR
+	rows := make([]quant.Q7Params, 16*mt)
+	for i := range rows {
+		rows[i] = quant.Q7Params{Scale: float32(r.Float64() * 0.1), ZeroPoint: int32(r.Intn(128))}
+	}
+	scales, rowSum := make([]float32, n), make([]int32, n)
+	for j := range scales {
+		scales[j], rowSum[j] = float32(r.Float64()*0.05), int32(r.Intn(20000))-10000
+	}
+	m := 33 + r.Intn(16)
+	for _, acc := range []bool{false, true} {
+		prior := make([]float32, 16*mt*ldc)
+		for i := range prior {
+			prior[i] = float32(r.Float64()*2 - 1)
+		}
+		gotF, wantF := slices.Clone(prior), slices.Clone(prior)
+		q7AMXBody(a, lda, b, kg, make([]int32, gemmPairNR*gemmPairNR), gemmPairNR, mt, 2,
+			q7BlockOut{gotF, ldc, rows[:m], scales, rowSum, acc})
+		q7DequantGo(wantF, ldc, want, ldc, rows[:m], scales, rowSum, acc)
+		requireSameFloats(t, fmt.Sprintf("AMX fused dequantization of %d rows, accumulate=%v, %s", m, acc, what), gotF, wantF)
+	}
 }
 
 // TestMicroBodiesAgree runs the AVX2/FMA body and the Go body over the
@@ -846,5 +956,111 @@ func TestLayerNormBodiesAgree(t *testing.T) {
 			requireSameFloats(t, fmt.Sprintf("%s product (%d,%d,%d)", p.name, m, n, k), got, want)
 			requireSameFloats(t, fmt.Sprintf("%s product's norm (%d,%d,%d)", p.name, m, n, k), gotN, wantN)
 		}
+	}
+}
+
+// TestQ7AMXReleasesTiles: after every AMX block call — one tile config,
+// two, and the fused dequantization — the calling thread's tiles are
+// released (STTILECFG reads palette 0), so no tile state outlives the
+// call. The goroutine is locked to its thread so the check reads the
+// thread the call ran on.
+func TestQ7AMXReleasesTiles(t *testing.T) {
+	if q7Block == nil {
+		t.Skip("no AMX block body on this host")
+	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	const mt, nt = 2, 2
+	for _, kg := range []int{5, 16, 21} {
+		a, b := make([]uint8, 16*mt*4*kg), make([]uint8, 64*kg*nt)
+		c := make([]int32, 16*mt*16*nt)
+		q7AMXBody(a, 4*kg, b, kg, c, 16*nt, mt, nt, q7BlockOut{})
+		if p := amxPalette(); p != 0 {
+			t.Errorf("kg=%d: tile palette %d after a raw call, want 0 (released)", kg, p)
+		}
+		if kg > 16 {
+			continue
+		}
+		rows := make([]quant.Q7Params, 16*mt)
+		q7AMXBody(a, 4*kg, b, kg, c, gemmPairNR, mt, nt, q7BlockOut{make([]float32, 16*mt*16*nt), 16 * nt,
+			rows, make([]float32, 16*nt), make([]int32, 16*nt), false})
+		if p := amxPalette(); p != 0 {
+			t.Errorf("kg=%d: tile palette %d after a dequantizing call, want 0 (released)", kg, p)
+		}
+	}
+}
+
+// TestQ7AMXUnderPreemption: GOMAXPROCS goroutines run int8 products on
+// the AMX tiles for a second — a raw one whose K needs two tile configs
+// and a dequantized one on the fused path, each forking its own row
+// bands — while another goroutine forces collections, whose stop-the-
+// world preempts running goroutines by signal, and each yields between
+// products. Every result must be exact: the tile state survives signal
+// delivery, and no tile state follows a goroutine to another thread.
+func TestQ7AMXUnderPreemption(t *testing.T) {
+	if q7Block == nil {
+		t.Skip("no AMX block body on this host")
+	}
+	r := stats.NewRNG(64)
+	const m, n, k = 130, 80, 200
+	acts, ws := randQ7Codes(r, m, n, k)
+	want := make([]int32, m*n)
+	Q7GemmTransBRef(want, acts, ws, m, n, k)
+	pa, pw := PackQ7Acts(acts, m, k), PackQ7Weights(ws, n, k)
+	const kl = 192
+	x := randTensor(r, m, kl).Data
+	_, wl := randQ7Codes(r, 1, n, kl)
+	pl, scales := PackQ7Weights(wl, n, kl), make([]float32, n)
+	for j := range scales {
+		scales[j] = float32(r.Float64() * 0.05)
+	}
+	wantF := make([]float32, m*n)
+	q7LinearRef(wantF, x, m, n, kl, wl, scales, false, Epilogue{})
+
+	stop := make(chan struct{})
+	collector := make(chan struct{})
+	go func() {
+		defer close(collector)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	deadline := time.Now().Add(time.Second)
+	errs := make(chan string, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, gotF := make([]int32, m*n), make([]float32, m*n)
+			for runs := 0; time.Now().Before(deadline); runs++ {
+				Q7GemmTransB(got, pa, pw)
+				if !slices.Equal(got, want) {
+					errs <- fmt.Sprintf("raw product %d differs from the scalar reference", runs)
+					return
+				}
+				runtime.Gosched()
+				Q7LinearEpilogue(gotF, x, m, kl, pl, scales, false, Epilogue{})
+				for i := range wantF {
+					if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) {
+						errs <- fmt.Sprintf("linear %d: element %d is %v, want %v", runs, i, gotF[i], wantF[i])
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-collector
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

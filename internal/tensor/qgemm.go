@@ -13,7 +13,10 @@ import "harvest/internal/quant"
 // VPMADDWD by ones folds each column's two pairs into int32, and VPADDD
 // accumulates. On an AVX-512 VNNI host a wider tile runs over two
 // adjacent weight strips at once: VPDPBUSD adds each column's four
-// u8×s8 products straight into int32. Every step of every body is
+// u8×s8 products straight into int32. On a host with AMX-INT8 a whole
+// MC block runs on the tile unit instead: TDPBUSD multiplies 16 rows by
+// a 64-code K block of one strip — the strip's 16 groups as they lie are
+// a B tile — into a 16×16 int32 tile. Every step of every body is
 // exact, so all return the true integer dot products for any K below
 // 2³¹/(127·63) ≈ 268k, and the logits do not depend on which ran.
 
@@ -51,7 +54,33 @@ type q7Body struct {
 // q7Dequant writes the len(rows)×len(scales) corner of an int32 tile
 // (row stride ldt) into c (row stride ldc) as rows[r].Scale·scales[j]·
 // (raw − ZeroPoint·rowSum[j]), added to c's old value when accumulate.
-type q7Dequant func(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool)
+type q7Dequant func(c []float32, ldc int, tile []int32, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool)
+
+// q7BlockKernel computes the int32 product of mt 16-row tiles of A codes
+// (rows lda bytes apart, kg groups each) and nt adjacent weight strips
+// at b into c (rows ldc apart, 16·nt columns), overwriting it; or, given
+// out.c, dequantizes it into out as it goes, c then being scratch.
+type q7BlockKernel func(a []uint8, lda int, b []uint8, kg int, c []int32, ldc, mt, nt int, out q7BlockOut)
+
+// q7BlockOut is a block kernel's dequantization: rows[r].Scale·
+// scales[j]·(raw − ZeroPoint·rowSum[j]) into c (rows ldc apart), added
+// to c's old value when acc, for the len(rows) rows and 16·nt columns.
+type q7BlockOut struct {
+	c      []float32
+	ldc    int
+	rows   []quant.Q7Params
+	scales []float32
+	rowSum []int32
+	acc    bool
+}
+
+// q7TileRows is the height of an AMX tile, and q7BlockNC the columns
+// one q7Block call covers when its sums go through the worker's buffer
+// (an MC block of rows by q7BlockNC columns, 144 KiB of int32).
+const (
+	q7TileRows = 16
+	q7BlockNC  = 256
+)
 
 // q7StripGo is the portable 6×16 int8 tile.
 var q7StripGo = q7Body{q7MicroGo, q7DequantGo, gemmNR}
@@ -158,25 +187,21 @@ func Q7LinearEpilogue(dst, x []float32, m, k int, w *PackedQ7, scales []float32,
 }
 
 // q7Band computes rows [rowLo,rowHi) of an int8 product. For each MC
-// block of rows it takes the A strips from the packed acts, or
-// quantizes the rows of x into the worker's buffer; then it sweeps the
-// weight strips, kept in L1, across the block's A strips — two at a time
-// on the pair tile where the host has one, an odd last strip and every
-// strip elsewhere on the 6×16 tile — and writes every tile out, raw or
-// dequantized.
+// block of rows it takes the A codes (q7Codes); then, where the host has
+// a block body, runs the block on it (q7BlockRun), and elsewhere sweeps
+// the weight strips, kept in L1, across the block's A strips — two at a
+// time on the pair tile where the host has one, an odd last strip and
+// every strip elsewhere on the 6×16 tile — and writes every tile out,
+// raw or dequantized.
 func (g *gemm) q7Band(wk *worker, rowLo, rowHi int) {
 	lda := 4 * g.qw.Kp
 	for ic := rowLo; ic < rowHi; ic += gemmMC {
 		mc := min(gemmMC, rowHi-ic)
-		var a []uint8
-		if g.qa != nil {
-			a = g.qa.Data[ic*lda:]
-		} else {
-			a = Grow(&wk.q7A, roundUp(mc, gemmMR)*lda)
-			for i := 0; i < mc; i++ {
-				wk.q7Rows[i] = vec.quantize(a[i*lda:], g.a[(ic+i)*g.lda:][:g.k])
-			}
+		if q7Block != nil {
+			g.q7BlockRun(wk, g.q7Codes(wk, ic, mc, q7TileRows), ic, mc)
+			continue
 		}
+		a := g.q7Codes(wk, ic, mc, gemmMR)
 		for j0 := 0; j0 < g.n; {
 			body := q7Strip
 			if q7Pair.nr > 0 && g.n-j0 > gemmNR {
@@ -193,13 +218,92 @@ func (g *gemm) q7Band(wk *worker, rowLo, rowHi int) {
 	g.epi.rows(g.c, g.ldc, rowLo, rowHi, g.n)
 }
 
+// q7Codes returns the A codes of rows [ic, ic+mc), rows 4·Kp bytes
+// apart, with the rows after them up to a whole tile of tileRows there
+// to read: the packed acts in place when they reach that far, or else
+// their rows copied into the worker's buffer; the quantized rows of x
+// in that buffer, their parameters in wk.q7Rows. Padding rows are
+// don't-care: they feed only discarded rows of a tile.
+func (g *gemm) q7Codes(wk *worker, ic, mc, tileRows int) []uint8 {
+	lda := 4 * g.qw.Kp
+	n := roundUp(mc, tileRows) * lda
+	if g.qa != nil {
+		if a := g.qa.Data[ic*lda:]; len(a) >= n {
+			return a
+		}
+		a := Grow(&wk.q7A, n)
+		copy(a, g.qa.Data[ic*lda:(ic+mc)*lda])
+		return a
+	}
+	a := Grow(&wk.q7A, n)
+	for i := 0; i < mc; i++ {
+		wk.q7Rows[i] = vec.quantize(a[i*lda:], g.a[(ic+i)*g.lda:][:g.k])
+	}
+	return a
+}
+
+// q7BlockRun computes the MC block of rows [ic, ic+mc) from its A codes
+// a on the block body with one tile config for the block. A dequantized
+// product hands the body its whole strip pairs to dequantize 32×32 at a
+// time; a raw one has the body store its whole 16×16 tiles straight
+// into ci. What is left — the last columns, rows past the last whole
+// tile, and products whose K needs two configs — goes through the
+// worker's int32 buffer (q7BlockBuffered).
+func (g *gemm) q7BlockRun(wk *worker, a []uint8, ic, mc int) {
+	lda, kg := 4*g.qw.Kp, g.qw.Kp
+	mt := (mc + q7TileRows - 1) / q7TileRows
+	switch {
+	case g.ci == nil && (kg <= 16 || kg%16 == 0) && g.n >= gemmPairNR:
+		n2 := g.n &^ (gemmPairNR - 1)
+		q7Block(a, lda, g.qw.Data, kg, Grow(&wk.q7C, gemmPairNR*gemmPairNR), gemmPairNR, mt, n2/gemmNR,
+			q7BlockOut{g.c[ic*g.ldc:], g.ldc, wk.q7Rows[:mc], g.scales[:n2], g.qw.RowSum[:n2], !g.zero})
+		g.q7BlockBuffered(wk, a, ic, 0, mc, n2)
+	case g.ci != nil && mc >= q7TileRows && g.n >= gemmNR:
+		mf, nf := mc/q7TileRows, g.n/gemmNR
+		q7Block(a, lda, g.qw.Data, kg, g.ci[ic*g.ldc:], g.ldc, mf, nf, q7BlockOut{})
+		g.q7BlockBuffered(wk, a, ic, 0, mf*q7TileRows, nf*gemmNR)
+		g.q7BlockBuffered(wk, a, ic, mf*q7TileRows, mc, 0)
+	default:
+		g.q7BlockBuffered(wk, a, ic, 0, mc, 0)
+	}
+}
+
+// q7BlockBuffered computes rows [i0, i1) of the MC block at ic, columns
+// j0 on, on the block body, q7BlockNC columns a call, into the worker's
+// int32 buffer, and writes each call's sums out, raw or dequantized by
+// the pair tile's dequantization.
+func (g *gemm) q7BlockBuffered(wk *worker, a []uint8, ic, i0, i1, j0 int) {
+	lda := 4 * g.qw.Kp
+	mr := i1 - i0
+	if mr <= 0 {
+		return
+	}
+	mt := (mr + q7TileRows - 1) / q7TileRows
+	for ; j0 < g.n; j0 += q7BlockNC {
+		nc := min(q7BlockNC, g.n-j0)
+		nt := (nc + gemmNR - 1) / gemmNR
+		ldt := nt * gemmNR
+		t := Grow(&wk.q7C, mt*q7TileRows*ldt)
+		q7Block(a[i0*lda:], lda, g.qw.Data[j0*lda:], g.qw.Kp, t, ldt, mt, nt, q7BlockOut{})
+		i := ic + i0
+		if g.ci == nil {
+			q7Pair.dequant(g.c[i*g.ldc+j0:], g.ldc, t, ldt, wk.q7Rows[i0:i1],
+				g.scales[j0:j0+nc], g.qw.RowSum[j0:j0+nc], !g.zero)
+			continue
+		}
+		for r := 0; r < mr; r++ {
+			copy(g.ci[(i+r)*g.ldc+j0:][:nc], t[r*ldt:])
+		}
+	}
+}
+
 // q7Store writes the valid mr×nr corner of the worker's tile, which
 // body wrote — rows ic+ir.., columns j0.. — as raw int32 into ci, or
 // dequantized into c (added to c's old value unless zero).
 func (g *gemm) q7Store(wk *worker, body q7Body, ic, ir, mr, j0, nr int) {
 	i := ic + ir
 	if g.ci == nil {
-		body.dequant(g.c[i*g.ldc+j0:], g.ldc, &wk.q7Acc, body.nr, wk.q7Rows[ir:ir+mr],
+		body.dequant(g.c[i*g.ldc+j0:], g.ldc, wk.q7Acc[:], body.nr, wk.q7Rows[ir:ir+mr],
 			g.scales[j0:j0+nr], g.qw.RowSum[j0:j0+nr], !g.zero)
 		return
 	}
@@ -218,7 +322,7 @@ func q7QuantizeGo(dst []uint8, row []float32) quant.Q7Params {
 }
 
 // q7DequantGo is the portable q7Dequant.
-func q7DequantGo(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
+func q7DequantGo(c []float32, ldc int, tile []int32, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
 	for r, p := range rows {
 		sa, za := p.Scale, float32(p.ZeroPoint)
 		dst := c[r*ldc:][:len(scales)]

@@ -8,13 +8,15 @@ import (
 )
 
 // vec is the set of per-element bodies the forward runs, and Kernels
-// names the register and vector bodies picked at init (pickMicro's CPUID
+// names the register, tile and vector bodies picked at init (pickMicro's
 // checks): "avx2" when the CPU has AVX2 and FMA and the OS saves the YMM
 // registers; "avx2+avx512vnni" when the CPU also has AVX-512F and VNNI
 // and the OS saves the ZMM registers, so that the float and int8 GEMMs
 // run their 6×32 pair tiles and the bias add, GELU, softmax, LayerNorm
-// and the quantizer's min/max their 16-lane bodies (vecAVX512); "go"
-// otherwise.
+// and the quantizer's min/max their 16-lane bodies (vecAVX512);
+// "avx2+avx512vnni+amx" when, beyond that, the int8 GEMM runs on the AMX
+// tiles (cpufeat.AMXInt8: the CPU has them, the OS saves their state
+// and the kernel granted it); "go" otherwise.
 var vec, Kernels = pickVec(cpufeat.AVX512VNNI())
 
 // pickVec returns the per-element bodies for this CPU and their Kernels
@@ -23,6 +25,8 @@ func pickVec(avx512 bool) (vecBodies, string) {
 	switch {
 	case !cpufeat.AVX2FMA():
 		return vecGo, "go"
+	case avx512 && q7Block != nil:
+		return vecAVX512, "avx2+avx512vnni+amx"
 	case avx512:
 		return vecAVX512, "avx2+avx512vnni"
 	}
@@ -33,9 +37,9 @@ var vecAVX2 = vecBodies{addRowAVX2, geluRowAVX2, softmaxRowsAVX2, layerNormGo, q
 	packTransAVX2Body, packTransHalfAVX2Body}
 
 // vecAVX512 runs the bias add, GELU, softmax, LayerNorm and the
-// quantizer's min/max on 16 lanes (the quantizer's codes and the B
-// pack's transposes stay on their 8-lane bodies). The bodies hand a
-// row's tail to the 8-lane ones, and softmax its last rows.
+// quantizer's min/max and codes on 16 lanes (the B pack's transposes
+// stay on their 8-lane bodies). The bodies hand a row's tail to the
+// 8-lane ones, and softmax its last rows.
 var vecAVX512 = vecBodies{addRowAVX512, geluRowAVX512, softmaxRowsAVX512, layerNormAVX512Body, q7QuantizeAVX512Body,
 	packTransAVX2Body, packTransHalfAVX2Body}
 
@@ -114,16 +118,18 @@ func layerNormAVX512(dst, src *float32, groups, n, ld int, gamma, beta *float32,
 //go:noescape
 func q7QuantizeAVX2(dst *uint8, x *float32, n int, scale, zp float32)
 
-// q7DequantAVX2 and q7DequantAVX512 are q7DequantGo over mr full-width
-// tile rows — 16 columns (64 bytes apart) and 32 columns (128 bytes
-// apart); rows points at mr quant.Q7Params, read as {Scale float32,
-// ZeroPoint int32}.
+//go:noescape
+func q7QuantizeAVX512(dst *uint8, x *float32, n int, scale, zp float32)
+
+// q7DequantAVX2 and q7DequantAVX512 are q7DequantGo over mr rows of 16
+// and 32 columns, tile rows ldt values apart; rows points at mr
+// quant.Q7Params, read as {Scale float32, ZeroPoint int32}.
 //
 //go:noescape
-func q7DequantAVX2(c *float32, ldc int, tile *int32, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
+func q7DequantAVX2(c *float32, ldc int, tile *int32, ldt int, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
 
 //go:noescape
-func q7DequantAVX512(c *float32, ldc int, tile *int32, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
+func q7DequantAVX512(c *float32, ldc int, tile *int32, ldt int, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
 
 // packTransAVX2 and packTransHalfAVX2 fill a whole 16-row strip from
 // kc8 values of each row, ld elements apart, as 8×8 transposes: eight
@@ -261,25 +267,37 @@ func layerNormAVX512Body(dst, src []float32, m, n, ld int, gamma, beta []float32
 
 // q7QuantizeAVX2Body and q7QuantizeAVX512Body calibrate a row as
 // CalibrateQ7 does, from the min/max of their width, and write its codes
-// on the 8-lane body.
+// on that width's body, the row's tail on the narrower ones.
 func q7QuantizeAVX2Body(dst []uint8, row []float32) quant.Q7Params {
-	return q7QuantizeAsm(dst, row, minMaxAVX2Row)
+	if len(row) < 8 {
+		return q7QuantizeGo(dst, row)
+	}
+	p := quant.Q7Range(minMaxAVX2Row(row))
+	q7CodesAVX2(dst, row, p)
+	return p
 }
 
 func q7QuantizeAVX512Body(dst []uint8, row []float32) quant.Q7Params {
-	return q7QuantizeAsm(dst, row, minMaxAVX512Row)
-}
-
-func q7QuantizeAsm(dst []uint8, row []float32, minMax func([]float32) (lo, hi float32)) quant.Q7Params {
-	n8 := len(row) &^ 7
-	if n8 == 0 {
-		return q7QuantizeGo(dst, row)
+	n16 := len(row) &^ 15
+	if n16 == 0 {
+		return q7QuantizeAVX2Body(dst, row)
 	}
 	_ = dst[len(row)-1]
-	p := quant.Q7Range(minMax(row))
-	q7QuantizeAVX2(&dst[0], &row[0], n8, p.Scale, float32(p.ZeroPoint))
-	p.QuantizeInto(dst[n8:], row[n8:])
+	p := quant.Q7Range(minMaxAVX512Row(row))
+	q7QuantizeAVX512(&dst[0], &row[0], n16, p.Scale, float32(p.ZeroPoint))
+	q7CodesAVX2(dst[n16:], row[n16:], p)
 	return p
+}
+
+// q7CodesAVX2 writes row's codes under p: whole groups of eight on the
+// assembly, the rest in Go.
+func q7CodesAVX2(dst []uint8, row []float32, p quant.Q7Params) {
+	if n8 := len(row) &^ 7; n8 > 0 {
+		_ = dst[len(row)-1]
+		q7QuantizeAVX2(&dst[0], &row[0], n8, p.Scale, float32(p.ZeroPoint))
+		dst, row = dst[n8:], row[n8:]
+	}
+	p.QuantizeInto(dst, row)
 }
 
 // minMaxAVX2Row and minMaxAVX512Row return the least and greatest of a
@@ -315,31 +333,40 @@ func minMaxTail(xs []float32, lo, hi float32) (float32, float32) {
 	return lo, hi
 }
 
-// q7DequantAVX2Body and q7DequantAVX512Body take the full-width tiles
-// of their kernels; an edge tile narrower than that goes to the Go body.
-func q7DequantAVX2Body(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
-	if q7DequantFull(c, ldc, tile, ldt, gemmNR, rows, scales, rowSum) {
-		q7DequantAVX2(&c[0], ldc, &tile[0], &rows[0], len(rows), &scales[0], &rowSum[0], accumulate)
-		return
-	}
-	q7DequantGo(c, ldc, tile, ldt, rows, scales, rowSum, accumulate)
+// q7DequantAVX2Body and q7DequantAVX512Body run the whole groups of 16
+// and 32 columns of a dequantization on their assembly and hand the
+// rest to the narrower body: the same operations on every element, so
+// the same bits.
+func q7DequantAVX2Body(c []float32, ldc int, tile []int32, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
+	q7DequantAsm(q7DequantAVX2, gemmNR, q7DequantGo, c, ldc, tile, ldt, rows, scales, rowSum, accumulate)
 }
 
-func q7DequantAVX512Body(c []float32, ldc int, tile *q7Tile, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
-	if q7DequantFull(c, ldc, tile, ldt, gemmPairNR, rows, scales, rowSum) {
-		q7DequantAVX512(&c[0], ldc, &tile[0], &rows[0], len(rows), &scales[0], &rowSum[0], accumulate)
-		return
-	}
-	q7DequantGo(c, ldc, tile, ldt, rows, scales, rowSum, accumulate)
+func q7DequantAVX512Body(c []float32, ldc int, tile []int32, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
+	q7DequantAsm(q7DequantAVX512, gemmPairNR, q7DequantAVX2Body, c, ldc, tile, ldt, rows, scales, rowSum, accumulate)
 }
 
-// q7DequantFull reports whether a dequantization is a whole nr-wide
-// tile's rows, after proving the assembly's reads and writes.
-func q7DequantFull(c []float32, ldc int, tile *q7Tile, ldt, nr int, rows []quant.Q7Params, scales []float32, rowSum []int32) bool {
-	mr := len(rows)
-	if ldt != nr || len(scales) != nr || mr == 0 {
-		return false
+func q7DequantAsm(asm func(c *float32, ldc int, tile *int32, ldt int, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool),
+	nr int, rest q7Dequant, c []float32, ldc int, tile []int32, ldt int, rows []quant.Q7Params, scales []float32, rowSum []int32, accumulate bool) {
+	if n := q7DequantPrefix(c, ldc, tile, ldt, nr, rows, scales, rowSum); n > 0 {
+		for j := 0; j < n; j += nr {
+			asm(&c[j], ldc, &tile[j], ldt, &rows[0], len(rows), &scales[j], &rowSum[j], accumulate)
+		}
+		if n == len(scales) {
+			return
+		}
+		c, tile, scales, rowSum = c[n:], tile[n:], scales[n:], rowSum[n:]
 	}
-	_, _, _ = tile[mr*nr-1], rowSum[nr-1], c[(mr-1)*ldc+nr-1]
-	return true
+	rest(c, ldc, tile, ldt, rows, scales, rowSum, accumulate)
+}
+
+// q7DequantPrefix returns how many of a dequantization's columns the
+// assembly of width nr takes — its whole groups of nr — after proving
+// the assembly's reads and writes of them.
+func q7DequantPrefix(c []float32, ldc int, tile []int32, ldt, nr int, rows []quant.Q7Params, scales []float32, rowSum []int32) int {
+	mr, n := len(rows), len(scales)&^(nr-1)
+	if mr == 0 || n == 0 || ldt < n || ldc < n {
+		return 0
+	}
+	_, _, _ = tile[(mr-1)*ldt+n-1], rowSum[n-1], c[(mr-1)*ldc+n-1]
+	return n
 }

@@ -244,20 +244,62 @@ qloop:
 	VZEROUPPER
 	RET
 
-// func q7DequantAVX2(c *float32, ldc int, tile *int32, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
+// func q7QuantizeAVX512(dst *uint8, x *float32, n int, scale, zp float32)
+// q7QuantizeAVX2 on 16 lanes, n a multiple of 16: the same operations
+// in the same order. VRNDSCALEPS $3 truncates as VROUNDPS $3 does, the
+// ≥ 0.5 test sets a mask under which 1 is added (elsewhere trunc stays
+// as trunc + 0 leaves it), and VPMOVDB stores the 16 clamped codes.
+TEXT ·q7QuantizeAVX512(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	SHRQ         $4, CX
+	VBROADCASTSS scale+24(FP), Z0
+	VBROADCASTSS zp+28(FP), Z1
+	VBROADCASTSS ABSMASK, Z2
+	VBROADCASTSS HALF, Z3
+	VBROADCASTSS ONE, Z4
+	VPXORD       Z5, Z5, Z5
+	VBROADCASTSS C127, Z6
+
+q512loop:
+	VMOVUPS     (SI), Z7
+	VDIVPS      Z0, Z7, Z7
+	VPANDD      Z2, Z7, Z8
+	VRNDSCALEPS $3, Z8, Z9
+	VSUBPS      Z9, Z8, Z10
+	VCMPPS      $13, Z3, Z10, K1 // |v| − trunc ≥ 0.5
+	VADDPS      Z4, Z9, K1, Z9
+	VPANDND     Z7, Z2, Z11
+	VPORD       Z11, Z9, Z9
+	VADDPS      Z1, Z9, Z9
+	VMAXPS      Z5, Z9, Z9
+	VMINPS      Z6, Z9, Z9
+	VCVTTPS2DQ  Z9, Z9
+	VPMOVDB     Z9, (DI)
+	ADDQ        $64, SI
+	ADDQ        $16, DI
+	DECQ        CX
+	JNZ         q512loop
+	VZEROUPPER
+	RET
+
+// func q7DequantAVX2(c *float32, ldc int, tile *int32, ldt int, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
 // Per row r and column j: rows[r].Scale·scales[j]·(float32(raw) −
 // float32(ZeroPoint)·float32(rowSum[j])), plus c's old value when
-// accumulate. Tile rows are 64 bytes apart, Q7Params 8.
-TEXT ·q7DequantAVX2(SB), NOSPLIT, $0-57
+// accumulate. Tile rows are R10 = 4·ldt bytes apart, Q7Params 8.
+TEXT ·q7DequantAVX2(SB), NOSPLIT, $0-65
 	MOVQ    c+0(FP), DI
 	MOVQ    ldc+8(FP), R8
 	SHLQ    $2, R8
 	MOVQ    tile+16(FP), SI
-	MOVQ    rows+24(FP), BX
-	MOVQ    mr+32(FP), CX
-	MOVQ    scales+40(FP), AX
-	MOVQ    rowSum+48(FP), DX
-	MOVBLZX accumulate+56(FP), R9
+	MOVQ    ldt+24(FP), R10
+	SHLQ    $2, R10
+	MOVQ    rows+32(FP), BX
+	MOVQ    mr+40(FP), CX
+	MOVQ    scales+48(FP), AX
+	MOVQ    rowSum+56(FP), DX
+	MOVBLZX accumulate+64(FP), R9
 	VMOVUPS (AX), Y0
 	VMOVUPS 32(AX), Y1
 	VCVTDQ2PS (DX), Y2
@@ -285,7 +327,7 @@ dqloop:
 dqstore:
 	VMOVUPS Y10, (DI)
 	VMOVUPS Y11, 32(DI)
-	ADDQ    $64, SI
+	ADDQ    R10, SI
 	ADDQ    $8, BX
 	ADDQ    R8, DI
 	DECQ    CX
@@ -293,19 +335,21 @@ dqstore:
 	VZEROUPPER
 	RET
 
-// func q7DequantAVX512(c *float32, ldc int, tile *int32, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
-// q7DequantAVX2 on 16 lanes over 32-column tile rows, 128 bytes apart:
-// the same operations in the same order, so the same bits.
-TEXT ·q7DequantAVX512(SB), NOSPLIT, $0-57
+// func q7DequantAVX512(c *float32, ldc int, tile *int32, ldt int, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
+// q7DequantAVX2 on 16 lanes over 32 columns: the same operations in the
+// same order, so the same bits.
+TEXT ·q7DequantAVX512(SB), NOSPLIT, $0-65
 	MOVQ    c+0(FP), DI
 	MOVQ    ldc+8(FP), R8
 	SHLQ    $2, R8
 	MOVQ    tile+16(FP), SI
-	MOVQ    rows+24(FP), BX
-	MOVQ    mr+32(FP), CX
-	MOVQ    scales+40(FP), AX
-	MOVQ    rowSum+48(FP), DX
-	MOVBLZX accumulate+56(FP), R9
+	MOVQ    ldt+24(FP), R10
+	SHLQ    $2, R10
+	MOVQ    rows+32(FP), BX
+	MOVQ    mr+40(FP), CX
+	MOVQ    scales+48(FP), AX
+	MOVQ    rowSum+56(FP), DX
+	MOVBLZX accumulate+64(FP), R9
 	VMOVUPS (AX), Z0
 	VMOVUPS 64(AX), Z1
 	VCVTDQ2PS (DX), Z2
@@ -333,7 +377,7 @@ dq512loop:
 dq512store:
 	VMOVUPS Z10, (DI)
 	VMOVUPS Z11, 64(DI)
-	ADDQ    $128, SI
+	ADDQ    R10, SI
 	ADDQ    $8, BX
 	ADDQ    R8, DI
 	DECQ    CX
