@@ -132,9 +132,11 @@ func HostGemmSuite(n int) []HostGemmResult {
 	out = append(out, HostGemmResult{"bf16", timeGemm(n, func() {
 		tensor.GemmTransBF16Into(c, a.Data, bf16, n, n, n, true)
 	})})
-	// int8: the exact integer micro-kernel (AVX2 VPMADDUBSW on amd64,
-	// AVX-512 VNNI VPDPBUSD where the CPU has it) over packed 7-bit codes (activations asymmetric uint7, weights
-	// symmetric int7), accumulating in int32.
+	// int8: the exact integer kernels (AVX2 VPMADDUBSW on amd64,
+	// AVX-512 VNNI VPDPBUSD where the CPU has it, AMX TDPBUSD tiles where
+	// it has those and the kernel grants them) over packed 7-bit codes
+	// (activations asymmetric uint7, weights symmetric int7),
+	// accumulating in int32.
 	ap, err := quant.CalibrateQ7(a.Data)
 	if err != nil {
 		return out

@@ -46,13 +46,6 @@ const (
 	// accumulates) worth a goroutine of its own; products below it run
 	// serially and bands are never split finer than this.
 	gemmMinMACsPerBand = 1 << 16
-
-	// q7BlockMACsPerBand is the same floor for a raw int8 product (no
-	// quantization or dequantization in its bands) on the AMX block
-	// body: about 50 µs of tile work on one core, less than a forked
-	// helper waits to start on a busy 2-vCPU VM, so such a band would
-	// finish sooner run by the caller.
-	q7BlockMACsPerBand = 1 << 25
 )
 
 // microKernel adds the product of a kc-deep A strip (MR rows, row
@@ -85,12 +78,11 @@ func microGo(a []float32, lda int, bp []float32, kc int, c []float32, ldc int) {
 // worker is one goroutine's GEMM working memory: a product's packed B,
 // the copy of a partial last A strip and the edge-tile scratch, the int8
 // A strips with their rows' quantization parameters, the int32 tile and
-// the AMX block's int32 sums,
-// the attention score rows, and — when this worker fans a product out —
-// the job its helpers read and the barrier they meet at once B is
-// packed. Workers come from a bounded free list, not a sync.Pool: a GC
-// empties a pool, and the buffers would be allocated again on the next
-// forward.
+// the AMX block's int32 sums, the attention score rows, and — when this
+// worker fans a product out — the job its helpers read and the barrier
+// they meet at once B is packed. Workers come from a bounded free list,
+// not a sync.Pool: a GC empties a pool, and the buffers would be
+// allocated again on the next forward.
 type worker struct {
 	packB, edgeA, scores []float32
 	edge                 [gemmMR * gemmPairNR]float32
@@ -263,11 +255,7 @@ func (g *gemm) run() {
 	g.check()
 	wk := getWorker()
 	defer workers.Put(wk)
-	w := gemmWorkers(g.m, g.n, g.k)
-	if g.ci != nil && q7Block != nil {
-		w = min(w, max(1, int(int64(g.m)*int64(g.n)*int64(g.k)/q7BlockMACsPerBand)))
-	}
-	g.parallel(wk, w)
+	g.parallel(wk, gemmWorkers(g.m, g.n, g.k))
 }
 
 // check panics with ErrShape unless every operand holds the m×n×k

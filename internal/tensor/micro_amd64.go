@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"harvest/internal/cpufeat"
-	"harvest/internal/quant"
-)
+import "harvest/internal/cpufeat"
 
 // micro, microPair, q7Strip, q7Pair and q7Block are the tiles every
 // packed float and int8 GEMM runs, picked once at package init: the
@@ -119,64 +116,35 @@ func q7AMXConfig(kg int) amxConfig {
 
 // q7AMXTiles is the AMX int8 body in micro_amd64.s: per pair of 16-row
 // A tiles and pair of weight strips, 2×2 int32 C tiles of TDPBUSD over
-// the K blocks, stored into c, or into a scratch at c that it then
-// dequantizes as dq says. It loads the tile config at cfg once and
+// the K blocks, stored into c. It loads the tile config at cfg once and
 // releases the tiles before it returns: Go never preempts assembly
 // asynchronously, so no tile state outlives the call or follows its
 // goroutine to another thread.
 //
 //go:noescape
-func q7AMXTiles(cfg *amxConfig, a *uint8, lda int, b *uint8, ldb, ka, blocks int, c *int32, ldc, mt, nt int, load bool, dq *q7AMXDequant)
+func q7AMXTiles(cfg *amxConfig, a *uint8, lda int, b *uint8, ldb, ka, blocks int, c *int32, ldc, mt, nt int, load bool)
 
 // amxPalette reads the calling thread's tile config back
 // (STTILECFG) and returns its palette: 0 once the tiles are released.
 // Tests use it to see that no tile state outlives a call.
 func amxPalette() uint8
 
-// q7AMXDequant is q7AMXTiles' dequantization, read by the assembly at
-// these offsets: the output's first row and column and its row stride
-// in floats, the rows' parameters, how many rows to write, and the
-// columns' scales and weight sums.
-type q7AMXDequant struct {
-	out    *float32        // 0
-	ldo    int             // 8
-	rows   *quant.Q7Params // 16
-	m      int             // 24
-	scales *float32        // 32
-	rowSum *int32          // 40
-	acc    bool            // 48
-}
-
 // q7AMXBody is the AMX q7BlockKernel. The whole 16-group K blocks run on
 // one tile config; a K tail of fewer groups runs on a second, shaped to
-// its width, which adds to the blocks' sums in c. Given out.c, c is a
-// 32×32 scratch (ldc 32): each 2×2 block of tiles is stored there and
-// dequantized into out before the next block runs, which wants whole
-// strip pairs and a single config.
-func q7AMXBody(a []uint8, lda int, b []uint8, kg int, c []int32, ldc, mt, nt int, out q7BlockOut) {
+// its width, which adds to the blocks' sums in c.
+func q7AMXBody(a []uint8, lda int, b []uint8, kg int, c []int32, ldc, mt, nt int) {
 	// The assembly does no bounds checks: prove every access here.
-	if mt < 1 || nt < 1 || kg < 1 || lda < 4*kg || out.c == nil && ldc < 16*nt {
+	if mt < 1 || nt < 1 || kg < 1 || lda < 4*kg || ldc < 16*nt {
 		panic(shapeErrf("AMX tiles: mt=%d, nt=%d, kg=%d, lda=%d, ldc=%d", mt, nt, kg, lda, ldc))
 	}
-	_, _ = a[(16*mt-1)*lda+4*kg-1], b[nt*64*kg-1]
+	_, _, _ = a[(16*mt-1)*lda+4*kg-1], b[nt*64*kg-1], c[(16*mt-1)*ldc+16*nt-1]
 	blocks, tail := kg/16, kg%16
-	var dq *q7AMXDequant
-	if out.c == nil {
-		_ = c[(16*mt-1)*ldc+16*nt-1]
-	} else {
-		m := len(out.rows)
-		if nt%2 != 0 || blocks > 0 && tail > 0 || ldc != gemmPairNR || m <= 16*(mt-1) || m > 16*mt || out.ldc < 16*nt {
-			panic(shapeErrf("AMX tiles dequantizing %d rows: mt=%d, nt=%d, kg=%d, ldc=%d, output ldc=%d", m, mt, nt, kg, ldc, out.ldc))
-		}
-		_, _, _, _ = c[gemmPairNR*gemmPairNR-1], out.c[(m-1)*out.ldc+16*nt-1], out.scales[16*nt-1], out.rowSum[16*nt-1]
-		dq = &q7AMXDequant{&out.c[0], out.ldc, &out.rows[0], m, &out.scales[0], &out.rowSum[0], out.acc}
-	}
 	if blocks > 0 {
 		cfg := q7AMXConfig(16)
-		q7AMXTiles(&cfg, &a[0], lda, &b[0], 64*kg, 64, blocks, &c[0], 4*ldc, mt, nt, false, dq)
+		q7AMXTiles(&cfg, &a[0], lda, &b[0], 64*kg, 64, blocks, &c[0], 4*ldc, mt, nt, false)
 	}
 	if tail > 0 {
 		cfg := q7AMXConfig(tail)
-		q7AMXTiles(&cfg, &a[64*blocks], lda, &b[1024*blocks], 64*kg, 4*tail, 1, &c[0], 4*ldc, mt, nt, blocks > 0, dq)
+		q7AMXTiles(&cfg, &a[64*blocks], lda, &b[1024*blocks], 64*kg, 4*tail, 1, &c[0], 4*ldc, mt, nt, blocks > 0)
 	}
 }

@@ -309,7 +309,7 @@ q7pairloop:
 #define TILESTORE_C10 BYTE $0xC4; BYTE $0x82; BYTE $0x7A; BYTE $0x4B; BYTE $0x14; BYTE $0x1A
 #define TILESTORE_C11 BYTE $0xC4; BYTE $0x82; BYTE $0x7A; BYTE $0x4B; BYTE $0x5C; BYTE $0x1A; BYTE $0x40
 
-// func q7AMXTiles(cfg *amxConfig, a *uint8, lda int, b *uint8, ldb, ka, blocks int, c *int32, ldc, mt, nt int, load bool, dq *q7AMXDequant)
+// func q7AMXTiles(cfg *amxConfig, a *uint8, lda int, b *uint8, ldb, ka, blocks int, c *int32, ldc, mt, nt int, load bool)
 // Loads the tile config at cfg, then for each pair of 16-row A tiles
 // (rows lda bytes apart) and, within it, each pair of weight strips (ldb
 // bytes apart) runs blocks K blocks — ka bytes of each A row, 16·ka
@@ -317,17 +317,12 @@ q7pairloop:
 // zero, or at c's sums when load. An odd last row tile or strip runs the
 // same loop on its half of the tiles. The tiles are stored into c (rows
 // ldc bytes apart, a strip pair's columns 128 bytes after the last
-// pair's) or, given dq, into the 32×32 scratch at c, whose rows below
-// dq.m q7DequantAVX512 then writes out as floats (dq takes whole strip
-// pairs only). Row pairs go outermost so that the output is written 32
-// rows at a time, each row's lines in order, which the prefetchers
-// follow; a strip pair's whole column of rows at a time measured slower
-// in the forward. Releases the tiles before it returns. mt, nt, blocks
-// >= 1. The frame holds the dequantization's arguments (0-64), the strip
-// pair's B (72) and first column's byte offset (80), the strips left
-// (88), the row pair's A (96) and first row (104), and the row tiles
-// left (112).
-TEXT ·q7AMXTiles(SB), NOSPLIT, $120-104
+// pair's). Row pairs go outermost so that c is written 32 rows at a
+// time, each row's lines in order. Releases the tiles before it
+// returns. mt, nt, blocks >= 1. The frame holds the strip pair's B (0)
+// and first column's byte offset (8), the strips left (16), the row
+// pair's A (24) and first row (32), and the row tiles left (40).
+TEXT ·q7AMXTiles(SB), NOSPLIT, $48-89
 	MOVQ cfg+0(FP), DI
 	LDTILECFG_DI
 	MOVQ ldc+64(FP), R11
@@ -335,45 +330,41 @@ TEXT ·q7AMXTiles(SB), NOSPLIT, $120-104
 	MOVQ R12, R13
 	SHLQ $4, R13
 	MOVQ a+8(FP), R8
-	MOVQ R8, 96(SP)
-	MOVQ $0, 104(SP)
+	MOVQ R8, 24(SP)
+	MOVQ $0, 32(SP)
 	MOVQ mt+72(FP), R8
-	MOVQ R8, 112(SP)
+	MOVQ R8, 40(SP)
 
 amxrowpairs:
 	MOVQ b+24(FP), R8
-	MOVQ R8, 72(SP)
-	MOVQ $0, 80(SP)
+	MOVQ R8, 0(SP)
+	MOVQ $0, 8(SP)
 	MOVQ nt+80(FP), R8
-	MOVQ R8, 88(SP)
+	MOVQ R8, 16(SP)
 
 amxrows:
 	MOVQ  $64, AX
 	MOVQ  lda+16(FP), CX
 	MOVQ  c+56(FP), R9
-	CMPQ  dq+96(FP), $0
-	JNE   amxscratch
-	MOVQ  104(SP), R8
+	MOVQ  32(SP), R8
 	IMULQ R11, R8
 	ADDQ  R8, R9
-	ADDQ  80(SP), R9
-
-amxscratch:
-	MOVQ R11, R10
-	SHLQ $4, R10
-	ADDQ R9, R10
-	MOVQ 96(SP), SI
-	MOVQ CX, BX
-	SHLQ $4, BX
-	ADDQ SI, BX
-	MOVQ 72(SP), DI
-	MOVQ ldb+32(FP), DX
-	ADDQ DI, DX
-	MOVQ blocks+48(FP), R8
-	CMPQ 88(SP), $1
-	JEQ  amxonestrip
-	CMPQ 112(SP), $1
-	JEQ  amx12
+	ADDQ  8(SP), R9
+	MOVQ  R11, R10
+	SHLQ  $4, R10
+	ADDQ  R9, R10
+	MOVQ  24(SP), SI
+	MOVQ  CX, BX
+	SHLQ  $4, BX
+	ADDQ  SI, BX
+	MOVQ  0(SP), DI
+	MOVQ  ldb+32(FP), DX
+	ADDQ  DI, DX
+	MOVQ  blocks+48(FP), R8
+	CMPQ  16(SP), $1
+	JEQ   amxonestrip
+	CMPQ  40(SP), $1
+	JEQ   amx12
 
 	CMPB load+88(FP), $0
 	JEQ  amx22zero
@@ -408,8 +399,7 @@ amx22loop:
 	TILESTORE_C01
 	TILESTORE_C10
 	TILESTORE_C11
-	MOVQ $32, R8
-	JMP  amxdq
+	JMP  amxnext
 
 amx12:
 	CMPB load+88(FP), $0
@@ -435,11 +425,10 @@ amx12loop:
 	JNZ  amx12loop
 	TILESTORE_C00
 	TILESTORE_C01
-	MOVQ $16, R8
-	JMP  amxdq
+	JMP  amxnext
 
 amxonestrip:
-	CMPQ 112(SP), $1
+	CMPQ 40(SP), $1
 	JEQ  amx11
 	CMPB load+88(FP), $0
 	JEQ  amx21zero
@@ -484,58 +473,19 @@ amx11loop:
 	DECQ R8
 	JNZ  amx11loop
 	TILESTORE_C00
-	JMP  amxnext
-
-	// The block's R8 rows of sums are in the scratch: dequantize the
-	// ones below dq.m into dq.out, row 104(SP) and column 80(SP) on.
-amxdq:
-	MOVQ    dq+96(FP), DX
-	TESTQ   DX, DX
-	JZ      amxnext
-	MOVQ    24(DX), AX
-	SUBQ    104(SP), AX
-	CMPQ    AX, R8
-	CMOVQGT R8, AX
-	MOVQ    AX, 40(SP)
-	MOVQ    8(DX), BX
-	MOVQ    BX, 8(SP)
-	MOVQ    104(SP), AX
-	IMULQ   BX, AX
-	SHLQ    $2, AX
-	ADDQ    0(DX), AX
-	MOVQ    80(SP), CX
-	ADDQ    CX, AX
-	MOVQ    AX, 0(SP)
-	MOVQ    R9, 16(SP)
-	MOVQ    R11, AX
-	SHRQ    $2, AX
-	MOVQ    AX, 24(SP)
-	MOVQ    104(SP), AX
-	SHLQ    $3, AX
-	ADDQ    16(DX), AX
-	MOVQ    AX, 32(SP)
-	MOVQ    32(DX), AX
-	ADDQ    CX, AX
-	MOVQ    AX, 48(SP)
-	MOVQ    40(DX), AX
-	ADDQ    CX, AX
-	MOVQ    AX, 56(SP)
-	MOVBLZX 48(DX), AX
-	MOVB    AX, 64(SP)
-	CALL    ·q7DequantAVX512(SB)
 
 amxnext:
 	MOVQ ldb+32(FP), R8
 	SHLQ $1, R8
-	ADDQ R8, 72(SP)
-	ADDQ $128, 80(SP)
-	SUBQ $2, 88(SP)
+	ADDQ R8, 0(SP)
+	ADDQ $128, 8(SP)
+	SUBQ $2, 16(SP)
 	JG   amxrows
 	MOVQ lda+16(FP), R8
 	SHLQ $5, R8
-	ADDQ R8, 96(SP)
-	ADDQ $32, 104(SP)
-	SUBQ $2, 112(SP)
+	ADDQ R8, 24(SP)
+	ADDQ $32, 32(SP)
+	SUBQ $2, 40(SP)
 	JG   amxrowpairs
 	TILERELEASE
 	RET

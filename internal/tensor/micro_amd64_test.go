@@ -389,10 +389,9 @@ func TestQ7DequantBodiesAgree(t *testing.T) {
 	}
 }
 
-// TestQ7RoundingExhaustive proves the quantizer's float32 rounding —
-// trunc(|v|), +1 when the fraction is at least ½, v's sign — on the AVX2
-// body, and on the AVX-512 one where the CPU has it, equal to the Go
-// body's math.Round(float64(v)):
+// TestQ7RoundingExhaustive proves the AVX2 quantizer's float32 rounding
+// — trunc(|v|), +1 when the fraction is at least ½, v's sign — equal to
+// the Go body's math.Round(float64(v)):
 //   - for every float32 with 0.25 ≤ |v| ≤ 256, against the Go body at
 //     scale 1 and a zero point that keeps each chunk's codes off the
 //     clamp;
@@ -408,10 +407,6 @@ func TestQ7RoundingExhaustive(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("2.3 billion values: not in -short or race runs")
 	}
-	bodies := map[string]func(dst *uint8, x *float32, n int, scale, zp float32){"AVX2": q7QuantizeAVX2}
-	if cpufeat.AVX512VNNI() {
-		bodies["AVX-512"] = q7QuantizeAVX512
-	}
 	const chunk = 1 << 16
 	xs := make([]float32, chunk)
 	got, want := make([]uint8, chunk), make([]uint8, chunk)
@@ -421,11 +416,9 @@ func TestQ7RoundingExhaustive(t *testing.T) {
 		}
 	}
 	zeroPoint := func(scale float32) {
-		for name, body := range bodies {
-			body(&got[0], &xs[0], chunk, scale, 64)
-			if n := bytes.Count(got, []byte{64}); n != chunk {
-				t.Fatalf("%s: |v| < 0.25 from %v/%v: %d of %d codes are not the zero point", name, xs[0], scale, chunk-n, chunk)
-			}
+		q7QuantizeAVX2(&got[0], &xs[0], chunk, scale, 64)
+		if n := bytes.Count(got, []byte{64}); n != chunk {
+			t.Fatalf("|v| < 0.25 from %v/%v: %d of %d codes are not the zero point", xs[0], scale, chunk-n, chunk)
 		}
 	}
 	for _, sign := range []uint32{0, 1 << 31} {
@@ -442,14 +435,12 @@ func TestQ7RoundingExhaustive(t *testing.T) {
 			// A chunk spans at most one unit here, so its codes stay
 			// within ±2 of 64.
 			p := quant.Q7Params{Scale: 1, ZeroPoint: 64 - int32(math.Round(float64(xs[0])))}
+			q7QuantizeAVX2(&got[0], &xs[0], chunk, 1, float32(p.ZeroPoint))
 			p.QuantizeInto(want, xs)
-			for name, body := range bodies {
-				body(&got[0], &xs[0], chunk, 1, float32(p.ZeroPoint))
-				if !bytes.Equal(got, want) {
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("%s: v=%v (%#08x): code %d, math.Round gives %d", name, xs[i], math.Float32bits(xs[i]), got[i], want[i])
-						}
+			if !bytes.Equal(got, want) {
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("v=%v (%#08x): code %d, math.Round gives %d", xs[i], math.Float32bits(xs[i]), got[i], want[i])
 					}
 				}
 			}
@@ -519,8 +510,7 @@ func TestPackBodiesAgree(t *testing.T) {
 //     over the same kg, lda and codes (so every 2×2, 2×1, 1×2 and 1×1
 //     tile block, whole K blocks, a K tail and both), the AMX body's raw
 //     sums equal the scalar sums and leave C's columns past the strips
-//     alone; and, where K needs one tile config, its fused dequantization
-//     of two strips into 33…48 rows equals q7DequantGo on those sums.
+//     alone.
 //   - Through Q7GemmTransB, with the dispatch set to each tile in turn,
 //     every q7Shapes entry and a saturation case (all codes at the range
 //     ends, K = 4096) equal the scalar reference.
@@ -620,9 +610,8 @@ func TestQ7BodiesAgree(t *testing.T) {
 
 // checkAMXBody runs the AMX block body on three 16-row tiles of A codes
 // (rows lda apart, 255 between them, which it must not read) and three
-// weight strips of kg groups, raw into a C wider than the strips, and —
-// where K needs one tile config — dequantizing the first two strips into
-// 33…48 rows, against the scalar sums and q7DequantGo.
+// weight strips of kg groups into a C wider than the strips, against the
+// scalar sums.
 func checkAMXBody(t *testing.T, r *stats.RNG, kg, lda int, extreme bool, what string) {
 	t.Helper()
 	const mt, nt, ldc = 3, 3, 3*gemmNR + 7
@@ -659,32 +648,8 @@ func checkAMXBody(t *testing.T, r *stats.RNG, kg, lda int, extreme bool, what st
 	for i := range got {
 		got[i] = -7
 	}
-	q7AMXBody(a, lda, b, kg, got, ldc, mt, nt, q7BlockOut{})
+	q7AMXBody(a, lda, b, kg, got, ldc, mt, nt)
 	requireSameInts(t, "AMX block vs scalar, "+what, got, want)
-	if kg > 16 && kg%16 != 0 {
-		return
-	}
-	const n = 2 * gemmNR
-	rows := make([]quant.Q7Params, 16*mt)
-	for i := range rows {
-		rows[i] = quant.Q7Params{Scale: float32(r.Float64() * 0.1), ZeroPoint: int32(r.Intn(128))}
-	}
-	scales, rowSum := make([]float32, n), make([]int32, n)
-	for j := range scales {
-		scales[j], rowSum[j] = float32(r.Float64()*0.05), int32(r.Intn(20000))-10000
-	}
-	m := 33 + r.Intn(16)
-	for _, acc := range []bool{false, true} {
-		prior := make([]float32, 16*mt*ldc)
-		for i := range prior {
-			prior[i] = float32(r.Float64()*2 - 1)
-		}
-		gotF, wantF := slices.Clone(prior), slices.Clone(prior)
-		q7AMXBody(a, lda, b, kg, make([]int32, gemmPairNR*gemmPairNR), gemmPairNR, mt, 2,
-			q7BlockOut{gotF, ldc, rows[:m], scales, rowSum, acc})
-		q7DequantGo(wantF, ldc, want, ldc, rows[:m], scales, rowSum, acc)
-		requireSameFloats(t, fmt.Sprintf("AMX fused dequantization of %d rows, accumulate=%v, %s", m, acc, what), gotF, wantF)
-	}
 }
 
 // TestMicroBodiesAgree runs the AVX2/FMA body and the Go body over the
@@ -959,11 +924,10 @@ func TestLayerNormBodiesAgree(t *testing.T) {
 	}
 }
 
-// TestQ7AMXReleasesTiles: after every AMX block call — one tile config,
-// two, and the fused dequantization — the calling thread's tiles are
-// released (STTILECFG reads palette 0), so no tile state outlives the
-// call. The goroutine is locked to its thread so the check reads the
-// thread the call ran on.
+// TestQ7AMXReleasesTiles: after every AMX block call — one tile config
+// and two — the calling thread's tiles are released (STTILECFG reads
+// palette 0), so no tile state outlives the call. The goroutine is
+// locked to its thread so the check reads the thread the call ran on.
 func TestQ7AMXReleasesTiles(t *testing.T) {
 	if q7Block == nil {
 		t.Skip("no AMX block body on this host")
@@ -974,29 +938,20 @@ func TestQ7AMXReleasesTiles(t *testing.T) {
 	for _, kg := range []int{5, 16, 21} {
 		a, b := make([]uint8, 16*mt*4*kg), make([]uint8, 64*kg*nt)
 		c := make([]int32, 16*mt*16*nt)
-		q7AMXBody(a, 4*kg, b, kg, c, 16*nt, mt, nt, q7BlockOut{})
+		q7AMXBody(a, 4*kg, b, kg, c, 16*nt, mt, nt)
 		if p := amxPalette(); p != 0 {
-			t.Errorf("kg=%d: tile palette %d after a raw call, want 0 (released)", kg, p)
-		}
-		if kg > 16 {
-			continue
-		}
-		rows := make([]quant.Q7Params, 16*mt)
-		q7AMXBody(a, 4*kg, b, kg, c, gemmPairNR, mt, nt, q7BlockOut{make([]float32, 16*mt*16*nt), 16 * nt,
-			rows, make([]float32, 16*nt), make([]int32, 16*nt), false})
-		if p := amxPalette(); p != 0 {
-			t.Errorf("kg=%d: tile palette %d after a dequantizing call, want 0 (released)", kg, p)
+			t.Errorf("kg=%d: tile palette %d after a call, want 0 (released)", kg, p)
 		}
 	}
 }
 
 // TestQ7AMXUnderPreemption: GOMAXPROCS goroutines run int8 products on
 // the AMX tiles for a second — a raw one whose K needs two tile configs
-// and a dequantized one on the fused path, each forking its own row
-// bands — while another goroutine forces collections, whose stop-the-
-// world preempts running goroutines by signal, and each yields between
-// products. Every result must be exact: the tile state survives signal
-// delivery, and no tile state follows a goroutine to another thread.
+// and a dequantized one, each forking its own row bands — while another
+// goroutine forces collections, whose stop-the-world preempts running
+// goroutines by signal, and each yields between products. Every result
+// must be exact: the tile state survives signal delivery, and no tile
+// state follows a goroutine to another thread.
 func TestQ7AMXUnderPreemption(t *testing.T) {
 	if q7Block == nil {
 		t.Skip("no AMX block body on this host")

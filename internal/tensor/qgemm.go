@@ -58,25 +58,12 @@ type q7Dequant func(c []float32, ldc int, tile []int32, ldt int, rows []quant.Q7
 
 // q7BlockKernel computes the int32 product of mt 16-row tiles of A codes
 // (rows lda bytes apart, kg groups each) and nt adjacent weight strips
-// at b into c (rows ldc apart, 16·nt columns), overwriting it; or, given
-// out.c, dequantizes it into out as it goes, c then being scratch.
-type q7BlockKernel func(a []uint8, lda int, b []uint8, kg int, c []int32, ldc, mt, nt int, out q7BlockOut)
-
-// q7BlockOut is a block kernel's dequantization: rows[r].Scale·
-// scales[j]·(raw − ZeroPoint·rowSum[j]) into c (rows ldc apart), added
-// to c's old value when acc, for the len(rows) rows and 16·nt columns.
-type q7BlockOut struct {
-	c      []float32
-	ldc    int
-	rows   []quant.Q7Params
-	scales []float32
-	rowSum []int32
-	acc    bool
-}
+// at b into c (rows ldc apart, 16·nt columns), overwriting it.
+type q7BlockKernel func(a []uint8, lda int, b []uint8, kg int, c []int32, ldc, mt, nt int)
 
 // q7TileRows is the height of an AMX tile, and q7BlockNC the columns
-// one q7Block call covers when its sums go through the worker's buffer
-// (an MC block of rows by q7BlockNC columns, 144 KiB of int32).
+// one q7Block call covers (two tiles of rows by q7BlockNC columns,
+// 32 KiB of int32 in the worker's buffer).
 const (
 	q7TileRows = 16
 	q7BlockNC  = 256
@@ -243,56 +230,30 @@ func (g *gemm) q7Codes(wk *worker, ic, mc, tileRows int) []uint8 {
 }
 
 // q7BlockRun computes the MC block of rows [ic, ic+mc) from its A codes
-// a on the block body with one tile config for the block. A dequantized
-// product hands the body its whole strip pairs to dequantize 32×32 at a
-// time; a raw one has the body store its whole 16×16 tiles straight
-// into ci. What is left — the last columns, rows past the last whole
-// tile, and products whose K needs two configs — goes through the
-// worker's int32 buffer (q7BlockBuffered).
+// a on the block body, 32 rows by q7BlockNC columns a call, into the
+// worker's int32 buffer, and writes each call's sums out, raw or
+// dequantized by the pair tile's dequantization, while they are still
+// in L1.
 func (g *gemm) q7BlockRun(wk *worker, a []uint8, ic, mc int) {
-	lda, kg := 4*g.qw.Kp, g.qw.Kp
-	mt := (mc + q7TileRows - 1) / q7TileRows
-	switch {
-	case g.ci == nil && (kg <= 16 || kg%16 == 0) && g.n >= gemmPairNR:
-		n2 := g.n &^ (gemmPairNR - 1)
-		q7Block(a, lda, g.qw.Data, kg, Grow(&wk.q7C, gemmPairNR*gemmPairNR), gemmPairNR, mt, n2/gemmNR,
-			q7BlockOut{g.c[ic*g.ldc:], g.ldc, wk.q7Rows[:mc], g.scales[:n2], g.qw.RowSum[:n2], !g.zero})
-		g.q7BlockBuffered(wk, a, ic, 0, mc, n2)
-	case g.ci != nil && mc >= q7TileRows && g.n >= gemmNR:
-		mf, nf := mc/q7TileRows, g.n/gemmNR
-		q7Block(a, lda, g.qw.Data, kg, g.ci[ic*g.ldc:], g.ldc, mf, nf, q7BlockOut{})
-		g.q7BlockBuffered(wk, a, ic, 0, mf*q7TileRows, nf*gemmNR)
-		g.q7BlockBuffered(wk, a, ic, mf*q7TileRows, mc, 0)
-	default:
-		g.q7BlockBuffered(wk, a, ic, 0, mc, 0)
-	}
-}
-
-// q7BlockBuffered computes rows [i0, i1) of the MC block at ic, columns
-// j0 on, on the block body, q7BlockNC columns a call, into the worker's
-// int32 buffer, and writes each call's sums out, raw or dequantized by
-// the pair tile's dequantization.
-func (g *gemm) q7BlockBuffered(wk *worker, a []uint8, ic, i0, i1, j0 int) {
 	lda := 4 * g.qw.Kp
-	mr := i1 - i0
-	if mr <= 0 {
-		return
-	}
-	mt := (mr + q7TileRows - 1) / q7TileRows
-	for ; j0 < g.n; j0 += q7BlockNC {
-		nc := min(q7BlockNC, g.n-j0)
-		nt := (nc + gemmNR - 1) / gemmNR
-		ldt := nt * gemmNR
-		t := Grow(&wk.q7C, mt*q7TileRows*ldt)
-		q7Block(a[i0*lda:], lda, g.qw.Data[j0*lda:], g.qw.Kp, t, ldt, mt, nt, q7BlockOut{})
-		i := ic + i0
-		if g.ci == nil {
-			q7Pair.dequant(g.c[i*g.ldc+j0:], g.ldc, t, ldt, wk.q7Rows[i0:i1],
-				g.scales[j0:j0+nc], g.qw.RowSum[j0:j0+nc], !g.zero)
-			continue
-		}
-		for r := 0; r < mr; r++ {
-			copy(g.ci[(i+r)*g.ldc+j0:][:nc], t[r*ldt:])
+	for i0 := 0; i0 < mc; i0 += 2 * q7TileRows {
+		mr := min(2*q7TileRows, mc-i0)
+		mt := (mr + q7TileRows - 1) / q7TileRows
+		for j0 := 0; j0 < g.n; j0 += q7BlockNC {
+			nc := min(q7BlockNC, g.n-j0)
+			nt := (nc + gemmNR - 1) / gemmNR
+			ldt := nt * gemmNR
+			t := Grow(&wk.q7C, mt*q7TileRows*ldt)
+			q7Block(a[i0*lda:], lda, g.qw.Data[j0*lda:], g.qw.Kp, t, ldt, mt, nt)
+			i := ic + i0
+			if g.ci == nil {
+				q7Pair.dequant(g.c[i*g.ldc+j0:], g.ldc, t, ldt, wk.q7Rows[i0:i0+mr],
+					g.scales[j0:j0+nc], g.qw.RowSum[j0:j0+nc], !g.zero)
+				continue
+			}
+			for r := 0; r < mr; r++ {
+				copy(g.ci[(i+r)*g.ldc+j0:][:nc], t[r*ldt:])
+			}
 		}
 	}
 }

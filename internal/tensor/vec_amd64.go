@@ -37,9 +37,9 @@ var vecAVX2 = vecBodies{addRowAVX2, geluRowAVX2, softmaxRowsAVX2, layerNormGo, q
 	packTransAVX2Body, packTransHalfAVX2Body}
 
 // vecAVX512 runs the bias add, GELU, softmax, LayerNorm and the
-// quantizer's min/max and codes on 16 lanes (the B pack's transposes
-// stay on their 8-lane bodies). The bodies hand a row's tail to the
-// 8-lane ones, and softmax its last rows.
+// quantizer's min/max on 16 lanes (the quantizer's codes and the B
+// pack's transposes stay on their 8-lane bodies). The bodies hand a
+// row's tail to the 8-lane ones, and softmax its last rows.
 var vecAVX512 = vecBodies{addRowAVX512, geluRowAVX512, softmaxRowsAVX512, layerNormAVX512Body, q7QuantizeAVX512Body,
 	packTransAVX2Body, packTransHalfAVX2Body}
 
@@ -117,9 +117,6 @@ func layerNormAVX512(dst, src *float32, groups, n, ld int, gamma, beta *float32,
 
 //go:noescape
 func q7QuantizeAVX2(dst *uint8, x *float32, n int, scale, zp float32)
-
-//go:noescape
-func q7QuantizeAVX512(dst *uint8, x *float32, n int, scale, zp float32)
 
 // q7DequantAVX2 and q7DequantAVX512 are q7DequantGo over mr rows of 16
 // and 32 columns, tile rows ldt values apart; rows points at mr
@@ -267,37 +264,25 @@ func layerNormAVX512Body(dst, src []float32, m, n, ld int, gamma, beta []float32
 
 // q7QuantizeAVX2Body and q7QuantizeAVX512Body calibrate a row as
 // CalibrateQ7 does, from the min/max of their width, and write its codes
-// on that width's body, the row's tail on the narrower ones.
+// on the 8-lane body.
 func q7QuantizeAVX2Body(dst []uint8, row []float32) quant.Q7Params {
-	if len(row) < 8 {
-		return q7QuantizeGo(dst, row)
-	}
-	p := quant.Q7Range(minMaxAVX2Row(row))
-	q7CodesAVX2(dst, row, p)
-	return p
+	return q7QuantizeAsm(dst, row, minMaxAVX2Row)
 }
 
 func q7QuantizeAVX512Body(dst []uint8, row []float32) quant.Q7Params {
-	n16 := len(row) &^ 15
-	if n16 == 0 {
-		return q7QuantizeAVX2Body(dst, row)
-	}
-	_ = dst[len(row)-1]
-	p := quant.Q7Range(minMaxAVX512Row(row))
-	q7QuantizeAVX512(&dst[0], &row[0], n16, p.Scale, float32(p.ZeroPoint))
-	q7CodesAVX2(dst[n16:], row[n16:], p)
-	return p
+	return q7QuantizeAsm(dst, row, minMaxAVX512Row)
 }
 
-// q7CodesAVX2 writes row's codes under p: whole groups of eight on the
-// assembly, the rest in Go.
-func q7CodesAVX2(dst []uint8, row []float32, p quant.Q7Params) {
-	if n8 := len(row) &^ 7; n8 > 0 {
-		_ = dst[len(row)-1]
-		q7QuantizeAVX2(&dst[0], &row[0], n8, p.Scale, float32(p.ZeroPoint))
-		dst, row = dst[n8:], row[n8:]
+func q7QuantizeAsm(dst []uint8, row []float32, minMax func([]float32) (lo, hi float32)) quant.Q7Params {
+	n8 := len(row) &^ 7
+	if n8 == 0 {
+		return q7QuantizeGo(dst, row)
 	}
-	p.QuantizeInto(dst, row)
+	_ = dst[len(row)-1]
+	p := quant.Q7Range(minMax(row))
+	q7QuantizeAVX2(&dst[0], &row[0], n8, p.Scale, float32(p.ZeroPoint))
+	p.QuantizeInto(dst[n8:], row[n8:])
+	return p
 }
 
 // minMaxAVX2Row and minMaxAVX512Row return the least and greatest of a

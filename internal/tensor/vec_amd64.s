@@ -244,46 +244,6 @@ qloop:
 	VZEROUPPER
 	RET
 
-// func q7QuantizeAVX512(dst *uint8, x *float32, n int, scale, zp float32)
-// q7QuantizeAVX2 on 16 lanes, n a multiple of 16: the same operations
-// in the same order. VRNDSCALEPS $3 truncates as VROUNDPS $3 does, the
-// ≥ 0.5 test sets a mask under which 1 is added (elsewhere trunc stays
-// as trunc + 0 leaves it), and VPMOVDB stores the 16 clamped codes.
-TEXT ·q7QuantizeAVX512(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         n+16(FP), CX
-	SHRQ         $4, CX
-	VBROADCASTSS scale+24(FP), Z0
-	VBROADCASTSS zp+28(FP), Z1
-	VBROADCASTSS ABSMASK, Z2
-	VBROADCASTSS HALF, Z3
-	VBROADCASTSS ONE, Z4
-	VPXORD       Z5, Z5, Z5
-	VBROADCASTSS C127, Z6
-
-q512loop:
-	VMOVUPS     (SI), Z7
-	VDIVPS      Z0, Z7, Z7
-	VPANDD      Z2, Z7, Z8
-	VRNDSCALEPS $3, Z8, Z9
-	VSUBPS      Z9, Z8, Z10
-	VCMPPS      $13, Z3, Z10, K1 // |v| − trunc ≥ 0.5
-	VADDPS      Z4, Z9, K1, Z9
-	VPANDND     Z7, Z2, Z11
-	VPORD       Z11, Z9, Z9
-	VADDPS      Z1, Z9, Z9
-	VMAXPS      Z5, Z9, Z9
-	VMINPS      Z6, Z9, Z9
-	VCVTTPS2DQ  Z9, Z9
-	VPMOVDB     Z9, (DI)
-	ADDQ        $64, SI
-	ADDQ        $16, DI
-	DECQ        CX
-	JNZ         q512loop
-	VZEROUPPER
-	RET
-
 // func q7DequantAVX2(c *float32, ldc int, tile *int32, ldt int, rows *quant.Q7Params, mr int, scales *float32, rowSum *int32, accumulate bool)
 // Per row r and column j: rows[r].Scale·scales[j]·(float32(raw) −
 // float32(ZeroPoint)·float32(rowSum[j])), plus c's old value when
