@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fuzz-smoke exact-v3 check loc flake bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
+.PHONY: all build test race vet fmt fuzz-smoke exact-v3 workers check loc flake bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
 
 all: check
 
@@ -20,8 +20,8 @@ vet:
 # replica-pool router, the lock-free metrics recorders, the trace ring
 # buffer, pipeline with its live sim-vs-real validation test, the pooled
 # preprocessing engines, the load harness, and the compute backend:
-# the goroutine-parallel packed/quantized GEMM kernels, the attention
-# tasks and the workspace free lists of the executable models, plus the streaming camera
+# the packed/quantized GEMM kernels and attention tasks on the worker
+# team and the workspace free lists of the executable models, plus the streaming camera
 # ingest tier with its async frame completions and serialized uplink),
 # and core's replica and tier assembly (the rest of core builds a single
 # server and submits to it from one goroutine).
@@ -52,13 +52,20 @@ exact-v3:
 		echo "exact-v3: skipped, this CPU cannot run x86-64-v3 code"; \
 	fi
 
+# The compute's worker team with 0, 1 and 3 helpers, and at a
+# GOMAXPROCS that changes within one process: the golden logits, batch
+# consistency, concurrent callers and the team's own tests at -cpu 1,2,4.
+workers:
+	$(GO) test -run 'Golden|BatchConsistency|ConcurrentCallers|Team' -cpu 1,2,4 ./internal/tensor ./internal/models
+
 # Every Go file must be gofmt-clean; the offending files are listed.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # The CI gate: tier-1 tests (including cmd's flag-surface golden) plus
-# vet, gofmt, the race suite, the fuzz smoke run and the GOAMD64=v3 rerun.
-check: build vet fmt test race fuzz-smoke exact-v3
+# vet, gofmt, the race suite, the fuzz smoke run, the GOAMD64=v3 rerun
+# and the worker-count sweep.
+check: build vet fmt test race fuzz-smoke exact-v3 workers
 
 # Non-test Go line counts (wc -l, *_test.go excluded) per internal
 # package, for cmd/ and examples/, and in total: the number a "judged by

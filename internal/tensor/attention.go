@@ -1,11 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // Attention computes single-head scaled dot product attention for
 // q (nq x dim), k (nk x dim) and v (nk x dv) and returns (nq x dv),
@@ -28,9 +23,8 @@ func Attention(q, k, v *Tensor) *Tensor {
 // (batch·seq × 3d), d = heads·dh, with Q, K and V in the column blocks
 // [0,d), [d,2d) and [2d,3d) and head h in columns [h·dh, (h+1)·dh) of
 // each; out is (batch·seq × d), each head writing its own column block.
-// The batch·heads pairs are independent tasks on at most GOMAXPROCS
-// goroutines, all joined before it returns; a pair's bits do not depend
-// on which goroutine ran it.
+// The batch·heads pairs are independent tasks of one team job; a pair's
+// bits do not depend on which worker ran it.
 func MultiHeadAttention(out, qkv []float32, batch, seq, heads, dh int) {
 	d := heads * dh
 	if len(qkv) < batch*seq*3*d || len(out) < batch*seq*d {
@@ -38,28 +32,23 @@ func MultiHeadAttention(out, qkv []float32, batch, seq, heads, dh int) {
 			len(qkv), len(out), batch, seq, d))
 	}
 	tasks := batch * heads
-	var next atomic.Int64
-	run := func() {
-		wk := getWorker()
-		for t := int(next.Add(1)) - 1; t < tasks; t = int(next.Add(1)) - 1 {
-			b, h := t/heads, t%heads
-			x := qkv[b*seq*3*d+h*dh:]
-			attendHead(wk, out[b*seq*d+h*dh:], d, x, x[d:], x[2*d:], 3*d, 3*d, 3*d, seq, seq, dh, dh)
-		}
-		workers.Put(wk)
-	}
-	macs := 2 * int64(tasks) * int64(seq) * int64(seq) * int64(dh)
-	w := min(runtime.GOMAXPROCS(0), tasks, max(1, int(macs/gemmMinMACsPerBand)))
-	var wg sync.WaitGroup
-	defer wg.Wait() // also when the caller's own tasks panic
-	for i := 1; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
+	wk := getWorker()
+	defer workers.Put(wk)
+	wk.job.mha, wk.job.tasks = mha{out: out, qkv: qkv, seq: seq, heads: heads, dh: dh}, tasks
+	wk.job.run(wk, teamWorkers(tasks, 2*int64(tasks)*int64(seq)*int64(seq)*int64(dh)))
+}
+
+// mha is a MultiHeadAttention call's operands; task t is image t/heads,
+// head t%heads.
+type mha struct {
+	out, qkv       []float32
+	seq, heads, dh int
+}
+
+func (a *mha) task(wk *worker, t int) {
+	b, h, d := t/a.heads, t%a.heads, a.heads*a.dh
+	x := a.qkv[b*a.seq*3*d+h*a.dh:]
+	attendHead(wk, a.out[b*a.seq*d+h*a.dh:], d, x, x[d:], x[2*d:], 3*d, 3*d, 3*d, a.seq, a.seq, a.dh, a.dh)
 }
 
 // attendHead computes out = softmax(q·kᵀ/√dim)·v for one head — q
@@ -72,7 +61,7 @@ func attendHead(wk *worker, out []float32, ldo int, q, k, v []float32, ldq, ldk,
 	scores := Grow(&wk.scores, nq*nk)
 	qk := gemm{c: scores, a: q, b: k, ldc: nk, lda: ldq, ldb: ldk, m: nq, n: nk, k: dim,
 		transB: true, zero: true, epi: Epilogue{SoftmaxScale: float32(1 / math.Sqrt(float64(dim)))}}
-	qk.parallel(wk, 1)
+	qk.parallel(wk, 1, 1)
 	pv := gemm{c: out, a: scores, b: v, ldc: ldo, lda: nk, ldb: ldv, m: nq, n: dv, k: nk, zero: true}
-	pv.parallel(wk, 1)
+	pv.parallel(wk, 1, 1)
 }

@@ -19,3 +19,19 @@ func WithoutAMX(f func()) {
 	q7Block = nil
 	f()
 }
+
+// WithWorkers runs f with every product and attention call capped at n
+// workers, the caller included: 1 runs each serially on the caller.
+func WithWorkers(n int, f func()) {
+	defer func(c int64) { workerCap = c }(workerCap)
+	workerCap = int64(n)
+	f()
+}
+
+// TeamState reports how many helpers the team has started and how many
+// of them are parked.
+func TeamState() (started, parked int) {
+	helpers.mu.Lock()
+	defer helpers.mu.Unlock()
+	return helpers.started, helpers.parked
+}

@@ -43,7 +43,7 @@ const (
 	gemmNC     = 768        // N blocking (columns per B panel), a multiple of NR
 
 	// gemmMinMACsPerBand is the smallest amount of work (multiply-
-	// accumulates) worth a goroutine of its own; products below it run
+	// accumulates) worth a worker of its own; products below it run
 	// serially and bands are never split finer than this.
 	gemmMinMACsPerBand = 1 << 16
 )
@@ -79,10 +79,10 @@ func microGo(a []float32, lda int, bp []float32, kc int, c []float32, ldc int) {
 // the copy of a partial last A strip and the edge-tile scratch, the int8
 // A strips with their rows' quantization parameters, the int32 tile and
 // the AMX block's int32 sums, the attention score rows, and — when this
-// worker fans a product out — the job its helpers read and the barrier
-// they meet at once B is packed. Workers come from a bounded free list,
-// not a sync.Pool: a GC empties a pool, and the buffers would be
-// allocated again on the next forward.
+// worker's caller runs a job on the team — the job the helpers read.
+// A caller's workers come from a bounded free list, not a sync.Pool: a
+// GC empties a pool, and the buffers would be allocated again on the
+// next forward. Each helper owns one for its whole life.
 type worker struct {
 	packB, edgeA, scores []float32
 	edge                 [gemmMR * gemmPairNR]float32
@@ -90,8 +90,7 @@ type worker struct {
 	q7Rows               [gemmMC]quant.Q7Params
 	q7Acc                q7Tile
 	q7C                  []int32
-	job                  gemm
-	wg, packed           sync.WaitGroup
+	job                  job
 }
 
 var workers = FreeList[*worker]{Max: 2 * runtime.GOMAXPROCS(0)}
@@ -100,7 +99,7 @@ func getWorker() *worker {
 	if w, ok := workers.Get(); ok {
 		return w
 	}
-	return new(worker)
+	return &worker{job: job{wake: make(chan struct{}, 1)}}
 }
 
 // Grow returns (*buf)[:n], first replacing *buf when its capacity is
@@ -224,30 +223,6 @@ func GemmTransBEpilogue(c, a, b []float32, m, n, k int, accumulate bool, epi Epi
 	g.run()
 }
 
-// gemmWorkers picks the goroutine count for an m×n×k product: at most
-// GOMAXPROCS, at most one band per row, and never so many that a band
-// falls under gemmMinMACsPerBand multiply-accumulates. Sizing by flops
-// rather than rows keeps skinny products (small m, huge n·k) parallel
-// and keeps tiny products serial.
-func gemmWorkers(m, n, k int) int {
-	return gemmWorkersFor(m, n, k, runtime.GOMAXPROCS(0))
-}
-
-func gemmWorkersFor(m, n, k, procs int) int {
-	macs := int64(m) * int64(n) * int64(k)
-	w := int(macs / gemmMinMACsPerBand)
-	if w > procs {
-		w = procs
-	}
-	if w > m {
-		w = m
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 func (g *gemm) run() {
 	if g.m <= 0 || g.n <= 0 || g.k <= 0 {
 		return
@@ -255,7 +230,9 @@ func (g *gemm) run() {
 	g.check()
 	wk := getWorker()
 	defer workers.Put(wk)
-	g.parallel(wk, gemmWorkers(g.m, g.n, g.k))
+	macs := int64(g.m) * int64(g.n) * int64(g.k)
+	w := teamWorkers((g.m+gemmMR-1)/gemmMR, macs)
+	g.parallel(wk, w, int(min(int64(w*teamBandsPerWorker), macs/gemmMinMACsPerBand)))
 }
 
 // check panics with ErrShape unless every operand holds the m×n×k
@@ -300,76 +277,27 @@ func (g *gemm) check() {
 		bad, g.m, g.n, g.k, g.lda, g.ldb, g.ldc))
 }
 
-// parallel splits the rows into at most w contiguous bands of whole MR
-// strips (the first bands take one strip more, so none is ever empty)
-// and runs them concurrently, the caller's goroutine taking the first
-// on wk. A float product first packs B into wk: each band packs the
-// share of its strips that its rows are of the product's, and all wait
-// until the last share is done.
-func (g *gemm) parallel(wk *worker, w int) {
-	strips := (g.m + gemmMR - 1) / gemmMR
-	w = min(w, strips)
+// parallel splits the rows into at most nb bands of whole MR strips
+// and runs them on w workers of the team, the caller on wk, or serially
+// on wk. A float product first packs all of B into wk on the caller; an
+// int8 product's weights come packed.
+func (g *gemm) parallel(wk *worker, w, nb int) {
 	if g.qw == nil {
 		g.pb = Grow(&wk.packB, roundUp(g.n, gemmNR)*g.k)
+		for j0 := 0; j0 < g.n; j0 += gemmNR {
+			jc := j0 / gemmNC * gemmNC
+			for pc := 0; pc < g.k; pc += gemmKC {
+				kc := min(gemmKC, g.k-pc)
+				g.packBStrip(g.panel(jc, pc)[(j0-jc)*kc:][:gemmNR*kc], pc, j0, min(gemmNR, g.n-j0))
+			}
+		}
 	}
-	if w <= 1 {
-		g.packShare(nil, 0, g.m)
+	if nb = min(nb, (g.m+gemmMR-1)/gemmMR); w <= 1 || nb <= 1 {
 		g.band(wk, 0, g.m)
 		return
 	}
-	wk.job = *g
-	job := &wk.job
-	// Deferred so that no helper outlives wk's return to the free list,
-	// even when the caller's band panics.
-	defer func() {
-		wk.wg.Wait()
-		wk.job = gemm{}
-	}()
-	if g.qw == nil {
-		wk.packed.Add(w)
-	}
-	base, rem := strips/w, strips%w
-	bandRows := func(i int) int { return (base + min(1, max(0, rem-i))) * gemmMR }
-	lo := bandRows(0)
-	for i := 1; i < w; i++ {
-		hi := min(lo+bandRows(i), g.m)
-		wk.wg.Add(1)
-		go func(lo, hi int) {
-			defer wk.wg.Done()
-			job.packShare(&wk.packed, lo, hi)
-			h := getWorker()
-			job.band(h, lo, hi)
-			workers.Put(h)
-		}(lo, hi)
-		lo = hi
-	}
-	job.packShare(&wk.packed, 0, bandRows(0))
-	job.band(wk, 0, bandRows(0))
-}
-
-// packShare packs the band [rowLo,rowHi)'s share of B's 16-column
-// strips into g.pb — the same fraction of the strips as of the rows, so
-// the bands' shares tile B — then, given the product's barrier, counts
-// the share done and waits for the rest: every band multiplies by all
-// of B. An int8 product's weights come packed, and it has no barrier.
-func (g *gemm) packShare(packed *sync.WaitGroup, rowLo, rowHi int) {
-	if g.qw != nil {
-		return
-	}
-	if packed != nil {
-		defer packed.Wait()
-		// Done runs even if the pack panics, so no band waits forever.
-		defer packed.Done()
-	}
-	strips := (g.n + gemmNR - 1) / gemmNR
-	for s := rowLo * strips / g.m; s < rowHi*strips/g.m; s++ {
-		j0 := s * gemmNR
-		jc := j0 / gemmNC * gemmNC
-		for pc := 0; pc < g.k; pc += gemmKC {
-			kc := min(gemmKC, g.k-pc)
-			g.packBStrip(g.panel(jc, pc)[(j0-jc)*kc:][:gemmNR*kc], pc, j0, min(gemmNR, g.n-j0))
-		}
-	}
+	wk.job.g, wk.job.tasks = *g, nb
+	wk.job.run(wk, w)
 }
 
 // panel returns packed B from the KC×NC panel at (pc, jc) on. The

@@ -73,7 +73,7 @@ func TestGemmParallelBandsMatchNaive(t *testing.T) {
 		for w := 1; w <= 8; w++ {
 			c := New(m, n)
 			g := gemm{c: c.Data, a: a.Data, b: b.Data, ldc: n, lda: k, ldb: n, m: m, n: n, k: k}
-			g.parallel(new(worker), w)
+			g.parallel(getWorker(), w, w)
 			if d := float32(MaxAbsDiff(c, want)); d > gemmTol(k) {
 				t.Fatalf("m=%d w=%d: parallel bands diverge from naive by %g", m, w, d)
 			}
@@ -179,7 +179,7 @@ func TestGemmBandsBitIdentical(t *testing.T) {
 			c := make([]float32, m*n)
 			g := gemm{c: c, a: a.Data, b: bt.Data, ldc: n, lda: k, ldb: k, m: m, n: n, k: k,
 				transB: true, zero: true, epi: Epilogue{Bias: bias.Data, GELU: true}}
-			g.parallel(new(worker), w)
+			g.parallel(getWorker(), w, w)
 			if w == 1 {
 				want = c
 				continue
@@ -232,24 +232,31 @@ func TestGemmShortOperandPanicsInCaller(t *testing.T) {
 	}()
 }
 
+// TestGemmWorkersHeuristic: a product's workers, sized by teamWorkers
+// from its MR strips and its multiply-accumulates; no band ever falls
+// under gemmMinMACsPerBand.
 func TestGemmWorkersHeuristic(t *testing.T) {
 	cases := []struct {
 		m, n, k, procs, want int
 	}{
 		{1, 2048, 2048, 8, 1},    // one row: one band, however big the flops
-		{3, 2048, 2048, 8, 3},    // m < procs: clamp to m, never an empty band
+		{13, 2048, 2048, 8, 3},   // three strips < procs: clamp to them, never an empty band
 		{8, 8, 8, 8, 1},          // tiny product: stay serial
 		{2048, 2048, 2048, 8, 8}, // big product: use all procs
 		{2048, 4, 4, 8, 1},       // many rows but few MACs/row: stay near-serial
-		{100, 256, 256, 64, 64},  // flops-limited below m
+		{100, 64, 64, 64, 6},     // flops-limited below the strip count
 	}
 	for _, c := range cases {
-		if got := gemmWorkersFor(c.m, c.n, c.k, c.procs); got != c.want {
-			t.Errorf("gemmWorkersFor(%d,%d,%d,procs=%d) = %d, want %d", c.m, c.n, c.k, c.procs, got, c.want)
+		strips, macs := (c.m+gemmMR-1)/gemmMR, int64(c.m)*int64(c.n)*int64(c.k)
+		prev := runtime.GOMAXPROCS(c.procs)
+		got := teamWorkers(strips, macs)
+		runtime.GOMAXPROCS(prev)
+		if got != c.want {
+			t.Errorf("teamWorkers(%d strips, %d MACs) at GOMAXPROCS %d = %d, want %d", strips, macs, c.procs, got, c.want)
 		}
-	}
-	if got := gemmWorkersFor(100, 256, 256, 64); got*gemmMinMACsPerBand > 100*256*256 {
-		t.Errorf("band smaller than the minimum MAC floor: w=%d", got)
+		if got > 1 && int64(got)*gemmMinMACsPerBand > macs {
+			t.Errorf("%d workers share %d MACs below the per-worker floor", got, macs)
+		}
 	}
 }
 
@@ -552,5 +559,155 @@ func FuzzQ7GemmMatchesRef(f *testing.F) {
 			Q7LinearEpilogue(gotF, x, m, k, pw, scales, acc, Epilogue{})
 			requireSameFloats(t, fmt.Sprintf("%s linear (%d,%d,%d) accumulate=%v", tiles, m, n, k, acc), gotF, wantF)
 		})
+	})
+}
+
+// padRows lays rows×cols values out ld apart, the gaps holding pad.
+func padRows(src []float32, rows, cols, ld int, pad float32) []float32 {
+	out := filled(max(0, (rows-1)*ld+cols), pad)
+	for i := 0; i < rows; i++ {
+		copy(out[i*ld:i*ld+cols], src[i*cols:(i+1)*cols])
+	}
+	return out
+}
+
+// FuzzGemmMatchesReference: for any m, n and k; B row-major or
+// transposed, fp32 or (transposed, as the linears store it) float16 or
+// bfloat16; overwriting or accumulating; any subset of the epilogue's
+// bias, GELU, softmax and Norm steps; A, B and C read and written in
+// place at row strides whose padding holds NaN. The product on the team
+// equals the one on a single worker with ==, C's padding included; and
+// it is within gemmTol of naive sums run through the same epilogue (the
+// norm's bound scaled by its rows' 1/σ).
+func FuzzGemmMatchesReference(f *testing.F) {
+	for _, s := range []struct {
+		m, n, k uint16
+		flags   uint8
+	}{{1, 1, 1, 0}, {130, 96, 200, 0xff}, {61, 160, 300, 0x17}, {150, 33, 257, 0x2a},
+		{6, 17, 9, 0x45}, {97, 64, 130, 0xb3}, {160, 150, 64, 0x59}, {13, 1, 400, 0x8c}} {
+		f.Add(s.m, s.n, s.k, s.flags, uint64(s.m)*7+uint64(s.flags))
+	}
+	f.Fuzz(func(t *testing.T, m16, n16, k16 uint16, flags uint8, seed uint64) {
+		m, n, k := int(m16), int(n16), int(k16)
+		if m == 0 || n == 0 || k == 0 || m > 160 || n > 160 || k > 400 {
+			return
+		}
+		transB, half, acc := flags&1 != 0, flags>>1&3, flags&8 != 0
+		if !transB || half == 3 {
+			half = 0
+		}
+		r := stats.NewRNG(seed)
+		nan := float32(math.NaN())
+		lda, ldb, ldc := k+int(seed%3), 0, n+int(seed/3%3)
+		a, bt, prior := randTensor(r, m, k).Data, randTensor(r, n, k).Data, randTensor(r, m, n).Data
+		g := gemm{a: padRows(a, m, k, lda, nan), lda: lda, ldc: ldc, m: m, n: n, k: k, transB: transB, zero: !acc}
+		switch {
+		case half != 0:
+			ldb = k + int(seed/9%3)
+			g.bf16 = half == 2
+			g.bh = make([]uint16, (n-1)*ldb+k)
+			for i := range g.bh {
+				g.bh[i] = 0x7fff // NaN in both formats
+			}
+			for i, v := range bt {
+				h := uint16(quant.FromFloat32(v))
+				bt[i] = quant.Float16(h).Float32()
+				if g.bf16 {
+					h = uint16(quant.BF16FromFloat32(v))
+					bt[i] = quant.BFloat16(h).Float32()
+				}
+				g.bh[i/k*ldb+i%k] = h
+			}
+		case transB:
+			ldb = k + int(seed/9%3)
+			g.b = padRows(bt, n, k, ldb, nan)
+		default:
+			ldb = n + int(seed/9%3)
+			g.b = padRows(Transpose2D(FromSlice(bt, n, k)).Data, k, n, ldb, nan)
+		}
+		g.ldb = ldb
+		var ref Epilogue
+		if flags&16 != 0 {
+			ref.Bias = randTensor(r, n).Data
+		}
+		ref.GELU = flags&32 != 0
+		if flags&64 != 0 {
+			ref.SoftmaxScale = float32(1 / math.Sqrt(float64(k)))
+		}
+		var gamma, beta []float32
+		if flags&128 != 0 {
+			gamma, beta = randTensor(r, n).Data, randTensor(r, n).Data
+		}
+		run := func() (c, normed []float32) {
+			// The product takes the free list's top worker: poison its
+			// pack, so a strip no share packed, or a band that read its
+			// strip before the share was done, shows.
+			wk := getWorker()
+			for i := range wk.packB {
+				wk.packB[i] = nan
+			}
+			workers.Put(wk)
+			p := g
+			p.c, p.epi = padRows(prior, m, n, ldc, nan), ref
+			if gamma != nil {
+				normed = make([]float32, m*n)
+				p.epi.Norm = Norm{Dst: normed, Gamma: gamma, Beta: beta, Eps: 1e-6}
+			}
+			p.run()
+			return p.c, normed
+		}
+		var one, oneNormed []float32
+		WithWorkers(1, func() { one, oneNormed = run() })
+		team, teamNormed := run()
+		what := fmt.Sprintf("(%d,%d,%d) flags %#x", m, n, k, flags)
+		requireSameFloats(t, what+" on the team", team, one)
+		requireSameFloats(t, what+" normed on the team", teamNormed, oneNormed)
+
+		want := make([]float32, m*n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var s float32
+				if acc {
+					s = prior[i*n+j]
+				}
+				for p := 0; p < k; p++ {
+					s += a[i*k+p] * bt[j*k+p]
+				}
+				want[i*n+j] = s
+			}
+		}
+		ref.Apply(want, m, n)
+		tol := 2*gemmTol(k) + 1e-6
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if got, w := one[i*ldc+j], want[i*n+j]; !(math.Abs(float64(got-w)) <= float64(tol)) {
+					t.Fatalf("%s: C(%d,%d) = %v, want %v within %g", what, i, j, got, w, tol)
+				}
+			}
+		}
+		if gamma == nil {
+			return
+		}
+		wantNormed := make([]float32, m*n)
+		LayerNormRows(wantNormed, want, m, n, gamma, beta, 1e-6)
+		for i := 0; i < m; i++ {
+			row := want[i*n : (i+1)*n]
+			var mean, v float64
+			for _, x := range row {
+				mean += float64(x) / float64(n)
+			}
+			for _, x := range row {
+				v += (float64(x) - mean) * (float64(x) - mean) / float64(n)
+			}
+			if v < 1e-6 {
+				continue // a flat row: its norm amplifies rounding without bound
+			}
+			rowTol := 4*float64(tol)/math.Sqrt(v) + 1e-5
+			for j := range row {
+				if got, w := oneNormed[i*n+j], wantNormed[i*n+j]; !(math.Abs(float64(got-w)) <= rowTol) {
+					t.Fatalf("%s: normed (%d,%d) = %v, want %v within %g", what, i, j, got, w, rowTol)
+				}
+			}
+		}
 	})
 }
