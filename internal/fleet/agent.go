@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -15,11 +16,11 @@ import (
 // agentHTTP carries every agent's control-plane calls.
 var agentHTTP = &http.Client{Timeout: 5 * time.Second}
 
-// Agent is a replica's client side of the lease protocol: it registers
-// the replica with the fleet control plane, renews the lease at TTL/3,
-// and deregisters with drain on shutdown. harvest-serve runs one when
-// started with -fleet; the LocalProvisioner runs one per in-process
-// replica it spawns.
+// Agent is a replica's client side of the lease protocol: between
+// Start and Stop it registers the replica with the fleet control
+// plane, renews the lease at TTL/3, and deregisters with drain on
+// Stop. harvest-serve runs one when started with -fleet; the
+// LocalProvisioner runs one per in-process replica it spawns.
 type Agent struct {
 	// FleetURL is the control plane's base URL.
 	FleetURL string
@@ -37,11 +38,32 @@ type Agent struct {
 	Logf func(format string, args ...any)
 
 	aborted atomic.Bool
+	cancel  context.CancelFunc
+	done    chan error // run's return
 }
 
-// Abort makes the next Run exit skip the shutdown deregistration —
-// the crash-simulation path: renewals just stop and the lease is left
-// to expire by TTL.
+// Start runs the agent in the background until Stop.
+func (a *Agent) Start() {
+	ctx, cancel := context.WithCancel(context.Background())
+	a.cancel, a.done = cancel, make(chan error, 1)
+	go func() { a.done <- a.run(ctx) }()
+}
+
+// Stop retires the lease — a drain-aware deregistration, unless Abort
+// came first — and returns once the agent has exited, with the
+// deregistration's error.
+func (a *Agent) Stop() error {
+	a.cancel()
+	err := <-a.done
+	if errors.Is(err, context.Canceled) {
+		return nil // stopped before the first registration landed, or aborted
+	}
+	return err
+}
+
+// Abort makes the next Stop skip the deregistration — the
+// crash-simulation path: renewals just stop and the lease is left to
+// expire by TTL.
 func (a *Agent) Abort() { a.aborted.Store(true) }
 
 func (a *Agent) logf(format string, args ...any) {
@@ -93,11 +115,11 @@ func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 	return serve.MsDuration(resp.TTLMs), nil
 }
 
-// Run registers the replica (retrying until the control plane
+// run registers the replica (retrying until the control plane
 // answers), renews the lease at a third of its TTL, and deregisters
 // with drain when ctx is cancelled. It returns the shutdown
 // deregistration error, nil on a clean retirement.
-func (a *Agent) Run(ctx context.Context) error {
+func (a *Agent) run(ctx context.Context) error {
 	if a.FleetURL == "" || a.Name == "" || a.URL == "" {
 		return fmt.Errorf("fleet: agent needs FleetURL, Name and URL")
 	}

@@ -45,11 +45,9 @@ type LocalProvisioner struct {
 }
 
 type localReplica struct {
-	name      string
-	agent     *Agent
-	cancel    context.CancelFunc // stops the agent (it deregisters with drain)
-	agentDone chan struct{}
-	replica   *core.Replica
+	name    string
+	agent   *Agent
+	replica *core.Replica
 }
 
 // Launch starts one in-process replica and its registration agent.
@@ -70,7 +68,6 @@ func (lp *LocalProvisioner) Launch(_ context.Context, platform string) (string, 
 	if lp.reps == nil {
 		lp.reps = map[string]*localReplica{}
 	}
-	agentCtx, cancel := context.WithCancel(context.Background())
 	rep := &localReplica{
 		name: name,
 		agent: &Agent{
@@ -81,17 +78,13 @@ func (lp *LocalProvisioner) Launch(_ context.Context, platform string) (string, 
 			TTL:      lp.TTL,
 			Logf:     lp.Logf,
 		},
-		cancel:    cancel,
-		agentDone: make(chan struct{}),
-		replica:   replica,
+		replica: replica,
 	}
+	// Started before it is listed, so a Stop or Kill that finds it
+	// finds a running agent.
+	rep.agent.Start()
 	lp.reps[url] = rep
 	lp.mu.Unlock()
-
-	go func() {
-		defer close(rep.agentDone)
-		_ = rep.agent.Run(agentCtx)
-	}()
 	return url, nil
 }
 
@@ -99,7 +92,7 @@ func (lp *LocalProvisioner) Launch(_ context.Context, platform string) (string, 
 // (the registry stops routing to it and waits out in-flight work),
 // then the HTTP server shuts down gracefully and the deployment's
 // batchers drain. Admitted requests never fail.
-func (lp *LocalProvisioner) Stop(ctx context.Context, url string) error {
+func (lp *LocalProvisioner) Stop(_ context.Context, url string) error {
 	lp.mu.Lock()
 	rep, ok := lp.reps[url]
 	if ok {
@@ -109,11 +102,7 @@ func (lp *LocalProvisioner) Stop(ctx context.Context, url string) error {
 	if !ok {
 		return fmt.Errorf("fleet: no local replica at %s", url)
 	}
-	rep.cancel()
-	select {
-	case <-rep.agentDone:
-	case <-ctx.Done():
-	}
+	_ = rep.agent.Stop() // a failed deregistration leaves the lease to expire
 	rep.replica.Close()
 	return nil
 }
@@ -133,7 +122,7 @@ func (lp *LocalProvisioner) Kill(url string) (string, error) {
 		return "", fmt.Errorf("fleet: no local replica at %s", url)
 	}
 	rep.agent.Abort() // die without deregistering; the lease must expire
-	rep.cancel()
+	_ = rep.agent.Stop()
 	rep.replica.Kill()
 	return rep.name, nil
 }
@@ -151,9 +140,7 @@ func (lp *LocalProvisioner) URLs() []string {
 
 // Close stops every remaining replica (drain-aware).
 func (lp *LocalProvisioner) Close() {
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
 	for _, url := range lp.URLs() {
-		_ = lp.Stop(ctx, url)
+		_ = lp.Stop(context.Background(), url)
 	}
 }
