@@ -354,9 +354,9 @@ func clampU8(v int) uint8 {
 // a router over datacenter replicas, all in-process over loopback.
 // Zero fields take the scenario's defaults: a Jetson edge serving
 // ViT_Tiny at full-fidelity sleeps (so queueing pressure is real)
-// through the cpu preprocessor, offloading at queue depth 2 in 64 KiB
-// uplink chunks to two A100 replicas of the same model at TimeScale
-// 0.05 — fast, but nonzero so queueing exists.
+// through the cpu preprocessor, offloading at queue depth 2 to two
+// A100 replicas of the same model at TimeScale 0.05 — fast, but
+// nonzero so queueing exists.
 type EdgeCloudConfig struct {
 	// Edge is the ingest replica; its Stream.OffloadTo is pointed at
 	// the cloud router.
@@ -405,9 +405,6 @@ func StartEdgeCloud(cfg EdgeCloudConfig) (*EdgeCloud, error) {
 	var sc core.StreamConfig
 	if edge.Stream != nil {
 		sc = *edge.Stream
-	}
-	if sc.OffloadChunkBytes == 0 {
-		sc.OffloadChunkBytes = 64 << 10
 	}
 	if sc.OffloadQueueThreshold <= 0 {
 		sc.OffloadQueueThreshold = 2
