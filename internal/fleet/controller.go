@@ -27,6 +27,9 @@ const (
 	scaleDownAfter = 3
 	// maxDecisions bounds the decision log.
 	maxDecisions = 256
+	// sloClass is the class whose queue-latency attainment the loop
+	// watches.
+	sloClass = serve.ClassOnline
 )
 
 // ControllerConfig tunes the SLO-driven autoscaler.
@@ -42,9 +45,6 @@ type ControllerConfig struct {
 	Min, Max int
 	// Interval is the control-loop period (default 2s).
 	Interval time.Duration
-	// SLOClass is the class whose queue-latency attainment the loop
-	// watches (default "online").
-	SLOClass string
 	// SLO is the per-request queue-latency bound attainment is measured
 	// against, and the bound the oracle sizes for.
 	SLO time.Duration
@@ -68,9 +68,6 @@ func (cfg *ControllerConfig) fillDefaults() {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultControlInterval
 	}
-	if cfg.SLOClass == "" {
-		cfg.SLOClass = serve.ClassOnline.String()
-	}
 }
 
 // Decision records one autoscaler tick's observation and action.
@@ -79,7 +76,7 @@ type Decision struct {
 	// Observed demand over the last interval.
 	ArrivalRPS float64 `json:"arrival_rps"`
 	QueueDepth int64   `json:"queue_depth"`
-	// Attainment is the fraction of SLOClass requests whose queue wait
+	// Attainment is the fraction of sloClass requests whose queue wait
 	// met the SLO during the window (1 when the window saw none).
 	Attainment float64 `json:"attainment"`
 	// From/To are the fleet sizes before and after the action (equal
@@ -112,7 +109,7 @@ type Controller struct {
 	healthy   int      // consecutive ticks eligible for scale-down
 	lastCum   float64  // cumulative arrival counter at last tick
 	lastAt    time.Time
-	lastHist  []uint64 // SLOClass queue-latency buckets at last tick
+	lastHist  []uint64 // sloClass queue-latency buckets at last tick
 
 	stop chan struct{}
 	once sync.Once
@@ -197,7 +194,7 @@ func (c *Controller) platform() string {
 	return c.cfg.Oracle.Platforms[0]
 }
 
-// attainment computes the fraction of SLOClass queue-latency
+// attainment computes the fraction of sloClass queue-latency
 // observations within the SLO during the window between cur and the
 // previous tick's buckets. Aggregated cumulative counters shrink when
 // a replica leaves the pool, so negative per-bucket deltas are
@@ -255,7 +252,7 @@ func (c *Controller) tick() {
 		// Everything that arrived: completions, rejections, evictions.
 		cum = float64(mm.Requests + mm.Errors + mm.Cancelled + mm.Shed + mm.Expired)
 		queueDepth = mm.QueueDepth
-		if sum, ok := mm.QueueMsByClass[c.cfg.SLOClass]; ok {
+		if sum, ok := mm.QueueMsByClass[sloClass.String()]; ok {
 			curHist = sum.Buckets
 			att = attainment(lastHist, curHist, c.cfg.SLO)
 		}
