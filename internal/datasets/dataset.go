@@ -95,23 +95,6 @@ func (d *Dataset) Encoded(i int) ([]byte, Record, error) {
 	return data, rec, nil
 }
 
-// Batch returns records [start, start+n), wrapping around the dataset
-// end so arbitrarily long streams can be drawn.
-func (d *Dataset) Batch(start, n int) ([]Record, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("datasets: non-positive batch size %d", n)
-	}
-	out := make([]Record, n)
-	for k := 0; k < n; k++ {
-		rec, err := d.Record((start + k) % d.spec.Samples)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = rec
-	}
-	return out, nil
-}
-
 // Sizes returns up to n sampled sizes for density plots, using the
 // dataset's own deterministic per-record sizes.
 func (d *Dataset) Sizes(n int) []SizeSample {

@@ -177,25 +177,6 @@ func TestEncodedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchWrapsAround(t *testing.T) {
-	spec := Spec{Name: "tiny", Slug: "tiny", Classes: 2, Samples: 3,
-		Sizes: FixedSize{W: 8, H: 8}, Format: imaging.FormatPPM}
-	ds := MustNew(spec, 1)
-	batch, err := ds.Batch(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 4 {
-		t.Fatalf("batch size %d", len(batch))
-	}
-	if batch[0].Index != 2 || batch[1].Index != 0 || batch[3].Index != 2 {
-		t.Errorf("wraparound indices wrong: %+v", batch)
-	}
-	if _, err := ds.Batch(0, 0); err == nil {
-		t.Error("zero batch accepted")
-	}
-}
-
 func TestSpreadSizeModeDominates(t *testing.T) {
 	d := SpreadSize{ModeW: 233, ModeH: 233, ModeFrac: 0.35, Sigma: 70, Min: 40, Max: 400}
 	r := stats.NewRNG(5)

@@ -77,7 +77,6 @@ func Materialize(ds *Dataset, dir string, count int) (*Manifest, error) {
 type Store struct {
 	Dir      string
 	Manifest Manifest
-	spec     Spec
 }
 
 // OpenStore opens a directory written by Materialize.
@@ -102,11 +101,8 @@ func OpenStore(dir string) (*Store, error) {
 			return nil, fmt.Errorf("datasets: manifest entry %d invalid: %+v", i, e)
 		}
 	}
-	return &Store{Dir: dir, Manifest: m, spec: spec}, nil
+	return &Store{Dir: dir, Manifest: m}, nil
 }
-
-// Spec returns the stored dataset's specification.
-func (s *Store) Spec() Spec { return s.spec }
 
 // Len returns the number of materialized samples.
 func (s *Store) Len() int { return len(s.Manifest.Entries) }
@@ -122,21 +118,4 @@ func (s *Store) Encoded(i int) ([]byte, Record, error) {
 		return nil, Record{}, fmt.Errorf("datasets: %w", err)
 	}
 	return data, Record{Index: e.Index, W: e.W, H: e.H, Label: e.Label}, nil
-}
-
-// Image reads and decodes sample i.
-func (s *Store) Image(i int) (*imaging.Image, error) {
-	data, rec, err := s.Encoded(i)
-	if err != nil {
-		return nil, err
-	}
-	im, err := imaging.DecodeBytes(data, s.spec.Format)
-	if err != nil {
-		return nil, err
-	}
-	if im.W != rec.W || im.H != rec.H {
-		return nil, fmt.Errorf("datasets: stored sample %d is %dx%d, manifest says %dx%d",
-			i, im.W, im.H, rec.W, rec.H)
-	}
-	return im, nil
 }

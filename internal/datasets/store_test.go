@@ -25,7 +25,7 @@ func TestMaterializeAndOpenStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 5 || st.Spec().Slug != SlugFruits360 {
+	if st.Len() != 5 || st.Manifest.Dataset != SlugFruits360 {
 		t.Fatalf("store %+v", st.Manifest)
 	}
 	// Stored bytes identical to freshly generated ones.
@@ -44,14 +44,6 @@ func TestMaterializeAndOpenStore(t *testing.T) {
 		if !bytes.Equal(stored, fresh) {
 			t.Fatalf("sample %d bytes differ from generator", i)
 		}
-	}
-	// Decoded image matches the manifest dimensions.
-	im, err := st.Image(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.W != 100 || im.H != 100 {
-		t.Errorf("stored image %dx%d", im.W, im.H)
 	}
 }
 

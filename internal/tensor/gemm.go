@@ -427,23 +427,3 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	GemmTransBInto(c.Data, a.Data, b.Data, m, n, k)
 	return c
 }
-
-// Linear applies y = x*W^T + bias for x (B x in), w (out x in),
-// bias (out) which may be nil.
-func Linear(x, w, bias *Tensor) *Tensor {
-	m, k := x.Shape[0], x.Shape[1]
-	n, k2 := w.Shape[0], w.Shape[1]
-	if k != k2 {
-		panic(shapeErrf("Linear inner dimension mismatch: %v x %v", x.Shape, w.Shape))
-	}
-	var epi Epilogue
-	if bias != nil {
-		if len(bias.Data) != n {
-			panic(shapeErrf("Linear bias has %d values, want %d", len(bias.Data), n))
-		}
-		epi.Bias = bias.Data
-	}
-	y := New(m, n)
-	GemmTransBEpilogue(y.Data, x.Data, w.Data, m, n, k, false, epi)
-	return y
-}

@@ -87,22 +87,6 @@ func TestMatMulDistributivity(t *testing.T) {
 	}
 }
 
-func TestLinearBias(t *testing.T) {
-	x := FromSlice([]float32{1, 2}, 1, 2)
-	w := FromSlice([]float32{3, 4, 5, 6}, 2, 2) // rows = output features
-	bias := FromSlice([]float32{10, 20}, 2)
-	y := Linear(x, w, bias)
-	// y0 = 1*3+2*4+10 = 21; y1 = 1*5+2*6+20 = 37
-	if y.At(0, 0) != 21 || y.At(0, 1) != 37 {
-		t.Errorf("Linear = %v, want [21 37]", y.Data)
-	}
-	// Without bias.
-	y2 := Linear(x, w, nil)
-	if y2.At(0, 0) != 11 || y2.At(0, 1) != 17 {
-		t.Errorf("Linear no-bias = %v, want [11 17]", y2.Data)
-	}
-}
-
 func TestGemmIntoAccumulates(t *testing.T) {
 	a := []float32{1, 0, 0, 1} // 2x2 identity
 	b := []float32{5, 6, 7, 8}

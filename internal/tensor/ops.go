@@ -343,20 +343,3 @@ func Transpose2D(t *Tensor) *Tensor {
 	}
 	return out
 }
-
-// MeanRows returns the column-wise mean over rows of a 2-D tensor,
-// producing a (1 x n) tensor; used for pooled classifier heads.
-func MeanRows(t *Tensor) *Tensor {
-	m, n := t.Shape[0], t.Shape[1]
-	out := New(1, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j] += t.Data[i*n+j]
-		}
-	}
-	inv := float32(1 / float64(m))
-	for j := range out.Data {
-		out.Data[j] *= inv
-	}
-	return out
-}

@@ -251,14 +251,6 @@ func TestAttentionSelectsMatchingValue(t *testing.T) {
 	}
 }
 
-func TestMeanRows(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	m := MeanRows(x)
-	if m.At(0, 0) != 2 || m.At(0, 1) != 3 {
-		t.Errorf("MeanRows = %v", m.Data)
-	}
-}
-
 func TestOpsPanicOnWrongRank(t *testing.T) {
 	three := New(2, 2, 2)
 	g := New(2)
