@@ -3,8 +3,9 @@
 //
 // Usage:
 //
-//	harvest-bench [-artifact all|extensions|table1|...|ablations] [-quick] [-hostgemm]
-//	              [-gemmbench out.json] [-anchors] [-seed N]
+//	harvest-bench [flags]
+//
+// harvest-bench -h lists every flag with its default.
 package main
 
 import (

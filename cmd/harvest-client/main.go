@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	harvest-client [-url http://127.0.0.1:8000] [-model ViT_Tiny]
-//	               [-requests 100] [-items 4] [-concurrency 8]
-//	               [-class realtime|online|offline] [-deadline 50ms]
+//	harvest-client [flags]
+//
+// harvest-client -h lists every flag with its default.
 package main
 
 import (

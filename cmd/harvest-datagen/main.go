@@ -3,7 +3,9 @@
 //
 // Usage:
 //
-//	harvest-datagen [-dataset plant-village] [-count 16] [-out ./data] [-seed 42]
+//	harvest-datagen [flags]
+//
+// harvest-datagen -h lists every flag with its default.
 package main
 
 import (

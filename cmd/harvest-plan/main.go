@@ -6,8 +6,9 @@
 //
 // Usage:
 //
-//	harvest-plan [-slo-ms 16.7] [-min-imgps 0] [-objective throughput|latency|energy]
-//	             [-pipeline] [-platforms A100,V100,Jetson] [-models ViT_Tiny,...]
+//	harvest-plan [flags]
+//
+// harvest-plan -h lists every flag with its default.
 package main
 
 import (
