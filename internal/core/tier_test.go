@@ -108,3 +108,16 @@ func TestNewReplicaStreamErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestOffloadPolicyDefaults pins the one offload default: a stream
+// config that names only the cloud tier offloads over 5G in 64 KiB
+// uplink messages, as the binaries and loadgen's edge always did.
+func TestOffloadPolicyDefaults(t *testing.T) {
+	pol, err := offloadPolicy(DeploymentConfig{Stream: &StreamConfig{OffloadTo: "http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol.Link.Name != "5G" || pol.ChunkBytes != 64<<10 {
+		t.Errorf("offload over %s in %d-byte messages, want 5G in 65536", pol.Link.Name, pol.ChunkBytes)
+	}
+}
