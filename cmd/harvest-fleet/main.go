@@ -42,15 +42,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("harvest-fleet: ")
 	var (
-		cfg fleet.ControlPlaneConfig
-		// replica is the shape of -local launches; its platform is also
-		// the one the oracle prices.
-		replica = core.DeploymentConfig{Platform: hw.KeyJetson, TimeScale: 1}
-		ctl     = &cfg.Controller
-		addr    = flag.String("addr", ":8200", "listen address (control plane + routed data plane)")
-		local   = flag.Bool("local", false, "launch in-process replicas instead of waiting for external registrations")
+		// cfg.Replica is the shape of -local launches; its platform is
+		// also the one the oracle prices.
+		cfg  = fleet.ControlPlaneConfig{Replica: core.DeploymentConfig{Platform: hw.KeyJetson, TimeScale: 1}}
+		ctl  = &cfg.Controller
+		addr = flag.String("addr", ":8200", "listen address (control plane + routed data plane)")
 	)
-	replica.RegisterFlags(flag.CommandLine, "platform", "timescale", "max-queue-depth")
+	cfg.Replica.RegisterFlags(flag.CommandLine, "platform", "timescale", "max-queue-depth")
+	flag.BoolVar(&cfg.Local, "local", false, "launch in-process replicas instead of waiting for external registrations")
 	flag.StringVar(&ctl.Model, "model", "ViT_Base", "model whose demand drives autoscaling")
 	flag.IntVar(&ctl.Min, "min", 1, "fleet size floor")
 	flag.IntVar(&ctl.Max, "max", 4, "fleet size ceiling")
@@ -58,12 +57,7 @@ func main() {
 	flag.DurationVar(&cfg.LeaseTTL, "lease-ttl", fleet.DefaultTTL, "default replica lease TTL")
 	flag.Parse()
 
-	ctl.Oracle.Platforms = []string{replica.Platform}
 	ctl.Logf = log.Printf
-	if *local {
-		replica.Models = []string{ctl.Model}
-		cfg.Local = &replica
-	}
 	cp := fleet.NewControlPlane(cfg)
 	ep, err := serve.Listen(*addr, cp.Handler(), 15*time.Second)
 	if err != nil {
@@ -73,11 +67,11 @@ func main() {
 		log.Fatal(err)
 	}
 	mode := "advisory (external replicas register via -fleet)"
-	if *local {
+	if cfg.Local {
 		mode = "local (in-process replicas)"
 	}
 	log.Printf("control plane on %s: model %s, platform %s, fleet [%d..%d], SLO %s, mode %s",
-		ep.URL, ctl.Model, replica.Platform, ctl.Min, ctl.Max, ctl.SLO, mode)
+		ep.URL, ctl.Model, cfg.Replica.Platform, ctl.Min, ctl.Max, ctl.SLO, mode)
 	if err := ep.AwaitSignal(); err != nil {
 		log.Fatal(err)
 	}

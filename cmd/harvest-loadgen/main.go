@@ -52,6 +52,7 @@ import (
 	"harvest/internal/fleet"
 	"harvest/internal/hw"
 	"harvest/internal/loadgen"
+	"harvest/internal/serve"
 )
 
 func main() {
@@ -139,27 +140,33 @@ func main() {
 	}
 	replica.Stream = nil
 
-	var mf *loadgen.ManagedFleet
+	var cp *fleet.ControlPlane
 	switch {
 	case run.Target == "" && ctl.Max > 0:
 		log.Printf("self-hosting a managed fleet: %s replicas in [%d..%d], tick %s, SLO %s (timescale %g)",
 			replica.Platform, ctl.Min, ctl.Max, ctl.Interval, ctl.SLO, replica.TimeScale)
 		ctl.Model = run.Model
-		ctl.Oracle.Platforms = []string{replica.Platform}
 		ctl.Logf = log.Printf
-		managed.Local = &replica
-		var err error
-		mf, err = loadgen.StartManagedFleet(managed)
+		managed.Replica, managed.Local = replica, true
+		// Probe often, so a -churn-kill-at crash leaves the rotation fast.
+		managed.Router.Pool.ProbeInterval = 20 * time.Millisecond
+		cp = fleet.NewControlPlane(managed)
+		ep, err := serve.ListenLoopback(cp.Handler())
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer mf.Close()
-		run.Target = mf.URL
+		// The control plane closes first: its replicas deregister over HTTP.
+		defer ep.Shutdown()
+		defer cp.Close()
+		if err := cp.Start(ctx, ep.URL); err != nil {
+			log.Fatal(err)
+		}
+		run.Target = ep.URL
 		log.Printf("managed fleet ready at %s", run.Target)
 		if *churnKillAt > 0 {
 			at := *churnKillAt
 			time.AfterFunc(at, func() {
-				name, err := mf.KillOne()
+				name, err := cp.Provisioner.Kill()
 				if err != nil {
 					log.Printf("churn: kill at %s: %v", at, err)
 					return
@@ -185,8 +192,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if mf != nil {
-		report.Fleet = mf.FleetReport()
+	if cp != nil {
+		report.Fleet = &loadgen.FleetReport{Decisions: cp.Controller.Decisions(), Events: cp.Registry.Events()}
 		for _, d := range report.Fleet.Decisions {
 			if d.To != d.From {
 				log.Printf("autoscaler: %s (%d→%d, %.1f rps observed, predicted %.1f img/s at p99 %.0f ms)",

@@ -7,9 +7,12 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
+	"harvest/internal/imaging"
 	"harvest/internal/models"
 	"harvest/internal/serve"
+	"harvest/internal/stats"
 	"harvest/internal/stream"
 )
 
@@ -119,5 +122,66 @@ func TestOffloadPolicyDefaults(t *testing.T) {
 	}
 	if pol.Link.Name != "5G" || pol.ChunkBytes != 64<<10 {
 		t.Errorf("offload over %s in %d-byte messages, want 5G in 65536", pol.Link.Name, pol.ChunkBytes)
+	}
+}
+
+// TestPowerBudgetOffloads drives the power-budget offload trigger as a
+// deployment wires it: an edge replica whose Stream.OffloadPowerBudgetW
+// is below its platform's idle draw ships its first admitted frame to
+// the cloud tier, for power. The queue threshold and the frame budget
+// leave power the only signal that can ship it: without the budget the
+// same frame is served on the edge.
+func TestPowerBudgetOffloads(t *testing.T) {
+	cloud, err := StartReplica(DeploymentConfig{Platform: "A100", Models: []string{models.NameViTTiny}, Preproc: "cpu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	frame, err := imaging.EncodeBytes(imaging.Synthesize(48, 48, imaging.KindLeaf, stats.NewRNG(1)), imaging.FormatPPM)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		budgetW float64
+		where   string
+	}{{0, stream.WhereEdge}, {1, stream.WhereCloud}} {
+		cfg := DeploymentConfig{
+			Platform: "Jetson", Models: []string{models.NameViTTiny}, Preproc: "cpu",
+			Stream: &StreamConfig{
+				Budget: 10 * time.Second, OffloadTo: cloud.URL, OffloadQueueThreshold: 1000,
+				OffloadPowerBudgetW: tc.budgetW, LinkTimeScale: -1,
+			},
+		}
+		edge, err := StartReplica(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The policy newIngest builds prices an idle edge's modeled draw.
+		pol, err := offloadPolicy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := pol.Decide(edge.Server, models.NameViTTiny, len(frame), 0, time.Second)
+		if tc.budgetW > 0 && (!d.Cloud || d.Reason != "power") {
+			t.Errorf("budget %g W: decision %+v, want cloud for power", tc.budgetW, d)
+		}
+
+		sess, err := stream.DialSession(context.Background(), nil, edge.URL, "cam-1", "", "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Send(stream.Frame{Seq: 1, Image: frame, Format: "ppm"}); err != nil {
+			t.Fatal(err)
+		}
+		out := <-sess.Outcomes()
+		sess.CloseSend()
+		if _, err := sess.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		edge.Close()
+		if out.Outcome != stream.OutcomeServed || out.Where != tc.where {
+			t.Errorf("budget %g W: first frame %+v, want served on the %s", tc.budgetW, out, tc.where)
+		}
 	}
 }

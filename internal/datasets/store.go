@@ -73,7 +73,7 @@ func Materialize(ds *Dataset, dir string, count int) (*Manifest, error) {
 	return m, nil
 }
 
-// Store reads a materialized dataset directory.
+// Store is a materialized dataset directory and its manifest.
 type Store struct {
 	Dir      string
 	Manifest Manifest
@@ -102,20 +102,4 @@ func OpenStore(dir string) (*Store, error) {
 		}
 	}
 	return &Store{Dir: dir, Manifest: m}, nil
-}
-
-// Len returns the number of materialized samples.
-func (s *Store) Len() int { return len(s.Manifest.Entries) }
-
-// Encoded reads sample i's bytes from disk.
-func (s *Store) Encoded(i int) ([]byte, Record, error) {
-	if i < 0 || i >= s.Len() {
-		return nil, Record{}, fmt.Errorf("datasets: store index %d out of range [0,%d)", i, s.Len())
-	}
-	e := s.Manifest.Entries[i]
-	data, err := os.ReadFile(filepath.Join(s.Dir, e.File))
-	if err != nil {
-		return nil, Record{}, fmt.Errorf("datasets: %w", err)
-	}
-	return data, Record{Index: e.Index, W: e.W, H: e.H, Label: e.Label}, nil
 }

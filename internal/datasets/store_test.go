@@ -25,15 +25,16 @@ func TestMaterializeAndOpenStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 5 || st.Manifest.Dataset != SlugFruits360 {
+	if len(st.Manifest.Entries) != 5 || st.Manifest.Dataset != SlugFruits360 {
 		t.Fatalf("store %+v", st.Manifest)
 	}
 	// Stored bytes identical to freshly generated ones.
-	for i := 0; i < st.Len(); i++ {
-		stored, rec, err := st.Encoded(i)
+	for i, e := range st.Manifest.Entries {
+		stored, err := os.ReadFile(filepath.Join(dir, e.File))
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec := Record{Index: e.Index, W: e.W, H: e.H, Label: e.Label}
 		fresh, frec, err := ds.Encoded(i)
 		if err != nil {
 			t.Fatal(err)
@@ -110,31 +111,5 @@ func TestOpenStoreErrors(t *testing.T) {
 	}
 	if _, err := OpenStore(dir4); err == nil {
 		t.Error("invalid entry accepted")
-	}
-}
-
-func TestStoreIndexErrors(t *testing.T) {
-	spec, _ := ByName(SlugFruits360)
-	ds := MustNew(spec, 1)
-	dir := t.TempDir()
-	if _, err := Materialize(ds, dir, 2); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st.Encoded(-1); err == nil {
-		t.Error("negative index accepted")
-	}
-	if _, _, err := st.Encoded(2); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	// Missing file on disk.
-	if err := os.Remove(filepath.Join(dir, st.Manifest.Entries[0].File)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st.Encoded(0); err == nil {
-		t.Error("missing file accepted")
 	}
 }

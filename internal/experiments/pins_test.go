@@ -88,13 +88,13 @@ func modeledPins() []string {
 			}
 		}
 	}
-	for _, platforms := range [][]string{{hw.KeyA100}, {hw.KeyJetson}, {hw.KeyA100, hw.KeyJetson}} {
+	for _, platform := range []string{hw.KeyA100, hw.KeyJetson} {
 		for _, rps := range []float64{50, 400, 2000} {
 			for _, slo := range []time.Duration{100 * time.Millisecond, 500 * time.Millisecond} {
 				plan, err := fleet.PlanCapacity(fleet.OracleConfig{Model: models.NameViTBase,
-					Platforms: platforms, MaxReplicas: 6, HorizonSeconds: 5}, rps, slo)
+					Platform: platform, MaxReplicas: 6, HorizonSeconds: 5}, rps, slo)
 				c := plan.Chosen
-				pin(fmt.Sprintf("PlanCapacity %v %grps slo=%v", platforms, rps, slo), err,
+				pin(fmt.Sprintf("PlanCapacity [%s] %grps slo=%v", platform, rps, slo), err,
 					"platform", c.Platform, "replicas", c.Replicas, "img_per_s", c.PredictedImgPerSec,
 					"p99_ms", c.PredictedP99Ms, "util", c.PredictedUtilization, "power_w", c.PowerW,
 					"meets_slo", c.MeetsSLO, "candidates", len(plan.Candidates))

@@ -136,16 +136,10 @@ func (a *Agent) run(ctx context.Context) error {
 			return ctx.Err()
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
+		backoff = min(2*backoff, 2*time.Second)
 	}
 	a.logf("fleet agent %s: registered %s (lease %v)", a.Name, a.URL, ttl)
-	renew := ttl / 3
-	if renew < 50*time.Millisecond {
-		renew = 50 * time.Millisecond
-	}
-	ticker := time.NewTicker(renew)
+	ticker := time.NewTicker(max(ttl/3, 50*time.Millisecond))
 	defer ticker.Stop()
 	for {
 		select {

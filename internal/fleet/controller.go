@@ -37,11 +37,8 @@ type ControllerConfig struct {
 	// Model is the served model whose demand drives scaling (and the
 	// model the oracle prices capacity for).
 	Model string
-	// Oracle configures the capacity oracle; its Model field is
-	// overridden with Model above.
-	Oracle OracleConfig
 	// Min/Max bound the fleet size the controller will act toward
-	// (defaults 1 and Oracle.MaxReplicas).
+	// (defaults 1 and 8).
 	Min, Max int
 	// Interval is the control-loop period (default 2s).
 	Interval time.Duration
@@ -56,15 +53,12 @@ func (cfg *ControllerConfig) fillDefaults() {
 	if cfg.Min <= 0 {
 		cfg.Min = 1
 	}
-	cfg.Oracle.Model = cfg.Model
-	cfg.Oracle.fillDefaults()
 	if cfg.Max <= 0 {
-		cfg.Max = cfg.Oracle.MaxReplicas
+		cfg.Max = 8
 	}
 	if cfg.Max < cfg.Min {
 		cfg.Max = cfg.Min
 	}
-	cfg.Oracle.MaxReplicas = cfg.Max
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultControlInterval
 	}
@@ -93,35 +87,39 @@ type Decision struct {
 
 // Controller is the SLO-driven autoscaler: each tick it estimates the
 // arrival rate and per-class SLO attainment from the router's merged
-// metrics, asks the queueing sim (PlanCapacity) for the cheapest
+// metrics, asks the queueing sim (PlanCapacity) for the smallest
 // fleet serving that demand, and moves the fleet toward it through the
-// Provisioner. With a nil provisioner it is advisory: decisions are
+// provisioner. With a nil provisioner it is advisory: decisions are
 // recorded but never acted on.
 type Controller struct {
 	cfg      ControllerConfig
+	platform string // hw key of the fleet's replicas, the one the oracle prices
 	router   *serve.Router
 	registry *Registry
-	prov     Provisioner
+	prov     *LocalProvisioner
 
 	mu        sync.Mutex
 	decisions []Decision
-	launched  []string // provisioner-owned replica URLs, launch order
-	healthy   int      // consecutive ticks eligible for scale-down
-	lastCum   float64  // cumulative arrival counter at last tick
-	lastAt    time.Time
-	lastHist  []uint64 // sloClass queue-latency buckets at last tick
+
+	// Tick state, touched only by the control loop's goroutine.
+	healthy  int     // consecutive ticks eligible for scale-down
+	lastCum  float64 // cumulative arrival counter at last tick
+	lastAt   time.Time
+	lastHist []uint64 // sloClass queue-latency buckets at last tick
 
 	stop chan struct{}
 	once sync.Once
 	wg   sync.WaitGroup
 }
 
-// NewController builds the autoscaler. Callers must Close it; Start
-// launches the Min-replica floor and the control loop.
-func NewController(router *serve.Router, registry *Registry, prov Provisioner, cfg ControllerConfig) *Controller {
+// NewController builds the autoscaler for a fleet of platform
+// replicas (an hw key; empty means "A100"). Callers must Close it;
+// Start launches the Min-replica floor and the control loop.
+func NewController(router *serve.Router, registry *Registry, prov *LocalProvisioner, platform string, cfg ControllerConfig) *Controller {
 	cfg.fillDefaults()
 	return &Controller{
 		cfg:      cfg,
+		platform: platform,
 		router:   router,
 		registry: registry,
 		prov:     prov,
@@ -138,17 +136,9 @@ func (c *Controller) logf(format string, args ...any) {
 // Start brings the fleet to the Min floor (blocking until the launches
 // are issued, not until the replicas register) and starts the control
 // loop.
-func (c *Controller) Start(ctx context.Context) error {
-	if c.prov != nil {
-		for i := len(c.launchedURLs()); i < c.cfg.Min; i++ {
-			url, err := c.prov.Launch(ctx, c.platform())
-			if err != nil {
-				return fmt.Errorf("fleet: floor launch: %w", err)
-			}
-			c.mu.Lock()
-			c.launched = append(c.launched, url)
-			c.mu.Unlock()
-		}
+func (c *Controller) Start() error {
+	if _, err := c.scaleUp(0, c.cfg.Min); err != nil {
+		return fmt.Errorf("fleet: floor launch: %w", err)
 	}
 	c.wg.Add(1)
 	go func() {
@@ -179,19 +169,6 @@ func (c *Controller) Decisions() []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Decision(nil), c.decisions...)
-}
-
-func (c *Controller) launchedURLs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.launched...)
-}
-
-// platform returns the single platform the controller launches; the
-// oracle may rank several, but launches follow its cheapest choice
-// (falling back to the first configured).
-func (c *Controller) platform() string {
-	return c.cfg.Oracle.Platforms[0]
 }
 
 // attainment computes the fraction of sloClass queue-latency
@@ -240,10 +217,6 @@ func (c *Controller) tick() {
 		}
 	}
 	now := time.Now()
-	c.mu.Lock()
-	lastCum, lastAt, lastHist := c.lastCum, c.lastAt, c.lastHist
-	c.mu.Unlock()
-
 	var cum float64
 	var queueDepth int64
 	att := 1.0
@@ -254,30 +227,24 @@ func (c *Controller) tick() {
 		queueDepth = mm.QueueDepth
 		if sum, ok := mm.QueueMsByClass[sloClass.String()]; ok {
 			curHist = sum.Buckets
-			att = attainment(lastHist, curHist, c.cfg.SLO)
+			att = attainment(c.lastHist, curHist, c.cfg.SLO)
 		}
 	}
 	window := c.cfg.Interval.Seconds()
-	if !lastAt.IsZero() {
-		if w := now.Sub(lastAt).Seconds(); w > 0 {
+	if !c.lastAt.IsZero() {
+		if w := now.Sub(c.lastAt).Seconds(); w > 0 {
 			window = w
 		}
 	}
-	delta := cum - lastCum
-	if delta < 0 {
-		delta = 0 // aggregate counters shrink on replica removal
-	}
 	// Demand estimate: the window's arrivals plus the standing backlog
 	// amortized over one interval (a backlog is demand the fleet has
-	// not kept up with).
-	rate := delta/window + float64(queueDepth)/window
-
-	c.mu.Lock()
+	// not kept up with). Aggregate counters shrink on replica removal,
+	// so the arrivals are clamped at zero.
+	rate := max(cum-c.lastCum, 0)/window + float64(queueDepth)/window
 	c.lastCum, c.lastAt = cum, now
 	if curHist != nil {
-		c.lastHist = append([]uint64(nil), curHist...)
+		c.lastHist = curHist
 	}
-	c.mu.Unlock()
 	// Fleet size is what holds a live, non-retiring lease — launched
 	// replicas that crashed (lease expired) no longer count.
 	cur := 0
@@ -298,7 +265,8 @@ func (c *Controller) tick() {
 
 	desired := cur
 	if rate > 0 {
-		plan, err := PlanCapacity(c.cfg.Oracle, rate*headroomFactor, c.cfg.SLO)
+		plan, err := PlanCapacity(OracleConfig{Model: c.cfg.Model, Platform: c.platform, MaxReplicas: c.cfg.Max},
+			rate*headroomFactor, c.cfg.SLO)
 		if err != nil {
 			d.Reason = "oracle error: " + err.Error()
 			c.record(d)
@@ -319,18 +287,11 @@ func (c *Controller) tick() {
 		desired = cur + 1
 		d.Reason = fmt.Sprintf("attainment %.2f below target %.2f", att, attainTarget)
 	}
-	if desired < c.cfg.Min {
-		desired = c.cfg.Min
-	}
-	if desired > c.cfg.Max {
-		desired = c.cfg.Max
-	}
+	desired = min(max(desired, c.cfg.Min), c.cfg.Max)
 
 	switch {
 	case desired > cur:
-		c.mu.Lock()
 		c.healthy = 0
-		c.mu.Unlock()
 		switch {
 		case d.Reason != "":
 		case d.Platform == "":
@@ -338,28 +299,23 @@ func (c *Controller) tick() {
 		default:
 			d.Reason = fmt.Sprintf("sim: %d× %s serves %.1f rps at p99 %.0f ms for %.0f W", desired, d.Platform, rate*headroomFactor, d.PredictedP99Ms, d.PowerW)
 		}
-		d.To = c.scaleUp(ctx, cur, desired)
+		var err error
+		if d.To, err = c.scaleUp(cur, desired); err != nil {
+			c.logf("fleet controller: launch: %v", err)
+		}
 	case desired < cur:
-		c.mu.Lock()
 		c.healthy++
-		healthy := c.healthy
-		c.mu.Unlock()
-		if att < attainTarget {
-			c.mu.Lock()
+		switch {
+		case att < attainTarget:
 			c.healthy = 0
-			c.mu.Unlock()
 			d.Reason = fmt.Sprintf("hold %d: attainment %.2f below target", cur, att)
-			break
+		case c.healthy < scaleDownAfter:
+			d.Reason = fmt.Sprintf("hold %d: scale-down to %d pending %d/%d healthy ticks", cur, desired, c.healthy, scaleDownAfter)
+		default:
+			c.healthy = 0
+			d.Reason = fmt.Sprintf("sim: %d× %s suffices for %.1f rps; shedding idle capacity", desired, d.Platform, rate*headroomFactor)
+			d.To = c.scaleDown(cur, desired)
 		}
-		if healthy < scaleDownAfter {
-			d.Reason = fmt.Sprintf("hold %d: scale-down to %d pending %d/%d healthy ticks", cur, desired, healthy, scaleDownAfter)
-			break
-		}
-		c.mu.Lock()
-		c.healthy = 0
-		c.mu.Unlock()
-		d.Reason = fmt.Sprintf("sim: %d× %s suffices for %.1f rps; shedding idle capacity", desired, d.Platform, rate*headroomFactor)
-		d.To = c.scaleDown(ctx, cur, desired)
 	default:
 		if d.Reason == "" {
 			d.Reason = fmt.Sprintf("hold %d", cur)
@@ -368,55 +324,35 @@ func (c *Controller) tick() {
 	c.record(d)
 }
 
-// scaleUp launches to-cur replicas; returns the resulting size. With
-// no provisioner the decision is advisory: it reports the target size
-// without acting.
-func (c *Controller) scaleUp(ctx context.Context, cur, to int) int {
+// scaleUp launches to-cur replicas; returns the resulting size and
+// the launch error that stopped it short. With no provisioner the
+// decision is advisory: it reports the target size without acting.
+func (c *Controller) scaleUp(cur, to int) (int, error) {
 	if c.prov == nil {
-		return to // advisory
+		return to, nil // advisory
 	}
-	n := cur
-	for ; n < to; n++ {
-		url, err := c.prov.Launch(ctx, c.platform())
-		if err != nil {
-			c.logf("fleet controller: launch: %v", err)
-			break
+	for n := cur; n < to; n++ {
+		if _, err := c.prov.Launch(); err != nil {
+			return n, err
 		}
-		c.mu.Lock()
-		c.launched = append(c.launched, url)
-		c.mu.Unlock()
 	}
-	return n
+	return max(cur, to), nil
 }
 
 // scaleDown retires the most recently launched replicas (LIFO) down to
-// `to`, drain-aware through Provisioner.Stop; returns the resulting
-// size. Advisory (no provisioner): reports the target without acting.
-func (c *Controller) scaleDown(ctx context.Context, cur, to int) int {
+// `to`, drain-aware through LocalProvisioner.Stop; returns the
+// resulting size. Advisory (no provisioner): reports the target
+// without acting.
+func (c *Controller) scaleDown(cur, to int) int {
 	if c.prov == nil {
 		return to // advisory
 	}
-	alive := map[string]bool{}
-	for _, l := range c.registry.Leases() {
-		alive[l.URL] = true
-	}
 	n := cur
-	for n > to && n > c.cfg.Min {
-		c.mu.Lock()
-		if len(c.launched) == 0 {
-			c.mu.Unlock()
+	for ; n > to && n > c.cfg.Min; n-- {
+		if err := c.prov.Stop(); err != nil {
+			c.logf("fleet controller: stop: %v", err)
 			break
 		}
-		url := c.launched[len(c.launched)-1]
-		c.launched = c.launched[:len(c.launched)-1]
-		c.mu.Unlock()
-		if !alive[url] {
-			continue // crashed earlier; its lease already expired
-		}
-		if err := c.prov.Stop(ctx, url); err != nil {
-			c.logf("fleet controller: stop %s: %v", url, err)
-		}
-		n--
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -14,20 +15,22 @@ import (
 // self-hosts.
 type ControlPlaneConfig struct {
 	// Controller tunes the autoscaler: the model whose demand it
-	// tracks, the platforms its oracle prices, the [Min, Max] bounds,
-	// tick and SLO.
+	// tracks, the [Min, Max] bounds, tick and SLO.
 	Controller ControllerConfig
 	// LeaseTTL is the registry's default lease length and the TTL
 	// local replicas request (0 = DefaultTTL).
 	LeaseTTL time.Duration
 	// Router configures the dynamic router replicas register into.
 	Router serve.RouterConfig
-	// Local, when non-nil, makes the controller launch and retire
-	// in-process replicas of this shape (Platform is set per launch
-	// from the oracle's choice). Nil is advisory mode: replicas are
-	// external processes registering via the Agent protocol, and the
-	// controller only records what it would do.
-	Local *core.DeploymentConfig
+	// Replica is the fleet's replica shape. Its Platform is the one
+	// platform the oracle prices and Local launches; Models defaults
+	// to the controller's model.
+	Replica core.DeploymentConfig
+	// Local makes the controller launch and retire in-process replicas
+	// of the Replica shape. Without it the control plane is advisory:
+	// replicas are external processes registering via the Agent
+	// protocol, and the controller only records what it would do.
+	Local bool
 }
 
 // ControlPlane is a running control plane. One handler serves both
@@ -41,21 +44,25 @@ type ControlPlane struct {
 	Provisioner *LocalProvisioner
 }
 
+// floorReadyTimeout bounds Start's wait for the local floor replicas.
+const floorReadyTimeout = 30 * time.Second
+
 // NewControlPlane composes dynamic router, lease registry, provisioner
 // and controller. Serve Handler, then Start; callers must Close it.
 func NewControlPlane(cfg ControlPlaneConfig) *ControlPlane {
 	cp := &ControlPlane{Router: serve.NewDynamicRouter(cfg.Router)}
 	cp.Registry = NewRegistry(cp.Router.Pool(), cfg.LeaseTTL)
-	var prov Provisioner
-	if cfg.Local != nil {
+	if cfg.Local {
+		if len(cfg.Replica.Models) == 0 {
+			cfg.Replica.Models = []string{cfg.Controller.Model}
+		}
 		cp.Provisioner = &LocalProvisioner{
-			Replica: *cfg.Local,
+			Replica: cfg.Replica,
 			TTL:     cfg.LeaseTTL,
 			Logf:    cfg.Controller.Logf,
 		}
-		prov = cp.Provisioner
 	}
-	cp.Controller = NewController(cp.Router, cp.Registry, prov, cfg.Controller)
+	cp.Controller = NewController(cp.Router, cp.Registry, cp.Provisioner, cfg.Replica.Platform, cfg.Controller)
 	return cp
 }
 
@@ -65,12 +72,27 @@ func (cp *ControlPlane) Handler() http.Handler {
 }
 
 // Start launches the Min-replica floor and the control loop. url is
-// where Handler is being served: local replicas register there.
+// where Handler is being served: local replicas register there, and
+// Start returns once the floor replicas hold leases and pass health
+// probes (a lease alone does not take traffic).
 func (cp *ControlPlane) Start(ctx context.Context, url string) error {
-	if cp.Provisioner != nil {
-		cp.Provisioner.FleetURL = url
+	if cp.Provisioner == nil {
+		return cp.Controller.Start()
 	}
-	return cp.Controller.Start(ctx)
+	cp.Provisioner.FleetURL = url
+	ctx, cancel := context.WithTimeout(ctx, floorReadyTimeout)
+	defer cancel()
+	if err := cp.Controller.Start(); err != nil {
+		return err
+	}
+	floor := cp.Controller.cfg.Min
+	for len(cp.Registry.Leases()) < floor || cp.Router.Pool().HealthyCount() < floor {
+		if ctx.Err() != nil {
+			return fmt.Errorf("fleet: local floor (%d replicas) not ready in %s", floor, floorReadyTimeout)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return nil
 }
 
 // Close tears the tier down: controller first (no further scaling),

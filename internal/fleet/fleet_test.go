@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -317,10 +316,10 @@ func TestRegistryDrainBeforeDeregister(t *testing.T) {
 }
 
 // TestPlanCapacity checks the oracle's shape: more demand needs more
-// replicas, the chosen candidate is the cheapest that meets the SLO,
-// and an impossible ask falls back to best effort.
+// replicas, the chosen candidate is the smallest fleet that meets the
+// SLO, and an impossible ask falls back to best effort.
 func TestPlanCapacity(t *testing.T) {
-	cfg := OracleConfig{Model: models.NameViTBase, Platforms: []string{hw.KeyJetson}, MaxReplicas: 6}
+	cfg := OracleConfig{Model: models.NameViTBase, Platform: hw.KeyJetson, MaxReplicas: 6}
 	slo := 500 * time.Millisecond
 
 	low, err := PlanCapacity(cfg, 50, slo)
@@ -341,28 +340,21 @@ func TestPlanCapacity(t *testing.T) {
 		t.Fatalf("8x demand chose %d replicas, low-rate chose %d; want growth", high.Chosen.Replicas, low.Chosen.Replicas)
 	}
 
-	// Across platforms the chosen candidate is the cheapest that meets
-	// the SLO.
-	multi, err := PlanCapacity(OracleConfig{
-		Model:     models.NameViTBase,
-		Platforms: []string{hw.KeyA100, hw.KeyJetson},
-	}, 100, slo)
-	if err != nil {
-		t.Fatal(err)
+	// The chosen fleet is the last candidate tried: every smaller one
+	// missed the SLO.
+	if n := len(high.Candidates); high.Candidates[n-1] != high.Chosen || high.Chosen.Replicas != n {
+		t.Fatalf("400 rps chose %+v of candidates %+v, want the first meeting one", high.Chosen, high.Candidates)
 	}
-	if !multi.Chosen.MeetsSLO {
-		t.Fatalf("multi-platform plan does not meet SLO: %+v", multi.Chosen)
-	}
-	for _, c := range multi.Candidates {
-		if c.MeetsSLO && c.PowerW < multi.Chosen.PowerW {
-			t.Fatalf("chosen %+v costs more than meeting candidate %+v", multi.Chosen, c)
+	for _, c := range high.Candidates[:len(high.Candidates)-1] {
+		if c.MeetsSLO {
+			t.Fatalf("smaller candidate %+v meets the SLO, but %+v was chosen", c, high.Chosen)
 		}
 	}
 
 	// Impossible demand: best-effort fallback at the ceiling.
 	capped, err := PlanCapacity(OracleConfig{
 		Model:       models.NameViTBase,
-		Platforms:   []string{hw.KeyJetson},
+		Platform:    hw.KeyJetson,
 		MaxReplicas: 1,
 	}, 5000, slo)
 	if err != nil {
@@ -425,14 +417,13 @@ func TestControllerAdvisory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := NewController(router, g, nil, ControllerConfig{
+	c := NewController(router, g, nil, hw.KeyA100, ControllerConfig{
 		Model:    models.NameViTTiny,
-		Oracle:   OracleConfig{Platforms: []string{hw.KeyA100}, HorizonSeconds: 2},
 		Interval: 100 * time.Millisecond,
 		SLO:      100 * time.Millisecond,
 		Max:      4,
 	})
-	if err := c.Start(t.Context()); err != nil {
+	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
@@ -470,12 +461,12 @@ func TestLocalProvisionerAgentLifecycle(t *testing.T) {
 
 	lp := &LocalProvisioner{
 		FleetURL: cp.URL,
-		Replica:  core.DeploymentConfig{Models: []string{models.NameViTTiny}},
+		Replica:  core.DeploymentConfig{Platform: hw.KeyJetson, Models: []string{models.NameViTTiny}},
 		TTL:      400 * time.Millisecond,
 	}
 	defer lp.Close()
 
-	url, err := lp.Launch(context.Background(), hw.KeyJetson)
+	url, err := lp.Launch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,9 +484,7 @@ func TestLocalProvisionerAgentLifecycle(t *testing.T) {
 	}
 
 	// Stop: graceful, drain-aware deregistration.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := lp.Stop(ctx, url); err != nil {
+	if err := lp.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "stopped replica to deregister", func() bool {
@@ -513,14 +502,13 @@ func TestLocalProvisionerAgentLifecycle(t *testing.T) {
 
 	// Kill: abrupt death. No deregistration — the lease must linger
 	// until its TTL sweeps it out as an expiry.
-	url2, err := lp.Launch(context.Background(), hw.KeyJetson)
-	if err != nil {
+	if _, err := lp.Launch(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "second replica to register", func() bool {
 		return len(g.Leases()) == 1
 	})
-	name, err := lp.Kill(url2)
+	name, err := lp.Kill()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,5 +523,67 @@ func TestLocalProvisionerAgentLifecycle(t *testing.T) {
 	}
 	if !gotExpire {
 		t.Fatalf("killed replica %s did not expire (events %v) — it must not deregister", name, g.Events())
+	}
+}
+
+// TestLocalChurnOrder: on a three-replica local fleet, Kill crashes the
+// replica launched last, and a scale-down after the kill retires a
+// live replica (the newest survivor), never the dead one, whose lease
+// still counts until its TTL lapses.
+func TestLocalChurnOrder(t *testing.T) {
+	router := serve.NewDynamicRouter(serve.RouterConfig{Pool: fastPoolCfg()})
+	defer router.Close()
+	g := NewRegistry(router.Pool(), 400*time.Millisecond)
+	defer g.Close()
+	cp := httptest.NewServer(Handler(g, nil, router.Handler()))
+	defer cp.Close()
+	lp := &LocalProvisioner{
+		FleetURL: cp.URL,
+		Replica:  core.DeploymentConfig{Platform: hw.KeyJetson, Models: []string{models.NameViTTiny}},
+		TTL:      400 * time.Millisecond,
+	}
+	defer lp.Close()
+
+	var urls []string
+	for range 3 {
+		url, err := lp.Launch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		urls = append(urls, url)
+	}
+	waitFor(t, 3*time.Second, "three replicas to register", func() bool { return len(g.Leases()) == 3 })
+	nameAt := map[string]string{}
+	for _, l := range g.Leases() {
+		nameAt[l.URL] = l.Name
+	}
+
+	killed, err := lp.Kill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if killed != nameAt[urls[2]] {
+		t.Fatalf("Kill took down %s, want the last launched %s", killed, nameAt[urls[2]])
+	}
+
+	c := NewController(router, g, lp, hw.KeyJetson, ControllerConfig{Model: models.NameViTTiny, Min: 1, Max: 3})
+	if got := c.scaleDown(3, 2); got != 2 {
+		t.Fatalf("scale-down 3→2 reached %d", got)
+	}
+	if len(lp.reps) != 1 || lp.reps[0].replica.URL != urls[0] {
+		t.Fatalf("%d live replicas after kill + scale-down, want the first, at %s", len(lp.reps), urls[0])
+	}
+	retired := nameAt[urls[1]]
+	waitFor(t, 3*time.Second, "the retired and the killed lease to go", func() bool { return len(g.Leases()) == 1 })
+	for _, e := range g.Events() {
+		switch {
+		case e.Name == retired && e.Kind == EventExpire:
+			t.Errorf("retired replica %s expired; it should have deregistered", retired)
+		case e.Name == killed && e.Kind == EventDeregister:
+			t.Errorf("killed replica %s deregistered; the scale-down stopped the dead one", killed)
+		}
+	}
+	if l := g.Leases()[0]; l.URL != urls[0] {
+		t.Fatalf("surviving lease %+v, want the first replica at %s", l, urls[0])
 	}
 }

@@ -10,17 +10,14 @@ import (
 )
 
 // OracleConfig describes the capacity question the autoscaler asks the
-// queueing simulation: which (platform, replica-count) fleet is
-// the cheapest that serves a given arrival rate within the SLO?
+// queueing simulation: how many replicas of the platform serve a given
+// arrival rate within the SLO?
 type OracleConfig struct {
 	// Model is the served model the sim prices capacity for.
 	Model string
-	// Platforms are the candidate platform kinds for new replicas
-	// (hw keys, e.g. "A100", "Jetson"). Empty means ["A100"]. The
-	// oracle evaluates homogeneous fleets per platform and picks the
-	// cheapest across platforms; heterogeneous mixes reduce to running
-	// the oracle per pool segment.
-	Platforms []string
+	// Platform is the hw key of the replicas the fleet runs (e.g.
+	// "A100", "Jetson"; empty means "A100").
+	Platform string
 	// MaxReplicas bounds the candidate fleet size (default 8).
 	MaxReplicas int
 	// HorizonSeconds is the simulated horizon per candidate (default
@@ -44,8 +41,8 @@ const (
 )
 
 func (cfg *OracleConfig) fillDefaults() {
-	if len(cfg.Platforms) == 0 {
-		cfg.Platforms = []string{hw.KeyA100}
+	if cfg.Platform == "" {
+		cfg.Platform = hw.KeyA100
 	}
 	if cfg.MaxReplicas <= 0 {
 		cfg.MaxReplicas = 8
@@ -77,23 +74,22 @@ type Plan struct {
 	ArrivalRPS float64       `json:"arrival_rps"`
 	SLO        time.Duration `json:"-"`
 	SLOMs      float64       `json:"slo_ms"`
-	// Chosen is the cheapest candidate meeting the SLO; when no
-	// candidate meets it, the highest-throughput candidate (best
-	// effort at the MaxReplicas ceiling) with MeetsSLO=false.
+	// Chosen is the smallest fleet meeting the SLO; when no candidate
+	// meets it, the highest-throughput candidate (best effort at the
+	// MaxReplicas ceiling) with MeetsSLO=false.
 	Chosen Candidate `json:"chosen"`
 	// Candidates lists everything evaluated, in evaluation order.
 	Candidates []Candidate `json:"candidates,omitempty"`
 }
 
-// PlanCapacity asks the sim for the cheapest fleet that serves
-// arrivalRPS single-image requests/second within slo. For
-// each candidate platform it grows the replica count until the sim
-// predicts a stable fleet whose P99 (queueing included) is within the
-// SLO, prices that fleet with the energy model, and returns the
-// cheapest across platforms. This is the control plane's
-// model-predictive step: the same simulator that pipeline's live
-// validation test shows tracks live throughput within 0.9% prices a
-// scale-up before the fleet commits to it.
+// PlanCapacity asks the sim for the smallest fleet that serves
+// arrivalRPS single-image requests/second within slo. It grows the
+// replica count until the sim predicts a stable fleet whose P99
+// (queueing included) is within the SLO, and prices each candidate
+// with the energy model. This is the control plane's model-predictive
+// step: the same simulator that pipeline's live validation test shows
+// tracks live throughput within 0.9% prices a scale-up before the
+// fleet commits to it.
 func PlanCapacity(cfg OracleConfig, arrivalRPS float64, slo time.Duration) (Plan, error) {
 	cfg.fillDefaults()
 	if arrivalRPS <= 0 {
@@ -102,64 +98,50 @@ func PlanCapacity(cfg OracleConfig, arrivalRPS float64, slo time.Duration) (Plan
 	if slo <= 0 {
 		return Plan{}, fmt.Errorf("fleet: non-positive SLO %v", slo)
 	}
+	p, err := hw.ByName(cfg.Platform)
+	if err != nil {
+		return Plan{}, err
+	}
+	em := energy.New(p)
 	plan := Plan{
 		ArrivalRPS: arrivalRPS,
 		SLO:        slo,
 		SLOMs:      float64(slo) / float64(time.Millisecond),
 	}
-	var chosen *Candidate
-	var fallback *Candidate // best effort when nothing meets the SLO
-	for _, key := range cfg.Platforms {
-		p, err := hw.ByName(key)
+	for n := 1; n <= cfg.MaxReplicas; n++ {
+		res, err := pipeline.RunReplicas(pipeline.ReplicaConfig{
+			Platform:             p,
+			Model:                cfg.Model,
+			Replicas:             n,
+			Batch:                oracleBatch,
+			OfferedBatchesPerSec: arrivalRPS,
+			HorizonSeconds:       cfg.HorizonSeconds,
+			Seed:                 oracleSeed,
+		})
 		if err != nil {
 			return Plan{}, err
 		}
-		em := energy.New(p)
-		for n := 1; n <= cfg.MaxReplicas; n++ {
-			res, err := pipeline.RunReplicas(pipeline.ReplicaConfig{
-				Platform:             p,
-				Model:                cfg.Model,
-				Replicas:             n,
-				Batch:                oracleBatch,
-				OfferedBatchesPerSec: arrivalRPS,
-				HorizonSeconds:       cfg.HorizonSeconds,
-				Seed:                 oracleSeed,
-			})
-			if err != nil {
-				return Plan{}, err
-			}
-			c := Candidate{
-				Platform:             key,
-				Replicas:             n,
-				PredictedImgPerSec:   res.Throughput,
-				PredictedP99Ms:       res.P99LatencySeconds * 1000,
-				PredictedUtilization: res.Utilization,
-				// Utilization stands in for MFU here: it is the busy
-				// fraction the dynamic power scales with.
-				PowerW:   float64(n) * em.PowerAt(res.Utilization),
-				MeetsSLO: res.P99LatencySeconds <= slo.Seconds() && res.Throughput >= stabilityMargin*res.OfferedImgPerSec,
-			}
-			plan.Candidates = append(plan.Candidates, c)
-			if fallback == nil || c.PredictedImgPerSec > fallback.PredictedImgPerSec {
-				cc := c
-				fallback = &cc
-			}
-			if c.MeetsSLO {
-				// Within one platform, the first meeting size is the
-				// cheapest (every extra replica adds idle power), so
-				// stop growing this platform's fleet.
-				if chosen == nil || c.PowerW < chosen.PowerW {
-					cc := c
-					chosen = &cc
-				}
-				break
-			}
+		c := Candidate{
+			Platform:             cfg.Platform,
+			Replicas:             n,
+			PredictedImgPerSec:   res.Throughput,
+			PredictedP99Ms:       res.P99LatencySeconds * 1000,
+			PredictedUtilization: res.Utilization,
+			// Utilization stands in for MFU here: it is the busy
+			// fraction the dynamic power scales with.
+			PowerW:   float64(n) * em.PowerAt(res.Utilization),
+			MeetsSLO: res.P99LatencySeconds <= slo.Seconds() && res.Throughput >= stabilityMargin*res.OfferedImgPerSec,
 		}
-	}
-	if chosen != nil {
-		plan.Chosen = *chosen
-	} else if fallback != nil {
-		plan.Chosen = *fallback
+		plan.Candidates = append(plan.Candidates, c)
+		if n == 1 || c.PredictedImgPerSec > plan.Chosen.PredictedImgPerSec {
+			plan.Chosen = c // best effort so far
+		}
+		if c.MeetsSLO {
+			// The first meeting size is the cheapest: every extra
+			// replica adds idle power.
+			plan.Chosen = c
+			break
+		}
 	}
 	return plan, nil
 }

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,30 +9,16 @@ import (
 	"harvest/internal/core"
 )
 
-// Provisioner launches and stops replicas on the autoscaler's behalf.
-// Real deployments plug in an implementation that talks to their
-// scheduler (k8s, slurm, a VM API); LocalProvisioner spawns in-process
-// replicas for benchmarks and self-hosted runs.
-type Provisioner interface {
-	// Launch starts one replica of the platform. The replica is
-	// responsible for registering itself with the control plane (the
-	// Agent protocol); Launch returns its base URL once it is starting.
-	Launch(ctx context.Context, platform string) (url string, err error)
-	// Stop retires the replica previously launched at url: deregister
-	// with drain, then tear it down.
-	Stop(ctx context.Context, url string) error
-}
-
 // LocalProvisioner spawns in-process replicas over loopback HTTP
 // (core.StartReplica), each with an Agent that self-registers against
 // FleetURL and deregisters (drain-aware) on Stop. It lets `harvest-fleet
-// -local` and `make bench-fleet` autoscale a real serving tier with no
-// external scheduler.
+// -local` and `harvest-loadgen -fleet-max` autoscale a real serving
+// tier with no external scheduler. Replicas are kept in launch order;
+// Stop and Kill both take the most recently launched one.
 type LocalProvisioner struct {
 	// FleetURL is the control plane the spawned replicas register with.
 	FleetURL string
-	// Replica is the shape of every launched replica; Launch sets its
-	// Platform.
+	// Replica is the shape of every launched replica.
 	Replica core.DeploymentConfig
 	// TTL is the lease length replicas request (0 = registry default).
 	TTL time.Duration
@@ -41,7 +27,7 @@ type LocalProvisioner struct {
 
 	mu   sync.Mutex
 	seq  int
-	reps map[string]*localReplica
+	reps []*localReplica // live replicas, launch order
 }
 
 type localReplica struct {
@@ -50,31 +36,28 @@ type localReplica struct {
 	replica *core.Replica
 }
 
-// Launch starts one in-process replica and its registration agent.
-// The pool gains the replica as soon as its agent's registration
-// lands (milliseconds later).
-func (lp *LocalProvisioner) Launch(_ context.Context, platform string) (string, error) {
-	cfg := lp.Replica
-	cfg.Platform = platform
-	replica, err := core.StartReplica(cfg)
+// errNoReplica is Stop's and Kill's answer when nothing is running.
+var errNoReplica = errors.New("fleet: no local replica running")
+
+// Launch starts one in-process replica and its registration agent and
+// returns its base URL. The pool gains the replica as soon as its
+// agent's registration lands (milliseconds later).
+func (lp *LocalProvisioner) Launch() (string, error) {
+	replica, err := core.StartReplica(lp.Replica)
 	if err != nil {
 		return "", fmt.Errorf("fleet: local launch: %w", err)
 	}
-	url := replica.URL
-
 	lp.mu.Lock()
-	name := fmt.Sprintf("local-%s-%d", platform, lp.seq)
+	defer lp.mu.Unlock()
+	name := fmt.Sprintf("local-%s-%d", lp.Replica.Platform, lp.seq)
 	lp.seq++
-	if lp.reps == nil {
-		lp.reps = map[string]*localReplica{}
-	}
 	rep := &localReplica{
 		name: name,
 		agent: &Agent{
 			FleetURL: lp.FleetURL,
 			Name:     name,
-			URL:      url,
-			Platform: platform,
+			URL:      replica.URL,
+			Platform: lp.Replica.Platform,
 			TTL:      lp.TTL,
 			Logf:     lp.Logf,
 		},
@@ -83,43 +66,44 @@ func (lp *LocalProvisioner) Launch(_ context.Context, platform string) (string, 
 	// Started before it is listed, so a Stop or Kill that finds it
 	// finds a running agent.
 	rep.agent.Start()
-	lp.reps[url] = rep
-	lp.mu.Unlock()
-	return url, nil
+	lp.reps = append(lp.reps, rep)
+	return replica.URL, nil
 }
 
-// Stop retires the replica at url: the agent deregisters with drain
-// (the registry stops routing to it and waits out in-flight work),
-// then the HTTP server shuts down gracefully and the deployment's
-// batchers drain. Admitted requests never fail.
-func (lp *LocalProvisioner) Stop(_ context.Context, url string) error {
+// newest unlists and returns the most recently launched replica.
+func (lp *LocalProvisioner) newest() (*localReplica, error) {
 	lp.mu.Lock()
-	rep, ok := lp.reps[url]
-	if ok {
-		delete(lp.reps, url)
+	defer lp.mu.Unlock()
+	if len(lp.reps) == 0 {
+		return nil, errNoReplica
 	}
-	lp.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("fleet: no local replica at %s", url)
+	rep := lp.reps[len(lp.reps)-1]
+	lp.reps = lp.reps[:len(lp.reps)-1]
+	return rep, nil
+}
+
+// Stop retires the most recently launched replica: the agent
+// deregisters with drain (the registry stops routing to it and waits
+// out in-flight work), then the HTTP server shuts down gracefully and
+// the deployment's batchers drain. Admitted requests never fail.
+func (lp *LocalProvisioner) Stop() error {
+	rep, err := lp.newest()
+	if err != nil {
+		return err
 	}
 	_ = rep.agent.Stop() // a failed deregistration leaves the lease to expire
 	rep.replica.Close()
 	return nil
 }
 
-// Kill tears the replica at url down abruptly — no deregistration, no
-// drain, connections reset — simulating a crash. The control plane
-// only learns of it through failed probes and the lease's TTL expiry.
-// Returns the replica's lease name.
-func (lp *LocalProvisioner) Kill(url string) (string, error) {
-	lp.mu.Lock()
-	rep, ok := lp.reps[url]
-	if ok {
-		delete(lp.reps, url)
-	}
-	lp.mu.Unlock()
-	if !ok {
-		return "", fmt.Errorf("fleet: no local replica at %s", url)
+// Kill tears the most recently launched replica down abruptly — no
+// deregistration, no drain, connections reset — simulating a crash.
+// The control plane only learns of it through failed probes and the
+// lease's TTL expiry. Returns the replica's lease name.
+func (lp *LocalProvisioner) Kill() (string, error) {
+	rep, err := lp.newest()
+	if err != nil {
+		return "", err
 	}
 	rep.agent.Abort() // die without deregistering; the lease must expire
 	_ = rep.agent.Stop()
@@ -127,20 +111,8 @@ func (lp *LocalProvisioner) Kill(url string) (string, error) {
 	return rep.name, nil
 }
 
-// URLs lists the replicas currently owned by the provisioner.
-func (lp *LocalProvisioner) URLs() []string {
-	lp.mu.Lock()
-	defer lp.mu.Unlock()
-	out := make([]string, 0, len(lp.reps))
-	for url := range lp.reps {
-		out = append(out, url)
-	}
-	return out
-}
-
-// Close stops every remaining replica (drain-aware).
+// Close stops every remaining replica (drain-aware), newest first.
 func (lp *LocalProvisioner) Close() {
-	for _, url := range lp.URLs() {
-		_ = lp.Stop(context.Background(), url)
+	for lp.Stop() == nil {
 	}
 }

@@ -5,9 +5,9 @@
 // and consulting the queueing simulation (pipeline.RunReplicas) as
 // a capacity oracle before acting — model-predictive autoscaling,
 // licensed by the ≤0.9% sim-vs-real throughput agreement pipeline's
-// live validation test measures. Replicas are spawned and stopped through a pluggable
-// Provisioner; the in-process LocalProvisioner launches
-// core.StartReplica replicas (core deployments over loopback HTTP).
+// live validation test measures. In local mode the LocalProvisioner
+// launches and stops core.StartReplica replicas (core deployments over
+// loopback HTTP) of the one replica shape the oracle prices.
 package fleet
 
 import (

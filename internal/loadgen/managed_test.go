@@ -7,9 +7,32 @@ import (
 
 	"harvest/internal/core"
 	"harvest/internal/fleet"
+	"harvest/internal/hw"
 	"harvest/internal/models"
 	"harvest/internal/serve"
 )
+
+// startLocalFleet serves a local-mode control plane on a loopback
+// endpoint, as harvest-loadgen -fleet-max does, and returns once its
+// floor replicas take traffic. Probes run every 20 ms, so a crashed
+// replica leaves the rotation quickly.
+func startLocalFleet(t *testing.T, cfg fleet.ControlPlaneConfig) (*fleet.ControlPlane, string) {
+	t.Helper()
+	cfg.Local = true
+	cfg.Router.Pool.ProbeInterval = 20 * time.Millisecond
+	cp := fleet.NewControlPlane(cfg)
+	ep, err := serve.ListenLoopback(cp.Handler())
+	if err != nil {
+		cp.Close()
+		t.Fatal(err)
+	}
+	// The control plane closes first: its replicas deregister over HTTP.
+	t.Cleanup(func() { cp.Close(); ep.Shutdown() })
+	if err := cp.Start(context.Background(), ep.URL); err != nil {
+		t.Fatal(err)
+	}
+	return cp, ep.URL
+}
 
 // TestManagedFleetStepAndChurn is the control-plane acceptance run in
 // miniature: a seeded open-loop ramp with a load step drives an
@@ -18,10 +41,9 @@ import (
 // must cause zero failed admitted requests. 429 sheds and 504
 // deadline evictions are designed overload responses, not failures.
 func TestManagedFleetStepAndChurn(t *testing.T) {
-	mf, err := StartManagedFleet(fleet.ControlPlaneConfig{
+	cp, url := startLocalFleet(t, fleet.ControlPlaneConfig{
 		Controller: fleet.ControllerConfig{
 			Model:    models.NameViTBase,
-			Oracle:   fleet.OracleConfig{Platforms: []string{"Jetson"}},
 			Min:      1,
 			Max:      3,
 			Interval: 250 * time.Millisecond,
@@ -29,12 +51,8 @@ func TestManagedFleetStepAndChurn(t *testing.T) {
 			Logf:     t.Logf,
 		},
 		LeaseTTL: 500 * time.Millisecond,
-		Local:    &core.DeploymentConfig{Models: []string{models.NameViTBase}, TimeScale: 1},
+		Replica:  core.DeploymentConfig{Platform: hw.KeyJetson, TimeScale: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mf.Close()
 
 	// Kill a replica once the autoscaler has grown the fleet past the
 	// floor: the crash path (connection resets + TTL expiry), not a
@@ -44,10 +62,10 @@ func TestManagedFleetStepAndChurn(t *testing.T) {
 	defer cancelKill()
 	go func() {
 		for killCtx.Err() == nil {
-			if len(mf.Provisioner.URLs()) >= 2 {
+			if len(cp.Registry.Leases()) >= 2 {
 				// Let the newcomer take traffic before the crash.
 				time.Sleep(300 * time.Millisecond)
-				if name, err := mf.KillOne(); err == nil {
+				if name, err := cp.Provisioner.Kill(); err == nil {
 					killed <- name
 				}
 				return
@@ -59,7 +77,7 @@ func TestManagedFleetStepAndChurn(t *testing.T) {
 	// 80 rps fits one Jetson ViT_Base replica; the 3× step to 240 rps
 	// does not (per-replica knee ≈ 187 img/s), forcing a scale-up.
 	report, err := Run(context.Background(), Config{
-		Target:   mf.URL,
+		Target:   url,
 		Model:    models.NameViTBase,
 		Name:     "managed_test",
 		Seed:     7,
@@ -74,7 +92,7 @@ func TestManagedFleetStepAndChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report.Fleet = mf.FleetReport()
+	report.Fleet = &FleetReport{Decisions: cp.Controller.Decisions(), Events: cp.Registry.Events()}
 
 	tot := report.Total
 	if tot.Server5xx != 0 || tot.OtherHTTP != 0 || tot.Timeouts != 0 || tot.Transport != 0 {
@@ -107,14 +125,14 @@ func TestManagedFleetStepAndChurn(t *testing.T) {
 			// The kill may land so late its expiry postdates the run
 			// snapshot; give the sweeper a moment and re-check.
 			time.Sleep(time.Second)
-			for _, e := range mf.Registry.Events() {
+			for _, e := range cp.Registry.Events() {
 				if e.Kind == fleet.EventExpire && e.Name == name {
 					expired = true
 				}
 			}
 		}
 		if !expired {
-			t.Fatalf("killed replica %s never expired: %+v", name, mf.Registry.Events())
+			t.Fatalf("killed replica %s never expired: %+v", name, cp.Registry.Events())
 		}
 	default:
 		t.Fatal("fleet never reached 2 replicas; nothing was killed")
@@ -137,26 +155,21 @@ func TestManagedFleetStepAndChurn(t *testing.T) {
 // Preproc on the replicas (without it every request is a 400) and a
 // quota'd tenant must see its 429s.
 func TestManagedFleetReplicaShape(t *testing.T) {
-	mf, err := StartManagedFleet(fleet.ControlPlaneConfig{
+	_, url := startLocalFleet(t, fleet.ControlPlaneConfig{
 		Controller: fleet.ControllerConfig{
-			Model:  models.NameViTTiny,
-			Oracle: fleet.OracleConfig{Platforms: []string{"A100"}},
-			Max:    2,
-			SLO:    100 * time.Millisecond,
+			Model: models.NameViTTiny,
+			Max:   2,
+			SLO:   100 * time.Millisecond,
 		},
-		Local: &core.DeploymentConfig{
-			Models:       []string{models.NameViTTiny},
+		Replica: core.DeploymentConfig{
+			Platform:     hw.KeyA100,
 			TimeScale:    0.02,
 			Preproc:      "cpu",
 			TenantQuotas: map[string]serve.TenantQuota{"hog": {RatePerSec: 1, Burst: 1}},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mf.Close()
 	report, err := Run(context.Background(), Config{
-		Target:   mf.URL,
+		Target:   url,
 		Model:    models.NameViTTiny,
 		Name:     "managed_shape",
 		Duration: time.Second,

@@ -2,7 +2,6 @@ package modelio
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -133,16 +132,4 @@ func SaveFile(path string, save func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ConfigName peeks at the model name recorded in a checkpoint's config
-// without building the model.
-func (cp *Checkpoint) ConfigName() string {
-	var c struct {
-		Name string `json:"Name"`
-	}
-	if err := json.Unmarshal(cp.Config, &c); err != nil {
-		return ""
-	}
-	return c.Name
 }

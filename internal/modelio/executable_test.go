@@ -120,10 +120,3 @@ func TestExecutableForRejectsMismatch(t *testing.T) {
 		t.Fatalf("kind error = %v, want ErrModelMismatch", err)
 	}
 }
-
-func TestConfigName(t *testing.T) {
-	cp := microCheckpoint(t)
-	if got := cp.ConfigName(); got != "ViT_Micro" {
-		t.Fatalf("ConfigName = %q", got)
-	}
-}

@@ -129,8 +129,7 @@ func (e Exponential) Sample(r *RNG) float64 { return r.ExpFloat64() / e.Lambda }
 // Mean of the exponential.
 func (e Exponential) Mean() float64 { return 1 / e.Lambda }
 
-// Validate checks that a distribution's parameters are sane; used by
-// dataset specs at construction time.
+// Validate checks that a distribution's parameters are sane.
 func Validate(d Distribution) error {
 	switch v := d.(type) {
 	case Uniform:

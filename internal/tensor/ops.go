@@ -17,13 +17,6 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
-// Scale multiplies every element by s in place.
-func (t *Tensor) Scale(s float32) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
 // ReLU applies max(0, x) in place.
 func ReLU(t *Tensor) {
 	for i, v := range t.Data {

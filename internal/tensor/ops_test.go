@@ -24,14 +24,6 @@ func TestAddInPlace(t *testing.T) {
 	AddInPlace(a, New(3))
 }
 
-func TestScale(t *testing.T) {
-	a := FromSlice([]float32{1, -2, 3}, 3)
-	a.Scale(2)
-	if a.Data[0] != 2 || a.Data[1] != -4 || a.Data[2] != 6 {
-		t.Errorf("Scale = %v", a.Data)
-	}
-}
-
 func TestReLU(t *testing.T) {
 	a := FromSlice([]float32{-1, 0, 2}, 3)
 	ReLU(a)
