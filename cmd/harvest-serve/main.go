@@ -61,7 +61,7 @@ func main() {
 		streamEnable = flag.Bool("stream", false,
 			"enable streaming camera ingest at POST /v2/streams/{camera} (requires -preproc: frames arrive as encoded images)")
 	)
-	flag.DurationVar(&cfg.QueueDelay, "queue-delay", 2*time.Millisecond, "dynamic batching window")
+	flag.DurationVar(&cfg.QueueDelay, "queue-delay", 0, "dynamic batching window")
 	flag.IntVar(&cfg.Instances, "instances", 1, "engine instances per model")
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", serve.DefaultDrainTimeout,
 		"how long shutdown serves already-queued requests before failing stragglers")

@@ -29,7 +29,9 @@ type DeploymentConfig struct {
 	Platform string
 	// Models lists Table 3 model names; empty means all four.
 	Models []string
-	// QueueDelay is the dynamic batching window (default 2ms).
+	// QueueDelay is the dynamic batching window, counted from a
+	// batch's oldest request (default 0: an idle instance starts a lone
+	// request at once; see serve.ModelConfig.QueueDelay).
 	QueueDelay time.Duration
 	// Instances per model (default 1).
 	Instances int
@@ -123,9 +125,6 @@ func NewDeployment(cfg DeploymentConfig) (*serve.Server, error) {
 	names := cfg.Models
 	if len(names) == 0 {
 		names = models.Names()
-	}
-	if cfg.QueueDelay == 0 {
-		cfg.QueueDelay = 2 * time.Millisecond
 	}
 	if cfg.TraceCapacity == 0 {
 		cfg.TraceCapacity = serve.DefaultTraceCapacity

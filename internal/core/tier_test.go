@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"net"
 	"net/http"
 	"strings"
@@ -128,7 +129,8 @@ func TestOffloadPolicyDefaults(t *testing.T) {
 // TestPowerBudgetOffloads drives the power-budget offload trigger as a
 // deployment wires it: an edge replica whose Stream.OffloadPowerBudgetW
 // is below its platform's idle draw ships its first admitted frame to
-// the cloud tier, for power. The queue threshold and the frame budget
+// the cloud tier, and the frame's outcome and the edge's offload
+// counter both name "power". The queue threshold and the frame budget
 // leave power the only signal that can ship it: without the budget the
 // same frame is served on the edge.
 func TestPowerBudgetOffloads(t *testing.T) {
@@ -145,7 +147,8 @@ func TestPowerBudgetOffloads(t *testing.T) {
 	for _, tc := range []struct {
 		budgetW float64
 		where   string
-	}{{0, stream.WhereEdge}, {1, stream.WhereCloud}} {
+		reason  string
+	}{{0, stream.WhereEdge, ""}, {1, stream.WhereCloud, "power"}} {
 		cfg := DeploymentConfig{
 			Platform: "Jetson", Models: []string{models.NameViTTiny}, Preproc: "cpu",
 			Stream: &StreamConfig{
@@ -179,9 +182,17 @@ func TestPowerBudgetOffloads(t *testing.T) {
 		if _, err := sess.Wait(); err != nil {
 			t.Fatal(err)
 		}
+		met := edge.Ingest.MetricsJSON().(stream.MetricsSnapshot)
 		edge.Close()
-		if out.Outcome != stream.OutcomeServed || out.Where != tc.where {
-			t.Errorf("budget %g W: first frame %+v, want served on the %s", tc.budgetW, out, tc.where)
+		if out.Outcome != stream.OutcomeServed || out.Where != tc.where || out.Reason != tc.reason {
+			t.Errorf("budget %g W: first frame %+v, want served on the %s, reason %q", tc.budgetW, out, tc.where, tc.reason)
+		}
+		want := map[string]int64{"queue": 0, "power": 0, "deadline": 0}
+		if tc.reason != "" {
+			want[tc.reason] = 1
+		}
+		if !maps.Equal(met.Offloaded, want) {
+			t.Errorf("budget %g W: offloaded %v, want %v", tc.budgetW, met.Offloaded, want)
 		}
 	}
 }

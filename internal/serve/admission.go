@@ -300,10 +300,10 @@ func (rt *modelRuntime) drainRounds(queuedItems int64) int64 {
 // take to complete if admitted now: the already-queued work plus this
 // submission, packed into MaxBatch-sized batches across the model's
 // instances, at the calibrated (TimeScale-adjusted) batch execution
-// time. It deliberately over-counts batches already executing as still
-// queued — for a drop-stale admission gate, a slightly pessimistic
-// estimate sheds a frame a touch early rather than queueing one that
-// will blow its deadline.
+// time. The queue holds everything admitted that has not started: the
+// batcher dispatches only to a free instance, so no batch waits
+// between the lanes and an instance. The remaining time of batches
+// already executing, at most one round, is not priced.
 func (s *Server) EstimateWait(name string, items int) (time.Duration, error) {
 	rt, err := s.runtime(name)
 	if err != nil {

@@ -8,22 +8,22 @@ import (
 	"harvest/internal/trace"
 )
 
-// instanceLoop executes fused batches on one engine instance. track is
-// the instance's trace track name.
-func (rt *modelRuntime) instanceLoop(batches <-chan []*pending, track string) {
+// instanceLoop executes fused batches on one engine instance and hands
+// the batcher a token on idle after each, so the batcher knows the
+// instance is free. track is the instance's trace track name.
+func (rt *modelRuntime) instanceLoop(batches <-chan []*pending, idle chan<- struct{}, track string) {
 	for batch := range batches {
 		rt.runBatch(batch, track)
+		idle <- struct{}{}
 	}
 }
 
 // expire sheds the members of a claimed batch whose remaining slack at
 // now no longer covers the batch's modeled execution time — a
 // guaranteed SLO miss is answered with ErrDeadlineExpired instead of
-// burning an engine slot — and returns the survivors. dispatch calls it
-// when the batch leaves the scheduler, but a dispatched batch can still
-// wait behind earlier batches for a free instance; calling it again at
-// execution start is what turns "a served response met its deadline"
-// from a dispatch-time approximation into a guarantee.
+// burning an engine slot — and returns the survivors. runBatch calls it
+// at execution start, which is what makes "a served response met its
+// deadline" a guarantee.
 func (rt *modelRuntime) expire(batch []*pending, now time.Time) []*pending {
 	items := 0
 	for _, p := range batch {

@@ -147,7 +147,8 @@ type TimingsJSON struct {
 	// PreprocessMs is the encoded-image preprocess stage: decode, warp,
 	// resize, normalize. Zero on the tensor and items-only paths.
 	PreprocessMs float64 `json:"preprocess_ms"`
-	// QueueMs is the lane wait: enqueue to batcher pickup.
+	// QueueMs is the lane wait: enqueue to batcher pickup, which
+	// includes waiting for a free instance.
 	QueueMs float64 `json:"queue_ms"`
 	// BatchAssemblyMs is the dynamic-batching window: pickup to the
 	// fused batch's execution start.

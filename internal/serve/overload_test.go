@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"harvest/internal/hw"
 	"harvest/internal/models"
 	"harvest/internal/stats"
+	"harvest/internal/trace"
 )
 
 // waitQueueDepth polls a model's queue depth until it reaches at least
@@ -36,6 +38,28 @@ func waitQueueDepth(t *testing.T, s *Server, model string, want int64) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("queue depth never reached %d", want)
+}
+
+// waitLaned polls until a model's lanes hold at least want items. A
+// request is counted in QueueDepth from admission, a moment before it
+// reaches its lane and the batcher can see it.
+func waitLaned(t *testing.T, s *Server, model string, want int64) {
+	t.Helper()
+	rt, err := s.runtime(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		rt.qmu.Lock()
+		items := rt.sched.backlogItemsAtOrAbove(ClassOffline) // every lane
+		rt.qmu.Unlock()
+		if items >= want {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("lanes never held %d items", want)
 }
 
 // TestQueueFullShedsImmediately pins the admission-control contract: a
@@ -189,7 +213,7 @@ func TestRealtimeBudgetAppliesByDefault(t *testing.T) {
 // TestPriorityOrderingUnderSustainedOverload is the live end of the
 // lane-priority cases in TestSchedulerNext: it holds the single
 // instance busy, queues offline work first and realtime work after, and
-// checks that the realtime lane is served ahead of the offline backlog
+// checks that every realtime request executes before any offline one
 // and that the per-class queue latency shows it.
 func TestPriorityOrderingUnderSustainedOverload(t *testing.T) {
 	eng, err := engine.New(hw.Jetson(), models.NameViTTiny)
@@ -202,28 +226,26 @@ func TestPriorityOrderingUnderSustainedOverload(t *testing.T) {
 	}
 	gate := &gatedBackend{inner: real, entered: make(chan struct{}, 1), open: make(chan struct{})}
 	eng.Real = gate
+	rec := trace.NewRecorder()
 	s := newTestServer(t, ModelConfig{
 		Name: "lanes", Engine: eng, MaxBatch: 1, InputSize: 32,
 		QueueDelay: time.Millisecond, TimeScale: 1, // completions spaced a batch apart
-		RealtimeBudget: -1, // isolate lane priority from deadline shedding
+		RealtimeBudget:  -1, // isolate lane priority from deadline shedding
+		AntiStarveEvery: -1, // and from the anti-starvation valve
+		Trace:           rec,
 	})
+	// Opened before Close on every path, so a failed check cannot leave
+	// the drain waiting on a held instance.
+	open := sync.OnceFunc(func() { close(gate.open) })
+	t.Cleanup(open)
 
-	var seq atomic.Int64
-	var mu sync.Mutex
-	positions := map[Class][]int64{}
 	var wg sync.WaitGroup
 	submit := func(class Class, id string) {
 		defer wg.Done()
-		_, err := s.Submit(context.Background(),
-			&Request{ID: id, Model: "lanes", Items: 1, Class: class})
-		if err != nil {
+		if _, err := s.Submit(context.Background(),
+			&Request{ID: id, Model: "lanes", Items: 1, Class: class}); err != nil {
 			t.Errorf("%s: %v", id, err)
-			return
 		}
-		pos := seq.Add(1)
-		mu.Lock()
-		positions[class] = append(positions[class], pos)
-		mu.Unlock()
 	}
 
 	// Blocker: a tensor request that holds the instance at the gate
@@ -239,37 +261,45 @@ func TestPriorityOrderingUnderSustainedOverload(t *testing.T) {
 	}()
 	<-gate.entered
 
-	// With the instance held, three requests still leave the queue: two
-	// fill the batches channel and one waits in the batcher's hand.
-	const perClass, dispatched = 10, 3
+	// With the instance held, nothing leaves the queue: the batcher cuts
+	// a batch only when an instance is free to run it.
+	const perClass = 10
 	for i := 0; i < perClass; i++ {
 		wg.Add(1)
 		go submit(ClassOffline, fmt.Sprintf("off%d", i))
 	}
-	waitQueueDepth(t, s, "lanes", perClass-dispatched) // offline fully enqueued first
+	waitLaned(t, s, "lanes", perClass) // offline fully enqueued first
 	for i := 0; i < perClass; i++ {
 		wg.Add(1)
 		go submit(ClassRealtime, fmt.Sprintf("rt%d", i))
 	}
-	waitQueueDepth(t, s, "lanes", 2*perClass-dispatched)
-	close(gate.open)
+	waitLaned(t, s, "lanes", 2*perClass)
+	if depth, err := s.QueueDepth("lanes"); err != nil || depth != 2*perClass {
+		t.Errorf("queue depth %d (%v) behind a busy instance, want all %d queued", depth, err, 2*perClass)
+	}
+	open()
 	wg.Wait()
 
-	mean := func(xs []int64) float64 {
-		var sum int64
-		for _, x := range xs {
-			sum += x
+	// Execution order, from each request's compute span.
+	var computes []trace.Span
+	for _, sp := range rec.Spans() {
+		if sp.Name == "compute" && sp.Track != "req:blocker" {
+			computes = append(computes, sp)
 		}
-		return float64(sum) / float64(len(xs))
 	}
-	rt, off := positions[ClassRealtime], positions[ClassOffline]
-	if len(rt) != perClass || len(off) != perClass {
-		t.Fatalf("served %d realtime / %d offline, want %d each", len(rt), len(off), perClass)
+	sort.Slice(computes, func(i, j int) bool { return computes[i].Start < computes[j].Start })
+	order := make([]string, len(computes))
+	for i, sp := range computes {
+		order[i] = strings.TrimPrefix(sp.Track, "req:")
 	}
-	if mean(rt) >= mean(off) {
-		t.Errorf("realtime completed at mean position %.1f, offline at %.1f: "+
-			"priority lanes ineffective (realtime should finish first despite arriving last)",
-			mean(rt), mean(off))
+	if len(order) != 2*perClass {
+		t.Fatalf("executed %d requests, want %d: %v", len(order), 2*perClass, order)
+	}
+	for i, id := range order {
+		if rt := strings.HasPrefix(id, "rt"); rt != (i < perClass) {
+			t.Fatalf("execution order %v: every realtime request must run before any offline one, "+
+				"although realtime arrived last", order)
+		}
 	}
 	m, err := s.MetricsFor("lanes")
 	if err != nil {
@@ -280,6 +310,61 @@ func TestPriorityOrderingUnderSustainedOverload(t *testing.T) {
 	}
 	if got := len(m.QueueMsByClass); got < 2 {
 		t.Errorf("per-class queue latency has %d classes, want >= 2", got)
+	}
+}
+
+// TestArrivalsWhileBusyJoinOneBatch checks that the batcher is
+// work-conserving with no window: requests that arrive while the only
+// instance is busy are not cut into batches ahead of it. They stay
+// queued, counted in QueueDepth, and all run in the next batch.
+func TestArrivalsWhileBusyJoinOneBatch(t *testing.T) {
+	eng, err := engine.New(hw.Jetson(), models.NameViTTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, err := models.NewViTModel(models.MicroViTConfig(4), stats.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedBackend{inner: real, entered: make(chan struct{}, 1), open: make(chan struct{})}
+	eng.Real = gate
+	s := newTestServer(t, ModelConfig{Name: "join", Engine: eng, MaxBatch: 8, InputSize: 32})
+	open := sync.OnceFunc(func() { close(gate.open) })
+	t.Cleanup(open)
+
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(context.Background(),
+			&Request{ID: "blocker", Model: "join", Inputs: [][]float32{make([]float32, 3*32*32)}})
+		blocked <- err
+	}()
+	<-gate.entered
+
+	const n = 6
+	sizes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, err := s.Submit(context.Background(), &Request{ID: fmt.Sprintf("r%d", i), Model: "join", Items: 1})
+			if err != nil {
+				t.Errorf("r%d: %v", i, err)
+				sizes <- 0
+				return
+			}
+			sizes <- resp.BatchSize
+		}()
+	}
+	waitLaned(t, s, "join", n)
+	if depth, err := s.QueueDepth("join"); err != nil || depth != n {
+		t.Errorf("queue depth %d (%v) behind a busy instance, want %d", depth, err, n)
+	}
+	open()
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocker: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if got := <-sizes; got != n {
+			t.Errorf("a request ran in a batch of %d, want all %d arrivals in one", got, n)
+		}
 	}
 }
 

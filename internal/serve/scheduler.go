@@ -85,12 +85,17 @@ func (s *scheduler) fits(p *pending) bool {
 		(len(p.req.Inputs) > 0) == (len(s.batch[0].req.Inputs) > 0)
 }
 
-// add appends p to the forming batch; the first member opens the
-// batching window. This is the only place batch membership grows.
-func (s *scheduler) add(p *pending, now time.Time) {
+// add appends p to the forming batch. This is the only place batch
+// membership grows. The batching window runs QueueDelay from the
+// oldest member's arrival, as Triton's max_queue_delay does: a request
+// that already waited that long for a free instance is due as soon as
+// one asks, and is never held for a second window.
+func (s *scheduler) add(p *pending) {
+	end := p.enqueued.Add(s.cfg.QueueDelay)
 	if len(s.batch) == 0 {
-		s.windowEnd = now.Add(s.cfg.QueueDelay)
-		s.earliest = time.Time{}
+		s.windowEnd, s.earliest = end, time.Time{}
+	} else if end.Before(s.windowEnd) {
+		s.windowEnd = end
 	}
 	s.batch = append(s.batch, p)
 	s.items += p.req.Items
@@ -108,9 +113,9 @@ func (s *scheduler) take() []*pending {
 
 // fireAt is when the forming batch is due: at the end of its batching
 // window, or earlier so that its earliest deadline can still be met
-// after the estimated execution time. Growth only moves it earlier: a
-// larger batch executes longer, and a new earliest deadline leaves less
-// slack.
+// after the estimated execution time. Growth only moves it earlier: an
+// older member closes the window sooner, a larger batch executes
+// longer, and a new earliest deadline leaves less slack.
 func (s *scheduler) fireAt() time.Time {
 	at := s.windowEnd
 	if !s.earliest.IsZero() {
@@ -125,8 +130,8 @@ func (s *scheduler) fireAt() time.Time {
 // requests (highest-priority lane first) into the forming batch and
 // returns that batch once it is due: it holds MaxBatch items, the next
 // request does not fit it (that request is held and starts the
-// following batch), the window opened by its first member has run
-// QueueDelay, or waiting any longer would make its earliest deadline
+// following batch), QueueDelay has passed since its oldest member
+// arrived, or waiting any longer would make its earliest deadline
 // unmeetable. With flush set (graceful drain) whatever has formed is
 // due at once.
 //
@@ -148,7 +153,7 @@ func (s *scheduler) next(now time.Time, flush bool) (batch []*pending, wake time
 			s.held = p
 			return s.take(), time.Time{}
 		}
-		s.add(p, now)
+		s.add(p)
 	}
 	if len(s.batch) == 0 {
 		return nil, time.Time{}
@@ -178,18 +183,23 @@ func (rt *modelRuntime) step(flush bool) (batch []*pending, wake time.Time) {
 	return rt.sched.next(time.Now(), flush)
 }
 
-// batcherLoop drives the scheduler in wall time: it dispatches every
-// batch next returns, and otherwise sleeps until the wake time next
-// asked for, an enqueue, or shutdown. Graceful drain is the same loop
-// with flush set, so queued work is served, not failed, until the lanes
-// are empty or the drain deadline aborts. A spurious wakeup (a stale
-// notify token or timer tick) only costs one more call to next.
-func (rt *modelRuntime) batcherLoop(batches chan<- []*pending) {
+// batcherLoop drives the scheduler in wall time. It is work-conserving:
+// it asks next for a batch only while an instance is free (free counts
+// them; an instance hands a token back on idle after each batch), so a
+// batch is cut only when it can start at once, and work that arrives
+// while every instance is busy stays in the lanes and the queue depth
+// until next takes it in lane priority order. Otherwise it sleeps until
+// an instance frees, the wake time next asked for, an enqueue, or
+// shutdown. Graceful drain is the same loop with flush set, so queued
+// work is served, not failed, until the lanes are empty or the drain
+// deadline aborts. A spurious wakeup (a stale notify token or timer
+// tick) only costs one more pass.
+func (rt *modelRuntime) batcherLoop(batches chan<- []*pending, idle <-chan struct{}) {
 	defer close(batches)
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	defer timer.Stop()
-	flush := false
+	free, flush, closing := rt.cfg.Instances, false, rt.closing
 	for {
 		select {
 		case <-rt.abort:
@@ -197,13 +207,18 @@ func (rt *modelRuntime) batcherLoop(batches chan<- []*pending) {
 			return
 		default:
 		}
-		batch, wake := rt.step(flush)
-		if batch != nil {
-			rt.dispatch(batches, batch)
-			continue
-		}
-		if flush {
-			return
+		var wake time.Time
+		if free > 0 {
+			var batch []*pending
+			if batch, wake = rt.step(flush); batch != nil {
+				if rt.dispatch(batches, batch) {
+					free--
+				}
+				continue
+			}
+			if flush {
+				return
+			}
 		}
 		// Safe because the batcher is the scheduler's only consumer: a
 		// producer that pushes after step returned has already made a
@@ -215,10 +230,13 @@ func (rt *modelRuntime) batcherLoop(batches chan<- []*pending) {
 			fire = timer.C
 		}
 		select {
+		case <-idle:
+			free++
 		case <-rt.notify:
 		case <-fire:
-		case <-rt.closing:
-			flush = true
+		case <-closing:
+			flush, closing = true, nil
+		case <-rt.abort:
 		}
 		if fire != nil && !timer.Stop() {
 			select {
@@ -229,12 +247,12 @@ func (rt *modelRuntime) batcherLoop(batches chan<- []*pending) {
 	}
 }
 
-// dispatch claims the batch's pendings and hands the survivors to an
-// instance. Requests cancelled while queued, and requests whose
-// deadline can no longer be met even if executed right now, are
-// evicted here — they never occupy a dispatched batch slot. A send the
-// drain deadline aborts fails the claimed survivors instead.
-func (rt *modelRuntime) dispatch(batches chan<- []*pending, batch []*pending) {
+// dispatch claims the batch's pendings and hands the survivors to a
+// free instance, reporting whether any survived. Requests cancelled
+// while queued are evicted here, so they never occupy a batch slot.
+// The send never blocks: the batcher dispatches only while an instance
+// is free, and batches holds one slot per instance.
+func (rt *modelRuntime) dispatch(batches chan<- []*pending, batch []*pending) bool {
 	live := batch[:0]
 	for _, p := range batch {
 		rt.release(p)
@@ -244,17 +262,11 @@ func (rt *modelRuntime) dispatch(batches chan<- []*pending, batch []*pending) {
 			rt.met.cancelled.Inc()
 		}
 	}
-	if live = rt.expire(live, time.Now()); len(live) == 0 {
-		return
+	if len(live) == 0 {
+		return false
 	}
-	select {
-	case batches <- live:
-	case <-rt.abort:
-		for _, p := range live {
-			rt.met.errors.Inc()
-			p.out <- outcome{err: ErrServerClosed}
-		}
-	}
+	batches <- live
+	return true
 }
 
 // failQueued fails everything the scheduler still holds (lanes,

@@ -21,6 +21,7 @@ func TestSchedulerNext(t *testing.T) {
 		items    int
 		tensors  bool
 		deadline time.Duration // offset from t0; 0 = none
+		age      time.Duration // how long before its step it arrived
 	}
 	type step struct {
 		push  []arrival
@@ -80,9 +81,17 @@ func TestSchedulerNext(t *testing.T) {
 			{at: window / 2, push: []arrival{n("c", ClassOnline)}, want: "", wake: window},
 			{at: window - 1, want: "", wake: window},
 			{at: window - 1, push: []arrival{n("d", ClassOnline), n("e", ClassOnline)}, want: "a b c d", wake: noWake},
-			// e was left in its lane; its window opens when it is picked up.
-			{at: window, want: "", wake: 2 * window},
-			{at: 2 * window, want: "e", wake: noWake},
+			// e was left in its lane; its window runs from its own arrival.
+			{at: window, want: "", wake: 2*window - 1},
+			{at: 2*window - 1, want: "e", wake: noWake},
+		}},
+		{name: "the window counts from the oldest member's arrival", maxBatch: 4, steps: []step{
+			// a waited three windows for an instance: due the moment one asks.
+			{at: 3 * window, push: []arrival{{id: "a", items: 1, age: 3 * window}}, want: "a", wake: noWake},
+			// b arrived half a window ago: only the rest of its window remains.
+			{at: 4 * window, push: []arrival{{id: "b", items: 1, age: window / 2}}, want: "", wake: 4*window + window/2},
+			// c arrived a whole window ago: the batch it joins is due now.
+			{at: 4 * window, push: []arrival{{id: "c", items: 1, age: window}}, want: "b c", wake: noWake},
 		}},
 		{name: "a tensor request never fuses with an items-only one", maxBatch: 8, steps: []step{
 			{push: []arrival{{id: "i1", items: 2}, {id: "t1", items: 2, tensors: true}, {id: "i2", items: 3}},
@@ -132,8 +141,10 @@ func TestSchedulerNext(t *testing.T) {
 			}
 			s := newScheduler(&cfg)
 			for i, st := range c.steps {
+				now := t0.Add(st.at)
 				for _, a := range st.push {
-					p := &pending{req: Request{ID: a.id, Items: a.items}, class: a.class, tenant: DefaultTenant}
+					p := &pending{req: Request{ID: a.id, Items: a.items}, class: a.class, tenant: DefaultTenant,
+						enqueued: now.Add(-a.age)}
 					if a.tensors {
 						p.req.Inputs = make([][]float32, a.items)
 					}
@@ -142,7 +153,6 @@ func TestSchedulerNext(t *testing.T) {
 					}
 					s.push(p)
 				}
-				now := t0.Add(st.at)
 				batch, wake := s.next(now, st.flush)
 				ids := make([]string, len(batch))
 				items := 0

@@ -180,7 +180,8 @@ type Response struct {
 	// sum of the lane wait (LaneSeconds) and the batch-assembly window
 	// (AssembleSeconds).
 	QueueSeconds float64
-	// LaneSeconds is the lane wait: enqueue to batcher pickup.
+	// LaneSeconds is the lane wait: enqueue to batcher pickup, which
+	// includes waiting for a free instance.
 	LaneSeconds float64
 	// AssembleSeconds is the batch-assembly window: batcher pickup to
 	// the fused batch's execution start.
@@ -205,10 +206,13 @@ type ModelConfig struct {
 	// MaxBatch caps the dynamic batcher's fused batch size. 0 means
 	// use the engine's memory-derived max batch.
 	MaxBatch int
-	// QueueDelay is the dynamic batching window: how long the batcher
-	// waits for more requests before dispatching a partial batch. The
-	// window closes early when the oldest deadline in the forming batch
-	// would otherwise be missed.
+	// QueueDelay is the dynamic batching window: how long a partial
+	// batch may wait for more requests, counted from its oldest
+	// member's arrival, once an instance is free to run it. 0 (no
+	// window) starts a lone request on an idle instance at once;
+	// requests that arrive while every instance is busy still run
+	// together in the next batch. The window closes early when the
+	// oldest deadline in the forming batch would otherwise be missed.
 	QueueDelay time.Duration
 	// Instances is the number of parallel engine instances (paper §5:
 	// multi-instance strategies). Default 1.
@@ -452,11 +456,14 @@ func (s *Server) Register(cfg ModelConfig) error {
 	rt.sched = newScheduler(&rt.cfg)
 	s.models[cfg.Name] = rt
 
-	batches := make(chan []*pending, cfg.Instances*2)
+	// The batcher sends only to a free instance, so one slot per
+	// instance never blocks it, and idle holds every token at once.
+	batches := make(chan []*pending, cfg.Instances)
+	idle := make(chan struct{}, cfg.Instances)
 	rt.wg.Add(1)
 	go func() {
 		defer rt.wg.Done()
-		rt.batcherLoop(batches)
+		rt.batcherLoop(batches, idle)
 	}()
 	for i := 0; i < cfg.Instances; i++ {
 		track := cfg.Name
@@ -469,7 +476,7 @@ func (s *Server) Register(cfg ModelConfig) error {
 		rt.wg.Add(1)
 		go func() {
 			defer rt.wg.Done()
-			rt.instanceLoop(batches, track)
+			rt.instanceLoop(batches, idle, track)
 		}()
 	}
 	return nil

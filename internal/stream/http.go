@@ -185,6 +185,10 @@ type MetricsSnapshot struct {
 	// UplinkMs summarizes the modeled upload cost of cloud-shipped
 	// frames.
 	UplinkMs LatencySummaryJSON `json:"uplink_ms"`
+	// Offloaded counts the frames the offload policy sent to the cloud
+	// tier, by the signal that sent them ("queue", "power",
+	// "deadline"), counted at the decision.
+	Offloaded map[string]int64 `json:"offloaded"`
 	// Tenants decomposes session/frame volume per tenant.
 	Tenants map[string]TenantStreamStats `json:"tenants,omitempty"`
 }
@@ -204,6 +208,10 @@ func latencySummary(l *metrics.LatencyRecorder) LatencySummaryJSON {
 }
 
 func (ing *Ingest) snapshot() MetricsSnapshot {
+	offloaded := make(map[string]int64, len(offloadReasons))
+	for i, r := range offloadReasons {
+		offloaded[r] = ing.met.offloaded[i].Load()
+	}
 	return MetricsSnapshot{
 		ActiveSessions: ing.ActiveSessions(),
 		Frames:         ing.met.frames.Load(),
@@ -215,6 +223,7 @@ func (ing *Ingest) snapshot() MetricsSnapshot {
 		Failed:         ing.met.failed.Load(),
 		E2EMs:          latencySummary(&ing.met.e2e),
 		UplinkMs:       latencySummary(&ing.met.uplink),
+		Offloaded:      offloaded,
 		Tenants:        ing.TenantStats(),
 	}
 }
@@ -245,6 +254,11 @@ func (ing *Ingest) WriteProm(w io.Writer) {
 	} {
 		pw.Head(f.name, f.typ, f.help)
 		pw.Val(f.name, "", f.v)
+	}
+	const offloaded = "harvest_stream_offloaded_total"
+	pw.Head(offloaded, "counter", "Frames the offload policy sent to the cloud tier, by the signal that sent them.")
+	for _, r := range offloadReasons {
+		pw.Int(offloaded, metrics.PromLabel("reason", r), m.Offloaded[r])
 	}
 	if len(m.Tenants) == 0 {
 		return

@@ -25,8 +25,8 @@ type Decision struct {
 	// used by the drop-stale gate. Zero when serving locally (the
 	// session asks the local backend itself).
 	EstWait time.Duration
-	// Reason names the pressure signal that flipped the decision:
-	// "queue", "power" or "deadline".
+	// Reason names the pressure signal that flipped the decision: one
+	// of offloadReasons.
 	Reason string
 	// QueueDepth is the local queue depth observed at decision time.
 	QueueDepth int64
@@ -34,6 +34,9 @@ type Decision struct {
 	// unless a power budget is configured).
 	PowerW float64
 }
+
+// offloadReasons lists every Decision.Reason of a cloud decision.
+var offloadReasons = [...]string{"queue", "power", "deadline"}
 
 // OffloadPolicy decides, per frame at admission, whether an edge
 // replica serves locally or ships the frame to cloud replicas over a

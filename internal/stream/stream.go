@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,6 +140,8 @@ type ingestMetrics struct {
 	dropped       metrics.Counter
 	rejectedOrder metrics.Counter
 	failed        metrics.Counter
+	// offloaded counts cloud decisions, indexed like offloadReasons.
+	offloaded [len(offloadReasons)]metrics.Counter
 	// e2e is frame receipt → outcome latency for served/cached frames.
 	e2e metrics.LatencyRecorder
 	// uplink is the modeled upload cost of cloud-shipped frames.
@@ -296,6 +299,9 @@ type Outcome struct {
 	// "cloud". For a dropped frame it names the tier whose estimate
 	// blew the deadline.
 	Where string `json:"where,omitempty"`
+	// Reason names the signal that sent a cloud-bound frame to the
+	// cloud: "queue", "power" or "deadline" (Decision.Reason).
+	Reason string `json:"reason,omitempty"`
 	// DistanceBits is the dHash Hamming distance to the cache entry
 	// that answered a cached frame.
 	DistanceBits int `json:"distance_bits,omitempty"`
@@ -467,6 +473,12 @@ func (s *Session) HandleFrame(ctx context.Context, f Frame, emit func(Outcome)) 
 	if dec.Cloud {
 		where = WhereCloud
 		estWait = dec.EstWait
+		s.ing.met.offloaded[slices.Index(offloadReasons[:], dec.Reason)].Inc()
+		toCamera := emit
+		emit = func(o Outcome) {
+			o.Reason = dec.Reason
+			toCamera(o)
+		}
 	}
 	if recv.Add(estWait).After(deadline) {
 		s.dropped.Add(1)
