@@ -150,6 +150,9 @@ func decodeJPEGInto(data []byte, dst *Image) (*Image, error) {
 		return nil, fmt.Errorf("imaging: jpeg decode: %w", err)
 	}
 	b := src.Bounds()
+	if b.Empty() {
+		return nil, fmt.Errorf("imaging: jpeg decode: empty %dx%d image", b.Dx(), b.Dy())
+	}
 	im := ReuseImage(dst, b.Dx(), b.Dy())
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {

@@ -155,7 +155,8 @@ func TestDecodeRefusesClaimsBeforeAllocating(t *testing.T) {
 // accepts must be a whole raster, and a PPM's raster must have come
 // from the input. The seed corpus in testdata/fuzz/FuzzDecodeBytes has
 // a valid image of each format, the 19-byte PPM header claiming
-// 16384x16384 and a truncated JPEG claiming 8192x8192.
+// 16384x16384, a truncated JPEG claiming 8192x8192 and a JPEG that
+// decodes to an empty image.
 func FuzzDecodeBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, ppm bool) {
 		format := FormatJPEG

@@ -50,16 +50,34 @@ const (
 func NewTransport() *http.Transport {
 	return &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
-		DialContext: (&net.Dialer{
-			Timeout:   5 * time.Second,
-			KeepAlive: 30 * time.Second,
-		}).DialContext,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := (&net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}).DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return frameConn{conn}, nil
+		},
 		MaxIdleConns:          256,
 		MaxIdleConnsPerHost:   64,
 		IdleConnTimeout:       90 * time.Second,
 		TLSHandshakeTimeout:   5 * time.Second,
 		ExpectContinueTimeout: time.Second,
 	}
+}
+
+// frameConn sends the rest of a framed body, which net/http hands to
+// ReadFrom, in one writev; net's ReadFrom copies it through a new 32 KB.
+type frameConn struct{ net.Conn }
+
+func (c frameConn) ReadFrom(r io.Reader) (int64, error) {
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if fr, ok := lr.R.(*frameReader); ok && fr.len() == lr.N {
+			n, err := fr.WriteTo(c.Conn)
+			lr.N -= n
+			return n, err
+		}
+	}
+	return io.Copy(c.Conn, r)
 }
 
 // NewClient creates a client for the given base URL (e.g.
@@ -406,12 +424,9 @@ func (c *Client) inferOnce(ctx context.Context, model string, body InferRequestJ
 	}
 	ctx, cancel := attemptCtx(ctx, body.DeadlineMs)
 	defer cancel()
-	// Track whether this attempt's bytes ever hit the wire, so a
-	// transport failure can be classified sent vs unsent. WroteHeaders
-	// fires once the transport has written the header block to the
-	// connection; from that moment the server may have seen (and begun
-	// executing) the request, so mid-body and mid-response failures must
-	// not be blindly retried the way a refused dial is.
+	// Track whether this attempt's bytes ever hit the wire. Once the
+	// header block is written the server may have begun executing the
+	// request, so a later failure must not be retried as a refused dial is.
 	var sent atomic.Bool
 	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
 		WroteHeaders: func() { sent.Store(true) },
@@ -426,8 +441,8 @@ func (c *Client) inferOnce(ctx context.Context, model string, body InferRequestJ
 	req.Header.Set("Content-Type", "application/json")
 	if len(f.parts) > 0 {
 		// The parts are the caller's memory, at a router a pooled buffer:
-		// nothing may read them once this attempt has returned. Length and
-		// GetBody (the replay on a stale keep-alive) bytes.Reader had free.
+		// nothing may read them once this attempt has returned. GetBody is
+		// the replay on a stale keep-alive connection.
 		defer f.revoke()
 		req.Body, req.ContentLength = f.reader(), f.length
 		req.GetBody = func() (io.ReadCloser, error) { return f.reader(), nil }
@@ -435,13 +450,11 @@ func (c *Client) inferOnce(ctx context.Context, model string, body InferRequestJ
 		req.Header.Set(InferHeaderLength, strconv.Itoa(len(f.hdr)))
 	}
 	if body.ID != "" {
-		// Propagate the request id so every tier logs and traces the
-		// same identity for this request.
+		// Every tier logs and traces the request under this one id.
 		req.Header.Set(RequestIDHeader, body.ID)
 	}
 	if body.Tenant != "" {
-		// Same for the tenant: the header rides alongside the body so
-		// intermediaries that only look at headers still see it.
+		// So intermediaries that read only headers see the tenant too.
 		req.Header.Set(TenantHeader, body.Tenant)
 	}
 	resp, err := c.HTTP.Do(req)
@@ -451,11 +464,8 @@ func (c *Client) inferOnce(ctx context.Context, model string, body InferRequestJ
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		var e errorJSON
-		msg := ""
-		if err := json.NewDecoder(resp.Body).Decode(&e); err == nil {
-			msg = e.Error
-		}
-		se := statusError(resp.StatusCode, msg)
+		_ = json.NewDecoder(resp.Body).Decode(&e) // no errorJSON: no message
+		se := statusError(resp.StatusCode, e.Error)
 		if resp.StatusCode == http.StatusTooManyRequests {
 			after, ok := parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
 			return nil, &overloadError{err: se, retryAfter: after, hasRetryAfter: ok}

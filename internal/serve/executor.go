@@ -69,30 +69,27 @@ func stageDur(from, to time.Time) float64 {
 }
 
 // recordRequestSpans writes one request's stage decomposition — admit,
-// queue (lane wait), batch-assembly, compute — onto its own trace
-// track "req:<id>". The stamps are monotone wall-clock times, so the
-// track is overlap-free by construction.
+// queue (lane wait), batch-assembly, compute — onto its own trace track
+// "req:<id>", overlap-free as the stamps are monotone. A span's Args are
+// only read once it is added, so the stages share one map.
 func (rt *modelRuntime) recordRequestSpans(p *pending, execStart, execEnd time.Time, batchItems int) {
 	if rt.cfg.Trace == nil || p.req.ID == "" {
 		return
 	}
-	add := func(name string, from, to time.Time) {
+	track := "req:" + p.req.ID
+	model, class, tenant := any(rt.cfg.Name), any(p.class.String()), any(p.tenant)
+	args := map[string]any{"model": model, "class": class, "tenant": tenant}
+	add := func(name string, from, to time.Time, args map[string]any) {
 		d := stageDur(from, to)
-		args := map[string]any{"model": rt.cfg.Name, "class": p.class.String(), "tenant": p.tenant}
-		if name == "compute" {
-			args["batch_items"] = batchItems
-		}
-		rt.cfg.Trace.Add(trace.Span{
-			Name: name, Track: "req:" + p.req.ID, Start: max(sinceEpoch(to)-d, 0), Duration: d, Args: args,
-		})
+		rt.cfg.Trace.Add(trace.Span{Name: name, Track: track, Start: max(sinceEpoch(to)-d, 0), Duration: d, Args: args})
 	}
-	add("admit", p.submitAt, p.admitted)
+	add("admit", p.submitAt, p.admitted, args)
 	if p.preprocSec > 0 {
-		add("preprocess", p.admitted, p.enqueued)
+		add("preprocess", p.admitted, p.enqueued, args)
 	}
-	add("queue", p.enqueued, p.recvAt)
-	add("batch-assembly", p.recvAt, execStart)
-	add("compute", execStart, execEnd)
+	add("queue", p.enqueued, p.recvAt, args)
+	add("batch-assembly", p.recvAt, execStart, args)
+	add("compute", execStart, execEnd, map[string]any{"model": model, "class": class, "tenant": tenant, "batch_items": batchItems})
 }
 
 func (rt *modelRuntime) runBatch(batch []*pending, track string) {

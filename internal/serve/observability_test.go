@@ -446,3 +446,30 @@ func TestReplicaStageTraceThroughRouter(t *testing.T) {
 		t.Errorf("replica trace invalid: %v", err)
 	}
 }
+
+// TestRequestSpansShareTheirArgs: a traced request's five stage spans
+// cost one track name and two args maps (the stages', and compute's
+// with batch_items), not a name and a map each.
+func TestRequestSpansShareTheirArgs(t *testing.T) {
+	rec := trace.NewRing(16)
+	rt := &modelRuntime{cfg: ModelConfig{Name: "ViT_Tiny", Trace: rec}}
+	now := time.Now()
+	p := &pending{req: Request{ID: "spans-1"}, class: ClassOnline, tenant: "farm-a", preprocSec: 1e-3,
+		submitAt: now, admitted: now.Add(time.Millisecond), enqueued: now.Add(2 * time.Millisecond), recvAt: now.Add(3 * time.Millisecond)}
+	record := func() { rt.recordRequestSpans(p, now.Add(4*time.Millisecond), now.Add(5*time.Millisecond), 300) }
+	for i := 0; i < 4; i++ {
+		record() // fill the ring: a full ring overwrites in place
+	}
+	allocs := testing.AllocsPerRun(100, record)
+	rt.cfg.Trace = trace.NewRecorder()
+	record()
+	spans := rt.cfg.Trace.Spans()
+	if len(spans) != 5 || spans[3].Name != "batch-assembly" || spans[3].Args["batch_items"] != nil ||
+		spans[4].Name != "compute" || spans[4].Args["batch_items"] != 300 || spans[4].Args["tenant"] != "farm-a" {
+		t.Fatalf("spans %+v: want five, ending in batch-assembly and compute, batch_items on compute only", spans)
+	}
+	if allocs > 12 {
+		t.Errorf("%.0f allocations for one request's spans, want at most 12", allocs)
+	}
+	t.Logf("%.0f allocations for one request's five spans", allocs)
+}

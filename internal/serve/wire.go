@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -86,10 +86,10 @@ func partTensors(parts [][]byte) [][]float32 {
 }
 
 // frame is an encoded body: the marshalled JSON header and the raw
-// parts after it, which are the caller's slices, never copies. The
-// transport may still read a request body after Do has returned (a
-// failed or early-answered attempt) while the parts alias a pooled
-// buffer about to be reused: reads hold the lock, and revoke ends them.
+// parts after it, the caller's slices, written as they lie, never
+// copied. The transport may read or write a body after Do has returned
+// (a failed or early-answered attempt) while the parts alias a pooled
+// buffer about to be reused: passes hold the lock; revoke waits, ends them.
 type frame struct {
 	hdr     []byte
 	parts   [][]byte
@@ -163,30 +163,45 @@ func (f *frame) revoke() {
 	f.revoked = true
 }
 
+var errRevoked = errors.New("serve: request body read after its attempt ended")
+
 // reader starts one pass over the frame: the request's Body, or a
 // GetBody replay after a stale keep-alive connection.
 func (f *frame) reader() io.ReadCloser {
-	segs := []io.Reader{bytes.NewReader(f.hdr)}
-	for _, p := range f.parts {
-		segs = append(segs, bytes.NewReader(p))
-	}
-	return &frameReader{f, io.MultiReader(segs...)}
+	return &frameReader{f, append(net.Buffers{f.hdr}, f.parts...)}
 }
 
 type frameReader struct {
-	f *frame
-	r io.Reader
+	f    *frame
+	rest net.Buffers
 }
 
 func (r *frameReader) Close() error { return nil }
+
+func (r *frameReader) len() (n int64) {
+	for _, b := range r.rest {
+		n += int64(len(b))
+	}
+	return n
+}
 
 func (r *frameReader) Read(p []byte) (int, error) {
 	r.f.mu.Lock()
 	defer r.f.mu.Unlock()
 	if r.f.revoked {
-		return 0, errors.New("serve: request body read after its attempt ended")
+		return 0, errRevoked
 	}
-	return r.r.Read(p)
+	return r.rest.Read(p)
+}
+
+// WriteTo writes the rest of the pass to w, in one writev to a socket.
+func (r *frameReader) WriteTo(w io.Writer) (int64, error) {
+	r.f.mu.Lock()
+	defer r.f.mu.Unlock()
+	if r.f.revoked {
+		return 0, errRevoked
+	}
+	return r.rest.WriteTo(w)
 }
 
 // Body buffers come in power-of-two size classes, from 4 KiB up.
@@ -198,8 +213,8 @@ type bufPool [64 - minBufShift]sync.Pool
 
 var wirePool bufPool // of every infer handler and client in the process
 
-// wireBuf is the buffer one body is read into. Its owner releases it
-// once, when nothing refers to the bytes any more.
+// wireBuf is the buffer one body is read into, and at a router written
+// on from. Its owner releases it once, when nothing refers to its bytes.
 type wireBuf struct {
 	b     []byte // the bytes received so far
 	class int

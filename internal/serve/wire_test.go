@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"harvest/internal/imaging"
 	"harvest/internal/preprocess"
@@ -636,14 +637,10 @@ func TestDeclaredLengthIsNotAnAllocation(t *testing.T) {
 	}
 }
 
-// TestRouterForwardsFramesWithoutCopies is the allocation guard: a warm
-// router moves a 786 KB framed request from one socket to the next
-// without a buffer, a base64 string or a re-marshalled payload of that
-// size coming into being.
-func TestRouterForwardsFramesWithoutCopies(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race sync.Pool drops a quarter of what it is given")
-	}
+// cannedReplica is a replica that reads each infer body and answers
+// with a canned response, so only the hops before it cost anything.
+func cannedReplica(t testing.TB) *httptest.Server {
+	t.Helper()
 	canned, err := json.Marshal(InferResponseJSON{Model: "ViT_Base", Items: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -657,25 +654,17 @@ func TestRouterForwardsFramesWithoutCopies(t *testing.T) {
 			_, _ = w.Write([]byte(`{"models":[]}`))
 		}
 	}))
-	defer hs.Close()
-	router, err := NewRouter([]string{hs.URL}, RouterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	h := router.Handler()
-	body := binaryBody(t, InferRequestJSON{ID: "frame", Items: 1, Images: [][]byte{make([]byte, 786_447)}, ImageFormat: "ppm"})
-	post := func() {
-		if w := postWire(h, "ViT_Base", body); w.Code != http.StatusOK {
-			t.Fatalf("HTTP %d: %s", w.Code, w.Body)
-		}
-	}
+	t.Cleanup(hs.Close)
+	return hs
+}
+
+// warmAllocs is what one warm call of post allocates, in bytes: the
+// least of several batches, as a collection between two calls empties
+// a pool class now and then, which is not what a warm call costs.
+func warmAllocs(post func()) uint64 {
 	for i := 0; i < 5; i++ {
-		post() // fill the pools, open the connection
+		post() // fill the pools, open the connections
 	}
-	// The least of several batches: a collection between two requests
-	// empties a pool class now and then, which is not what a warm
-	// request costs.
 	const batches, runs = 8, 10
 	least := uint64(math.MaxUint64)
 	for b := 0; b < batches; b++ {
@@ -687,10 +676,157 @@ func TestRouterForwardsFramesWithoutCopies(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, (after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	if least > 64<<10 {
-		t.Errorf("a warm router allocated %d KB for a 786 KB frame, want under 64 KB", least>>10)
+	return least
+}
+
+// TestRouterForwardsFramesWithoutCopies is the allocation guard: a warm
+// router moves a 786 KB framed request from one socket to the next
+// without a buffer, a base64 string, a re-marshalled payload or a copy
+// buffer of its own coming into being.
+func TestRouterForwardsFramesWithoutCopies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of what it is given")
+	}
+	router, err := NewRouter([]string{cannedReplica(t).URL}, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	h := router.Handler()
+	body := binaryBody(t, InferRequestJSON{ID: "frame", Items: 1, Images: [][]byte{testFrame(t, 512, 512, 1)}, ImageFormat: "ppm"})
+	least := warmAllocs(func() {
+		if w := postWire(h, "ViT_Base", body); w.Code != http.StatusOK {
+			t.Fatalf("HTTP %d: %s", w.Code, w.Body)
+		}
+	})
+	if least > 24<<10 {
+		t.Errorf("a warm router allocated %d KB for a 786 KB frame, want under 24 KB", least>>10)
 	}
 	t.Logf("%d KB allocated per warm 786 KB frame (router, canned replica and test harness together)", least>>10)
+}
+
+// TestClientSendsFramesWithoutCopies is the guard's client-side twin: a
+// warm Client.Infer writes a 786 KB frame from the caller's slice, with
+// no copy buffer per request.
+func TestClientSendsFramesWithoutCopies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of what it is given")
+	}
+	c := NewClient(cannedReplica(t).URL)
+	req := InferRequestJSON{ID: "frame", Items: 1, Images: [][]byte{testFrame(t, 512, 512, 1)}, ImageFormat: "ppm"}
+	least := warmAllocs(func() {
+		if _, err := c.Infer(context.Background(), "ViT_Base", req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if least > 16<<10 {
+		t.Errorf("a warm client allocated %d KB for a 786 KB frame, want under 16 KB", least>>10)
+	}
+	t.Logf("%d KB allocated per warm 786 KB frame (client and canned replica together)", least>>10)
+}
+
+// TestRevokeEndsTheFramedWrite: a replica that answers 413 without
+// reading a 16 MiB frame leaves the client's vectored write blocked on
+// a full socket. The answer must still come back at once: revoke waits
+// for that write, and the transport ends it by closing the connection.
+// Once revoked, no pass may read or write a byte.
+func TestRevokeEndsTheFramedWrite(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorJSON{Error: "too large"})
+	}))
+	defer hs.Close()
+	c := NewClient(hs.URL)
+	start := time.Now()
+	_, err := c.Infer(context.Background(), "ViT_Base", InferRequestJSON{Images: [][]byte{make([]byte, 16<<20)}, ImageFormat: "ppm"})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("got %v, want HTTP 413", err)
+	}
+	took := time.Since(start)
+	t.Logf("413 after %v", took)
+	if took > 2*time.Second {
+		t.Errorf("the 413 took %v, want under 2 s", took)
+	}
+
+	f, err := encodeInfer(&InferRequestJSON{Images: [][]byte{[]byte("P6")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := f.reader().(*frameReader)
+	f.revoke()
+	if _, err := r.Read(make([]byte, 8)); !errors.Is(err, errRevoked) {
+		t.Errorf("Read after revoke: %v, want errRevoked", err)
+	}
+	if _, err := r.WriteTo(io.Discard); !errors.Is(err, errRevoked) {
+		t.Errorf("WriteTo after revoke: %v, want errRevoked", err)
+	}
+}
+
+// gateWriter blocks every Write until open is closed.
+type gateWriter struct {
+	writing chan<- struct{}
+	open    <-chan struct{}
+}
+
+func (g gateWriter) Write(p []byte) (int, error) {
+	g.writing <- struct{}{}
+	<-g.open
+	return len(p), nil
+}
+
+// TestRevokeWaitsForTheWrite: revoke returns only once a write of the
+// frame's parts that is in flight has returned, so a pooled buffer is
+// never released under a write.
+func TestRevokeWaitsForTheWrite(t *testing.T) {
+	f, err := encodeInfer(&InferRequestJSON{Images: [][]byte{[]byte("P6")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// writing holds one send per buffer written: the header and the part.
+	writing, open, revoked, wrote := make(chan struct{}, 2), make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(wrote)
+		if _, err := f.reader().(*frameReader).WriteTo(gateWriter{writing, open}); err != nil {
+			t.Errorf("WriteTo: %v", err)
+		}
+	}()
+	<-writing
+	go func() {
+		f.revoke()
+		close(revoked)
+	}()
+	select {
+	case <-revoked:
+		t.Fatal("revoke returned while a write was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(open)
+	<-wrote
+	<-revoked
+}
+
+// BenchmarkFramedHop sends one 786 KB PPM frame client → router →
+// canned replica over loopback sockets: the two hops a framed request
+// is written on, without the replica's decode and compute.
+func BenchmarkFramedHop(b *testing.B) {
+	router, err := NewRouter([]string{cannedReplica(b).URL}, RouterConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer router.Close()
+	rs := httptest.NewServer(router.Handler())
+	defer rs.Close()
+	c := NewClient(rs.URL)
+	frame := testFrame(b, 512, 512, 1)
+	req := InferRequestJSON{ID: "hop", Items: 1, Images: [][]byte{frame}, ImageFormat: "ppm"}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Infer(context.Background(), "ViT_Base", req); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // sameRequest compares two decoded requests, tensors bit by bit (a
