@@ -18,8 +18,9 @@ vet:
 
 # Race-check the concurrency-heavy packages (serving path incl. the
 # replica-pool router, the lock-free metrics recorders, the trace ring
-# buffer, pipeline with its live sim-vs-real validation test, the pooled
-# preprocessing engines, the load harness, and the compute backend:
+# buffer, pipeline with its live sim-vs-real validation test, the
+# preprocessing engine shared by concurrent callers, the load harness,
+# and the compute backend:
 # the packed/quantized GEMM kernels and attention tasks on the worker
 # team and the workspace free lists of the executable models, plus the streaming camera
 # ingest tier with its async frame completions and serialized uplink),
@@ -115,8 +116,8 @@ bench-compare:
 bench-gemm: build
 	$(GO) run ./cmd/harvest-bench -gemmbench BENCH_PR8.json
 
-# Preprocessing microbenchmarks: fused-vs-naive kernel, pooled-vs-alloc
-# buffers, throughput vs worker count on a 4K raw frame.
+# Preprocessing microbenchmarks on a 4K raw frame: fused-vs-naive
+# kernel and pooled-vs-alloc buffers.
 bench-preproc:
 	$(GO) test ./internal/preprocess/ -run NONE -bench BenchmarkPreprocess -benchmem
 

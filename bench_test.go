@@ -199,8 +199,9 @@ func BenchmarkAblation_MultiInstance(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_PreprocPlacement compares modeled GPU (DALI) vs
-// real CPU preprocessing per platform on Plant Village images.
+// BenchmarkAblation_PreprocPlacement compares modeled GPU (DALI,
+// hw.GPUPreprocBatchSeconds) vs real CPU preprocessing per platform on
+// Plant Village images.
 func BenchmarkAblation_PreprocPlacement(b *testing.B) {
 	spec, err := datasets.ByName(datasets.SlugPlantVillage)
 	if err != nil {
@@ -208,24 +209,25 @@ func BenchmarkAblation_PreprocPlacement(b *testing.B) {
 	}
 	ds := datasets.MustNew(spec, 42)
 	items := make([]preprocess.Item, 4)
+	inPixels := make([]int, len(items))
 	for i := range items {
 		items[i], err = preprocess.ItemFromDataset(ds, i)
 		if err != nil {
 			b.Fatal(err)
 		}
+		inPixels[i] = items[i].W * items[i].H
 	}
 	for _, p := range hw.FigureOrder() {
 		for _, gpu := range []bool{true, false} {
 			name := fmt.Sprintf("%s/gpu=%v", p.Name, gpu)
 			b.Run(name, func(b *testing.B) {
-				var eng preprocess.Engine
-				if gpu {
-					eng = &preprocess.GPUEngine{Platform: p, Out: 224}
-				} else {
-					eng = &preprocess.CPUEngine{Platform: p, Out: 224}
-				}
+				eng := &preprocess.CPUEngine{Platform: p, Out: 224}
 				var sec float64
 				for i := 0; i < b.N; i++ {
+					if gpu {
+						sec = hw.GPUPreprocBatchSeconds(p, inPixels, 224*224)
+						continue
+					}
 					res, err := eng.ProcessBatch(items)
 					if err != nil {
 						b.Fatal(err)
@@ -235,32 +237,5 @@ func BenchmarkAblation_PreprocPlacement(b *testing.B) {
 				b.ReportMetric(sec*1000/float64(len(items)), "platform-ms/img")
 			})
 		}
-	}
-}
-
-// BenchmarkAblation_CPUWorkers measures real CPU preprocessing with 1
-// vs GOMAXPROCS workers (the paper's future-work parallel CPU path).
-func BenchmarkAblation_CPUWorkers(b *testing.B) {
-	spec, err := datasets.ByName(datasets.SlugPlantVillage)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds := datasets.MustNew(spec, 42)
-	items := make([]preprocess.Item, 8)
-	for i := range items {
-		items[i], err = preprocess.ItemFromDataset(ds, i)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := &preprocess.CPUEngine{Platform: hw.A100(), Out: 224, Workers: workers}
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.ProcessBatch(items); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -69,8 +69,6 @@ func main() {
 		"implicit deadline for realtime-class requests (negative disables)")
 	flag.IntVar(&cfg.TraceCapacity, "trace-cap", serve.DefaultTraceCapacity,
 		"trace ring-buffer capacity for GET /v2/trace (negative disables)")
-	flag.IntVar(&cfg.PreprocWorkers, "preproc-workers", 0,
-		"decode/resize worker-pool size shared across models (0 = one per CPU)")
 	flag.StringVar(&cfg.RealBackend, "real", "",
 		"attach an executable compute backend at this precision (fp32, fp16, bf16 or int8): tensor inputs run real forward passes through the packed/quantized GEMM kernels; empty keeps simulation-only serving")
 	flag.StringVar(&cfg.RealCheckpoint, "real-checkpoint", "",

@@ -58,10 +58,6 @@ type DeploymentConfig struct {
 	// "cpu" (or "pytorch") for the torchvision-style pipeline, "cv2" for
 	// the OpenCV-style one. Empty disables the encoded path.
 	Preproc string
-	// PreprocWorkers sizes the decode/resize worker pool shared by all
-	// models (0 = one worker per CPU). The pool's goroutines live for
-	// the process lifetime. Only meaningful when Preproc is set.
-	PreprocWorkers int
 	// RealBackend, when non-empty, attaches an executable compute
 	// backend at the named precision ("fp32", "fp16", "bf16", "int8")
 	// to every model engine: tensor inputs on the infer endpoint then run
@@ -97,7 +93,7 @@ type DeploymentConfig struct {
 
 // newPreprocessor builds the configured CPU preprocessing engine for
 // one model, sized to that model's Table 3 input resolution.
-func newPreprocessor(kind string, p *hw.Platform, out int, pool *preprocess.Pool, tensors *imaging.TensorPool) (*preprocess.CPUEngine, error) {
+func newPreprocessor(kind string, p *hw.Platform, out int, tensors *imaging.TensorPool) (*preprocess.CPUEngine, error) {
 	var e *preprocess.CPUEngine
 	switch kind {
 	case "cpu", "pytorch":
@@ -109,7 +105,6 @@ func newPreprocessor(kind string, p *hw.Platform, out int, pool *preprocess.Pool
 	}
 	// Serving needs the actual tensors, not just the modeled cost.
 	e.Materialize = true
-	e.Pool = pool
 	e.Tensors = tensors // the server hands served tensors back (Recycle)
 	return e, nil
 }
@@ -146,11 +141,7 @@ func NewDeployment(cfg DeploymentConfig) (*serve.Server, error) {
 			return nil, err
 		}
 	}
-	var pool *preprocess.Pool
 	tensors := &imaging.TensorPool{} // fills as requests complete
-	if cfg.Preproc != "" {
-		pool = preprocess.NewPool(cfg.PreprocWorkers)
-	}
 	for _, name := range names {
 		eng, err := engine.New(p, name)
 		if err != nil {
@@ -195,13 +186,13 @@ func NewDeployment(cfg DeploymentConfig) (*serve.Server, error) {
 		if cfg.RealBackend != "" || checkpoint != nil {
 			mc.InputSize = eng.Entry.Spec.InputSize
 		}
-		if pool != nil {
+		if cfg.Preproc != "" {
 			entry, err := models.ByName(name)
 			if err != nil {
 				srv.Close()
 				return nil, err
 			}
-			pre, err := newPreprocessor(cfg.Preproc, p, entry.Spec.InputSize, pool, tensors)
+			pre, err := newPreprocessor(cfg.Preproc, p, entry.Spec.InputSize, tensors)
 			if err != nil {
 				srv.Close()
 				return nil, err

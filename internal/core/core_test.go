@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"harvest/internal/imaging"
 	"harvest/internal/modelio"
@@ -67,7 +69,7 @@ func TestNewDeploymentSubsetJetson(t *testing.T) {
 func TestNewDeploymentWithPreprocessing(t *testing.T) {
 	srv, err := NewDeployment(DeploymentConfig{
 		Platform: "A100", Models: []string{"ViT_Tiny", "ViT_Base"},
-		Preproc: "cpu", PreprocWorkers: 2,
+		Preproc: "cpu",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,5 +187,38 @@ func TestNewDeploymentRealCheckpoint(t *testing.T) {
 		RealBackend: "int4", RealCheckpoint: path,
 	}); !errors.Is(err, modelio.ErrPrecision) {
 		t.Fatalf("bad precision error = %v, want ErrPrecision", err)
+	}
+}
+
+// TestCloseLeavesNoGoroutines: a deployment that preprocesses encoded
+// frames starts no goroutine that outlives Close, at any GOMAXPROCS.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	im := imaging.Synthesize(64, 48, imaging.KindRows, stats.NewRNG(3))
+	data, err := imaging.EncodeBytes(im, imaging.FormatPPM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		before := runtime.NumGoroutine()
+		srv, err := NewDeployment(DeploymentConfig{
+			Platform: "A100", Models: []string{"ViT_Tiny"}, Preproc: "cpu",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Submit(context.Background(), &serve.Request{
+			Model: "ViT_Tiny", Images: [][]byte{data}, ImageFormat: imaging.FormatPPM,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("GOMAXPROCS %d: %d goroutines after Close, %d before NewDeployment",
+					procs, runtime.NumGoroutine(), before)
+			}
+		}
 	}
 }

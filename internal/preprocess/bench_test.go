@@ -1,7 +1,6 @@
 package preprocess
 
 import (
-	"fmt"
 	"testing"
 
 	"harvest/internal/hw"
@@ -50,7 +49,7 @@ func BenchmarkPreprocessFusedVsNaive(b *testing.B) {
 	})
 	b.Run("fused-pooled", func(b *testing.B) {
 		e := &CPUEngine{Platform: hw.A100(), Out: out, Materialize: true,
-			Workers: 1, Tensors: &imaging.TensorPool{}}
+			Tensors: &imaging.TensorPool{}}
 		items := []Item{{Encoded: data, Format: imaging.FormatPPM}}
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
@@ -88,49 +87,10 @@ func BenchmarkPreprocessPooledVsAlloc(b *testing.B) {
 		}
 	}
 	b.Run("alloc", func(b *testing.B) {
-		run(b, &CPUEngine{Platform: hw.A100(), Out: 224, Materialize: true, Workers: 1}, false)
+		run(b, &CPUEngine{Platform: hw.A100(), Out: 224, Materialize: true}, false)
 	})
 	b.Run("pooled", func(b *testing.B) {
 		run(b, &CPUEngine{Platform: hw.A100(), Out: 224, Materialize: true,
-			Workers: 1, Tensors: &imaging.TensorPool{}}, true)
+			Tensors: &imaging.TensorPool{}}, true)
 	})
-}
-
-// BenchmarkPreprocessThroughputVsWorkers measures batch throughput of
-// the worker-pool engine as the pool widens, against the naive
-// single-thread per-image baseline the acceptance criteria compare to.
-// images/sec is the paper-facing metric (Fig. 7 reports per-image
-// preprocessing time).
-func BenchmarkPreprocessThroughputVsWorkers(b *testing.B) {
-	data := bench4K(b)
-	const out, batch = 224, 8
-	items := make([]Item, batch)
-	for i := range items {
-		items[i] = Item{Encoded: data, Format: imaging.FormatPPM}
-	}
-	b.Run("naive-1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for range items {
-				_ = naiveOne(b, data, out)
-			}
-		}
-		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "images/sec")
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("fused-pooled-%d", workers), func(b *testing.B) {
-			e := &CPUEngine{Platform: hw.A100(), Out: out, Materialize: true,
-				Workers: workers, Tensors: &imaging.TensorPool{}}
-			defer e.Close()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := e.ProcessBatch(items)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e.Recycle(res.Tensors)
-			}
-			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "images/sec")
-		})
-	}
 }

@@ -1,23 +1,20 @@
-// Package preprocess implements the HARVEST preprocessing engines
-// (paper §3.2, §4.2): a real CPU engine (the Torchvision/PyTorch
-// baseline), a CV2-style CPU engine doing full-resolution perspective
-// rectification for the CRSA camera feed, and a GPU engine modeling
-// NVIDIA DALI on the calibrated platform models.
+// Package preprocess implements the HARVEST CPU preprocessing engines
+// (paper §3.2, §4.2): the Torchvision/PyTorch baseline and a CV2-style
+// engine doing full-resolution perspective rectification for the CRSA
+// camera feed. DALI (GPU) preprocessing is priced by
+// hw.GPUPreprocBatchSeconds, not by an engine here.
 //
-// The CPU engines really decode, warp, resize and normalize pixels —
-// through the fused single-pass kernel in internal/imaging and, with
-// Workers > 1, a persistent worker pool with per-worker pinned scratch
-// buffers (the §4.2 "parallel acceleration of the CPU-bound path") —
-// and report measured work scaled to the target platform's CPU; the
-// GPU engine reports modeled time from internal/hw. Both can
-// materialize the normalized CHW tensors the model engines consume.
+// The engines really decode, warp, resize and normalize pixels, through
+// the fused single-pass kernel in internal/imaging, one item after
+// another on the caller's goroutine — the paper's serial Fig. 7
+// baseline — and report the measured work scaled to the target
+// platform's CPU. They can materialize the normalized CHW tensors the
+// model engines consume.
 package preprocess
 
 import (
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"harvest/internal/datasets"
@@ -50,29 +47,18 @@ type Result struct {
 	// Tensors holds the normalized CHW float32 tensors (3*out*out per
 	// image) when the engine materializes outputs; nil otherwise.
 	Tensors [][]float32
-	// Seconds is the batch's duration on the target platform. For CPU
-	// engines it is the aggregate CPU work: each item's host processing
-	// time is measured on the worker that ran it, summed across the
-	// batch, and scaled by the platform's single-thread core speed
-	// (hw.ScaleCPUSeconds) — so the modeled platform cost of the batch
-	// is independent of how many host workers happened to run it.
-	// (Previously the parallel path scaled the parallel *wall-clock*
-	// through the single-thread model, silently deflating modeled
-	// platform time by up to the worker count.) For GPU engines it is
-	// the modeled batch time. Note: under host CPU oversubscription
-	// (more workers than cores), per-item measurements include
-	// scheduler interleaving and Seconds overestimates.
+	// Seconds is the batch's duration on the target platform: the host
+	// time the batch took on the caller's goroutine, scaled by the
+	// platform's single-thread core speed (hw.ScaleCPUSeconds). On an
+	// oversubscribed host it includes scheduler interleaving and
+	// overestimates.
 	Seconds float64
-	// WallSeconds is the real host wall-clock duration of the batch —
-	// what the caller actually waited, which shrinks as Workers grows.
-	// Zero for purely modeled (GPU) engines.
-	WallSeconds float64
 }
 
 // Engine transforms batches of raw images into model-ready tensors.
 type Engine interface {
-	// Name identifies the engine as Fig. 7 labels it (e.g. "DALI 224",
-	// "PyTorch", "CV2").
+	// Name identifies the engine as Fig. 7 labels it ("PyTorch",
+	// "CV2").
 	Name() string
 	// OutRes is the square output resolution.
 	OutRes() int
@@ -84,7 +70,7 @@ type Engine interface {
 // task-specific transform, then the fused resize+crop+normalize kernel
 // writing straight into the output tensor. All pixel work is real; see
 // Result.Seconds for the platform-time semantics. Safe for concurrent
-// ProcessBatch calls.
+// ProcessBatch calls, each of which runs on its caller's goroutine.
 type CPUEngine struct {
 	Platform *hw.Platform
 	Out      int
@@ -98,28 +84,18 @@ type CPUEngine struct {
 	FullResWarp bool
 	// Materialize controls whether normalized tensors are returned.
 	Materialize bool
-	// Workers parallelizes the batch across a persistent worker pool
-	// (paper §4.2's parallel acceleration of the CPU-bound path). 0 or
-	// 1 keeps the single-threaded baseline the paper's PyTorch@BS1
-	// numbers correspond to.
-	Workers int
-	// Pool, when set, is the persistent worker pool used for parallel
-	// batches — share one across engines to bound total preprocessing
-	// CPU. When nil and Workers > 1, the engine lazily starts its own
-	// pool of Workers workers (released by Close).
+	// Deprecated: ignored; see Pool.
 	Pool *Pool
 	// Tensors, when set, supplies output tensor buffers: callers that
 	// are done with a materialized tensor hand it back via Recycle and
 	// the next batch reuses the memory instead of allocating.
 	Tensors *imaging.TensorPool
 
-	poolOnce sync.Once
-	ownPool  *Pool
 	// discard recycles output buffers internally when Materialize is
 	// off (the tensor is produced, measured, and dropped).
 	discard imaging.TensorPool
-	// scratches recycles single-threaded scratch sets across
-	// concurrent ProcessBatch callers.
+	// scratches recycles scratch sets across concurrent ProcessBatch
+	// callers.
 	scratches sync.Pool
 }
 
@@ -134,23 +110,26 @@ func (e *CPUEngine) Name() string {
 // OutRes returns the output resolution.
 func (e *CPUEngine) OutRes() int { return e.Out }
 
-// pool returns the engine's worker pool, lazily starting an owned one.
-func (e *CPUEngine) pool(workers int) *Pool {
-	if e.Pool != nil {
-		return e.Pool
-	}
-	e.poolOnce.Do(func() { e.ownPool = NewPool(workers) })
-	return e.ownPool
-}
+// Deprecated: Pool, NewPool, Pool.Close and CPUEngine.Pool are inert
+// (every batch runs on its caller's goroutine); they stay only while
+// the benchmark harness names them.
+type Pool struct{}
 
-// Close releases the engine's owned worker pool, if one was started.
-// Call only after the last ProcessBatch has returned. A shared Pool
-// (the Pool field) is the caller's to close.
-func (e *CPUEngine) Close() {
-	e.poolOnce.Do(func() {}) // pin: no pool may start after Close
-	if e.ownPool != nil {
-		e.ownPool.Close()
-	}
+// Deprecated: NewPool starts nothing; see Pool.
+func NewPool(int) *Pool { return &Pool{} }
+
+// Deprecated: Close does nothing; see Pool.
+func (*Pool) Close() {}
+
+// scratch is one ProcessBatch call's buffer set, reused across calls
+// through CPUEngine.scratches.
+type scratch struct {
+	kernel imaging.FusedKernel
+	decode *imaging.Image
+	warp   *imaging.Image
+	// ppm is the reused header for zero-copy raw-frame decodes; its
+	// Pix aliases the item's encoded bytes, never an owned buffer.
+	ppm imaging.Image
 }
 
 // Recycle returns materialized tensors to the engine's tensor pool so
@@ -206,21 +185,21 @@ func decodeInto(it Item, s *scratch) (*imaging.Image, error) {
 }
 
 // processItem runs the full CPU pipeline for one item into a tensor
-// obtained from alloc: decode (reusing s.decode), optional perspective
-// warp (reusing s.warp), then the fused resize+crop+normalize kernel.
-// The pixel arithmetic is identical to the historical
+// from getTensor: decode (reusing s.decode), optional perspective warp
+// (reusing s.warp), then the fused resize+crop+normalize kernel. The
+// pixel arithmetic is identical to the historical
 // decode→warp→ResizeShortSide→CenterCrop→Normalize composition.
-func processItem(it Item, out int, fullResWarp bool, s *scratch, alloc func(int) []float32) ([]float32, error) {
+func (e *CPUEngine) processItem(it Item, s *scratch) ([]float32, error) {
 	im, err := decodeInto(it, s)
 	if err != nil {
 		return nil, err
 	}
 	if it.Task == datasets.TaskPerspective {
 		var ww, wh int
-		if fullResWarp {
+		if e.FullResWarp {
 			ww, wh = im.W, im.H
 		} else {
-			work := 4 * out
+			work := 4 * e.Out
 			if work > im.W {
 				work = im.W
 			}
@@ -234,96 +213,39 @@ func processItem(it Item, out int, fullResWarp bool, s *scratch, alloc func(int)
 		imaging.WarpPerspectiveInto(s.warp, im, hom)
 		im = s.warp
 	}
-	dst := alloc(imaging.FusedLen(im.W, im.H, out))
-	if _, _, err := s.kernel.ResizeCropNormalizeInto(dst, im, out, imaging.ImageNetMean, imaging.ImageNetStd); err != nil {
+	dst := e.getTensor(imaging.FusedLen(im.W, im.H, e.Out))
+	if _, _, err := s.kernel.ResizeCropNormalizeInto(dst, im, e.Out, imaging.ImageNetMean, imaging.ImageNetStd); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// processInto runs one item with the engine's configuration.
-func (e *CPUEngine) processInto(it Item, s *scratch) ([]float32, error) {
-	return processItem(it, e.Out, e.FullResWarp, s, e.getTensor)
-}
-
-// ProcessEach really preprocesses every item, streaming each completed
-// tensor to fn as it finishes (in completion order, which under
-// Workers > 1 is not batch order) instead of holding results to a
-// batch barrier. The returned Result carries the timing but a nil
-// Tensors (delivery happened through fn). On an item error the rest of
-// the batch is cancelled and the error of the lowest-index failing
-// item is returned; fn may have been invoked for other items already.
-func (e *CPUEngine) ProcessEach(items []Item, fn func(i int, tensor []float32)) (Result, error) {
+// ProcessBatch really preprocesses every item on the CPU, in batch
+// order on the caller's goroutine. The first item that fails stops the
+// batch; the error names its index.
+func (e *CPUEngine) ProcessBatch(items []Item) (Result, error) {
 	if len(items) == 0 {
 		return Result{}, fmt.Errorf("preprocess: empty batch")
 	}
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	start := time.Now()
-	hostCPU := 0.0
-	if workers == 1 || len(items) == 1 {
-		s := e.getScratch()
-		defer e.scratches.Put(s)
-		for i, it := range items {
-			t0 := time.Now()
-			tensor, err := e.processInto(it, s)
-			if err != nil {
-				return Result{}, fmt.Errorf("preprocess: item %d: %w", i, err)
-			}
-			hostCPU += time.Since(t0).Seconds()
-			fn(i, tensor)
-		}
-	} else {
-		var cancelFrom atomic.Int64
-		cancelFrom.Store(math.MaxInt64)
-		var firstErr error
-		e.pool(workers).process(e, items, &cancelFrom, func(r itemResult) {
-			if r.skipped {
-				return
-			}
-			hostCPU += r.cpuSec
-			if r.err != nil {
-				// Lowest failing index wins; items below it are never
-				// skipped, so the winner is deterministic.
-				if int64(r.idx) < cancelFrom.Load() {
-					cancelFrom.Store(int64(r.idx))
-					firstErr = fmt.Errorf("preprocess: item %d: %w", r.idx, r.err)
-				}
-				return
-			}
-			fn(r.idx, r.tensor)
-		})
-		if firstErr != nil {
-			return Result{}, firstErr
-		}
-	}
-	return Result{
-		Seconds:     hw.ScaleCPUSeconds(e.Platform, hostCPU),
-		WallSeconds: time.Since(start).Seconds(),
-	}, nil
-}
-
-// ProcessBatch really preprocesses every item on the CPU, across the
-// persistent worker pool when Workers > 1.
-func (e *CPUEngine) ProcessBatch(items []Item) (Result, error) {
 	var tensors [][]float32
 	if e.Materialize {
 		tensors = make([][]float32, len(items))
 	}
-	res, err := e.ProcessEach(items, func(i int, tensor []float32) {
+	s := e.getScratch()
+	defer e.scratches.Put(s)
+	start := time.Now()
+	for i, it := range items {
+		tensor, err := e.processItem(it, s)
+		if err != nil {
+			return Result{}, fmt.Errorf("preprocess: item %d: %w", i, err)
+		}
 		if tensors != nil {
 			tensors[i] = tensor
 		} else if e.Tensors == nil {
 			e.discard.Put(tensor)
 		}
-	})
-	if err != nil {
-		return Result{}, err
 	}
-	res.Tensors = tensors
-	return res, nil
+	return Result{Tensors: tensors, Seconds: hw.ScaleCPUSeconds(e.Platform, time.Since(start).Seconds())}, nil
 }
 
 // NewCV2Engine returns the OpenCV-style engine the paper uses for the
@@ -331,68 +253,4 @@ func (e *CPUEngine) ProcessBatch(items []Item) (Result, error) {
 // resize/normalize, all on the CPU.
 func NewCV2Engine(p *hw.Platform, out int) *CPUEngine {
 	return &CPUEngine{Platform: p, Out: out, Label: "CV2", FullResWarp: true}
-}
-
-// GPUEngine models NVIDIA DALI on the calibrated platform: constant
-// per-image decode cost plus output-resolution-dependent transform
-// cost. Set Materialize to additionally produce real tensors (at real
-// host cost, excluded from the reported Seconds).
-type GPUEngine struct {
-	Platform    *hw.Platform
-	Out         int
-	Materialize bool
-
-	scratches sync.Pool
-}
-
-// Name returns the Fig. 7 label, e.g. "DALI 224".
-func (e *GPUEngine) Name() string { return fmt.Sprintf("DALI %d", e.Out) }
-
-// OutRes returns the output resolution.
-func (e *GPUEngine) OutRes() int { return e.Out }
-
-// ProcessBatch models the batch's GPU cost; pixels are only touched if
-// Materialize is set.
-func (e *GPUEngine) ProcessBatch(items []Item) (Result, error) {
-	if len(items) == 0 {
-		return Result{}, fmt.Errorf("preprocess: empty batch")
-	}
-	inPixels := make([]int, len(items))
-	for i, it := range items {
-		if it.W <= 0 || it.H <= 0 {
-			return Result{}, fmt.Errorf("preprocess: item %d has unknown size", i)
-		}
-		inPixels[i] = it.W * it.H
-	}
-	res := Result{Seconds: hw.GPUPreprocBatchSeconds(e.Platform, inPixels, e.Out*e.Out)}
-	if e.Materialize {
-		s, _ := e.scratches.Get().(*scratch)
-		if s == nil {
-			s = &scratch{}
-		}
-		defer e.scratches.Put(s)
-		res.Tensors = make([][]float32, 0, len(items))
-		for i, it := range items {
-			// Same geometry as the CPU engine's default path, including
-			// the working-resolution perspective warp for CRSA ground
-			// camera items, so the same image yields the same tensor on
-			// either engine (DALI parity with the Torchvision path).
-			tensor, err := processItem(it, e.Out, false, s,
-				func(n int) []float32 { return make([]float32, n) })
-			if err != nil {
-				return Result{}, fmt.Errorf("preprocess: item %d: %w", i, err)
-			}
-			res.Tensors = append(res.Tensors, tensor)
-		}
-	}
-	return res, nil
-}
-
-// DeviceBytes estimates the GPU memory a DALI-style engine needs for a
-// batch: decode buffers for the largest input plus double-buffered
-// output tensors.
-func (e *GPUEngine) DeviceBytes(maxInPixels, batch int) int64 {
-	decode := int64(maxInPixels) * 3
-	out := int64(e.Out) * int64(e.Out) * 3 * 4 * 2
-	return (decode + out) * int64(batch)
 }

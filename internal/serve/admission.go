@@ -172,10 +172,10 @@ func (s *Server) Submit(ctx context.Context, caller *Request) (*Response, error)
 	}
 	if len(req.Images) > 0 {
 		// The preprocess stage runs on the submitter's goroutine between
-		// admission and lane enqueue: admission control bounds how many
-		// requests can be decoding at once, and the engine's worker pool
-		// bounds the CPU they use. The resulting tensors ride the normal
-		// tensor path from here on.
+		// admission and lane enqueue, so admission control bounds how
+		// many requests can be decoding at once and with it the CPU they
+		// use. The resulting tensors ride the normal tensor path from
+		// here on.
 		items := make([]preprocess.Item, len(req.Images))
 		for i, img := range req.Images {
 			items[i] = preprocess.Item{Encoded: img, Format: req.ImageFormat}

@@ -34,8 +34,7 @@ func preprocConfig(t *testing.T) (ModelConfig, *preprocess.CPUEngine) {
 		t.Fatal(err)
 	}
 	eng.Real = real
-	pre := &preprocess.CPUEngine{Platform: hw.A100(), Out: 32, Materialize: true, Workers: 2}
-	t.Cleanup(pre.Close)
+	pre := &preprocess.CPUEngine{Platform: hw.A100(), Out: 32, Materialize: true}
 	return ModelConfig{
 		Name: "imagenet", Engine: eng, MaxBatch: 8, InputSize: 32,
 		QueueDelay: time.Millisecond, Preproc: pre,

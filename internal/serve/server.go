@@ -244,9 +244,9 @@ type ModelConfig struct {
 	// Preproc, when non-nil, enables the encoded-image path: requests
 	// carrying Images are decoded/resized/normalized by this engine
 	// (which must materialize tensors) between admission and lane
-	// enqueue. Must be safe for concurrent ProcessBatch calls — a
-	// preprocess.CPUEngine, typically over a shared worker pool. For
-	// models with a real backend its OutRes must equal InputSize.
+	// enqueue, on the submitter's goroutine. Must be safe for concurrent
+	// ProcessBatch calls, as a preprocess.CPUEngine is. For models with
+	// a real backend its OutRes must equal InputSize.
 	Preproc preprocess.Engine
 	// MaxImageBytes caps one encoded image on the Images path. 0 means
 	// DefaultMaxImageBytes.

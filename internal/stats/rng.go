@@ -101,28 +101,6 @@ func (r *RNG) ExpFloat64() float64 {
 	}
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, mirroring
-// math/rand.Shuffle semantics.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Split returns a new generator whose stream is independent of r.
 // It is used to hand child components their own deterministic streams.
 func (r *RNG) Split() *RNG {

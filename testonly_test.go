@@ -38,21 +38,9 @@ var keptTestOnly = map[string]string{
 	// Checkpoint writers the save/load round-trip tests use.
 	"modelio.SaveFile":   "round-trip tests write checkpoint files with it",
 	"modelio.SaveResNet": "round-trip tests write ResNet checkpoints with it",
-	// Still test-only, each with a floor test of its own; they go in a
-	// later change (ROADMAP item 13).
-	"preprocess.GPUEngine":             "the modeled DALI engine; fig7 prices DALI with hw directly",
-	"stats.Distribution":               "pending deletion with Mixture's Component",
-	"stats.Uniform":                    "pending deletion",
-	"stats.Normal":                     "pending deletion",
-	"stats.LogNormal":                  "pending deletion",
-	"stats.Constant":                   "pending deletion",
-	"stats.Mixture":                    "pending deletion",
-	"stats.Component":                  "pending deletion",
-	"stats.Validate":                   "pending deletion",
-	"stats.RNG.Perm":                   "pending deletion",
-	"stats.RNG.Shuffle":                "pending deletion",
-	"preprocess.GPUEngine.DeviceBytes": "pending deletion",
-	"tensor.MatMulTransB":              "pending deletion",
+	// Still test-only, with a floor test of its own; it goes in a
+	// later change (ROADMAP item 16).
+	"tensor.MatMulTransB": "pending deletion",
 }
 
 // implicitMethods are called by the standard library through an
