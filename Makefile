@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fuzz-smoke exact-v3 workers check loc flake bench bench-all bench-compare bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
+.PHONY: all build test race vet fmt fuzz-smoke exact-v3 workers check loc flake bench bench-all bench-compare bench-preproc bench-wire bench-load bench-fleet bench-gemm bench-stream bench-tenant
 
 all: check
 
@@ -120,6 +120,12 @@ bench-gemm: build
 # kernel and pooled-vs-alloc buffers.
 bench-preproc:
 	$(GO) test ./internal/preprocess/ -run NONE -bench BenchmarkPreprocess -benchmem
+
+# The infer wire's layer numbers, five runs each, to compare a wire
+# change with its parent: a warm replica-side decode of one 786 KB PPM
+# frame body, and that frame's client → router → canned replica hop.
+bench-wire:
+	$(GO) test ./internal/serve/ -run '^$$' -bench '^Benchmark(DecodeInfer|FramedHop)$$' -benchmem -count 5
 
 # Seeded ramp-to-failure sweep: self-hosts a 2-replica Jetson router
 # serving ViT_Base at full modeled latency and ramps the open-loop

@@ -101,9 +101,12 @@ func (a *Agent) post(ctx context.Context, path string, body, out any) error {
 }
 
 // register sends one registration/renewal and returns the granted TTL.
+// Cancelling ctx does not cut it short (agentHTTP's timeout bounds it):
+// a grant whose answer the agent abandoned would be a lease that no
+// deregistration follows, left to expire, or a draining one readmitted.
 func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 	var resp RegisterResponseJSON
-	err := a.post(ctx, "/v2/fleet/register", RegisterRequestJSON{
+	err := a.post(context.WithoutCancel(ctx), "/v2/fleet/register", RegisterRequestJSON{
 		Name:     a.Name,
 		URL:      a.URL,
 		Platform: a.Platform,

@@ -526,6 +526,41 @@ func TestLocalProvisionerAgentLifecycle(t *testing.T) {
 	}
 }
 
+// TestStopDuringRegistrationDeregisters: an agent stopped while the
+// control plane has granted its lease but not yet answered still
+// deregisters it, so the lease goes at once instead of by expiry.
+func TestStopDuringRegistrationDeregisters(t *testing.T) {
+	router := serve.NewDynamicRouter(serve.RouterConfig{Pool: fastPoolCfg()})
+	defer router.Close()
+	g := NewRegistry(router.Pool(), time.Minute)
+	defer g.Close()
+	h := Handler(g, nil, router.Handler())
+	granted, answer := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	cp := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if r.URL.Path == "/v2/fleet/register" {
+			once.Do(func() { close(granted); <-answer }) // the grant is made, its answer held
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	defer cp.Close()
+	a := &Agent{FleetURL: cp.URL, Name: "r0", URL: "http://127.0.0.1:1", Platform: hw.KeyJetson}
+	a.Start()
+	<-granted
+	a.cancel() // Stop's first step, taken while the grant is unanswered
+	close(answer)
+	if err := a.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "the lease to go", func() bool { return len(g.Leases()) == 0 })
+	if ev := g.Events(); len(ev) != 2 || ev[1].Kind != EventDeregister {
+		t.Errorf("events %v, want a registration and its deregistration", ev)
+	}
+}
+
 // TestLocalChurnOrder: on a three-replica local fleet, Kill crashes the
 // replica launched last, and a scale-down after the kill retires a
 // live replica (the newest survivor), never the dead one, whose lease

@@ -98,10 +98,7 @@ func (c *Client) retries() int {
 	if c.MaxRetries == 0 {
 		return defaultMaxRetries
 	}
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	return c.MaxRetries
+	return max(c.MaxRetries, 0)
 }
 
 func (c *Client) backoff() time.Duration {
@@ -333,17 +330,10 @@ func parseRetryAfter(h string, now time.Time) (time.Duration, bool) {
 		return 0, false
 	}
 	if sec, err := strconv.Atoi(h); err == nil {
-		if sec < 0 {
-			return 0, true
-		}
-		return time.Duration(sec) * time.Second, true
+		return time.Duration(max(sec, 0)) * time.Second, true
 	}
 	if t, err := http.ParseTime(h); err == nil {
-		d := t.Sub(now)
-		if d < 0 {
-			return 0, true
-		}
-		return d, true
+		return max(t.Sub(now), 0), true
 	}
 	return 0, false
 }

@@ -61,7 +61,7 @@ func tensorParts(tensors [][]float32, pool *bufPool) ([][]byte, *wireBuf) {
 	if n == 0 {
 		return make([][]byte, len(tensors)), nil
 	}
-	buf := pool.get(max(0, bits.Len(uint(n-1))-minBufShift))
+	buf := pool.get(classOf(int64(n)))
 	b := buf.b[:n]
 	parts := make([][]byte, len(tensors))
 	for i, t := range tensors {
@@ -144,10 +144,7 @@ func writeInfer(w http.ResponseWriter, r *http.Request, out *InferResponseJSON) 
 			w.Header().Set("Content-Length", strconv.FormatInt(f.length, 10))
 			w.Header().Set(InferHeaderLength, strconv.Itoa(len(f.hdr)))
 			// A failed write means the caller has gone: no one to tell.
-			_, _ = w.Write(f.hdr)
-			for _, p := range f.parts {
-				_, _ = w.Write(p)
-			}
+			_, _ = io.Copy(w, f.reader())
 			return
 		}
 	}
@@ -207,6 +204,9 @@ func (r *frameReader) WriteTo(w io.Writer) (int64, error) {
 // Body buffers come in power-of-two size classes, from 4 KiB up.
 const minBufShift = 12
 
+// classOf is the smallest class that holds n > 0 bytes.
+func classOf(n int64) int { return max(0, bits.Len64(uint64(n-1))-minBufShift) }
+
 // bufPool recycles body buffers by size class. The zero value is ready
 // to use; a class fills as its buffers are released.
 type bufPool [64 - minBufShift]sync.Pool
@@ -214,7 +214,8 @@ type bufPool [64 - minBufShift]sync.Pool
 var wirePool bufPool // of every infer handler and client in the process
 
 // wireBuf is the buffer one body is read into, and at a router written
-// on from. Its owner releases it once, when nothing refers to its bytes.
+// on from: grown by fill, or an idle one of the body's class borrowed
+// whole. Its owner releases it once, when nothing refers to its bytes.
 type wireBuf struct {
 	b     []byte // the bytes received so far
 	class int
@@ -235,7 +236,7 @@ func (w *wireBuf) release() {
 
 // fill appends exactly n more bytes from r (n < 0: all of r) and
 // returns the buffer that holds them. A full buffer is traded for one
-// of the next class, so a body never commits more than twice what has
+// of the next class, so fill never allocates more than twice what has
 // arrived plus the smallest class: a declared length is only a claim.
 func (w *wireBuf) fill(r io.Reader, n int64) (*wireBuf, error) {
 	for n != 0 {
@@ -329,6 +330,15 @@ func decodeInfer(r io.Reader, hdr http.Header, contentLen int64, lim wireLimits,
 		return buf, badBody(http.StatusRequestEntityTooLarge, "body of %d bytes exceeds %d bytes", total, lim.body)
 	case contentLen >= 0 && total != contentLen:
 		return buf, badBody(http.StatusBadRequest, "JSON and part sizes add up to %d bytes, the body has %d", total, contentLen)
+	}
+	// An idle buffer of the body's class takes the parts in place: it is
+	// borrowed, not committed, and spares fill's class-by-class copies.
+	if int64(cap(buf.b)) < total {
+		if g, _ := pool[classOf(total)].Get().(*wireBuf); g != nil {
+			g.b = append(g.b, buf.b...)
+			buf.release()
+			buf = g
+		}
 	}
 	if buf, err = buf.fill(r, total-int64(off)); err != nil {
 		return buf, err

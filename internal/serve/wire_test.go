@@ -14,6 +14,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -607,16 +609,31 @@ func TestPayloadFreeRequestIsUnchangedOnTheWire(t *testing.T) {
 	}
 }
 
+// drain empties p and returns the buffers it held.
+func drain(p *bufPool) (held []*wireBuf) {
+	for c := range p {
+		for w, _ := p[c].Get().(*wireBuf); w != nil; w, _ = p[c].Get().(*wireBuf) {
+			held = append(held, w)
+		}
+	}
+	return held
+}
+
 // largestPooled empties p and returns the capacity of the largest
 // buffer it held.
 func largestPooled(p *bufPool) int {
 	largest := 0
-	for c := range p {
-		for w, _ := p[c].Get().(*wireBuf); w != nil; w, _ = p[c].Get().(*wireBuf) {
-			largest = max(largest, cap(w.b))
-		}
+	for _, w := range drain(p) {
+		largest = max(largest, cap(w.b))
 	}
 	return largest
+}
+
+// idle puts a buffer of class into p, as a released one lies there.
+func idle(p *bufPool, class int) *wireBuf {
+	w := &wireBuf{b: make([]byte, 0, 1<<(minBufShift+class)), class: class, pool: p}
+	p[class].Put(w)
+	return w
 }
 
 // TestDeclaredLengthIsNotAnAllocation is the memory invariant: a client
@@ -635,6 +652,122 @@ func TestDeclaredLengthIsNotAnAllocation(t *testing.T) {
 	if got, limit := largestPooled(&pool), 2*len(sent)+1<<minBufShift; got > limit {
 		t.Errorf("%d bytes committed to a body of which %d arrived, limit %d", got, len(sent), limit)
 	}
+}
+
+// TestDeclaredLengthIsNotAnAllocationWarm is the invariant's warm-pool
+// twin: the same 64 MiB claim with 1 KiB sent, where the claim's class
+// has a buffer lying idle. The decoder borrows it, so nothing beyond the
+// 4 KiB class comes into being, and the refusal hands it back.
+func TestDeclaredLengthIsNotAnAllocationWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of what it is given")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties a pool
+	hdr := fmt.Sprintf(`{"image_sizes":[%d]}`, 64<<20-26)
+	if len(hdr) != 26 {
+		t.Fatalf("header %q is not 26 bytes", hdr)
+	}
+	sent := hdr + strings.Repeat("x", 1024-len(hdr))
+	var pool bufPool
+	borrowed := idle(&pool, classOf(64<<20))
+	least := warmAllocs(func() {
+		var h requestHeader
+		buf, err := decodeInfer(strings.NewReader(sent), http.Header{InferHeaderLength: {strconv.Itoa(len(hdr))}},
+			64<<20, wireLimits{body: 1 << 31, image: 1 << 30}, &pool, &h)
+		if err == nil {
+			t.Fatal("a 1 KiB body passed for 64 MiB")
+		}
+		if buf != borrowed {
+			t.Fatalf("the body was read into a %d-byte buffer, not the idle one of its class", cap(buf.b))
+		}
+		buf.release() // the next call finds it idle again
+	})
+	if limit := uint64(2*len(sent) + 1<<minBufShift); least > limit {
+		t.Errorf("%d bytes allocated for a body of which %d arrived, limit %d", least, len(sent), limit)
+	}
+	back := false
+	for _, w := range drain(&pool) {
+		if w == borrowed {
+			back = true
+		} else if cap(w.b) > 1<<minBufShift {
+			t.Errorf("a %d-byte buffer came into being", cap(w.b))
+		}
+	}
+	if !back {
+		t.Error("the borrowed buffer did not go back to the pool")
+	}
+}
+
+// frameBody is one 786 KB PPM frame, framed as Client.Infer sends it.
+func frameBody(t testing.TB) wireBody {
+	return binaryBody(t, InferRequestJSON{ID: "frame", Items: 1, Images: [][]byte{testFrame(t, 512, 512, 1)}, ImageFormat: "ppm"})
+}
+
+// decodeBody decodes b as an infer handler does, into a buffer from pool.
+func decodeBody(b wireBody, pool *bufPool) (*wireBuf, requestHeader, error) {
+	var h requestHeader
+	buf, err := decodeInfer(bytes.NewReader(b.bytes), http.Header{InferHeaderLength: {strconv.Itoa(b.headerLen)}},
+		int64(len(b.bytes)), wireLimits{}, pool, &h)
+	return buf, h, err
+}
+
+// TestDecodeBorrowsTheIdleBuffer: with a buffer of the body's class
+// lying idle, a 786 KB frame is read straight into it, past no buffer
+// but the header's 4 KiB, and decodes to the same request as on an
+// empty pool.
+func TestDecodeBorrowsTheIdleBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of what it is given")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties a pool
+	body := frameBody(t)
+	var cold, warm bufPool
+	coldBuf, want, err := decodeBody(body, &cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coldBuf.release()
+	seeded := idle(&warm, classOf(int64(len(body.bytes))))
+	buf, got, err := decodeBody(body, &warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer buf.release()
+	if buf != seeded {
+		t.Fatalf("decoded into a %d-byte buffer, not the idle %d-byte one of the body's class", cap(buf.b), cap(seeded.b))
+	}
+	if !sameRequest(want.InferRequestJSON, got.InferRequestJSON) {
+		t.Error("the warm decode differs from the cold one")
+	}
+	if &got.Images[0][0] != &seeded.b[body.headerLen] {
+		t.Error("the image is not a slice of the borrowed buffer")
+	}
+	for _, w := range drain(&warm) {
+		if cap(w.b) > 1<<minBufShift {
+			t.Errorf("the body passed through a %d-byte buffer on its way in", cap(w.b))
+		}
+	}
+}
+
+// TestWarmDecodeAllocatesNoBuffer: a warm decode of a 786 KB frame
+// allocates only the decoded header, never a body buffer.
+func TestWarmDecodeAllocatesNoBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of what it is given")
+	}
+	body := frameBody(t)
+	var pool bufPool
+	least := warmAllocs(func() {
+		buf, _, err := decodeBody(body, &pool)
+		buf.release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if least > 8<<10 {
+		t.Errorf("a warm decode allocated %d bytes for a 786 KB frame, want under 8 KB", least)
+	}
+	t.Logf("%d bytes allocated per warm decode of a 786 KB frame", least)
 }
 
 // cannedReplica is a replica that reads each infer body and answers
@@ -829,6 +962,24 @@ func BenchmarkFramedHop(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeInfer is the replica side of a hop, which
+// BenchmarkFramedHop's canned replica skips: a warm decode of one
+// 786 KB PPM frame body.
+func BenchmarkDecodeInfer(b *testing.B) {
+	body := frameBody(b)
+	var pool bufPool
+	b.SetBytes(int64(len(body.bytes)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _, err := decodeBody(body, &pool)
+		buf.release()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // sameRequest compares two decoded requests, tensors bit by bit (a
 // binary part may hold a NaN) and empty payloads as equal to absent
 // ones.
@@ -846,12 +997,15 @@ func sameRequest(a, b InferRequestJSON) bool {
 }
 
 // FuzzDecodeInfer feeds the one body decoder arbitrary (header length,
-// body) pairs, with the body's length declared or not. It must never
-// panic, never commit more memory than twice what it was given plus the
-// smallest buffer class, and whatever it accepts must survive being
-// encoded again and decoded again. The seed corpus in
+// body) pairs, with the body's length declared or not, twice: from an
+// empty pool, and from one with a buffer lying idle in every class a
+// body may claim. It must never panic, and never commit more new memory
+// than twice what it was given plus the smallest buffer class (borrowing
+// an idle buffer commits none). Both decodes must agree on the request
+// and the refusal, and whatever they accept must survive being encoded
+// again and decoded again. The seed corpus in
 // testdata/fuzz/FuzzDecodeInfer has a valid body of every framing and
-// every shape TestWireRefusesBadFrames refuses.
+// every shape TestWireRefusesBadFrames refuses, and one that borrows.
 func FuzzDecodeInfer(f *testing.F) {
 	lim := wireLimits{body: 1 << 20, parts: 8, image: 1 << 16}
 	header := func(n int64) http.Header {
@@ -860,24 +1014,50 @@ func FuzzDecodeInfer(f *testing.F) {
 		}
 		return http.Header{InferHeaderLength: {strconv.FormatInt(n, 10)}}
 	}
+	// One buffer per class up to lim.body's, made once and lent to each
+	// input's warm pool.
+	lent := make([]*wireBuf, classOf(lim.body)+1)
+	for c := range lent {
+		lent[c] = &wireBuf{b: make([]byte, 0, 1<<(minBufShift+c)), class: c}
+	}
 	f.Fuzz(func(t *testing.T, headerLen int64, declared bool, body []byte) {
 		contentLen := int64(-1)
 		if declared {
 			contentLen = int64(len(body))
 		}
-		var pool bufPool
-		var h requestHeader
-		received := 0
-		buf, err := decodeInfer(countingReader{bytes.NewReader(body), &received}, header(headerLen), contentLen, lim, &pool, &h)
-		got := h.InferRequestJSON
-		for i, im := range got.Images {
-			got.Images[i] = bytes.Clone(im) // out of the buffer, which is released next
+		decode := func(pool *bufPool) (InferRequestJSON, error) {
+			var h requestHeader
+			received := 0
+			buf, err := decodeInfer(countingReader{bytes.NewReader(body), &received}, header(headerLen), contentLen, lim, pool, &h)
+			got := h.InferRequestJSON
+			for i, im := range got.Images {
+				got.Images[i] = bytes.Clone(im) // out of the buffer, which is released next
+			}
+			committed := 0
+			for _, w := range append(drain(pool), buf) {
+				if !slices.Contains(lent, w) {
+					committed = max(committed, cap(w.b))
+				}
+			}
+			buf.release()
+			if limit := 2*received + 1<<minBufShift; committed > limit {
+				t.Fatalf("%d bytes committed, %d received, limit %d", committed, received, limit)
+			}
+			return got, err
 		}
-		committed := cap(buf.b)
-		buf.release()
-		committed = max(committed, largestPooled(&pool))
-		if limit := 2*received + 1<<minBufShift; committed > limit {
-			t.Fatalf("%d bytes committed, %d received, limit %d", committed, received, limit)
+		var pool, warm bufPool
+		got, err := decode(&pool)
+		for _, w := range lent {
+			w.b, w.pool = w.b[:0], &warm
+			warm[w.class].Put(w)
+		}
+		gotWarm, errWarm := decode(&warm)
+		if fmt.Sprint(err) != fmt.Sprint(errWarm) || errStatus(err, 0) != errStatus(errWarm, 0) {
+			t.Fatalf("refused with %v on an empty pool, %v on a warm one", err, errWarm)
+		}
+		if !sameRequest(got, gotWarm) {
+			t.Fatalf("an empty and a warm pool decode differently: %d and %d images, %d and %d tensors, ids %q and %q",
+				len(got.Images), len(gotWarm.Images), len(got.Inputs), len(gotWarm.Inputs), got.ID, gotWarm.ID)
 		}
 		if err != nil {
 			return

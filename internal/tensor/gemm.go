@@ -413,17 +413,3 @@ func packTransGo(dst, src []float32, ld, w int) {
 		}
 	}
 }
-
-// MatMulTransB computes C = A(MxK) * B^T where b is (N x K) row-major.
-// This layout is the natural one for linear layers whose weights are
-// stored (out_features x in_features).
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(shapeErrf("MatMulTransB inner dimension mismatch: %v x %v", a.Shape, b.Shape))
-	}
-	c := New(m, n)
-	GemmTransBInto(c.Data, a.Data, b.Data, m, n, k)
-	return c
-}

@@ -51,7 +51,7 @@ func TestGemmTransBMatchesNaive(t *testing.T) {
 		m, n, k := s[0], s[1], s[2]
 		a := randTensor(r, m, k)
 		bt := randTensor(r, n, k)
-		got := MatMulTransB(a, bt)
+		got := matMulTransB(a, bt)
 		want := MatMulNaive(a, Transpose2D(bt))
 		if d := float32(MaxAbsDiff(got, want)); d > gemmTol(k) {
 			t.Errorf("(%d,%d,%d): transB vs naive max abs diff %g", m, n, k, d)
@@ -301,7 +301,7 @@ func TestGemmF16MatchesRoundTripReference(t *testing.T) {
 					ref.Data[i] = h.Float32()
 				}
 			}
-			want := MatMulTransB(a, ref)
+			want := matMulTransB(a, ref)
 			got := New(m, n)
 			GemmTransBF16Into(got.Data, a.Data, half, m, n, k, bf16)
 			if d := float32(MaxAbsDiff(got, want)); d > gemmTol(k) {

@@ -696,7 +696,7 @@ func TestMicroBodiesAgree(t *testing.T) {
 	for _, s := range gemmShapes {
 		m, n, k := s[0], s[1], s[2]
 		a, bt := randTensor(r, m, k), randTensor(r, n, k)
-		asm, gob := both(func() *Tensor { return MatMulTransB(a, bt) })
+		asm, gob := both(func() *Tensor { return matMulTransB(a, bt) })
 		if d := float32(MaxAbsDiff(asm, gob)); d > gemmTol(k) {
 			t.Errorf("(%d,%d,%d): AVX2 and Go bodies differ by %g", m, n, k, d)
 		}

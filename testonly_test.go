@@ -38,9 +38,6 @@ var keptTestOnly = map[string]string{
 	// Checkpoint writers the save/load round-trip tests use.
 	"modelio.SaveFile":   "round-trip tests write checkpoint files with it",
 	"modelio.SaveResNet": "round-trip tests write ResNet checkpoints with it",
-	// Still test-only, with a floor test of its own; it goes in a
-	// later change (ROADMAP item 16).
-	"tensor.MatMulTransB": "pending deletion",
 }
 
 // implicitMethods are called by the standard library through an
