@@ -110,9 +110,10 @@ bench-compare:
 
 # Real compute-backend benchmark: really executes 1024^3 GEMMs at every
 # backend precision (naive fp32 baseline, packed fp32, f16/bf16, int8
-# on the VPMADDUBSW kernel) plus end-to-end model forward passes, and
-# records achieved GFLOPS, efficiency vs the measured fp32 roofline, and
-# images/sec by precision into BENCH_PR8.json.
+# on the AMX, VNNI or AVX2 tile the host has) plus end-to-end model
+# forward passes, and records achieved GFLOPS, efficiency vs the
+# measured fp32 roofline, and images/sec by precision into
+# BENCH_PR8.json.
 bench-gemm: build
 	$(GO) run ./cmd/harvest-bench -gemmbench BENCH_PR8.json
 

@@ -35,13 +35,8 @@ type InferStats struct {
 	TFLOPS    float64
 }
 
-// Forwarder executes a real forward pass; *models.ViTModel and
-// *models.ResNetModel both satisfy it. Forward's result belongs to the
-// caller: an implementation allocates it fresh on every call and keeps
-// no reference to it, so InferTensors hands its rows out as they are.
-type Forwarder interface {
-	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
-}
+// Forwarder executes a real forward pass: a model at some precision.
+type Forwarder = models.Executor
 
 // Engine hosts one model instance on one platform.
 type Engine struct {

@@ -30,58 +30,37 @@ type ExecutableInfo struct {
 	NumClasses int
 }
 
-// Executable reconstructs a checkpoint's model as a real
-// forward-capable backend at the requested precision ("fp32", "fp16",
-// "bf16", "int8"; empty means fp32). Reduced precisions quantize the
-// checkpoint's fp32 weights at load time through the same wrappers the
-// random-init path uses, so `-real int8` with a checkpoint serves the
-// trained weights instead of silently re-initializing random ones.
+// Executable reconstructs a checkpoint's float32 model and returns it
+// at the requested precision ("fp32", "fp16", "bf16", "int8"; empty
+// means fp32) through the model's At, so `-real int8` with a checkpoint
+// serves the quantized trained weights instead of silently
+// re-initializing random ones.
 func Executable(cp *Checkpoint, precision string) (models.Executor, ExecutableInfo, error) {
-	if precision == "" {
-		precision = models.PrecFP32
+	var m interface {
+		At(precision string) (models.Executor, error)
 	}
-	known := false
-	for _, p := range models.ExecPrecisions() {
-		if p == precision {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return nil, ExecutableInfo{}, fmt.Errorf("%w: %q (want one of %v)",
-			ErrPrecision, precision, models.ExecPrecisions())
-	}
+	var info ExecutableInfo
 	switch cp.Kind {
 	case KindViT:
-		m, err := LoadViT(cp)
+		vm, err := LoadViT(cp)
 		if err != nil {
 			return nil, ExecutableInfo{}, err
 		}
-		info := ExecutableInfo{Name: m.Config.Name, InputSize: m.Config.InputSize, NumClasses: m.Config.NumClasses}
-		if precision == models.PrecFP32 {
-			return m, info, nil
-		}
-		pm, err := models.NewPrecisionViT(m, precision)
-		if err != nil {
-			return nil, ExecutableInfo{}, fmt.Errorf("%w: %v", ErrPrecision, err)
-		}
-		return pm, info, nil
+		m, info = vm, ExecutableInfo{Name: vm.Config.Name, InputSize: vm.Config.InputSize, NumClasses: vm.Config.NumClasses}
 	case KindResNet:
-		m, err := LoadResNet(cp)
+		rm, err := LoadResNet(cp)
 		if err != nil {
 			return nil, ExecutableInfo{}, err
 		}
-		info := ExecutableInfo{Name: m.Config.Name, InputSize: m.Config.InputSize, NumClasses: m.Config.NumClasses}
-		if precision == models.PrecFP32 {
-			return m, info, nil
-		}
-		pm, err := models.NewPrecisionResNet(m, precision)
-		if err != nil {
-			return nil, ExecutableInfo{}, fmt.Errorf("%w: %v", ErrPrecision, err)
-		}
-		return pm, info, nil
+		m, info = rm, ExecutableInfo{Name: rm.Config.Name, InputSize: rm.Config.InputSize, NumClasses: rm.Config.NumClasses}
+	default:
+		return nil, ExecutableInfo{}, fmt.Errorf("%w: unknown checkpoint kind %q", ErrModelMismatch, cp.Kind)
 	}
-	return nil, ExecutableInfo{}, fmt.Errorf("%w: unknown checkpoint kind %q", ErrModelMismatch, cp.Kind)
+	f, err := m.At(precision)
+	if err != nil {
+		return nil, ExecutableInfo{}, fmt.Errorf("%w: %v", ErrPrecision, err)
+	}
+	return f, info, nil
 }
 
 // ExecutableFor builds the serving backend for one named model entry

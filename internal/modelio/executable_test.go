@@ -39,8 +39,8 @@ func microInput() *tensor.Tensor {
 // The PR 8 follow-up bug: serving with -real at a reduced precision
 // ignored the checkpoint and ran random weights, because checkpoint
 // load existed only in fp32. Loading at int8 must now produce the
-// quantization of the *trained* weights: identical logits to wrapping
-// the original fp32 model in the int8 executor.
+// quantization of the *trained* weights: identical logits to the
+// original fp32 model at int8.
 func TestExecutableQuantizesCheckpointWeights(t *testing.T) {
 	orig, err := models.NewViTModel(models.MicroViTConfig(4), stats.NewRNG(11))
 	if err != nil {
@@ -61,15 +61,10 @@ func TestExecutableQuantizesCheckpointWeights(t *testing.T) {
 			t.Fatalf("%s forward: %v", prec, err)
 		}
 
+		ref, err := orig.At(prec)
 		var want *tensor.Tensor
-		if prec == models.PrecFP32 {
-			want, err = orig.Forward(microInput())
-		} else {
-			var ref models.Executor
-			ref, err = models.NewPrecisionViT(orig, prec)
-			if err == nil {
-				want, err = ref.Forward(microInput())
-			}
+		if err == nil {
+			want, err = ref.Forward(microInput())
 		}
 		if err != nil {
 			t.Fatalf("%s reference: %v", prec, err)

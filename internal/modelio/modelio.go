@@ -93,6 +93,9 @@ func Save(w io.Writer, kind Kind, config any, tensors []models.NamedTensor) erro
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
+// maxTensorValues bounds one checkpoint tensor (1 GiB of float32).
+const maxTensorValues = 1 << 28
+
 // Checkpoint is a loaded model file.
 type Checkpoint struct {
 	Kind    Kind
@@ -121,8 +124,11 @@ func Load(r io.Reader) (*Checkpoint, error) {
 	if headLen > 1<<24 {
 		return nil, fmt.Errorf("modelio: unreasonable header length %d", headLen)
 	}
-	headJSON := make([]byte, headLen)
-	if _, err := io.ReadFull(tr, headJSON); err != nil {
+	headJSON, err := io.ReadAll(io.LimitReader(tr, int64(headLen)))
+	if err == nil && len(headJSON) < int(headLen) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("modelio: short header: %w", err)
 	}
 	var h header
@@ -131,27 +137,35 @@ func Load(r io.Reader) (*Checkpoint, error) {
 	}
 
 	cp := &Checkpoint{Kind: h.Kind, Config: h.Config, Tensors: make(map[string]*tensor.Tensor)}
-	buf := make([]byte, 4)
+	chunk := make([]byte, 64<<10)
 	for _, e := range h.Tensors {
 		n := 1
 		for _, d := range e.Shape {
 			if d <= 0 {
 				return nil, fmt.Errorf("modelio: tensor %q has invalid shape %v", e.Name, e.Shape)
 			}
+			if n > maxTensorValues/d {
+				return nil, fmt.Errorf("modelio: tensor %q of shape %v holds over %d values", e.Name, e.Shape, maxTensorValues)
+			}
 			n *= d
 		}
 		if n != e.Count {
 			return nil, fmt.Errorf("modelio: tensor %q count %d != shape product %d", e.Name, e.Count, n)
 		}
-		if n > 1<<28 {
-			return nil, fmt.Errorf("modelio: tensor %q unreasonably large (%d values)", e.Name, n)
-		}
-		data := make([]float32, n)
-		for i := range data {
-			if _, err := io.ReadFull(tr, buf); err != nil {
+		// The tensor's memory follows its bytes as they arrive, at most
+		// twice what has arrived: a declared shape is only a claim.
+		var data []float32
+		for len(data) < n {
+			k := min(n-len(data), len(chunk)/4)
+			if _, err := io.ReadFull(tr, chunk[:4*k]); err != nil {
 				return nil, fmt.Errorf("modelio: short tensor %q: %w", e.Name, err)
 			}
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
+			if len(data)+k > cap(data) {
+				data = append(make([]float32, 0, min(n, 2*(len(data)+k))), data...)
+			}
+			for i := range k {
+				data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:])))
+			}
 		}
 		if _, dup := cp.Tensors[e.Name]; dup {
 			return nil, fmt.Errorf("modelio: duplicate tensor %q", e.Name)

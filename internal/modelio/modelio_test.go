@@ -2,6 +2,7 @@ package modelio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"harvest/internal/models"
@@ -9,7 +10,7 @@ import (
 	"harvest/internal/tensor"
 )
 
-func newViT(t *testing.T) *models.ViTModel {
+func newViT(t testing.TB) *models.ViTModel {
 	t.Helper()
 	m, err := models.NewViTModel(models.MicroViTConfig(5), stats.NewRNG(1))
 	if err != nil {
@@ -18,7 +19,7 @@ func newViT(t *testing.T) *models.ViTModel {
 	return m
 }
 
-func newResNet(t *testing.T) *models.ResNetModel {
+func newResNet(t testing.TB) *models.ResNetModel {
 	t.Helper()
 	m, err := models.NewResNetModel(models.MiniResNetConfig(4), stats.NewRNG(2))
 	if err != nil {
@@ -108,12 +109,58 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("not a checkpoint"),
 		[]byte(Magic), // magic only
+		overflowCheckpoint(),
 	}
 	for i, data := range cases {
 		if _, err := Load(bytes.NewReader(data)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+}
+
+// overflowCheckpoint is a checkpoint header whose one tensor's shape
+// product wraps int64 to its (negative) declared count.
+func overflowCheckpoint() []byte {
+	head := `{"kind":"vit","config":{},"tensors":[{"name":"w","shape":[4611686018427387904,3],"count":-4611686018427387904}]}`
+	b := binary.LittleEndian.AppendUint32([]byte(Magic), uint32(len(head)))
+	return append(b, head...)
+}
+
+// FuzzLoad: Load returns an error or a checkpoint whose tensors each
+// hold exactly the values their shapes declare; it never panics.
+func FuzzLoad(f *testing.F) {
+	var vit, resnet bytes.Buffer
+	if err := SaveViT(&vit, newViT(f)); err != nil {
+		f.Fatal(err)
+	}
+	if err := SaveResNet(&resnet, newResNet(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(vit.Bytes())
+	f.Add(resnet.Bytes())
+	f.Add(overflowCheckpoint())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(cp.Order) != len(cp.Tensors) {
+			t.Fatalf("%d tensors in order, %d by name", len(cp.Order), len(cp.Tensors))
+		}
+		for _, name := range cp.Order {
+			tt := cp.Tensors[name]
+			n := 1
+			for _, d := range tt.Shape {
+				if d <= 0 {
+					t.Fatalf("tensor %q has shape %v", name, tt.Shape)
+				}
+				n *= d
+			}
+			if len(tt.Data) != n {
+				t.Fatalf("tensor %q of shape %v holds %d values", name, tt.Shape, len(tt.Data))
+			}
+		}
+	})
 }
 
 func TestLoadTruncated(t *testing.T) {

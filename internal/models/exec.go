@@ -10,7 +10,7 @@ import (
 // Executable backend precisions. FP32 runs the packed f32 GEMM
 // directly; FP16/BF16 store weights as 16-bit words dequantized
 // panel-at-a-time inside the GEMM pack step; Int8 runs the exact integer
-// micro-kernel (AVX2 VPMADDUBSW on amd64) over 7-bit codes — symmetric
+// micro-kernel (AMX, VNNI or AVX2 tiles on amd64) over 7-bit codes — symmetric
 // per-output-channel weights, asymmetric per-row activations quantized
 // inside the GEMM's row bands — accumulating in int32.
 const (
@@ -25,16 +25,32 @@ func ExecPrecisions() []string {
 	return []string{PrecFP32, PrecFP16, PrecBF16, PrecInt8}
 }
 
-// Executor is a real forward-capable model backend. It is structurally
-// identical to engine.Forwarder (models cannot import engine).
+// Executor is a real forward-capable model backend; engine.Forwarder
+// is this interface. Forward's result belongs to the caller: an
+// implementation allocates it fresh on every call and keeps no
+// reference to it, so engine.InferTensors hands its rows out as they
+// are.
 type Executor interface {
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
 }
 
+// checkPrecision reports whether precision is a reduced one (fp16,
+// bf16, int8) rather than fp32, which "" also names, and refuses any
+// other.
+func checkPrecision(precision string) (reduced bool, err error) {
+	switch precision {
+	case "", PrecFP32:
+		return false, nil
+	case PrecFP16, PrecBF16, PrecInt8:
+		return true, nil
+	}
+	return false, fmt.Errorf("models: unknown precision %q (want one of %v)", precision, ExecPrecisions())
+}
+
 // linearOp computes dst (m×out) = x (m×in)·Wᵀ + bias at some storage
 // precision — added to dst's old contents when acc — and then runs epi
-// over the finished rows (the op supplies epi.Bias). The float32 models
-// and their precision wrappers share one forward skeleton parameterized
+// over the finished rows (the op supplies epi.Bias). A model and its
+// reduced-precision copies share one forward skeleton parameterized
 // over these ops.
 type linearOp interface {
 	apply(ws *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue)
@@ -87,61 +103,19 @@ type halfLinear struct {
 	bf16    bool
 }
 
-func newHalfLinear(w, bias *tensor.Tensor, bf16 bool) halfLinear {
-	l := halfLinear{
-		w:    encodeHalf(w.Data, bf16),
-		out:  w.Shape[0],
-		in:   w.Shape[1],
-		bf16: bf16,
-	}
-	if bias != nil {
-		l.bias = bias.Data
-	}
-	return l
-}
-
-func encodeHalf(xs []float32, bf16 bool) []uint16 {
-	out := make([]uint16, len(xs))
-	for i, v := range xs {
-		if bf16 {
-			out[i] = uint16(quant.BF16FromFloat32(v))
-		} else {
-			out[i] = uint16(quant.FromFloat32(v))
-		}
-	}
-	return out
-}
-
 func (l halfLinear) apply(_ *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue) {
 	epi.Bias = l.bias
 	tensor.GemmTransBF16Epilogue(dst, x, l.w, m, l.out, l.in, l.bf16, acc, epi)
 }
 
-// q7Weights holds symmetric per-output-channel 7-bit weights (out × in)
-// packed for the int8 micro-kernel, with their per-channel scales.
-type q7Weights struct {
-	packed *tensor.PackedQ7
-	scales []float32
-}
-
-func newQ7Weights(w []float32, out, in int) q7Weights {
-	q := q7Weights{scales: make([]float32, out)}
-	codes := make([]int8, out*in)
-	for oc := range q.scales {
-		row := w[oc*in : oc*in+in]
-		q.scales[oc] = quant.CalibrateQ7Sym(row)
-		quant.QuantizeQ7SymInto(codes[oc*in:oc*in+in], row, q.scales[oc])
-	}
-	q.packed = tensor.PackQ7Weights(codes, out, in)
-	return q
-}
-
-// q7Linear runs the int8 pipeline: activations are quantized per row
-// inside the GEMM's row bands, and bias and the caller's epilogue run
-// there too, as in denseLinear.
+// q7Linear holds symmetric per-output-channel 7-bit weights (out × in)
+// packed for the int8 micro-kernel, with their per-channel scales, and
+// runs the int8 pipeline: activations are quantized per row inside the
+// GEMM's row bands, and bias and the caller's epilogue run there too,
+// as in denseLinear.
 type q7Linear struct {
-	q7Weights
-	bias []float32
+	packed       *tensor.PackedQ7
+	scales, bias []float32
 }
 
 func (l q7Linear) apply(_ *workspace, dst, x []float32, m int, acc bool, epi tensor.Epilogue) {
@@ -149,146 +123,96 @@ func (l q7Linear) apply(_ *workspace, dst, x []float32, m int, acc bool, epi ten
 	tensor.Q7LinearEpilogue(dst, x, m, l.packed.K, l.packed, l.scales, acc, epi)
 }
 
-// bnApply holds the BN-after-conv epilogue shared by the reduced-
-// precision conv ops.
-type convEpilogue struct {
-	bnMean, bnVar, bnG, bnB []float32
-	act                     bool
+// conv is a conv (+ BN + optional ReLU) whose weights (outC ×
+// inC·k·k) sit in a reduced-precision linear op, run over im2col rows
+// transposed (one receptive field per row) so the GEMM sees contiguous
+// k-vectors on both sides.
+type conv struct {
+	lin          linearOp
+	outC, inC, k int
+	convBN
 }
 
-func (e *convEpilogue) run(y *tensor.Tensor) {
-	tensor.BatchNormInference(y, e.bnMean, e.bnVar, e.bnG, e.bnB, 1e-5)
-	if e.act {
-		tensor.ReLU(y)
+func (c *conv) apply(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
+	if x.Shape[1] != c.inC {
+		panic(fmt.Errorf("models: conv got %d input channels, want %d: %w", x.Shape[1], c.inC, tensor.ErrShape))
 	}
-}
-
-// convGeom carries the shared geometry of the reduced-precision conv
-// ops, which run im2col transposed (one receptive field per row) so the
-// GEMM sees contiguous k-vectors on both sides.
-type convGeom struct {
-	outC, inC, k, stride, pad int
-}
-
-func (g *convGeom) outSize(x *tensor.Tensor) (oh, ow int) {
-	oh = (x.Shape[2]+2*g.pad-g.k)/g.stride + 1
-	ow = (x.Shape[3]+2*g.pad-g.k)/g.stride + 1
-	if x.Shape[1] != g.inC {
-		panic(fmt.Errorf("models: conv got %d input channels, want %d: %w", x.Shape[1], g.inC, tensor.ErrShape))
-	}
-	return oh, ow
-}
-
-// scatterConvOut transposes the (ohow × outC) GEMM output into the NCHW
-// plane of image b.
-func scatterConvOut(out *tensor.Tensor, yT []float32, b, outC, oh, ow int) {
-	plane := oh * ow
-	for oc := 0; oc < outC; oc++ {
-		dst := out.Data[(b*outC+oc)*plane : (b*outC+oc+1)*plane]
-		for p := 0; p < plane; p++ {
-			dst[p] = yT[p*outC+oc]
-		}
-	}
-}
-
-// halfConv is a conv with float16/bfloat16 weights.
-type halfConv struct {
-	convGeom
-	w    []uint16 // (outC × inC·k·k)
-	bf16 bool
-	epi  convEpilogue
-}
-
-func (c *halfConv) apply(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
-	oh, ow := c.outSize(x)
-	ckk := c.inC * c.k * c.k
+	oh := (x.Shape[2]+2*c.pad-c.k)/c.stride + 1
+	ow := (x.Shape[3]+2*c.pad-c.k)/c.stride + 1
+	plane, ckk := oh*ow, c.inC*c.k*c.k
 	out := tensor.New(n, c.outC, oh, ow)
-	cols := tensor.Grow(&ws.cols, oh*ow*ckk)
-	yT := tensor.Grow(&ws.yT, oh*ow*c.outC)
+	cols := tensor.Grow(&ws.cols, plane*ckk)
+	yT := tensor.Grow(&ws.yT, plane*c.outC)
 	for b := 0; b < n; b++ {
 		tensor.Im2ColTransInto(cols, x, b, c.k, c.k, c.stride, c.pad, oh, ow)
-		clear(yT)
-		tensor.GemmTransBF16Into(yT, cols, c.w, oh*ow, c.outC, ckk, c.bf16)
-		scatterConvOut(out, yT, b, c.outC, oh, ow)
-	}
-	c.epi.run(out)
-	return out
-}
-
-// q7Conv is a conv with symmetric per-output-channel 7-bit weights
-// (outC × inC·k·k), run as the int8 linear op over its im2col rows.
-type q7Conv struct {
-	convGeom
-	q7Weights
-	epi convEpilogue
-}
-
-func (c *q7Conv) apply(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
-	n := x.Shape[0]
-	oh, ow := c.outSize(x)
-	ckk := c.inC * c.k * c.k
-	out := tensor.New(n, c.outC, oh, ow)
-	cols := tensor.Grow(&ws.cols, oh*ow*ckk)
-	yT := tensor.Grow(&ws.yT, oh*ow*c.outC)
-	for b := 0; b < n; b++ {
-		tensor.Im2ColTransInto(cols, x, b, c.k, c.k, c.stride, c.pad, oh, ow)
-		tensor.Q7LinearEpilogue(yT, cols, oh*ow, ckk, c.packed, c.scales, false, tensor.Epilogue{})
-		scatterConvOut(out, yT, b, c.outC, oh, ow)
-	}
-	c.epi.run(out)
-	return out
-}
-
-// newLinearOp builds the linear op for one weight/bias pair at the
-// requested precision.
-func newLinearOp(w, b *tensor.Tensor, precision string) (linearOp, error) {
-	switch precision {
-	case PrecFP32:
-		return denseLinear{w: w, b: b}, nil
-	case PrecFP16:
-		return newHalfLinear(w, b, false), nil
-	case PrecBF16:
-		return newHalfLinear(w, b, true), nil
-	case PrecInt8:
-		l := q7Linear{q7Weights: newQ7Weights(w.Data, w.Shape[0], w.Shape[1])}
-		if b != nil {
-			l.bias = b.Data
+		c.lin.apply(ws, yT, cols, plane, false, tensor.Epilogue{})
+		// Transpose the (plane × outC) product into image b's NCHW planes.
+		for oc := 0; oc < c.outC; oc++ {
+			dst := out.Data[(b*c.outC+oc)*plane : (b*c.outC+oc+1)*plane]
+			for p := range dst {
+				dst[p] = yT[p*c.outC+oc]
+			}
 		}
-		return l, nil
 	}
-	return nil, fmt.Errorf("models: unknown precision %q (want one of %v)", precision, ExecPrecisions())
+	return c.finish(out)
 }
 
-// newConvOp builds the conv op for one resnetConv at the requested
-// precision, sharing the conv's BN statistics.
-func newConvOp(rc *resnetConv, precision string) (convOp, error) {
+// newLinearOp builds the linear op for one weight/bias pair at a
+// precision checkPrecision has passed. The float32 op holds the tensors
+// themselves (LoadTensors copies into them), so weights loaded in place
+// are always current; the others hold converted copies.
+func newLinearOp(w, b *tensor.Tensor, precision string) linearOp {
 	if precision == PrecFP32 {
-		return rc, nil
+		return denseLinear{w: w, b: b}
+	}
+	var bias []float32
+	if b != nil {
+		bias = b.Data
+	}
+	out, in := w.Shape[0], w.Shape[1]
+	if precision == PrecInt8 {
+		l := q7Linear{scales: make([]float32, out), bias: bias}
+		codes := make([]int8, out*in)
+		for oc := range l.scales {
+			row := w.Data[oc*in : oc*in+in]
+			l.scales[oc] = quant.CalibrateQ7Sym(row)
+			quant.QuantizeQ7SymInto(codes[oc*in:oc*in+in], row, l.scales[oc])
+		}
+		l.packed = tensor.PackQ7Weights(codes, out, in)
+		return l
+	}
+	l := halfLinear{w: make([]uint16, len(w.Data)), bias: bias, out: out, in: in, bf16: precision == PrecBF16}
+	for i, v := range w.Data {
+		if l.bf16 {
+			l.w[i] = uint16(quant.BF16FromFloat32(v))
+		} else {
+			l.w[i] = uint16(quant.FromFloat32(v))
+		}
+	}
+	return l
+}
+
+// newConvOp builds the conv op for one resnetConv at a precision
+// checkPrecision has passed: the conv itself at fp32, otherwise a conv
+// over its converted weights that shares its BN statistics.
+func newConvOp(rc *resnetConv, precision string) convOp {
+	if precision == PrecFP32 {
+		return rc
 	}
 	outC, inC, k := rc.w.Shape[0], rc.w.Shape[1], rc.w.Shape[2]
-	geom := convGeom{outC: outC, inC: inC, k: k, stride: rc.stride, pad: rc.pad}
-	epi := convEpilogue{bnMean: rc.bnMean, bnVar: rc.bnVar, bnG: rc.bnG, bnB: rc.bnB, act: rc.activateOn}
-	switch precision {
-	case PrecFP16, PrecBF16:
-		return &halfConv{convGeom: geom, w: encodeHalf(rc.w.Data, precision == PrecBF16), bf16: precision == PrecBF16, epi: epi}, nil
-	case PrecInt8:
-		return &q7Conv{convGeom: geom, q7Weights: newQ7Weights(rc.w.Data, outC, inC*k*k), epi: epi}, nil
-	}
-	return nil, fmt.Errorf("models: unknown precision %q (want one of %v)", precision, ExecPrecisions())
+	return &conv{lin: newLinearOp(rc.w.Reshape(outC, inC*k*k), nil, precision),
+		outC: outC, inC: inC, k: k, convBN: rc.convBN}
 }
 
 // NewExecutable builds a real forward-capable backend for the named
-// model at the given precision. Known names are the four Table 3 models
-// plus the test-scale "ViT_Micro" and "ResNet_Mini"; weights are
-// initialized from r. Precision "" defaults to fp32.
+// model at the given precision: the float32 model with weights
+// initialized from r, then At(precision). Known names are the four
+// Table 3 models plus the test-scale "ViT_Micro" and "ResNet_Mini".
 func NewExecutable(name string, numClasses int, precision string, r tensor.Rand64) (Executor, error) {
-	if precision == "" {
-		precision = PrecFP32
-	}
 	switch name {
 	case NameViTTiny, NameViTSmall, NameViTBase, "ViT_Micro":
-		var cfg ViTConfig
+		cfg := MicroViTConfig(numClasses)
 		switch name {
 		case NameViTTiny:
 			cfg = ViTTinyConfig(numClasses)
@@ -296,17 +220,12 @@ func NewExecutable(name string, numClasses int, precision string, r tensor.Rand6
 			cfg = ViTSmallConfig(numClasses)
 		case NameViTBase:
 			cfg = ViTBaseConfig(numClasses)
-		default:
-			cfg = MicroViTConfig(numClasses)
 		}
 		m, err := NewViTModel(cfg, r)
 		if err != nil {
 			return nil, err
 		}
-		if precision == PrecFP32 {
-			return m, nil
-		}
-		return NewPrecisionViT(m, precision)
+		return m.At(precision)
 	case NameResNet50, "ResNet_Mini":
 		cfg := ResNet50Config(numClasses)
 		if name == "ResNet_Mini" {
@@ -316,10 +235,7 @@ func NewExecutable(name string, numClasses int, precision string, r tensor.Rand6
 		if err != nil {
 			return nil, err
 		}
-		if precision == PrecFP32 {
-			return m, nil
-		}
-		return NewPrecisionResNet(m, precision)
+		return m.At(precision)
 	}
 	return nil, fmt.Errorf("models: no executable backend for model %q", name)
 }

@@ -90,6 +90,59 @@ func TestPrecisionExecutableRetainsNoFP32Weights(t *testing.T) {
 	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 10<<20 {
 		t.Errorf("int8 ViT_Tiny executable retains %.1f MB of heap, want at most 10 MB", float64(retained)/(1<<20))
 	}
+
+	// The same, structurally, on both families: an int8 copy holds no
+	// float32 linear or conv weight, in its fields or in its op table.
+	for _, name := range []string{"ViT_Micro", "ResNet_Mini"} {
+		q, err := NewExecutable(name, 10, PrecInt8, stats.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var weights []*tensor.Tensor
+		var lins []linearOp
+		switch m := q.(type) {
+		case *ViTModel:
+			weights = append(weights, m.patchW, m.headW)
+			lins = append(lins, m.exec.patch, m.exec.head)
+			for i, blk := range m.blocks {
+				weights = append(weights, blk.qkvW, blk.projW, blk.fc1W, blk.fc2W)
+				ops := m.exec.blocks[i]
+				lins = append(lins, ops.qkv, ops.proj, ops.fc1, ops.fc2)
+			}
+		case *ResNetModel:
+			if m.stem != nil || m.blocks != nil {
+				t.Errorf("%s int8 copy keeps the float32 convs", name)
+			}
+			weights = append(weights, m.fcW)
+			lins = append(lins, m.exec.fc)
+			convs := []convOp{m.exec.stem}
+			for _, ops := range m.exec.blocks {
+				convs = append(convs, ops.conv1, ops.conv2, ops.conv3)
+				if ops.down != nil {
+					convs = append(convs, ops.down)
+				}
+			}
+			for _, c := range convs {
+				if cv, ok := c.(*conv); ok {
+					lins = append(lins, cv.lin)
+				} else {
+					t.Errorf("%s int8 copy runs a %T conv", name, c)
+				}
+			}
+		default:
+			t.Fatalf("%s int8 executable is a %T", name, q)
+		}
+		for _, w := range weights {
+			if w != nil {
+				t.Errorf("%s int8 copy keeps a float32 weight of shape %v", name, w.Shape)
+			}
+		}
+		for _, l := range lins {
+			if _, ok := l.(q7Linear); !ok {
+				t.Errorf("%s int8 copy runs a %T linear", name, l)
+			}
+		}
+	}
 }
 
 func TestNewExecutableErrors(t *testing.T) {
@@ -98,6 +151,28 @@ func TestNewExecutableErrors(t *testing.T) {
 	}
 	if _, err := NewExecutable("ViT_Micro", 10, "int4", stats.NewRNG(1)); err == nil {
 		t.Error("unknown precision accepted")
+	}
+	// At: "" and fp32 are the model itself; an unknown precision errors.
+	vit, err := NewViTModel(MicroViTConfig(10), stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewResNetModel(MiniResNetConfig(10), stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []interface {
+		Executor
+		At(string) (Executor, error)
+	}{vit, res} {
+		for _, prec := range []string{"", PrecFP32} {
+			if e, err := m.At(prec); err != nil || e != m {
+				t.Errorf("%T.At(%q) = %T, %v; want the receiver", m, prec, e, err)
+			}
+		}
+		if e, err := m.At("int4"); err == nil {
+			t.Errorf("%T.At(int4) = %T, want an error", m, e)
+		}
 	}
 }
 
@@ -155,7 +230,7 @@ func TestViTBaseInt8LogitsDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewPrecisionViT(base.(*ViTModel), PrecInt8)
+	q, err := base.(*ViTModel).At(PrecInt8)
 	if err != nil {
 		t.Fatal(err)
 	}

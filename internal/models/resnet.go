@@ -122,24 +122,31 @@ func BuildResNet(c ResNetConfig) (*Spec, error) {
 	return spec, nil
 }
 
-// resnetConv bundles a conv's real weights with folded BN statistics.
-type resnetConv struct {
-	w          *tensor.Tensor
-	bnMean     []float32
-	bnVar      []float32
-	bnG, bnB   []float32
-	stride     int
-	pad        int
-	activateOn bool // apply ReLU after BN
+// convBN is a conv's stride and padding and the BN (+ optional ReLU)
+// that follows it, shared by the float32 conv and its reduced-precision
+// copies.
+type convBN struct {
+	stride, pad             int
+	bnMean, bnVar, bnG, bnB []float32
+	activateOn              bool // apply ReLU after BN
 }
 
-func (rc *resnetConv) apply(_ *workspace, x *tensor.Tensor) *tensor.Tensor {
-	y := tensor.Conv2D(x, rc.w, nil, rc.stride, rc.pad)
-	tensor.BatchNormInference(y, rc.bnMean, rc.bnVar, rc.bnG, rc.bnB, 1e-5)
-	if rc.activateOn {
+func (c *convBN) finish(y *tensor.Tensor) *tensor.Tensor {
+	tensor.BatchNormInference(y, c.bnMean, c.bnVar, c.bnG, c.bnB, 1e-5)
+	if c.activateOn {
 		tensor.ReLU(y)
 	}
 	return y
+}
+
+// resnetConv bundles a conv's real weights with its BN statistics.
+type resnetConv struct {
+	w *tensor.Tensor
+	convBN
+}
+
+func (rc *resnetConv) apply(_ *workspace, x *tensor.Tensor) *tensor.Tensor {
+	return rc.finish(tensor.Conv2D(x, rc.w, nil, rc.stride, rc.pad))
 }
 
 type resnetBlock struct {
@@ -154,7 +161,7 @@ type ResNetModel struct {
 	blocks   []*resnetBlock
 	fcW, fcB *tensor.Tensor
 
-	dense  *resnetExec                 // the float32 op table
+	exec   *resnetExec                 // the op table Forward routes through
 	spares tensor.FreeList[*workspace] // forward workspaces
 }
 
@@ -175,8 +182,8 @@ func NewResNetModel(c ResNetConfig, r tensor.Rand64) (*ResNetModel, error) {
 			variance[i] = 1
 			g[i] = 1
 		}
-		return &resnetConv{w: w, bnMean: mean, bnVar: variance, bnG: g, bnB: bta,
-			stride: stride, pad: pad, activateOn: act}
+		return &resnetConv{w: w, convBN: convBN{stride: stride, pad: pad,
+			bnMean: mean, bnVar: variance, bnG: g, bnB: bta, activateOn: act}}
 	}
 	m := &ResNetModel{Config: c, spares: newSpares()}
 	m.stem = mkConv(c.StemWidth, 3, 7, 2, 3, true)
@@ -204,12 +211,12 @@ func NewResNetModel(c ResNetConfig, r tensor.Rand64) (*ResNetModel, error) {
 	m.fcW = tensor.New(c.NumClasses, inC)
 	m.fcW.RandInit(r, 0.08)
 	m.fcB = tensor.New(c.NumClasses)
-	m.dense = m.denseExec()
+	m.exec = m.newExec(PrecFP32)
 	return m, nil
 }
 
 // resnetExec is the op table one ResNet forward pass routes through;
-// the float32 model and its precision wrappers share the skeleton and
+// a model and its reduced-precision copies share the skeleton and
 // differ only here. Pooling, residual adds and ReLU always run in
 // float32.
 type resnetExec struct {
@@ -223,75 +230,43 @@ type resnetBlockExec struct {
 	down                convOp // nil when identity shortcut
 }
 
-// denseExec builds the float32 op table over the model's live weights.
-func (m *ResNetModel) denseExec() *resnetExec {
-	e := &resnetExec{stem: m.stem, fc: denseLinear{w: m.fcW, b: m.fcB}}
+// newExec builds the op table over the model's weights at a precision
+// checkPrecision has passed.
+func (m *ResNetModel) newExec(precision string) *resnetExec {
+	e := &resnetExec{stem: newConvOp(m.stem, precision), fc: newLinearOp(m.fcW, m.fcB, precision)}
 	for _, blk := range m.blocks {
-		be := resnetBlockExec{conv1: blk.conv1, conv2: blk.conv2, conv3: blk.conv3}
+		be := resnetBlockExec{
+			conv1: newConvOp(blk.conv1, precision),
+			conv2: newConvOp(blk.conv2, precision),
+			conv3: newConvOp(blk.conv3, precision),
+		}
 		if blk.down != nil {
-			be.down = blk.down
+			be.down = newConvOp(blk.down, precision)
 		}
 		e.blocks = append(e.blocks, be)
 	}
 	return e
 }
 
-// PrecisionResNet wraps a ResNetModel with reduced-precision conv and
-// linear layers. BN statistics and the residual arithmetic stay
-// float32. Base holds only the configuration forward reads, so the
-// wrapper does not keep the model's float32 weights alive.
-type PrecisionResNet struct {
-	Base      *ResNetModel
-	Precision string
-	exec      *resnetExec
-}
-
-// NewPrecisionResNet converts the model's conv/linear weights to the
-// requested precision; the model itself is untouched.
-func NewPrecisionResNet(m *ResNetModel, precision string) (*PrecisionResNet, error) {
-	e := &resnetExec{}
-	var err error
-	if e.stem, err = newConvOp(m.stem, precision); err != nil {
+// At returns the model at a precision: the model itself for "" or
+// fp32; otherwise a copy for forwarding that holds only the converted
+// conv and linear weights, sharing the model's BN statistics, so it
+// does not keep the float32 weights alive. BN and the residual
+// arithmetic stay float32. The model is left untouched.
+func (m *ResNetModel) At(precision string) (Executor, error) {
+	switch reduced, err := checkPrecision(precision); {
+	case err != nil:
 		return nil, err
+	case !reduced:
+		return m, nil
 	}
-	if e.fc, err = newLinearOp(m.fcW, m.fcB, precision); err != nil {
-		return nil, err
-	}
-	for _, blk := range m.blocks {
-		var be resnetBlockExec
-		if be.conv1, err = newConvOp(blk.conv1, precision); err != nil {
-			return nil, err
-		}
-		if be.conv2, err = newConvOp(blk.conv2, precision); err != nil {
-			return nil, err
-		}
-		if be.conv3, err = newConvOp(blk.conv3, precision); err != nil {
-			return nil, err
-		}
-		if blk.down != nil {
-			if be.down, err = newConvOp(blk.down, precision); err != nil {
-				return nil, err
-			}
-		}
-		e.blocks = append(e.blocks, be)
-	}
-	base := &ResNetModel{Config: m.Config, spares: newSpares()}
-	return &PrecisionResNet{Base: base, Precision: precision, exec: e}, nil
-}
-
-// Forward runs the wrapped model through the reduced-precision ops.
-func (p *PrecisionResNet) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return p.Base.forward(p.exec, x)
+	return &ResNetModel{Config: m.Config, exec: m.newExec(precision), spares: newSpares()}, nil
 }
 
 // Forward runs a real forward pass over (B,3,S,S) and returns logits
 // (B x classes).
 func (m *ResNetModel) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return m.forward(m.dense, x)
-}
-
-func (m *ResNetModel) forward(e *resnetExec, x *tensor.Tensor) (*tensor.Tensor, error) {
-	c := m.Config
+	c, e := m.Config, m.exec
 	if len(x.Shape) != 4 || x.Shape[1] != 3 || x.Shape[2] != c.InputSize || x.Shape[3] != c.InputSize {
 		return nil, fmt.Errorf("models: ResNet %s expects (B,3,%d,%d), got %v: %w", c.Name, c.InputSize, c.InputSize, x.Shape, tensor.ErrShape)
 	}

@@ -107,12 +107,12 @@ type ViTModel struct {
 	normG, normB   *tensor.Tensor
 	headW, headB   *tensor.Tensor // (classes x d)
 
-	dense  *vitExec                    // the float32 op table
+	exec   *vitExec                    // the op table Forward routes through
 	spares tensor.FreeList[*workspace] // forward workspaces
 }
 
-// vitExec is the set of linear ops one forward pass routes through; the
-// float32 model and its precision wrappers share the forward skeleton
+// vitExec is the set of linear ops one forward pass routes through; a
+// model and its reduced-precision copies share the forward skeleton
 // and differ only in this table. Norms, attention matmuls, residuals
 // and activations always run in float32.
 type vitExec struct {
@@ -124,77 +124,43 @@ type vitBlockExec struct {
 	qkv, proj, fc1, fc2 linearOp
 }
 
-// denseExec builds the float32 op table over the model's live weight
-// tensors. Ops hold the tensors themselves (LoadTensors copies into
-// them), so weights loaded in place are always current.
-func (m *ViTModel) denseExec() *vitExec {
+// newExec builds the op table over the model's weights at a precision
+// checkPrecision has passed.
+func (m *ViTModel) newExec(precision string) *vitExec {
 	e := &vitExec{
-		patch: denseLinear{w: m.patchW, b: m.patchB},
-		head:  denseLinear{w: m.headW, b: m.headB},
+		patch: newLinearOp(m.patchW, m.patchB, precision),
+		head:  newLinearOp(m.headW, m.headB, precision),
 	}
 	for i := range m.blocks {
 		blk := &m.blocks[i]
 		e.blocks = append(e.blocks, vitBlockExec{
-			qkv:  denseLinear{w: blk.qkvW, b: blk.qkvB},
-			proj: denseLinear{w: blk.projW, b: blk.projB},
-			fc1:  denseLinear{w: blk.fc1W, b: blk.fc1B},
-			fc2:  denseLinear{w: blk.fc2W, b: blk.fc2B},
+			qkv:  newLinearOp(blk.qkvW, blk.qkvB, precision),
+			proj: newLinearOp(blk.projW, blk.projB, precision),
+			fc1:  newLinearOp(blk.fc1W, blk.fc1B, precision),
+			fc2:  newLinearOp(blk.fc2W, blk.fc2B, precision),
 		})
 	}
 	return e
 }
 
-// PrecisionViT wraps a ViTModel with reduced-precision linear layers
-// (fp16/bf16 storage or int8 compute). Base holds only the float32
-// parameters forward reads besides the linear ops (norms, embeddings),
-// shared with the wrapped model, so the wrapper does not keep the
-// model's float32 linear weights alive.
-type PrecisionViT struct {
-	Base      *ViTModel
-	Precision string
-	exec      *vitExec
-}
-
-// NewPrecisionViT converts the model's linear weights to the requested
-// precision. The model itself is left untouched.
-func NewPrecisionViT(m *ViTModel, precision string) (*PrecisionViT, error) {
-	e := &vitExec{}
-	var err error
-	if e.patch, err = newLinearOp(m.patchW, m.patchB, precision); err != nil {
+// At returns the model at a precision: the model itself for "" or
+// fp32; otherwise a copy for forwarding that shares the model's norms
+// and embeddings and holds only its converted linear weights, so it
+// does not keep the float32 weights alive. The model is left untouched.
+func (m *ViTModel) At(precision string) (Executor, error) {
+	switch reduced, err := checkPrecision(precision); {
+	case err != nil:
 		return nil, err
+	case !reduced:
+		return m, nil
 	}
-	if e.head, err = newLinearOp(m.headW, m.headB, precision); err != nil {
-		return nil, err
-	}
-	for i := range m.blocks {
-		blk := &m.blocks[i]
-		var be vitBlockExec
-		if be.qkv, err = newLinearOp(blk.qkvW, blk.qkvB, precision); err != nil {
-			return nil, err
-		}
-		if be.proj, err = newLinearOp(blk.projW, blk.projB, precision); err != nil {
-			return nil, err
-		}
-		if be.fc1, err = newLinearOp(blk.fc1W, blk.fc1B, precision); err != nil {
-			return nil, err
-		}
-		if be.fc2, err = newLinearOp(blk.fc2W, blk.fc2B, precision); err != nil {
-			return nil, err
-		}
-		e.blocks = append(e.blocks, be)
-	}
-	base := &ViTModel{Config: m.Config, posEmbed: m.posEmbed, clsToken: m.clsToken,
-		normG: m.normG, normB: m.normB, spares: newSpares()}
+	c := &ViTModel{Config: m.Config, posEmbed: m.posEmbed, clsToken: m.clsToken,
+		normG: m.normG, normB: m.normB, exec: m.newExec(precision), spares: newSpares()}
 	for _, blk := range m.blocks {
-		base.blocks = append(base.blocks, vitBlock{norm1G: blk.norm1G, norm1B: blk.norm1B,
+		c.blocks = append(c.blocks, vitBlock{norm1G: blk.norm1G, norm1B: blk.norm1B,
 			norm2G: blk.norm2G, norm2B: blk.norm2B})
 	}
-	return &PrecisionViT{Base: base, Precision: precision, exec: e}, nil
-}
-
-// Forward runs the wrapped model through the reduced-precision ops.
-func (p *PrecisionViT) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return p.Base.forward(p.exec, x)
+	return c, nil
 }
 
 // NewViTModel allocates a ViT with weights initialized from r.
@@ -240,18 +206,14 @@ func NewViTModel(c ViTConfig, r tensor.Rand64) (*ViTModel, error) {
 			fc2W: mk(d, hidden), fc2B: mk(d),
 		})
 	}
-	m.dense = m.denseExec()
+	m.exec = m.newExec(PrecFP32)
 	return m, nil
 }
 
 // Forward runs a real forward pass over a batch of CHW images
-// (batch x 3 x S x S) and returns logits (batch x classes).
-func (m *ViTModel) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return m.forward(m.dense, x)
-}
-
-// forward runs the whole batch at once: the tokens of all B images are
-// one (B·n × d) activation, so each linear layer is one GEMM per batch.
+// (batch x 3 x S x S) and returns logits (batch x classes), the whole
+// batch at once: the tokens of all B images are one (B·n × d)
+// activation, so each linear layer is one GEMM per batch.
 // fc1 applies bias+GELU in its epilogue, proj and fc2 accumulate into the
 // residual stream and write its layer norm for the next linear (proj the
 // block's norm2, fc2 the next block's norm1) in theirs, and attention
@@ -260,8 +222,8 @@ func (m *ViTModel) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // tokens' norm run on their own.
 // Every row is computed the same way whatever B is, so a batch's logits
 // equal its images' single forwards bit for bit.
-func (m *ViTModel) forward(e *vitExec, x *tensor.Tensor) (*tensor.Tensor, error) {
-	c := m.Config
+func (m *ViTModel) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
+	c, e := m.Config, m.exec
 	if len(x.Shape) != 4 || x.Shape[1] != 3 || x.Shape[2] != c.InputSize || x.Shape[3] != c.InputSize {
 		return nil, fmt.Errorf("models: ViT %s expects (B,3,%d,%d), got %v: %w", c.Name, c.InputSize, c.InputSize, x.Shape, tensor.ErrShape)
 	}

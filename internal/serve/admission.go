@@ -27,6 +27,7 @@ func (rt *modelRuntime) admit(ts *tenantState, tenant string, items int) error {
 			break
 		}
 	}
+	rt.queued.Add(int64(items))
 	ts.queuedReqs.Add(1)
 	ts.queuedItems.Add(int64(items))
 	return nil
@@ -37,6 +38,7 @@ func (rt *modelRuntime) admit(ts *tenantState, tenant string, items int) error {
 // (dispatch, eviction, shutdown).
 func (rt *modelRuntime) release(p *pending) {
 	rt.inflight.Add(-1)
+	rt.queued.Add(int64(-p.req.Items))
 	p.ts.queuedReqs.Add(-1)
 	p.ts.queuedItems.Add(int64(-p.req.Items))
 }
@@ -312,7 +314,7 @@ func (s *Server) EstimateWait(name string, items int) (time.Duration, error) {
 	if items < 1 {
 		items = 1
 	}
-	queued := rt.inflight.Load() + int64(items)
+	queued := rt.queued.Load() + int64(items)
 	maxBatch := int64(rt.cfg.MaxBatch)
 	rounds := rt.drainRounds(queued)
 	// Full rounds execute at MaxBatch; the tail round runs only what

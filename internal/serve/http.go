@@ -16,6 +16,7 @@ import (
 
 	"harvest/internal/imaging"
 	"harvest/internal/metrics"
+	"harvest/internal/tensor"
 	"harvest/internal/trace"
 )
 
@@ -371,7 +372,7 @@ func (s *Server) Handler() http.Handler {
 			Outputs: resp.Outputs,
 		}
 		for _, logits := range resp.Outputs {
-			out.Classification = append(out.Classification, argmax(logits))
+			out.Classification = append(out.Classification, tensor.ArgMax(logits))
 		}
 		respondStart := time.Now()
 		out.Timings.TotalMs = respondStart.Sub(arrived).Seconds() * 1000
@@ -447,16 +448,6 @@ func tenantSpanFilter(tenant string) func(trace.Span) bool {
 		v, ok := sp.Args["tenant"]
 		return ok && v == tenant
 	}
-}
-
-func argmax(xs []float32) int {
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

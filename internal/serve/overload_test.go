@@ -368,6 +368,54 @@ func TestArrivalsWhileBusyJoinOneBatch(t *testing.T) {
 	}
 }
 
+// TestEstimateWaitCountsQueuedItems prices a backlog by its items,
+// not its requests: behind a held instance, one queued 8-item request
+// at MaxBatch 8 fills a round, so one more item waits two rounds.
+func TestEstimateWaitCountsQueuedItems(t *testing.T) {
+	eng, err := engine.New(hw.Jetson(), models.NameViTTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, err := models.NewViTModel(models.MicroViTConfig(4), stats.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedBackend{inner: real, entered: make(chan struct{}, 1), open: make(chan struct{})}
+	eng.Real = gate
+	cfg := ModelConfig{Name: "est", Engine: eng, MaxBatch: 8, InputSize: 32}
+	s := newTestServer(t, cfg)
+	open := sync.OnceFunc(func() { close(gate.open) })
+	t.Cleanup(open)
+
+	done := make(chan error, 2)
+	go func() {
+		_, err := s.Submit(context.Background(),
+			&Request{ID: "blocker", Model: "est", Inputs: [][]float32{make([]float32, 3*32*32)}})
+		done <- err
+	}()
+	<-gate.entered
+	go func() {
+		_, err := s.Submit(context.Background(), &Request{ID: "eight", Model: "est", Items: 8})
+		done <- err
+	}()
+	waitLaned(t, s, "est", 8)
+
+	got, err := s.EstimateWait("est", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cfg.execEstimate(8) + cfg.execEstimate(1); got != want {
+		t.Errorf("EstimateWait = %v behind an 8-item request, want two rounds, %v (one round is %v)",
+			got, want, cfg.execEstimate(2))
+	}
+	open()
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestHTTPOverloadEndToEnd is the acceptance scenario: sustained
 // offered load far above capacity at TimeScale > 0. The server must
 // shed excess work with HTTP 429 + Retry-After instead of blocking,

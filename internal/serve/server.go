@@ -356,6 +356,7 @@ type modelRuntime struct {
 	drained  chan struct{} // closed when shutdown has failed all stragglers
 	wg       sync.WaitGroup
 	inflight atomic.Int64 // requests enqueued but not yet dispatched/evicted
+	queued   atomic.Int64 // the items of those requests
 	met      modelMetrics
 }
 

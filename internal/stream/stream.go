@@ -21,6 +21,7 @@ import (
 	"harvest/internal/imaging"
 	"harvest/internal/metrics"
 	"harvest/internal/serve"
+	"harvest/internal/tensor"
 	"harvest/internal/trace"
 )
 
@@ -531,7 +532,7 @@ func (s *Session) serveEdge(ctx context.Context, f Frame, format imaging.Format,
 	}
 	var class []int
 	if len(resp.Outputs) == 1 {
-		class = []int{argmax(resp.Outputs[0])}
+		class = []int{tensor.ArgMax(resp.Outputs[0])}
 	}
 	if p := s.ing.cfg.Offload; p != nil {
 		p.noteEdgeCompute(resp.ComputeSeconds)
@@ -584,17 +585,6 @@ func (s *Session) fail(seq int64, recv time.Time, where string, err error, emit 
 	s.ing.met.failed.Inc()
 	s.span("frame", recv, time.Since(recv), map[string]any{"seq": seq, "outcome": OutcomeFailed, "where": where})
 	emit(Outcome{Seq: seq, Outcome: OutcomeFailed, Where: where, Error: err.Error()})
-}
-
-// argmax returns the index of the largest logit.
-func argmax(xs []float32) int {
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // dedupEntry is one remembered served frame.

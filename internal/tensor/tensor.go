@@ -138,14 +138,13 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 	return m
 }
 
-// ArgMax returns the index of the maximum element of a vector.
+// ArgMax returns the index of the first largest element of a vector.
 func ArgMax(xs []float32) int {
 	best := 0
 	for i, x := range xs {
 		if x > xs[best] {
 			best = i
 		}
-		_ = i
 	}
 	return best
 }
